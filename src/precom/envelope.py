@@ -27,6 +27,7 @@ from .magma import (
     MagmaPoly,
     NaWord,
     bracket,
+    exact,
     leaf,
     node,
 )
@@ -62,8 +63,8 @@ __all__ = [
     "odd_even_zero_sweep",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class CommAlgebra:
@@ -231,14 +232,14 @@ def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
     for i, x in enumerate(letters):
         for y in letters[i:]:
             if x is y:
-                terms = {node(leaf(x), leaf(x)): Fraction(2)}
+                terms = {node(leaf(x), leaf(x)): 2}
             else:
                 terms = {node(leaf(x), leaf(y)): _ONE, node(leaf(y), leaf(x)): _ONE}
             for z, c in A.product(x, y).items():
                 w = leaf(z)
                 nc = terms.get(w, _ZERO) - c
                 if nc:
-                    terms[w] = nc
+                    terms[w] = exact(nc)
                 else:
                     terms.pop(w, None)
             poly = MagmaPoly._raw(terms)

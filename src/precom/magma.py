@@ -30,6 +30,7 @@ __all__ = [
     "magma_product",
     "leading_and_monic",
     "words_of_length",
+    "exact",
 ]
 
 Coeff = Union[int, Fraction]
@@ -237,29 +238,41 @@ def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
     return cached
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def exact(c) -> Coeff:
+    """``c`` as an exact coefficient: an ``int`` when it is integral, else a
+    ``Fraction``.  Anything ``Fraction`` accepts is converted exactly, so a
+    float never survives as a coefficient."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class MagmaPoly:
     """A finite rational combination of non-associative words.
 
-    Immutable; zero coefficients are never stored.  The leading monomial
-    (largest word in the weight order) is cached after first use.
+    Immutable; zero coefficients are never stored, and every coefficient
+    is an ``int`` when integral and a ``Fraction`` otherwise, never a
+    float.  The leading monomial (largest word in the weight order) is
+    cached after first use.
     """
 
     __slots__ = ("terms", "_lead")
 
     def __init__(self, terms=None):
-        clean: dict[NaWord, Fraction] = {}
+        clean: dict[NaWord, Coeff] = {}
         if terms:
             for w, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                c = exact(c)
                 if c:
                     acc = clean.get(w)
                     if acc is not None:
-                        c = acc + c
+                        c = exact(acc + c)
                         if not c:
                             del clean[w]
                             continue
@@ -269,7 +282,8 @@ class MagmaPoly:
 
     @classmethod
     def _raw(cls, terms: dict) -> "MagmaPoly":
-        """Trusted constructor: terms already clean (Fractions, no zeros)."""
+        """Trusted constructor: terms already clean (exact coefficients as
+        :func:`exact` returns them, no zeros)."""
         p = cls.__new__(cls)
         p.terms = terms
         p._lead = None
@@ -281,14 +295,14 @@ class MagmaPoly:
 
     @classmethod
     def monomial(cls, word: NaWord, coeff: Coeff = 1) -> "MagmaPoly":
-        c = Fraction(coeff)
+        c = exact(coeff)
         return cls._raw({word: c} if c else {})
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[NaWord, Coeff]]) -> "MagmaPoly":
-        acc: dict[NaWord, Fraction] = {}
+        acc: dict[NaWord, Coeff] = {}
         for w, c in items:
-            acc[w] = acc.get(w, _ZERO) + Fraction(c)
+            acc[w] = exact(acc.get(w, _ZERO) + exact(c))
         return cls._raw({w: c for w, c in acc.items() if c})
 
     def __bool__(self) -> bool:
@@ -308,7 +322,7 @@ class MagmaPoly:
         for w, c in other.terms.items():
             nc = out.get(w, _ZERO) + c
             if nc:
-                out[w] = nc
+                out[w] = exact(nc)
             else:
                 out.pop(w, None)
         return MagmaPoly._raw(out)
@@ -320,7 +334,7 @@ class MagmaPoly:
         for w, c in other.terms.items():
             nc = out.get(w, _ZERO) - c
             if nc:
-                out[w] = nc
+                out[w] = exact(nc)
             else:
                 out.pop(w, None)
         return MagmaPoly._raw(out)
@@ -337,10 +351,10 @@ class MagmaPoly:
         return self.scale(other)
 
     def scale(self, c: Coeff) -> "MagmaPoly":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return MagmaPoly.zero()
-        return MagmaPoly._raw({w: q * c for w, q in self.terms.items()})
+        return MagmaPoly._raw({w: exact(q * c) for w, q in self.terms.items()})
 
     def leading(self) -> NaWord:
         """The largest monomial.  Raises on the zero polynomial."""
@@ -350,16 +364,18 @@ class MagmaPoly:
             self._lead = max(self.terms, key=_word_key)
         return self._lead
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Coeff:
         return self.terms[self.leading()]
 
     def monic(self) -> "MagmaPoly":
         c = self.leading_coeff()
         if c == 1:
             return self
-        return MagmaPoly._raw({w: q / c for w, q in self.terms.items()})
+        # Fraction division: int / int would give a float.
+        return MagmaPoly._raw({w: exact(Fraction(q, c))
+                               for w, q in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[NaWord, Fraction]]:
+    def sorted_terms(self) -> list[tuple[NaWord, Coeff]]:
         """Terms in descending word order."""
         return sorted(self.terms.items(), key=lambda t: t[0].key, reverse=True)
 
@@ -388,13 +404,13 @@ def _word_key(w: NaWord):
 
 def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
     """Bilinear extension of the tree product (u, v) -> (u v)."""
-    out: dict[NaWord, Fraction] = {}
+    out: dict[NaWord, Coeff] = {}
     for u, a in p.terms.items():
         for v, b in q.terms.items():
             w = node(u, v)
             c = out.get(w, _ZERO) + a * b
             if c:
-                out[w] = c
+                out[w] = exact(c)
             else:
                 out.pop(w, None)
     return MagmaPoly._raw(out)

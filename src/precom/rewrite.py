@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .magma import (
     Alphabet,
+    Coeff,
     MagmaPoly,
     NaWord,
+    exact,
+    leaf,
     node,
     words_of_length,
 )
@@ -57,8 +59,8 @@ __all__ = [
 LEFT, RIGHT = 0, 1
 Path = tuple  # paths are tuples over {LEFT, RIGHT}
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +76,21 @@ def subtree(w: NaWord, path: Sequence[int]) -> NaWord:
 
 
 def graft(w: NaWord, path: Sequence[int], repl: NaWord) -> NaWord:
-    """The word obtained by replacing the subword at ``path`` with ``repl``."""
-    if not path:
-        return repl
-    if w.letter is not None:
-        raise ValueError("invalid path %r: ran past a leaf" % (tuple(path),))
-    if path[0] == 0:
-        return node(graft(w.left, path[1:], repl), w.right)
-    return node(w.left, graft(w.right, path[1:], repl))
+    """The word obtained by replacing the subword at ``path`` with ``repl``.
+
+    Walks down the path, then rebuilds the spine bottom-up, so the depth
+    of the word is not limited by the recursion limit.
+    """
+    spine = []
+    for step in path:
+        if w.letter is not None:
+            raise ValueError("invalid path %r: ran past a leaf" % (tuple(path),))
+        spine.append(w)
+        w = w.left if step == 0 else w.right
+    for step in reversed(path):
+        w = spine.pop()
+        repl = node(repl, w.right) if step == 0 else node(w.left, repl)
+    return repl
 
 
 def occurrences(w: NaWord, pattern: NaWord) -> list[tuple[int, ...]]:
@@ -94,7 +103,7 @@ def occurrences(w: NaWord, pattern: NaWord) -> list[tuple[int, ...]]:
 
 def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaPoly:
     """Graft a polynomial into ``w`` at ``path``, linearly per monomial."""
-    out: dict[NaWord, Fraction] = {}
+    out: dict[NaWord, Coeff] = {}
     for m, c in replacement.terms.items():
         g = graft(w, path, m)
         nc = out.get(g, _ZERO) + c
@@ -190,7 +199,11 @@ class ZinbielFamily(RelationSchema):
 # Redex lookup
 
 class _RedexIndex:
-    """Leading-monomial lookup across a schema list, honoring list order."""
+    """Leading-monomial lookup across a schema list, honoring list order.
+
+    ``first`` memoizes :func:`_find_redex` per word for the life of the
+    index; words are hash-consed, so a dict keyed by word is exact.
+    """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
         self.schemas = list(schemas)
@@ -202,11 +215,15 @@ class _RedexIndex:
             else:
                 self.families.append((pos, s))
         self._next_pos = len(self.schemas)
+        self.first: dict[NaWord, Optional[tuple]] = {}
 
     def add_explicit(self, poly: MagmaPoly) -> int:
         pos = self._next_pos
         self._next_pos += 1
         self.explicit.setdefault(poly.leading(), (pos, poly))
+        # The new leading word may sit earlier in preorder than a cached
+        # redex, so every entry is stale, not only the irreducible ones.
+        self.first.clear()
         return pos
 
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -223,12 +240,43 @@ class _RedexIndex:
 
 
 def _find_redex(word: NaWord, index: _RedexIndex):
-    """First reducible position in preorder: (path, relation) or None."""
-    for path, sub in word.subtrees():
-        rel = index.find(sub)
-        if rel is not None:
-            return path, rel
-    return None
+    """First reducible position in preorder: (path, relation) or None.
+
+    The first redex of (l r) is the root if a relation matches it, else
+    l's first redex under 0, else r's first redex under 1.  Results are
+    memoized in ``index.first``; the walk keeps its own stack of
+    (word, stage) frames instead of recursing.
+    """
+    memo = index.first
+    hit = memo.get(word, memo)
+    if hit is not memo:
+        return hit
+    find = index.find
+    stack = [(word, 0)]
+    while stack:
+        w, stage = stack.pop()
+        if stage == 0:
+            if w in memo:
+                continue
+            rel = find(w)
+            if rel is not None:
+                memo[w] = ((), rel)
+            elif w.letter is not None:
+                memo[w] = None
+            else:
+                stack.append((w, 1))
+                stack.append((w.left, 0))
+        elif stage == 1:
+            hit = memo[w.left]
+            if hit is not None:
+                memo[w] = ((0,) + hit[0], hit[1])
+            else:
+                stack.append((w, 2))
+                stack.append((w.right, 0))
+        else:
+            hit = memo[w.right]
+            memo[w] = ((1,) + hit[0], hit[1]) if hit is not None else None
+    return memo[word]
 
 
 def _match_all(schemas: Sequence[RelationSchema], word: NaWord) -> list[tuple[int, MagmaPoly]]:
@@ -248,7 +296,7 @@ class ReductionStep:
     """One rewrite: the term ``coeff * word`` was rewritten with ``relation``
     grafted at ``path``.  Replaying subtracts coeff * substitute(word, path,
     relation) from the polynomial."""
-    coeff: Fraction
+    coeff: Coeff
     word: NaWord
     path: tuple[int, ...]
     relation: MagmaPoly
@@ -271,23 +319,23 @@ def _nf_terms(terms: dict, index: _RedexIndex, trace: Optional[list] = None) -> 
 
     Each rewrite replaces the current largest reducible monomial by
     strictly smaller ones, so monomials can be processed in one descending
-    sweep: once a monomial is popped it never reappears.
+    sweep: once a monomial is popped it never reappears.  A monomial is on
+    the heap whenever it has a coefficient; one that cancels and returns is
+    pushed again, and the stale entry pops with no coefficient.
+    Coefficients are normalized by :func:`exact` as they are read, so
+    integral ones stay ints.
     """
-    coeffs: dict[NaWord, Fraction] = {}
-    heap: list[_MaxItem] = []
-    pending: set[NaWord] = set()
-    for w, c in terms.items():
-        coeffs[w] = coeffs.get(w, _ZERO) + c
-        if w not in pending:
-            pending.add(w)
-            heapq.heappush(heap, _MaxItem(w))
-    out: dict[NaWord, Fraction] = {}
+    coeffs: dict[NaWord, Coeff] = dict(terms)
+    heap = [_MaxItem(w) for w in coeffs]
+    heapq.heapify(heap)
+    out: dict[NaWord, Coeff] = {}
     while heap:
         w = heapq.heappop(heap).word
-        pending.discard(w)
         c = coeffs.pop(w, None)
         if not c:
             continue
+        if type(c) is not int:
+            c = exact(c)
         hit = _find_redex(w, index)
         if hit is None:
             out[w] = c
@@ -300,14 +348,16 @@ def _nf_terms(terms: dict, index: _RedexIndex, trace: Optional[list] = None) -> 
             if m is lead:
                 continue
             nw = graft(w, path, m)
-            nc = coeffs.get(nw, _ZERO) - c * q
-            if nc:
-                coeffs[nw] = nc
-                if nw not in pending:
-                    pending.add(nw)
-                    heapq.heappush(heap, _MaxItem(nw))
+            old = coeffs.get(nw)
+            if old is None:
+                coeffs[nw] = -c * q
+                heapq.heappush(heap, _MaxItem(nw))
             else:
-                coeffs.pop(nw, None)
+                nc = old - c * q
+                if nc:
+                    coeffs[nw] = nc
+                else:
+                    del coeffs[nw]
     return out
 
 
@@ -340,7 +390,7 @@ def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
 
 
 def _nf_smallest(terms: dict, index: _RedexIndex) -> dict:
-    work = dict(terms)
+    work = {w: exact(c) for w, c in terms.items()}
     while True:
         found = None
         for w in sorted(work, key=lambda t: t.key):
@@ -359,7 +409,7 @@ def _nf_smallest(terms: dict, index: _RedexIndex) -> dict:
             nw = graft(w, path, m)
             nc = work.get(nw, _ZERO) - c * q
             if nc:
-                work[nw] = nc
+                work[nw] = exact(nc)
             else:
                 work.pop(nw, None)
 
@@ -558,15 +608,28 @@ def irreducible_words(relations: Iterable[RelationSchema], alphabet: Alphabet,
                       max_len: int) -> dict[int, list[NaWord]]:
     """Words with no relation leading monomial as a subtree, by length.
 
-    Within each length words are listed in increasing weight order.
+    Within each length words are listed in increasing weight order.  A
+    word is irreducible exactly when both factors are and no relation
+    matches its root, so length n is built from the shorter irreducible
+    words and only roots are checked; words with a reducible factor are
+    never formed.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    index = _RedexIndex(list(relations))
+    find = _RedexIndex(list(relations)).find
     out: dict[int, list[NaWord]] = {}
     for n in range(1, max_len + 1):
-        row = [w for w in words_of_length(alphabet, n)
-               if _find_redex(w, index) is None]
+        if n == 1:
+            row = [w for w in map(leaf, alphabet) if find(w) is None]
+        else:
+            row = []
+            for i in range(1, n):
+                rights = out[n - i]
+                for lw in out[i]:
+                    for rw in rights:
+                        w = node(lw, rw)
+                        if find(w) is None:
+                            row.append(w)
         row.sort(key=lambda w: w.key)
         out[n] = row
     return out

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 from precom import (
+    Alphabet,
+    CommAlgebra,
     ExplicitRelation,
     MagmaPoly,
     ZinbielFamily,
     bracket,
     complete,
+    enveloping_relations,
+    idempotent_algebra,
     inclusion_compositions,
     interreduce,
     irreducible_counts,
@@ -30,6 +34,7 @@ from precom import (
     verify_gsb,
     words_of_length,
 )
+from precom.rewrite import _RedexIndex, _find_redex
 
 
 def rel(*terms):
@@ -407,3 +412,122 @@ class TestIrreducibles:
     def test_rejects_nonpositive_length(self, ab2):
         with pytest.raises(ValueError):
             irreducible_words(trivial_gsb(ab2), ab2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The memoized redex lookup and the bottom-up irreducible words, each held
+# against a plain reference implementation.
+
+def scan_first_redex(word, index):
+    """Uncached reference: the first subtree in preorder that a relation
+    matches."""
+    for path, sub in word.subtrees():
+        rel = index.find(sub)
+        if rel is not None:
+            return path, rel
+    return None
+
+
+def words_upto(ab, n):
+    return [w for k in range(1, n + 1) for w in words_of_length(ab, k)]
+
+
+def nilpotent_plane():
+    """Basis x < y with x*x = y and every other product zero."""
+    ab = Alphabet(["x", "y"])
+    x, y = ab.letters
+    return CommAlgebra(ab, {(x, x): {y: 1}})
+
+
+class TestRedexCache:
+    def assert_agrees(self, index, words):
+        # Longest first, so shorter words are answered from entries that
+        # were filled while walking longer ones.
+        for w in sorted(words, key=lambda w: -w.length):
+            assert _find_redex(w, index) == scan_first_redex(w, index), w
+
+    def test_trivial_gsb_three_letters(self, ab3):
+        self.assert_agrees(_RedexIndex(trivial_gsb(ab3)), words_upto(ab3, 6))
+
+    @pytest.mark.parametrize("algebra", [idempotent_algebra, nilpotent_plane])
+    def test_enveloping_relations(self, algebra):
+        A = algebra()
+        self.assert_agrees(_RedexIndex(enveloping_relations(A)),
+                           words_upto(A.alphabet, 6))
+
+    def test_add_explicit_invalidates(self, ab2):
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        xy, yy, yx = node(x, y), node(y, y), node(y, x)
+        first = MagmaPoly.monomial(xy)
+        index = _RedexIndex([ExplicitRelation(first)])
+        w = node(yy, xy)
+        assert _find_redex(w, index) == ((1,), first)
+        assert _find_redex(yx, index) is None
+        words = words_upto(ab2, 4)
+        self.assert_agrees(index, words)
+
+        # (y y) sits at path (0,), before the cached redex at (1,).
+        earlier = MagmaPoly.monomial(yy)
+        index.add_explicit(earlier)
+        assert _find_redex(w, index) == ((0,), earlier)
+        fresh = _RedexIndex([ExplicitRelation(first), ExplicitRelation(earlier)])
+        for u in words:
+            assert _find_redex(u, index) == scan_first_redex(u, fresh), u
+
+        # (y x) was cached as irreducible.
+        late = MagmaPoly.monomial(yx)
+        index.add_explicit(late)
+        assert _find_redex(yx, index) == ((), late)
+        fresh = _RedexIndex([ExplicitRelation(p) for p in (first, earlier, late)])
+        for u in words:
+            assert _find_redex(u, index) == scan_first_redex(u, fresh), u
+
+
+def brute_irreducible_words(relations, ab, max_len):
+    index = _RedexIndex(list(relations))
+    return {n: sorted((w for w in words_of_length(ab, n)
+                       if scan_first_redex(w, index) is None),
+                      key=lambda w: w.key)
+            for n in range(1, max_len + 1)}
+
+
+class TestIrreducibleWordsBottomUp:
+    @pytest.mark.parametrize("letters,max_len", [(2, 6), (3, 5)])
+    def test_trivial_gsb(self, letters, max_len):
+        ab = Alphabet("xyz"[:letters])
+        rels = trivial_gsb(ab)
+        assert irreducible_words(rels, ab, max_len) == \
+            brute_irreducible_words(rels, ab, max_len)
+
+    def test_bare_family(self, ab2):
+        rels = [ZinbielFamily(ab2)]
+        assert irreducible_words(rels, ab2, 6) == brute_irreducible_words(rels, ab2, 6)
+
+    def test_truncated_poly(self):
+        rels = truncated_poly_relations(3)
+        ab = rels[0].alphabet
+        assert irreducible_words(rels, ab, 5) == brute_irreducible_words(rels, ab, 5)
+
+    def test_reducible_leaf(self):
+        A = idempotent_algebra()
+        x = leaf(A.alphabet["x"])
+        done = complete(enveloping_relations(A), 5)
+        assert any(isinstance(s, ExplicitRelation) and s.lead is x for s in done)
+        table = irreducible_words(done, A.alphabet, 5)
+        assert table == brute_irreducible_words(done, A.alphabet, 5)
+        assert all(row == [] for row in table.values())
+
+
+def test_graft_deep_word(ab2):
+    x, y = leaf(ab2["x"]), leaf(ab2["y"])
+    depth = 3000
+    w = x
+    for _ in range(depth):
+        w = node(y, w)
+    path = (1,) * depth
+    got = graft(w, path, y)
+    want = y
+    for _ in range(depth):
+        want = node(y, want)
+    assert got is want
+    assert subtree(got, path) is y
