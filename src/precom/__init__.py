@@ -3,6 +3,10 @@ algebras, with power-series embeddings of filtered commutative algebras.
 
 The layers, bottom up:
 
+``lincomb``
+    exact sparse linear combinations (the base of the tree, word and
+    commutative polynomial types) and the shared largest-first and
+    smallest-first reducers;
 ``magma``
     letters, binary tree words with a length-then-right-factor order,
     and polynomials over them;
@@ -65,7 +69,7 @@ from .shuffle import (
     from_left_comb,
     perm_tensor_check,
     random_element,
-    shuffle,
+    shuffle_product,
     star,
     to_left_comb,
     zinbiel_product,

@@ -17,11 +17,11 @@ symbol whose multiplicities differ nor the direction of the difference.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+from .lincomb import Coeff, LinComb, _require_monic, descend, exact, smallest_first
 
 __all__ = [
     "GenSymbol",
@@ -35,10 +35,6 @@ __all__ = [
     "BuchbergerReport",
     "buchberger_bounded",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class GenSymbol:
@@ -159,121 +155,30 @@ def com_compare(m1: ComMonomial, m2: ComMonomial) -> int:
     return 0
 
 
-class ComPoly:
-    """A polynomial as a finite monomial -> nonzero-Fraction map."""
+class ComPoly(LinComb):
+    """A polynomial as a finite monomial -> nonzero exact coefficient map;
+    the arithmetic and exactness rules are
+    :class:`~precom.lincomb.LinComb`'s."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[dict] = None):
-        clean: dict[ComMonomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[m] = clean.get(m, _ZERO) + c
-                if not clean[m]:
-                    del clean[m]
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "ComPoly":
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> "ComPoly":
-        return cls._raw({})
-
-    @classmethod
-    def monomial(cls, m: ComMonomial, coeff=1) -> "ComPoly":
-        c = Fraction(coeff)
-        return cls._raw({m: c} if c else {})
-
-    @classmethod
-    def from_terms(cls, pairs: Iterable[tuple]) -> "ComPoly":
-        out: dict[ComMonomial, Fraction] = {}
-        for m, c in pairs:
-            c = Fraction(c)
-            nc = out.get(m, _ZERO) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return cls._raw(out)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ComPoly) and self.terms == other.terms
-
-    def __add__(self, other: "ComPoly") -> "ComPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, _ZERO) + c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
+    def _product(self, other: "ComPoly") -> "ComPoly":
+        out: dict[ComMonomial, Coeff] = {}
+        for m, a in self.terms.items():
+            for n, b in other.terms.items():
+                mn = m * n
+                nc = out.get(mn, 0) + a * b
+                if nc:
+                    out[mn] = exact(nc)
+                else:
+                    del out[mn]
         return ComPoly._raw(out)
-
-    def __sub__(self, other: "ComPoly") -> "ComPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, _ZERO) - c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
-        return ComPoly._raw(out)
-
-    def __neg__(self) -> "ComPoly":
-        return ComPoly._raw({m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff) -> "ComPoly":
-        c = Fraction(coeff)
-        if not c:
-            return ComPoly.zero()
-        return ComPoly._raw({m: a * c for m, a in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ComPoly):
-            out: dict[ComMonomial, Fraction] = {}
-            for m, a in self.terms.items():
-                for n, b in other.terms.items():
-                    mn = m * n
-                    nc = out.get(mn, _ZERO) + a * b
-                    if nc:
-                        out[mn] = nc
-                    else:
-                        del out[mn]
-            return ComPoly._raw(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def mul_monomial(self, m: ComMonomial, coeff=1) -> "ComPoly":
-        c = Fraction(coeff)
+        c = exact(coeff)
         if not c:
             return ComPoly.zero()
-        return ComPoly._raw({n * m: a * c for n, a in self.terms.items()})
-
-    def leading(self) -> ComMonomial:
-        if not self.terms:
-            raise ValueError("no leading monomial: zero polynomial")
-        return max(self.terms)
-
-    def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading()]
-
-    def monic(self) -> "ComPoly":
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return self.scale(1 / lc)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: t[0].key, reverse=True)
+        return ComPoly._raw({n * m: exact(a * c) for n, a in self.terms.items()})
 
     def weights(self) -> set:
         return {m.weight for m in self.terms}
@@ -299,89 +204,20 @@ class ComPoly:
         return out
 
 
-def _require_monic(G: Sequence[ComPoly]) -> None:
-    for g in G:
-        if not g:
-            raise ValueError("zero polynomial in relation list")
-        if g.leading_coeff() != 1:
-            raise ValueError("relations must be monic")
+def _divisor(G: Sequence[ComPoly]):
+    """``find`` for the shared reducers: the first relation of G whose
+    leading monomial divides m, with the quotient as the rewrite step."""
+    def find(m: ComMonomial):
+        for g in G:
+            lead = g.leading()
+            if lead.divides(m):
+                return m.div(lead), g
+        return None
+    return find
 
 
-def _find_divisor(m: ComMonomial, G: Sequence[ComPoly]):
-    for i, g in enumerate(G):
-        if g.leading().divides(m):
-            return i
-    return None
-
-
-class _MaxItem:
-    __slots__ = ("m",)
-
-    def __init__(self, m: ComMonomial):
-        self.m = m
-
-    def __lt__(self, other: "_MaxItem") -> bool:
-        return self.m.key > other.m.key
-
-
-def _reduce_largest(terms: dict, G: Sequence[ComPoly], trace=None) -> dict:
-    # Descending sweep: replacements only introduce strictly smaller
-    # monomials (tail < lead, and the order is multiplicative), so a
-    # popped monomial never returns.
-    heap = [_MaxItem(m) for m in terms]
-    heapq.heapify(heap)
-    pending = set(terms)
-    while heap:
-        m = heapq.heappop(heap).m
-        pending.discard(m)
-        c = terms.get(m, _ZERO)
-        if not c:
-            terms.pop(m, None)
-            continue
-        i = _find_divisor(m, G)
-        if i is None:
-            continue
-        g = G[i]
-        q = m.div(g.leading())
-        if trace is not None:
-            trace.append((c, q, i))
-        del terms[m]
-        for t, a in g.terms.items():
-            if t == g.leading():
-                continue
-            w = t * q
-            nc = terms.get(w, _ZERO) - c * a
-            if nc:
-                terms[w] = nc
-                if w not in pending:
-                    pending.add(w)
-                    heapq.heappush(heap, _MaxItem(w))
-            else:
-                terms.pop(w, None)
-    return terms
-
-
-def _reduce_smallest(terms: dict, G: Sequence[ComPoly]) -> dict:
-    while True:
-        target = None
-        for m in sorted(terms):
-            if _find_divisor(m, G) is not None:
-                target = m
-                break
-        if target is None:
-            return terms
-        c = terms.pop(target)
-        g = G[_find_divisor(target, G)]
-        q = target.div(g.leading())
-        for t, a in g.terms.items():
-            if t == g.leading():
-                continue
-            w = t * q
-            nc = terms.get(w, _ZERO) - c * a
-            if nc:
-                terms[w] = nc
-            else:
-                terms.pop(w, None)
+def _times(m: ComMonomial, q: ComMonomial, t: ComMonomial) -> ComMonomial:
+    return t * q
 
 
 def com_reduce(p: ComPoly, G: Sequence[ComPoly],
@@ -389,11 +225,10 @@ def com_reduce(p: ComPoly, G: Sequence[ComPoly],
     """Normal form of p modulo the monic relation list G: no monomial of
     the result is divisible by any leading monomial of G."""
     _require_monic(G)
-    terms = dict(p.terms)
     if strategy == "largest":
-        return ComPoly._raw(_reduce_largest(terms, G))
+        return ComPoly._raw(descend(p.terms, _divisor(G), _times))
     if strategy == "smallest":
-        return ComPoly._raw(_reduce_smallest(terms, G))
+        return ComPoly._raw(smallest_first(p.terms, _divisor(G), _times))
     raise ValueError("unknown strategy %r" % (strategy,))
 
 
@@ -402,8 +237,10 @@ def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
     taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
     _require_monic(G)
     trace: list = []
-    terms = dict(p.terms)
-    return ComPoly._raw(_reduce_largest(terms, G, trace)), trace
+    nf = ComPoly._raw(descend(p.terms, _divisor(G), _times, trace))
+    # The divisor lookup takes the first relation whose leading monomial
+    # divides, and equal relations share it, so G.index finds its position.
+    return nf, [(c, q, G.index(g)) for c, _, q, g in trace]
 
 
 def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:

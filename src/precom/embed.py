@@ -119,6 +119,26 @@ def validate_filtration(F: FilteredAlgebra) -> list:
     return bad
 
 
+def _associativity_failure(F: FilteredAlgebra) -> Optional[tuple]:
+    """The first basis triple (x, y, z) with (xy)z != x(yz), or None."""
+    def times(combo: dict, z: Letter) -> dict:
+        out: dict = {}
+        for w, c in combo.items():
+            for v, d in F.product(w, z).items():
+                out[v] = out.get(v, 0) + c * d
+        return {v: c for v, c in out.items() if c}
+
+    basis = F.basis
+    for x in basis:
+        for y in basis:
+            xy = F.product(x, y)
+            for z in basis:
+                # x(yz) = (yz)x: the algebra is commutative.
+                if times(xy, z) != times(F.product(y, z), x):
+                    return x, y, z
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra on rows of Fractions (for the power-chain filtration)
 
@@ -294,19 +314,11 @@ def pair_relation(F: FilteredAlgebra, x: Letter, y: Letter, l: int,
     k, m = F.level(x), F.level(y)
     if l < k + m:
         raise ValueError("weight %d below level sum %d" % (l, k + m))
-    terms: dict[ComMonomial, Fraction] = {}
-    for i in range(k, l - m + 1):
-        mono = ComMonomial((F.symbol(x, i), F.symbol(y, l - i)))
-        terms[mono] = terms.get(mono, _ZERO) + _ONE
-    for z, c in F.product(x, y).items():
-        if F.level(z) <= l:
-            mono = ComMonomial((F.symbol(z, l),))
-            nc = terms.get(mono, _ZERO) - c
-            if nc:
-                terms[mono] = nc
-            else:
-                del terms[mono]
-    poly = ComPoly._raw(terms)
+    terms = [(ComMonomial((F.symbol(x, i), F.symbol(y, l - i))), 1)
+             for i in range(k, l - m + 1)]
+    terms += [(ComMonomial((F.symbol(z, l),)), -c)
+              for z, c in F.product(x, y).items() if F.level(z) <= l]
+    poly = ComPoly.from_terms(terms)
     if poly.leading().count != 2:
         raise AssertionError("coefficient relation must lead with a quadratic monomial")
     return poly.monic() if monic else poly
@@ -471,7 +483,8 @@ class EmbeddingReport:
 
 def verify_embedding(F: FilteredAlgebra, N: int,
                      factor_bound: int = 4) -> EmbeddingReport:
-    """Check that the series assignment embeds F:
+    """Check that the series assignment embeds F, which must be
+    associative (checked on basis triples):
 
     *  for every basis pair, R(fx)fy + fxR(fy) minus the image of x*y
        reduces to zero coefficientwise (fx the image series of x);
@@ -487,6 +500,10 @@ def verify_embedding(F: FilteredAlgebra, N: int,
         raise ValueError(
             "filtration violation: %s*%s contains %s at level %d < %d"
             % (x.name, y.name, z.name, got, need))
+    triple = _associativity_failure(F)
+    if triple is not None:
+        raise ValueError("algebra is not associative on basis triple (%s, %s, %s)"
+                         % tuple(x.name for x in triple))
     if N < 2 * F.max_level():
         raise ValueError(
             "truncation too small: N=%d but products need N >= %d"

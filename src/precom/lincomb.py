@@ -1,0 +1,280 @@
+"""Exact sparse linear combinations and the rewriting loop they share.
+
+The tree polynomials of ``magma``, the word elements of ``shuffle`` and
+the commutative polynomials of ``compoly`` are all finite maps from
+monomials to exact coefficients, and the tree and commutative sides both
+reduce modulo monic relations by rewriting one monomial at a time.  This
+module holds that common part:
+
+* :class:`LinComb`, the immutable coefficient map with its arithmetic;
+  subclasses add their own product, order, validation and repr;
+* :func:`exact`, the coefficient normalization: an ``int`` when integral,
+  else a ``Fraction``, never a float;
+* :func:`descend` and :func:`smallest_first`, the two reduction
+  strategies, both driven by a pair of callables: ``find(m)`` returns
+  ``None`` for an irreducible monomial or ``(step, rel)``, where ``rel``
+  is a monic relation whose rewrite applies to ``m``, and
+  ``image(m, step, t)`` is the monomial that the tail monomial ``t`` of
+  ``rel`` becomes when the rewrite is applied to ``m``.
+"""
+
+from __future__ import annotations
+
+import heapq
+import operator
+from fractions import Fraction
+from typing import Callable, Iterable, Optional, Union
+
+__all__ = [
+    "Coeff",
+    "LinComb",
+    "exact",
+    "descend",
+    "smallest_first",
+]
+
+Coeff = Union[int, Fraction]
+
+# Monomial sort key: tree words and commutative monomials carry ``key``.
+_KEY = operator.attrgetter("key")
+
+
+def exact(c) -> Coeff:
+    """``c`` as an exact coefficient: an ``int`` when it is integral, else a
+    ``Fraction``.  Anything ``Fraction`` accepts is converted exactly, so a
+    float never survives as a coefficient."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+class LinComb:
+    """A finite exact combination of monomials.
+
+    Immutable; zero coefficients are never stored, and every coefficient
+    is an ``int`` when integral and a ``Fraction`` otherwise, never a
+    float.  Combinations of different subclasses never compare equal and
+    cannot be added.  The leading monomial (the largest under ``_key``)
+    is cached after first use.
+    """
+
+    __slots__ = ("terms", "_lead")
+
+    _key = _KEY
+
+    def __init__(self, terms=None):
+        self.terms = self._collect(terms.items() if terms else ())
+        self._lead = None
+
+    @classmethod
+    def _monomial(cls, m):
+        """Validate or normalize a monomial given to a public constructor."""
+        return m
+
+    @classmethod
+    def _collect(cls, items: Iterable[tuple]) -> dict:
+        out: dict = {}
+        for m, c in items:
+            m = cls._monomial(m)
+            c = exact(c)
+            if c:
+                acc = out.get(m)
+                if acc is not None:
+                    c = exact(acc + c)
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c
+        return out
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        """Trusted constructor: terms already clean (exact coefficients as
+        :func:`exact` returns them, no zeros)."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        p._lead = None
+        return p
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def monomial(cls, m, coeff: Coeff = 1):
+        c = exact(coeff)
+        return cls._raw({cls._monomial(m): c} if c else {})
+
+    @classmethod
+    def from_terms(cls, items: Iterable[tuple]):
+        """Sum of ``(monomial, coeff)`` pairs; repeated monomials add up."""
+        return cls._raw(cls._collect(items))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None  # mutable-dict backed; compare by value only
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = op(out.get(m, 0), c)
+            if nc:
+                out[m] = nc if type(nc) is int else exact(nc)
+            else:
+                del out[m]
+        return self._raw(out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __neg__(self):
+        return self._raw({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c: Coeff):
+        c = exact(c)
+        if not c:
+            return self.zero()
+        return self._raw({m: exact(q * c) for m, q in self.terms.items()})
+
+    def leading(self):
+        """The largest monomial.  Raises on the zero combination."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("no leading monomial: zero polynomial")
+            self._lead = max(self.terms, key=self._key)
+        return self._lead
+
+    def leading_coeff(self) -> Coeff:
+        return self.terms[self.leading()]
+
+    def monic(self):
+        c = self.leading_coeff()
+        if c == 1:
+            return self
+        # Fraction division: int / int would give a float.
+        return self._raw({m: exact(Fraction(q, c)) for m, q in self.terms.items()})
+
+    def sorted_terms(self) -> list[tuple]:
+        """Terms in descending monomial order."""
+        key = self._key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+
+
+def _require_monic(polys: Iterable[LinComb]) -> None:
+    for p in polys:
+        if not p:
+            raise ValueError("zero polynomial in relation list")
+        if p.leading_coeff() != 1:
+            raise ValueError("relations must be monic")
+
+
+class _MaxItem:
+    """heapq wrapper turning the min-heap into a max-heap on monomial keys."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __lt__(self, other: "_MaxItem") -> bool:
+        return self.m.key > other.m.key
+
+
+Find = Callable[[object], Optional[tuple]]
+Image = Callable[[object, object, object], object]
+
+
+def descend(terms: dict, find: Find, image: Image,
+            trace: Optional[list] = None) -> dict:
+    """Normal form of a term dict, rewriting the largest reducible
+    monomial first.
+
+    Each rewrite replaces the current largest reducible monomial by
+    strictly smaller ones (tails sit below the leading monomial and the
+    orders are multiplicative), so one descending sweep suffices: once a
+    monomial is popped it never reappears.  A monomial is on the heap
+    whenever it has a coefficient; one that cancels and returns is pushed
+    again, and the stale entry pops with no coefficient.  Coefficients are
+    normalized by :func:`exact` as they are read.  With ``trace``, each
+    rewrite appends ``(coeff, monomial, step, rel)``.
+    """
+    coeffs = dict(terms)
+    heap = [_MaxItem(m) for m in coeffs]
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        m = heapq.heappop(heap).m
+        c = coeffs.pop(m, None)
+        if not c:
+            continue
+        if type(c) is not int:
+            c = exact(c)
+        hit = find(m)
+        if hit is None:
+            out[m] = c
+            continue
+        step, rel = hit
+        if trace is not None:
+            trace.append((c, m, step, rel))
+        lead = rel.leading()
+        for t, q in rel.terms.items():
+            if t is lead:
+                continue
+            nm = image(m, step, t)
+            old = coeffs.get(nm)
+            if old is None:
+                coeffs[nm] = -c * q
+                heapq.heappush(heap, _MaxItem(nm))
+            else:
+                nc = old - c * q
+                if nc:
+                    coeffs[nm] = nc
+                else:
+                    del coeffs[nm]
+    return out
+
+
+def smallest_first(terms: dict, find: Find, image: Image) -> dict:
+    """Normal form of a term dict, rewriting the smallest reducible
+    monomial first; agrees with :func:`descend` for confluent relations."""
+    work = {m: exact(c) for m, c in terms.items()}
+    while True:
+        for m in sorted(work, key=_KEY):
+            hit = find(m)
+            if hit is not None:
+                break
+        else:
+            return work
+        step, rel = hit
+        c = work.pop(m)
+        lead = rel.leading()
+        for t, q in rel.terms.items():
+            if t is lead:
+                continue
+            nm = image(m, step, t)
+            nc = work.get(nm, 0) - c * q
+            if nc:
+                work[nm] = exact(nc)
+            else:
+                work.pop(nm, None)

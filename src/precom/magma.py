@@ -15,8 +15,9 @@ through the raw ``NaWord`` constructor.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
+
+from .lincomb import Coeff, LinComb, exact
 
 __all__ = [
     "Letter",
@@ -32,9 +33,6 @@ __all__ = [
     "words_of_length",
     "exact",
 ]
-
-Coeff = Union[int, Fraction]
-
 
 class Letter:
     """A generator with a fixed rank in its alphabet's total order."""
@@ -238,146 +236,15 @@ def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
     return cached
 
 
-_ZERO = 0
-_ONE = 1
+class MagmaPoly(LinComb):
+    """A finite rational combination of non-associative words, ordered by
+    the weight order; the arithmetic and exactness rules are
+    :class:`~precom.lincomb.LinComb`'s."""
 
+    __slots__ = ()
 
-def exact(c) -> Coeff:
-    """``c`` as an exact coefficient: an ``int`` when it is integral, else a
-    ``Fraction``.  Anything ``Fraction`` accepts is converted exactly, so a
-    float never survives as a coefficient."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-class MagmaPoly:
-    """A finite rational combination of non-associative words.
-
-    Immutable; zero coefficients are never stored, and every coefficient
-    is an ``int`` when integral and a ``Fraction`` otherwise, never a
-    float.  The leading monomial (largest word in the weight order) is
-    cached after first use.
-    """
-
-    __slots__ = ("terms", "_lead")
-
-    def __init__(self, terms=None):
-        clean: dict[NaWord, Coeff] = {}
-        if terms:
-            for w, c in terms.items():
-                c = exact(c)
-                if c:
-                    acc = clean.get(w)
-                    if acc is not None:
-                        c = exact(acc + c)
-                        if not c:
-                            del clean[w]
-                            continue
-                    clean[w] = c
-        self.terms = clean
-        self._lead = None
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "MagmaPoly":
-        """Trusted constructor: terms already clean (exact coefficients as
-        :func:`exact` returns them, no zeros)."""
-        p = cls.__new__(cls)
-        p.terms = terms
-        p._lead = None
-        return p
-
-    @classmethod
-    def zero(cls) -> "MagmaPoly":
-        return cls._raw({})
-
-    @classmethod
-    def monomial(cls, word: NaWord, coeff: Coeff = 1) -> "MagmaPoly":
-        c = exact(coeff)
-        return cls._raw({word: c} if c else {})
-
-    @classmethod
-    def from_terms(cls, items: Iterable[tuple[NaWord, Coeff]]) -> "MagmaPoly":
-        acc: dict[NaWord, Coeff] = {}
-        for w, c in items:
-            acc[w] = exact(acc.get(w, _ZERO) + exact(c))
-        return cls._raw({w: c for w, c in acc.items() if c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MagmaPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None  # mutable-dict backed; compare by value only
-
-    def __add__(self, other: "MagmaPoly") -> "MagmaPoly":
-        if not isinstance(other, MagmaPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, _ZERO) + c
-            if nc:
-                out[w] = exact(nc)
-            else:
-                out.pop(w, None)
-        return MagmaPoly._raw(out)
-
-    def __sub__(self, other: "MagmaPoly") -> "MagmaPoly":
-        if not isinstance(other, MagmaPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, _ZERO) - c
-            if nc:
-                out[w] = exact(nc)
-            else:
-                out.pop(w, None)
-        return MagmaPoly._raw(out)
-
-    def __neg__(self) -> "MagmaPoly":
-        return MagmaPoly._raw({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MagmaPoly):
-            return magma_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c: Coeff) -> "MagmaPoly":
-        c = exact(c)
-        if not c:
-            return MagmaPoly.zero()
-        return MagmaPoly._raw({w: exact(q * c) for w, q in self.terms.items()})
-
-    def leading(self) -> NaWord:
-        """The largest monomial.  Raises on the zero polynomial."""
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("no leading monomial: zero polynomial")
-            self._lead = max(self.terms, key=_word_key)
-        return self._lead
-
-    def leading_coeff(self) -> Coeff:
-        return self.terms[self.leading()]
-
-    def monic(self) -> "MagmaPoly":
-        c = self.leading_coeff()
-        if c == 1:
-            return self
-        # Fraction division: int / int would give a float.
-        return MagmaPoly._raw({w: exact(Fraction(q, c))
-                               for w, q in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[NaWord, Coeff]]:
-        """Terms in descending word order."""
-        return sorted(self.terms.items(), key=lambda t: t[0].key, reverse=True)
+    def _product(self, other: "MagmaPoly") -> "MagmaPoly":
+        return magma_product(self, other)
 
     def max_length(self) -> int:
         if not self.terms:
@@ -398,17 +265,13 @@ class MagmaPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def _word_key(w: NaWord):
-    return w.key
-
-
 def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
     """Bilinear extension of the tree product (u, v) -> (u v)."""
     out: dict[NaWord, Coeff] = {}
     for u, a in p.terms.items():
         for v, b in q.terms.items():
             w = node(u, v)
-            c = out.get(w, _ZERO) + a * b
+            c = out.get(w, 0) + a * b
             if c:
                 out[w] = exact(c)
             else:

@@ -15,20 +15,11 @@ monomial fits under a length bound (for composition search).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .magma import (
-    Alphabet,
-    Coeff,
-    MagmaPoly,
-    NaWord,
-    exact,
-    leaf,
-    node,
-    words_of_length,
-)
+from .lincomb import Coeff, _require_monic, descend, smallest_first
+from .magma import Alphabet, MagmaPoly, NaWord, leaf, node, words_of_length
 
 __all__ = [
     "LEFT",
@@ -201,7 +192,7 @@ class ZinbielFamily(RelationSchema):
 class _RedexIndex:
     """Leading-monomial lookup across a schema list, honoring list order.
 
-    ``first`` memoizes :func:`_find_redex` per word for the life of the
+    ``first`` memoizes :meth:`redex` per word for the life of the
     index; words are hash-consed, so a dict keyed by word is exact.
     """
 
@@ -238,45 +229,50 @@ class _RedexIndex:
                 return m
         return exp[1] if exp is not None else None
 
+    def redex(self, word: NaWord):
+        """First reducible position in preorder: (path, relation) or None.
+
+        The first redex of (l r) is the root if a relation matches it, else
+        l's first redex under 0, else r's first redex under 1.  Results are
+        memoized in ``first``; the walk keeps its own stack of
+        (word, stage) frames instead of recursing.
+        """
+        memo = self.first
+        hit = memo.get(word, memo)
+        if hit is not memo:
+            return hit
+        find = self.find
+        stack = [(word, 0)]
+        while stack:
+            w, stage = stack.pop()
+            if stage == 0:
+                if w in memo:
+                    continue
+                rel = find(w)
+                if rel is not None:
+                    memo[w] = ((), rel)
+                elif w.letter is not None:
+                    memo[w] = None
+                else:
+                    stack.append((w, 1))
+                    stack.append((w.left, 0))
+            elif stage == 1:
+                hit = memo[w.left]
+                if hit is not None:
+                    memo[w] = ((0,) + hit[0], hit[1])
+                else:
+                    stack.append((w, 2))
+                    stack.append((w.right, 0))
+            else:
+                hit = memo[w.right]
+                memo[w] = ((1,) + hit[0], hit[1]) if hit is not None else None
+        return memo[word]
+
 
 def _find_redex(word: NaWord, index: _RedexIndex):
-    """First reducible position in preorder: (path, relation) or None.
-
-    The first redex of (l r) is the root if a relation matches it, else
-    l's first redex under 0, else r's first redex under 1.  Results are
-    memoized in ``index.first``; the walk keeps its own stack of
-    (word, stage) frames instead of recursing.
-    """
-    memo = index.first
-    hit = memo.get(word, memo)
-    if hit is not memo:
-        return hit
-    find = index.find
-    stack = [(word, 0)]
-    while stack:
-        w, stage = stack.pop()
-        if stage == 0:
-            if w in memo:
-                continue
-            rel = find(w)
-            if rel is not None:
-                memo[w] = ((), rel)
-            elif w.letter is not None:
-                memo[w] = None
-            else:
-                stack.append((w, 1))
-                stack.append((w.left, 0))
-        elif stage == 1:
-            hit = memo[w.left]
-            if hit is not None:
-                memo[w] = ((0,) + hit[0], hit[1])
-            else:
-                stack.append((w, 2))
-                stack.append((w.right, 0))
-        else:
-            hit = memo[w.right]
-            memo[w] = ((1,) + hit[0], hit[1]) if hit is not None else None
-    return memo[word]
+    """First reducible position of ``word`` in preorder: (path, relation)
+    or None; see :meth:`_RedexIndex.redex`."""
+    return index.redex(word)
 
 
 def _match_all(schemas: Sequence[RelationSchema], word: NaWord) -> list[tuple[int, MagmaPoly]]:
@@ -302,65 +298,6 @@ class ReductionStep:
     relation: MagmaPoly
 
 
-class _MaxItem:
-    """heapq wrapper turning the min-heap into a max-heap on word keys."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: NaWord):
-        self.word = word
-
-    def __lt__(self, other: "_MaxItem") -> bool:
-        return self.word.key > other.word.key
-
-
-def _nf_terms(terms: dict, index: _RedexIndex, trace: Optional[list] = None) -> dict:
-    """Reduce a term dict to normal form, largest reducible monomial first.
-
-    Each rewrite replaces the current largest reducible monomial by
-    strictly smaller ones, so monomials can be processed in one descending
-    sweep: once a monomial is popped it never reappears.  A monomial is on
-    the heap whenever it has a coefficient; one that cancels and returns is
-    pushed again, and the stale entry pops with no coefficient.
-    Coefficients are normalized by :func:`exact` as they are read, so
-    integral ones stay ints.
-    """
-    coeffs: dict[NaWord, Coeff] = dict(terms)
-    heap = [_MaxItem(w) for w in coeffs]
-    heapq.heapify(heap)
-    out: dict[NaWord, Coeff] = {}
-    while heap:
-        w = heapq.heappop(heap).word
-        c = coeffs.pop(w, None)
-        if not c:
-            continue
-        if type(c) is not int:
-            c = exact(c)
-        hit = _find_redex(w, index)
-        if hit is None:
-            out[w] = c
-            continue
-        path, rel = hit
-        if trace is not None:
-            trace.append(ReductionStep(c, w, path, rel))
-        lead = rel.leading()
-        for m, q in rel.terms.items():
-            if m is lead:
-                continue
-            nw = graft(w, path, m)
-            old = coeffs.get(nw)
-            if old is None:
-                coeffs[nw] = -c * q
-                heapq.heappush(heap, _MaxItem(nw))
-            else:
-                nc = old - c * q
-                if nc:
-                    coeffs[nw] = nc
-                else:
-                    del coeffs[nw]
-    return out
-
-
 def _check_bound(p: MagmaPoly, bound: Optional[int]) -> int:
     maxlen = p.max_length()
     if bound is None:
@@ -383,35 +320,10 @@ def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
     _check_bound(p, bound)
     index = _RedexIndex(list(relations))
     if strategy == "largest":
-        return MagmaPoly._raw(_nf_terms(p.terms, index))
+        return MagmaPoly._raw(descend(p.terms, index.redex, graft))
     if strategy == "smallest":
-        return MagmaPoly._raw(_nf_smallest(p.terms, index))
+        return MagmaPoly._raw(smallest_first(p.terms, index.redex, graft))
     raise ValueError("unknown strategy %r" % (strategy,))
-
-
-def _nf_smallest(terms: dict, index: _RedexIndex) -> dict:
-    work = {w: exact(c) for w, c in terms.items()}
-    while True:
-        found = None
-        for w in sorted(work, key=lambda t: t.key):
-            hit = _find_redex(w, index)
-            if hit is not None:
-                found = (w, hit)
-                break
-        if found is None:
-            return work
-        w, (path, rel) = found
-        c = work.pop(w)
-        lead = rel.leading()
-        for m, q in rel.terms.items():
-            if m is lead:
-                continue
-            nw = graft(w, path, m)
-            nc = work.get(nw, _ZERO) - c * q
-            if nc:
-                work[nw] = exact(nc)
-            else:
-                work.pop(nw, None)
 
 
 def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema],
@@ -424,9 +336,9 @@ def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema],
     """
     _check_bound(p, bound)
     index = _RedexIndex(list(relations))
-    trace: list[ReductionStep] = []
-    nf = MagmaPoly._raw(_nf_terms(p.terms, index, trace))
-    return nf, trace
+    trace: list = []
+    nf = MagmaPoly._raw(descend(p.terms, index.redex, graft, trace))
+    return nf, [ReductionStep(*step) for step in trace]
 
 
 def replay_trace(steps: Iterable[ReductionStep]) -> MagmaPoly:
@@ -444,12 +356,6 @@ def reducible(word: NaWord, relations: Iterable[RelationSchema]) -> bool:
 # ---------------------------------------------------------------------------
 # Compositions and verification
 
-def _require_monic(p: MagmaPoly) -> MagmaPoly:
-    if p.leading_coeff() != 1:
-        raise ValueError("relations must be monic")
-    return p
-
-
 def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, MagmaPoly]]:
     """All (ambiguity, composition) pairs of the inclusion f - graft of g.
 
@@ -457,8 +363,7 @@ def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, Mag
     monomial.  The root occurrence is kept for distinct relations with
     equal leading monomials and skipped when f equals g.
     """
-    _require_monic(f)
-    _require_monic(g)
+    _require_monic((f, g))
     fl = f.leading()
     gl = g.leading()
     out = []
@@ -535,7 +440,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     for _, _, fi, gpos, path, f, g in _pair_compositions(insts, schemas):
         checked += 1
         h = f - substitute(f.leading(), path, g)
-        nf = _nf_terms(h.terms, index)
+        nf = descend(h.terms, index.redex, graft)
         if nf:
             failures.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
     return GsbReport(checked, failures, bound)
@@ -562,7 +467,7 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
         grew = False
         for _, _, fi, gpos, path, f, g in _pair_compositions(insts, work):
             h = f - substitute(f.leading(), path, g)
-            nf = _nf_terms(h.terms, index)
+            nf = descend(h.terms, index.redex, graft)
             if nf:
                 p = MagmaPoly._raw(nf).monic()
                 added.append(p)
@@ -596,7 +501,7 @@ def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
     for p in kept:
         lead = p.leading()
         tail = MagmaPoly._raw({w: c for w, c in p.terms.items() if w is not lead})
-        nf_tail = MagmaPoly._raw(_nf_terms(tail.terms, keep_idx))
+        nf_tail = MagmaPoly._raw(descend(tail.terms, keep_idx.redex, graft))
         reduced.append(MagmaPoly.monomial(lead) + nf_tail)
     return fams + [ExplicitRelation(p) for p in reduced]
 

@@ -134,13 +134,26 @@ def _letter(form: Form, alphabet: Alphabet) -> Letter:
 
 
 def _word_from_form(form: Form, alphabet: Alphabet) -> NaWord:
-    if isinstance(form, _Atom):
-        return leaf(_letter(form, alphabet))
-    if len(form.items) != 2:
-        raise _err(form, "a word node takes exactly two subwords, got %d"
-                   % len(form.items))
-    return node(_word_from_form(form.items[0], alphabet),
-                _word_from_form(form.items[1], alphabet))
+    # Postorder walk with an explicit stack, so the depth of a word is not
+    # limited by the recursion limit: a node is visited once to check it
+    # and push its factors, and once more to combine their words.
+    stack = [(form, False)]
+    done: list[NaWord] = []
+    while stack:
+        f, combine = stack.pop()
+        if isinstance(f, _Atom):
+            done.append(leaf(_letter(f, alphabet)))
+        elif combine:
+            right = done.pop()
+            done.append(node(done.pop(), right))
+        else:
+            if len(f.items) != 2:
+                raise _err(f, "a word node takes exactly two subwords, got %d"
+                           % len(f.items))
+            stack.append((f, True))
+            stack.append((f.items[1], False))
+            stack.append((f.items[0], False))
+    return done[0]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> NaWord:
@@ -148,9 +161,20 @@ def parse_word(text: str, alphabet: Alphabet) -> NaWord:
 
 
 def format_word(w: NaWord) -> str:
-    if w.letter is not None:
-        return w.letter.name
-    return "(%s %s)" % (format_word(w.left), format_word(w.right))
+    # Iterative, like parsing: the stack holds words still to write and
+    # the literal text that closes their brackets.
+    out = []
+    stack: list = [w]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif x.letter is not None:
+            out.append(x.letter.name)
+        else:
+            out.append("(")
+            stack += (")", x.right, " ", x.left)
+    return "".join(out)
 
 
 def _rational(form: Form) -> Fraction:
@@ -370,7 +394,8 @@ def parse_algebra(data: dict):
                 x = alphabet[name]
             except KeyError:
                 raise ParseError("unknown letter %r in levels" % (name,)) from None
-            if not isinstance(k, int) or k < 1:
+            # JSON true/false parse as bools, which are ints in Python.
+            if type(k) is not int or k < 1:
                 raise ParseError("level of %r must be a positive integer" % (name,))
             levels[x] = k
         missing = [x.name for x in alphabet.letters if x not in levels]

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .lincomb import Coeff, LinComb, exact
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, bracket
 from .rewrite import ZinbielFamily, normal_form
 
 __all__ = [
     "AWord",
     "ZinbElement",
-    "shuffle",
+    "shuffle_product",
     "zinbiel_product",
     "star",
     "comb",
@@ -38,8 +39,6 @@ __all__ = [
 ]
 
 AWord = tuple  # nonempty tuple of Letter
-
-_ZERO = Fraction(0)
 
 
 def _interleavings(a: tuple, b: tuple) -> Iterator[tuple]:
@@ -60,91 +59,33 @@ def _aword_key(w: tuple) -> tuple:
     return (len(w), tuple(x.rank for x in w))
 
 
-class ZinbElement:
-    """A finite rational combination of nonempty associative words."""
+class ZinbElement(LinComb):
+    """A finite rational combination of nonempty associative words; the
+    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                if not w:
-                    raise ValueError("empty word in element")
-                c = Fraction(c)
-                if c:
-                    clean[tuple(w)] = clean.get(tuple(w), _ZERO) + c
-        self.terms = {w: c for w, c in clean.items() if c}
+    _key = staticmethod(_aword_key)
 
     @classmethod
-    def _raw(cls, terms: dict) -> "ZinbElement":
-        e = cls.__new__(cls)
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls) -> "ZinbElement":
-        return cls._raw({})
+    def _monomial(cls, w) -> tuple:
+        w = tuple(w)
+        if not w:
+            raise ValueError("words must be nonempty")
+        return w
 
     @classmethod
     def word(cls, letters: Iterable[Letter], coeff=1) -> "ZinbElement":
-        w = tuple(letters)
-        if not w:
-            raise ValueError("words must be nonempty")
-        c = Fraction(coeff)
-        return cls._raw({w: c} if c else {})
+        return cls.monomial(letters, coeff)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ZinbElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other: "ZinbElement") -> "ZinbElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, _ZERO) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return ZinbElement._raw(out)
-
-    def __sub__(self, other: "ZinbElement") -> "ZinbElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, _ZERO) - c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return ZinbElement._raw(out)
-
-    def __neg__(self) -> "ZinbElement":
-        return ZinbElement._raw({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ZinbElement):
-            return zinbiel_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "ZinbElement":
-        c = Fraction(c)
-        if not c:
-            return ZinbElement.zero()
-        return ZinbElement._raw({w: q * c for w, q in self.terms.items()})
+    def _product(self, other: "ZinbElement") -> "ZinbElement":
+        return zinbiel_product(self, other)
 
     def max_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
     def sorted_terms(self):
+        """Terms in increasing word order (length, then letter ranks)."""
         return sorted(self.terms.items(), key=lambda t: _aword_key(t[0]))
 
     def __repr__(self) -> str:
@@ -157,33 +98,33 @@ class ZinbElement:
         return " + ".join(bits)
 
 
-def shuffle(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
+def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     """The shuffle product of two words, with interleaving multiplicities."""
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("shuffle needs nonempty words")
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     for s in _interleavings(u, v):
-        out[s] = out.get(s, _ZERO) + 1
+        out[s] = out.get(s, 0) + 1
     return ZinbElement._raw(out)
 
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """Bilinear pre-commutative product: shuffle into the prefix, keep the
     right argument's last letter last."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, Coeff] = {}
     for u, a in f.terms.items():
         for v, b in g.terms.items():
             c = a * b
             last = v[-1:]
             for s in _interleavings(u, v[:-1]):
                 w = s + last
-                nc = out.get(w, _ZERO) + c
+                nc = out.get(w, 0) + c
                 if nc:
                     out[w] = nc
                 else:
                     del out[w]
-    return ZinbElement._raw(out)
+    return ZinbElement._raw({w: exact(c) for w, c in out.items()})
 
 
 def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
@@ -204,7 +145,7 @@ def to_left_comb(p: MagmaPoly) -> ZinbElement:
     comb as an associative word.  This realizes the free pre-commutative
     product on trees."""
     nf = normal_form(p, [ZinbielFamily()])
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, Coeff] = {}
     for w, c in nf.terms.items():
         out[w.leaves()] = c  # distinct combs give distinct words
     return ZinbElement._raw(out)
@@ -252,19 +193,8 @@ class PermAlgebra:
                             "Perm left-commutativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
 
-def _tensor(P: PermAlgebra, i: int, f: ZinbElement) -> dict:
+def _tensor(i: int, f: ZinbElement) -> dict:
     return {(i, w): c for w, c in f.terms.items()}
-
-
-def _tensor_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, _ZERO) + c
-        if nc:
-            out[k] = nc
-        else:
-            del out[k]
-    return out
 
 
 def _tensor_mul(P: PermAlgebra, s: dict, t: dict) -> dict:
@@ -279,7 +209,7 @@ def _tensor_mul(P: PermAlgebra, s: dict, t: dict) -> dict:
                                (P.product(j, i), zinbiel_product(ev, eu))):
                 for w, c in prod.terms.items():
                     key = (pidx, w)
-                    nc = out.get(key, _ZERO) + c
+                    nc = out.get(key, 0) + c
                     if nc:
                         out[key] = nc
                     else:
@@ -309,15 +239,15 @@ def perm_tensor_check(P: PermAlgebra,
     checked = 0
     for f, g, h in samples:
         for i in range(P.dim):
-            A = _tensor(P, i, f)
+            A = _tensor(i, f)
             for j in range(P.dim):
-                B = _tensor(P, j, g)
+                B = _tensor(j, g)
                 AB = _tensor_mul(P, A, B)
                 BA = _tensor_mul(P, B, A)
                 if AB != BA:
                     comm_bad.append((i, j, f, g))
                 for k in range(P.dim):
-                    C = _tensor(P, k, h)
+                    C = _tensor(k, h)
                     checked += 1
                     left = _tensor_mul(P, AB, C)
                     right = _tensor_mul(P, A, _tensor_mul(P, B, C))
@@ -330,11 +260,9 @@ def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int,
                    max_terms: int = 3) -> ZinbElement:
     """A small random element with degrees up to ``max_degree``."""
     letters = alphabet.letters
-    out: dict[tuple, Fraction] = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         n = rng.randint(1, max_degree)
         w = tuple(rng.choice(letters) for _ in range(n))
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if c:
-            out[w] = out.get(w, _ZERO) + c
-    return ZinbElement._raw({w: c for w, c in out.items() if c})
+        terms.append((w, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    return ZinbElement.from_terms(terms)

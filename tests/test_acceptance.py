@@ -39,7 +39,7 @@ from precom import (
     random_series,
     rb_apply,
     series_product,
-    shuffle,
+    shuffle_product,
     splitting_product,
     standard_filtration,
     star,
@@ -182,7 +182,7 @@ def test_criterion_08_free_zinbiel_identities_and_counts():
         for j in range(1, 7 - i):
             for u in _awords(ab, i):
                 for v in _awords(ab, j):
-                    total = sum(shuffle(u, v).terms.values())
+                    total = sum(shuffle_product(u, v).terms.values())
                     assert total == binomial(i + j, i)
                     pairs += 1
     dims = irreducible_counts([ZinbielFamily(ab)], ab, 6)

@@ -64,6 +64,14 @@ class TestReduce:
         assert code == 0
         assert out.splitlines()[0] == "((x y) z)"
 
+    def test_deep_word_round_trips(self, run, rel_file):
+        n = 3000
+        text = "(x " * (n - 1) + "x" + ")" * (n - 1)
+        code, out, _ = run("reduce", "--relations", rel_file("(alphabet x)\n"),
+                           "--input", text)
+        assert code == 0
+        assert out.splitlines() == [text, "steps: 0"]
+
     def test_parse_error_exits_2(self, run, rel_file):
         path = rel_file(ZINBIEL3)
         code, _, err = run("reduce", "--relations", path, "--input", "(x (q z))")
@@ -236,6 +244,20 @@ class TestEmbed:
         code, _, err = run("embed", "--algebra", path, "--N", "4")
         assert code == 2
         assert "not nilpotent" in err
+
+    def test_boolean_level_exits_2(self, run, alg_file):
+        path = alg_file(dict(TRUNC2, levels={"x1": True, "x2": 2}))
+        code, _, err = run("embed", "--algebra", path, "--N", "4")
+        assert code == 2
+        assert "positive integer" in err
+
+    def test_non_associative_exits_2(self, run, alg_file):
+        path = alg_file({"basis": ["a", "b", "c", "d"],
+                         "levels": {"a": 1, "b": 2, "c": 3, "d": 4},
+                         "products": ["a a -> b", "a b -> c", "b b -> d"]})
+        code, _, err = run("embed", "--algebra", path, "--N", "8")
+        assert code == 2
+        assert "not associative on basis triple (a, a, b)" in err
 
     def test_truncation_too_small_exits_2(self, run, alg_file):
         path = alg_file(TRUNC2)

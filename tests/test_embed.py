@@ -420,6 +420,16 @@ class TestVerifyEmbedding:
         with pytest.raises(ValueError, match="filtration violation"):
             verify_embedding(F, 4)
 
+    def test_non_associative_rejected(self):
+        # (aa)b = bb = d but a(ab) = ac = 0.
+        ab = Alphabet(["a", "b", "c", "d"])
+        a, b, c, d = ab.letters
+        A = CommAlgebra(ab, {(a, a): {b: 1}, (a, b): {c: 1}, (b, b): {d: 1}})
+        F = FilteredAlgebra(A, {a: 1, b: 2, c: 3, d: 4})
+        assert validate_filtration(F) == []
+        with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
+            verify_embedding(F, 8)
+
     def test_random_nilpotent_instances(self):
         rng = random.Random(97)
         for _ in range(2):

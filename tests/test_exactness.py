@@ -1,6 +1,6 @@
-"""Exactness invariant of the tree side: every coefficient the public API
-returns is an ``int`` when integral and a ``Fraction`` otherwise -- never a
-float, never a bool."""
+"""Exactness invariant of the tree, word and commutative sides: every
+coefficient the public API returns is an ``int`` when integral and a
+``Fraction`` otherwise -- never a float, never a bool."""
 
 from __future__ import annotations
 
@@ -10,23 +10,43 @@ from fractions import Fraction
 import pytest
 
 from precom import (
+    ComMonomial,
+    ComPoly,
     CommAlgebra,
     ExplicitRelation,
+    FilteredAlgebra,
     MagmaPoly,
+    TruncSeries,
+    ZinbElement,
+    buchberger_bounded,
+    coefficient_relations,
     collapse_check,
+    com_reduce,
+    com_reduce_with_trace,
     complete,
     enveloping_relations,
+    generator_series,
     idempotent_algebra,
     interreduce,
     leaf,
     node,
     normal_form,
     normal_form_with_trace,
+    pair_relation,
+    random_element,
+    random_series,
+    rb_apply,
+    s_polynomial,
+    series_product,
+    shuffle_product,
+    star,
+    to_left_comb,
     trivial_gsb,
     truncated_poly_relations,
     truncated_power_algebra,
     verify_gsb,
     words_of_length,
+    zinbiel_product,
 )
 
 
@@ -140,3 +160,135 @@ class TestMagmaPolyArithmetic:
         assert MagmaPoly({x: 0.5}).terms == {x: Fraction(1, 2)}
         assert type(MagmaPoly({xy: True}).terms[xy]) is int
         assert type(MagmaPoly.from_terms([(x, 0.5), (x, 0.5)]).terms[x]) is int
+
+
+# ---------------------------------------------------------------------------
+# Word side
+
+def test_word_products_and_conversions(ab2):
+    x, y = ab2.letters
+    half_x = ZinbElement.word([x], Fraction(1, 2))
+    two_y = ZinbElement.word([y], 2)
+    for r in (zinbiel_product(half_x, two_y), star(half_x, two_y)):
+        assert_exact(r)
+        assert all(type(c) is int for c in r.terms.values()), r
+    rng = random.Random("words")
+    for _ in range(30):
+        f, g = (random_element(rng, ab2, 3) for _ in range(2))
+        for r in (f, g, zinbiel_product(f, g), star(f, g), f + g, f - g,
+                  f.scale(Fraction(3, 2))):
+            assert_exact(r)
+    for u in ((x,), (x, y), (y, x, x)):
+        for v in ((y,), (x, y)):
+            assert_exact(shuffle_product(u, v))
+    for _ in range(30):
+        assert_exact(to_left_comb(random_poly(rng, ab2, 4)))
+
+
+def test_random_element_integral_coefficients_are_ints(ab2):
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(100):
+        for c in random_element(rng, ab2, 3).terms.values():
+            assert_exact_coeff(c)
+            seen += type(c) is int
+    assert seen  # Fraction(4, 2) and friends come out as ints
+
+
+# ---------------------------------------------------------------------------
+# Commutative side
+
+def fractional_filtered():
+    A = fractional_nilpotent()
+    a, b, c = A.alphabet.letters
+    return FilteredAlgebra(A, {a: 1, b: 2, c: 3})
+
+
+def random_com_poly(rng, F, max_weight, max_terms=4):
+    symbols = [F.symbol(x, w) for x in F.basis
+               for w in range(F.level(x), max_weight + 1)]
+    return ComPoly.from_terms(
+        (ComMonomial(rng.choice(symbols) for _ in range(rng.randint(1, 3))),
+         Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, max_terms)))
+
+
+def test_reduction_and_traces():
+    F = fractional_filtered()
+    G = coefficient_relations(F, 6)
+    rng = random.Random("com")
+    for _ in range(40):
+        p = random_com_poly(rng, F, 4)
+        for strategy in ("largest", "smallest"):
+            assert_exact(com_reduce(p, G, strategy))
+        nf, trace = com_reduce_with_trace(p, G)
+        assert_exact(nf)
+        for c, _, _ in trace:
+            assert_exact_coeff(c)
+
+
+def test_relations_and_completion():
+    F = fractional_filtered()
+    a, b, c = F.basis
+    for x, y, l in ((a, a, 2), (a, a, 4), (a, b, 3), (a, b, 5), (b, b, 5)):
+        for monic in (True, False):
+            assert_exact(pair_relation(F, x, y, l, monic))
+    assert type(pair_relation(F, a, a, 2, monic=False).leading_coeff()) is int
+    G = coefficient_relations(F, 6)
+    for f in G:
+        for g in G:
+            if f is not g:
+                assert_exact(s_polynomial(f, g))
+    basis, rep = buchberger_bounded([p.scale(3) for p in G], 6)
+    for p in basis + rep.added:
+        assert_exact(p)
+        assert type(p.leading_coeff()) is int
+
+
+def test_series_products_and_rb():
+    F = fractional_filtered()
+    G = coefficient_relations(F, 6)
+    images = [generator_series(x, F, 6) for x in F.basis]
+    rng = random.Random("series")
+    randoms = [random_series(rng, 6) for _ in range(6)]
+    for s in images + randoms:
+        for p in rb_apply(s).coeffs.values():
+            assert_exact(p)
+        for u in images:
+            for rel in ((), G):
+                for p in series_product(s, u, rel).coeffs.values():
+                    assert_exact(p)
+    # t^2 coefficient 2 * (1/2) and t^4 coefficient 4 * (1/4) are integral.
+    x = F.basis[0]
+    one = ComMonomial((F.symbol(x, 2),))
+    s = TruncSeries(4, {2: ComPoly.monomial(one, 2), 4: ComPoly.monomial(one, 4)})
+    assert all(type(p.terms[one]) is int for p in rb_apply(s).coeffs.values())
+
+
+def test_compoly_monic_divides_exactly():
+    F = fractional_filtered()
+    a, b, _ = F.basis
+    aa = ComMonomial((F.symbol(a, 1), F.symbol(a, 1)))
+    b2 = ComMonomial((F.symbol(b, 2),))
+    m = ComPoly.from_terms([(aa, 2), (b2, 1)]).monic()
+    assert m.terms == {aa: 1, b2: Fraction(1, 2)}
+    assert type(m.terms[aa]) is int
+    m = ComPoly.from_terms([(aa, Fraction(1, 3)), (b2, 1)]).monic()
+    assert m.terms == {aa: 1, b2: 3}
+    assert all(type(c) is int for c in m.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# The three vector types stay apart
+
+def test_vector_types_never_mix():
+    zeros = (MagmaPoly.zero(), ZinbElement.zero(), ComPoly.zero())
+    for i, p in enumerate(zeros):
+        assert p == type(p).zero()
+        for j, q in enumerate(zeros):
+            if i != j:
+                assert p != q
+                with pytest.raises(TypeError):
+                    p + q
+                with pytest.raises(TypeError):
+                    p - q

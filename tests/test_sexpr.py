@@ -50,6 +50,13 @@ class TestWords:
             assert format_word(w) == text
             assert parse_word(format_word(w), ab2) is w
 
+    def test_deep_right_comb_round_trip(self, ab2):
+        n = 3000
+        text = "(x " * (n - 1) + "x" + ")" * (n - 1)
+        w = parse_word(text, ab2)
+        assert w.length == n and w.left is leaf(ab2["x"])
+        assert format_word(w) == text
+
     def test_unknown_letter_position(self, ab2):
         with pytest.raises(ParseError, match="line 1, column 4: unknown letter 'q'"):
             parse_word("(x q)", ab2)
@@ -237,6 +244,8 @@ class TestAlgebraFiles:
                            "products": ["a a -> a", "a a -> 0"]})
         with pytest.raises(ParseError, match="positive integer"):
             parse_algebra({"basis": ["a"], "levels": {"a": 0}, "products": []})
+        with pytest.raises(ParseError, match="positive integer"):
+            parse_algebra({"basis": ["a"], "levels": {"a": True}, "products": []})
         with pytest.raises(ParseError, match="levels missing for: b"):
             parse_algebra({"basis": ["a", "b"], "levels": {"a": 1}, "products": []})
         with pytest.raises(ParseError, match="unknown letter 'q' in levels"):

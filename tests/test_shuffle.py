@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import types
 from itertools import product
 from math import comb as binom
 
@@ -20,7 +22,7 @@ from precom import (
     normal_form,
     perm_tensor_check,
     random_element,
-    shuffle,
+    shuffle_product,
     star,
     to_left_comb,
     zinbiel_product,
@@ -51,19 +53,19 @@ def triples_up_to(ab, total):
 
 class TestShuffle:
     def test_two_letters(self, ab2):
-        got = shuffle(wd(ab2, "x"), wd(ab2, "y"))
+        got = shuffle_product(wd(ab2, "x"), wd(ab2, "y"))
         assert got == el(ab2, "xy") + el(ab2, "yx")
 
     def test_letter_into_pair(self, ab3):
-        got = shuffle(wd(ab3, "x"), wd(ab3, "yz"))
+        got = shuffle_product(wd(ab3, "x"), wd(ab3, "yz"))
         assert got == el(ab3, "xyz") + el(ab3, "yxz") + el(ab3, "yzx")
 
     def test_collision_doubles(self, ab2):
-        assert shuffle(wd(ab2, "x"), wd(ab2, "x")) == el(ab2, "xx", 2)
+        assert shuffle_product(wd(ab2, "x"), wd(ab2, "x")) == el(ab2, "xx", 2)
 
     def test_rejects_empty(self, ab2):
         with pytest.raises(ValueError, match="nonempty"):
-            shuffle((), wd(ab2, "x"))
+            shuffle_product((), wd(ab2, "x"))
 
     def test_coefficient_sum_is_binomial(self, ab2):
         rng = random.Random(3)
@@ -71,13 +73,13 @@ class TestShuffle:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             u = tuple(rng.choice(ab2.letters) for _ in range(n))
             v = tuple(rng.choice(ab2.letters) for _ in range(m))
-            total = sum(shuffle(u, v).terms.values())
+            total = sum(shuffle_product(u, v).terms.values())
             assert total == binom(n + m, n)
 
     def test_commutative(self, ab3):
         for u in all_awords(ab3, 2):
             for v in all_awords(ab3, 3):
-                assert shuffle(u, v) == shuffle(v, u)
+                assert shuffle_product(u, v) == shuffle_product(v, u)
 
 
 class TestZinbielProduct:
@@ -130,10 +132,10 @@ class TestStar:
         assert star(el(ab2, "x"), el(ab2, "y")) == el(ab2, "xy") + el(ab2, "yx")
 
     def test_equals_full_shuffle(self, ab3):
-        assert star(el(ab3, "x"), el(ab3, "yz")) == shuffle(wd(ab3, "x"), wd(ab3, "yz"))
+        assert star(el(ab3, "x"), el(ab3, "yz")) == shuffle_product(wd(ab3, "x"), wd(ab3, "yz"))
         for u in all_awords(ab3, 2):
             for v in all_awords(ab3, 2):
-                assert star(ZinbElement.word(u), ZinbElement.word(v)) == shuffle(u, v)
+                assert star(ZinbElement.word(u), ZinbElement.word(v)) == shuffle_product(u, v)
 
     def test_commutative(self, ab2):
         for total in range(2, 7):
@@ -264,3 +266,12 @@ class TestRandomElement:
         a = random_element(random.Random(9), ab2, 3)
         b = random_element(random.Random(9), ab2, 3)
         assert a == b
+
+
+def test_module_not_shadowed_by_a_function():
+    import precom
+    import precom.shuffle as m
+
+    assert isinstance(precom.shuffle, types.ModuleType)
+    assert m is sys.modules["precom.shuffle"]
+    assert m.shuffle_product is shuffle_product
