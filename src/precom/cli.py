@@ -78,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="normal form of a tree polynomial modulo relations")
     p.add_argument("--relations", required=True, help="relation file")
     p.add_argument("--input", required=True, help="word or polynomial S-expression")
-    p.add_argument("--bound", type=int, default=None,
-                   help="instantiation bound (default: the input's max length)")
     p.add_argument("--strategy", choices=("largest", "smallest"), default="largest")
 
     p = sub.add_parser("complete", parents=[common],
@@ -161,10 +159,10 @@ def _handle_reduce(args):
     alphabet, relations = _load_relations(args.relations)
     poly = parse_poly(args.input, alphabet)
     if args.strategy == "largest":
-        nf, trace = normal_form_with_trace(poly, relations, args.bound)
+        nf, trace = normal_form_with_trace(poly, relations)
         steps = len(trace)
     else:
-        nf = normal_form(poly, relations, args.bound, strategy=args.strategy)
+        nf = normal_form(poly, relations, strategy=args.strategy)
         steps = None
     result = format_poly(nf)
     report = {"status": "ok", "counts": [], "failures": [],

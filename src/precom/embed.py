@@ -119,26 +119,6 @@ def validate_filtration(F: FilteredAlgebra) -> list:
     return bad
 
 
-def _associativity_failure(F: FilteredAlgebra) -> Optional[tuple]:
-    """The first basis triple (x, y, z) with (xy)z != x(yz), or None."""
-    def times(combo: dict, z: Letter) -> dict:
-        out: dict = {}
-        for w, c in combo.items():
-            for v, d in F.product(w, z).items():
-                out[v] = out.get(v, 0) + c * d
-        return {v: c for v, c in out.items() if c}
-
-    basis = F.basis
-    for x in basis:
-        for y in basis:
-            xy = F.product(x, y)
-            for z in basis:
-                # x(yz) = (yz)x: the algebra is commutative.
-                if times(xy, z) != times(F.product(y, z), x):
-                    return x, y, z
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra on rows of Fractions (for the power-chain filtration)
 
@@ -500,10 +480,7 @@ def verify_embedding(F: FilteredAlgebra, N: int,
         raise ValueError(
             "filtration violation: %s*%s contains %s at level %d < %d"
             % (x.name, y.name, z.name, got, need))
-    triple = _associativity_failure(F)
-    if triple is not None:
-        raise ValueError("algebra is not associative on basis triple (%s, %s, %s)"
-                         % tuple(x.name for x in triple))
+    F.algebra.require_associative()
     if N < 2 * F.max_level():
         raise ValueError(
             "truncation too small: N=%d but products need N >= %d"

@@ -102,6 +102,33 @@ class CommAlgebra:
             x, y = y, x
         return dict(self._products.get((x, y), {}))
 
+    def associativity_failure(self) -> Optional[tuple[Letter, Letter, Letter]]:
+        """The first basis triple (x, y, z) with (xy)z != x(yz), or None."""
+        def times(combo: dict, z: Letter) -> dict:
+            out: dict = {}
+            for w, c in combo.items():
+                for v, d in self.product(w, z).items():
+                    out[v] = out.get(v, 0) + c * d
+            return {v: c for v, c in out.items() if c}
+
+        basis = self.basis
+        for x in basis:
+            for y in basis:
+                xy = self.product(x, y)
+                for z in basis:
+                    # x(yz) = (yz)x: the algebra is commutative.
+                    if times(xy, z) != times(self.product(y, z), x):
+                        return x, y, z
+        return None
+
+    def require_associative(self) -> None:
+        """Raise ValueError naming the first basis triple that fails
+        associativity."""
+        triple = self.associativity_failure()
+        if triple is not None:
+            raise ValueError("algebra is not associative on basis triple (%s, %s, %s)"
+                             % tuple(x.name for x in triple))
+
     def __repr__(self) -> str:
         return "CommAlgebra(%r, %d products)" % (self.alphabet, len(self._products))
 
@@ -147,6 +174,20 @@ def truncated_power_algebra(n: int) -> CommAlgebra:
 # ---------------------------------------------------------------------------
 # Relation families for the trivial algebra's envelope
 
+def _even_comb_tail(word: NaWord) -> Optional[tuple[NaWord, NaWord, NaWord]]:
+    """(a, x, y) when ``word`` is (a x) y with x, y letters and a a
+    left-combed word of even length, else None."""
+    if word.letter is not None:
+        return None
+    ax, y = word.left, word.right
+    if y.letter is None or ax.letter is not None:
+        return None
+    a, x = ax.left, ax.right
+    if x.letter is None or a.length % 2 or not a.is_comb:
+        return None
+    return a, x, y
+
+
 class TailAnticommFamily(RelationSchema):
     """(a x) y + (a y) x for letters x < y and left-combed a of even length.
 
@@ -154,70 +195,24 @@ class TailAnticommFamily(RelationSchema):
     even-length combed prefix, at the cost of a sign.
     """
 
-    def __init__(self, alphabet: Optional[Alphabet] = None):
-        self.alphabet = alphabet
-
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
-        if word.letter is not None:
+        tail = _even_comb_tail(word)
+        if tail is None:
             return None
-        ax, y = word.left, word.right
-        if y.letter is None or ax.letter is not None:
-            return None
-        a, x = ax.left, ax.right
-        if x.letter is None:
-            return None
+        a, x, y = tail
         if not x.letter.rank < y.letter.rank:
             return None
-        if a.length % 2 or not a.is_comb:
-            return None
-        other = node(node(a, y), x)
-        return MagmaPoly._raw({word: _ONE, other: _ONE})
-
-    def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
-        if self.alphabet is None:
-            raise ValueError("family cannot enumerate instances without an alphabet")
-        out = []
-        letters = self.alphabet.letters
-        for m in range(2, bound - 1, 2):
-            for tup in iproduct(letters, repeat=m):
-                a = bracket(tup, "left")
-                for x in letters:
-                    for y in letters:
-                        if x.rank < y.rank:
-                            out.append(self.match(node(node(a, leaf(x)), leaf(y))))
-        return tuple(out)
+        return MagmaPoly._raw({word: _ONE, node(node(a, y), x): _ONE})
 
 
 class TailSquareFamily(RelationSchema):
     """(a x) x for any letter x and left-combed a of even length."""
 
-    def __init__(self, alphabet: Optional[Alphabet] = None):
-        self.alphabet = alphabet
-
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
-        if word.letter is not None:
-            return None
-        ax, y = word.left, word.right
-        if y.letter is None or ax.letter is not None:
-            return None
-        a, x = ax.left, ax.right
-        if x.letter is None or x.letter is not y.letter:
-            return None
-        if a.length % 2 or not a.is_comb:
+        tail = _even_comb_tail(word)
+        if tail is None or tail[1] is not tail[2]:
             return None
         return MagmaPoly._raw({word: _ONE})
-
-    def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
-        if self.alphabet is None:
-            raise ValueError("family cannot enumerate instances without an alphabet")
-        out = []
-        letters = self.alphabet.letters
-        for m in range(2, bound - 1, 2):
-            for tup in iproduct(letters, repeat=m):
-                a = bracket(tup, "left")
-                for x in letters:
-                    out.append(self.match(node(node(a, leaf(x)), leaf(x))))
-        return tuple(out)
 
 
 def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
@@ -363,7 +358,9 @@ class CollapseReport:
 
 def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
     """Complete the enveloping relations and compare the induced star
-    products of generators, nf(xy + yx), against A's structure constants."""
+    products of generators, nf(xy + yx), against A's structure constants.
+    A must be associative (checked on basis triples)."""
+    A.require_associative()
     completed = complete(enveloping_relations(A), bound)
     counts = irreducible_counts(completed, A.alphabet, bound)
     table = {}

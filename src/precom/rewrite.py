@@ -15,6 +15,7 @@ monomial fits under a length bound (for composition search).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -109,15 +110,35 @@ def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaP
 # Relation schemas
 
 class RelationSchema:
-    """A finitely described set of monic rewrite relations."""
+    """A finitely described set of monic rewrite relations.
+
+    A family matches words structurally, so reduction needs no alphabet;
+    enumerating its instances does.
+    """
+
+    def __init__(self, alphabet: Optional[Alphabet] = None):
+        self.alphabet = alphabet
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         """The instance whose leading monomial is ``word``, if any."""
         raise NotImplementedError
 
     def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
-        """All instances whose leading monomial has length <= bound."""
-        raise NotImplementedError
+        """All instances whose leading monomial has length <= bound: the
+        matches of every word up to the bound, by length, in
+        :func:`~precom.magma.words_of_length` order."""
+        if self.alphabet is None:
+            raise ValueError("family cannot enumerate instances without an alphabet")
+        out = []
+        for n in range(1, bound + 1):
+            for w in words_of_length(self.alphabet, n):
+                m = self.match(w)
+                if m is not None:
+                    out.append(m)
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self.alphabet)
 
 
 class ExplicitRelation(RelationSchema):
@@ -145,12 +166,8 @@ class ZinbielFamily(RelationSchema):
         a(bc)  ->  (ab)c + (ba)c        for all words a, b, c.
 
     Matching is purely structural (any word whose right factor is
-    compound), so reduction needs no instantiation.  Enumerating instances
-    requires an alphabet.
+    compound), so reduction needs no instantiation.
     """
-
-    def __init__(self, alphabet: Optional[Alphabet] = None):
-        self.alphabet = alphabet
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         if word.letter is not None:
@@ -167,23 +184,6 @@ class ZinbielFamily(RelationSchema):
             else:
                 del terms[w]
         return MagmaPoly._raw(terms)
-
-    def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
-        if self.alphabet is None:
-            raise ValueError("family cannot enumerate instances without an alphabet")
-        out = []
-        for total in range(3, bound + 1):
-            for la in range(1, total - 1):
-                for lb in range(1, total - la):
-                    lc = total - la - lb
-                    for a in words_of_length(self.alphabet, la):
-                        for b in words_of_length(self.alphabet, lb):
-                            for c in words_of_length(self.alphabet, lc):
-                                out.append(self.match(node(a, node(b, c))))
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return "ZinbielFamily(%r)" % (self.alphabet,)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +298,8 @@ class ReductionStep:
     relation: MagmaPoly
 
 
-def _check_bound(p: MagmaPoly, bound: Optional[int]) -> int:
-    maxlen = p.max_length()
-    if bound is None:
-        return max(maxlen, 2)
-    if bound < maxlen:
-        raise ValueError("instantiation bound exceeded: bound %d < monomial length %d"
-                         % (bound, maxlen))
-    return bound
-
-
 def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
-                bound: Optional[int] = None, strategy: str = "largest") -> MagmaPoly:
+                strategy: str = "largest") -> MagmaPoly:
     """Fully rewrite ``p`` modulo the relations.
 
     The default strategy rewrites the largest reducible monomial first (at
@@ -317,7 +307,6 @@ def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
     rewrites the smallest reducible monomial first instead; for confluent
     relation sets both strategies agree.
     """
-    _check_bound(p, bound)
     index = _RedexIndex(list(relations))
     if strategy == "largest":
         return MagmaPoly._raw(descend(p.terms, index.redex, graft))
@@ -326,15 +315,13 @@ def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
     raise ValueError("unknown strategy %r" % (strategy,))
 
 
-def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema],
-                           bound: Optional[int] = None):
+def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema]):
     """Like :func:`normal_form`, also returning the list of rewrite steps.
 
     The trace is a constructive ideal-membership certificate:
     ``p - normal_form(p)`` equals the replayed sum of the steps, and every
     rewritten word is <= the leading monomial of ``p``.
     """
-    _check_bound(p, bound)
     index = _RedexIndex(list(relations))
     trace: list = []
     nf = MagmaPoly._raw(descend(p.terms, index.redex, graft, trace))
@@ -407,17 +394,21 @@ def _instantiate(schemas: Sequence[RelationSchema], bound: int) -> list[MagmaPol
     return out
 
 
+def _sites(fi: int, f: MagmaPoly, schemas: Sequence[RelationSchema]):
+    """The composition sites of instance ``f`` (creation index ``fi``) as
+    the outer relation: every subword of its leading word that a schema
+    matches, keyed for :func:`_pair_compositions` order."""
+    fl = f.leading()
+    for path, sub in fl.subtrees():
+        for gpos, g in _match_all(schemas, sub):
+            if path or g != f:
+                yield (fl.length, fl.key, fi, gpos, path, f, g)
+
+
 def _pair_compositions(insts: list[MagmaPoly], schemas: Sequence[RelationSchema]):
     """Composition sites among instances, sorted by (ambiguity length,
     ambiguity word, creation index of f, schema position of g, path)."""
-    comps = []
-    for fi, f in enumerate(insts):
-        fl = f.leading()
-        for path, sub in fl.subtrees():
-            for gpos, g in _match_all(schemas, sub):
-                if not path and g == f:
-                    continue
-                comps.append((fl.length, fl.key, fi, gpos, path, f, g))
+    comps = [site for fi, f in enumerate(insts) for site in _sites(fi, f, schemas)]
     comps.sort(key=lambda t: t[:5])
     return comps
 
@@ -449,32 +440,54 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
 def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSchema]:
     """Bounded Shirshov completion.
 
-    Runs full passes over all compositions with ambiguity length <= bound,
-    in the fixed composition order, appending each nonzero normal form as
-    a new monic explicit relation (effective immediately for later
-    reductions in the same pass).  Stops after a pass that adds nothing;
-    that final clean pass is precisely a successful verification of the
-    returned set at the same bound.
+    Keeps one heap of the composition sites with ambiguity length <=
+    bound, in :func:`_pair_compositions` order, and reduces each site
+    once.  A nonzero normal form becomes a new monic explicit relation at
+    once: it joins the redex index and only its own sites are pushed, as
+    the outer relation f (the subwords of its leading word that some
+    relation matches) and as the inner relation g (every instance whose
+    leading word contains its leading word).  A composition trivial
+    modulo a set stays trivial modulo any larger set, so the returned set
+    is confluent up to the bound.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    schemas = list(relations)
-    added: list[MagmaPoly] = []
-    while True:
-        work: list[RelationSchema] = schemas + [ExplicitRelation(p) for p in added]
-        index = _RedexIndex(work)
-        insts = _instantiate(work, bound)
-        grew = False
-        for _, _, fi, gpos, path, f, g in _pair_compositions(insts, work):
-            h = f - substitute(f.leading(), path, g)
-            nf = descend(h.terms, index.redex, graft)
-            if nf:
-                p = MagmaPoly._raw(nf).monic()
-                added.append(p)
-                index.add_explicit(p)
-                grew = True
-        if not grew:
-            return work
+    work = list(relations)
+    insts = _instantiate(work, bound)
+    index = _RedexIndex(work)
+    # Subword -> creation indices of the instances whose leading word
+    # contains it; the paths are found again only when a site is pushed.
+    containing: dict[NaWord, list[int]] = {}
+
+    def note_subwords(fi: int, word: NaWord) -> None:
+        for _, sub in word.subtrees():
+            at = containing.setdefault(sub, [])
+            if not at or at[-1] != fi:
+                at.append(fi)
+
+    for fi, f in enumerate(insts):
+        note_subwords(fi, f.leading())
+    heap = _pair_compositions(insts, work)  # sorted, hence already a heap
+    while heap:
+        _, _, _, _, path, f, g = heapq.heappop(heap)
+        nf = descend((f - substitute(f.leading(), path, g)).terms, index.redex, graft)
+        if not nf:
+            continue
+        new = ExplicitRelation(MagmaPoly._raw(nf))
+        p, pl = new.poly, new.lead
+        gpos = index.add_explicit(p)
+        work.append(new)
+        for fi in containing.get(pl, ()):
+            f = insts[fi]
+            fl = f.leading()
+            for path in occurrences(fl, pl):
+                heapq.heappush(heap, (fl.length, fl.key, fi, gpos, path, f, p))
+        fi = len(insts)
+        insts.append(p)
+        note_subwords(fi, pl)
+        for site in _sites(fi, p, work):
+            heapq.heappush(heap, site)
+    return work
 
 
 def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:

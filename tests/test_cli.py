@@ -85,13 +85,6 @@ class TestReduce:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_bound_too_small_exits_2(self, run, rel_file):
-        path = rel_file(ZINBIEL3)
-        code, _, err = run("reduce", "--relations", path,
-                           "--input", "(x (y z))", "--bound", "2")
-        assert code == 2
-        assert "instantiation bound" in err
-
 
 class TestComplete:
     def test_idempotent_collapse(self, run, rel_file):
@@ -201,6 +194,14 @@ class TestVerify:
         code, out, _ = run("verify", "collapse", "--algebra", path, "--bound", "4")
         assert code == 1
         assert "status: failed" in out
+
+    def test_collapse_non_associative_exits_2(self, run, alg_file):
+        path = alg_file({"basis": ["a", "b", "c", "d"],
+                         "products": ["a a -> b", "a b -> c", "b b -> d"]})
+        code, out, err = run("verify", "collapse", "--algebra", path, "--bound", "4")
+        assert code == 2
+        assert out == ""
+        assert "not associative on basis triple (a, a, b)" in err
 
     def test_missing_flags_exit_2(self, run):
         code, _, err = run("verify", "zinbiel", "--letters", "2")

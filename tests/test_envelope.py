@@ -87,6 +87,28 @@ class TestCommAlgebra:
             truncated_power_algebra(0)
 
 
+def non_associative_algebra():
+    """a*a = b, a*b = c, b*b = d: (aa)b = d but a(ab) = ac = 0."""
+    ab = Alphabet("abcd")
+    a, b, c, d = ab.letters
+    return CommAlgebra(ab, {(a, a): {b: 1}, (a, b): {c: 1}, (b, b): {d: 1}})
+
+
+class TestAssociativity:
+    def test_failure_names_first_triple(self):
+        A = non_associative_algebra()
+        a, b = A.alphabet["a"], A.alphabet["b"]
+        assert A.associativity_failure() == (a, a, b)
+        with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
+            A.require_associative()
+
+    @pytest.mark.parametrize("A", [trivial_algebra(3), idempotent_algebra(),
+                                   truncated_power_algebra(4)])
+    def test_associative_algebras_pass(self, A):
+        assert A.associativity_failure() is None
+        A.require_associative()
+
+
 class TestEnvelopingRelations:
     def test_trivial_two_letters(self):
         rels = enveloping_relations(trivial_algebra(2, names="xy"))
@@ -154,6 +176,25 @@ class TestTailFamilies:
         # Even prefixes of length 2 with any letters: 4 prefixes.
         assert len(TailAnticommFamily(ab2).instances(4)) == 4 * 1
         assert len(TailSquareFamily(ab2).instances(4)) == 4 * 2
+
+    @pytest.mark.parametrize("d,bound", [(2, 6), (3, 5), (2, 7)])
+    def test_instance_counts_closed_form(self, d, bound):
+        # An instance of a tail family is (a x) y with a one of d^m combs,
+        # m even and m + 2 <= bound; an instance of the tree family is a
+        # word whose right factor is compound, d^n (C(n-1) - C(n-2)) of
+        # length n, with C the Catalan numbers.
+        ab = default_alphabet(d)
+        prefixes = sum(d ** m for m in range(2, bound - 1, 2))
+        catalan = [binom(2 * k, k) // (k + 1) for k in range(bound)]
+        trees = sum(d ** n * (catalan[n - 1] - catalan[n - 2]) for n in range(3, bound + 1))
+        assert len(TailAnticommFamily(ab).instances(bound)) == prefixes * binom(d, 2)
+        assert len(TailSquareFamily(ab).instances(bound)) == prefixes * d
+        assert len(ZinbielFamily(ab).instances(bound)) == trees
+
+    def test_trivial_gsb_instances_two_letters_bound_6(self, ab2):
+        # 2136 tree instances, 20 anticommutators, 40 squares and the
+        # three quadratic relations.
+        assert sum(len(s.instances(6)) for s in trivial_gsb(ab2)) == 2199
 
     def test_instances_need_alphabet(self):
         with pytest.raises(ValueError, match="without an alphabet"):
@@ -267,6 +308,10 @@ class TestDrivers:
         assert rep.matches_structure
         assert not rep.collapsed
         assert rep.counts == [2, 1, 2, 1]
+
+    def test_collapse_rejects_non_associative(self):
+        with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
+            collapse_check(non_associative_algebra(), 4)
 
     def test_no_collapse_on_truncated(self):
         A = truncated_power_algebra(2)

@@ -34,7 +34,15 @@ from precom import (
     verify_gsb,
     words_of_length,
 )
-from precom.rewrite import _RedexIndex, _find_redex
+from precom import (
+    random_nilpotent_algebra,
+    trivial_algebra,
+    trivial_envelope_dimension,
+    truncated_power_algebra,
+)
+from precom import rewrite
+from precom.rewrite import _RedexIndex, _find_redex, _instantiate, _pair_compositions
+from precom.sexpr import format_relations
 
 
 def rel(*terms):
@@ -213,12 +221,6 @@ class TestNormalForm:
             p = random_poly(rng, ab2, 6)
             assert normal_form(p, rels) == normal_form(p, rels, strategy="smallest")
 
-    def test_bound_too_small(self, ab2):
-        x = leaf(ab2["x"])
-        p = MagmaPoly.monomial(node(node(x, x), x))
-        with pytest.raises(ValueError, match="instantiation bound exceeded"):
-            normal_form(p, trivial_gsb(ab2), bound=2)
-
     def test_unknown_strategy(self, ab2):
         with pytest.raises(ValueError, match="unknown strategy"):
             normal_form(MagmaPoly.monomial(leaf(ab2["x"])), [], strategy="leftmost")
@@ -348,6 +350,87 @@ class TestComplete:
     def test_bound_validation(self, ab2):
         with pytest.raises(ValueError, match="at least 2"):
             complete(trivial_gsb(ab2), 1)
+
+
+# The two shapes of random_nilpotent_algebra: the chain b1*b1 ~ b2,
+# b1*b2 ~ b3 is a truncated power algebra up to scaling, so its envelope
+# keeps only A; when every product lands on b3 the counts alternate 3, 1.
+def _chain_counts(bound):
+    return [3] + [0] * (bound - 1)
+
+
+def _two_step_counts(bound):
+    return [3 if n % 2 else 1 for n in range(1, bound + 1)]
+
+
+_SWEEP_CASES = [
+    ("trivial-2", trivial_algebra(2), 6,
+     [trivial_envelope_dimension(2, n) for n in range(1, 7)]),
+    ("trivial-3", trivial_algebra(3), 5,
+     [trivial_envelope_dimension(3, n) for n in range(1, 6)]),
+    ("idempotent", idempotent_algebra(), 5, [0] * 5),
+] + [
+    ("truncated-%d" % n, truncated_power_algebra(n), 5, [n, 0, 0, 0, 0])
+    for n in (2, 3, 4)
+] + [
+    ("nilpotent-0", random_nilpotent_algebra(random.Random(0)), 5, _chain_counts(5)),
+    ("nilpotent-1", random_nilpotent_algebra(random.Random(1)), 5, _two_step_counts(5)),
+    ("nilpotent-3", random_nilpotent_algebra(random.Random(3)), 4, _two_step_counts(4)),
+]
+
+# interreduce(complete(...)) of random_nilpotent_algebra(Random(1)) at
+# bound 4; bound 5 adds no relation.
+_NILPOTENT_1_INTERREDUCED = """(alphabet b1 b2 b3)
+(family zinbiel)
+(rel (+ (b1 b1) (* -3/4 b3)))
+(rel (b3 b1))
+(rel (+ (b1 b2) (b2 b1) (* -3/2 b3)))
+(rel (b2 b2))
+(rel (b3 b2))
+(rel (b1 b3))
+(rel (b2 b3))
+(rel (b3 b3))
+(rel (+ (((b2 b1) b1) b1) (* -3/4 ((b2 b1) b3))))
+(rel (((b2 b1) b3) b1))
+(rel (+ (((b2 b1) b1) b2) (((b2 b1) b2) b1) (* -3/2 ((b2 b1) b3))))
+(rel (((b2 b1) b2) b2))
+(rel (((b2 b1) b3) b2))
+(rel (((b2 b1) b1) b3))
+(rel (((b2 b1) b2) b3))
+(rel (((b2 b1) b3) b3))
+"""
+
+
+class TestCompletionSweep:
+    @pytest.mark.parametrize("name,A,bound,counts", _SWEEP_CASES,
+                             ids=[c[0] for c in _SWEEP_CASES])
+    def test_confluent_with_closed_form_counts(self, name, A, bound, counts):
+        done = complete(enveloping_relations(A), bound)
+        assert verify_gsb(done, bound).verified
+        assert irreducible_counts(done, A.alphabet, bound) == counts
+
+    def test_each_site_reduced_once(self, monkeypatch):
+        # Every site among the final instances is reduced exactly once:
+        # the initial ones, and each added relation's own as f and as g.
+        calls = []
+        descend = rewrite.descend
+
+        def counting(*args):
+            calls.append(1)
+            return descend(*args)
+
+        monkeypatch.setattr(rewrite, "descend", counting)
+        A = trivial_algebra(2)
+        done = complete(enveloping_relations(A), 5)
+        monkeypatch.undo()
+        sites = _pair_compositions(_instantiate(done, 5), done)
+        assert len(done) > len(enveloping_relations(A))
+        assert len(calls) == len(sites)
+
+    def test_nilpotent_interreduced_relations(self):
+        A = random_nilpotent_algebra(random.Random(1))
+        done = interreduce(complete(enveloping_relations(A), 4))
+        assert format_relations(A.alphabet, done) == _NILPOTENT_1_INTERREDUCED
 
 
 class TestInterreduce:
