@@ -137,6 +137,14 @@ def _need(args, names: dict) -> None:
                          % (args.target, ", ".join("--" + m for m in missing)))
 
 
+def _at_least(minimums: dict) -> None:
+    """Reject a flag below its minimum ({flag: (value, minimum)}): such a
+    run would check nothing, or nothing well-defined, and still pass."""
+    for flag, (value, low) in minimums.items():
+        if value < low:
+            raise ValueError("--%s must be at least %d (got %d)" % (flag, low, value))
+
+
 def _load_relations(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_relations(fh.read())
@@ -270,6 +278,7 @@ def _verify_collapse(args):
 
 def _verify_rb(args):
     _need(args, {"count": args.count, "max-n": args.max_n})
+    _at_least({"count": (args.count, 1), "max-n": (args.max_n, 2)})
     rng = random.Random(args.seed)
     failures = []
     for i in range(args.count):
@@ -292,6 +301,7 @@ def _verify_rb(args):
 def _verify_perm(args):
     _need(args, {"dim": args.dim, "triples": args.triples,
                  "max-degree": args.max_degree})
+    _at_least({"triples": (args.triples, 1), "max-degree": (args.max_degree, 1)})
     rng = random.Random(args.seed)
     alphabet = default_alphabet(2)
     samples = [tuple(random_element(rng, alphabet, args.max_degree)
@@ -330,6 +340,7 @@ def _handle_verify(args):
 
 
 def _handle_embed(args):
+    _at_least({"factor-bound": (args.factor_bound, 2)})
     A, levels = _load_algebra(args.algebra)
     F = FilteredAlgebra(A, levels) if levels is not None else standard_filtration(A)
     rep = verify_embedding(F, args.N, args.factor_bound)

@@ -17,9 +17,11 @@ symbol whose multiplicities differ nor the direction of the difference.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .lincomb import Coeff, LinComb, _require_monic, descend, exact, smallest_first
 
@@ -41,7 +43,11 @@ class GenSymbol:
     """A generator symbol: ``base`` seen at t-degree ``weight``, tagged
     with the filtration ``level`` of its base element.  ``rank`` is the
     base's position in the algebra's ordered basis and only breaks ties
-    between distinct bases at equal weight and level."""
+    between distinct bases at equal weight and level.
+
+    ``key`` is ``(weight, level, rank, base)``; it and the hash are
+    computed once, at construction, since monomial products, divisor
+    lookups and dict probes read them on every step."""
 
     base: str
     level: int
@@ -55,10 +61,19 @@ class GenSymbol:
             raise ValueError(
                 "symbol weight must be at least its level (got weight %d, level %d)"
                 % (self.weight, self.level))
+        key = (self.weight, self.level, self.rank, self.base)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
-    @property
-    def key(self) -> tuple:
-        return (self.weight, self.level, self.rank, self.base)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not GenSymbol:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "GenSymbol") -> bool:
         return self.key < other.key
@@ -76,18 +91,50 @@ class GenSymbol:
         return "%s[%d]" % (self.base, self.weight)
 
 
+_symbol_key = attrgetter("key")
+
+
 class ComMonomial:
     """A commutative monomial: a multiset of symbols kept as a sorted
-    tuple, with the comparison key cached."""
+    tuple, with the comparison key cached.  The symbol -> multiplicity
+    map that :meth:`divides`, :meth:`div` and :meth:`lcm` read is built
+    on first use and never mutated afterwards; :attr:`multiplicities`
+    hands out a read-only view of it."""
 
-    __slots__ = ("factors", "key", "_hash")
+    __slots__ = ("factors", "key", "_hash", "_mult")
 
     def __init__(self, factors: Iterable[GenSymbol] = ()):
-        fs = tuple(sorted(factors, key=lambda s: s.key))
+        fs = tuple(sorted(factors, key=_symbol_key))
         self.factors = fs
         self.key = (len(fs), sum(f.weight for f in fs),
                     tuple(f.key for f in fs))
         self._hash = hash(fs)
+        self._mult = None
+
+    @classmethod
+    def _sorted(cls, fs: tuple, keys: tuple, weight: int) -> "ComMonomial":
+        """A monomial from factors already in key order, with their keys
+        and total weight: the constructor without its sort."""
+        m = object.__new__(cls)
+        m.factors = fs
+        m.key = (len(fs), weight, keys)
+        m._hash = hash(fs)
+        m._mult = None
+        return m
+
+    def _mults(self) -> dict:
+        mult = self._mult
+        if mult is None:
+            mult = {}
+            for f in self.factors:
+                mult[f] = mult.get(f, 0) + 1
+            self._mult = mult
+        return mult
+
+    @property
+    def multiplicities(self) -> Mapping[GenSymbol, int]:
+        """Read-only map symbol -> multiplicity, in increasing symbol order."""
+        return MappingProxyType(self._mults())
 
     @property
     def count(self) -> int:
@@ -98,29 +145,72 @@ class ComMonomial:
         return self.key[1]
 
     def __mul__(self, other: "ComMonomial") -> "ComMonomial":
-        return ComMonomial(self.factors + other.factors)
+        a, b = self.factors, other.factors
+        if not b:
+            return self
+        if not a:
+            return other
+        ka, kb = self.key[2], other.key[2]
+        la, lb = len(a), len(b)
+        fs: list = []
+        ks: list = []
+        i = j = 0
+        while i < la and j < lb:
+            if kb[j] < ka[i]:
+                fs.append(b[j])
+                ks.append(kb[j])
+                j += 1
+            else:
+                fs.append(a[i])
+                ks.append(ka[i])
+                i += 1
+        if i < la:
+            fs += a[i:]
+            ks += ka[i:]
+        else:
+            fs += b[j:]
+            ks += kb[j:]
+        return ComMonomial._sorted(tuple(fs), tuple(ks), self.key[1] + other.key[1])
 
     def divides(self, other: "ComMonomial") -> bool:
-        if self.count > other.count or self.weight > other.weight:
+        mine, theirs = self.key, other.key
+        if mine[0] > theirs[0] or mine[1] > theirs[1]:
             return False
-        mine = Counter(self.factors)
-        theirs = Counter(other.factors)
-        return all(theirs[s] >= n for s, n in mine.items())
+        have = other._mults().get
+        for s, n in self._mults().items():
+            if have(s, 0) < n:
+                return False
+        return True
 
     def div(self, other: "ComMonomial") -> "ComMonomial":
         """self / other; raises if other does not divide self."""
-        left = Counter(self.factors)
-        left.subtract(Counter(other.factors))
-        if any(n < 0 for n in left.values()):
+        need = dict(other._mults())
+        fs = []
+        for f in self.factors:
+            n = need.get(f)
+            if n:
+                need[f] = n - 1
+            else:
+                fs.append(f)
+        # Every factor of other was matched exactly when len(other) were dropped.
+        if len(fs) + len(other.factors) != len(self.factors):
             raise ValueError("monomial %r does not divide %r" % (other, self))
-        return ComMonomial(left.elements())
+        return ComMonomial._sorted(tuple(fs), tuple(f.key for f in fs),
+                                   self.key[1] - other.key[1])
 
     def lcm(self, other: "ComMonomial") -> "ComMonomial":
-        a, b = Counter(self.factors), Counter(other.factors)
-        return ComMonomial((a | b).elements())
+        mine = self._mults()
+        extra = []
+        for s, n in other._mults().items():
+            k = n - mine.get(s, 0)
+            if k > 0:
+                extra += [s] * k
+        # other's map is in factor order, so extra is already sorted.
+        return self * ComMonomial._sorted(tuple(extra), tuple(s.key for s in extra),
+                                          sum(s.weight for s in extra))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ComMonomial) and self.factors == other.factors
+        return self is other or (type(other) is ComMonomial and self.key == other.key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -205,14 +295,35 @@ class ComPoly(LinComb):
 
 
 def _divisor(G: Sequence[ComPoly]):
-    """``find`` for the shared reducers: the first relation of G whose
-    leading monomial divides m, with the quotient as the rewrite step."""
+    """``find`` for the shared reducers: the relation at the smallest
+    position in G whose leading monomial divides m -- the one a scan of G
+    in order would meet first -- with the quotient as the rewrite step.
+
+    G is indexed once per call: each relation is filed under the smallest
+    factor of its leading monomial (a constant leading monomial under
+    ``None``), in G's order.  A leading monomial dividing m has its
+    smallest factor among m's symbols, so a lookup reads only the
+    ``None`` bucket and the buckets of m's own symbols, and stops reading
+    a bucket at its first divisor or at a position past the best found."""
+    buckets: dict = {}
+    for pos, g in enumerate(G):
+        lead = g.leading()
+        first = lead.factors[0] if lead.factors else None
+        buckets.setdefault(first, []).append((pos, lead, g))
+
     def find(m: ComMonomial):
-        for g in G:
-            lead = g.leading()
-            if lead.divides(m):
-                return m.div(lead), g
-        return None
+        best = None
+        for s in (None, *m._mults()):
+            for entry in buckets.get(s, ()):
+                if best is not None and entry[0] > best[0]:
+                    break
+                if entry[1].divides(m):
+                    best = entry
+                    break
+        if best is None:
+            return None
+        _, lead, g = best
+        return m.div(lead), g
     return find
 
 
@@ -283,8 +394,12 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
     budget is only ever tested at the lcm.
 
     Returns (basis, report).  Any factor-count-1 leading monomial in the
-    final basis is collected in report.linear_leadings.
+    final basis is collected in report.linear_leadings.  factor_bound
+    must be at least 2: a smaller budget skips every S-pair whose lcm has
+    two or more factors, which is every pair of quadratic relations.
     """
+    if factor_bound < 2:
+        raise ValueError("factor bound must be at least 2 (got %d)" % factor_bound)
     basis: list[ComPoly] = []
     for g in G:
         if not g:

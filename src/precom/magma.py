@@ -246,11 +246,6 @@ class MagmaPoly(LinComb):
     def _product(self, other: "MagmaPoly") -> "MagmaPoly":
         return magma_product(self, other)
 
-    def max_length(self) -> int:
-        if not self.terms:
-            return 0
-        return max(w.length for w in self.terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

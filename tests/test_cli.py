@@ -211,6 +211,29 @@ class TestVerify:
         assert code == 2
         assert "requires --k-max" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("rb", "--count", "-1", "--max-n", "5"), "--count must be at least 1 (got -1)"),
+        (("rb", "--count", "0", "--max-n", "5"), "--count must be at least 1 (got 0)"),
+        (("rb", "--count", "5", "--max-n", "1"), "--max-n must be at least 2 (got 1)"),
+        (("perm", "--dim", "2", "--triples", "-1", "--max-degree", "3"),
+         "--triples must be at least 1 (got -1)"),
+        (("perm", "--dim", "2", "--triples", "3", "--max-degree", "0"),
+         "--max-degree must be at least 1 (got 0)"),
+    ])
+    def test_vacuous_counts_exit_2(self, run, argv, flag):
+        code, out, err = run("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert "randrange" not in err
+
+    def test_smallest_counts_accepted(self, run):
+        code, out, _ = run("verify", "rb", "--count", "1", "--max-n", "2")
+        assert code == 0 and "status: verified" in out
+        code, out, _ = run("verify", "perm", "--dim", "1", "--triples", "1",
+                           "--max-degree", "1")
+        assert code == 0 and "status: verified" in out
+
 
 class TestEmbed:
     def test_with_levels(self, run, alg_file):
@@ -259,6 +282,15 @@ class TestEmbed:
         code, _, err = run("embed", "--algebra", path, "--N", "8")
         assert code == 2
         assert "not associative on basis triple (a, a, b)" in err
+
+    @pytest.mark.parametrize("bound", ["1", "0", "-3"])
+    def test_factor_bound_below_2_exits_2(self, run, alg_file, bound):
+        path = alg_file(TRUNC2)
+        code, out, err = run("embed", "--algebra", path, "--N", "6",
+                             "--factor-bound", bound)
+        assert code == 2
+        assert out == ""
+        assert "--factor-bound must be at least 2 (got %s)" % bound in err
 
     def test_truncation_too_small_exits_2(self, run, alg_file):
         path = alg_file(TRUNC2)

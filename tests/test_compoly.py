@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from precom import (
     truncated_power_algebra,
     trivial_algebra,
 )
+from precom.compoly import _divisor
+from precom.lincomb import descend, smallest_first
 
 X1 = GenSymbol("x", 1, 1)
 X2 = GenSymbol("x", 1, 2)
@@ -72,6 +76,17 @@ class TestGenSymbol:
         with pytest.raises(AttributeError):
             X1.weight = 5
 
+    def test_cached_key_and_hash(self):
+        a, b = GenSymbol("y", 2, 3, 1), GenSymbol("y", 2, 3, 1)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.key == (3, 2, 1, "y")
+        assert a != GenSymbol("y", 2, 3, 0) and a != GenSymbol("z", 2, 3, 1)
+        assert len({a, b, Y3}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.key = (0, 0, 0, "")
+        assert repr(a) == "GenSymbol(base='y', level=2, weight=3, rank=1)"
+
 
 class TestComMonomial:
     def test_factors_sorted(self):
@@ -110,6 +125,76 @@ class TestComMonomial:
     def test_repr(self):
         assert repr(COM_ONE) == "1"
         assert repr(mono(X2, X1)) == "x[1]*x[2]"
+
+
+def counter_divides(a, b):
+    return not (Counter(a.factors) - Counter(b.factors))
+
+
+def counter_div(b, a):
+    return ComMonomial((Counter(b.factors) - Counter(a.factors)).elements())
+
+
+def counter_lcm(a, b):
+    return ComMonomial((Counter(a.factors) | Counter(b.factors)).elements())
+
+
+def same_monomial(a, b):
+    return (a == b and a.factors == b.factors and a.key == b.key
+            and hash(a) == hash(b))
+
+
+POOL = [X1, X2, X3, Y2, Y3]
+
+
+def monomials_of_count(pool, max_count):
+    out = [COM_ONE]
+    frontier = [()]
+    for _ in range(max_count):
+        frontier = [t + (s,) for t in frontier for i, s in enumerate(pool)
+                    if not t or pool.index(t[-1]) <= i]
+        out += [ComMonomial(t) for t in frontier]
+    return out
+
+
+class TestMonomialInvariants:
+    def test_product_matches_constructor(self):
+        rng = random.Random(5)
+        ms = monomials_of_count(POOL, 4)
+        for _ in range(2000):
+            a, b = rng.choice(ms), rng.choice(ms)
+            assert same_monomial(a * b, ComMonomial(a.factors + b.factors))
+        for a in ms:
+            assert same_monomial(COM_ONE * a, a)
+            assert same_monomial(a * COM_ONE, a)
+
+    def test_divides_div_lcm_match_counters(self):
+        ms = monomials_of_count(POOL, 3)
+        for a in ms:
+            for b in ms:
+                assert a.divides(b) == counter_divides(a, b)
+                if counter_divides(a, b):
+                    assert same_monomial(b.div(a), counter_div(b, a))
+                else:
+                    with pytest.raises(ValueError, match="does not divide"):
+                        b.div(a)
+                assert same_monomial(a.lcm(b), counter_lcm(a, b))
+
+    def test_multiplicity_map_is_never_mutated(self):
+        ms = monomials_of_count(POOL, 3)
+        before = [[a.divides(b) for b in ms] for a in ms]
+        maps = {m: dict(m.multiplicities) for m in ms}
+        for a in ms:
+            for b in ms:
+                a.lcm(b)
+                if a.divides(b):
+                    b.div(a)
+        assert [[a.divides(b) for b in ms] for a in ms] == before
+        assert all(dict(m.multiplicities) == maps[m] for m in ms)
+        m = mono(X1, X1, Y2)
+        assert dict(m.multiplicities) == {X1: 2, Y2: 1}
+        with pytest.raises(TypeError):
+            m.multiplicities[X1] = 5
 
 
 class TestOrder:
@@ -255,6 +340,85 @@ class TestReduce:
             assert com_reduce(p, basis) == com_reduce(p, basis, strategy="smallest")
 
 
+def linear_scan(G, hits=None):
+    """The first relation in G whose leading monomial divides m, by
+    Counter multisets; ``hits`` collects the position of each match."""
+    def find(m):
+        for pos, g in enumerate(G):
+            lead = g.leading()
+            if counter_divides(lead, m):
+                if hits is not None:
+                    hits.append(pos)
+                return counter_div(m, lead), g
+        return None
+    return find
+
+
+def times(m, q, t):
+    return t * q
+
+
+def random_relations(rng, with_one):
+    """A monic relation list over POOL with repeated leading monomials,
+    leading monomials sharing their smallest factor, an equal relation
+    twice and, if asked, the constant relation 1."""
+    every = monomials_of_count(POOL, 3)
+    ms = [m for m in every if m.count]
+
+    def relation(lead):
+        below = [m for m in every if m < lead]
+        tail = [(rng.choice(below), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                for _ in range(rng.randint(0, 2))] if below else []
+        return ComPoly.from_terms([(lead, 1)] + tail)
+
+    G = [relation(rng.choice(ms)) for _ in range(rng.randint(3, 6))]
+    G.append(relation(G[0].leading()))
+    first = G[1].leading().factors[0]
+    G.append(relation(ComMonomial((first, rng.choice([s for s in POOL if s >= first])))))
+    twin = rng.choice(G)
+    G.append(ComPoly.from_terms(twin.sorted_terms()))
+    if with_one:
+        G.append(ComPoly.monomial(COM_ONE))
+    rng.shuffle(G)
+    return G
+
+
+class TestDivisorIndex:
+    def relation_lists(self):
+        rng = random.Random(2024)
+        return [random_relations(rng, k % 2 == 1) for k in range(24)]
+
+    def test_first_divisor_in_G(self):
+        ms = monomials_of_count(POOL, 4)
+        for G in self.relation_lists():
+            find, scan = _divisor(G), linear_scan(G)
+            for m in ms:
+                got, want = find(m), scan(m)
+                if want is None:
+                    assert got is None
+                else:
+                    assert same_monomial(got[0], want[0])
+                    assert got[1] is want[1]
+
+    def test_reducers_match_linear_scan(self):
+        rng = random.Random(77)
+        ms = monomials_of_count(POOL, 4)
+        for G in self.relation_lists():
+            for _ in range(10):
+                p = ComPoly.from_terms(
+                    [(rng.choice(ms), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 4))])
+                hits: list = []
+                trace: list = []
+                want = ComPoly._raw(descend(p.terms, linear_scan(G, hits), times, trace))
+                assert com_reduce(p, G) == want
+                assert com_reduce(p, G, strategy="smallest") == \
+                    ComPoly._raw(smallest_first(p.terms, linear_scan(G), times))
+                nf, steps = com_reduce_with_trace(p, G)
+                assert nf == want
+                assert steps == [(c, q, pos) for (c, _, q, _), pos in zip(trace, hits)]
+
+
 class TestSPolynomial:
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="no S-polynomial"):
@@ -329,6 +493,13 @@ class TestBuchberger:
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             buchberger_bounded([ComPoly.zero()], 6)
+
+    @pytest.mark.parametrize("bound", [1, 0, -2])
+    def test_rejects_factor_bound_below_2(self, bound):
+        _, G = trivial_relations(6)
+        with pytest.raises(ValueError, match="factor bound must be at least 2"):
+            buchberger_bounded(G, 6, bound)
+        assert buchberger_bounded(G, 6, 2)[1].factor_bound == 2
 
     def test_input_rescaled_monic(self):
         G = [poly((mono(X1, X1), 3))]

@@ -268,7 +268,3 @@ class TestMagmaPoly:
         words = [w for w, _ in p.sorted_terms()]
         assert words == [node(x, y), y, x]
 
-    def test_max_length(self, ab2):
-        x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        assert MagmaPoly.zero().max_length() == 0
-        assert MagmaPoly.from_terms([(x, 1), (node(node(x, y), x), 2)]).max_length() == 3
