@@ -237,6 +237,8 @@ def parse_aword(text: str, alphabet: Alphabet) -> tuple:
         raise ParseError("empty associative word")
     out = []
     for name in names:
+        if not name:
+            raise ParseError("empty letter name in %r" % text)
         try:
             out.append(alphabet[name])
         except KeyError:

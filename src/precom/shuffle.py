@@ -6,10 +6,18 @@ appends the last letter y:
 
     u * v  =  sum over interleavings s of (u, v')  of  s y
 
-Symmetrizing this product lands in the shuffle algebra.  The module also
-converts between this basis and left-combed tree polynomials, and carries
-the Perm-algebra tensor construction that turns a pre-commutative algebra
-into a commutative envelope candidate.
+Symmetrizing this product lands in the shuffle algebra.  Both products
+read one iterative table over prefixes that maps each distinct
+interleaving to its multiplicity, so the work grows with the distinct
+words rather than with the interleavings, and no path recurses.
+``zinbiel_product`` is integer-first: it scales each factor by its common
+denominator, sums integers and divides once at the end.
+
+The module also converts between this basis and left-combed tree
+polynomials, and carries the Perm-algebra tensor construction that turns
+a pre-commutative algebra into a commutative envelope candidate.  The
+tensor check computes each distinct ordered product of two elements once
+per sample, in a memo that the next sample starts afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Optional, Sequence
 
 from .lincomb import Coeff, LinComb, exact
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, bracket
@@ -41,18 +50,23 @@ __all__ = [
 AWord = tuple  # nonempty tuple of Letter
 
 
-def _interleavings(a: tuple, b: tuple) -> Iterator[tuple]:
-    # Classic recursion: an interleaving starts with the head of a or of b.
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _interleavings(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _interleavings(a, b[1:]):
-        yield (b[0],) + rest
+def _shuffles(u: tuple, v: tuple) -> dict:
+    """Every interleaving of ``u`` and ``v``, mapped to its multiplicity.
+
+    One iterative table over prefixes: row ``j`` holds the shuffles of
+    ``u[:i]`` and ``v[:j]``, and an interleaving of ``u[:i]`` and
+    ``v[:j]`` ends with ``u[i-1]`` or with ``v[j-1]``, so each distinct
+    word is built once per cell, never once per interleaving."""
+    row = [{v[:j]: 1} for j in range(len(v) + 1)]
+    for i, a in enumerate(u, 1):
+        prev, row = row, [{u[:i]: 1}]
+        for j, b in enumerate(v, 1):
+            cell = {w + (a,): m for w, m in prev[j].items()}
+            for w, m in row[j - 1].items():
+                w += (b,)
+                cell[w] = cell.get(w, 0) + m
+            row.append(cell)
+    return row[-1]
 
 
 def _aword_key(w: tuple) -> tuple:
@@ -103,28 +117,37 @@ def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("shuffle needs nonempty words")
-    out: dict[tuple, int] = {}
-    for s in _interleavings(u, v):
-        out[s] = out.get(s, 0) + 1
-    return ZinbElement._raw(out)
+    return ZinbElement._raw(_shuffles(u, v))
+
+
+def _integral(f: ZinbElement) -> tuple[int, dict]:
+    # f's terms times the common denominator d of its coefficients: (d, ints).
+    d = 1
+    for c in f.terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, f.terms
+    return d, {w: c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for w, c in f.terms.items()}
 
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """Bilinear pre-commutative product: shuffle into the prefix, keep the
-    right argument's last letter last."""
-    out: dict[tuple, Coeff] = {}
-    for u, a in f.terms.items():
-        for v, b in g.terms.items():
-            c = a * b
-            last = v[-1:]
-            for s in _interleavings(u, v[:-1]):
+    right argument's last letter last.  Integer-first: both factors are
+    scaled to integer coefficients, and the sum is divided once."""
+    df, fi = _integral(f)
+    dg, gi = _integral(g)
+    out: dict[tuple, int] = {}
+    for u, a in fi.items():
+        for v, b in gi.items():
+            c, last = a * b, v[-1:]
+            for s, m in _shuffles(u, v[:-1]).items():
                 w = s + last
-                nc = out.get(w, 0) + c
-                if nc:
-                    out[w] = nc
-                else:
-                    del out[w]
-    return ZinbElement._raw({w: exact(c) for w, c in out.items()})
+                out[w] = out.get(w, 0) + c * m
+    d = df * dg
+    return ZinbElement._raw({w: c if d == 1 else exact(Fraction(c, d))
+                             for w, c in out.items() if c})
 
 
 def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
@@ -193,28 +216,23 @@ class PermAlgebra:
                             "Perm left-commutativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
 
-def _tensor(i: int, f: ZinbElement) -> dict:
-    return {(i, w): c for w, c in f.terms.items()}
-
-
-def _tensor_mul(P: PermAlgebra, s: dict, t: dict) -> dict:
+def _tensor_mul(P: PermAlgebra, s: dict, t: dict, memo: dict) -> dict:
+    # Tensor elements are {perm index: ZinbElement}.  By bilinearity,
     # (p (x) a)(q (x) b) = pq (x) a>b + qp (x) b>a, with > the
     # pre-commutative product; on basis perm elements pq is again basis.
+    # ``memo`` holds each distinct ordered product a>b once.
     out: dict = {}
-    for (i, u), a in s.items():
-        eu = ZinbElement._raw({u: a})
-        for (j, v), b in t.items():
-            ev = ZinbElement._raw({v: b})
-            for pidx, prod in ((P.product(i, j), zinbiel_product(eu, ev)),
-                               (P.product(j, i), zinbiel_product(ev, eu))):
-                for w, c in prod.terms.items():
-                    key = (pidx, w)
-                    nc = out.get(key, 0) + c
-                    if nc:
-                        out[key] = nc
-                    else:
-                        del out[key]
-    return out
+    for i, a in s.items():
+        ka = frozenset(a.terms.items())
+        for j, b in t.items():
+            kb = frozenset(b.terms.items())
+            for pidx, x, y, key in ((P.product(i, j), a, b, (ka, kb)),
+                                    (P.product(j, i), b, a, (kb, ka))):
+                prod = memo.get(key)
+                if prod is None:
+                    prod = memo[key] = zinbiel_product(x, y)
+                out[pidx] = out[pidx] + prod if pidx in out else prod
+    return {p: e for p, e in out.items() if e}
 
 
 @dataclass
@@ -237,20 +255,23 @@ def perm_tensor_check(P: PermAlgebra,
     P.validate()
     comm_bad, assoc_bad = [], []
     checked = 0
+    dims = range(P.dim)
     for f, g, h in samples:
-        for i in range(P.dim):
-            A = _tensor(i, f)
-            for j in range(P.dim):
-                B = _tensor(j, g)
-                AB = _tensor_mul(P, A, B)
-                BA = _tensor_mul(P, B, A)
+        memo: dict = {}  # per sample: the products of f, g, h and their products
+        B = [{j: g} for j in dims]
+        C = [{k: h} for k in dims]
+        BC = [[_tensor_mul(P, B[j], C[k], memo) for k in dims] for j in dims]
+        for i in dims:
+            A = {i: f}
+            for j in dims:
+                AB = _tensor_mul(P, A, B[j], memo)
+                BA = _tensor_mul(P, B[j], A, memo)
                 if AB != BA:
                     comm_bad.append((i, j, f, g))
-                for k in range(P.dim):
-                    C = _tensor(k, h)
+                for k in dims:
                     checked += 1
-                    left = _tensor_mul(P, AB, C)
-                    right = _tensor_mul(P, A, _tensor_mul(P, B, C))
+                    left = _tensor_mul(P, AB, C[k], memo)
+                    right = _tensor_mul(P, A, BC[j][k], memo)
                     if left != right:
                         assoc_bad.append((i, j, k, f, g, h))
     return PermTensorReport(checked, comm_bad, assoc_bad)

@@ -151,6 +151,19 @@ class TestZmul:
         assert code == 2
         assert "unknown letter" in err
 
+    def test_deep_word(self, run):
+        left = ".".join(["x"] * 1200)
+        code, out, _ = run("zmul", "--left", left, "--right", "x.y")
+        assert code == 0
+        assert out.strip() == "(+ (* 1201 %s.x.y))" % left
+
+    @pytest.mark.parametrize("left", ["x.", ".x", "x..y"])
+    def test_empty_letter_name_exits_2(self, run, left):
+        code, out, err = run("zmul", "--left", left, "--right", "y")
+        assert code == 2
+        assert out == ""
+        assert "empty letter name in %r" % left in err
+
 
 class TestVerify:
     def test_zinbiel(self, run):

@@ -131,6 +131,11 @@ class TestAWords:
         with pytest.raises(ParseError, match="unknown letter 'q'"):
             parse_aword("x.q", ab2)
 
+    @pytest.mark.parametrize("text", ["x.", ".x", "x..y", "."])
+    def test_empty_letter_name_rejected(self, ab2, text):
+        with pytest.raises(ParseError, match="empty letter name"):
+            parse_aword(text, ab2)
+
     def test_format_zinb(self, ab2):
         f = ZinbElement.word((ab2["x"], ab2["y"])) \
             + ZinbElement.word((ab2["x"],), Fraction(1, 2))

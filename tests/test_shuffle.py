@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 import sys
 import types
-from itertools import product
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 from math import comb as binom
 
 import pytest
@@ -27,6 +29,7 @@ from precom import (
     to_left_comb,
     zinbiel_product,
 )
+from precom.shuffle import _tensor_mul
 
 
 def wd(ab, names):
@@ -81,6 +84,10 @@ class TestShuffle:
             for v in all_awords(ab3, 3):
                 assert shuffle_product(u, v) == shuffle_product(v, u)
 
+    def test_deep_word_needs_no_recursion(self, ab2):
+        x = ab2["x"]
+        assert shuffle_product((x,) * 1200, (x,)) == ZinbElement.word((x,) * 1201, 1201)
+
 
 class TestZinbielProduct:
     def test_letters(self, ab2):
@@ -125,6 +132,126 @@ class TestZinbielProduct:
         h = el(ab2, "y", 3)
         assert zinbiel_product(f + h, g) \
             == zinbiel_product(f, g) + zinbiel_product(h, g)
+
+
+def brute_shuffle(u, v):
+    """Interleavings of u and v with multiplicities, by choosing the
+    positions of u's letters."""
+    n = len(u) + len(v)
+    out = Counter()
+    for pos in combinations(range(n), len(u)):
+        ui, vi = iter(u), iter(v)
+        out[tuple(next(ui) if k in pos else next(vi) for k in range(n))] += 1
+    return out
+
+
+def brute_zinbiel(f, g):
+    out = Counter()
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
+            for s, m in brute_shuffle(u, v[:-1]).items():
+                out[s + v[-1:]] += a * b * m
+    return {w: c for w, c in out.items() if c}
+
+
+def assert_exact_terms(f):
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+class TestKernelOracle:
+    """The shuffle table and the integer-first product against a
+    brute-force half-shuffle."""
+
+    def words(self, ab):
+        return [w for n in range(1, 5) for w in all_awords(ab, n)]
+
+    def test_shuffle_product_all_pairs(self, ab3):
+        ws = self.words(ab3)
+        for u in ws:
+            for v in ws:
+                got = shuffle_product(u, v)
+                assert got.terms == brute_shuffle(u, v), (u, v)
+                assert all(type(c) is int for c in got.terms.values())
+
+    def test_zinbiel_product_all_pairs(self, ab3):
+        ws = self.words(ab3)
+        for u in ws:
+            for v in ws:
+                fu, fv = ZinbElement.word(u), ZinbElement.word(v)
+                got = zinbiel_product(fu, fv)
+                assert got.terms == brute_zinbiel(fu, fv), (u, v)
+                assert all(type(c) is int for c in got.terms.values())
+
+    def test_zinbiel_product_fraction_elements(self, ab3):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_element(rng, ab3, 4, max_terms=4)
+            g = random_element(rng, ab3, 4, max_terms=4)
+            if rng.random() < 0.3:
+                f = f.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+            got = zinbiel_product(f, g)
+            assert got.terms == brute_zinbiel(f, g), (f, g)
+            assert_exact_terms(got)
+
+    def test_denominators_cancel_to_int(self, ab2):
+        f = el(ab2, "x", Fraction(3, 2)) + el(ab2, "yx", Fraction(1, 6))
+        g = el(ab2, "y", 2) + el(ab2, "xy", 6)
+        got = zinbiel_product(f, g)
+        assert got.terms == brute_zinbiel(f, g)
+        assert_exact_terms(got)
+        assert type(got.terms[wd(ab2, "xy")]) is int
+
+
+def old_tensor_mul(P, s, t):
+    # The per-term formula: keys (perm index, word), one product per
+    # pair of monomials.
+    out = Counter()
+    for (i, u), a in s.items():
+        for (j, v), b in t.items():
+            eu, ev = ZinbElement.word(u, a), ZinbElement.word(v, b)
+            for pidx, prod in ((P.product(i, j), zinbiel_product(eu, ev)),
+                               (P.product(j, i), zinbiel_product(ev, eu))):
+                for w, c in prod.terms.items():
+                    out[(pidx, w)] += c
+    return {k: c for k, c in out.items() if c}
+
+
+def flat(s):
+    return {(p, w): c for p, e in s.items() for w, c in e.terms.items()}
+
+
+class TestTensorProduct:
+    """``_tensor_mul`` with one memo per sample against the per-term formula,
+    so a memo that confused a>b with b>a would show."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rule", [None, lambda i, j: 0], ids=["e_j", "e_0"])
+    def test_against_per_term_formula(self, ab2, dim, rule):
+        P = PermAlgebra(dim, rule)
+        P.validate()
+        rng = random.Random(100 + dim)
+        for _ in range(4):
+            f, g, h = (random_element(rng, ab2, 3) for _ in range(3))
+            memo: dict = {}
+            for i, j, k in product(range(dim), repeat=3):
+                A, B, C = {i: f}, {j: g}, {k: h}
+                AB, BA = _tensor_mul(P, A, B, memo), _tensor_mul(P, B, A, memo)
+                assert flat(AB) == old_tensor_mul(P, flat(A), flat(B))
+                assert flat(BA) == old_tensor_mul(P, flat(B), flat(A))
+                BC = _tensor_mul(P, B, C, memo)
+                assert flat(_tensor_mul(P, AB, C, memo)) \
+                    == old_tensor_mul(P, flat(AB), flat(C))
+                assert flat(_tensor_mul(P, A, BC, memo)) \
+                    == old_tensor_mul(P, flat(A), flat(BC))
+                assert flat(_tensor_mul(P, C, AB, memo)) \
+                    == old_tensor_mul(P, flat(C), flat(AB))
+
+    def test_cancelling_component_dropped(self, ab2):
+        P = PermAlgebra(2, rule=lambda i, j: 0)
+        f, g = el(ab2, "x"), el(ab2, "yx", Fraction(1, 2))
+        assert _tensor_mul(P, {0: f, 1: -f}, {0: g}, {}) == {}
+        assert _tensor_mul(P, {0: f}, {}, {}) == {}
 
 
 class TestStar:
