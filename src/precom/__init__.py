@@ -53,6 +53,7 @@ from .rewrite import (
     irreducible_counts,
     irreducible_words,
     normal_form,
+    normal_forms,
     normal_form_with_trace,
     occurrences,
     reducible,

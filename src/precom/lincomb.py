@@ -15,7 +15,10 @@ module holds that common part:
   ``None`` for an irreducible monomial or ``(step, rel)``, where ``rel``
   is a monic relation whose rewrite applies to ``m``, and
   ``image(m, step, t)`` is the monomial that the tail monomial ``t`` of
-  ``rel`` becomes when the rewrite is applied to ``m``.
+  ``rel`` becomes when the rewrite is applied to ``m``;
+* :func:`memo_descend`, which gives exactly :func:`descend`'s normal
+  form from memoized normal forms of single monomials, for callers that
+  reduce many combinations modulo one relation set.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "LinComb",
     "exact",
     "descend",
+    "memo_descend",
     "smallest_first",
 ]
 
@@ -253,6 +257,68 @@ def descend(terms: dict, find: Find, image: Image,
                 else:
                     del coeffs[nm]
     return out
+
+
+def memo_descend(terms: dict, find: Find, image: Image, memo: dict) -> dict:
+    """The normal form :func:`descend` gives, summed from memoized normal
+    forms of single monomials.
+
+    :func:`descend` is linear in its term dict, and the rewrite it applies
+    to a monomial depends only on that monomial, so the normal form of
+    ``Σ c_m·m`` is ``Σ c_m·N(m)``, where ``N(m) = m`` when ``find(m)`` is
+    ``None`` and otherwise ``N(m) = -Σ q·N(image(m, step, t))`` over the
+    tail terms ``q·t`` of the relation found.  This holds for any relation
+    set, confluent or not.  ``memo`` maps each monomial met to ``N(m)`` as
+    a term dict, or to ``None`` when ``m`` is irreducible; it stays valid
+    while ``find`` gives the same answers, so a caller keeps one per
+    relation set and clears it when the set grows.
+    """
+    out: dict = {}
+    for m, c in terms.items():
+        nf = memo.get(m, memo)
+        if nf is memo:
+            nf = _monomial_nf(m, find, image, memo)
+        if nf is None:
+            out[m] = out.get(m, 0) + c
+        else:
+            for w, d in nf.items():
+                out[w] = out.get(w, 0) + c * d
+    return {w: c if type(c) is int else exact(c) for w, c in out.items() if c}
+
+
+def _monomial_nf(m, find: Find, image: Image, memo: dict):
+    """Fill ``memo`` for ``m`` and every monomial its rewrites reach, in
+    postorder with an explicit stack of ``(monomial, images)`` frames:
+    ``images`` is ``None`` until the monomial's rewrite is looked up, then
+    the ``(image, q)`` pairs whose normal forms it sums once they are all
+    known.  Images are strictly smaller than the monomial rewritten, so no
+    frame waits on itself."""
+    stack = [(m, None)]
+    while stack:
+        w, images = stack.pop()
+        if images is None:
+            if w in memo:
+                continue
+            hit = find(w)
+            if hit is None:
+                memo[w] = None
+                continue
+            step, rel = hit
+            lead = rel.leading()
+            images = [(image(w, step, t), q) for t, q in rel.terms.items() if t is not lead]
+            stack.append((w, images))
+            stack.extend((nw, None) for nw, _ in images if nw not in memo)
+            continue
+        acc: dict = {}
+        for nw, q in images:
+            nf = memo[nw]
+            if nf is None:
+                acc[nw] = acc.get(nw, 0) - q
+            else:
+                for u, d in nf.items():
+                    acc[u] = acc.get(u, 0) - q * d
+        memo[w] = {u: d if type(d) is int else exact(d) for u, d in acc.items() if d}
+    return memo[m]
 
 
 def smallest_first(terms: dict, find: Find, image: Image) -> dict:

@@ -11,6 +11,11 @@ Words are hash-consed: structurally equal words are the same Python
 object, so equality is identity and dictionary lookups never walk a tree.
 Build words through :func:`leaf`, :func:`node` and :func:`bracket`, never
 through the raw ``NaWord`` constructor.
+
+A word's sort key is a nested tuple, compared by C tuple comparison, up to
+``_FLAT_KEY_LENGTH`` letters; a longer word gets a ``_DeepKey``,
+which compares in the same order with an explicit stack, so comparing
+deep words never depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ __all__ = [
     "words_of_length",
     "exact",
 ]
+
+# Longest word whose key is a nested tuple; a tuple comparison recurses
+# once per level, and a word of n letters nests at most n levels.
+_FLAT_KEY_LENGTH = 64
 
 class Letter:
     """A generator with a fixed rank in its alphabet's total order."""
@@ -99,7 +108,9 @@ class NaWord:
         letter:  the letter at a leaf, or None for a compound word
         left, right:  the factors of a compound word, or None at a leaf
         length:  number of leaves
-        key:  nested-tuple sort key realizing the weight order
+        key:  sort key realizing the weight order: a nested tuple
+            (length, right key, left key), or (1, rank) at a leaf; a
+            ``_DeepKey`` above ``_FLAT_KEY_LENGTH`` letters
         is_comb:  True when the word is left-combed, i.e. every right
             factor along the left spine is a single letter
     """
@@ -162,6 +173,66 @@ class NaWord:
         return tuple(out)
 
 
+def _compare_pairs(stack: list) -> int:
+    """Weight-order comparison of word pairs taken from the top of
+    ``stack``, in turn, until one pair differs: -1, 0 or +1."""
+    while stack:
+        u, v = stack.pop()
+        if u is v:
+            continue
+        if u.length != v.length:
+            return -1 if u.length < v.length else 1
+        if u.length <= _FLAT_KEY_LENGTH:
+            if u.key == v.key:
+                continue
+            return -1 if u.key < v.key else 1
+        # Right factors first: pushed last, popped first.
+        stack.append((u.left, v.left))
+        stack.append((u.right, v.right))
+    return 0
+
+
+class _DeepKey:
+    """The sort key of a word longer than ``_FLAT_KEY_LENGTH`` letters.
+
+    Orders like the nested tuple (length, right key, left key) but walks
+    the two words with an explicit stack.  Every tuple key belongs to a
+    shorter word, so a deep key is greater than any tuple key.
+    """
+
+    __slots__ = ("length", "left", "right")
+
+    def __init__(self, length: int, left: "NaWord", right: "NaWord"):
+        self.length = length
+        self.left = left
+        self.right = right
+
+    def _cmp(self, other) -> int:
+        if type(other) is not _DeepKey:
+            return 1
+        if self.length != other.length:
+            return -1 if self.length < other.length else 1
+        return _compare_pairs([(self.left, other.left), (self.right, other.right)])
+
+    def __eq__(self, other) -> bool:
+        return self._cmp(other) == 0
+
+    def __lt__(self, other) -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._cmp(other) >= 0
+
+    def __hash__(self) -> int:
+        return hash(self.length)
+
+
 _LEAVES: dict[Letter, NaWord] = {}
 _NODES: dict[tuple[NaWord, NaWord], NaWord] = {}
 
@@ -182,8 +253,8 @@ def node(left: NaWord, right: NaWord) -> NaWord:
     if w is None:
         n = left.length + right.length
         # Weight key: length first, then right factor, then left factor.
-        w = NaWord(None, left, right, n, (n, right.key, left.key),
-                   left.is_comb and right.letter is not None)
+        key = (n, right.key, left.key) if n <= _FLAT_KEY_LENGTH else _DeepKey(n, left, right)
+        w = NaWord(None, left, right, n, key, left.is_comb and right.letter is not None)
         _NODES[pair] = w
     return w
 

@@ -11,6 +11,15 @@ wraps one explicit monic polynomial or describes an infinite family; a
 family can match a given word structurally (for reduction, no
 instantiation needed) and can enumerate every instance whose leading
 monomial fits under a length bound (for composition search).
+
+Normal forms rewrite the largest reducible monomial first, at its first
+redex in preorder.  A redex index over one relation set memoizes both the
+first redex and the normal form of every word it meets
+(:func:`~precom.lincomb.memo_descend`), so :func:`verify_gsb`,
+:func:`complete`, :func:`interreduce`, :func:`normal_forms` and the
+default :func:`normal_form` rewrite each word once per relation set;
+:func:`normal_form_with_trace` and the ``smallest`` strategy rewrite term
+by term, since their steps are the output.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .lincomb import Coeff, _require_monic, descend, smallest_first
+from .lincomb import Coeff, _require_monic, descend, memo_descend, smallest_first
 from .magma import Alphabet, MagmaPoly, NaWord, leaf, node, words_of_length
 
 __all__ = [
@@ -38,6 +47,7 @@ __all__ = [
     "substitute",
     "reducible",
     "normal_form",
+    "normal_forms",
     "normal_form_with_trace",
     "replay_trace",
     "inclusion_compositions",
@@ -192,8 +202,10 @@ class ZinbielFamily(RelationSchema):
 class _RedexIndex:
     """Leading-monomial lookup across a schema list, honoring list order.
 
-    ``first`` memoizes :meth:`redex` per word for the life of the
-    index; words are hash-consed, so a dict keyed by word is exact.
+    ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
+    of :meth:`reduce` per word, for the life of the index or until
+    :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
+    by word is exact.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
@@ -207,6 +219,7 @@ class _RedexIndex:
                 self.families.append((pos, s))
         self._next_pos = len(self.schemas)
         self.first: dict[NaWord, Optional[tuple]] = {}
+        self.nf: dict[NaWord, Optional[dict]] = {}
 
     def add_explicit(self, poly: MagmaPoly) -> int:
         pos = self._next_pos
@@ -215,7 +228,12 @@ class _RedexIndex:
         # The new leading word may sit earlier in preorder than a cached
         # redex, so every entry is stale, not only the irreducible ones.
         self.first.clear()
+        self.nf.clear()
         return pos
+
+    def reduce(self, terms: dict) -> dict:
+        """The largest-first normal form of a term dict, through ``nf``."""
+        return memo_descend(terms, self.redex, graft, self.nf)
 
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
         """First schema (in list order) whose leading monomial is ``word``."""
@@ -309,10 +327,19 @@ def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
     """
     index = _RedexIndex(list(relations))
     if strategy == "largest":
-        return MagmaPoly._raw(descend(p.terms, index.redex, graft))
+        return MagmaPoly._raw(index.reduce(p.terms))
     if strategy == "smallest":
         return MagmaPoly._raw(smallest_first(p.terms, index.redex, graft))
     raise ValueError("unknown strategy %r" % (strategy,))
+
+
+def normal_forms(polys: Iterable[MagmaPoly],
+                 relations: Iterable[RelationSchema]) -> list[MagmaPoly]:
+    """The largest-first normal form of each polynomial, in order, all
+    modulo one relation set: words shared between the polynomials are
+    rewritten once."""
+    index = _RedexIndex(list(relations))
+    return [MagmaPoly._raw(index.reduce(p.terms)) for p in polys]
 
 
 def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema]):
@@ -431,7 +458,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     for _, _, fi, gpos, path, f, g in _pair_compositions(insts, schemas):
         checked += 1
         h = f - substitute(f.leading(), path, g)
-        nf = descend(h.terms, index.redex, graft)
+        nf = index.reduce(h.terms)
         if nf:
             failures.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
     return GsbReport(checked, failures, bound)
@@ -470,7 +497,7 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
     heap = _pair_compositions(insts, work)  # sorted, hence already a heap
     while heap:
         _, _, _, _, path, f, g = heapq.heappop(heap)
-        nf = descend((f - substitute(f.leading(), path, g)).terms, index.redex, graft)
+        nf = index.reduce((f - substitute(f.leading(), path, g)).terms)
         if not nf:
             continue
         new = ExplicitRelation(MagmaPoly._raw(nf))
@@ -514,7 +541,7 @@ def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
     for p in kept:
         lead = p.leading()
         tail = MagmaPoly._raw({w: c for w, c in p.terms.items() if w is not lead})
-        nf_tail = MagmaPoly._raw(descend(tail.terms, keep_idx.redex, graft))
+        nf_tail = MagmaPoly._raw(keep_idx.reduce(tail.terms))
         reduced.append(MagmaPoly.monomial(lead) + nf_tail)
     return fams + [ExplicitRelation(p) for p in reduced]
 

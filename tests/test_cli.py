@@ -72,6 +72,16 @@ class TestReduce:
         assert code == 0
         assert out.splitlines() == [text, "steps: 0"]
 
+    def test_sum_of_deep_words(self, run, rel_file):
+        # Ordering the two terms compares 3000-deep words.
+        n = 3000
+        lo = "(x " * (n - 1) + "x" + ")" * (n - 1)
+        hi = "(x " * (n - 1) + "y" + ")" * (n - 1)
+        code, out, _ = run("reduce", "--relations", rel_file("(alphabet x y)\n"),
+                           "--input", "(+ %s %s)" % (lo, hi))
+        assert code == 0
+        assert out.splitlines() == ["(+ %s %s)" % (hi, lo), "steps: 0"]
+
     def test_parse_error_exits_2(self, run, rel_file):
         path = rel_file(ZINBIEL3)
         code, _, err = run("reduce", "--relations", path, "--input", "(x (q z))")

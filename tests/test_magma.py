@@ -39,6 +39,23 @@ def recursive_compare(u, v):
     return recursive_compare(u.left, v.left)
 
 
+def random_word(rng, ab, n):
+    if n == 1:
+        return leaf(rng.choice(ab.letters))
+    k = rng.randint(1, n - 1)
+    return node(random_word(rng, ab, k), random_word(rng, ab, n - k))
+
+
+def flip_leaf(w, i, ab):
+    """``w`` with its ``i``-th leaf (from the left) replaced by another letter."""
+    if w.is_leaf:
+        return leaf(ab.letters[(w.letter.rank + 1) % len(ab)])
+    k = w.left.length
+    if i < k:
+        return node(flip_leaf(w.left, i, ab), w.right)
+    return node(w.left, flip_leaf(w.right, i - k, ab))
+
+
 class TestAlphabet:
     def test_ranks_contiguous(self, ab3):
         assert [x.rank for x in ab3] == [0, 1, 2]
@@ -158,6 +175,32 @@ class TestOrder:
             c = compare_words(u, v)
             assert c == -compare_words(v, u)
             assert (c == 0) == (u is v)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 66, 130])
+    def test_long_words_match_recursive_definition(self, ab2, n):
+        # Around the length where keys stop being nested tuples; variants
+        # of one word that differ in a single leaf agree down to it.
+        rng = random.Random(n)
+        base = [random_word(rng, ab2, n) for _ in range(4)]
+        ws = base + [flip_leaf(w, rng.randrange(n), ab2) for w in base for _ in range(4)]
+        ws += [random_word(rng, ab2, n - 1), random_word(rng, ab2, n + 1)]
+        for u in ws:
+            for v in ws:
+                want = recursive_compare(u, v)
+                assert compare_words(u, v) == want
+                assert (u < v, u > v, u <= v, u >= v) == (want < 0, want > 0,
+                                                          want <= 0, want >= 0)
+                assert (u.key < v.key, u.key == v.key) == (want < 0, want == 0)
+
+    def test_deep_combs_compare_without_recursion(self, ab2):
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        lo, hi = x, y
+        for _ in range(3000):
+            lo, hi = node(x, lo), node(x, hi)
+        assert compare_words(lo, hi) == -1
+        assert lo < hi and hi > lo and lo.key != hi.key
+        assert lo.key < hi.key and hi.key > lo.key and lo.key <= lo.key
+        assert sorted([hi, x, lo], key=lambda w: w.key) == [x, lo, hi]
 
     def test_multiplicative(self, ab2):
         ws = words_upto(ab2, 3)

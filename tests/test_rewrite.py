@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from precom import (
     Alphabet,
     CommAlgebra,
+    CompositionFailure,
     ExplicitRelation,
     MagmaPoly,
     ZinbielFamily,
@@ -23,6 +25,7 @@ from precom import (
     node,
     normal_form,
     normal_form_with_trace,
+    normal_forms,
     occurrences,
     reducible,
     replay_trace,
@@ -41,6 +44,7 @@ from precom import (
     truncated_power_algebra,
 )
 from precom import rewrite
+from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _find_redex, _instantiate, _pair_compositions
 from precom.sexpr import format_relations
 
@@ -413,13 +417,13 @@ class TestCompletionSweep:
         # Every site among the final instances is reduced exactly once:
         # the initial ones, and each added relation's own as f and as g.
         calls = []
-        descend = rewrite.descend
+        memo_descend = rewrite.memo_descend
 
         def counting(*args):
             calls.append(1)
-            return descend(*args)
+            return memo_descend(*args)
 
-        monkeypatch.setattr(rewrite, "descend", counting)
+        monkeypatch.setattr(rewrite, "memo_descend", counting)
         A = trivial_algebra(2)
         done = complete(enveloping_relations(A), 5)
         monkeypatch.undo()
@@ -614,3 +618,105 @@ def test_graft_deep_word(ab2):
         want = node(y, want)
     assert got is want
     assert subtree(got, path) is y
+
+
+# ---------------------------------------------------------------------------
+# The memoized normal forms, held against the plain descending sweep.
+
+def site_compositions(schemas, bound):
+    for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound), schemas):
+        yield f - substitute(f.leading(), path, g)
+
+
+def plain_descend(terms, schemas):
+    """The plain sweep: no normal-form memo, a fresh redex index."""
+    index = _RedexIndex(schemas)
+    return descend(terms, index.redex, graft)
+
+
+class TestMemoNormalForms:
+    @pytest.mark.parametrize("name,A,bound,counts", _SWEEP_CASES,
+                             ids=[c[0] for c in _SWEEP_CASES])
+    def test_agrees_with_descend_on_sites(self, name, A, bound, counts):
+        # The raw envelope relations are not confluent, so most sites
+        # have nonzero remainders; one index serves every site, so later
+        # sites are answered from words memoized by earlier ones.
+        schemas = enveloping_relations(A)
+        index = _RedexIndex(schemas)
+        plain = _RedexIndex(schemas)
+        nonzero = 0
+        for h in site_compositions(schemas, bound):
+            want = descend(h.terms, plain.redex, graft)
+            assert index.reduce(h.terms) == want
+            nonzero += bool(want)
+        assert nonzero
+        assert index.nf
+
+    def test_completed_set_sites(self):
+        A = trivial_algebra(2)
+        done = complete(enveloping_relations(A), 5)
+        index = _RedexIndex(done)
+        for h in site_compositions(done, 5):
+            assert index.reduce(h.terms) == plain_descend(h.terms, done) == {}
+
+    def test_add_explicit_clears_memo(self, ab2):
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        xy, yx = node(x, y), node(y, x)
+        first = MagmaPoly.from_terms([(xy, 1), (yx, -1)])
+        index = _RedexIndex([ExplicitRelation(first)])
+        w = node(xy, x)
+        assert index.reduce({w: 1}) == {node(yx, x): 1}
+        assert index.nf
+        index.add_explicit(MagmaPoly.from_terms([(yx, 1), (x, -2)]))
+        assert not index.nf
+        assert index.reduce({w: 3}) == {node(x, x): 6}
+
+    def test_normal_forms_match_normal_form(self, ab2):
+        rng = random.Random(7)
+        rels = trivial_gsb(ab2)
+        polys = [random_poly(rng, ab2, 6) for _ in range(30)]
+        got = normal_forms(polys, rels)
+        assert got == [normal_form(p, rels) for p in polys]
+        assert got == [MagmaPoly._raw(plain_descend(p.terms, rels)) for p in polys]
+
+    def test_verify_gsb_failures_on_non_confluent_set(self):
+        # The raw trivial envelope relations: the memoized check must
+        # report the same failures, remainders included, as reducing each
+        # site with the plain sweep.
+        schemas = enveloping_relations(trivial_algebra(2))
+        bound = 5
+        want = []
+        for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound),
+                                                         schemas):
+            h = f - substitute(f.leading(), path, g)
+            nf = plain_descend(h.terms, schemas)
+            if nf:
+                want.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
+        rep = verify_gsb(schemas, bound)
+        assert want
+        assert rep.failures == want
+
+    def test_long_chain_under_low_recursion_limit(self):
+        # a_i -> 2 a_(i-1): the normal form of a_n needs n dependent
+        # rewrites, each waiting on the next.
+        n = 2000
+        ab = Alphabet(["a%d" % i for i in range(n + 1)])
+        a = [leaf(x) for x in ab.letters]
+        rels = [rel((a[i], 1), (a[i - 1], -2)) for i in range(1, n + 1)]
+        top = MagmaPoly.monomial(a[n])
+        index = _RedexIndex(rels)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = index.reduce(top.terms)
+            nf = normal_form(top, rels)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == {a[0]: 2 ** n}
+        assert nf.terms == got
+        assert len(index.nf) == n + 1
+        assert memo_descend(top.terms, index.redex, graft, {}) == \
+            descend(top.terms, index.redex, graft)
