@@ -98,6 +98,7 @@ from .envelope import (
 from .compoly import (
     COM_ONE,
     BuchbergerReport,
+    ComBasis,
     ComMonomial,
     ComPoly,
     GenSymbol,

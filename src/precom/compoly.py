@@ -30,6 +30,7 @@ __all__ = [
     "ComMonomial",
     "COM_ONE",
     "ComPoly",
+    "ComBasis",
     "com_compare",
     "com_reduce",
     "com_reduce_with_trace",
@@ -198,7 +199,8 @@ class ComMonomial:
         return ComMonomial._sorted(tuple(fs), tuple(f.key for f in fs),
                                    self.key[1] - other.key[1])
 
-    def lcm(self, other: "ComMonomial") -> "ComMonomial":
+    def cofactor(self, other: "ComMonomial") -> "ComMonomial":
+        """What other has beyond self: lcm(self, other) / self."""
         mine = self._mults()
         extra = []
         for s, n in other._mults().items():
@@ -206,8 +208,24 @@ class ComMonomial:
             if k > 0:
                 extra += [s] * k
         # other's map is in factor order, so extra is already sorted.
-        return self * ComMonomial._sorted(tuple(extra), tuple(s.key for s in extra),
-                                          sum(s.weight for s in extra))
+        return ComMonomial._sorted(tuple(extra), tuple(s.key for s in extra),
+                                   sum(s.weight for s in extra))
+
+    def lcm(self, other: "ComMonomial") -> "ComMonomial":
+        return self * self.cofactor(other)
+
+    def _common(self, other: "ComMonomial") -> tuple:
+        """(factor count, weight) of gcd(self, other), read from the shared
+        multiplicities without building it."""
+        theirs = other._mults().get
+        count = weight = 0
+        for s, n in self._mults().items():
+            k = theirs(s, 0)
+            if k:
+                k = min(n, k)
+                count += k
+                weight += k * s.weight
+        return count, weight
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is ComMonomial and self.key == other.key)
@@ -294,24 +312,51 @@ class ComPoly(LinComb):
         return out
 
 
-def _divisor(G: Sequence[ComPoly]):
-    """``find`` for the shared reducers: the relation at the smallest
-    position in G whose leading monomial divides m -- the one a scan of G
-    in order would meet first -- with the quotient as the rewrite step.
+class ComBasis:
+    """A monic relation list with its divisor index.
 
-    G is indexed once per call: each relation is filed under the smallest
-    factor of its leading monomial (a constant leading monomial under
-    ``None``), in G's order.  A leading monomial dividing m has its
-    smallest factor among m's symbols, so a lookup reads only the
-    ``None`` bucket and the buckets of m's own symbols, and stops reading
-    a bucket at its first divisor or at a position past the best found."""
-    buckets: dict = {}
-    for pos, g in enumerate(G):
+    Each relation is checked once, when it is appended, and filed under
+    the smallest factor of its leading monomial (a constant leading
+    monomial under ``None``), in list order.  A leading monomial dividing
+    m has its smallest factor among m's symbols, so a lookup reads only
+    the ``None`` bucket and the buckets of m's own symbols, and stops
+    reading a bucket at its first divisor or at a position past the best
+    found.  The basis only grows, so the index never goes stale."""
+
+    __slots__ = ("_relations", "_buckets")
+
+    def __init__(self, relations: Iterable[ComPoly] = ()):
+        self._relations: list[ComPoly] = []
+        self._buckets: dict = {}
+        for g in relations:
+            self.append(g)
+
+    def append(self, g: ComPoly) -> None:
+        _require_monic((g,))
         lead = g.leading()
         first = lead.factors[0] if lead.factors else None
-        buckets.setdefault(first, []).append((pos, lead, g))
+        self._buckets.setdefault(first, []).append((len(self._relations), lead, g))
+        self._relations.append(g)
 
-    def find(m: ComMonomial):
+    @classmethod
+    def of(cls, G: Sequence[ComPoly]) -> "ComBasis":
+        """G itself when it is a basis, else a new basis built from G."""
+        return G if isinstance(G, ComBasis) else cls(G)
+
+    def __len__(self) -> int:
+        return len(self._relations)
+
+    def __iter__(self):
+        return iter(self._relations)
+
+    def __getitem__(self, i):
+        return self._relations[i]
+
+    def locate(self, m: ComMonomial):
+        """``(position, leading monomial, relation)`` of the relation at the
+        smallest position whose leading monomial divides m -- the one a
+        scan of the list in order would meet first -- or ``None``."""
+        buckets = self._buckets
         best = None
         for s in (None, *m._mults()):
             for entry in buckets.get(s, ()):
@@ -320,11 +365,16 @@ def _divisor(G: Sequence[ComPoly]):
                 if entry[1].divides(m):
                     best = entry
                     break
+        return best
+
+    def find(self, m: ComMonomial):
+        """``find`` for the shared reducers: the first divisor's relation,
+        with the quotient as the rewrite step."""
+        best = self.locate(m)
         if best is None:
             return None
         _, lead, g = best
         return m.div(lead), g
-    return find
 
 
 def _times(m: ComMonomial, q: ComMonomial, t: ComMonomial) -> ComMonomial:
@@ -334,24 +384,36 @@ def _times(m: ComMonomial, q: ComMonomial, t: ComMonomial) -> ComMonomial:
 def com_reduce(p: ComPoly, G: Sequence[ComPoly],
                strategy: str = "largest") -> ComPoly:
     """Normal form of p modulo the monic relation list G: no monomial of
-    the result is divisible by any leading monomial of G."""
-    _require_monic(G)
+    the result is divisible by any leading monomial of G.  A
+    :class:`ComBasis` is used as it is; any other sequence is checked and
+    indexed for this one call."""
+    find = ComBasis.of(G).find
     if strategy == "largest":
-        return ComPoly._raw(descend(p.terms, _divisor(G), _times))
+        return ComPoly._raw(descend(p.terms, find, _times))
     if strategy == "smallest":
-        return ComPoly._raw(smallest_first(p.terms, _divisor(G), _times))
+        return ComPoly._raw(smallest_first(p.terms, find, _times))
     raise ValueError("unknown strategy %r" % (strategy,))
+
+
+def _times_at(m: ComMonomial, step: tuple, t: ComMonomial) -> ComMonomial:
+    return t * step[0]
 
 
 def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
     """Normal form plus the steps (coeff, quotient monomial, index into G)
     taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
-    _require_monic(G)
+    locate = ComBasis.of(G).locate
+
+    def find(m: ComMonomial):
+        best = locate(m)
+        if best is None:
+            return None
+        pos, lead, g = best
+        return (m.div(lead), pos), g
+
     trace: list = []
-    nf = ComPoly._raw(descend(p.terms, _divisor(G), _times, trace))
-    # The divisor lookup takes the first relation whose leading monomial
-    # divides, and equal relations share it, so G.index finds its position.
-    return nf, [(c, q, G.index(g)) for c, _, q, g in trace]
+    nf = ComPoly._raw(descend(p.terms, find, _times_at, trace))
+    return nf, [(c, q, pos) for c, _, (q, pos), _ in trace]
 
 
 def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:
@@ -360,8 +422,8 @@ def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:
         raise ValueError("zero polynomial has no S-polynomial")
     _require_monic([f, g])
     lf, lg = f.leading(), g.leading()
-    big = lf.lcm(lg)
-    return f.mul_monomial(big.div(lf)) - g.mul_monomial(big.div(lg))
+    # lcm / lf is what lg has beyond lf, and lcm / lg what lf has beyond lg.
+    return f.mul_monomial(lf.cofactor(lg)) - g.mul_monomial(lg.cofactor(lf))
 
 
 @dataclass
@@ -400,7 +462,7 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
     """
     if factor_bound < 2:
         raise ValueError("factor bound must be at least 2 (got %d)" % factor_bound)
-    basis: list[ComPoly] = []
+    basis = ComBasis()
     for g in G:
         if not g:
             raise ValueError("zero polynomial in relation list")
@@ -420,11 +482,13 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
         considered += 1
         f, g = basis[i], basis[j]
         lf, lg = f.leading(), g.leading()
-        big = lf.lcm(lg)
-        if big.weight > weight_bound or big.count > factor_bound:
+        # The lcm's count and weight are the sums less the gcd's.
+        gcd_count, gcd_weight = lf._common(lg)
+        if (lf.weight + lg.weight - gcd_weight > weight_bound
+                or lf.count + lg.count - gcd_count > factor_bound):
             skipped_bound += 1
             continue
-        if big.count == lf.count + lg.count:
+        if not gcd_count:
             # Coprime leading monomials: the S-polynomial reduces to zero
             # by the product criterion.
             skipped_coprime += 1
@@ -438,7 +502,8 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
             k = len(basis) - 1
             for i2 in range(k):
                 pairs.append((i2, k))
-    report = BuchbergerReport(basis, added, considered, processed,
+    relations = list(basis)
+    report = BuchbergerReport(relations, added, considered, processed,
                               skipped_bound, skipped_coprime,
                               weight_bound, factor_bound)
-    return basis, report
+    return relations, report

@@ -28,10 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .compoly import (
     BuchbergerReport,
+    ComBasis,
     ComMonomial,
     ComPoly,
     GenSymbol,
@@ -39,6 +41,7 @@ from .compoly import (
     com_reduce,
 )
 from .envelope import CommAlgebra
+from .lincomb import exact
 from .magma import Alphabet, Letter
 
 __all__ = [
@@ -392,24 +395,51 @@ def rb_apply(s: TruncSeries) -> TruncSeries:
     return s.map_coeffs(lambda n, p: p.scale(Fraction(1, n)))
 
 
+def _integral(s: TruncSeries) -> tuple[int, list]:
+    # s's coefficients times the common denominator d of all their
+    # coefficients: (d, [(degree, [(monomial, int)])]).
+    d = 1
+    for p in s.coeffs.values():
+        for c in p.terms.values():
+            if type(c) is not int:
+                d = lcm(d, c.denominator)
+    return d, [(n, [(m, c * d if type(c) is int else c.numerator * (d // c.denominator))
+                    for m, c in p.terms.items()])
+               for n, p in s.coeffs.items()]
+
+
 def series_product(s: TruncSeries, u: TruncSeries,
                    G: Sequence[ComPoly] = ()) -> TruncSeries:
     """Cauchy product through the common truncation degree, each
-    resulting coefficient reduced by the relation list G."""
+    resulting coefficient reduced by the relation list G.  Integer-first:
+    both series are scaled to integer coefficients, each degree's products
+    are summed as integers, and each sum is divided once."""
     if s.N != u.N:
         raise ValueError("truncation mismatch: %d vs %d" % (s.N, u.N))
-    out: dict[int, ComPoly] = {}
-    for i, p in s.coeffs.items():
-        for j, q in u.coeffs.items():
+    N = s.N
+    ds, si = _integral(s)
+    du, ui = _integral(u)
+    sums: dict[int, dict] = {}
+    for i, p in si:
+        for j, q in ui:
             n = i + j
-            if n > s.N:
+            if n > N:
                 continue
-            pq = p * q
-            r = out.get(n)
-            out[n] = pq if r is None else r + pq
+            acc = sums.get(n)
+            if acc is None:
+                acc = sums[n] = {}
+            for m, a in p:
+                for k, b in q:
+                    mk = m * k
+                    acc[mk] = acc.get(mk, 0) + a * b
+    d = ds * du
+    out = {n: ComPoly._raw({m: c if d == 1 else exact(Fraction(c, d))
+                            for m, c in acc.items() if c})
+           for n, acc in sums.items()}
     if G:
-        out = {n: com_reduce(p, G) for n, p in out.items()}
-    return TruncSeries(s.N, {n: p for n, p in out.items() if p})
+        basis = ComBasis.of(G)
+        out = {n: com_reduce(p, basis) for n, p in out.items()}
+    return TruncSeries(N, {n: p for n, p in out.items() if p})
 
 
 def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
@@ -461,6 +491,41 @@ class EmbeddingReport:
                 and self.injectivity_certified_to is not None)
 
 
+def _splitting_failures(basis: Sequence[Letter], images: Mapping) -> list:
+    """(x, y, z, degree, residue) for each nonzero coefficient of
+    a(bc) - (ab)c - (ba)c, with a, b, c the images of x, y, z and ab the
+    splitting product R(a)b, in (x, y, z) basis order.
+
+    Each pair product R(a)b is computed once, with its R image for the
+    right side.  (ab)c + (ba)c is symmetric in x and y, so it is computed
+    once per unordered pair and z and checked for both orders.  Only the
+    pair products stay alive, not the d^3 triple products."""
+    R = {x: rb_apply(images[x]) for x in basis}
+    pair = {(x, y): series_product(R[x], images[y]) for x in basis for y in basis}
+    r_pair = {xy: rb_apply(s) for xy, s in pair.items()}
+    found = []
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            y = basis[j]
+            for k, z in enumerate(basis):
+                c = images[z]
+                if i == j:
+                    xyz = series_product(r_pair[x, x], c)
+                    rhs = xyz + xyz
+                    orders = ((x, y, (i, j, k)),)
+                else:
+                    rhs = (series_product(r_pair[x, y], c)
+                           + series_product(r_pair[y, x], c))
+                    orders = ((x, y, (i, j, k)), (y, x, (j, i, k)))
+                for a, b, pos in orders:
+                    diff = series_product(R[a], pair[b, z]) - rhs
+                    for l in sorted(diff.coeffs):
+                        found.append((pos, (a.name, b.name, z.name, l, diff.coeff(l))))
+    # The sort is stable, so each triple's degrees stay in increasing order.
+    found.sort(key=lambda f: f[0])
+    return [f for _, f in found]
+
+
 def verify_embedding(F: FilteredAlgebra, N: int,
                      factor_bound: int = 4) -> EmbeddingReport:
     """Check that the series assignment embeds F, which must be
@@ -486,6 +551,7 @@ def verify_embedding(F: FilteredAlgebra, N: int,
             "truncation too small: N=%d but products need N >= %d"
             % (N, 2 * F.max_level()))
     G = coefficient_relations(F, N)
+    relations = ComBasis(G)
 
     images = {x: generator_series(x, F, N) for x in F.basis}
     hom_failures = []
@@ -496,23 +562,13 @@ def verify_embedding(F: FilteredAlgebra, N: int,
             for z, c in F.product(x, y).items():
                 target = target + TruncSeries(
                     N, {n: p.scale(c) for n, p in images[z].coeffs.items()})
-            residue = series_star(images[x], images[y], G) - target
+            residue = series_star(images[x], images[y], relations) - target
             for l in sorted(residue.coeffs):
-                r = com_reduce(residue.coeff(l), G)
+                r = com_reduce(residue.coeff(l), relations)
                 if r:
                     hom_failures.append((x.name, y.name, l, r))
 
-    split_failures = []
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                a, b, c = images[x], images[y], images[z]
-                lhs = splitting_product(a, splitting_product(b, c))
-                rhs = (splitting_product(splitting_product(a, b), c)
-                       + splitting_product(splitting_product(b, a), c))
-                diff = lhs - rhs
-                for l in sorted(diff.coeffs):
-                    split_failures.append((x.name, y.name, z.name, l, diff.coeff(l)))
+    split_failures = _splitting_failures(basis, images)
 
     _, brep = buchberger_bounded(G, N, factor_bound)
     certified = N if not brep.linear_leadings else None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from precom import (
     COM_ONE,
+    ComBasis,
     ComMonomial,
     ComPoly,
     FilteredAlgebra,
@@ -19,11 +21,12 @@ from precom import (
     com_reduce,
     com_reduce_with_trace,
     pair_relation,
+    random_nilpotent_algebra,
     s_polynomial,
+    standard_filtration,
     truncated_power_algebra,
     trivial_algebra,
 )
-from precom.compoly import _divisor
 from precom.lincomb import descend, smallest_first
 
 X1 = GenSymbol("x", 1, 1)
@@ -179,6 +182,17 @@ class TestMonomialInvariants:
                     with pytest.raises(ValueError, match="does not divide"):
                         b.div(a)
                 assert same_monomial(a.lcm(b), counter_lcm(a, b))
+
+    def test_cofactor_and_gcd_size_match_counters(self):
+        ms = monomials_of_count(POOL, 3)
+        for a in ms:
+            for b in ms:
+                big = counter_lcm(a, b)
+                assert same_monomial(a.cofactor(b), counter_div(big, a))
+                gcd = ComMonomial((Counter(a.factors) & Counter(b.factors)).elements())
+                assert a._common(b) == (gcd.count, gcd.weight)
+                assert big.count == a.count + b.count - gcd.count
+                assert big.weight == a.weight + b.weight - gcd.weight
 
     def test_multiplicity_map_is_never_mutated(self):
         ms = monomials_of_count(POOL, 3)
@@ -391,7 +405,7 @@ class TestDivisorIndex:
     def test_first_divisor_in_G(self):
         ms = monomials_of_count(POOL, 4)
         for G in self.relation_lists():
-            find, scan = _divisor(G), linear_scan(G)
+            find, scan = ComBasis(G).find, linear_scan(G)
             for m in ms:
                 got, want = find(m), scan(m)
                 if want is None:
@@ -399,6 +413,48 @@ class TestDivisorIndex:
                 else:
                     assert same_monomial(got[0], want[0])
                     assert got[1] is want[1]
+
+    def test_appended_basis_matches_every_prefix(self):
+        ms = monomials_of_count(POOL, 3)
+        for G in self.relation_lists():
+            basis = ComBasis()
+            for n, g in enumerate(G, 1):
+                basis.append(g)
+                assert len(basis) == n and list(basis) == G[:n]
+                scan = linear_scan(G[:n])
+                for m in ms:
+                    got, want = basis.locate(m), scan(m)
+                    if want is None:
+                        assert got is None
+                    else:
+                        pos, lead, rel = got
+                        assert rel is want[1] and basis[pos] is rel
+                        assert lead is rel.leading()
+
+    def test_append_checks_each_relation(self):
+        basis = ComBasis([poly((mono(X1, X1), 1))])
+        with pytest.raises(ValueError, match="zero polynomial in relation list"):
+            basis.append(ComPoly.zero())
+        with pytest.raises(ValueError, match="relations must be monic"):
+            basis.append(poly((mono(X1, X2), 2), (mono(X3), 1)))
+        with pytest.raises(ValueError, match="relations must be monic"):
+            ComBasis([poly((mono(X2), Fraction(1, 2)))])
+        assert len(basis) == 1
+
+    def test_reducers_accept_a_basis(self):
+        rng = random.Random(5)
+        ms = monomials_of_count(POOL, 4)
+        for G in self.relation_lists()[:6]:
+            basis = ComBasis(G)
+            assert ComBasis.of(basis) is basis
+            for _ in range(5):
+                p = ComPoly.from_terms(
+                    [(rng.choice(ms), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 4))])
+                assert com_reduce(p, basis) == com_reduce(p, G)
+                assert com_reduce(p, basis, strategy="smallest") == \
+                    com_reduce(p, G, strategy="smallest")
+                assert com_reduce_with_trace(p, basis) == com_reduce_with_trace(p, G)
 
     def test_reducers_match_linear_scan(self):
         rng = random.Random(77)
@@ -505,3 +561,36 @@ class TestBuchberger:
         G = [poly((mono(X1, X1), 3))]
         basis, _ = buchberger_bounded(G, 4)
         assert basis[0].leading_coeff() == 1
+
+
+# (considered, processed, skipped for the bound, skipped as coprime,
+# len(added), SHA-256 prefix of the added relations' reprs in order), as
+# pinned before the divisor index moved into ComBasis.
+PINNED_BUCHBERGER = {
+    ("power", 3, 8): (1176, 102, 1040, 34, 19, "f7262167aef4a47d"),
+    ("power", 3, 10): (3081, 251, 2671, 159, 37, "3f4f333f3de1f8a7"),
+    ("power", 3, 12): (5995, 495, 5041, 459, 56, "23870e2475a731f9"),
+    ("power", 4, 8): (2145, 128, 1981, 36, 26, "bdf4473e2e349561"),
+    ("power", 4, 10): (7140, 378, 6560, 202, 60, "10c9bab0a21a8b7a"),
+    ("seed", 0, 10): (3081, 251, 2671, 159, 37, "3090386716c84e70"),
+    ("seed", 1, 10): (2850, 311, 2152, 387, 26, "44c3a50e1a5fc8fc"),
+    ("seed", 2, 10): (3081, 251, 2671, 159, 37, "310bcb172ae6b2c7"),
+    ("seed", 3, 10): (2850, 311, 2152, 387, 26, "93bfb07cf4dc43f7"),
+    ("seed", 4, 10): (2850, 311, 2152, 387, 26, "98608a39ba63c0ae"),
+    ("seed", 5, 10): (3081, 251, 2671, 159, 37, "8dd2b550f86587a3"),
+}
+
+
+@pytest.mark.parametrize("kind,k,N", sorted(PINNED_BUCHBERGER))
+def test_buchberger_counts_and_added_order_pinned(kind, k, N):
+    if kind == "power":
+        F, G = truncated_relations(k, N)
+    else:
+        F = standard_filtration(random_nilpotent_algebra(random.Random(k)))
+        G = coefficient_relations(F, N)
+    basis, rep = buchberger_bounded(G, N)
+    digest = hashlib.sha256("\n".join(repr(p) for p in rep.added).encode()).hexdigest()
+    assert (rep.pairs_considered, rep.pairs_processed, rep.pairs_skipped_bound,
+            rep.pairs_skipped_coprime, len(rep.added), digest[:16]) \
+        == PINNED_BUCHBERGER[kind, k, N]
+    assert basis == G + rep.added

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from precom import (
     ComMonomial,
     ComPoly,
     CommAlgebra,
+    com_reduce,
     FilteredAlgebra,
     TruncSeries,
     coefficient_relations,
@@ -28,6 +30,7 @@ from precom import (
     validate_filtration,
     verify_embedding,
 )
+from precom import embed as embed_module
 
 
 def trivial_filtered(d=1):
@@ -297,6 +300,68 @@ class TestSeriesProduct:
             assert c5.terms[c_mono(F, ("x1", i), ("x2", j))] == i * j
 
 
+def naive_product(s, u):
+    """The Cauchy product by plain ComPoly arithmetic, degree by degree."""
+    out = {}
+    for n in range(2, s.N + 1):
+        acc = ComPoly.zero()
+        for i in range(1, n):
+            acc = acc + s.coeff(i) * u.coeff(n - i)
+        out[n] = acc
+    return TruncSeries(s.N, out)
+
+
+def exact_coefficients(s):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for p in s.coeffs.values() for c in p.terms.values())
+
+
+class TestSeriesProductAgainstNaive:
+    def test_random_series(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            N = rng.randint(1, 7)
+            s, u = random_series(rng, N, max_terms=3), random_series(rng, N, max_terms=3)
+            got = series_product(s, u)
+            assert got == naive_product(s, u)
+            assert exact_coefficients(got)
+
+    def test_reduced_random_series(self):
+        F = truncated_filtered(2)
+        G = coefficient_relations(F, 6)
+        pool = [F.symbol(F.alphabet["x1"], i) for i in range(1, 6)] \
+            + [F.symbol(F.alphabet["x2"], i) for i in range(2, 6)]
+        rng = random.Random(61)
+        for _ in range(40):
+            s, u = random_series(rng, 6, pool), random_series(rng, 6, pool)
+            want = naive_product(s, u).map_coeffs(lambda n, p: com_reduce(p, G))
+            got = series_product(s, u, G)
+            assert got == TruncSeries(6, want.coeffs)
+            assert exact_coefficients(got)
+
+    def test_constant_terms_and_full_cancellation(self):
+        # s1 u2 + s2 u1 = -(4/9) xy + (4/9) xy: the t^3 coefficient cancels.
+        F = trivial_filtered(2)
+        x, y = (c_mono(F, (name, 1)) for name in ("x", "y"))
+        s = TruncSeries(4, {1: ComPoly.monomial(x, Fraction(1, 2)),
+                            2: ComPoly.monomial(y, Fraction(2, 3))})
+        u = TruncSeries(4, {1: ComPoly.monomial(x, Fraction(2, 3)),
+                            2: ComPoly.monomial(y, Fraction(-8, 9))})
+        got = series_product(s, u)
+        assert got == naive_product(s, u)
+        assert 3 not in got.coeffs
+        assert got.coeff(2) == ComPoly.monomial(x * x, Fraction(1, 3))
+        assert got.coeff(4) == ComPoly.monomial(y * y, Fraction(-16, 27))
+        # Constants times constants stay integers where they are integral.
+        c = TruncSeries(4, {1: ONE.scale(Fraction(3, 2)), 2: ONE.scale(Fraction(1, 3))})
+        got = series_product(c, c)
+        assert got == naive_product(c, c)
+        assert got.coeff(2).terms == {ONE.leading(): Fraction(9, 4)}
+        assert got.coeff(3).terms == {ONE.leading(): 1}
+        assert type(got.coeff(3).terms[ONE.leading()]) is int
+        assert series_product(s, -s) == -series_product(s, s)
+
+
 class TestGeneratorSeries:
     def test_level_one(self):
         F = trivial_filtered()
@@ -429,6 +494,21 @@ class TestVerifyEmbedding:
         assert validate_filtration(F) == []
         with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
             verify_embedding(F, 8)
+
+    def test_splitting_failure_for_every_triple(self, monkeypatch):
+        # With R the identity, a(bc) = abc but (ab)c + (ba)c = 2abc; at N=9
+        # even x3 x3 x3 (degree 9) survives truncation, so every triple fails.
+        monkeypatch.setattr(embed_module, "rb_apply", lambda s: s)
+        F = truncated_filtered(3)
+        rep = verify_embedding(F, 9)
+        names = [x.name for x in F.basis]
+        triples = [f[:3] for f in rep.splitting_failures]
+        seen = [t for i, t in enumerate(triples) if i == 0 or triples[i - 1] != t]
+        assert seen == list(product(names, repeat=3))
+        for t in seen:
+            degrees = [f[3] for f in rep.splitting_failures if f[:3] == t]
+            assert degrees == sorted(degrees)
+        assert not rep.verified
 
     def test_random_nilpotent_instances(self):
         rng = random.Random(97)

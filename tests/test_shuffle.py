@@ -29,6 +29,7 @@ from precom import (
     to_left_comb,
     zinbiel_product,
 )
+from precom import shuffle as shuffle_module
 from precom.shuffle import _tensor_mul
 
 
@@ -374,6 +375,18 @@ class TestPermTensor:
     def test_zero_elements_pass(self, ab2):
         z = ZinbElement.zero()
         assert perm_tensor_check(PermAlgebra(2), [(z, z, z)]).verified
+
+    def test_non_pre_commutative_product_is_caught(self, ab2, monkeypatch):
+        # A bilinear product that is not pre-commutative breaks the tensor
+        # product's associativity; its commutativity holds by construction.
+        monkeypatch.setattr(shuffle_module, "zinbiel_product", lambda f, g: f.scale(2) + g)
+        rng = random.Random(31)
+        samples = [tuple(random_element(rng, ab2, 3) for _ in range(3))
+                   for _ in range(5)]
+        rep = perm_tensor_check(PermAlgebra(2), samples)
+        assert not rep.verified
+        assert rep.triples_checked == 40
+        assert len(rep.associativity_violations) == 40
 
     def test_corrupted_perm_raises_before_checking(self, ab2):
         bad = PermAlgebra(2, rule=lambda i, j: i)
