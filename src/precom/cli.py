@@ -125,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the power-series embedding of a filtered algebra")
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.add_argument("--N", type=int, required=True, help="truncation degree")
-    p.add_argument("--factor-bound", type=int, default=4,
-                   help="lcm factor cap for the injectivity certificate")
     return parser
 
 
@@ -339,10 +337,9 @@ def _handle_verify(args):
 
 
 def _handle_embed(args):
-    _at_least({"factor-bound": (args.factor_bound, 2)})
     A, levels = _load_algebra(args.algebra)
     F = FilteredAlgebra(A, levels) if levels is not None else standard_filtration(A)
-    rep = verify_embedding(F, args.N, args.factor_bound)
+    rep = verify_embedding(F, args.N)
     failures = []
     for x, y, l, poly in rep.homomorphism_failures:
         failures.append({"kind": "homomorphism", "x": x, "y": y,

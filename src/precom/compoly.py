@@ -98,8 +98,8 @@ _symbol_key = attrgetter("key")
 class ComMonomial:
     """A commutative monomial: a multiset of symbols kept as a sorted
     tuple, with the comparison key cached.  The symbol -> multiplicity
-    map that :meth:`divides`, :meth:`div` and :meth:`lcm` read is built
-    on first use and never mutated afterwards; :attr:`multiplicities`
+    map that :meth:`divides`, :meth:`div` and :meth:`cofactor` read is
+    built on first use and never mutated afterwards; :attr:`multiplicities`
     hands out a read-only view of it."""
 
     __slots__ = ("factors", "key", "_hash", "_mult")
@@ -210,9 +210,6 @@ class ComMonomial:
         # other's map is in factor order, so extra is already sorted.
         return ComMonomial._sorted(tuple(extra), tuple(s.key for s in extra),
                                    sum(s.weight for s in extra))
-
-    def lcm(self, other: "ComMonomial") -> "ComMonomial":
-        return self * self.cofactor(other)
 
     def _common(self, other: "ComMonomial") -> tuple:
         """(factor count, weight) of gcd(self, other), read from the shared
@@ -435,7 +432,6 @@ class BuchbergerReport:
     pairs_skipped_bound: int
     pairs_skipped_coprime: int
     weight_bound: int
-    factor_bound: int
 
     @property
     def linear_leadings(self) -> list:
@@ -447,21 +443,20 @@ class BuchbergerReport:
         return not self.linear_leadings
 
 
-def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
-                       factor_bound: int = 4):
-    """Complete G over S-pairs whose lcm has weight <= weight_bound and
-    at most factor_bound factors.  Input must be weight-homogeneous;
-    reductions then stay homogeneous and, because tails never have more
-    factors than their leading monomial under this order, the factor
-    budget is only ever tested at the lcm.
+def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
+    """Complete G over the S-pairs whose lcm has weight <= weight_bound.
+
+    Input must be weight-homogeneous, so an S-polynomial and its
+    reduction stay in the weight of the pair's lcm.  Truncating by weight
+    alone is then exact: a skipped pair only yields relations heavier
+    than the bound, so the result is a Groebner basis of the ideal in
+    every weight up to weight_bound (Becker & Weispfenning, *Groebner
+    Bases*, 1993).  Each symbol weighs at least 1, so the bound also caps
+    the factor count of every lcm formed.
 
     Returns (basis, report).  Any factor-count-1 leading monomial in the
-    final basis is collected in report.linear_leadings.  factor_bound
-    must be at least 2: a smaller budget skips every S-pair whose lcm has
-    two or more factors, which is every pair of quadratic relations.
+    final basis is collected in report.linear_leadings.
     """
-    if factor_bound < 2:
-        raise ValueError("factor bound must be at least 2 (got %d)" % factor_bound)
     basis = ComBasis()
     for g in G:
         if not g:
@@ -482,10 +477,9 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
         considered += 1
         f, g = basis[i], basis[j]
         lf, lg = f.leading(), g.leading()
-        # The lcm's count and weight are the sums less the gcd's.
+        # The lcm's weight is the sum less the gcd's.
         gcd_count, gcd_weight = lf._common(lg)
-        if (lf.weight + lg.weight - gcd_weight > weight_bound
-                or lf.count + lg.count - gcd_count > factor_bound):
+        if lf.weight + lg.weight - gcd_weight > weight_bound:
             skipped_bound += 1
             continue
         if not gcd_count:
@@ -504,6 +498,5 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int,
                 pairs.append((i2, k))
     relations = list(basis)
     report = BuchbergerReport(relations, added, considered, processed,
-                              skipped_bound, skipped_coprime,
-                              weight_bound, factor_bound)
+                              skipped_bound, skipped_coprime, weight_bound)
     return relations, report

@@ -11,16 +11,19 @@ R(t^n) = t^n/n is a weight-zero Rota-Baxter operator, and the induced
 symmetric product R(f)g + fR(g) sends the image series of x and y to the
 image of x*y modulo the coefficient relations: the t^l discrepancy is
 exactly l times one defining relation, so it reduces to zero in a single
-step.  Injectivity is certified per instance by bounded Buchberger
-completion of the coefficient relations: a completed relation whose
-leading monomial is a single symbol would rewrite a generator away, and
-the report flags any such linear leading monomial.
+step.  Injectivity is certified per instance by Buchberger completion
+of the coefficient relations truncated at weight N.  The relations are
+weight-homogeneous, so truncating by weight alone is exact: the result
+is a Groebner basis of their ideal in every weight up to N.  A nonzero
+combination of generator symbols in the ideal would therefore show as a
+completed relation whose leading monomial is a single symbol, and the
+report flags any such linear leading monomial.
 
 Filtration levels can be supplied directly or computed: the chain of
 power subspaces A, A^2 = A*A, A^3 = A*A^2, ... is computed by exact
-Gaussian elimination, and the algebra is rewritten on a basis adapted to
-the chain.  A chain that stabilizes at a nonzero subspace means the
-algebra is not nilpotent and carries no such filtration.
+sparse Gaussian elimination, and the algebra is rewritten on a basis
+adapted to the chain.  A chain that stabilizes at a nonzero subspace
+means the algebra is not nilpotent and carries no such filtration.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .compoly import (
     BuchbergerReport,
@@ -41,7 +44,7 @@ from .compoly import (
     com_reduce,
 )
 from .envelope import CommAlgebra
-from .lincomb import exact
+from .lincomb import _sub_scaled, echelon_insert, exact
 from .magma import Alphabet, Letter
 
 __all__ = [
@@ -62,10 +65,6 @@ __all__ = [
     "random_series",
     "random_nilpotent_algebra",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class FilteredAlgebra:
     """A commutative algebra together with a positive level for each
@@ -122,85 +121,6 @@ def validate_filtration(F: FilteredAlgebra) -> list:
     return bad
 
 
-# ---------------------------------------------------------------------------
-# Exact linear algebra on rows of Fractions (for the power-chain filtration)
-
-def _row_sub(row, coeff, other):
-    return tuple(a - coeff * b for a, b in zip(row, other))
-
-
-def _eliminate(row, rows, pivots):
-    """Reduce row against rref rows (pivots: column -> row index)."""
-    row = tuple(row)
-    for col, idx in pivots.items():
-        if row[col]:
-            row = _row_sub(row, row[col], rows[idx])
-    return row
-
-
-def _rref(vectors: Iterable[Sequence[Fraction]]):
-    """Reduced row echelon form: canonical rows sorted by pivot column.
-    First-come rows win pivots; leftmost nonzero entry is the pivot."""
-    rows: list[tuple] = []
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        r = _eliminate(v, rows, pivots)
-        if not any(r):
-            continue
-        col = next(i for i, c in enumerate(r) if c)
-        r = tuple(c / r[col] for c in r)
-        rows = [_row_sub(row, row[col], r) for row in rows]
-        pivots = {c: i for c, i in pivots.items()}
-        rows.append(r)
-        pivots[col] = len(rows) - 1
-    order = sorted(pivots)
-    return [rows[pivots[c]] for c in order]
-
-
-def _invert(rows: Sequence[Sequence[Fraction]]):
-    """Inverse of a square matrix given as rows; raises on singular input."""
-    n = len(rows)
-    aug = [tuple(r) + tuple(_ONE if i == j else _ZERO for j in range(n))
-           for i, r in enumerate(rows)]
-    done: list[tuple] = []
-    pivots: dict[int, int] = {}
-    for r in aug:
-        r = _eliminate(r, done, pivots)
-        col = next((i for i in range(n) if r[i]), None)
-        if col is None:
-            raise ValueError("singular matrix")
-        r = tuple(c / r[col] for c in r)
-        done = [_row_sub(row, row[col], r) for row in done]
-        done.append(r)
-        pivots[col] = len(done) - 1
-    inv = [None] * n
-    for col, idx in pivots.items():
-        inv[col] = done[idx][n:]
-    return [tuple(r) for r in inv]
-
-
-def _vec_mat(v, mat):
-    n = len(mat[0])
-    return tuple(sum((v[i] * mat[i][j] for i in range(len(v))), _ZERO)
-                 for j in range(n))
-
-
-def _product_vector(A: CommAlgebra, u, v):
-    """Bilinear extension of A's product to coefficient vectors."""
-    basis = A.basis
-    out = [_ZERO] * len(basis)
-    index = {x: i for i, x in enumerate(basis)}
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            for z, c in A.product(basis[i], basis[j]).items():
-                out[index[z]] += a * b * c
-    return tuple(out)
-
-
 def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     """The filtration by power subspaces A >= A^2 >= A^3 >= ..., with the
     algebra rewritten on an adapted basis.
@@ -212,53 +132,52 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     power containing it.  Basis vectors that come out as unit coordinate
     vectors keep their original names; mixed vectors get fresh names.
     The adapted basis is ordered by (level, pivot column) ascending.
+
+    Vectors are sparse ``{basis position: coeff}`` dicts, and each power
+    is kept as a reduced echelon form (:func:`~precom.lincomb.echelon_insert`).
     """
-    d = len(A.basis)
-    unit = [tuple(_ONE if j == i else _ZERO for j in range(d)) for i in range(d)]
-    spans = {1: unit}
+    basis = A.basis
+    d = len(basis)
+    col = {x: i for i, x in enumerate(basis)}
+
+    def times(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for z, c in A.product(basis[i], basis[j]).items():
+                    out[col[z]] = out.get(col[z], 0) + a * b * c
+        return {k: exact(c) for k, c in out.items() if c}
+
+    spans = {1: [{i: 1} for i in range(d)]}
     n = 1
     while spans[n]:
         n += 1
-        generators = []
+        rows: dict = {}
         for i in range(1, n // 2 + 1):
-            j = n - i
             for u in spans[i]:
-                for v in spans[j]:
-                    generators.append(_product_vector(A, u, v))
-        spans[n] = _rref(generators)
+                for v in spans[n - i]:
+                    echelon_insert(rows, times(u, v))
+        spans[n] = [rows[p] for p in sorted(rows)]
         if spans[n] == spans[n - 1]:
             raise ValueError("no positive filtration: algebra not nilpotent")
-    deepest = n - 1
 
-    adapted: list[tuple] = []          # vectors, deepest level first
-    level_of: list[int] = []
-    rows: list[tuple] = []
-    pivots: dict[int, int] = {}
-    for k in range(deepest, 0, -1):
+    # (level, pivot, vector), deepest level first.  Each vector is zero at
+    # the pivots of those inserted before it, and no two share a pivot.
+    adapted: list[tuple] = []
+    rows = {}
+    for k in range(n - 1, 0, -1):
         for v in spans[k]:
-            r = _eliminate(v, rows, pivots)
-            if not any(r):
-                continue
-            col = next(i for i, c in enumerate(r) if c)
-            r = tuple(c / r[col] for c in r)
-            rows = [_row_sub(row, row[col], r) for row in rows]
-            rows.append(r)
-            pivots[col] = len(rows) - 1
-            adapted.append(r)
-            level_of.append(k)
+            r = echelon_insert(rows, v)
+            if r is not None:
+                adapted.append((k, min(r), r))
 
-    order = sorted(range(d), key=lambda i: (
-        level_of[i], next(j for j, c in enumerate(adapted[i]) if c)))
-    vectors = [adapted[i] for i in order]
-    levels_list = [level_of[i] for i in order]
-
+    ranked = sorted(adapted, key=lambda a: a[:2])
     names = []
     used = set()
     fresh = 0
-    for v in vectors:
-        ones = [j for j, c in enumerate(v) if c]
-        if len(ones) == 1 and v[ones[0]] == 1:
-            name = A.basis[ones[0]].name
+    for _, p, v in ranked:
+        if len(v) == 1:
+            name = basis[p].name
         else:
             fresh += 1
             name = "v%d" % fresh
@@ -267,17 +186,27 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
         used.add(name)
         names.append(name)
     ab = Alphabet(names)
+    letter = {p: ab[pos] for pos, (_, p, _) in enumerate(ranked)}
 
-    inv = _invert(vectors)
+    def coords(w: dict) -> dict:
+        # Only the vectors inserted earlier are nonzero at each pivot, so
+        # one pass in insertion order reads every coordinate.
+        out = {}
+        for _, p, v in adapted:
+            c = w.get(p)
+            if c:
+                out[letter[p]] = c
+                w = _sub_scaled(w, c, v)
+        return out
+
+    vectors = [v for _, _, v in ranked]
     products = {}
     for i in range(d):
         for j in range(i, d):
-            w = _product_vector(A, vectors[i], vectors[j])
-            coords = _vec_mat(w, inv)
-            combo = {ab[k]: c for k, c in enumerate(coords) if c}
+            combo = coords(times(vectors[i], vectors[j]))
             if combo:
                 products[(ab[i], ab[j])] = combo
-    levels = {ab[i]: levels_list[i] for i in range(d)}
+    levels = {ab[pos]: k for pos, (k, _, _) in enumerate(ranked)}
     return FilteredAlgebra(CommAlgebra(ab, products), levels)
 
 
@@ -526,8 +455,7 @@ def _splitting_failures(basis: Sequence[Letter], images: Mapping) -> list:
     return [f for _, f in found]
 
 
-def verify_embedding(F: FilteredAlgebra, N: int,
-                     factor_bound: int = 4) -> EmbeddingReport:
+def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
     """Check that the series assignment embeds F, which must be
     associative (checked on basis triples):
 
@@ -570,7 +498,7 @@ def verify_embedding(F: FilteredAlgebra, N: int,
 
     split_failures = _splitting_failures(basis, images)
 
-    _, brep = buchberger_bounded(G, N, factor_bound)
+    _, brep = buchberger_bounded(G, N)
     certified = N if not brep.linear_leadings else None
     notes = ("certified injective to weight %d" % N if certified
              else "linear leading monomial found: injectivity not certified")

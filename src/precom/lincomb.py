@@ -18,7 +18,9 @@ module holds that common part:
   ``rel`` becomes when the rewrite is applied to ``m``;
 * :func:`memo_descend`, which gives exactly :func:`descend`'s normal
   form from memoized normal forms of single monomials, for callers that
-  reduce many combinations modulo one relation set.
+  reduce many combinations modulo one relation set;
+* :func:`echelon_insert`, exact sparse Gaussian elimination: a reduced
+  echelon form of ``{column: coeff}`` rows, grown one vector at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "descend",
     "memo_descend",
     "smallest_first",
+    "echelon_insert",
 ]
 
 Coeff = Union[int, Fraction]
@@ -344,3 +347,42 @@ def smallest_first(terms: dict, find: Find, image: Image) -> dict:
                 work[nm] = exact(nc)
             else:
                 work.pop(nm, None)
+
+
+def _sub_scaled(u: dict, c: Coeff, w: dict) -> dict:
+    """``u - c·w`` as a new ``{column: coeff}`` dict without zeros."""
+    out = dict(u)
+    for col, x in w.items():
+        y = out.get(col, 0) - c * x
+        if y:
+            out[col] = y if type(y) is int else exact(y)
+        else:
+            out.pop(col, None)
+    return out
+
+
+def echelon_insert(rows: dict, v: dict) -> Optional[dict]:
+    """Add the sparse vector ``v`` to the reduced echelon form ``rows``.
+
+    Vectors map columns to nonzero exact coefficients.  ``rows`` maps the
+    pivot of each row, its smallest column, to the row, which is 1 there
+    and 0 at every other row's pivot; so the form is the canonical basis
+    of the rows' span.  ``v`` is reduced against the rows.  What is left
+    is made monic at its pivot, cleared from the other rows, filed, and
+    returned as inserted; ``None`` means ``v`` was already in the span.
+    Rows are replaced, never mutated, so a returned row keeps its value.
+    """
+    # Each row is 0 at the other pivots, so subtracting it leaves them be.
+    for p in [p for p in v if p in rows]:
+        v = _sub_scaled(v, v[p], rows[p])
+    if not v:
+        return None
+    p = min(v)
+    lead = v[p]
+    if lead != 1:
+        v = {col: exact(Fraction(x, lead)) for col, x in v.items()}
+    for q, row in list(rows.items()):
+        if p in row:
+            rows[q] = _sub_scaled(row, row[p], v)
+    rows[p] = v
+    return v

@@ -202,6 +202,8 @@ class ZinbielFamily(RelationSchema):
 class _RedexIndex:
     """Leading-monomial lookup across a schema list, honoring list order.
 
+    ``explicit`` maps each leading word to every explicit relation with
+    that leading word, as ``(position, relation)`` in list order.
     ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
     of :meth:`reduce` per word, for the life of the index or until
     :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
@@ -211,10 +213,10 @@ class _RedexIndex:
     def __init__(self, schemas: Sequence[RelationSchema]):
         self.schemas = list(schemas)
         self.families: list[tuple[int, RelationSchema]] = []
-        self.explicit: dict[NaWord, tuple[int, MagmaPoly]] = {}
+        self.explicit: dict[NaWord, list[tuple[int, MagmaPoly]]] = {}
         for pos, s in enumerate(self.schemas):
             if isinstance(s, ExplicitRelation):
-                self.explicit.setdefault(s.lead, (pos, s.poly))
+                self.explicit.setdefault(s.lead, []).append((pos, s.poly))
             else:
                 self.families.append((pos, s))
         self._next_pos = len(self.schemas)
@@ -224,7 +226,7 @@ class _RedexIndex:
     def add_explicit(self, poly: MagmaPoly) -> int:
         pos = self._next_pos
         self._next_pos += 1
-        self.explicit.setdefault(poly.leading(), (pos, poly))
+        self.explicit.setdefault(poly.leading(), []).append((pos, poly))
         # The new leading word may sit earlier in preorder than a cached
         # redex, so every entry is stale, not only the irreducible ones.
         self.first.clear()
@@ -238,14 +240,14 @@ class _RedexIndex:
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
         """First schema (in list order) whose leading monomial is ``word``."""
         exp = self.explicit.get(word)
-        exp_pos = exp[0] if exp is not None else None
+        exp_pos = exp[0][0] if exp is not None else None
         for pos, fam in self.families:
             if exp_pos is not None and pos > exp_pos:
                 break
             m = fam.match(word)
             if m is not None:
                 return m
-        return exp[1] if exp is not None else None
+        return exp[0][1] if exp is not None else None
 
     def redex(self, word: NaWord):
         """First reducible position in preorder: (path, relation) or None.
@@ -285,21 +287,6 @@ class _RedexIndex:
                 hit = memo[w.right]
                 memo[w] = ((1,) + hit[0], hit[1]) if hit is not None else None
         return memo[word]
-
-
-def _find_redex(word: NaWord, index: _RedexIndex):
-    """First reducible position of ``word`` in preorder: (path, relation)
-    or None; see :meth:`_RedexIndex.redex`."""
-    return index.redex(word)
-
-
-def _match_all(schemas: Sequence[RelationSchema], word: NaWord) -> list[tuple[int, MagmaPoly]]:
-    out = []
-    for pos, s in enumerate(schemas):
-        m = s.match(word)
-        if m is not None:
-            out.append((pos, m))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +351,7 @@ def replay_trace(steps: Iterable[ReductionStep]) -> MagmaPoly:
 
 
 def reducible(word: NaWord, relations: Iterable[RelationSchema]) -> bool:
-    return _find_redex(word, _RedexIndex(list(relations))) is not None
+    return _RedexIndex(list(relations)).redex(word) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +408,23 @@ def _instantiate(schemas: Sequence[RelationSchema], bound: int) -> list[MagmaPol
     return out
 
 
-def _sites(fi: int, f: MagmaPoly, schemas: Sequence[RelationSchema]):
+def _sites(fi: int, f: MagmaPoly, index: _RedexIndex):
     """The composition sites of instance ``f`` (creation index ``fi``) as
     the outer relation: every subword of its leading word that a schema
-    matches, keyed for :func:`_pair_compositions` order."""
+    of the index matches, keyed for :func:`_pair_compositions` order."""
     fl = f.leading()
     for path, sub in fl.subtrees():
-        for gpos, g in _match_all(schemas, sub):
-            if path or g != f:
+        matches = [(gpos, fam.match(sub)) for gpos, fam in index.families]
+        matches += index.explicit.get(sub, ())
+        for gpos, g in matches:
+            if g is not None and (path or g != f):
                 yield (fl.length, fl.key, fi, gpos, path, f, g)
 
 
-def _pair_compositions(insts: list[MagmaPoly], schemas: Sequence[RelationSchema]):
+def _pair_compositions(insts: list[MagmaPoly], index: _RedexIndex):
     """Composition sites among instances, sorted by (ambiguity length,
     ambiguity word, creation index of f, schema position of g, path)."""
-    comps = [site for fi, f in enumerate(insts) for site in _sites(fi, f, schemas)]
+    comps = [site for fi, f in enumerate(insts) for site in _sites(fi, f, index)]
     comps.sort(key=lambda t: t[:5])
     return comps
 
@@ -455,7 +444,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     index = _RedexIndex(schemas)
     failures: list[CompositionFailure] = []
     checked = 0
-    for _, _, fi, gpos, path, f, g in _pair_compositions(insts, schemas):
+    for _, _, fi, gpos, path, f, g in _pair_compositions(insts, index):
         checked += 1
         h = f - substitute(f.leading(), path, g)
         nf = index.reduce(h.terms)
@@ -494,7 +483,7 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
 
     for fi, f in enumerate(insts):
         note_subwords(fi, f.leading())
-    heap = _pair_compositions(insts, work)  # sorted, hence already a heap
+    heap = _pair_compositions(insts, index)  # sorted, hence already a heap
     while heap:
         _, _, _, _, path, f, g = heapq.heappop(heap)
         nf = index.reduce((f - substitute(f.leading(), path, g)).terms)
@@ -512,7 +501,7 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
         fi = len(insts)
         insts.append(p)
         note_subwords(fi, pl)
-        for site in _sites(fi, p, work):
+        for site in _sites(fi, p, index):
             heapq.heappush(heap, site)
     return work
 
@@ -533,7 +522,7 @@ def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
     for i, p in enumerate(exps):
         others = fams + [ExplicitRelation(q) for j, q in enumerate(exps) if j != i]
         idx = _RedexIndex(others)
-        if _find_redex(p.leading(), idx) is not None:
+        if idx.redex(p.leading()) is not None:
             continue
         kept.append(p)
     keep_idx = _RedexIndex(fams + [ExplicitRelation(q) for q in kept])

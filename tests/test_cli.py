@@ -284,7 +284,7 @@ class TestEmbed:
         assert rep["levels"] == {"x1": 1, "x2": 2}
         assert rep["injectivity_certified_to"] == 6
         assert rep["timings"] is None
-        assert rep["parameters"]["factor-bound"] == 4
+        assert rep["parameters"] == {"N": 6, "algebra": path}
 
     def test_non_nilpotent_exits_2(self, run, alg_file):
         path = alg_file({"basis": ["e"], "products": ["e e -> e"]})
@@ -307,13 +307,17 @@ class TestEmbed:
         assert "not associative on basis triple (a, a, b)" in err
 
     @pytest.mark.parametrize("bound", ["1", "0", "-3"])
-    def test_factor_bound_below_2_exits_2(self, run, alg_file, bound):
+    def test_factor_bound_below_2_exits_2(self, capsys, alg_file, bound):
+        # The certificate rests on the weight bound alone, so there is no
+        # lcm factor cap to set: argparse rejects the flag as unknown.
         path = alg_file(TRUNC2)
-        code, out, err = run("embed", "--algebra", path, "--N", "6",
-                             "--factor-bound", bound)
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["embed", "--algebra", path, "--N", "6", "--factor-bound", bound])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "--factor-bound must be at least 2 (got %s)" % bound in err
+        assert "unrecognized arguments: --factor-bound %s" % bound in err
+        assert "Traceback" not in err
 
     def test_truncation_too_small_exits_2(self, run, alg_file):
         path = alg_file(TRUNC2)

@@ -45,7 +45,7 @@ from precom import (
 )
 from precom import rewrite
 from precom.lincomb import descend, memo_descend
-from precom.rewrite import _RedexIndex, _find_redex, _instantiate, _pair_compositions
+from precom.rewrite import _RedexIndex, _instantiate, _pair_compositions
 from precom.sexpr import format_relations
 
 
@@ -326,6 +326,18 @@ class TestVerify:
                if set(f.normal_form.terms) == {x}]
         assert hit
 
+    def test_shared_leading_word_composes_at_root(self, ab2):
+        # xy -> y and xy -> x: each is the other's root composition, and
+        # both leave x - y, which no relation rewrites.
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        f, g = rel((node(x, y), 1), (y, -1)), rel((node(x, y), 1), (x, -1))
+        rep = verify_gsb([f, g], 2)
+        assert rep.ambiguities_checked == 2
+        assert [(c.f, c.g, c.ambiguity) for c in rep.failures] \
+            == [(f.poly, g.poly, node(x, y)), (g.poly, f.poly, node(x, y))]
+        diff = MagmaPoly.monomial(x) - MagmaPoly.monomial(y)
+        assert [c.normal_form for c in rep.failures] == [diff, -diff]
+
     def test_bound_validation(self, ab2):
         with pytest.raises(ValueError, match="at least 2"):
             verify_gsb([ZinbielFamily(ab2)], 1)
@@ -427,7 +439,7 @@ class TestCompletionSweep:
         A = trivial_algebra(2)
         done = complete(enveloping_relations(A), 5)
         monkeypatch.undo()
-        sites = _pair_compositions(_instantiate(done, 5), done)
+        sites = _pair_compositions(_instantiate(done, 5), _RedexIndex(done))
         assert len(done) > len(enveloping_relations(A))
         assert len(calls) == len(sites)
 
@@ -531,7 +543,7 @@ class TestRedexCache:
         # Longest first, so shorter words are answered from entries that
         # were filled while walking longer ones.
         for w in sorted(words, key=lambda w: -w.length):
-            assert _find_redex(w, index) == scan_first_redex(w, index), w
+            assert index.redex(w) == scan_first_redex(w, index), w
 
     def test_trivial_gsb_three_letters(self, ab3):
         self.assert_agrees(_RedexIndex(trivial_gsb(ab3)), words_upto(ab3, 6))
@@ -548,26 +560,26 @@ class TestRedexCache:
         first = MagmaPoly.monomial(xy)
         index = _RedexIndex([ExplicitRelation(first)])
         w = node(yy, xy)
-        assert _find_redex(w, index) == ((1,), first)
-        assert _find_redex(yx, index) is None
+        assert index.redex(w) == ((1,), first)
+        assert index.redex(yx) is None
         words = words_upto(ab2, 4)
         self.assert_agrees(index, words)
 
         # (y y) sits at path (0,), before the cached redex at (1,).
         earlier = MagmaPoly.monomial(yy)
         index.add_explicit(earlier)
-        assert _find_redex(w, index) == ((0,), earlier)
+        assert index.redex(w) == ((0,), earlier)
         fresh = _RedexIndex([ExplicitRelation(first), ExplicitRelation(earlier)])
         for u in words:
-            assert _find_redex(u, index) == scan_first_redex(u, fresh), u
+            assert index.redex(u) == scan_first_redex(u, fresh), u
 
         # (y x) was cached as irreducible.
         late = MagmaPoly.monomial(yx)
         index.add_explicit(late)
-        assert _find_redex(yx, index) == ((), late)
+        assert index.redex(yx) == ((), late)
         fresh = _RedexIndex([ExplicitRelation(p) for p in (first, earlier, late)])
         for u in words:
-            assert _find_redex(u, index) == scan_first_redex(u, fresh), u
+            assert index.redex(u) == scan_first_redex(u, fresh), u
 
 
 def brute_irreducible_words(relations, ab, max_len):
@@ -624,7 +636,8 @@ def test_graft_deep_word(ab2):
 # The memoized normal forms, held against the plain descending sweep.
 
 def site_compositions(schemas, bound):
-    for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound), schemas):
+    for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound),
+                                                     _RedexIndex(schemas)):
         yield f - substitute(f.leading(), path, g)
 
 
@@ -687,7 +700,7 @@ class TestMemoNormalForms:
         bound = 5
         want = []
         for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound),
-                                                         schemas):
+                                                         _RedexIndex(schemas)):
             h = f - substitute(f.leading(), path, g)
             nf = plain_descend(h.terms, schemas)
             if nf:
