@@ -5,8 +5,8 @@ The layers, bottom up:
 
 ``lincomb``
     exact sparse linear combinations (the base of the tree, word and
-    commutative polynomial types), the shared largest-first and
-    smallest-first reducers, and a sparse exact eliminator;
+    commutative polynomial types), the shared largest-first reducer,
+    and a sparse exact eliminator;
 ``magma``
     letters, binary tree words with a length-then-right-factor order,
     and polynomials over them;

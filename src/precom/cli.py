@@ -43,7 +43,6 @@ from .rewrite import (
     interreduce,
     irreducible_counts,
     irreducible_words,
-    normal_form,
     normal_form_with_trace,
 )
 from .sexpr import (
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="normal form of a tree polynomial modulo relations")
     p.add_argument("--relations", required=True, help="relation file")
     p.add_argument("--input", required=True, help="word or polynomial S-expression")
-    p.add_argument("--strategy", choices=("largest", "smallest"), default="largest")
 
     p = sub.add_parser("complete", parents=[common],
                        help="bounded completion of a relation set")
@@ -106,9 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=_VERIFY_TARGETS)
     p.add_argument("--letters", type=int, default=None, help="alphabet size")
     p.add_argument("--bound", type=int, default=None, help="ambiguity/length bound")
-    p.add_argument("--completion-bound", type=int, default=None,
-                   help="trivial-envelope: bound for the completion cross-check "
-                        "(default: --bound)")
     p.add_argument("--no-completion", action="store_true",
                    help="trivial-envelope: skip the completion cross-check")
     p.add_argument("--m-max", type=int, default=None, help="odd-even: odd length cap")
@@ -128,11 +123,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need(args, names: dict) -> None:
-    missing = [flag for flag, value in names.items() if value is None]
+# For each verify target: the flags it requires, then the other flags it
+# reads.  Any other verify flag set away from its default is an error.
+_VERIFY_FLAGS = {
+    "zinbiel": (("letters", "bound"), ()),
+    "trivial-envelope": (("letters", "bound"), ("no-completion",)),
+    "odd-even": (("letters", "m-max", "k-max"), ()),
+    "collapse": (("algebra", "bound"), ()),
+    "rb": (("count", "max-n"), ("seed",)),
+    "perm": (("dim", "triples", "max-degree"), ("seed",)),
+}
+
+
+def _check_verify_flags(args, parser: argparse.ArgumentParser) -> None:
+    required, optional = _VERIFY_FLAGS[args.target]
+    values = vars(args)
+    missing = [f for f in required if values[f.replace("-", "_")] is None]
     if missing:
         raise ValueError("verify %s requires %s"
-                         % (args.target, ", ".join("--" + m for m in missing)))
+                         % (args.target, ", ".join("--" + f for f in missing)))
+    # What every flag holds when it is not given.
+    defaults = vars(parser.parse_args(["verify", args.target]))
+    read = {f.replace("-", "_") for f in required + optional} | {"json", "timings"}
+    unread = [k for k, v in values.items() if k not in read and v != defaults[k]]
+    if unread:
+        raise ValueError("verify %s does not read %s"
+                         % (args.target, ", ".join("--" + k.replace("_", "-")
+                                                   for k in unread)))
 
 
 def _at_least(minimums: dict) -> None:
@@ -163,18 +180,11 @@ def _gsb_failures(rep) -> list:
 
 def _handle_reduce(args):
     alphabet, relations = _load_relations(args.relations)
-    poly = parse_poly(args.input, alphabet)
-    if args.strategy == "largest":
-        nf, trace = normal_form_with_trace(poly, relations)
-        steps = len(trace)
-    else:
-        nf = normal_form(poly, relations, strategy=args.strategy)
-        steps = None
+    nf, trace = normal_form_with_trace(parse_poly(args.input, alphabet), relations)
     result = format_poly(nf)
     report = {"status": "ok", "counts": [], "failures": [],
-              "result": result, "steps": steps}
-    lines = [result] if steps is None else [result, "steps: %d" % steps]
-    return 0, report, lines
+              "result": result, "steps": len(trace)}
+    return 0, report, [result, "steps: %d" % len(trace)]
 
 
 def _handle_complete(args):
@@ -222,7 +232,6 @@ def _handle_zmul(args):
 
 
 def _verify_zinbiel(args):
-    _need(args, {"letters": args.letters, "bound": args.bound})
     rep = verify_zinbiel_basis(args.letters, args.bound)
     ab = default_alphabet(args.letters)
     counts = irreducible_counts([ZinbielFamily(ab)], ab, args.bound)
@@ -233,10 +242,7 @@ def _verify_zinbiel(args):
 
 
 def _verify_trivial_envelope(args):
-    _need(args, {"letters": args.letters, "bound": args.bound})
-    cb = args.completion_bound if args.completion_bound is not None else args.bound
     rep = verify_trivial_envelope(args.letters, args.bound,
-                                  completion_bound=cb,
                                   run_completion=not args.no_completion)
     failures = _gsb_failures(rep.gsb)
     if rep.counts != rep.expected_counts:
@@ -253,7 +259,6 @@ def _verify_trivial_envelope(args):
 
 
 def _verify_odd_even(args):
-    _need(args, {"letters": args.letters, "m-max": args.m_max, "k-max": args.k_max})
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
     failures = [{"a": format_word(a), "b": format_word(b),
                  "normal_form": format_poly(nf)} for a, b, nf in rep.violations]
@@ -261,7 +266,6 @@ def _verify_odd_even(args):
 
 
 def _verify_collapse(args):
-    _need(args, {"algebra": args.algebra, "bound": args.bound})
     A, _levels = _load_algebra(args.algebra)
     rep = collapse_check(A, args.bound)
     failures = [{"x": x.name, "y": y.name, "star": format_poly(got),
@@ -275,7 +279,6 @@ def _verify_collapse(args):
 
 
 def _verify_rb(args):
-    _need(args, {"count": args.count, "max-n": args.max_n})
     _at_least({"count": (args.count, 1), "max-n": (args.max_n, 2)})
     rng = random.Random(args.seed)
     failures = []
@@ -299,8 +302,6 @@ def _verify_rb(args):
 
 
 def _verify_perm(args):
-    _need(args, {"dim": args.dim, "triples": args.triples,
-                 "max-degree": args.max_degree})
     _at_least({"triples": (args.triples, 1), "max-degree": (args.max_degree, 1)})
     rng = random.Random(args.seed)
     alphabet = default_alphabet(2)
@@ -393,6 +394,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if args.verb == "verify":
+            _check_verify_flags(args, parser)
         code, report, lines = _HANDLERS[args.verb](args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

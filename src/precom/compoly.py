@@ -23,7 +23,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .lincomb import Coeff, LinComb, _require_monic, descend, exact, smallest_first
+from .lincomb import Coeff, LinComb, _require_monic, descend, exact
 
 __all__ = [
     "GenSymbol",
@@ -349,10 +349,11 @@ class ComBasis:
     def __getitem__(self, i):
         return self._relations[i]
 
-    def locate(self, m: ComMonomial):
-        """``(position, leading monomial, relation)`` of the relation at the
-        smallest position whose leading monomial divides m -- the one a
-        scan of the list in order would meet first -- or ``None``."""
+    def find(self, m: ComMonomial):
+        """``find`` for the shared reducer: ``((quotient, position),
+        relation)`` for the relation at the smallest position whose leading
+        monomial divides m -- the one a scan of the list in order would
+        meet first -- or ``None``."""
         buckets = self._buckets
         best = None
         for s in (None, *m._mults()):
@@ -362,54 +363,29 @@ class ComBasis:
                 if entry[1].divides(m):
                     best = entry
                     break
-        return best
-
-    def find(self, m: ComMonomial):
-        """``find`` for the shared reducers: the first divisor's relation,
-        with the quotient as the rewrite step."""
-        best = self.locate(m)
-        if best is None:
-            return None
-        _, lead, g = best
-        return m.div(lead), g
-
-
-def _times(m: ComMonomial, q: ComMonomial, t: ComMonomial) -> ComMonomial:
-    return t * q
-
-
-def com_reduce(p: ComPoly, G: Sequence[ComPoly],
-               strategy: str = "largest") -> ComPoly:
-    """Normal form of p modulo the monic relation list G: no monomial of
-    the result is divisible by any leading monomial of G.  A
-    :class:`ComBasis` is used as it is; any other sequence is checked and
-    indexed for this one call."""
-    find = ComBasis.of(G).find
-    if strategy == "largest":
-        return ComPoly._raw(descend(p.terms, find, _times))
-    if strategy == "smallest":
-        return ComPoly._raw(smallest_first(p.terms, find, _times))
-    raise ValueError("unknown strategy %r" % (strategy,))
-
-
-def _times_at(m: ComMonomial, step: tuple, t: ComMonomial) -> ComMonomial:
-    return t * step[0]
-
-
-def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
-    """Normal form plus the steps (coeff, quotient monomial, index into G)
-    taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
-    locate = ComBasis.of(G).locate
-
-    def find(m: ComMonomial):
-        best = locate(m)
         if best is None:
             return None
         pos, lead, g = best
         return (m.div(lead), pos), g
 
+
+def _times(m: ComMonomial, step: tuple, t: ComMonomial) -> ComMonomial:
+    return t * step[0]
+
+
+def com_reduce(p: ComPoly, G: Sequence[ComPoly]) -> ComPoly:
+    """Normal form of p modulo the monic relation list G: no monomial of
+    the result is divisible by any leading monomial of G.  A
+    :class:`ComBasis` is used as it is; any other sequence is checked and
+    indexed for this one call."""
+    return ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times))
+
+
+def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
+    """Normal form plus the steps (coeff, quotient monomial, index into G)
+    taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
     trace: list = []
-    nf = ComPoly._raw(descend(p.terms, find, _times_at, trace))
+    nf = ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times, trace))
     return nf, [(c, q, pos) for c, _, (q, pos), _ in trace]
 
 

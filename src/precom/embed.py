@@ -23,7 +23,9 @@ Filtration levels can be supplied directly or computed: the chain of
 power subspaces A, A^2 = A*A, A^3 = A*A^2, ... is computed by exact
 sparse Gaussian elimination, and the algebra is rewritten on a basis
 adapted to the chain.  A chain that stabilizes at a nonzero subspace
-means the algebra is not nilpotent and carries no such filtration.
+proves that an associative algebra is not nilpotent and carries no such
+filtration; a non-associative chain can pause and then fall again, so a
+pause is reported as the associativity failure when there is one.
 """
 
 from __future__ import annotations
@@ -125,11 +127,13 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     """The filtration by power subspaces A >= A^2 >= A^3 >= ..., with the
     algebra rewritten on an adapted basis.
 
-    The chain is computed exactly; if it stabilizes at a nonzero subspace
-    the algebra is not nilpotent and no positive filtration of this kind
-    exists.  The adapted basis extends a basis of the deepest nonzero
-    power upward level by level, each element's level being the deepest
-    power containing it.  Basis vectors that come out as unit coordinate
+    The chain is computed exactly.  If it stabilizes at a nonzero
+    subspace, a non-associative algebra is rejected with its first failing
+    basis triple, since its chain may fall again; an associative one is
+    not nilpotent, and no positive filtration of this kind exists.  The
+    adapted basis extends a basis of the deepest nonzero power upward
+    level by level, each element's level being the deepest power
+    containing it.  Basis vectors that come out as unit coordinate
     vectors keep their original names; mixed vectors get fresh names.
     The adapted basis is ordered by (level, pivot column) ascending.
 
@@ -159,6 +163,7 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
                     echelon_insert(rows, times(u, v))
         spans[n] = [rows[p] for p in sorted(rows)]
         if spans[n] == spans[n - 1]:
+            A.require_associative()
             raise ValueError("no positive filtration: algebra not nilpotent")
 
     # (level, pivot, vector), deepest level first.  Each vector is zero at

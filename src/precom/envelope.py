@@ -21,13 +21,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
+from .lincomb import exact
 from .magma import (
     Alphabet,
     Letter,
     MagmaPoly,
     NaWord,
     bracket,
-    exact,
     leaf,
     node,
 )
@@ -63,9 +63,6 @@ __all__ = [
     "OddEvenReport",
     "odd_even_zero_sweep",
 ]
-
-_ZERO = 0
-_ONE = 1
 
 
 class CommAlgebra:
@@ -203,7 +200,7 @@ class TailAnticommFamily(RelationSchema):
         a, x, y = tail
         if not x.letter.rank < y.letter.rank:
             return None
-        return MagmaPoly._raw({word: _ONE, node(node(a, y), x): _ONE})
+        return MagmaPoly._raw({word: 1, node(node(a, y), x): 1})
 
 
 class TailSquareFamily(RelationSchema):
@@ -213,7 +210,7 @@ class TailSquareFamily(RelationSchema):
         tail = _even_comb_tail(word)
         if tail is None or tail[1] is not tail[2]:
             return None
-        return MagmaPoly._raw({word: _ONE})
+        return MagmaPoly._raw({word: 1})
 
 
 def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
@@ -230,10 +227,10 @@ def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
             if x is y:
                 terms = {node(leaf(x), leaf(x)): 2}
             else:
-                terms = {node(leaf(x), leaf(y)): _ONE, node(leaf(y), leaf(x)): _ONE}
+                terms = {node(leaf(x), leaf(y)): 1, node(leaf(y), leaf(x)): 1}
             for z, c in A.product(x, y).items():
                 w = leaf(z)
-                nc = terms.get(w, _ZERO) - c
+                nc = terms.get(w, 0) - c
                 if nc:
                     terms[w] = exact(nc)
                 else:
@@ -254,10 +251,10 @@ def trivial_gsb(alphabet: Alphabet) -> list[RelationSchema]:
     for i, x in enumerate(letters):
         for y in letters[i + 1:]:
             rels.append(ExplicitRelation(
-                MagmaPoly._raw({node(leaf(x), leaf(y)): _ONE,
-                                node(leaf(y), leaf(x)): _ONE})))
+                MagmaPoly._raw({node(leaf(x), leaf(y)): 1,
+                                node(leaf(y), leaf(x)): 1})))
     for x in letters:
-        rels.append(ExplicitRelation(MagmaPoly._raw({node(leaf(x), leaf(x)): _ONE})))
+        rels.append(ExplicitRelation(MagmaPoly._raw({node(leaf(x), leaf(x)): 1})))
     rels.append(TailAnticommFamily(alphabet))
     rels.append(TailSquareFamily(alphabet))
     return rels
@@ -289,7 +286,7 @@ def truncated_poly_relations(n: int, alphabet: Optional[Alphabet] = None
     rels: list[RelationSchema] = [ZinbielFamily(ab)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            terms = {node(leaf(ab[i - 1]), leaf(ab[j - 1])): _ONE}
+            terms = {node(leaf(ab[i - 1]), leaf(ab[j - 1])): 1}
             if i + j <= n:
                 terms[leaf(ab[i + j - 1])] = Fraction(-j, i + j)
             rels.append(ExplicitRelation(MagmaPoly._raw(terms)))
@@ -319,9 +316,7 @@ class TrivialEnvelopeReport:
         return ok
 
 
-def verify_trivial_envelope(d: int, bound: int,
-                            completion_bound: Optional[int] = None,
-                            run_completion: bool = True) -> TrivialEnvelopeReport:
+def verify_trivial_envelope(d: int, bound: int, run_completion: bool = True) -> TrivialEnvelopeReport:
     """Three checks on the trivial algebra's envelope over d letters:
     the closed-form relation set is confluent to the bound, its
     irreducible counts match the dimension formula, and completing the
@@ -333,10 +328,9 @@ def verify_trivial_envelope(d: int, bound: int,
     expected = [trivial_envelope_dimension(d, n) for n in range(1, bound + 1)]
     completion_counts = None
     if run_completion:
-        cb = completion_bound if completion_bound is not None else bound
         A = trivial_algebra(d)
-        completed = complete(enveloping_relations(A), cb)
-        completion_counts = irreducible_counts(completed, A.alphabet, cb)
+        completed = complete(enveloping_relations(A), bound)
+        completion_counts = irreducible_counts(completed, A.alphabet, bound)
     return TrivialEnvelopeReport(rep, counts, expected, completion_counts)
 
 

@@ -10,10 +10,10 @@ module holds that common part:
   subclasses add their own product, order, validation and repr;
 * :func:`exact`, the coefficient normalization: an ``int`` when integral,
   else a ``Fraction``, never a float;
-* :func:`descend` and :func:`smallest_first`, the two reduction
-  strategies, both driven by a pair of callables: ``find(m)`` returns
-  ``None`` for an irreducible monomial or ``(step, rel)``, where ``rel``
-  is a monic relation whose rewrite applies to ``m``, and
+* :func:`descend`, the reducer: it rewrites the largest reducible
+  monomial first and is driven by a pair of callables: ``find(m)``
+  returns ``None`` for an irreducible monomial or ``(step, rel)``, where
+  ``rel`` is a monic relation whose rewrite applies to ``m``, and
   ``image(m, step, t)`` is the monomial that the tail monomial ``t`` of
   ``rel`` becomes when the rewrite is applied to ``m``;
 * :func:`memo_descend`, which gives exactly :func:`descend`'s normal
@@ -36,14 +36,10 @@ __all__ = [
     "exact",
     "descend",
     "memo_descend",
-    "smallest_first",
     "echelon_insert",
 ]
 
 Coeff = Union[int, Fraction]
-
-# Monomial sort key: tree words and commutative monomials carry ``key``.
-_KEY = operator.attrgetter("key")
 
 
 def exact(c) -> Coeff:
@@ -69,7 +65,8 @@ class LinComb:
 
     __slots__ = ("terms", "_lead")
 
-    _key = _KEY
+    # Monomial sort key: tree words and commutative monomials carry ``key``.
+    _key = operator.attrgetter("key")
 
     def __init__(self, terms=None):
         self.terms = self._collect(terms.items() if terms else ())
@@ -322,31 +319,6 @@ def _monomial_nf(m, find: Find, image: Image, memo: dict):
                     acc[u] = acc.get(u, 0) - q * d
         memo[w] = {u: d if type(d) is int else exact(d) for u, d in acc.items() if d}
     return memo[m]
-
-
-def smallest_first(terms: dict, find: Find, image: Image) -> dict:
-    """Normal form of a term dict, rewriting the smallest reducible
-    monomial first; agrees with :func:`descend` for confluent relations."""
-    work = {m: exact(c) for m, c in terms.items()}
-    while True:
-        for m in sorted(work, key=_KEY):
-            hit = find(m)
-            if hit is not None:
-                break
-        else:
-            return work
-        step, rel = hit
-        c = work.pop(m)
-        lead = rel.leading()
-        for t, q in rel.terms.items():
-            if t is lead:
-                continue
-            nm = image(m, step, t)
-            nc = work.get(nm, 0) - c * q
-            if nc:
-                work[nm] = exact(nc)
-            else:
-                work.pop(nm, None)
 
 
 def _sub_scaled(u: dict, c: Coeff, w: dict) -> dict:

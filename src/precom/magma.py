@@ -36,7 +36,6 @@ __all__ = [
     "magma_product",
     "leading_and_monic",
     "words_of_length",
-    "exact",
 ]
 
 # Longest word whose key is a nested tuple; a tuple comparison recurses

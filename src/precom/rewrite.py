@@ -16,10 +16,10 @@ Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
 first redex and the normal form of every word it meets
 (:func:`~precom.lincomb.memo_descend`), so :func:`verify_gsb`,
-:func:`complete`, :func:`interreduce`, :func:`normal_forms` and the
-default :func:`normal_form` rewrite each word once per relation set;
-:func:`normal_form_with_trace` and the ``smallest`` strategy rewrite term
-by term, since their steps are the output.
+:func:`complete`, :func:`interreduce`, :func:`normal_forms` and
+:func:`normal_form` rewrite each word once per relation set;
+:func:`normal_form_with_trace` rewrites term by term, since its steps are
+the output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .lincomb import Coeff, _require_monic, descend, memo_descend, smallest_first
+from .lincomb import Coeff, _require_monic, descend, memo_descend
 from .magma import Alphabet, MagmaPoly, NaWord, leaf, node, words_of_length
 
 __all__ = [
@@ -60,9 +60,6 @@ __all__ = [
 
 LEFT, RIGHT = 0, 1
 Path = tuple  # paths are tuples over {LEFT, RIGHT}
-
-_ZERO = 0
-_ONE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaP
     out: dict[NaWord, Coeff] = {}
     for m, c in replacement.terms.items():
         g = graft(w, path, m)
-        nc = out.get(g, _ZERO) + c
+        nc = out.get(g, 0) + c
         if nc:
             out[g] = nc
         else:
@@ -186,9 +183,9 @@ class ZinbielFamily(RelationSchema):
         if bc.letter is not None:
             return None
         a, b, c = word.left, bc.left, bc.right
-        terms = {word: _ONE}
+        terms = {word: 1}
         for w in (node(node(a, b), c), node(node(b, a), c)):
-            nc = terms.get(w, _ZERO) - _ONE
+            nc = terms.get(w, 0) - 1
             if nc:
                 terms[w] = nc
             else:
@@ -303,21 +300,10 @@ class ReductionStep:
     relation: MagmaPoly
 
 
-def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
-                strategy: str = "largest") -> MagmaPoly:
-    """Fully rewrite ``p`` modulo the relations.
-
-    The default strategy rewrites the largest reducible monomial first (at
-    its first reducible position in preorder).  ``strategy="smallest"``
-    rewrites the smallest reducible monomial first instead; for confluent
-    relation sets both strategies agree.
-    """
-    index = _RedexIndex(list(relations))
-    if strategy == "largest":
-        return MagmaPoly._raw(index.reduce(p.terms))
-    if strategy == "smallest":
-        return MagmaPoly._raw(smallest_first(p.terms, index.redex, graft))
-    raise ValueError("unknown strategy %r" % (strategy,))
+def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema]) -> MagmaPoly:
+    """Fully rewrite ``p`` modulo the relations, the largest reducible
+    monomial first, at its first reducible position in preorder."""
+    return MagmaPoly._raw(_RedexIndex(list(relations)).reduce(p.terms))
 
 
 def normal_forms(polys: Iterable[MagmaPoly],

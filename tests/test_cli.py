@@ -51,12 +51,17 @@ class TestReduce:
         assert code == 0
         assert out.splitlines() == ["(+ ((x y) z) ((y x) z))", "steps: 1"]
 
-    def test_smallest_strategy_no_steps(self, run, rel_file):
+    def test_strategy_flag_exits_2(self, capsys, rel_file):
+        # There is one reduction order, so argparse rejects the flag.
         path = rel_file(ZINBIEL3)
-        code, out, _ = run("reduce", "--relations", path,
-                           "--input", "(x (y z))", "--strategy", "smallest")
-        assert code == 0
-        assert out.splitlines() == ["(+ ((x y) z) ((y x) z))"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["reduce", "--relations", path, "--input", "(x (y z))",
+                  "--strategy", "smallest"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --strategy smallest" in err
+        assert "Traceback" not in err
 
     def test_irreducible_input(self, run, rel_file):
         path = rel_file(ZINBIEL3)
@@ -234,6 +239,48 @@ class TestVerify:
         assert code == 2
         assert "requires --k-max" in err
 
+    @pytest.mark.parametrize("argv, unread", [
+        (("zinbiel", "--letters", "2", "--bound", "3", "--count", "7", "--dim", "9",
+          "--algebra", "nope.json"), ("--count", "--dim", "--algebra")),
+        (("trivial-envelope", "--letters", "2", "--bound", "3", "--m-max", "3"),
+         ("--m-max",)),
+        (("odd-even", "--letters", "2", "--m-max", "3", "--k-max", "2", "--bound", "4"),
+         ("--bound",)),
+        (("collapse", "--algebra", "nope.json", "--bound", "3", "--seed", "5"),
+         ("--seed",)),
+        (("rb", "--count", "2", "--max-n", "3", "--letters", "2", "--no-completion"),
+         ("--letters", "--no-completion")),
+        (("perm", "--dim", "2", "--triples", "1", "--max-degree", "1", "--max-n", "4"),
+         ("--max-n",)),
+    ], ids=["zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm"])
+    def test_unread_flags_exit_2(self, run, argv, unread):
+        code, out, err = run("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "verify %s does not read" % argv[0] in err
+        for flag in unread:
+            assert flag in err
+
+    def test_read_and_default_flags_accepted(self, run):
+        code, out, _ = run("verify", "zinbiel", "--letters", "2", "--bound", "3",
+                           "--seed", "0")
+        assert code == 0 and "status: verified" in out
+        code, out, _ = run("verify", "trivial-envelope", "--letters", "2",
+                           "--bound", "3", "--no-completion")
+        assert code == 0 and "completion counts" not in out
+        code, out, _ = run("verify", "rb", "--count", "2", "--max-n", "3", "--seed", "9")
+        assert code == 0 and "trials: 2 (seed 9)" in out
+
+    def test_completion_bound_flag_exits_2(self, capsys):
+        # Completion runs at --bound; argparse rejects the old flag.
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "trivial-envelope", "--letters", "2", "--bound", "3",
+                  "--completion-bound", "4"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --completion-bound 4" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (("rb", "--count", "-1", "--max-n", "5"), "--count must be at least 1 (got -1)"),
         (("rb", "--count", "0", "--max-n", "5"), "--count must be at least 1 (got 0)"),
@@ -305,6 +352,20 @@ class TestEmbed:
         code, _, err = run("embed", "--algebra", path, "--N", "8")
         assert code == 2
         assert "not associative on basis triple (a, a, b)" in err
+
+    @pytest.mark.parametrize("levels", [None, {"a": 1, "b": 2, "c": 4}],
+                             ids=["power-chain", "levels"])
+    def test_paused_power_chain_names_associativity_triple(self, run, alg_file, levels):
+        # A^3 = A^4 = span{c} and A^5 = 0: the chain pauses, yet the algebra
+        # is nilpotent; the fault is associativity, with or without levels.
+        data = {"basis": ["a", "b", "c"], "products": ["a a -> b", "b b -> c"]}
+        if levels is not None:
+            data["levels"] = levels
+        code, out, err = run("embed", "--algebra", alg_file(data), "--N", "8")
+        assert code == 2
+        assert out == ""
+        assert "not associative on basis triple (a, a, b)" in err
+        assert "not nilpotent" not in err
 
     @pytest.mark.parametrize("bound", ["1", "0", "-3"])
     def test_factor_bound_below_2_exits_2(self, capsys, alg_file, bound):

@@ -27,7 +27,7 @@ from precom import (
     truncated_power_algebra,
     trivial_algebra,
 )
-from precom.lincomb import descend, smallest_first
+from precom.lincomb import descend
 
 X1 = GenSymbol("x", 1, 1)
 X2 = GenSymbol("x", 1, 2)
@@ -308,10 +308,6 @@ class TestReduce:
         with pytest.raises(ValueError, match="zero polynomial"):
             com_reduce(ComPoly.monomial(mono(X1)), [ComPoly.zero()])
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            com_reduce(ComPoly.monomial(mono(X1)), [], strategy="middle")
-
     def test_cascading(self):
         # x1 x1 -> x2 -> 0 through two relations.
         g1 = poly((mono(X1, X1), 1), (mono(X2), -1))
@@ -326,12 +322,9 @@ class TestReduce:
         p = poly((mono(a1, a1, a2), 1), (mono(a1, a1), Fraction(2, 3)))
         nf, steps = com_reduce_with_trace(p, G)
         assert steps
-        replayed = ComPoly.zero()
-        for c, q, i in steps:
-            replayed = replayed + G[i].mul_monomial(q, c)
-        assert p - nf == replayed
+        assert_certified(p, G, nf)
 
-    def test_strategies_agree_on_completed_basis(self):
+    def test_trace_certifies_reduction_on_completed_basis(self):
         F, G = truncated_relations(2, 6)
         basis, _ = buchberger_bounded(G, 6)
         ab = F.alphabet
@@ -345,25 +338,37 @@ class TestReduce:
                                 for _ in range(rng.randint(0, 3)))
                 terms.append((m, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
             p = ComPoly.from_terms(terms)
-            assert com_reduce(p, basis) == com_reduce(p, basis, strategy="smallest")
+            assert_certified(p, basis, com_reduce(p, basis))
 
 
-def linear_scan(G, hits=None):
-    """The first relation in G whose leading monomial divides m, by
-    Counter multisets; ``hits`` collects the position of each match."""
+def assert_certified(p, G, nf):
+    """``nf`` is p's normal form modulo G: the traced reduction ends at
+    nf, p - nf is the replayed sum of its steps, and no leading monomial
+    of G divides a monomial of nf (by Counter multisets)."""
+    got, steps = com_reduce_with_trace(p, G)
+    assert got == nf
+    replayed = ComPoly.zero()
+    for c, q, i in steps:
+        replayed = replayed + G[i].mul_monomial(q, c)
+    assert p - nf == replayed
+    leads = [g.leading() for g in G]
+    assert not any(counter_divides(lead, m) for lead in leads for m in nf.terms)
+
+
+def linear_scan(G):
+    """``find`` for the shared reducer by a scan of G in order: the first
+    relation whose leading monomial divides m, by Counter multisets."""
     def find(m):
         for pos, g in enumerate(G):
             lead = g.leading()
             if counter_divides(lead, m):
-                if hits is not None:
-                    hits.append(pos)
-                return counter_div(m, lead), g
+                return (counter_div(m, lead), pos), g
         return None
     return find
 
 
-def times(m, q, t):
-    return t * q
+def times(m, step, t):
+    return t * step[0]
 
 
 def random_relations(rng, with_one):
@@ -405,8 +410,9 @@ class TestDivisorIndex:
                 if want is None:
                     assert got is None
                 else:
-                    assert same_monomial(got[0], want[0])
-                    assert got[1] is want[1]
+                    (q, pos), rel = got
+                    assert same_monomial(q, want[0][0])
+                    assert pos == want[0][1] and rel is want[1]
 
     def test_appended_basis_matches_every_prefix(self):
         ms = monomials_of_count(POOL, 3)
@@ -417,13 +423,13 @@ class TestDivisorIndex:
                 assert len(basis) == n and list(basis) == G[:n]
                 scan = linear_scan(G[:n])
                 for m in ms:
-                    got, want = basis.locate(m), scan(m)
+                    got, want = basis.find(m), scan(m)
                     if want is None:
                         assert got is None
                     else:
-                        pos, lead, rel = got
+                        (q, pos), rel = got
                         assert rel is want[1] and basis[pos] is rel
-                        assert lead is rel.leading()
+                        assert pos == want[0][1] and same_monomial(q * rel.leading(), m)
 
     def test_append_checks_each_relation(self):
         basis = ComBasis([poly((mono(X1, X1), 1))])
@@ -445,10 +451,10 @@ class TestDivisorIndex:
                 p = ComPoly.from_terms(
                     [(rng.choice(ms), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                      for _ in range(rng.randint(1, 4))])
-                assert com_reduce(p, basis) == com_reduce(p, G)
-                assert com_reduce(p, basis, strategy="smallest") == \
-                    com_reduce(p, G, strategy="smallest")
+                nf = com_reduce(p, basis)
+                assert nf == com_reduce(p, G)
                 assert com_reduce_with_trace(p, basis) == com_reduce_with_trace(p, G)
+                assert_certified(p, basis, nf)
 
     def test_reducers_match_linear_scan(self):
         rng = random.Random(77)
@@ -458,15 +464,13 @@ class TestDivisorIndex:
                 p = ComPoly.from_terms(
                     [(rng.choice(ms), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                      for _ in range(rng.randint(1, 4))])
-                hits: list = []
                 trace: list = []
-                want = ComPoly._raw(descend(p.terms, linear_scan(G, hits), times, trace))
+                want = ComPoly._raw(descend(p.terms, linear_scan(G), times, trace))
                 assert com_reduce(p, G) == want
-                assert com_reduce(p, G, strategy="smallest") == \
-                    ComPoly._raw(smallest_first(p.terms, linear_scan(G), times))
                 nf, steps = com_reduce_with_trace(p, G)
                 assert nf == want
-                assert steps == [(c, q, pos) for (c, _, q, _), pos in zip(trace, hits)]
+                assert steps == [(c, q, pos) for c, _, (q, pos), _ in trace]
+                assert_certified(p, G, nf)
 
 
 class TestSPolynomial:

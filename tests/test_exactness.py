@@ -95,8 +95,7 @@ def test_normal_forms_and_traces(name, make):
     rng = random.Random(name)
     for _ in range(40):
         p = random_poly(rng, ab, 4)
-        for strategy in ("largest", "smallest"):
-            assert_exact(normal_form(p, rels, strategy=strategy))
+        assert_exact(normal_form(p, rels))
         nf, trace = normal_form_with_trace(p, rels)
         assert_exact(nf)
         for step in trace:
@@ -219,8 +218,7 @@ def test_reduction_and_traces():
     rng = random.Random("com")
     for _ in range(40):
         p = random_com_poly(rng, F, 4)
-        for strategy in ("largest", "smallest"):
-            assert_exact(com_reduce(p, G, strategy))
+        assert_exact(com_reduce(p, G))
         nf, trace = com_reduce_with_trace(p, G)
         assert_exact(nf)
         for c, _, _ in trace:
