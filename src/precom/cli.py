@@ -6,7 +6,9 @@ Verbs: ``reduce`` (normal forms), ``complete`` (bounded completion),
 ``embed`` (the power-series embedding check).
 
 Every verb takes ``--json`` for a machine-readable report with the fields
-{command, parameters, status, counts, failures, timings}.  Timings are
+{command, parameters, status, counts, failures, timings}; ``verify
+zinbiel`` and ``verify trivial-envelope`` add ``stats`` (the ambiguities
+discharged by the composition criteria).  Timings are
 null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
@@ -171,11 +173,15 @@ def _load_algebra(path: str):
     return parse_algebra(data)
 
 
-def _gsb_failures(rep) -> list:
-    return [{"f": format_poly(f.f), "g": format_poly(f.g),
-             "ambiguity": format_word(f.ambiguity),
-             "remainder": format_poly(f.normal_form)}
-            for f in rep.failures]
+def _gsb_parts(rep):
+    """The failures, the ambiguity line and the stats of a GsbReport."""
+    failures = [{"f": format_poly(f.f), "g": format_poly(f.g),
+                 "ambiguity": format_word(f.ambiguity),
+                 "remainder": format_poly(f.normal_form)}
+                for f in rep.failures]
+    line = ("ambiguities checked: %d (%d discharged by composition criteria)"
+            % (rep.ambiguities_checked, rep.discharged))
+    return failures, line, {"discharged": rep.discharged}
 
 
 def _handle_reduce(args):
@@ -235,19 +241,18 @@ def _verify_zinbiel(args):
     rep = verify_zinbiel_basis(args.letters, args.bound)
     ab = default_alphabet(args.letters)
     counts = irreducible_counts([ZinbielFamily(ab)], ab, args.bound)
-    failures = _gsb_failures(rep)
-    lines = ["ambiguities checked: %d" % rep.ambiguities_checked,
-             "irreducible counts: %s" % counts]
-    return rep.verified, counts, failures, lines
+    failures, line, stats = _gsb_parts(rep)
+    lines = [line, "irreducible counts: %s" % counts]
+    return rep.verified, counts, failures, lines, stats
 
 
 def _verify_trivial_envelope(args):
     rep = verify_trivial_envelope(args.letters, args.bound,
                                   run_completion=not args.no_completion)
-    failures = _gsb_failures(rep.gsb)
+    failures, line, stats = _gsb_parts(rep.gsb)
     if rep.counts != rep.expected_counts:
         failures.append({"counts": rep.counts, "expected": rep.expected_counts})
-    lines = ["ambiguities checked: %d" % rep.gsb.ambiguities_checked,
+    lines = [line,
              "irreducible counts: %s (expected %s)"
              % (rep.counts, rep.expected_counts)]
     if rep.completion_counts is not None:
@@ -255,14 +260,14 @@ def _verify_trivial_envelope(args):
         if rep.completion_counts != rep.expected_counts[:len(rep.completion_counts)]:
             failures.append({"completion_counts": rep.completion_counts,
                              "expected": rep.expected_counts[:len(rep.completion_counts)]})
-    return rep.verified, rep.counts, failures, lines
+    return rep.verified, rep.counts, failures, lines, stats
 
 
 def _verify_odd_even(args):
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
     failures = [{"a": format_word(a), "b": format_word(b),
                  "normal_form": format_poly(nf)} for a, b, nf in rep.violations]
-    return rep.verified, [rep.checked], failures, ["products checked: %d" % rep.checked]
+    return rep.verified, [rep.checked], failures, ["products checked: %d" % rep.checked], None
 
 
 def _verify_collapse(args):
@@ -275,7 +280,7 @@ def _verify_collapse(args):
     for (x, y), got in sorted(rep.star_table.items(),
                               key=lambda t: (t[0][0].rank, t[0][1].rank)):
         lines.append("%s * %s = %s" % (x.name, y.name, format_poly(got)))
-    return rep.matches_structure, rep.counts, failures, lines
+    return rep.matches_structure, rep.counts, failures, lines, None
 
 
 def _verify_rb(args):
@@ -298,7 +303,7 @@ def _verify_rb(args):
         if zl != zr:
             failures.append({"trial": i, "identity": "pre-commutative"})
     lines = ["trials: %d (seed %d)" % (args.count, args.seed)]
-    return not failures, [args.count], failures, lines
+    return not failures, [args.count], failures, lines, None
 
 
 def _verify_perm(args):
@@ -316,7 +321,7 @@ def _verify_perm(args):
                          "h": format_zinb(h)})
     lines = ["basis-paired triples checked: %d (seed %d)"
              % (rep.triples_checked, args.seed)]
-    return rep.verified, [rep.triples_checked], failures, lines
+    return rep.verified, [rep.triples_checked], failures, lines, None
 
 
 _VERIFY = {
@@ -330,9 +335,11 @@ _VERIFY = {
 
 
 def _handle_verify(args):
-    ok, counts, failures, lines = _VERIFY[args.target](args)
+    ok, counts, failures, lines, stats = _VERIFY[args.target](args)
     status = "verified" if ok else "failed"
     report = {"status": status, "counts": counts, "failures": failures}
+    if stats is not None:
+        report["stats"] = stats
     lines = lines + ["status: %s" % status]
     return (0 if ok else 1), report, lines
 

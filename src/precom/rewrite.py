@@ -12,6 +12,18 @@ family can match a given word structurally (for reduction, no
 instantiation needed) and can enumerate every instance whose leading
 monomial fits under a length bound (for composition search).
 
+Each schema also declares which compositions with its instances can be
+nontrivial, and :func:`verify_gsb` and :func:`complete` reduce only
+those.  Two criteria discharge the rest, both trivial by Shirshov's
+composition lemma: a composition of two instances of one schema that is
+a Groebner-Shirshov basis by itself (``self_gsb``), and a composition at
+a subword that the outer instance's schema does not list in
+:meth:`RelationSchema.site_subwords`.  The Zinbiel family a(bc) is a
+basis by itself and lists only the root and the right factor bc, since
+a site inside a, b or c is trivial; every other schema lists every
+subword.  The criteria apply only to instances that a schema of the set
+produced, so an explicit relation keeps all of its sites.
+
 Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
 first redex and the normal form of every word it meets
@@ -123,8 +135,18 @@ class RelationSchema:
     enumerating its instances does.
     """
 
+    # True when the instances alone form a Groebner-Shirshov basis, so
+    # that a composition of two of them is trivial.
+    self_gsb = False
+
     def __init__(self, alphabet: Optional[Alphabet] = None):
         self.alphabet = alphabet
+
+    def site_subwords(self, lead: NaWord):
+        """(path, subword) pairs of an instance's leading word ``lead`` where
+        a composition with another relation can be nontrivial, in preorder.
+        The paths include the root and every prefix of a listed path."""
+        return lead.subtrees()
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         """The instance whose leading monomial is ``word``, if any."""
@@ -174,7 +196,25 @@ class ZinbielFamily(RelationSchema):
 
     Matching is purely structural (any word whose right factor is
     compound), so reduction needs no instantiation.
+
+    The family alone is a Groebner-Shirshov basis: its irreducible words
+    are the left combs, d^n of them at length n, the dimension of the free
+    Zinbiel algebra (Loday 1995).  An instance Z(a, b, c) is linear in
+    each of the words a, b and c, so for a relation g = u + tail with u
+    inside a, and a[g] the word a with u replaced by g, the composition is
+
+        -(a[g] b) c - (b a[g]) c - Z(a[tail], b, c),
+
+    whose leading words all lie below a(bc), and likewise inside b or c.
+    Such a composition is trivial by Shirshov's composition lemma (Bokut
+    and Chen 2014), so sites can be nontrivial only at the root and at the
+    right factor bc.
     """
+
+    self_gsb = True
+
+    def site_subwords(self, lead: NaWord):
+        return (((), lead), ((RIGHT,), lead.right))
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         if word.letter is not None:
@@ -371,104 +411,174 @@ class CompositionFailure:
 
 @dataclass
 class GsbReport:
+    """``ambiguities_checked`` counts every composition site up to the
+    bound; ``discharged`` of them are trivial by a composition criterion
+    and were not reduced."""
     ambiguities_checked: int
     failures: list[CompositionFailure]
     instantiation_bound: int
+    discharged: int
 
     @property
     def verified(self) -> bool:
         return not self.failures
 
 
-def _instantiate(schemas: Sequence[RelationSchema], bound: int) -> list[MagmaPoly]:
-    """All instances with leading length <= bound, deduplicated, in schema
-    order then enumeration order (the creation index is the list position)."""
-    out: list[MagmaPoly] = []
-    seen: set[frozenset] = set()
-    for s in schemas:
+def _instantiate(index: _RedexIndex,
+                 bound: int) -> list[tuple[MagmaPoly, RelationSchema]]:
+    """All instances of the index's schemas with leading length <= bound,
+    in schema order then enumeration order (the creation index is the list
+    position), each with the schema that produced it.  An instance that an
+    earlier schema also produces is left out: that schema matches its
+    leading word with an equal polynomial."""
+    out: list[tuple[MagmaPoly, RelationSchema]] = []
+    for pos, s in enumerate(index.schemas):
+        families = [fam for fpos, fam in index.families if fpos < pos]
         for p in s.instances(bound):
-            key = frozenset(p.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
+            lead = p.leading()
+            if any(fam.match(lead) == p for fam in families):
+                continue
+            if any(q == p for qpos, q in index.explicit.get(lead, ()) if qpos < pos):
+                continue
+            out.append((p, s))
     return out
 
 
-def _sites(fi: int, f: MagmaPoly, index: _RedexIndex):
-    """The composition sites of instance ``f`` (creation index ``fi``) as
-    the outer relation: every subword of its leading word that a schema
-    of the index matches, keyed for :func:`_pair_compositions` order."""
+def _sites(fi: int, f: MagmaPoly, schema: RelationSchema, index: _RedexIndex):
+    """The composition sites of instance ``f`` of ``schema`` (creation
+    index ``fi``) as the outer relation that can be nontrivial, keyed for
+    :func:`_pair_compositions` order: each subword that the schema's
+    :meth:`~RelationSchema.site_subwords` lists, with each relation of the
+    index that matches it, except the schema itself when it is
+    self-GSB."""
     fl = f.leading()
-    for path, sub in fl.subtrees():
-        matches = [(gpos, fam.match(sub)) for gpos, fam in index.families]
+    own = schema if schema.self_gsb else None
+    for path, sub in schema.site_subwords(fl):
+        matches = [(gpos, fam.match(sub)) for gpos, fam in index.families
+                   if fam is not own]
         matches += index.explicit.get(sub, ())
         for gpos, g in matches:
             if g is not None and (path or g != f):
                 yield (fl.length, fl.key, fi, gpos, path, f, g)
 
 
-def _pair_compositions(insts: list[MagmaPoly], index: _RedexIndex):
-    """Composition sites among instances, sorted by (ambiguity length,
-    ambiguity word, creation index of f, schema position of g, path)."""
-    comps = [site for fi, f in enumerate(insts) for site in _sites(fi, f, index)]
+def _pair_compositions(insts: list[tuple[MagmaPoly, RelationSchema]],
+                       index: _RedexIndex):
+    """Composition sites among instances that can be nontrivial, sorted by
+    (ambiguity length, ambiguity word, creation index of f, schema position
+    of g, path)."""
+    comps = [site for fi, (f, s) in enumerate(insts)
+             for site in _sites(fi, f, s, index)]
     comps.sort(key=lambda t: t[:5])
     return comps
+
+
+def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
+    """The number of (path, relation) pairs with a relation of the index
+    matching the subword of ``word`` at the path; ``within`` memoizes it
+    per word."""
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w in within:
+            continue
+        if w.letter is None and (w.left not in within or w.right not in within):
+            stack += (w, w.left, w.right)
+            continue
+        n = len(index.explicit.get(w, ()))
+        n += sum(fam.match(w) is not None for _, fam in index.families)
+        within[w] = n if w.letter is not None else n + within[w.left] + within[w.right]
+    return within[word]
+
+
+def _discharged(f: MagmaPoly, schema: RelationSchema, index: _RedexIndex,
+                within: dict) -> int:
+    """The number of composition sites of instance ``f`` of ``schema`` as
+    the outer relation that :func:`_sites` leaves out: the schema's own
+    matches at the subwords it lists, when it is self-GSB, and every
+    match inside the subwords it does not list."""
+    listed = dict(schema.site_subwords(f.leading()))
+    n = 0
+    for path, sub in listed.items():
+        # At the root the schema's own match is f itself: no site.
+        if schema.self_gsb and path:
+            n += schema.match(sub) is not None
+        if sub.letter is None:
+            for step, child in ((LEFT, sub.left), (RIGHT, sub.right)):
+                if path + (step,) not in listed:
+                    n += _matches_within(child, index, within)
+    return n
 
 
 def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     """Check triviality of every composition with ambiguity length <= bound.
 
-    Instantiates each schema up to the bound, forms all inclusion
-    compositions among the instances, and reduces each one; reductions
+    Instantiates each schema up to the bound and forms the inclusion
+    compositions among the instances.  Two kinds of site are trivial by
+    Shirshov's composition lemma and are counted as checked and
+    ``discharged`` without reduction: a site of two instances of one
+    self-GSB schema, and a site outside an instance's
+    :meth:`~RelationSchema.site_subwords` (for the Zinbiel family, inside
+    its variables a, b and c).  Every other site is reduced; reductions
     only ever rewrite monomials strictly below the ambiguity, so a zero
-    normal form witnesses triviality.
+    normal form witnesses triviality.  The verdict is the same as reducing
+    every site, since the set is a Groebner-Shirshov basis up to the bound
+    exactly when every composition is trivial, but a failing set may list
+    fewer failures.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    schemas = list(relations)
-    insts = _instantiate(schemas, bound)
-    index = _RedexIndex(schemas)
+    index = _RedexIndex(list(relations))
+    insts = _instantiate(index, bound)
+    sites = _pair_compositions(insts, index)
+    within: dict[NaWord, int] = {}
+    discharged = sum(_discharged(f, s, index, within) for f, s in insts)
     failures: list[CompositionFailure] = []
-    checked = 0
-    for _, _, fi, gpos, path, f, g in _pair_compositions(insts, index):
-        checked += 1
+    for _, _, fi, gpos, path, f, g in sites:
         h = f - substitute(f.leading(), path, g)
         nf = index.reduce(h.terms)
         if nf:
             failures.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
-    return GsbReport(checked, failures, bound)
+    return GsbReport(len(sites) + discharged, failures, bound, discharged)
 
 
 def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSchema]:
     """Bounded Shirshov completion.
 
     Keeps one heap of the composition sites with ambiguity length <=
-    bound, in :func:`_pair_compositions` order, and reduces each site
-    once.  A nonzero normal form becomes a new monic explicit relation at
-    once: it joins the redex index and only its own sites are pushed, as
-    the outer relation f (the subwords of its leading word that some
-    relation matches) and as the inner relation g (every instance whose
-    leading word contains its leading word).  A composition trivial
-    modulo a set stays trivial modulo any larger set, so the returned set
-    is confluent up to the bound.
+    bound that can be nontrivial, in :func:`_pair_compositions` order,
+    and reduces each site once; the sites that :func:`verify_gsb`
+    discharges are never formed.  A nonzero normal form becomes a new
+    monic explicit relation at once: it joins the redex index and only
+    its own sites are pushed, as the outer relation f (the subwords of
+    its leading word that some relation matches) and as the inner
+    relation g (every instance with its leading word at one of that
+    instance's :meth:`~RelationSchema.site_subwords`).  A composition
+    trivial modulo a set stays trivial modulo any larger set, so the
+    returned set is confluent up to the bound.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     work = list(relations)
-    insts = _instantiate(work, bound)
     index = _RedexIndex(work)
-    # Subword -> creation indices of the instances whose leading word
-    # contains it; the paths are found again only when a site is pushed.
+    insts = _instantiate(index, bound)
+    # Subword -> creation indices of the instances whose leading word has
+    # it at a site subword below the root; the paths are found again only
+    # when a site is pushed.  A new relation's leading word is irreducible,
+    # so it is never the leading word of an instance, which its own schema
+    # rewrites.
     containing: dict[NaWord, list[int]] = {}
 
-    def note_subwords(fi: int, word: NaWord) -> None:
-        for _, sub in word.subtrees():
+    def note_subwords(fi: int, word: NaWord, schema: RelationSchema) -> None:
+        for path, sub in schema.site_subwords(word):
+            if not path:
+                continue
             at = containing.setdefault(sub, [])
             if not at or at[-1] != fi:
                 at.append(fi)
 
-    for fi, f in enumerate(insts):
-        note_subwords(fi, f.leading())
+    for fi, (f, s) in enumerate(insts):
+        note_subwords(fi, f.leading(), s)
     heap = _pair_compositions(insts, index)  # sorted, hence already a heap
     while heap:
         _, _, _, _, path, f, g = heapq.heappop(heap)
@@ -480,14 +590,15 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
         gpos = index.add_explicit(p)
         work.append(new)
         for fi in containing.get(pl, ()):
-            f = insts[fi]
+            f, s = insts[fi]
             fl = f.leading()
-            for path in occurrences(fl, pl):
-                heapq.heappush(heap, (fl.length, fl.key, fi, gpos, path, f, p))
+            for path, sub in s.site_subwords(fl):
+                if sub is pl:
+                    heapq.heappush(heap, (fl.length, fl.key, fi, gpos, path, f, p))
         fi = len(insts)
-        insts.append(p)
-        note_subwords(fi, pl)
-        for site in _sites(fi, p, index):
+        insts.append((p, new))
+        note_subwords(fi, pl, new)
+        for site in _sites(fi, p, new, index):
             heapq.heappush(heap, site)
     return work
 

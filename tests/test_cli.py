@@ -194,6 +194,45 @@ class TestVerify:
         assert "irreducible counts: [2, 1, 2, 1] (expected [2, 1, 2, 1])" in out
         assert "completion counts:  [2, 1, 2, 1]" in out
 
+    @pytest.mark.parametrize("target,line,discharged", [
+        ("zinbiel", "ambiguities checked: 240 (240 discharged by composition criteria)",
+         240),
+        ("trivial-envelope",
+         "ambiguities checked: 663 (564 discharged by composition criteria)", 564),
+    ])
+    def test_discharged_sites_reported(self, run, target, line, discharged):
+        argv = ("verify", target, "--letters", "2", "--bound", "5", "--no-completion")
+        argv = argv if target == "trivial-envelope" else argv[:-1]
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert line in out.splitlines()
+        code, out, _ = run(*argv, "--json")
+        assert json.loads(out)["stats"] == {"discharged": discharged}
+
+    def test_failure_at_kept_site_exits_1(self, run, monkeypatch):
+        # Without the square x x the closed-form set is not confluent; both
+        # failures sit at the right factor (x y) of a family instance, a
+        # site the criteria keep.
+        from precom import envelope
+        closed_form = envelope.trivial_gsb
+
+        def no_square(alphabet):
+            x = envelope.leaf(alphabet["x"])
+            return [r for r in closed_form(alphabet)
+                    if getattr(r, "lead", None) is not envelope.node(x, x)]
+
+        monkeypatch.setattr(envelope, "trivial_gsb", no_square)
+        code, out, _ = run("verify", "trivial-envelope", "--letters", "2",
+                           "--bound", "4", "--no-completion", "--json")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["stats"] == {"discharged": 40}
+        found = [(f["ambiguity"], f["g"], f["remainder"])
+                 for f in rep["failures"] if "ambiguity" in f]
+        assert ("(x (x y))", "(+ (x y) (y x))", "(+ (* -2 ((x x) y)))") in found
+        assert len(found) == 2
+
     def test_odd_even(self, run):
         code, out, _ = run("verify", "odd-even", "--letters", "2",
                            "--m-max", "3", "--k-max", "2")

@@ -46,7 +46,13 @@ from precom import (
 from precom import rewrite
 from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _instantiate, _pair_compositions
-from precom.sexpr import format_relations
+from precom.sexpr import format_relations, parse_relations
+
+
+def kept_sites(schemas, bound):
+    """The composition sites that verify_gsb and complete reduce."""
+    index = _RedexIndex(schemas)
+    return _pair_compositions(_instantiate(index, bound), index)
 
 
 def rel(*terms):
@@ -445,7 +451,7 @@ class TestCompletionSweep:
         A = trivial_algebra(2)
         done = complete(enveloping_relations(A), 5)
         monkeypatch.undo()
-        sites = _pair_compositions(_instantiate(done, 5), _RedexIndex(done))
+        sites = kept_sites(done, 5)
         assert len(done) > len(enveloping_relations(A))
         assert len(calls) == len(sites)
 
@@ -453,6 +459,94 @@ class TestCompletionSweep:
         A = random_nilpotent_algebra(random.Random(1))
         done = interreduce(complete(enveloping_relations(A), 4))
         assert format_relations(A.alphabet, done) == _NILPOTENT_1_INTERREDUCED
+
+
+# ---------------------------------------------------------------------------
+# The composition criteria, held against every site formed outright.
+
+def every_site(insts):
+    """Every composition site among the instances, no criterion applied:
+    (creation index of f, path, g, composition), each composition built
+    by inclusion_compositions."""
+    by_lead = {}
+    for g, _ in insts:
+        by_lead.setdefault(g.leading(), []).append(g)
+    for fi, (f, _) in enumerate(insts):
+        fl = f.leading()
+        for sub in dict.fromkeys(w for _, w in fl.subtrees()):
+            for g in by_lead.get(sub, ()):
+                paths = [p for p in occurrences(fl, sub) if p or f != g]
+                comps = inclusion_compositions(f, g)
+                assert len(comps) == len(paths)
+                for path, (_, h) in zip(paths, comps):
+                    yield fi, path, g, h
+
+
+_CRITERIA_CASES = [
+    ("trivial-2", trivial_algebra(2), 5),
+    ("truncated-3", truncated_power_algebra(3), 5),
+    ("nilpotent-1", random_nilpotent_algebra(random.Random(1)), 5),
+]
+
+# Z(xy, y, y) given outright, with no (family zinbiel): the site inside
+# its variable a = xy is nontrivial here and adds the last relation.
+_LOOKALIKE = """(alphabet x y)
+(rel (+ ((x y) (y y)) (* -1 ((y (x y)) y)) (* -1 (((x y) y) y))))
+(rel (+ (x y) (y x)))
+(rel (y y))
+"""
+
+
+class TestCompositionCriteria:
+    @pytest.mark.parametrize("name,A,bound", _CRITERIA_CASES,
+                             ids=[c[0] for c in _CRITERIA_CASES])
+    def test_discharged_sites_reduce_to_zero(self, name, A, bound):
+        done = complete(enveloping_relations(A), bound)
+        index = _RedexIndex(done)
+        insts = _instantiate(index, bound)
+        kept = {(fi, path, frozenset(g.terms.items()))
+                for _, _, fi, _, path, _, g in _pair_compositions(insts, index)}
+        sites = list(every_site(insts))
+        keys = [(fi, path, frozenset(g.terms.items())) for fi, path, g, _ in sites]
+        assert kept <= set(keys)
+        dropped = [(fi, path, g, h) for key, (fi, path, g, h) in zip(keys, sites)
+                   if key not in kept]
+        rep = verify_gsb(done, bound)
+        assert (rep.ambiguities_checked, rep.discharged) == (len(sites), len(dropped))
+        assert dropped
+        family = done[0]
+        assert isinstance(family, ZinbielFamily)
+        for fi, path, g, h in dropped:
+            f, schema = insts[fi]
+            # Outer f is a family instance; either g is one too, or its
+            # leading word lies inside one of the variables a, b, c.
+            assert schema is family
+            assert path not in ((), (1,)) or family.match(g.leading()) == g
+            assert index.reduce(h.terms) == {}
+
+    def test_reduced_plus_discharged_is_checked(self, ab2, monkeypatch):
+        calls = []
+        memo_descend = rewrite.memo_descend
+
+        def counting(*args):
+            calls.append(1)
+            return memo_descend(*args)
+
+        monkeypatch.setattr(rewrite, "memo_descend", counting)
+        for rels in (trivial_gsb(ab2), enveloping_relations(trivial_algebra(2))):
+            calls.clear()
+            rep = verify_gsb(rels, 5)
+            assert 0 < rep.discharged < rep.ambiguities_checked
+            assert len(calls) + rep.discharged == rep.ambiguities_checked
+
+    def test_lookalike_without_family_keeps_every_site(self):
+        ab, rels = parse_relations(_LOOKALIKE)
+        x, y = leaf(ab["x"]), leaf(ab["y"])
+        rep = verify_gsb(rels, 5)
+        assert (rep.ambiguities_checked, rep.discharged) == (2, 0)
+        assert [c.g.leading() for c in rep.failures] == [node(x, y), node(y, y)]
+        assert format_relations(ab, complete(rels, 5)) == _LOOKALIKE \
+            + "(rel (+ ((y (y x)) y) (((y x) y) y)))\n"
 
 
 class TestInterreduce:
@@ -642,8 +736,7 @@ def test_graft_deep_word(ab2):
 # The memoized normal forms, held against the plain descending sweep.
 
 def site_compositions(schemas, bound):
-    for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound),
-                                                     _RedexIndex(schemas)):
+    for _, _, _, _, path, f, g in kept_sites(schemas, bound):
         yield f - substitute(f.leading(), path, g)
 
 
@@ -705,8 +798,7 @@ class TestMemoNormalForms:
         schemas = enveloping_relations(trivial_algebra(2))
         bound = 5
         want = []
-        for _, _, _, _, path, f, g in _pair_compositions(_instantiate(schemas, bound),
-                                                         _RedexIndex(schemas)):
+        for _, _, _, _, path, f, g in kept_sites(schemas, bound):
             h = f - substitute(f.leading(), path, g)
             nf = plain_descend(h.terms, schemas)
             if nf:
