@@ -144,8 +144,8 @@ class RelationSchema:
 
     def site_subwords(self, lead: NaWord):
         """(path, subword) pairs of an instance's leading word ``lead`` where
-        a composition with another relation can be nontrivial, in preorder.
-        The paths include the root and every prefix of a listed path."""
+        a composition with another relation can be nontrivial, in preorder,
+        the root first."""
         return lead.subtrees()
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -491,25 +491,6 @@ def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
     return within[word]
 
 
-def _discharged(f: MagmaPoly, schema: RelationSchema, index: _RedexIndex,
-                within: dict) -> int:
-    """The number of composition sites of instance ``f`` of ``schema`` as
-    the outer relation that :func:`_sites` leaves out: the schema's own
-    matches at the subwords it lists, when it is self-GSB, and every
-    match inside the subwords it does not list."""
-    listed = dict(schema.site_subwords(f.leading()))
-    n = 0
-    for path, sub in listed.items():
-        # At the root the schema's own match is f itself: no site.
-        if schema.self_gsb and path:
-            n += schema.match(sub) is not None
-        if sub.letter is None:
-            for step, child in ((LEFT, sub.left), (RIGHT, sub.right)):
-                if path + (step,) not in listed:
-                    n += _matches_within(child, index, within)
-    return n
-
-
 def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     """Check triviality of every composition with ambiguity length <= bound.
 
@@ -531,8 +512,13 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     index = _RedexIndex(list(relations))
     insts = _instantiate(index, bound)
     sites = _pair_compositions(insts, index)
+    # Every site below the root, reduced or not, minus those reduced.  The
+    # root is always listed, so no root site is discharged.
     within: dict[NaWord, int] = {}
-    discharged = sum(_discharged(f, s, index, within) for f, s in insts)
+    below = sum(_matches_within(w, index, within)
+                for f, _ in insts if f.leading().letter is None
+                for w in (f.leading().left, f.leading().right))
+    discharged = below - sum(1 for site in sites if site[4])
     failures: list[CompositionFailure] = []
     for _, _, fi, gpos, path, f, g in sites:
         h = f - substitute(f.leading(), path, g)

@@ -736,8 +736,17 @@ def test_graft_deep_word(ab2):
 # The memoized normal forms, held against the plain descending sweep.
 
 def site_compositions(schemas, bound):
-    for _, _, _, _, path, f, g in kept_sites(schemas, bound):
-        yield f - substitute(f.leading(), path, g)
+    """The composition of every site, no criterion applied: each subword
+    of each instance's leading word, with each relation matching it."""
+    index = _RedexIndex(schemas)
+    for f, _ in _instantiate(index, bound):
+        fl = f.leading()
+        for path, sub in fl.subtrees():
+            matches = [fam.match(sub) for _, fam in index.families]
+            matches += [g for _, g in index.explicit.get(sub, ())]
+            for g in matches:
+                if g is not None and (path or g != f):
+                    yield f - substitute(fl, path, g)
 
 
 def plain_descend(terms, schemas):
