@@ -352,10 +352,7 @@ def _handle_embed(args):
     for x, y, l, poly in rep.homomorphism_failures:
         failures.append({"kind": "homomorphism", "x": x, "y": y,
                          "degree": l, "residue": repr(poly)})
-    for x, y, z, l, poly in rep.splitting_failures:
-        failures.append({"kind": "pre-commutative", "x": x, "y": y, "z": z,
-                         "degree": l, "residue": repr(poly)})
-    for p in rep.linear_leadings:
+    for p in rep.buchberger.linear_leadings:
         failures.append({"kind": "linear-leading", "relation": repr(p)})
     status = "verified" if rep.verified else "failed"
     report = {

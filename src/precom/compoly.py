@@ -413,11 +413,6 @@ class BuchbergerReport:
     def linear_leadings(self) -> list:
         return [p for p in self.basis if p.leading().count == 1]
 
-    @property
-    def injective(self) -> bool:
-        """No completed relation rewrites a bare generator symbol."""
-        return not self.linear_leadings
-
 
 def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     """Complete G over the S-pairs whose lcm has weight <= weight_bound.

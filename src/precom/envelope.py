@@ -345,11 +345,6 @@ class CollapseReport:
     def matches_structure(self) -> bool:
         return not self.mismatches
 
-    @property
-    def collapsed(self) -> bool:
-        """True when some generator product fails to reproduce A."""
-        return bool(self.mismatches)
-
 
 def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
     """Complete the enveloping relations and compare the induced star

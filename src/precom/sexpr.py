@@ -182,7 +182,7 @@ def _rational(form: Form) -> Fraction:
         raise _err(form, "expected a rational number")
     try:
         return Fraction(form.text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _err(form, "not a rational number: %r" % (form.text,)) from None
 
 
@@ -334,7 +334,7 @@ def _combo_from_text(rhs: str, alphabet: Alphabet, entry: str) -> dict:
         elif len(toks) == 2:
             try:
                 c = Fraction(toks[0])
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ParseError("bad coefficient %r in product entry %r"
                                  % (toks[0], entry)) from None
             name = toks[1]

@@ -25,6 +25,7 @@ from precom import (
     complete,
     default_alphabet,
     enveloping_relations,
+    generator_series,
     idempotent_algebra,
     interreduce,
     irreducible_counts,
@@ -248,10 +249,18 @@ def test_criterion_11_series_embeddings_certified():
         rep = verify_embedding(F, 6)
         dt = time.perf_counter() - t0
         assert rep.homomorphism_failures == [], name
-        assert rep.splitting_failures == [], name
-        assert rep.linear_leadings == [], name
+        assert rep.buchberger.linear_leadings == [], name
         assert rep.injectivity_certified_to == 6, name
         assert dt < 300, name
+        # The splitting product on the basis images is pre-commutative:
+        # a(bc) = (ab)c + (ba)c, exactly.
+        images = [generator_series(x, F, 6) for x in F.basis]
+        for a in images:
+            for b in images:
+                ab, ba = splitting_product(a, b), splitting_product(b, a)
+                for c in images:
+                    assert splitting_product(a, splitting_product(b, c)) \
+                        == splitting_product(ab, c) + splitting_product(ba, c), name
         details.append(f"{name} ({dt:.1f}s)")
     _report(11, "embeddings certified at N=6 for " + "; ".join(details))
 

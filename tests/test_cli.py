@@ -100,6 +100,23 @@ class TestReduce:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_zero_denominator_in_input_exits_2(self, run, rel_file):
+        path = rel_file(ZINBIEL3)
+        code, out, err = run("reduce", "--relations", path,
+                             "--input", "(+ (* 1/0 (x y)))")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1, column 7: not a rational number: '1/0'")
+        assert "Traceback" not in err
+
+    def test_zero_denominator_in_relation_file_exits_2(self, run, rel_file):
+        path = rel_file("(alphabet x y)\n(rel (+ (x y) (* 2/0 (y x))))\n")
+        code, out, err = run("reduce", "--relations", path, "--input", "(x y)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2, column 18: not a rational number: '2/0'")
+        assert "Traceback" not in err
+
 
 class TestComplete:
     def test_idempotent_collapse(self, run, rel_file):
@@ -424,6 +441,14 @@ class TestEmbed:
         code, _, err = run("embed", "--algebra", path, "--N", "3")
         assert code == 2
         assert "truncation too small" in err
+
+    def test_zero_denominator_in_product_entry_exits_2(self, run, alg_file):
+        path = alg_file({"basis": ["a", "b"], "products": ["a a -> 1/0 b"]})
+        code, out, err = run("embed", "--algebra", path, "--N", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad coefficient '1/0' in product entry 'a a -> 1/0 b'")
+        assert "Traceback" not in err
 
 
 class TestReports:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -12,7 +11,6 @@ from precom import (
     ComMonomial,
     ComPoly,
     CommAlgebra,
-    com_reduce,
     FilteredAlgebra,
     TruncSeries,
     buchberger_bounded,
@@ -212,15 +210,14 @@ class TestPairRelation:
     def test_trivial_weight_three_collision(self):
         F = trivial_filtered()
         x = F.alphabet["x"]
-        raw = pair_relation(F, x, x, 3, monic=False)
+        raw = pair_relation(F, x, x, 3)
         assert raw == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 2)), 2)
-        assert pair_relation(F, x, x, 3) \
-            == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 2)))
+        assert raw.monic() == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 2)))
 
     def test_trivial_weight_four(self):
         F = trivial_filtered()
         x = F.alphabet["x"]
-        s4 = pair_relation(F, x, x, 4, monic=False)
+        s4 = pair_relation(F, x, x, 4)
         assert s4 == ComPoly.from_terms([
             (c_mono(F, ("x", 2), ("x", 2)), 1),
             (c_mono(F, ("x", 1), ("x", 3)), 2),
@@ -239,7 +236,7 @@ class TestPairRelation:
     def test_mixed_pair_lift(self):
         F = truncated_filtered(3)
         x1, x2 = F.alphabet["x1"], F.alphabet["x2"]
-        s5 = pair_relation(F, x1, x2, 5, monic=False)
+        s5 = pair_relation(F, x1, x2, 5)
         assert s5.terms[c_mono(F, ("x3", 5))] == -1
         assert s5.terms[c_mono(F, ("x1", 1), ("x2", 4))] == 1
         assert s5.terms[c_mono(F, ("x1", 3), ("x2", 2))] == 1
@@ -254,8 +251,8 @@ class TestPairRelation:
             == ComPoly.monomial(c_mono(F, ("a", 1), ("a", 1)))
         s3 = pair_relation(F, a, a, 3)
         assert s3 == ComPoly.from_terms([
-            (c_mono(F, ("a", 1), ("a", 2)), 1),
-            (c_mono(F, ("c", 3)), Fraction(-1, 2)),
+            (c_mono(F, ("a", 1), ("a", 2)), 2),
+            (c_mono(F, ("c", 3)), -1),
         ])
 
     def test_weight_below_level_sum(self):
@@ -366,13 +363,6 @@ class TestSeriesProduct:
         with pytest.raises(ValueError, match="truncation mismatch"):
             series_product(const_term(1, 1, 3), const_term(1, 1, 4))
 
-    def test_reduction_applied(self):
-        F = trivial_filtered()
-        G = coefficient_relations(F, 4)
-        x = F.alphabet["x"]
-        fx = generator_series(x, F, 4)
-        assert series_star(fx, fx, G) == TruncSeries.zero(4)
-
     def test_double_sum_shape(self):
         # phi(x) phi(y) carries j * x_i y_j at t^(i+j).
         F = truncated_filtered(2)
@@ -409,19 +399,6 @@ class TestSeriesProductAgainstNaive:
             s, u = random_series(rng, N, max_terms=3), random_series(rng, N, max_terms=3)
             got = series_product(s, u)
             assert got == naive_product(s, u)
-            assert exact_coefficients(got)
-
-    def test_reduced_random_series(self):
-        F = truncated_filtered(2)
-        G = coefficient_relations(F, 6)
-        pool = [F.symbol(F.alphabet["x1"], i) for i in range(1, 6)] \
-            + [F.symbol(F.alphabet["x2"], i) for i in range(2, 6)]
-        rng = random.Random(61)
-        for _ in range(40):
-            s, u = random_series(rng, 6, pool), random_series(rng, 6, pool)
-            want = naive_product(s, u).map_coeffs(lambda n, p: com_reduce(p, G))
-            got = series_product(s, u, G)
-            assert got == TruncSeries(6, want.coeffs)
             assert exact_coefficients(got)
 
     def test_constant_terms_and_full_cancellation(self):
@@ -474,6 +451,26 @@ class TestGeneratorSeries:
             generator_series(F.alphabet["x3"], F, 2)
 
 
+def image_residues(F, N):
+    """(x, y, residue) for each basis pair x <= y, the residue being
+    R(fx)fy + fxR(fy) minus the image of x*y, with no reduction."""
+    images = {x: generator_series(x, F, N) for x in F.basis}
+    for i, x in enumerate(F.basis):
+        for y in F.basis[i:]:
+            target = TruncSeries.zero(N)
+            for z, c in F.product(x, y).items():
+                target = target + TruncSeries(
+                    N, {n: p.scale(c) for n, p in images[z].coeffs.items()})
+            yield x, y, series_star(images[x], images[y]) - target
+
+
+def weight_times_relation(F, x, y, l):
+    """l * pair_relation(F, x, y, l), or zero below the level sum."""
+    if l < F.level(x) + F.level(y):
+        return ComPoly.zero()
+    return pair_relation(F, x, y, l).scale(l)
+
+
 class TestSeriesStar:
     def test_monomial_formula(self):
         for i, j in [(1, 2), (2, 3), (3, 4)]:
@@ -497,20 +494,14 @@ class TestSeriesStar:
             assert series_star(series_star(s, u), v) == series_star(s, series_star(u, v))
 
     def test_residue_is_weight_times_relation(self):
-        # Unreduced, the t^l discrepancy is exactly l times one relation.
-        F = truncated_filtered(3)
-        N = 6
-        images = {x: generator_series(x, F, N) for x in F.basis}
-        for xi, x in enumerate(F.basis):
-            for y in F.basis[xi:]:
-                target = TruncSeries.zero(N)
-                for z, c in F.product(x, y).items():
-                    target = target + TruncSeries(
-                        N, {n: p.scale(c) for n, p in images[z].coeffs.items()})
-                residue = series_star(images[x], images[y]) - target
-                for l in range(F.level(x) + F.level(y), N + 1):
-                    want = pair_relation(F, x, y, l, monic=False).scale(l)
-                    assert residue.coeff(l) == want
+        # Unreduced, the t^l discrepancy is exactly l times one relation,
+        # and zero below the level sum.
+        for F, N in ((truncated_filtered(3), 6),
+                     (standard_filtration(random_nilpotent_algebra(random.Random(3))), 8)):
+            for x, y, residue in image_residues(F, N):
+                for l in range(1, N + 1):
+                    assert residue.coeff(l) == weight_times_relation(F, x, y, l), \
+                        (x, y, l)
 
     def test_grading_of_products(self):
         F = truncated_filtered(3)
@@ -546,7 +537,6 @@ class TestVerifyEmbedding:
         assert rep.verified
         assert rep.relation_count == 3
         assert rep.homomorphism_failures == []
-        assert rep.splitting_failures == []
         assert rep.injectivity_certified_to == 4
         assert "certified" in rep.notes
 
@@ -580,19 +570,20 @@ class TestVerifyEmbedding:
         with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
             verify_embedding(F, 8)
 
-    def test_splitting_failure_for_every_triple(self, monkeypatch):
-        # With R the identity, a(bc) = abc but (ab)c + (ba)c = 2abc; at N=9
-        # even x3 x3 x3 (degree 9) survives truncation, so every triple fails.
+    def test_homomorphism_failures_with_identity_operator(self, monkeypatch):
+        # With R the identity, R(fx)fy + fxR(fy) = 2 fx fy, which is not l
+        # times the pair relation; each failure holds the exact difference.
         monkeypatch.setattr(embed_module, "rb_apply", lambda s: s)
         F = truncated_filtered(3)
-        rep = verify_embedding(F, 9)
-        names = [x.name for x in F.basis]
-        triples = [f[:3] for f in rep.splitting_failures]
-        seen = [t for i, t in enumerate(triples) if i == 0 or triples[i - 1] != t]
-        assert seen == list(product(names, repeat=3))
-        for t in seen:
-            degrees = [f[3] for f in rep.splitting_failures if f[:3] == t]
-            assert degrees == sorted(degrees)
+        N = 6
+        rep = verify_embedding(F, N)
+        want = [(x.name, y.name, l, residue.coeff(l) - weight_times_relation(F, x, y, l))
+                for x, y, residue in image_residues(F, N) for l in range(1, N + 1)]
+        assert rep.homomorphism_failures == [w for w in want if w[3]]
+        assert len(rep.homomorphism_failures) == 17
+        rank = {x.name: x.rank for x in F.basis}
+        keys = [(rank[x], rank[y], l) for x, y, l, _ in rep.homomorphism_failures]
+        assert keys == sorted(keys)
         assert not rep.verified
 
     def test_random_nilpotent_instances(self):
