@@ -33,7 +33,6 @@ from .magma import (
     NaWord,
     bracket,
     compare_words,
-    leading_and_monic,
     leaf,
     magma_product,
     node,

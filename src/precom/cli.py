@@ -292,14 +292,14 @@ def _verify_rb(args):
         a, b, c = (random_series(rng, N) for _ in range(3))
         # R(a), R(b) and the splitting product R(a)b serve both identities.
         ra, rb_ = rb_apply(a), rb_apply(b)
-        ra_b = series_product(ra, b)
-        lhs = series_product(ra, rb_)
-        rhs = rb_apply(ra_b + series_product(a, rb_))
+        ra_b = series_product(ra, b, N)
+        lhs = series_product(ra, rb_, N)
+        rhs = rb_apply(ra_b + series_product(a, rb_, N))
         if lhs != rhs:
             failures.append({"trial": i, "identity": "rota-baxter"})
-        zl = series_product(ra, series_product(rb_, c))
-        zr = (splitting_product(ra_b, c)
-              + splitting_product(series_product(rb_, a), c))
+        zl = series_product(ra, series_product(rb_, c, N), N)
+        zr = (splitting_product(ra_b, c, N)
+              + splitting_product(series_product(rb_, a, N), c, N))
         if zl != zr:
             failures.append({"trial": i, "identity": "pre-commutative"})
     lines = ["trials: %d (seed %d)" % (args.count, args.seed)]

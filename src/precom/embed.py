@@ -6,11 +6,16 @@ basis element x of level k maps to the truncated series
 
     x  ->  sum over i = k..N of  i * x[i] t^i
 
-whose coefficients are generator symbols.  The averaging operator
-R(t^n) = t^n/n is a weight-zero Rota-Baxter operator on a commutative
-ring, so the one-sided product R(f)g is pre-commutative for every pair
-of series (Aguiar, Lett. Math. Phys. 54, 2000) and needs no check per
-input.  The induced symmetric product R(f)g + fR(g) sends the image
+whose coefficients are generator symbols.  A series is a
+``TruncSeries``, a ``LinComb`` over (exponent, monomial) pairs; the
+truncation is not part of the value but an argument N of the products
+``series_product``, ``series_star`` and ``splitting_product``, which drop
+every exponent above N.
+
+The averaging operator R(t^n) = t^n/n is a weight-zero Rota-Baxter
+operator on a commutative ring, so the one-sided product R(f)g is
+pre-commutative for every pair of series (Aguiar, Lett. Math. Phys. 54,
+2000) and needs no check per input.  The induced symmetric product R(f)g + fR(g) sends the image
 series of x and y to the image of x*y modulo the coefficient relations:
 the t^l discrepancy is exactly l times the pair relation of x and y at
 weight l, and zero below the sum of their levels.  The verifier checks
@@ -37,7 +42,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .compoly import (
@@ -48,7 +52,7 @@ from .compoly import (
     buchberger_bounded,
 )
 from .envelope import CommAlgebra
-from .lincomb import _sub_scaled, echelon_insert, exact
+from .lincomb import LinComb, _sub_scaled, echelon_insert, exact, integral
 from .magma import Alphabet, Letter
 
 __all__ = [
@@ -137,24 +141,14 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     level by level, each element's level being the deepest power
     containing it.  Basis vectors that come out as unit coordinate
     vectors keep their original names; mixed vectors get fresh names.
-    The adapted basis is ordered by (level, pivot column) ascending.
+    The adapted basis is ordered by (level, pivot letter) ascending.
 
-    Vectors are sparse ``{basis position: coeff}`` dicts, and each power
-    is kept as a reduced echelon form (:func:`~precom.lincomb.echelon_insert`).
+    Vectors are sparse ``{basis letter: coeff}`` dicts, multiplied by
+    :meth:`~precom.envelope.CommAlgebra.times`; letters order by rank, so
+    each power is kept as a reduced echelon form
+    (:func:`~precom.lincomb.echelon_insert`) whose pivots are letters.
     """
-    basis = A.basis
-    d = len(basis)
-    col = {x: i for i, x in enumerate(basis)}
-
-    def times(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for z, c in A.product(basis[i], basis[j]).items():
-                    out[col[z]] = out.get(col[z], 0) + a * b * c
-        return {k: exact(c) for k, c in out.items() if c}
-
-    spans = {1: [{i: 1} for i in range(d)]}
+    spans = {1: [{x: 1} for x in A.basis]}
     n = 1
     while spans[n]:
         n += 1
@@ -162,7 +156,7 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
         for i in range(1, n // 2 + 1):
             for u in spans[i]:
                 for v in spans[n - i]:
-                    echelon_insert(rows, times(u, v))
+                    echelon_insert(rows, A.times(u, v))
         spans[n] = [rows[p] for p in sorted(rows)]
         if spans[n] == spans[n - 1]:
             A.require_associative()
@@ -184,7 +178,7 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     fresh = 0
     for _, p, v in ranked:
         if len(v) == 1:
-            name = basis[p].name
+            name = p.name
         else:
             fresh += 1
             name = "v%d" % fresh
@@ -208,9 +202,9 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
 
     vectors = [v for _, _, v in ranked]
     products = {}
-    for i in range(d):
-        for j in range(i, d):
-            combo = coords(times(vectors[i], vectors[j]))
+    for i, u in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            combo = coords(A.times(u, vectors[j]))
             if combo:
                 products[(ab[i], ab[j])] = combo
     levels = {ab[pos]: k for pos, (k, _, _) in enumerate(ranked)}
@@ -260,102 +254,65 @@ def coefficient_relations(F: FilteredAlgebra, weight_bound: int) -> list[ComPoly
 # ---------------------------------------------------------------------------
 # Truncated series
 
-class TruncSeries:
-    """A series sum of c_n t^n for 1 <= n <= N with ComPoly coefficients,
-    everything beyond t^N discarded."""
+class TruncSeries(LinComb):
+    """A power series, the sum of c_n t^n over exponents n >= 1 with
+    ComPoly coefficients c_n, kept as a combination of (n, m) pairs: n an
+    int exponent and m a :class:`~precom.compoly.ComMonomial`.  The
+    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s;
+    truncation is not part of the value but an argument of the products."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, N: int, coeffs: Optional[Mapping[int, ComPoly]] = None):
-        if N < 1:
-            raise ValueError("truncation degree must be positive")
-        self.N = N
-        clean: dict[int, ComPoly] = {}
-        for n, p in (coeffs or {}).items():
-            if not 1 <= n <= N:
-                raise ValueError("series exponent %d outside 1..%d" % (n, N))
-            if p:
-                clean[n] = p
-        self.coeffs = clean
+    _key = staticmethod(lambda t: (t[0], t[1].key))
 
     @classmethod
-    def zero(cls, N: int) -> "TruncSeries":
-        return cls(N)
-
-    @classmethod
-    def term(cls, n: int, poly: ComPoly, N: int) -> "TruncSeries":
-        return cls(N, {n: poly})
+    def _monomial(cls, t) -> tuple:
+        if type(t) is not tuple or len(t) != 2:
+            raise ValueError("series terms are (exponent, monomial) pairs, got %r" % (t,))
+        n, m = t
+        if type(n) is not int or n < 1:
+            raise ValueError("series exponent must be an int >= 1, got %r" % (n,))
+        if type(m) is not ComMonomial:
+            raise ValueError("series term needs a ComMonomial, got %r" % (m,))
+        return t
 
     def coeff(self, n: int) -> ComPoly:
-        return self.coeffs.get(n, ComPoly.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncSeries) and self.N == other.N
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.N != other.N:
-            raise ValueError("truncation mismatch: %d vs %d" % (self.N, other.N))
-        out = dict(self.coeffs)
-        for n, p in other.coeffs.items():
-            q = out.get(n)
-            s = p if q is None else q + p
-            if s:
-                out[n] = s
-            else:
-                out.pop(n, None)
-        return TruncSeries(self.N, out)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.N, {n: -p for n, p in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "TruncSeries":
-        return TruncSeries(self.N, {n: fn(n, p) for n, p in self.coeffs.items()})
+        """The coefficient of t^n."""
+        return ComPoly._raw({m: c for (k, m), c in self.terms.items() if k == n})
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "O(t^%d)" % (self.N + 1,)
-        parts = ["(%r) t^%d" % (p, n) for n, p in sorted(self.coeffs.items())]
-        return " + ".join(parts) + " + O(t^%d)" % (self.N + 1,)
+        if not self.terms:
+            return "0"
+        return " + ".join("(%r) t^%d" % (self.coeff(n), n)
+                          for n in sorted({n for n, _ in self.terms}))
 
 
 def rb_apply(s: TruncSeries) -> TruncSeries:
     """The averaging operator t^n -> t^n/n, a Rota-Baxter operator of
-    weight zero on truncated series."""
-    return s.map_coeffs(lambda n, p: p.scale(Fraction(1, n)))
+    weight zero on series."""
+    return TruncSeries._raw({t: exact(Fraction(c, t[0])) for t, c in s.terms.items()})
 
 
-def _integral(s: TruncSeries) -> tuple[int, list]:
-    # s's coefficients times the common denominator d of all their
-    # coefficients: (d, [(degree, [(monomial, int)])]).
-    d = 1
-    for p in s.coeffs.values():
-        for c in p.terms.values():
-            if type(c) is not int:
-                d = lcm(d, c.denominator)
-    return d, [(n, [(m, c * d if type(c) is int else c.numerator * (d // c.denominator))
-                    for m, c in p.terms.items()])
-               for n, p in s.coeffs.items()]
+def _by_exponent(terms: dict) -> dict:
+    # {(n, m): c} as {n: [(m, c)]}.
+    out: dict = {}
+    for (n, m), c in terms.items():
+        out.setdefault(n, []).append((m, c))
+    return out
 
 
-def series_product(s: TruncSeries, u: TruncSeries) -> TruncSeries:
-    """Cauchy product through the common truncation degree.  Integer-first:
-    both series are scaled to integer coefficients, each degree's products
-    are summed as integers, and each sum is divided once."""
-    if s.N != u.N:
-        raise ValueError("truncation mismatch: %d vs %d" % (s.N, u.N))
-    N = s.N
-    ds, si = _integral(s)
-    du, ui = _integral(u)
+def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """Cauchy product through t^N, everything beyond discarded.
+    Integer-first: both series are scaled to integer coefficients, each
+    exponent's products are summed as integers, and each sum is divided
+    once.  Terms are grouped by exponent, so a pair of exponents above N
+    is skipped as a block."""
+    ds, si = integral(s.terms)
+    du, ui = integral(u.terms)
+    ug = _by_exponent(ui).items()
     sums: dict[int, dict] = {}
-    for i, p in si:
-        for j, q in ui:
+    for i, p in _by_exponent(si).items():
+        for j, q in ug:
             n = i + j
             if n > N:
                 continue
@@ -367,9 +324,8 @@ def series_product(s: TruncSeries, u: TruncSeries) -> TruncSeries:
                     mk = m * k
                     acc[mk] = acc.get(mk, 0) + a * b
     d = ds * du
-    return TruncSeries(N, {n: ComPoly._raw({m: c if d == 1 else exact(Fraction(c, d))
-                                            for m, c in acc.items() if c})
-                           for n, acc in sums.items()})
+    return TruncSeries._raw({(n, m): c if d == 1 else exact(Fraction(c, d))
+                             for n, acc in sums.items() for m, c in acc.items() if c})
 
 
 def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
@@ -378,21 +334,20 @@ def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
     k = F.level(x)
     if N < k:
         raise ValueError("truncation below level: N=%d < level %d" % (N, k))
-    coeffs = {i: ComPoly.monomial(ComMonomial((F.symbol(x, i),)), i)
-              for i in range(k, N + 1)}
-    return TruncSeries(N, coeffs)
+    return TruncSeries._raw({(i, ComMonomial((F.symbol(x, i),))): i
+                             for i in range(k, N + 1)})
 
 
-def series_star(s: TruncSeries, u: TruncSeries) -> TruncSeries:
-    """R(s)u + sR(u): the symmetrized product induced by the averaging
-    operator."""
-    return series_product(rb_apply(s), u) + series_product(s, rb_apply(u))
+def series_star(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """R(s)u + sR(u) through t^N: the symmetrized product induced by the
+    averaging operator."""
+    return series_product(rb_apply(s), u, N) + series_product(s, rb_apply(u), N)
 
 
-def splitting_product(s: TruncSeries, u: TruncSeries) -> TruncSeries:
-    """The one-sided product R(s)u; satisfies the defining identity
-    a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
-    return series_product(rb_apply(s), u)
+def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """The one-sided product R(s)u through t^N; satisfies the defining
+    identity a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
+    return series_product(rb_apply(s), u, N)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +399,9 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
     basis = F.basis
     for i, x in enumerate(basis):
         for y in basis[i:]:
-            target = TruncSeries.zero(N)
+            residue = series_star(images[x], images[y], N)
             for z, c in F.product(x, y).items():
-                target = target + TruncSeries(
-                    N, {n: p.scale(c) for n, p in images[z].coeffs.items()})
-            residue = series_star(images[x], images[y]) - target
+                residue = residue - images[z].scale(c)
             low = F.level(x) + F.level(y)
             for l in range(1, N + 1):
                 r = residue.coeff(l)
@@ -476,23 +429,19 @@ def default_symbol_pool() -> list[GenSymbol]:
 def random_series(rng: random.Random, N: int,
                   pool: Optional[Sequence[GenSymbol]] = None,
                   max_terms: int = 2) -> TruncSeries:
-    """A random truncated series over a small symbol pool; coefficients
-    are small random polynomials, possibly with constant terms."""
+    """A random series with exponents 1..N over a small symbol pool;
+    coefficients are small random polynomials, possibly with constant
+    terms."""
     symbols = list(pool) if pool is not None else default_symbol_pool()
-    coeffs = {}
+    terms = []
     for n in range(1, N + 1):
         if rng.random() < 0.4:
             continue
-        terms = []
         for _ in range(rng.randint(1, max_terms)):
             mono = ComMonomial(rng.choice(symbols)
                                for _ in range(rng.randint(0, 2)))
-            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            terms.append((mono, coeff))
-        p = ComPoly.from_terms(terms)
-        if p:
-            coeffs[n] = p
-    return TruncSeries(N, coeffs)
+            terms.append(((n, mono), Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return TruncSeries.from_terms(terms)
 
 
 def random_nilpotent_algebra(rng: random.Random) -> CommAlgebra:

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .lincomb import exact
+from .lincomb import Coeff, exact
 from .magma import (
     Alphabet,
     Letter,
@@ -100,22 +100,26 @@ class CommAlgebra:
             x, y = y, x
         return dict(self._products.get((x, y), {}))
 
+    def times(self, u: Mapping[Letter, Coeff],
+              v: Mapping[Letter, Coeff]) -> dict[Letter, Coeff]:
+        """The product of two letter-keyed combinations through the
+        structure constants, with exact coefficients and no zeros."""
+        out: dict = {}
+        for x, a in u.items():
+            for y, b in v.items():
+                for z, c in self.product(x, y).items():
+                    out[z] = out.get(z, 0) + a * b * c
+        return {z: exact(c) for z, c in out.items() if c}
+
     def associativity_failure(self) -> Optional[tuple[Letter, Letter, Letter]]:
         """The first basis triple (x, y, z) with (xy)z != x(yz), or None."""
-        def times(combo: dict, z: Letter) -> dict:
-            out: dict = {}
-            for w, c in combo.items():
-                for v, d in self.product(w, z).items():
-                    out[v] = out.get(v, 0) + c * d
-            return {v: c for v, c in out.items() if c}
-
         basis = self.basis
         for x in basis:
             for y in basis:
                 xy = self.product(x, y)
                 for z in basis:
                     # x(yz) = (yz)x: the algebra is commutative.
-                    if times(xy, z) != times(self.product(y, z), x):
+                    if self.times(xy, {z: 1}) != self.times(self.product(y, z), {x: 1}):
                         return x, y, z
         return None
 

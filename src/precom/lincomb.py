@@ -1,15 +1,19 @@
 """Exact sparse linear combinations and the rewriting loop they share.
 
-The tree polynomials of ``magma``, the word elements of ``shuffle`` and
-the commutative polynomials of ``compoly`` are all finite maps from
-monomials to exact coefficients, and the tree and commutative sides both
-reduce modulo monic relations by rewriting one monomial at a time.  This
-module holds that common part:
+The subclasses of ``LinComb`` (the tree polynomials ``MagmaPoly``, the
+half-shuffle words ``ZinbElement``, the commutative polynomials
+``ComPoly`` and the power series ``TruncSeries`` over (exponent,
+monomial) pairs, whose products take the truncation N) are all finite
+maps from monomials to exact coefficients, and the tree and commutative
+sides both reduce modulo monic relations by rewriting one monomial at a
+time.  This module holds that common part:
 
 * :class:`LinComb`, the immutable coefficient map with its arithmetic;
-  subclasses add their own product, order, validation and repr;
+  subclasses add their own order, validation, repr and products;
 * :func:`exact`, the coefficient normalization: an ``int`` when integral,
   else a ``Fraction``, never a float;
+* :func:`integral`, the first step of an integer-first product: a term
+  dict scaled by the common denominator of its coefficients;
 * :func:`descend`, the reducer: it rewrites the largest reducible
   monomial first and is driven by a pair of callables: ``find(m)``
   returns ``None`` for an irreducible monomial or ``(step, rel)``, where
@@ -28,12 +32,14 @@ from __future__ import annotations
 import heapq
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "Coeff",
     "LinComb",
     "exact",
+    "integral",
     "descend",
     "memo_descend",
     "echelon_insert",
@@ -51,6 +57,20 @@ def exact(c) -> Coeff:
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def integral(terms: dict) -> tuple[int, dict]:
+    """``(d, int_terms)``: ``d`` the least common denominator of the
+    coefficients and ``int_terms`` the terms times ``d``, all ``int``.
+    With ``d == 1`` the given dict itself is returned."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms
+    return d, {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for m, c in terms.items()}
 
 
 class LinComb:
@@ -154,6 +174,9 @@ class LinComb:
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def _product(self, other):
+        raise TypeError("%s has no product of two factors alone" % type(self).__name__)
 
     def scale(self, c: Coeff):
         c = exact(c)

@@ -34,7 +34,6 @@ __all__ = [
     "bracket",
     "compare_words",
     "magma_product",
-    "leading_and_monic",
     "words_of_length",
 ]
 
@@ -342,8 +341,3 @@ def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
             else:
                 out.pop(w, None)
     return MagmaPoly._raw(out)
-
-
-def leading_and_monic(p: MagmaPoly) -> tuple[NaWord, MagmaPoly]:
-    """The leading monomial together with the monic rescaling of p."""
-    return p.leading(), p.monic()

@@ -46,7 +46,6 @@ from .magma import Alphabet, MagmaPoly, NaWord, leaf, node, words_of_length
 __all__ = [
     "LEFT",
     "RIGHT",
-    "Path",
     "RelationSchema",
     "ExplicitRelation",
     "ZinbielFamily",
@@ -71,7 +70,6 @@ __all__ = [
 ]
 
 LEFT, RIGHT = 0, 1
-Path = tuple  # paths are tuples over {LEFT, RIGHT}
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lincomb import Coeff, LinComb, exact
+from .lincomb import Coeff, LinComb, exact, integral
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, bracket
 from .rewrite import ZinbielFamily, normal_form
 
 __all__ = [
-    "AWord",
     "ZinbElement",
     "shuffle_product",
     "zinbiel_product",
@@ -46,8 +44,6 @@ __all__ = [
     "perm_tensor_check",
     "random_element",
 ]
-
-AWord = tuple  # nonempty tuple of Letter
 
 
 def _shuffles(u: tuple, v: tuple) -> dict:
@@ -120,24 +116,12 @@ def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     return ZinbElement._raw(_shuffles(u, v))
 
 
-def _integral(f: ZinbElement) -> tuple[int, dict]:
-    # f's terms times the common denominator d of its coefficients: (d, ints).
-    d = 1
-    for c in f.terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return 1, f.terms
-    return d, {w: c * d if type(c) is int else c.numerator * (d // c.denominator)
-               for w, c in f.terms.items()}
-
-
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """Bilinear pre-commutative product: shuffle into the prefix, keep the
     right argument's last letter last.  Integer-first: both factors are
     scaled to integer coefficients, and the sum is divided once."""
-    df, fi = _integral(f)
-    dg, gi = _integral(g)
+    df, fi = integral(f.terms)
+    dg, gi = integral(g.terms)
     out: dict[tuple, int] = {}
     for u, a in fi.items():
         for v, b in gi.items():

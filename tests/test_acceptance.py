@@ -29,7 +29,6 @@ from precom import (
     idempotent_algebra,
     interreduce,
     irreducible_counts,
-    leading_and_monic,
     leaf,
     magma_product,
     node,
@@ -62,7 +61,7 @@ def _report(num: int, detail: str) -> None:
 
 
 def _explicit_monic(relations) -> set[frozenset]:
-    return {frozenset(leading_and_monic(s.poly)[1].terms.items())
+    return {frozenset(s.poly.monic().terms.items())
             for s in relations if isinstance(s, ExplicitRelation)}
 
 
@@ -213,16 +212,16 @@ def test_criterion_10_rota_baxter_identity_and_splitting():
     for _ in range(200):
         N = rng.randint(2, 8)
         s, u = random_series(rng, N), random_series(rng, N)
-        left = series_product(rb_apply(s), rb_apply(u))
-        right = rb_apply(series_product(rb_apply(s), u)
-                         + series_product(s, rb_apply(u)))
+        left = series_product(rb_apply(s), rb_apply(u), N)
+        right = rb_apply(series_product(rb_apply(s), u, N)
+                         + series_product(s, rb_apply(u), N))
         assert left == right
     for _ in range(100):
         N = rng.randint(2, 6)
         a, b, c = (random_series(rng, N) for _ in range(3))
-        lhs = splitting_product(a, splitting_product(b, c))
-        rhs = splitting_product(splitting_product(a, b), c) \
-            + splitting_product(splitting_product(b, a), c)
+        lhs = splitting_product(a, splitting_product(b, c, N), N)
+        rhs = splitting_product(splitting_product(a, b, N), c, N) \
+            + splitting_product(splitting_product(b, a, N), c, N)
         assert lhs == rhs
     _report(10, "weight-zero identity on 200 random series; "
                 "splitting identity on 100 random triples — all exact")
@@ -257,10 +256,10 @@ def test_criterion_11_series_embeddings_certified():
         images = [generator_series(x, F, 6) for x in F.basis]
         for a in images:
             for b in images:
-                ab, ba = splitting_product(a, b), splitting_product(b, a)
+                ab, ba = splitting_product(a, b, 6), splitting_product(b, a, 6)
                 for c in images:
-                    assert splitting_product(a, splitting_product(b, c)) \
-                        == splitting_product(ab, c) + splitting_product(ba, c), name
+                    assert splitting_product(a, splitting_product(b, c, 6), 6) \
+                        == splitting_product(ab, c, 6) + splitting_product(ba, c, 6), name
         details.append(f"{name} ({dt:.1f}s)")
     _report(11, "embeddings certified at N=6 for " + "; ".join(details))
 

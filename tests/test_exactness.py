@@ -250,16 +250,14 @@ def test_series_products_and_rb():
     rng = random.Random("series")
     randoms = [random_series(rng, 6) for _ in range(6)]
     for s in images + randoms:
-        for p in rb_apply(s).coeffs.values():
-            assert_exact(p)
+        assert_exact(rb_apply(s))
         for u in images:
-            for p in series_product(s, u).coeffs.values():
-                assert_exact(p)
+            assert_exact(series_product(s, u, 6))
     # t^2 coefficient 2 * (1/2) and t^4 coefficient 4 * (1/4) are integral.
     x = F.basis[0]
     one = ComMonomial((F.symbol(x, 2),))
-    s = TruncSeries(4, {2: ComPoly.monomial(one, 2), 4: ComPoly.monomial(one, 4)})
-    assert all(type(p.terms[one]) is int for p in rb_apply(s).coeffs.values())
+    s = TruncSeries({(2, one): 2, (4, one): 4})
+    assert all(type(c) is int for c in rb_apply(s).terms.values())
 
 
 def test_compoly_monic_divides_exactly():
@@ -276,10 +274,10 @@ def test_compoly_monic_divides_exactly():
 
 
 # ---------------------------------------------------------------------------
-# The three vector types stay apart
+# The four vector types stay apart
 
 def test_vector_types_never_mix():
-    zeros = (MagmaPoly.zero(), ZinbElement.zero(), ComPoly.zero())
+    zeros = (MagmaPoly.zero(), ZinbElement.zero(), ComPoly.zero(), TruncSeries.zero())
     for i, p in enumerate(zeros):
         assert p == type(p).zero()
         for j, q in enumerate(zeros):
@@ -289,3 +287,10 @@ def test_vector_types_never_mix():
                     p + q
                 with pytest.raises(TypeError):
                     p - q
+    # A series with one constant coefficient is not that coefficient.
+    one = ComMonomial()
+    s, p = TruncSeries.monomial((1, one)), ComPoly.monomial(one)
+    assert s != p and p != s
+    for a, b in ((s, p), (p, s)):
+        with pytest.raises(TypeError):
+            a + b

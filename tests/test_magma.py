@@ -11,7 +11,6 @@ from precom import (
     bracket,
     compare_words,
     leaf,
-    leading_and_monic,
     magma_product,
     node,
     words_of_length,
@@ -289,7 +288,7 @@ class TestMagmaPoly:
     def test_leading_and_monic(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         p = MagmaPoly.from_terms([(node(x, y), 3), (node(y, x), 1)])
-        lead, monic = leading_and_monic(p)
+        lead, monic = p.leading(), p.monic()
         assert lead is node(x, y)
         assert monic == MagmaPoly.from_terms(
             [(node(x, y), 1), (node(y, x), Fraction(1, 3))])
@@ -297,7 +296,7 @@ class TestMagmaPoly:
     def test_leading_single_monomial(self, ab2):
         x = leaf(ab2["x"])
         p = MagmaPoly.monomial(node(x, x), 5)
-        lead, monic = leading_and_monic(p)
+        lead, monic = p.leading(), p.monic()
         assert lead is node(x, x)
         assert monic == MagmaPoly.monomial(node(x, x))
 
