@@ -31,8 +31,7 @@ from .magma import (
     Letter,
     MagmaPoly,
     NaWord,
-    bracket,
-    compare_words,
+    comb,
     leaf,
     magma_product,
     node,
@@ -65,7 +64,6 @@ from .shuffle import (
     PermAlgebra,
     PermTensorReport,
     ZinbElement,
-    comb,
     from_left_comb,
     perm_tensor_check,
     random_element,
@@ -95,14 +93,12 @@ from .envelope import (
     verify_zinbiel_basis,
 )
 from .compoly import (
-    COM_ONE,
     BuchbergerReport,
     ComBasis,
     ComMonomial,
     ComPoly,
     GenSymbol,
     buchberger_bounded,
-    com_compare,
     com_reduce,
     com_reduce_with_trace,
     s_polynomial,

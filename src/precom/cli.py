@@ -230,7 +230,7 @@ def _handle_zmul(args):
     alphabet = Alphabet(names)
     u = parse_aword(args.left, alphabet)
     v = parse_aword(args.right, alphabet)
-    f, g = ZinbElement.word(u), ZinbElement.word(v)
+    f, g = ZinbElement.monomial(u), ZinbElement.monomial(v)
     res = star(f, g) if args.star else zinbiel_product(f, g)
     result = format_zinb(res)
     report = {"status": "ok", "counts": [], "failures": [], "result": result}

@@ -2,7 +2,7 @@
 
 Symbols carry a base name, a filtration level, and a weight (their
 t-degree in the series picture); a symbol exists only for weight >= level.
-Monomials are multisets of symbols compared by
+Monomials are multisets of symbols ordered by their ``key``
 
     (factor count, total weight, sorted symbol keys lexicographically),
 
@@ -23,15 +23,13 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .lincomb import Coeff, LinComb, _require_monic, descend, exact
+from .lincomb import LinComb, _require_monic, descend, exact
 
 __all__ = [
     "GenSymbol",
     "ComMonomial",
-    "COM_ONE",
     "ComPoly",
     "ComBasis",
-    "com_compare",
     "com_reduce",
     "com_reduce_with_trace",
     "s_polynomial",
@@ -75,18 +73,6 @@ class GenSymbol:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "GenSymbol") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "GenSymbol") -> bool:
-        return self.key <= other.key
-
-    def __gt__(self, other: "GenSymbol") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "GenSymbol") -> bool:
-        return self.key >= other.key
 
     def __str__(self) -> str:
         return "%s[%d]" % (self.base, self.weight)
@@ -230,34 +216,10 @@ class ComMonomial:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
-
-    def __ge__(self, other):
-        return self.key >= other.key
-
     def __repr__(self) -> str:
         if not self.factors:
             return "1"
         return "*".join(str(f) for f in self.factors)
-
-
-COM_ONE = ComMonomial(())
-
-
-def com_compare(m1: ComMonomial, m2: ComMonomial) -> int:
-    """-1, 0, or 1 as m1 is below, equal to, or above m2."""
-    if m1.key < m2.key:
-        return -1
-    if m1.key > m2.key:
-        return 1
-    return 0
 
 
 class ComPoly(LinComb):
@@ -268,16 +230,8 @@ class ComPoly(LinComb):
     __slots__ = ()
 
     def _product(self, other: "ComPoly") -> "ComPoly":
-        out: dict[ComMonomial, Coeff] = {}
-        for m, a in self.terms.items():
-            for n, b in other.terms.items():
-                mn = m * n
-                nc = out.get(mn, 0) + a * b
-                if nc:
-                    out[mn] = exact(nc)
-                else:
-                    del out[mn]
-        return ComPoly._raw(out)
+        return ComPoly.from_terms((m * n, a * b) for m, a in self.terms.items()
+                                  for n, b in other.terms.items())
 
     def mul_monomial(self, m: ComMonomial, coeff=1) -> "ComPoly":
         c = exact(coeff)
@@ -407,7 +361,6 @@ class BuchbergerReport:
     pairs_processed: int
     pairs_skipped_bound: int
     pairs_skipped_coprime: int
-    weight_bound: int
 
     @property
     def linear_leadings(self) -> list:
@@ -469,5 +422,5 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
                 pairs.append((i2, k))
     relations = list(basis)
     report = BuchbergerReport(relations, added, considered, processed,
-                              skipped_bound, skipped_coprime, weight_bound)
+                              skipped_bound, skipped_coprime)
     return relations, report

@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .compoly import (
     BuchbergerReport,
@@ -69,7 +69,6 @@ __all__ = [
     "splitting_product",
     "EmbeddingReport",
     "verify_embedding",
-    "default_symbol_pool",
     "random_series",
     "random_nilpotent_algebra",
 ]
@@ -355,7 +354,6 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
 
 @dataclass
 class EmbeddingReport:
-    truncation: int
     relation_count: int
     homomorphism_failures: list
     injectivity_certified_to: Optional[int]
@@ -414,30 +412,23 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
     certified = N if not brep.linear_leadings else None
     notes = ("certified injective to weight %d" % N if certified
              else "linear leading monomial found: injectivity not certified")
-    return EmbeddingReport(N, len(G), hom_failures, certified, brep, notes)
+    return EmbeddingReport(len(G), hom_failures, certified, brep, notes)
 
 
 # ---------------------------------------------------------------------------
 # Random data helpers
 
-def default_symbol_pool() -> list[GenSymbol]:
-    pool = [GenSymbol("x", 1, i, 0) for i in range(1, 5)]
-    pool += [GenSymbol("y", 2, i, 1) for i in range(2, 5)]
-    return pool
-
-
-def random_series(rng: random.Random, N: int,
-                  pool: Optional[Sequence[GenSymbol]] = None,
-                  max_terms: int = 2) -> TruncSeries:
-    """A random series with exponents 1..N over a small symbol pool;
-    coefficients are small random polynomials, possibly with constant
-    terms."""
-    symbols = list(pool) if pool is not None else default_symbol_pool()
+def random_series(rng: random.Random, N: int) -> TruncSeries:
+    """A random series with exponents 1..N over the symbols x[1..4] (level
+    1) and y[2..4] (level 2); coefficients are small random polynomials
+    of at most two terms, possibly with constant terms."""
+    symbols = [GenSymbol("x", 1, i, 0) for i in range(1, 5)]
+    symbols += [GenSymbol("y", 2, i, 1) for i in range(2, 5)]
     terms = []
     for n in range(1, N + 1):
         if rng.random() < 0.4:
             continue
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             mono = ComMonomial(rng.choice(symbols)
                                for _ in range(rng.randint(0, 2)))
             terms.append(((n, mono), Fraction(rng.randint(-3, 3), rng.randint(1, 3))))

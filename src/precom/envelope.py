@@ -27,7 +27,7 @@ from .magma import (
     Letter,
     MagmaPoly,
     NaWord,
-    bracket,
+    comb,
     leaf,
     node,
 )
@@ -228,18 +228,10 @@ def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
     letters = A.alphabet.letters
     for i, x in enumerate(letters):
         for y in letters[i:]:
-            if x is y:
-                terms = {node(leaf(x), leaf(x)): 2}
-            else:
-                terms = {node(leaf(x), leaf(y)): 1, node(leaf(y), leaf(x)): 1}
-            for z, c in A.product(x, y).items():
-                w = leaf(z)
-                nc = terms.get(w, 0) - c
-                if nc:
-                    terms[w] = exact(nc)
-                else:
-                    terms.pop(w, None)
-            poly = MagmaPoly._raw(terms)
+            # (x y) + (y x), which sums to 2 (x x) on the diagonal.
+            terms = [(node(leaf(x), leaf(y)), 1), (node(leaf(y), leaf(x)), 1)]
+            terms += [(leaf(z), -c) for z, c in A.product(x, y).items()]
+            poly = MagmaPoly.from_terms(terms)
             if poly.leading().length != 2:
                 raise AssertionError("quadratic monomial must lead an enveloping relation")
             rels.append(ExplicitRelation(poly))
@@ -395,7 +387,7 @@ def odd_even_zero_sweep(d: int, m_max: int, k_max: int) -> OddEvenReport:
     ab = default_alphabet(d)
     rels = trivial_gsb(ab)
     letters = ab.letters
-    pairs = [(bracket(atup, "left"), bracket(btup, "left"))
+    pairs = [(comb(atup), comb(btup))
              for m in range(1, m_max + 1, 2)
              for atup in iproduct(letters, repeat=m)
              for k in range(2, k_max + 1, 2)

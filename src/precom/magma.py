@@ -9,20 +9,20 @@ and well founded on words of bounded length.
 
 Words are hash-consed: structurally equal words are the same Python
 object, so equality is identity and dictionary lookups never walk a tree.
-Build words through :func:`leaf`, :func:`node` and :func:`bracket`, never
+Build words through :func:`leaf`, :func:`node` and :func:`comb`, never
 through the raw ``NaWord`` constructor.
 
-A word's sort key is a nested tuple, compared by C tuple comparison, up to
-``_FLAT_KEY_LENGTH`` letters; a longer word gets a ``_DeepKey``,
-which compares in the same order with an explicit stack, so comparing
-deep words never depends on the recursion limit.
+Words order by their ``key`` alone.  It is a nested tuple, compared by C
+tuple comparison, up to ``_FLAT_KEY_LENGTH`` letters; a longer word gets
+a ``_DeepKey``, which compares in the same order with an explicit stack,
+so comparing deep words never depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .lincomb import Coeff, LinComb, exact
+from .lincomb import LinComb
 
 __all__ = [
     "Letter",
@@ -31,8 +31,7 @@ __all__ = [
     "MagmaPoly",
     "leaf",
     "node",
-    "bracket",
-    "compare_words",
+    "comb",
     "magma_product",
     "words_of_length",
 ]
@@ -123,26 +122,10 @@ class NaWord:
         self.key = key
         self.is_comb = is_comb
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.letter is not None
-
     def __repr__(self) -> str:
         if self.letter is not None:
             return self.letter.name
         return "(%r %r)" % (self.left, self.right)
-
-    def __lt__(self, other: "NaWord") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "NaWord") -> bool:
-        return self is other or self.key < other.key
-
-    def __gt__(self, other: "NaWord") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "NaWord") -> bool:
-        return self is other or self.key > other.key
 
     def subtrees(self) -> Iterator[tuple[tuple[int, ...], "NaWord"]]:
         """Yield (path, subword) pairs in preorder: root, left, right.
@@ -257,32 +240,16 @@ def node(left: NaWord, right: NaWord) -> NaWord:
     return w
 
 
-def bracket(letters: Iterable[Letter], direction: str = "left") -> NaWord:
-    """Left- or right-nested bracketing of a letter sequence.
-
-    ``bracket([x, y, z], "left")`` is ((x y) z); "right" gives (x (y z)).
-    """
+def comb(letters: Iterable[Letter]) -> NaWord:
+    """The left comb spelling out a letter sequence: ``comb([x, y, z])``
+    is ((x y) z)."""
     letters = tuple(letters)
     if not letters:
-        raise ValueError("bracket of empty letter sequence")
-    if direction == "left":
-        w = leaf(letters[0])
-        for x in letters[1:]:
-            w = node(w, leaf(x))
-    elif direction == "right":
-        w = leaf(letters[-1])
-        for x in letters[-2::-1]:
-            w = node(leaf(x), w)
-    else:
-        raise ValueError("direction must be 'left' or 'right'")
+        raise ValueError("comb of empty letter sequence")
+    w = leaf(letters[0])
+    for x in letters[1:]:
+        w = node(w, leaf(x))
     return w
-
-
-def compare_words(u: NaWord, v: NaWord) -> int:
-    """Weight-order comparison: -1, 0 or +1.  Both words must share an alphabet."""
-    if u is v:
-        return 0
-    return -1 if u.key < v.key else 1
 
 
 def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
@@ -331,13 +298,5 @@ class MagmaPoly(LinComb):
 
 def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
     """Bilinear extension of the tree product (u, v) -> (u v)."""
-    out: dict[NaWord, Coeff] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            w = node(u, v)
-            c = out.get(w, 0) + a * b
-            if c:
-                out[w] = exact(c)
-            else:
-                out.pop(w, None)
-    return MagmaPoly._raw(out)
+    return MagmaPoly.from_terms((node(u, v), a * b) for u, a in p.terms.items()
+                                for v, b in q.terms.items())

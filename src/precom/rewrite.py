@@ -414,7 +414,6 @@ class GsbReport:
     and were not reduced."""
     ambiguities_checked: int
     failures: list[CompositionFailure]
-    instantiation_bound: int
     discharged: int
 
     @property
@@ -523,7 +522,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
         nf = index.reduce(h.terms)
         if nf:
             failures.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
-    return GsbReport(len(sites) + discharged, failures, bound, discharged)
+    return GsbReport(len(sites) + discharged, failures, discharged)
 
 
 def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSchema]:
@@ -590,30 +589,28 @@ def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSc
 def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
     """Minimalize and tail-reduce the explicit relations of a set.
 
-    Families pass through unchanged.  An explicit relation is dropped when
-    its leading monomial is reducible by the other relations; the
-    survivors' tails are then fully reduced modulo the whole surviving
-    set.  The explicit survivors are returned sorted by leading monomial.
+    Families pass through unchanged.  The explicit relations are taken in
+    increasing leading-monomial order, and one is kept when its leading
+    monomial is irreducible modulo the families and the relations kept
+    before it; of several with one leading monomial, the first is kept.
+    The survivors' tails are then fully reduced modulo the families and
+    the survivors.  The survivors are returned sorted by leading monomial.
     """
     schemas = list(relations)
     fams = [s for s in schemas if not isinstance(s, ExplicitRelation)]
-    exps = [s.poly for s in schemas if isinstance(s, ExplicitRelation)]
-    exps.sort(key=lambda p: p.leading().key)
+    index = _RedexIndex(fams)
     kept: list[MagmaPoly] = []
-    for i, p in enumerate(exps):
-        others = fams + [ExplicitRelation(q) for j, q in enumerate(exps) if j != i]
-        idx = _RedexIndex(others)
-        if idx.redex(p.leading()) is not None:
-            continue
-        kept.append(p)
-    keep_idx = _RedexIndex(fams + [ExplicitRelation(q) for q in kept])
-    reduced = []
+    for p in sorted((s.poly for s in schemas if isinstance(s, ExplicitRelation)),
+                    key=lambda p: p.leading().key):
+        if index.redex(p.leading()) is None:
+            index.add_explicit(p)
+            kept.append(p)
+    out = list(fams)
     for p in kept:
         lead = p.leading()
-        tail = MagmaPoly._raw({w: c for w, c in p.terms.items() if w is not lead})
-        nf_tail = MagmaPoly._raw(keep_idx.reduce(tail.terms))
-        reduced.append(MagmaPoly.monomial(lead) + nf_tail)
-    return fams + [ExplicitRelation(p) for p in reduced]
+        tail = index.reduce({w: c for w, c in p.terms.items() if w is not lead})
+        out.append(ExplicitRelation(MagmaPoly.monomial(lead) + MagmaPoly._raw(tail)))
+    return out
 
 
 # ---------------------------------------------------------------------------

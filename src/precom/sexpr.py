@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .envelope import CommAlgebra, TailAnticommFamily, TailSquareFamily, trivial_gsb
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
@@ -37,7 +37,6 @@ __all__ = [
     "parse_relations",
     "format_relations",
     "parse_algebra",
-    "format_algebra",
 ]
 
 
@@ -404,21 +403,3 @@ def parse_algebra(data: dict):
         if missing:
             raise ParseError("levels missing for: %s" % ", ".join(missing))
     return CommAlgebra(alphabet, products), levels
-
-
-def format_algebra(A: CommAlgebra, levels: Optional[dict] = None) -> dict:
-    entries = []
-    letters = A.alphabet.letters
-    for i, x in enumerate(letters):
-        for y in letters[i:]:
-            combo = A.product(x, y)
-            if not combo:
-                continue
-            rhs = " + ".join(
-                z.name if c == 1 else "%s %s" % (c, z.name)
-                for z, c in sorted(combo.items(), key=lambda t: t[0].rank))
-            entries.append("%s %s -> %s" % (x.name, y.name, rhs))
-    out = {"basis": [x.name for x in letters], "products": entries}
-    if levels is not None:
-        out["levels"] = {x.name: k for x, k in levels.items()}
-    return out

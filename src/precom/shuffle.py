@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lincomb import Coeff, LinComb, exact, integral
-from .magma import Alphabet, Letter, MagmaPoly, NaWord, bracket
+from .magma import Alphabet, Letter, MagmaPoly, comb
 from .rewrite import ZinbielFamily, normal_form
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "shuffle_product",
     "zinbiel_product",
     "star",
-    "comb",
     "to_left_comb",
     "from_left_comb",
     "PermAlgebra",
@@ -83,10 +82,6 @@ class ZinbElement(LinComb):
         if not w:
             raise ValueError("words must be nonempty")
         return w
-
-    @classmethod
-    def word(cls, letters: Iterable[Letter], coeff=1) -> "ZinbElement":
-        return cls.monomial(letters, coeff)
 
     def _product(self, other: "ZinbElement") -> "ZinbElement":
         return zinbiel_product(self, other)
@@ -141,11 +136,6 @@ def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
 
 # ---------------------------------------------------------------------------
 # Left combs vs associative words
-
-def comb(letters: Sequence[Letter]) -> NaWord:
-    """The left-combed tree spelling out the given letters."""
-    return bracket(letters, "left")
-
 
 def to_left_comb(p: MagmaPoly) -> ZinbElement:
     """Rewrite a tree polynomial onto the left-comb basis and read each

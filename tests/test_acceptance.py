@@ -166,7 +166,7 @@ def test_criterion_08_free_zinbiel_identities_and_counts():
                 for a in _awords(ab, i):
                     for b in _awords(ab, j):
                         for c in _awords(ab, k):
-                            fa, fb, fc = (ZinbElement.word(w)
+                            fa, fb, fc = (ZinbElement.monomial(w)
                                           for w in (a, b, c))
                             left = zinbiel_product(fa, zinbiel_product(fb, fc))
                             right = zinbiel_product(zinbiel_product(fa, fb), fc) \
@@ -200,8 +200,8 @@ def test_criterion_09_comb_reduction_matches_shuffle_formula():
                 for v in _awords(ab, j):
                     trees = magma_product(MagmaPoly.monomial(comb(u)),
                                           MagmaPoly.monomial(comb(v)))
-                    want = zinbiel_product(ZinbElement.word(u),
-                                           ZinbElement.word(v))
+                    want = zinbiel_product(ZinbElement.monomial(u),
+                                           ZinbElement.monomial(v))
                     assert to_left_comb(trees) == want, (u, v)
                     pairs += 1
     _report(9, f"tree-side and word-side products agree on {pairs} pairs")

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from precom import (
-    COM_ONE,
     ComBasis,
     ComMonomial,
     ComPoly,
@@ -17,7 +16,6 @@ from precom import (
     GenSymbol,
     buchberger_bounded,
     coefficient_relations,
-    com_compare,
     com_reduce,
     com_reduce_with_trace,
     pair_relation,
@@ -67,9 +65,9 @@ class TestGenSymbol:
             GenSymbol("y", 2, 1)
 
     def test_ordering(self):
-        assert X1 < X2 < Y2 < X3
-        assert Y2 < Y3
-        assert X2.key < Y2.key  # same weight, lower level first
+        # X2 and Y2 weigh the same: the lower level comes first.
+        assert X1.key < X2.key < Y2.key < X3.key
+        assert Y2.key < Y3.key
 
     def test_str(self):
         assert str(X3) == "x[3]"
@@ -100,21 +98,21 @@ class TestComMonomial:
         m = mono(X1, X2, Y3)
         assert m.count == 3
         assert m.weight == 6
-        assert COM_ONE.count == 0 and COM_ONE.weight == 0
+        assert mono().count == 0 and mono().weight == 0
 
     def test_mul(self):
         assert mono(X1) * mono(X2, X1) == mono(X1, X1, X2)
-        assert COM_ONE * mono(Y2) == mono(Y2)
+        assert mono() * mono(Y2) == mono(Y2)
 
     def test_divides(self):
         assert mono(X1).divides(mono(X1, X2))
         assert mono(X1, X1).divides(mono(X1, X1, Y2))
         assert not mono(X1, X1).divides(mono(X1, X2))
-        assert COM_ONE.divides(mono(X1))
+        assert mono().divides(mono(X1))
 
     def test_div(self):
         assert mono(X1, X1, X2).div(mono(X1, X2)) == mono(X1)
-        assert mono(X1).div(mono(X1)) == COM_ONE
+        assert mono(X1).div(mono(X1)) == mono()
         with pytest.raises(ValueError, match="does not divide"):
             mono(X1).div(mono(X2))
 
@@ -122,7 +120,7 @@ class TestComMonomial:
         assert len({mono(X1, X2), mono(X2, X1), mono(X1)}) == 2
 
     def test_repr(self):
-        assert repr(COM_ONE) == "1"
+        assert repr(mono()) == "1"
         assert repr(mono(X2, X1)) == "x[1]*x[2]"
 
 
@@ -147,7 +145,7 @@ POOL = [X1, X2, X3, Y2, Y3]
 
 
 def monomials_of_count(pool, max_count):
-    out = [COM_ONE]
+    out = [mono()]
     frontier = [()]
     for _ in range(max_count):
         frontier = [t + (s,) for t in frontier for i, s in enumerate(pool)
@@ -164,8 +162,8 @@ class TestMonomialInvariants:
             a, b = rng.choice(ms), rng.choice(ms)
             assert same_monomial(a * b, ComMonomial(a.factors + b.factors))
         for a in ms:
-            assert same_monomial(COM_ONE * a, a)
-            assert same_monomial(a * COM_ONE, a)
+            assert same_monomial(mono() * a, a)
+            assert same_monomial(a * mono(), a)
 
     def test_divides_div_lcm_match_counters(self):
         ms = monomials_of_count(POOL, 3)
@@ -208,27 +206,26 @@ class TestMonomialInvariants:
 class TestOrder:
     def test_count_dominates(self):
         # Two light factors still beat one heavy symbol.
-        assert com_compare(mono(X1, X1), mono(Y2)) == 1
-        assert com_compare(mono(X4), mono(X1, X1)) == -1
+        assert mono(X1, X1).key > mono(Y2).key
+        assert mono(X4).key < mono(X1, X1).key
 
     def test_equal(self):
-        assert com_compare(mono(X1, Y2), mono(Y2, X1)) == 0
+        assert mono(X1, Y2).key == mono(Y2, X1).key
 
     def test_lex_on_equal_count_and_weight(self):
-        assert com_compare(mono(X1, X3), mono(X2, X2)) == -1
+        assert mono(X1, X3).key < mono(X2, X2).key
 
     def test_weight_breaks_count_ties(self):
-        assert com_compare(mono(X1, X2), mono(X1, X3)) == -1
+        assert mono(X1, X2).key < mono(X1, X3).key
 
     def test_multiplicative_exhaustive(self):
         pool = [X1, X2, X3, X4, Y2, Y3]
         ms = monomials_up_to(pool, 5)
         for i, a in enumerate(ms):
             for b in ms[i + 1:]:
-                c = com_compare(a, b)
-                assert c != 0
+                assert a.key != b.key
                 for w in ms:
-                    assert com_compare(a * w, b * w) == c
+                    assert ((a * w).key < (b * w).key) == (a.key < b.key)
 
 
 class TestComPoly:
@@ -251,12 +248,12 @@ class TestComPoly:
         assert p * q == poly((mono(X1, X1), 1), (mono(X2, X2), -1))
 
     def test_mul_monomial(self):
-        p = poly((mono(X1), 2), (COM_ONE, 3))
+        p = poly((mono(X1), 2), (mono(), 3))
         assert p.mul_monomial(mono(X2), Fraction(1, 2)) \
             == poly((mono(X1, X2), 1), (mono(X2), Fraction(3, 2)))
 
     def test_leading(self):
-        p = poly((mono(X1, X1), Fraction(1, 3)), (mono(Y2), 5), (COM_ONE, 1))
+        p = poly((mono(X1, X1), Fraction(1, 3)), (mono(Y2), 5), (mono(), 1))
         assert p.leading() == mono(X1, X1)
         assert p.leading_coeff() == Fraction(1, 3)
         assert p.monic().leading_coeff() == 1
@@ -379,7 +376,7 @@ def random_relations(rng, with_one):
     ms = [m for m in every if m.count]
 
     def relation(lead):
-        below = [m for m in every if m < lead]
+        below = [m for m in every if m.key < lead.key]
         tail = [(rng.choice(below), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
                 for _ in range(rng.randint(0, 2))] if below else []
         return ComPoly.from_terms([(lead, 1)] + tail)
@@ -387,11 +384,11 @@ def random_relations(rng, with_one):
     G = [relation(rng.choice(ms)) for _ in range(rng.randint(3, 6))]
     G.append(relation(G[0].leading()))
     first = G[1].leading().factors[0]
-    G.append(relation(ComMonomial((first, rng.choice([s for s in POOL if s >= first])))))
+    G.append(relation(ComMonomial((first, rng.choice([s for s in POOL if s.key >= first.key])))))
     twin = rng.choice(G)
     G.append(ComPoly.from_terms(twin.sorted_terms()))
     if with_one:
-        G.append(ComPoly.monomial(COM_ONE))
+        G.append(ComPoly.monomial(mono()))
     rng.shuffle(G)
     return G
 

@@ -426,7 +426,9 @@ class TestSeriesProductAgainstNaive:
         rng = random.Random(59)
         for _ in range(150):
             N = rng.randint(1, 7)
-            s, u = random_series(rng, N, max_terms=3), random_series(rng, N, max_terms=3)
+            # Sums of two draws, so a coefficient can have up to four terms.
+            s = random_series(rng, N) + random_series(rng, N)
+            u = random_series(rng, N) + random_series(rng, N)
             got = series_product(s, u, N)
             assert got == naive_product(s, u, N)
             assert exact_coefficients(got)
@@ -684,7 +686,7 @@ class TestRandomInputs:
     def test_random_series_bounds(self):
         rng = random.Random(3)
         for _ in range(40):
-            s = random_series(rng, 5, max_terms=2)
+            s = random_series(rng, 5)
             assert all(1 <= n <= 5 for n in exponents(s))
             assert all(len(s.coeff(n).terms) <= 2 for n in exponents(s))
 

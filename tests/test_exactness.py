@@ -166,8 +166,8 @@ class TestMagmaPolyArithmetic:
 
 def test_word_products_and_conversions(ab2):
     x, y = ab2.letters
-    half_x = ZinbElement.word([x], Fraction(1, 2))
-    two_y = ZinbElement.word([y], 2)
+    half_x = ZinbElement.monomial([x], Fraction(1, 2))
+    two_y = ZinbElement.monomial([y], 2)
     for r in (zinbiel_product(half_x, two_y), star(half_x, two_y)):
         assert_exact(r)
         assert all(type(c) is int for c in r.terms.values()), r

@@ -8,8 +8,7 @@ import pytest
 from precom import (
     Alphabet,
     MagmaPoly,
-    bracket,
-    compare_words,
+    comb,
     leaf,
     magma_product,
     node,
@@ -24,11 +23,16 @@ def words_upto(ab, n):
     return out
 
 
+def cmp(u, v):
+    """-1, 0 or +1 as ``u`` is below, equal to or above ``v`` by ``key``."""
+    return (u.key > v.key) - (u.key < v.key)
+
+
 def recursive_compare(u, v):
     """Independent word comparison, straight off the weight definition."""
     if u.length != v.length:
         return -1 if u.length < v.length else 1
-    if u.is_leaf and v.is_leaf:
+    if u.letter is not None and v.letter is not None:
         if u.letter.rank == v.letter.rank:
             return 0
         return -1 if u.letter.rank < v.letter.rank else 1
@@ -47,7 +51,7 @@ def random_word(rng, ab, n):
 
 def flip_leaf(w, i, ab):
     """``w`` with its ``i``-th leaf (from the left) replaced by another letter."""
-    if w.is_leaf:
+    if w.letter is not None:
         return leaf(ab.letters[(w.letter.rank + 1) % len(ab)])
     k = w.left.length
     if i < k:
@@ -93,7 +97,7 @@ class TestWords:
         assert node(node(x, y), x).length == 3
 
     def test_leaves(self, ab3):
-        w = bracket([ab3["x"], ab3["z"], ab3["y"]], "left")
+        w = comb([ab3["x"], ab3["z"], ab3["y"]])
         assert w.leaves() == (ab3["x"], ab3["z"], ab3["y"])
 
     def test_subtrees_preorder(self, ab3):
@@ -120,59 +124,51 @@ class TestWords:
 
 
 class TestBracket:
+    """The left bracketing of a letter sequence, built by ``comb``."""
+
     def test_left(self, ab3):
         x, y, z = ab3["x"], ab3["y"], ab3["z"]
-        w = bracket([x, y, z], "left")
+        w = comb([x, y, z])
         assert w == node(node(leaf(x), leaf(y)), leaf(z))
 
-    def test_right(self, ab3):
-        x, y, z = ab3["x"], ab3["y"], ab3["z"]
-        w = bracket([x, y, z], "right")
-        assert w == node(leaf(x), node(leaf(y), leaf(z)))
-
     def test_single_letter(self, ab2):
-        assert bracket([ab2["x"]], "left") is leaf(ab2["x"])
-        assert bracket([ab2["x"]], "right") is leaf(ab2["x"])
+        assert comb([ab2["x"]]) is leaf(ab2["x"])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            bracket([], "left")
-
-    def test_bad_direction(self, ab2):
-        with pytest.raises(ValueError, match="direction"):
-            bracket([ab2["x"]], "up")
+            comb([])
 
 
 class TestOrder:
     def test_letters_by_rank(self, ab2):
-        assert compare_words(leaf(ab2["x"]), leaf(ab2["y"])) == -1
+        assert cmp(leaf(ab2["x"]), leaf(ab2["y"])) == -1
 
     def test_right_nesting_beats_left(self, ab3):
         x, y, z = (leaf(ab3[n]) for n in "xyz")
-        assert compare_words(node(x, node(y, z)), node(node(x, y), z)) == 1
+        assert cmp(node(x, node(y, z)), node(node(x, y), z)) == 1
 
     def test_right_factor_decides(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        assert compare_words(node(x, y), node(y, x)) == 1
+        assert cmp(node(x, y), node(y, x)) == 1
 
     def test_shorter_is_smaller(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        assert compare_words(node(x, node(y, y)), node(y, x)) == 1
-        assert compare_words(y, node(x, x)) == -1
+        assert cmp(node(x, node(y, y)), node(y, x)) == 1
+        assert cmp(y, node(x, x)) == -1
 
     def test_matches_recursive_definition(self, ab2):
         ws = words_upto(ab2, 4)
         for u in ws:
             for v in ws:
-                assert compare_words(u, v) == recursive_compare(u, v)
+                assert cmp(u, v) == recursive_compare(u, v)
 
     def test_total_on_length_five(self, ab2):
         rng = random.Random(7)
         ws = words_of_length(ab2, 5)
         for _ in range(2000):
             u, v = rng.choice(ws), rng.choice(ws)
-            c = compare_words(u, v)
-            assert c == -compare_words(v, u)
+            c = cmp(u, v)
+            assert c == -cmp(v, u)
             assert (c == 0) == (u is v)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 66, 130])
@@ -186,32 +182,32 @@ class TestOrder:
         for u in ws:
             for v in ws:
                 want = recursive_compare(u, v)
-                assert compare_words(u, v) == want
-                assert (u < v, u > v, u <= v, u >= v) == (want < 0, want > 0,
-                                                          want <= 0, want >= 0)
-                assert (u.key < v.key, u.key == v.key) == (want < 0, want == 0)
+                assert cmp(u, v) == want
+                assert (u.key < v.key, u.key > v.key, u.key <= v.key,
+                        u.key >= v.key, u.key == v.key) \
+                    == (want < 0, want > 0, want <= 0, want >= 0, want == 0)
 
     def test_deep_combs_compare_without_recursion(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         lo, hi = x, y
         for _ in range(3000):
             lo, hi = node(x, lo), node(x, hi)
-        assert compare_words(lo, hi) == -1
-        assert lo < hi and hi > lo and lo.key != hi.key
-        assert lo.key < hi.key and hi.key > lo.key and lo.key <= lo.key
+        assert cmp(lo, hi) == -1
+        assert lo.key != hi.key and lo.key <= lo.key
+        assert lo.key < hi.key and hi.key > lo.key
         assert sorted([hi, x, lo], key=lambda w: w.key) == [x, lo, hi]
 
     def test_multiplicative(self, ab2):
         ws = words_upto(ab2, 3)
         for i, u in enumerate(ws):
             for v in ws[i + 1:]:
-                if compare_words(u, v) >= 0:
+                if cmp(u, v) >= 0:
                     u, v = v, u
                 if u is v:
                     continue
                 for w in ws:
-                    assert compare_words(node(w, u), node(w, v)) == -1
-                    assert compare_words(node(u, w), node(v, w)) == -1
+                    assert cmp(node(w, u), node(w, v)) == -1
+                    assert cmp(node(u, w), node(v, w)) == -1
 
 
 class TestWordsOfLength:

@@ -38,7 +38,7 @@ def wd(ab, names):
 
 
 def el(ab, names, coeff=1):
-    return ZinbElement.word(wd(ab, names), coeff)
+    return ZinbElement.monomial(wd(ab, names), coeff)
 
 
 def all_awords(ab, n):
@@ -87,7 +87,7 @@ class TestShuffle:
 
     def test_deep_word_needs_no_recursion(self, ab2):
         x = ab2["x"]
-        assert shuffle_product((x,) * 1200, (x,)) == ZinbElement.word((x,) * 1201, 1201)
+        assert shuffle_product((x,) * 1200, (x,)) == ZinbElement.monomial((x,) * 1201, 1201)
 
 
 class TestZinbielProduct:
@@ -110,7 +110,7 @@ class TestZinbielProduct:
 
     def test_defining_identity_exhaustive(self, ab2):
         for a, b, c in triples_up_to(ab2, 6):
-            fa, fb, fc = (ZinbElement.word(w) for w in (a, b, c))
+            fa, fb, fc = (ZinbElement.monomial(w) for w in (a, b, c))
             left = zinbiel_product(fa, zinbiel_product(fb, fc))
             right = zinbiel_product(zinbiel_product(fa, fb), fc) \
                 + zinbiel_product(zinbiel_product(fb, fa), fc)
@@ -121,7 +121,7 @@ class TestZinbielProduct:
         for _ in range(200):
             ws = [tuple(rng.choice(ab3.letters) for _ in range(rng.randint(1, 4)))
                   for _ in range(3)]
-            fa, fb, fc = (ZinbElement.word(w) for w in ws)
+            fa, fb, fc = (ZinbElement.monomial(w) for w in ws)
             left = zinbiel_product(fa, zinbiel_product(fb, fc))
             right = zinbiel_product(zinbiel_product(fa, fb), fc) \
                 + zinbiel_product(zinbiel_product(fb, fa), fc)
@@ -179,7 +179,7 @@ class TestKernelOracle:
         ws = self.words(ab3)
         for u in ws:
             for v in ws:
-                fu, fv = ZinbElement.word(u), ZinbElement.word(v)
+                fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
                 got = zinbiel_product(fu, fv)
                 assert got.terms == brute_zinbiel(fu, fv), (u, v)
                 assert all(type(c) is int for c in got.terms.values())
@@ -210,7 +210,7 @@ def old_tensor_mul(P, s, t):
     out = Counter()
     for (i, u), a in s.items():
         for (j, v), b in t.items():
-            eu, ev = ZinbElement.word(u, a), ZinbElement.word(v, b)
+            eu, ev = ZinbElement.monomial(u, a), ZinbElement.monomial(v, b)
             for pidx, prod in ((P.product(i, j), zinbiel_product(eu, ev)),
                                (P.product(j, i), zinbiel_product(ev, eu))):
                 for w, c in prod.terms.items():
@@ -263,19 +263,19 @@ class TestStar:
         assert star(el(ab3, "x"), el(ab3, "yz")) == shuffle_product(wd(ab3, "x"), wd(ab3, "yz"))
         for u in all_awords(ab3, 2):
             for v in all_awords(ab3, 2):
-                assert star(ZinbElement.word(u), ZinbElement.word(v)) == shuffle_product(u, v)
+                assert star(ZinbElement.monomial(u), ZinbElement.monomial(v)) == shuffle_product(u, v)
 
     def test_commutative(self, ab2):
         for total in range(2, 7):
             for i in range(1, total):
                 for u in all_awords(ab2, i):
                     for v in all_awords(ab2, total - i):
-                        fu, fv = ZinbElement.word(u), ZinbElement.word(v)
+                        fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
                         assert star(fu, fv) == star(fv, fu)
 
     def test_associative(self, ab2):
         for a, b, c in triples_up_to(ab2, 6):
-            fa, fb, fc = (ZinbElement.word(w) for w in (a, b, c))
+            fa, fb, fc = (ZinbElement.monomial(w) for w in (a, b, c))
             assert star(star(fa, fb), fc) == star(fa, star(fb, fc))
 
 
@@ -306,7 +306,7 @@ class TestCombConversion:
                     for v in all_awords(ab2, total - i):
                         trees = magma_product(
                             MagmaPoly.monomial(comb(u)), MagmaPoly.monomial(comb(v)))
-                        want = zinbiel_product(ZinbElement.word(u), ZinbElement.word(v))
+                        want = zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
                         assert to_left_comb(trees) == want, (u, v)
 
     def test_degree_dimensions_match_irreducibles(self, ab2):
@@ -318,7 +318,7 @@ class TestCombConversion:
 class TestZinbElement:
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
-            ZinbElement.word(())
+            ZinbElement.monomial(())
 
     def test_arithmetic(self, ab2):
         f = el(ab2, "x") + el(ab2, "x")
