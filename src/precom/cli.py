@@ -8,8 +8,9 @@ Verbs: ``reduce`` (normal forms), ``complete`` (bounded completion),
 Every verb takes ``--json`` for a machine-readable report with the fields
 {command, parameters, status, counts, failures, timings}; ``verify
 zinbiel`` and ``verify trivial-envelope`` add ``stats`` (the ambiguities
-discharged by the composition criteria).  Timings are
-null unless ``--timings`` is given, so identical inputs produce
+discharged by the composition criteria), and ``complete`` adds ``stats``
+with the instances it built and the composition sites it reduced.
+Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
 """
@@ -61,68 +62,77 @@ from .sexpr import (
 from .shuffle import PermAlgebra, ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
 
 _VERIFY_TARGETS = ("zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm")
+_VERBS = ("reduce", "complete", "irr", "zmul", "verify", "embed")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verbs=_VERBS):
+    """The parser with the subparsers of ``verbs``, and those subparsers
+    by verb.  :func:`main` builds only the verb that argv names, when it
+    names one; the usage line lists every verb either way."""
     parser = argparse.ArgumentParser(
         prog="precom",
         description="Exact rewriting in free pre-commutative algebras and "
                     "power-series embeddings of filtered commutative algebras.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a structured JSON report")
-    common.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in the report")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(
+        dest="verb", required=True, prog="precom",
+        metavar=None if verbs == _VERBS else "{%s}" % ",".join(_VERBS))
 
-    p = sub.add_parser("reduce", parents=[common],
-                       help="normal form of a tree polynomial modulo relations")
-    p.add_argument("--relations", required=True, help="relation file")
-    p.add_argument("--input", required=True, help="word or polynomial S-expression")
+    def verb_parser(verb: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(verb, help=summary)
+        p.add_argument("--json", action="store_true", help="emit a structured JSON report")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report")
+        return p
 
-    p = sub.add_parser("complete", parents=[common],
-                       help="bounded completion of a relation set")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--interreduce", action="store_true",
-                   help="minimalize and tail-reduce the completed set")
+    if "reduce" in verbs:
+        p = verb_parser("reduce", "normal form of a tree polynomial modulo relations")
+        p.add_argument("--relations", required=True, help="relation file")
+        p.add_argument("--input", required=True, help="word or polynomial S-expression")
 
-    p = sub.add_parser("irr", parents=[common],
-                       help="irreducible words modulo a relation set")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--words", action="store_true", help="list the words, not just counts")
+    if "complete" in verbs:
+        p = verb_parser("complete", "bounded completion of a relation set")
+        p.add_argument("--relations", required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--interreduce", action="store_true",
+                       help="minimalize and tail-reduce the completed set")
 
-    p = sub.add_parser("zmul", parents=[common],
-                       help="product of dotted words in the free pre-commutative algebra")
-    p.add_argument("--left", required=True, help="dotted word, e.g. x.y")
-    p.add_argument("--right", required=True)
-    p.add_argument("--star", action="store_true",
-                   help="symmetrized product instead of the one-sided one")
-    p.add_argument("--letters", default=None,
-                   help="comma-separated alphabet order (default: sorted names)")
+    if "irr" in verbs:
+        p = verb_parser("irr", "irreducible words modulo a relation set")
+        p.add_argument("--relations", required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--words", action="store_true", help="list the words, not just counts")
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification driver")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
-    p.add_argument("--letters", type=int, default=None, help="alphabet size")
-    p.add_argument("--bound", type=int, default=None, help="ambiguity/length bound")
-    p.add_argument("--no-completion", action="store_true",
-                   help="trivial-envelope: skip the completion cross-check")
-    p.add_argument("--m-max", type=int, default=None, help="odd-even: odd length cap")
-    p.add_argument("--k-max", type=int, default=None, help="odd-even: even length cap")
-    p.add_argument("--algebra", default=None, help="collapse: algebra JSON file")
-    p.add_argument("--count", type=int, default=None, help="rb: number of random trials")
-    p.add_argument("--max-n", type=int, default=None, help="rb: max truncation degree")
-    p.add_argument("--dim", type=int, default=None, help="perm: Perm-algebra dimension")
-    p.add_argument("--triples", type=int, default=None, help="perm: number of triples")
-    p.add_argument("--max-degree", type=int, default=None, help="perm: element degree cap")
-    p.add_argument("--seed", type=int, default=0, help="random seed (rb, perm)")
+    if "zmul" in verbs:
+        p = verb_parser("zmul", "product of dotted words in the free pre-commutative algebra")
+        p.add_argument("--left", required=True, help="dotted word, e.g. x.y")
+        p.add_argument("--right", required=True)
+        p.add_argument("--star", action="store_true",
+                       help="symmetrized product instead of the one-sided one")
+        p.add_argument("--letters", default=None,
+                       help="comma-separated alphabet order (default: sorted names)")
 
-    p = sub.add_parser("embed", parents=[common],
-                       help="verify the power-series embedding of a filtered algebra")
-    p.add_argument("--algebra", required=True, help="algebra JSON file")
-    p.add_argument("--N", type=int, required=True, help="truncation degree")
-    return parser
+    if "verify" in verbs:
+        p = verb_parser("verify", "run a verification driver")
+        p.add_argument("target", choices=_VERIFY_TARGETS)
+        p.add_argument("--letters", type=int, default=None, help="alphabet size")
+        p.add_argument("--bound", type=int, default=None, help="ambiguity/length bound")
+        p.add_argument("--no-completion", action="store_true",
+                       help="trivial-envelope: skip the completion cross-check")
+        p.add_argument("--m-max", type=int, default=None, help="odd-even: odd length cap")
+        p.add_argument("--k-max", type=int, default=None, help="odd-even: even length cap")
+        p.add_argument("--algebra", default=None, help="collapse: algebra JSON file")
+        p.add_argument("--count", type=int, default=None, help="rb: number of random trials")
+        p.add_argument("--max-n", type=int, default=None, help="rb: max truncation degree")
+        p.add_argument("--dim", type=int, default=None, help="perm: Perm-algebra dimension")
+        p.add_argument("--triples", type=int, default=None, help="perm: number of triples")
+        p.add_argument("--max-degree", type=int, default=None, help="perm: element degree cap")
+        p.add_argument("--seed", type=int, default=0, help="random seed (rb, perm)")
+
+    if "embed" in verbs:
+        p = verb_parser("embed", "verify the power-series embedding of a filtered algebra")
+        p.add_argument("--algebra", required=True, help="algebra JSON file")
+        p.add_argument("--N", type=int, required=True, help="truncation degree")
+    return parser, sub.choices
 
 
 # For each verify target: the flags it requires, then the other flags it
@@ -137,17 +147,16 @@ _VERIFY_FLAGS = {
 }
 
 
-def _check_verify_flags(args, parser: argparse.ArgumentParser) -> None:
+def _check_verify_flags(args, verify: argparse.ArgumentParser) -> None:
     required, optional = _VERIFY_FLAGS[args.target]
     values = vars(args)
     missing = [f for f in required if values[f.replace("-", "_")] is None]
     if missing:
         raise ValueError("verify %s requires %s"
                          % (args.target, ", ".join("--" + f for f in missing)))
-    # What every flag holds when it is not given.
-    defaults = vars(parser.parse_args(["verify", args.target]))
-    read = {f.replace("-", "_") for f in required + optional} | {"json", "timings"}
-    unread = [k for k, v in values.items() if k not in read and v != defaults[k]]
+    read = ({f.replace("-", "_") for f in required + optional}
+            | {"verb", "target", "json", "timings"})
+    unread = [k for k, v in values.items() if k not in read and v != verify.get_default(k)]
     if unread:
         raise ValueError("verify %s does not read %s"
                          % (args.target, ", ".join("--" + k.replace("_", "-")
@@ -195,14 +204,15 @@ def _handle_reduce(args):
 
 def _handle_complete(args):
     alphabet, relations = _load_relations(args.relations)
-    done = complete(relations, args.bound)
+    stats: dict = {}
+    done = complete(relations, args.bound, stats)
     if args.interreduce:
         done = interreduce(done)
     counts = irreducible_counts(done, alphabet, args.bound)
     text = format_relations(alphabet, done)
     report = {"status": "ok", "counts": counts, "failures": [],
               "relations_file": text,
-              "relation_count": len(done)}
+              "relation_count": len(done), "stats": stats}
     lines = [text.rstrip("\n"), "irreducible counts: %s" % counts, "status: ok"]
     return 0, report, lines
 
@@ -394,12 +404,15 @@ def _parameters(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, a missing verb and an unknown one list every verb.
+    verbs = (argv[0],) if argv and argv[0] in _VERBS else _VERBS
+    parser, subparsers = _build_parser(verbs)
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         if args.verb == "verify":
-            _check_verify_flags(args, parser)
+            _check_verify_flags(args, subparsers["verify"])
         code, report, lines = _HANDLERS[args.verb](args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

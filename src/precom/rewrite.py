@@ -12,17 +12,16 @@ family can match a given word structurally (for reduction, no
 instantiation needed) and can enumerate every instance whose leading
 monomial fits under a length bound (for composition search).
 
-Each schema also declares which compositions with its instances can be
-nontrivial, and :func:`verify_gsb` and :func:`complete` reduce only
-those.  Two criteria discharge the rest, both trivial by Shirshov's
-composition lemma: a composition of two instances of one schema that is
-a Groebner-Shirshov basis by itself (``self_gsb``), and a composition at
-a subword that the outer instance's schema does not list in
-:meth:`RelationSchema.site_subwords`.  The Zinbiel family a(bc) is a
-basis by itself and lists only the root and the right factor bc, since
-a site inside a, b or c is trivial; every other schema lists every
-subword.  The criteria apply only to instances that a schema of the set
-produced, so an explicit relation keeps all of its sites.
+:func:`verify_gsb` and :func:`complete` reduce only the compositions that
+can be nontrivial.  An explicit relation or a tail-family instance is the
+outer relation at every subword of its leading word.  The Zinbiel family
+a(bc) builds no instances: it is a Groebner-Shirshov basis by itself and
+a composition inside its variables a, b or c is trivial by Shirshov's
+composition lemma (see :class:`ZinbielFamily`), so its only such sites
+have another relation g as the inner one, with g's leading word u at the
+root, or u as the right factor of a(u) for every word a that fits under
+the bound.  These sites are formed from g's side, and the trivial ones
+are counted by length without being built.
 
 Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
@@ -133,18 +132,8 @@ class RelationSchema:
     enumerating its instances does.
     """
 
-    # True when the instances alone form a Groebner-Shirshov basis, so
-    # that a composition of two of them is trivial.
-    self_gsb = False
-
     def __init__(self, alphabet: Optional[Alphabet] = None):
         self.alphabet = alphabet
-
-    def site_subwords(self, lead: NaWord):
-        """(path, subword) pairs of an instance's leading word ``lead`` where
-        a composition with another relation can be nontrivial, in preorder,
-        the root first."""
-        return lead.subtrees()
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         """The instance whose leading monomial is ``word``, if any."""
@@ -206,29 +195,22 @@ class ZinbielFamily(RelationSchema):
     whose leading words all lie below a(bc), and likewise inside b or c.
     Such a composition is trivial by Shirshov's composition lemma (Bokut
     and Chen 2014), so sites can be nontrivial only at the root and at the
-    right factor bc.
+    right factor bc, and only with an inner relation from outside the
+    family (every copy of the family in a set counts as the family).
+
+    :func:`verify_gsb` and :func:`complete` therefore build no instance
+    of the family.  They start from each inner relation g instead, with
+    leading word u: the root site at u when the family matches u, and the
+    right-factor site of a(u) for every word a with |a| + |u| <= bound.
     """
 
-    self_gsb = True
-
-    def site_subwords(self, lead: NaWord):
-        return (((), lead), ((RIGHT,), lead.right))
-
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
-        if word.letter is not None:
-            return None
         bc = word.right
-        if bc.letter is not None:
+        if bc is None or bc.letter is not None:
             return None
         a, b, c = word.left, bc.left, bc.right
-        terms = {word: 1}
-        for w in (node(node(a, b), c), node(node(b, a), c)):
-            nc = terms.get(w, 0) - 1
-            if nc:
-                terms[w] = nc
-            else:
-                del terms[w]
-        return MagmaPoly._raw(terms)
+        ab, ba = node(node(a, b), c), node(node(b, a), c)
+        return MagmaPoly._raw({word: 1, ab: -2} if ab is ba else {word: 1, ab: -1, ba: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +224,9 @@ class _RedexIndex:
     ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
     of :meth:`reduce` per word, for the life of the index or until
     :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
-    by word is exact.
+    by word is exact.  ``longest`` bounds the length of every word in
+    either memo: rewriting never lengthens a word, and each word is
+    looked up through :meth:`redex` before it is memoized.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
@@ -257,14 +241,22 @@ class _RedexIndex:
         self._next_pos = len(self.schemas)
         self.first: dict[NaWord, Optional[tuple]] = {}
         self.nf: dict[NaWord, Optional[dict]] = {}
+        self.longest = 0
 
     def add_explicit(self, poly: MagmaPoly) -> int:
         pos = self._next_pos
         self._next_pos += 1
-        self.explicit.setdefault(poly.leading(), []).append((pos, poly))
-        # The new leading word may sit earlier in preorder than a cached
-        # redex, so every entry is stale, not only the irreducible ones.
-        self.first.clear()
+        lead = poly.leading()
+        self.explicit.setdefault(lead, []).append((pos, poly))
+        # A memoized word no longer than the new leading word contains it
+        # only if it is that word, so the other redexes stand.  Otherwise
+        # the new leading word may sit earlier in preorder than a cached
+        # redex.  A normal form may hold the new leading word as a term.
+        if lead.length >= self.longest:
+            self.first.pop(lead, None)
+        else:
+            self.first.clear()
+            self.longest = 0
         self.nf.clear()
         return pos
 
@@ -296,6 +288,8 @@ class _RedexIndex:
         hit = memo.get(word, memo)
         if hit is not memo:
             return hit
+        if word.length > self.longest:
+            self.longest = word.length
         find = self.find
         stack = [(word, 0)]
         while stack:
@@ -421,53 +415,119 @@ class GsbReport:
         return not self.failures
 
 
-def _instantiate(index: _RedexIndex,
-                 bound: int) -> list[tuple[MagmaPoly, RelationSchema]]:
-    """All instances of the index's schemas with leading length <= bound,
-    in schema order then enumeration order (the creation index is the list
-    position), each with the schema that produced it.  An instance that an
-    earlier schema also produces is left out: that schema matches its
-    leading word with an equal polynomial."""
-    out: list[tuple[MagmaPoly, RelationSchema]] = []
-    for pos, s in enumerate(index.schemas):
-        families = [fam for fpos, fam in index.families if fpos < pos]
-        for p in s.instances(bound):
-            lead = p.leading()
-            if any(fam.match(lead) == p for fam in families):
-                continue
-            if any(q == p for qpos, q in index.explicit.get(lead, ()) if qpos < pos):
-                continue
-            out.append((p, s))
-    return out
+def _shadowed(index: _RedexIndex, pos: int, p: MagmaPoly) -> bool:
+    """Whether a schema before position ``pos`` matches p's leading word
+    with a polynomial equal to p; p is then that schema's instance."""
+    lead = p.leading()
+    return (any(fam.match(lead) == p for fpos, fam in index.families if fpos < pos)
+            or any(q == p for qpos, q in index.explicit.get(lead, ()) if qpos < pos))
 
 
-def _sites(fi: int, f: MagmaPoly, schema: RelationSchema, index: _RedexIndex):
-    """The composition sites of instance ``f`` of ``schema`` (creation
-    index ``fi``) as the outer relation that can be nontrivial, keyed for
-    :func:`_pair_compositions` order: each subword that the schema's
-    :meth:`~RelationSchema.site_subwords` lists, with each relation of the
-    index that matches it, except the schema itself when it is
-    self-GSB."""
-    fl = f.leading()
-    own = schema if schema.self_gsb else None
-    for path, sub in schema.site_subwords(fl):
-        matches = [(gpos, fam.match(sub)) for gpos, fam in index.families
-                   if fam is not own]
-        matches += index.explicit.get(sub, ())
-        for gpos, g in matches:
-            if g is not None and (path or g != f):
-                yield (fl.length, fl.key, fi, gpos, path, f, g)
+class _Sites:
+    """The composition sites that can be nontrivial with ambiguity length
+    <= bound, over one redex index.
 
+    A site is the tuple (ambiguity length, ambiguity key, position of f's
+    schema, position of g's schema, path, ambiguity word, g); the first
+    five entries are unique, so sites sort and heap on them.  The outer
+    relation f is its schema's match at the ambiguity word, rebuilt when
+    the site is reduced.  At one ambiguity word each schema has at most one
+    instance, so f's schema position orders the outer instances as they
+    are created: the schemas in list order, then the added relations.
+    """
 
-def _pair_compositions(insts: list[tuple[MagmaPoly, RelationSchema]],
-                       index: _RedexIndex):
-    """Composition sites among instances that can be nontrivial, sorted by
-    (ambiguity length, ambiguity word, creation index of f, schema position
-    of g, path)."""
-    comps = [site for fi, (f, s) in enumerate(insts)
-             for site in _sites(fi, f, s, index)]
-    comps.sort(key=lambda t: t[:5])
-    return comps
+    def __init__(self, index: _RedexIndex, bound: int):
+        self.index = index
+        self.bound = bound
+        # Every instance of every schema but the Zinbiel family, with the
+        # schema's position, in schema order then enumeration order.
+        self.instances = [(pos, p) for pos, s in enumerate(index.schemas)
+                          if not isinstance(s, ZinbielFamily) for p in s.instances(bound)]
+        # The outer instances leave out those that an earlier schema
+        # produces too.
+        self.outer = [(pos, p) for pos, p in self.instances if not _shadowed(index, pos, p)]
+        self.zinbiel = next(((pos, fam) for pos, fam in index.families
+                             if isinstance(fam, ZinbielFamily)), None)
+        # The words whose family instance an earlier schema produces.
+        self.shadow: set[NaWord] = set()
+        if self.zinbiel is not None:
+            zpos, z = self.zinbiel
+            if z.alphabet is None:
+                raise ValueError("family cannot enumerate instances without an alphabet")
+            self.shadow = {p.leading() for pos, p in self.instances
+                           if pos < zpos and z.match(p.leading()) == p}
+
+    def of_outer(self, fpos: int, f: MagmaPoly):
+        """The sites with instance ``f`` of the schema at ``fpos`` as the
+        outer relation: each subword of its leading word with each
+        relation matching it, except f itself at the root."""
+        fl = f.leading()
+        index = self.index
+        for path, sub in fl.subtrees():
+            matches = [(gpos, fam.match(sub)) for gpos, fam in index.families]
+            matches += index.explicit.get(sub, ())
+            for gpos, g in matches:
+                if g is not None and (path or g != f):
+                    yield (fl.length, fl.key, fpos, gpos, path, fl, g)
+
+    def of_inner(self, gpos: int, g: MagmaPoly):
+        """The sites with a Zinbiel instance as the outer relation and
+        ``g`` of the schema at ``gpos`` as the inner one: at g's leading
+        word u when the family matches it, and at the right factor of a(u)
+        for every word a with |a| + |u| <= bound."""
+        if self.zinbiel is None:
+            return
+        zpos, z = self.zinbiel
+        u = g.leading()
+        if u not in self.shadow:
+            f = z.match(u)
+            if f is not None and f != g:
+                yield (u.length, u.key, zpos, gpos, (), u, g)
+        if u.letter is None:
+            for n in range(1, self.bound - u.length + 1):
+                for a in words_of_length(z.alphabet, n):
+                    w = node(a, u)
+                    if w not in self.shadow:
+                        yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
+
+    def initial(self) -> list:
+        """Every site among the instances, sorted."""
+        sites = [site for pos, f in self.outer for site in self.of_outer(pos, f)]
+        sites += [site for pos, g in self.instances for site in self.of_inner(pos, g)]
+        sites.sort()
+        return sites
+
+    def below_root(self) -> int:
+        """The number of sites strictly below the root of an outer
+        instance's leading word, formed or not: one per subword of either
+        factor and relation matching that subword.  The Zinbiel family's
+        are counted by length, from the number of words and the number of
+        (subword, relation) matches over the words of each length."""
+        index = self.index
+        within: dict[NaWord, int] = {}
+        total = sum(_matches_within(w, index, within)
+                    for _, f in self.outer if f.leading().letter is None
+                    for w in (f.leading().left, f.leading().right))
+        if self.zinbiel is None:
+            return total
+        top = self.bound
+        words = [0, len(self.zinbiel[1].alphabet)]
+        for n in range(2, top + 1):
+            words.append(sum(words[i] * words[n - i] for i in range(1, n)))
+        copies = sum(isinstance(fam, ZinbielFamily) for _, fam in index.families)
+        matched = [0] * (top + 1)
+        for _, p in self.instances:
+            matched[p.leading().length] += 1
+        for n in range(1, top + 1):
+            # The family matches the words whose right factor is compound.
+            matched[n] += copies * sum(words[i] * words[n - i] for i in range(1, n - 1))
+            matched[n] += sum(matched[i] * words[n - i] + words[i] * matched[n - i]
+                              for i in range(1, n))
+        # Over the words a(u) with u compound: the matches within a and u.
+        total += sum(matched[i] * words[j] + words[i] * matched[j]
+                     for i in range(1, top) for j in range(2, top + 1 - i))
+        return total - sum(_matches_within(w.left, index, within)
+                           + _matches_within(w.right, index, within) for w in self.shadow)
 
 
 def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
@@ -491,98 +551,94 @@ def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
 def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     """Check triviality of every composition with ambiguity length <= bound.
 
-    Instantiates each schema up to the bound and forms the inclusion
-    compositions among the instances.  Two kinds of site are trivial by
-    Shirshov's composition lemma and are counted as checked and
-    ``discharged`` without reduction: a site of two instances of one
-    self-GSB schema, and a site outside an instance's
-    :meth:`~RelationSchema.site_subwords` (for the Zinbiel family, inside
-    its variables a, b and c).  Every other site is reduced; reductions
-    only ever rewrite monomials strictly below the ambiguity, so a zero
-    normal form witnesses triviality.  The verdict is the same as reducing
-    every site, since the set is a Groebner-Shirshov basis up to the bound
-    exactly when every composition is trivial, but a failing set may list
-    fewer failures.
+    Forms the inclusion compositions among the instances of the schemas.
+    Two kinds of site are trivial by Shirshov's composition lemma and are
+    counted as checked and ``discharged`` without being formed: a site of
+    two Zinbiel instances, and a site inside the variables a, b and c of a
+    Zinbiel instance (see :class:`ZinbielFamily`).  Every other site is
+    reduced; reductions only ever rewrite monomials strictly below the
+    ambiguity, so a zero normal form witnesses triviality.  The verdict is
+    the same as reducing every site, since the set is a Groebner-Shirshov
+    basis up to the bound exactly when every composition is trivial, but a
+    failing set may list fewer failures.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     index = _RedexIndex(list(relations))
-    insts = _instantiate(index, bound)
-    sites = _pair_compositions(insts, index)
-    # Every site below the root, reduced or not, minus those reduced.  The
-    # root is always listed, so no root site is discharged.
-    within: dict[NaWord, int] = {}
-    below = sum(_matches_within(w, index, within)
-                for f, _ in insts if f.leading().letter is None
-                for w in (f.leading().left, f.leading().right))
-    discharged = below - sum(1 for site in sites if site[4])
+    search = _Sites(index, bound)
+    sites = search.initial()
+    # Every site below the root, reduced or not, minus those reduced.  No
+    # root site is discharged.
+    discharged = search.below_root() - sum(1 for site in sites if site[4])
     failures: list[CompositionFailure] = []
-    for _, _, fi, gpos, path, f, g in sites:
-        h = f - substitute(f.leading(), path, g)
-        nf = index.reduce(h.terms)
+    for _, _, fpos, _, path, w, g in sites:
+        f = index.schemas[fpos].match(w)
+        nf = index.reduce((f - substitute(w, path, g)).terms)
         if nf:
-            failures.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
+            failures.append(CompositionFailure(f, g, w, MagmaPoly._raw(nf)))
     return GsbReport(len(sites) + discharged, failures, discharged)
 
 
-def complete(relations: Iterable[RelationSchema], bound: int) -> list[RelationSchema]:
+def complete(relations: Iterable[RelationSchema], bound: int,
+             stats: Optional[dict] = None) -> list[RelationSchema]:
     """Bounded Shirshov completion.
 
     Keeps one heap of the composition sites with ambiguity length <=
-    bound that can be nontrivial, in :func:`_pair_compositions` order,
-    and reduces each site once; the sites that :func:`verify_gsb`
-    discharges are never formed.  A nonzero normal form becomes a new
-    monic explicit relation at once: it joins the redex index and only
-    its own sites are pushed, as the outer relation f (the subwords of
-    its leading word that some relation matches) and as the inner
-    relation g (every instance with its leading word at one of that
-    instance's :meth:`~RelationSchema.site_subwords`).  A composition
-    trivial modulo a set stays trivial modulo any larger set, so the
-    returned set is confluent up to the bound.
+    bound that can be nontrivial, and reduces each site once; the sites
+    that :func:`verify_gsb` discharges are never formed.  A nonzero normal
+    form becomes a new monic explicit relation at once: it joins the redex
+    index and only its own sites are pushed, as the outer relation f (the
+    subwords of its leading word that some relation matches) and as the
+    inner relation g (every instance with its leading word below the root,
+    and the Zinbiel sites of its leading word).  A composition trivial
+    modulo a set stays trivial modulo any larger set, so the returned set
+    is confluent up to the bound.  A ``stats`` dict receives the number of
+    ``instances`` built from the input schemas and of ``sites`` reduced.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     work = list(relations)
     index = _RedexIndex(work)
-    insts = _instantiate(index, bound)
-    # Subword -> creation indices of the instances whose leading word has
-    # it at a site subword below the root; the paths are found again only
-    # when a site is pushed.  A new relation's leading word is irreducible,
-    # so it is never the leading word of an instance, which its own schema
-    # rewrites.
-    containing: dict[NaWord, list[int]] = {}
+    search = _Sites(index, bound)
+    # Subword -> (schema position, leading word) of the outer instances
+    # whose leading word has it below the root; the paths are found again
+    # only when a site is pushed.  A new relation's leading word is
+    # irreducible, so it is never the leading word of an instance, which
+    # its own schema rewrites.
+    containing: dict[NaWord, list[tuple[int, NaWord]]] = {}
 
-    def note_subwords(fi: int, word: NaWord, schema: RelationSchema) -> None:
-        for path, sub in schema.site_subwords(word):
-            if not path:
-                continue
-            at = containing.setdefault(sub, [])
-            if not at or at[-1] != fi:
-                at.append(fi)
+    def note_subwords(pos: int, lead: NaWord) -> None:
+        for path, sub in lead.subtrees():
+            if path:
+                at = containing.setdefault(sub, [])
+                if not at or at[-1] != (pos, lead):
+                    at.append((pos, lead))
 
-    for fi, (f, s) in enumerate(insts):
-        note_subwords(fi, f.leading(), s)
-    heap = _pair_compositions(insts, index)  # sorted, hence already a heap
+    for pos, f in search.outer:
+        note_subwords(pos, f.leading())
+    heap = search.initial()  # sorted, hence already a heap
+    reduced = 0
     while heap:
-        _, _, _, _, path, f, g = heapq.heappop(heap)
-        nf = index.reduce((f - substitute(f.leading(), path, g)).terms)
+        _, _, fpos, _, path, w, g = heapq.heappop(heap)
+        reduced += 1
+        f = work[fpos].match(w)
+        nf = index.reduce((f - substitute(w, path, g)).terms)
         if not nf:
             continue
         new = ExplicitRelation(MagmaPoly._raw(nf))
         p, pl = new.poly, new.lead
         gpos = index.add_explicit(p)
         work.append(new)
-        for fi in containing.get(pl, ()):
-            f, s = insts[fi]
-            fl = f.leading()
-            for path, sub in s.site_subwords(fl):
-                if sub is pl:
-                    heapq.heappush(heap, (fl.length, fl.key, fi, gpos, path, f, p))
-        fi = len(insts)
-        insts.append((p, new))
-        note_subwords(fi, pl, new)
-        for site in _sites(fi, p, new, index):
+        for fpos, fl in containing.get(pl, ()):
+            for path in occurrences(fl, pl):
+                heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
+        for site in search.of_inner(gpos, p):
             heapq.heappush(heap, site)
+        note_subwords(gpos, pl)
+        for site in search.of_outer(gpos, p):
+            heapq.heappush(heap, site)
+    if stats is not None:
+        stats.update(instances=len(search.instances), sites=reduced)
     return work
 
 

@@ -250,7 +250,9 @@ def format_aword(u: tuple) -> str:
 
 
 def format_zinb(p: ZinbElement) -> str:
-    return _format_terms(p.sorted_terms(), format_aword)
+    """Terms in increasing word order (length, then letter ranks): the
+    reverse of :meth:`~precom.lincomb.LinComb.sorted_terms`."""
+    return _format_terms(reversed(p.sorted_terms()), format_aword)
 
 
 _FAMILIES = {

@@ -89,15 +89,11 @@ class ZinbElement(LinComb):
     def max_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def sorted_terms(self):
-        """Terms in increasing word order (length, then letter ranks)."""
-        return sorted(self.terms.items(), key=lambda t: _aword_key(t[0]))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for w, c in self.sorted_terms():
+        for w, c in reversed(self.sorted_terms()):  # increasing word order
             name = ".".join(x.name for x in w)
             bits.append(name if c == 1 else "%s*%s" % (c, name))
         return " + ".join(bits)

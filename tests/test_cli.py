@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from precom import cli
 from precom.cli import main
 
 ZINBIEL3 = "(alphabet x y z)\n(family zinbiel)\n"
@@ -127,6 +128,18 @@ class TestComplete:
         assert rep["status"] == "ok"
         assert rep["counts"] == [0, 0, 0, 0]
         assert "(rel x)" in rep["relations_file"]
+
+    def test_stats_count_instances_and_sites(self, run, rel_file):
+        # The family builds no instances: only the three quadratic
+        # relations are instances, and the 66 Zinbiel sites at their right
+        # factors, plus the added relations' own, are all that is reduced.
+        path = rel_file("(alphabet x y)\n(family zinbiel)\n(rel (x x))\n"
+                        "(rel (+ (x y) (y x)))\n(rel (y y))\n")
+        argv = ("complete", "--relations", path, "--bound", "5", "--interreduce", "--json")
+        _, first, _ = run(*argv)
+        _, second, _ = run(*argv)
+        assert first == second
+        assert json.loads(first)["stats"] == {"instances": 3, "sites": 72}
 
     def test_interreduce_flag(self, run, rel_file):
         path = rel_file(IDEMPOTENT)
@@ -483,3 +496,64 @@ class TestReports:
         _, out, _ = run("verify", "rb", "--count", "2", "--max-n", "4", "--json")
         rep = json.loads(out)
         assert list(rep) == sorted(rep)
+
+
+# main builds only the subparser of the verb that argv names; its help and
+# its errors must read exactly as those of the parser with every verb.
+_VALID = {
+    "reduce": ["--relations", "r", "--input", "x"],
+    "complete": ["--relations", "r", "--bound", "2"],
+    "irr": ["--relations", "r", "--bound", "2"],
+    "zmul": ["--left", "x", "--right", "y"],
+    "verify": ["zinbiel"],
+    "embed": ["--algebra", "a", "--N", "2"],
+}
+
+_PARSER_ARGVS = (
+    [[], ["--help"], ["-h"], ["no-such-verb"], ["--json", "complete"]]
+    + [[verb, "--help"] for verb in _VALID]
+    + [[verb] for verb in _VALID]
+    + [[verb, *args, "--no-such-flag"] for verb, args in _VALID.items()]
+    + [["complete", "--relations", "r", "--bound", "two"], ["verify", "no-such-target"]]
+)
+
+
+def _exit_output(capsys, parse):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+    def test_output_matches_full_parser(self, capsys, argv):
+        got = _exit_output(capsys, lambda: main(argv))
+        full, _ = cli._build_parser()
+        assert got == _exit_output(capsys, lambda: full.parse_args(argv))
+        assert got[0] in (0, 2)
+        assert got[1] or got[2]
+
+    def test_builds_only_the_named_verb(self, monkeypatch, run):
+        built = []
+        build = cli._build_parser
+
+        def recording(*args):
+            parser, subparsers = build(*args)
+            built.append(sorted(subparsers))
+            return parser, subparsers
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        run("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "2")
+        assert built == [["verify"]]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built[1] == sorted(cli._VERBS)
+
+    def test_verify_defaults_read_from_the_parser(self, run):
+        # --seed 0 is its default, so odd-even accepts it; 1 is not.
+        argv = ("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "2")
+        assert run(*argv, "--seed", "0")[0] == 0
+        code, _, err = run(*argv, "--seed", "1")
+        assert code == 2
+        assert err == "error: verify odd-even does not read --seed\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import sys
 from fractions import Fraction
@@ -44,14 +45,28 @@ from precom import (
 )
 from precom import rewrite
 from precom.lincomb import descend, memo_descend
-from precom.rewrite import _RedexIndex, _instantiate, _pair_compositions
+from precom.rewrite import _RedexIndex, _Sites
 from precom.sexpr import format_relations, parse_relations
 
 
 def kept_sites(schemas, bound):
-    """The composition sites that verify_gsb and complete reduce."""
+    """(f, path, g) of each composition site that verify_gsb and complete
+    reduce, in their order."""
     index = _RedexIndex(schemas)
-    return _pair_compositions(_instantiate(index, bound), index)
+    return [(index.schemas[fpos].match(w), path, g)
+            for _, _, fpos, _, path, w, g in _Sites(index, bound).initial()]
+
+
+def instances_of(schemas, bound):
+    """(instance, schema) for every instance of every schema, the Zinbiel
+    family's included, in schema order then enumeration order; an instance
+    that an earlier schema produces too is left out."""
+    out = []
+    for pos, s in enumerate(schemas):
+        for p in s.instances(bound):
+            if not any(t.match(p.leading()) == p for t in schemas[:pos]):
+                out.append((p, s))
+    return out
 
 
 def rel(*terms):
@@ -463,22 +478,39 @@ class TestCompletionSweep:
 # ---------------------------------------------------------------------------
 # The composition criteria, held against every site formed outright.
 
-def every_site(insts):
+def every_site(schemas, bound):
     """Every composition site among the instances, no criterion applied:
-    (creation index of f, path, g, composition), each composition built
-    by inclusion_compositions."""
-    by_lead = {}
-    for g, _ in insts:
-        by_lead.setdefault(g.leading(), []).append(g)
-    for fi, (f, _) in enumerate(insts):
+    (f, its schema, path, g, g's schema, composition), with g each
+    relation that matches a subword of f's leading word, and each
+    composition built by inclusion_compositions."""
+    for f, fs in instances_of(schemas, bound):
         fl = f.leading()
         for sub in dict.fromkeys(w for _, w in fl.subtrees()):
-            for g in by_lead.get(sub, ()):
+            for gs in schemas:
+                g = gs.match(sub)
+                if g is None:
+                    continue
                 paths = [p for p in occurrences(fl, sub) if p or f != g]
                 comps = inclusion_compositions(f, g)
                 assert len(comps) == len(paths)
                 for path, (_, h) in zip(paths, comps):
-                    yield fi, path, g, h
+                    yield f, fs, path, g, gs, h
+
+
+def discharged_by_criteria(fs, path, gs):
+    """Whether a site is trivial by the Zinbiel family's criteria: its
+    outer relation is a family instance, and its inner one is a family
+    instance too or sits inside the variables a, b and c."""
+    return isinstance(fs, ZinbielFamily) and (
+        path not in ((), (rewrite.RIGHT,)) or isinstance(gs, ZinbielFamily))
+
+
+def site_keys(schemas, sites):
+    """Each site as (ambiguity key, f's schema position, path, g's schema
+    position), sorted."""
+    pos = {id(s): i for i, s in enumerate(schemas)}
+    return sorted((f.leading().key, pos[id(fs)], path, pos[id(gs)])
+                  for f, fs, path, g, gs in sites)
 
 
 _CRITERIA_CASES = [
@@ -496,32 +528,64 @@ _LOOKALIKE = """(alphabet x y)
 """
 
 
+def _count_cases():
+    zinb, *quadratic = enveloping_relations(trivial_algebra(2))
+    ab2, ab3 = zinb.alphabet, Alphabet("xyz")
+    x, y = (leaf(letter) for letter in ab2)
+    # Z(x, y, y) given outright before the family, so the family's
+    # instance at x(yy) is that relation; Z(y, x, x) after it.
+    before = ExplicitRelation(zinb.match(node(x, node(y, y))))
+    after = ExplicitRelation(zinb.match(node(y, node(x, x))))
+    return [
+        ("trivial-gsb-2", trivial_gsb(ab2), 6),
+        ("trivial-gsb-3", trivial_gsb(ab3), 5),
+        ("family-2", [ZinbielFamily(ab2)], 6),
+        ("family-3", [ZinbielFamily(ab3)], 5),
+        ("family-twice", [ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
+        ("family-last", quadratic + [ZinbielFamily(ab2)], 5),
+        ("shadowed", [before, zinb, after] + quadratic, 5),
+    ] + [(name, complete(enveloping_relations(A), bound), bound)
+         for name, A, bound in _CRITERIA_CASES]
+
+
+_COUNT_CASES = _count_cases()
+
+
 class TestCompositionCriteria:
     @pytest.mark.parametrize("name,A,bound", _CRITERIA_CASES,
                              ids=[c[0] for c in _CRITERIA_CASES])
     def test_discharged_sites_reduce_to_zero(self, name, A, bound):
         done = complete(enveloping_relations(A), bound)
         index = _RedexIndex(done)
-        insts = _instantiate(index, bound)
-        kept = {(fi, path, frozenset(g.terms.items()))
-                for _, _, fi, _, path, _, g in _pair_compositions(insts, index)}
-        sites = list(every_site(insts))
-        keys = [(fi, path, frozenset(g.terms.items())) for fi, path, g, _ in sites]
-        assert kept <= set(keys)
-        dropped = [(fi, path, g, h) for key, (fi, path, g, h) in zip(keys, sites)
-                   if key not in kept]
-        rep = verify_gsb(done, bound)
-        assert (rep.ambiguities_checked, rep.discharged) == (len(sites), len(dropped))
+        dropped = [(f, path, g, h) for f, fs, path, g, gs, h in every_site(done, bound)
+                   if discharged_by_criteria(fs, path, gs)]
         assert dropped
-        family = done[0]
-        assert isinstance(family, ZinbielFamily)
-        for fi, path, g, h in dropped:
-            f, schema = insts[fi]
-            # Outer f is a family instance; either g is one too, or its
-            # leading word lies inside one of the variables a, b, c.
-            assert schema is family
-            assert path not in ((), (1,)) or family.match(g.leading()) == g
+        for f, path, g, h in dropped:
             assert index.reduce(h.terms) == {}
+
+    @pytest.mark.parametrize("name,schemas,bound", _COUNT_CASES,
+                             ids=[c[0] for c in _COUNT_CASES])
+    def test_counts_match_every_site(self, name, schemas, bound):
+        # The discharged sites are counted by length, never built; the
+        # count must equal that of the sites built one by one, and the
+        # sites formed must be exactly those no criterion discharges.
+        sites = [site[:5] for site in every_site(schemas, bound)]
+        kept = [(f, fs, path, g, gs) for f, fs, path, g, gs in sites
+                if not discharged_by_criteria(fs, path, gs)]
+        rep = verify_gsb(schemas, bound)
+        assert (rep.ambiguities_checked, rep.discharged) == (len(sites), len(sites) - len(kept))
+        index = _RedexIndex(schemas)
+        formed = [(index.schemas[fpos].match(w), index.schemas[fpos], path, g,
+                   index.schemas[gpos])
+                  for _, _, fpos, gpos, path, w, g in _Sites(index, bound).initial()]
+        assert site_keys(schemas, formed) == site_keys(schemas, kept)
+
+    def test_pinned_counts(self):
+        counts = {name: verify_gsb(schemas, bound).ambiguities_checked
+                  for name, schemas, bound in _COUNT_CASES}
+        assert (counts["trivial-gsb-2"], counts["trivial-gsb-3"]) == (5567, 4482)
+        assert counts["family-2"] == 2480
+        assert verify_gsb([ZinbielFamily(Alphabet("xy"))], 5).ambiguities_checked == 240
 
     def test_reduced_plus_discharged_is_checked(self, ab2, monkeypatch):
         calls = []
@@ -546,6 +610,47 @@ class TestCompositionCriteria:
         assert [c.g.leading() for c in rep.failures] == [node(x, y), node(y, y)]
         assert format_relations(ab, complete(rels, 5)) == _LOOKALIKE \
             + "(rel (+ ((y (y x)) y) (((y x) y) y)))\n"
+
+    def test_family_builds_no_instances(self, monkeypatch):
+        def refuse(self, bound):
+            raise AssertionError("family instances enumerated")
+
+        monkeypatch.setattr(ZinbielFamily, "instances", refuse)
+        A = trivial_algebra(2)
+        stats = {}
+        done = complete(enveloping_relations(A), 5, stats)
+        assert stats == {"instances": 3, "sites": 72}
+        assert verify_gsb(done, 5).verified
+
+
+# Raw completions (no interreduction) pinned when the family still built
+# its instances: the order in which relations are added shows the order
+# in which sites are reduced.  family-last lists explicit relations before
+# the family; compound-right has explicit relations whose leading word is
+# a(bc), before and after it, so sites of the family and of those
+# relations tie on the ambiguity word; shadowed gives family instances
+# outright, before and after the family.
+_PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "complete")
+_PINNED_BOUNDS = {"trivial-2": 6, "truncated-3": 5, "nilpotent-0": 5, "nilpotent-1": 5,
+                  "nilpotent-2": 5, "lookalike": 5, "family-last": 5,
+                  "compound-right": 5, "shadowed": 5}
+
+
+class TestPinnedCompletion:
+    @pytest.mark.parametrize("name", sorted(_PINNED_BOUNDS))
+    def test_raw_relation_file(self, name):
+        def read(suffix):
+            with open(os.path.join(_PINNED_DIR, name + suffix), encoding="utf-8") as fh:
+                return fh.read()
+
+        ab, rels = parse_relations(read(".sexp"))
+        done = complete(rels, _PINNED_BOUNDS[name])
+        assert format_relations(ab, done) == read(".out.sexp")
+        assert verify_gsb(done, _PINNED_BOUNDS[name]).verified
+
+    def test_every_input_pinned(self):
+        assert sorted(f[:-len(".sexp")] for f in os.listdir(_PINNED_DIR)
+                      if not f.endswith(".out.sexp")) == sorted(_PINNED_BOUNDS)
 
 
 _DUPLICATE_LEAD = """(alphabet x y)
@@ -696,6 +801,27 @@ class TestRedexCache:
         for u in words:
             assert index.redex(u) == scan_first_redex(u, fresh), u
 
+    def test_add_explicit_keeps_redexes_of_no_longer_words(self, ab2):
+        # Every memoized word has at most 3 letters, so a new leading word
+        # of 3 letters is in none of them but itself: the rest stay.
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        rels = [ZinbielFamily(ab2), rel((node(x, y), 1), (node(y, x), 1)),
+                rel((node(x, x), 1)), rel((node(y, y), 1))]
+        index = _RedexIndex(rels)
+        words = words_upto(ab2, 3)
+        self.assert_agrees(index, words)
+        lead = node(node(y, x), y)
+        assert index.redex(lead) is None
+        kept = len(index.first)
+        index.add_explicit(MagmaPoly.monomial(lead))
+        assert len(index.first) == kept - 1
+        fresh = _RedexIndex(rels + [rel((lead, 1))])
+        for u in words:
+            assert index.redex(u) == scan_first_redex(u, fresh), u
+        # A shorter one may sit inside a memoized word: all are dropped.
+        index.add_explicit(MagmaPoly.monomial(node(y, x)))
+        assert not index.first
+
 
 def brute_irreducible_words(relations, ab, max_len):
     index = _RedexIndex(list(relations))
@@ -750,20 +876,6 @@ def test_graft_deep_word(ab2):
 # ---------------------------------------------------------------------------
 # The memoized normal forms, held against the plain descending sweep.
 
-def site_compositions(schemas, bound):
-    """The composition of every site, no criterion applied: each subword
-    of each instance's leading word, with each relation matching it."""
-    index = _RedexIndex(schemas)
-    for f, _ in _instantiate(index, bound):
-        fl = f.leading()
-        for path, sub in fl.subtrees():
-            matches = [fam.match(sub) for _, fam in index.families]
-            matches += [g for _, g in index.explicit.get(sub, ())]
-            for g in matches:
-                if g is not None and (path or g != f):
-                    yield f - substitute(fl, path, g)
-
-
 def plain_descend(terms, schemas):
     """The plain sweep: no normal-form memo, a fresh redex index."""
     index = _RedexIndex(schemas)
@@ -781,7 +893,7 @@ class TestMemoNormalForms:
         index = _RedexIndex(schemas)
         plain = _RedexIndex(schemas)
         nonzero = 0
-        for h in site_compositions(schemas, bound):
+        for *_, h in every_site(schemas, bound):
             want = descend(h.terms, plain.redex, graft)
             assert index.reduce(h.terms) == want
             nonzero += bool(want)
@@ -792,7 +904,7 @@ class TestMemoNormalForms:
         A = trivial_algebra(2)
         done = complete(enveloping_relations(A), 5)
         index = _RedexIndex(done)
-        for h in site_compositions(done, 5):
+        for *_, h in every_site(done, 5):
             assert index.reduce(h.terms) == plain_descend(h.terms, done) == {}
 
     def test_add_explicit_clears_memo(self, ab2):
@@ -822,7 +934,7 @@ class TestMemoNormalForms:
         schemas = enveloping_relations(trivial_algebra(2))
         bound = 5
         want = []
-        for _, _, _, _, path, f, g in kept_sites(schemas, bound):
+        for f, path, g in kept_sites(schemas, bound):
             h = f - substitute(f.leading(), path, g)
             nf = plain_descend(h.terms, schemas)
             if nf:
