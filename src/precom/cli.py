@@ -8,8 +8,10 @@ Verbs: ``reduce`` (normal forms), ``complete`` (bounded completion),
 Every verb takes ``--json`` for a machine-readable report with the fields
 {command, parameters, status, counts, failures, timings}; ``verify
 zinbiel`` and ``verify trivial-envelope`` add ``stats`` (the ambiguities
-discharged by the composition criteria), and ``complete`` adds ``stats``
-with the instances it built and the composition sites it reduced.
+discharged by the composition criteria), ``complete`` adds ``stats``
+with the instances it built and the composition sites it reduced, and
+``embed`` adds ``stats`` with its Buchberger pairs, by what became of
+them, and its divisor lookups with those answered from the memo.
 Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
@@ -362,21 +364,28 @@ def _handle_embed(args):
     for x, y, l, poly in rep.homomorphism_failures:
         failures.append({"kind": "homomorphism", "x": x, "y": y,
                          "degree": l, "residue": repr(poly)})
-    for p in rep.buchberger.linear_leadings:
+    b = rep.buchberger
+    for p in b.linear_leadings:
         failures.append({"kind": "linear-leading", "relation": repr(p)})
     status = "verified" if rep.verified else "failed"
     report = {
         "status": status,
-        "counts": [rep.relation_count, len(rep.buchberger.added)],
+        "counts": [rep.relation_count, len(b.added)],
         "failures": failures,
         "levels": {x.name: F.level(x) for x in F.basis},
         "injectivity_certified_to": rep.injectivity_certified_to,
+        "stats": {
+            "pairs": {"considered": b.pairs_considered, "processed": b.pairs_processed,
+                      "skipped_bound": b.pairs_skipped_bound,
+                      "skipped_coprime": b.pairs_skipped_coprime, "added": len(b.added)},
+            "lookups": {"calls": b.lookups, "memo_hits": b.memo_hits},
+        },
     }
     lines = [
         "adapted basis levels: %s"
         % ", ".join("%s:%d" % (x.name, F.level(x)) for x in F.basis),
         "coefficient relations: %d (completion added %d)"
-        % (rep.relation_count, len(rep.buchberger.added)),
+        % (rep.relation_count, len(b.added)),
         rep.notes,
         "status: %s" % status,
     ]

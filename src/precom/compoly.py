@@ -13,6 +13,14 @@ monomial — the alarm the embedding drivers watch for.  The order is
 multiplicative: appending a symbol to two multisets shifts the
 multiplicity of that symbol in both, which moves neither the smallest
 symbol whose multiplicities differ nor the direction of the difference.
+
+Symbols and monomials are hash-consed, as tree words are in
+``magma._NODES``: one object per value, kept in process-global tables
+that never shrink, so equality and hashing are identity and a monomial
+product is computed once per process and pair.  Nothing is ordered by
+those identity hashes; every order is by ``key``.  A :class:`ComBasis`
+memoizes its divisor lookups on these objects; its docstring states why
+the memo stays exact while the basis grows.
 """
 
 from __future__ import annotations
@@ -37,45 +45,51 @@ __all__ = [
     "buchberger_bounded",
 ]
 
-@dataclass(frozen=True)
+_SYMBOLS: dict = {}     # key -> the one GenSymbol with that key
+_MONOMIALS: dict = {}   # sorted factor tuple -> the one ComMonomial
+_PRODUCTS: dict = {}    # (a, b) -> a * b, for monomials a and b
+
+
 class GenSymbol:
     """A generator symbol: ``base`` seen at t-degree ``weight``, tagged
     with the filtration ``level`` of its base element.  ``rank`` is the
     base's position in the algebra's ordered basis and only breaks ties
     between distinct bases at equal weight and level.
 
-    ``key`` is ``(weight, level, rank, base)``; it and the hash are
-    computed once, at construction, since monomial products, divisor
-    lookups and dict probes read them on every step."""
+    Symbols are hash-consed on their ``key``, ``(weight, level, rank,
+    base)``: constructing an existing symbol returns the one instance, so
+    equality and hashing are identity and immutable attributes."""
 
-    base: str
-    level: int
-    weight: int
-    rank: int = 0
+    __slots__ = ("base", "level", "weight", "rank", "key")
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("symbol level must be positive")
-        if self.weight < self.level:
-            raise ValueError(
-                "symbol weight must be at least its level (got weight %d, level %d)"
-                % (self.weight, self.level))
-        key = (self.weight, self.level, self.rank, self.base)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, base: str, level: int, weight: int, rank: int = 0):
+        key = (weight, level, rank, base)
+        s = _SYMBOLS.get(key)
+        if s is None:
+            if level < 1:
+                raise ValueError("symbol level must be positive")
+            if weight < level:
+                raise ValueError(
+                    "symbol weight must be at least its level (got weight %d, level %d)"
+                    % (weight, level))
+            s = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (base, level, weight, rank, key)):
+                object.__setattr__(s, name, value)
+            _SYMBOLS[key] = s
+        return s
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not GenSymbol:
-            return NotImplemented
-        return self.key == other.key
+    def __setattr__(self, name, value):
+        raise AttributeError("GenSymbol is immutable")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __delattr__(self, name):
+        raise AttributeError("GenSymbol is immutable")
 
     def __str__(self) -> str:
         return "%s[%d]" % (self.base, self.weight)
+
+    def __repr__(self) -> str:
+        return "GenSymbol(base=%r, level=%d, weight=%d, rank=%d)" % (
+            self.base, self.level, self.weight, self.rank)
 
 
 _symbol_key = attrgetter("key")
@@ -83,30 +97,31 @@ _symbol_key = attrgetter("key")
 
 class ComMonomial:
     """A commutative monomial: a multiset of symbols kept as a sorted
-    tuple, with the comparison key cached.  The symbol -> multiplicity
-    map that :meth:`divides`, :meth:`div` and :meth:`cofactor` read is
-    built on first use and never mutated afterwards; :attr:`multiplicities`
-    hands out a read-only view of it."""
+    tuple, with the comparison key cached.
 
-    __slots__ = ("factors", "key", "_hash", "_mult")
+    Monomials are hash-consed on that tuple: the constructor, products,
+    quotients and cofactors all return the one instance per multiset, so
+    equality and hashing are identity, and a product is computed once per
+    pair of monomials.  The symbol -> multiplicity map that
+    :meth:`divides`, :meth:`div` and :meth:`cofactor` read is built on
+    first use and never mutated afterwards; :attr:`multiplicities` hands
+    out a read-only view of it."""
 
-    def __init__(self, factors: Iterable[GenSymbol] = ()):
-        fs = tuple(sorted(factors, key=_symbol_key))
-        self.factors = fs
-        self.key = (len(fs), sum(f.weight for f in fs),
-                    tuple(f.key for f in fs))
-        self._hash = hash(fs)
-        self._mult = None
+    __slots__ = ("factors", "key", "_mult")
+
+    def __new__(cls, factors: Iterable[GenSymbol] = ()):
+        return cls._sorted(tuple(sorted(factors, key=_symbol_key)))
 
     @classmethod
-    def _sorted(cls, fs: tuple, keys: tuple, weight: int) -> "ComMonomial":
-        """A monomial from factors already in key order, with their keys
-        and total weight: the constructor without its sort."""
-        m = object.__new__(cls)
-        m.factors = fs
-        m.key = (len(fs), weight, keys)
-        m._hash = hash(fs)
-        m._mult = None
+    def _sorted(cls, fs: tuple) -> "ComMonomial":
+        """The one monomial of factors already in key order."""
+        m = _MONOMIALS.get(fs)
+        if m is None:
+            m = object.__new__(cls)
+            m.factors = fs
+            m.key = (len(fs), sum(f.weight for f in fs), tuple(f.key for f in fs))
+            m._mult = None
+            _MONOMIALS[fs] = m
         return m
 
     def _mults(self) -> dict:
@@ -132,32 +147,13 @@ class ComMonomial:
         return self.key[1]
 
     def __mul__(self, other: "ComMonomial") -> "ComMonomial":
-        a, b = self.factors, other.factors
-        if not b:
-            return self
-        if not a:
-            return other
-        ka, kb = self.key[2], other.key[2]
-        la, lb = len(a), len(b)
-        fs: list = []
-        ks: list = []
-        i = j = 0
-        while i < la and j < lb:
-            if kb[j] < ka[i]:
-                fs.append(b[j])
-                ks.append(kb[j])
-                j += 1
-            else:
-                fs.append(a[i])
-                ks.append(ka[i])
-                i += 1
-        if i < la:
-            fs += a[i:]
-            ks += ka[i:]
-        else:
-            fs += b[j:]
-            ks += kb[j:]
-        return ComMonomial._sorted(tuple(fs), tuple(ks), self.key[1] + other.key[1])
+        pair = (self, other)
+        m = _PRODUCTS.get(pair)
+        if m is None:
+            # Timsort merges the two sorted runs.
+            m = _PRODUCTS[pair] = ComMonomial._sorted(
+                tuple(sorted(self.factors + other.factors, key=_symbol_key)))
+        return m
 
     def divides(self, other: "ComMonomial") -> bool:
         mine, theirs = self.key, other.key
@@ -182,8 +178,7 @@ class ComMonomial:
         # Every factor of other was matched exactly when len(other) were dropped.
         if len(fs) + len(other.factors) != len(self.factors):
             raise ValueError("monomial %r does not divide %r" % (other, self))
-        return ComMonomial._sorted(tuple(fs), tuple(f.key for f in fs),
-                                   self.key[1] - other.key[1])
+        return ComMonomial._sorted(tuple(fs))
 
     def cofactor(self, other: "ComMonomial") -> "ComMonomial":
         """What other has beyond self: lcm(self, other) / self."""
@@ -194,8 +189,7 @@ class ComMonomial:
             if k > 0:
                 extra += [s] * k
         # other's map is in factor order, so extra is already sorted.
-        return ComMonomial._sorted(tuple(extra), tuple(s.key for s in extra),
-                                   sum(s.weight for s in extra))
+        return ComMonomial._sorted(tuple(extra))
 
     def _common(self, other: "ComMonomial") -> tuple:
         """(factor count, weight) of gcd(self, other), read from the shared
@@ -209,12 +203,6 @@ class ComMonomial:
                 count += k
                 weight += k * s.weight
         return count, weight
-
-    def __eq__(self, other) -> bool:
-        return self is other or (type(other) is ComMonomial and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if not self.factors:
@@ -264,7 +252,7 @@ class ComPoly(LinComb):
 
 
 class ComBasis:
-    """A monic relation list with its divisor index.
+    """A monic relation list with its divisor index and lookup memo.
 
     Each relation is checked once, when it is appended, and filed under
     the smallest factor of its leading monomial (a constant leading
@@ -272,13 +260,25 @@ class ComBasis:
     m has its smallest factor among m's symbols, so a lookup reads only
     the ``None`` bucket and the buckets of m's own symbols, and stops
     reading a bucket at its first divisor or at a position past the best
-    found.  The basis only grows, so the index never goes stale."""
+    found.  The basis only grows, so the index never goes stale.
 
-    __slots__ = ("_relations", "_buckets")
+    :meth:`find` memoizes ``m -> (basis length at lookup, answer)``, and
+    the memo is exact.  Lemma: appending only adds relations at positions
+    past every existing one, and ``find`` answers the smallest position
+    whose leading monomial divides m; so a divisor found stays the
+    answer for good, and an answer ``None`` stays right for the relations
+    it was checked against.  A memoized divisor is therefore returned as
+    it is, and a memoized ``None`` is checked again only against the
+    relations appended since.  ``calls`` counts lookups and
+    ``memo_hits`` those the memo answered without reading the index."""
+
+    __slots__ = ("_relations", "_buckets", "_memo", "calls", "memo_hits")
 
     def __init__(self, relations: Iterable[ComPoly] = ()):
         self._relations: list[ComPoly] = []
         self._buckets: dict = {}
+        self._memo: dict = {}
+        self.calls = self.memo_hits = 0
         for g in relations:
             self.append(g)
 
@@ -308,11 +308,30 @@ class ComBasis:
         relation)`` for the relation at the smallest position whose leading
         monomial divides m -- the one a scan of the list in order would
         meet first -- or ``None``."""
+        self.calls += 1
+        n = len(self._relations)
+        known = self._memo.get(m)
+        start = 0
+        if known is not None:
+            seen, answer = known
+            if answer is not None or seen == n:
+                self.memo_hits += 1
+                return answer
+            start = seen
+        answer = self._scan(m, start)
+        self._memo[m] = (n, answer)
+        return answer
+
+    def _scan(self, m: ComMonomial, start: int):
+        """``find`` read from the index, among the positions >= start."""
         buckets = self._buckets
         best = None
         for s in (None, *m._mults()):
             for entry in buckets.get(s, ()):
-                if best is not None and entry[0] > best[0]:
+                pos = entry[0]
+                if pos < start:
+                    continue
+                if best is not None and pos > best[0]:
                     break
                 if entry[1].divides(m):
                     best = entry
@@ -361,6 +380,8 @@ class BuchbergerReport:
     pairs_processed: int
     pairs_skipped_bound: int
     pairs_skipped_coprime: int
+    lookups: int
+    memo_hits: int
 
     @property
     def linear_leadings(self) -> list:
@@ -379,7 +400,9 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     the factor count of every lcm formed.
 
     Returns (basis, report).  Any factor-count-1 leading monomial in the
-    final basis is collected in report.linear_leadings.
+    final basis is collected in report.linear_leadings.  The report also
+    counts the pairs by what became of them, and the divisor lookups of
+    the reductions with those the basis's memo answered.
     """
     basis = ComBasis()
     for g in G:
@@ -422,5 +445,6 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
                 pairs.append((i2, k))
     relations = list(basis)
     report = BuchbergerReport(relations, added, considered, processed,
-                              skipped_bound, skipped_coprime)
+                              skipped_bound, skipped_coprime,
+                              basis.calls, basis.memo_hits)
     return relations, report

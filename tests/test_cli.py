@@ -402,6 +402,23 @@ class TestEmbed:
         assert rep["timings"] is None
         assert rep["parameters"] == {"N": 6, "algebra": path}
 
+    def test_json_stats_count_pairs_and_lookups(self, run, alg_file):
+        # x1 < x2 < x3 with x1^2 = x2, x1 x2 = x3: the pairs match
+        # test_compoly's PINNED_BUCHBERGER entry for power 3 at N = 10.
+        path = alg_file({"basis": ["x1", "x2", "x3"],
+                         "levels": {"x1": 1, "x2": 2, "x3": 3},
+                         "products": ["x1 x1 -> x2", "x1 x2 -> x3"]})
+        code, out, _ = run("embed", "--algebra", path, "--N", "10", "--json")
+        assert code == 0
+        rep = json.loads(out)
+        pairs, lookups = rep["stats"]["pairs"], rep["stats"]["lookups"]
+        assert pairs == {"considered": 3081, "processed": 251, "skipped_bound": 2671,
+                         "skipped_coprime": 159, "added": 37}
+        assert pairs["added"] == rep["counts"][1]
+        assert lookups == {"calls": 1423, "memo_hits": 1063}
+        code, again, _ = run("embed", "--algebra", path, "--N", "10", "--json")
+        assert again == out
+
     def test_non_nilpotent_exits_2(self, run, alg_file):
         path = alg_file({"basis": ["e"], "products": ["e e -> e"]})
         code, _, err = run("embed", "--algebra", path, "--N", "4")

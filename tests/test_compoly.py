@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +25,7 @@ from precom import (
     truncated_power_algebra,
     trivial_algebra,
 )
+from precom import compoly
 from precom.lincomb import descend
 
 X1 = GenSymbol("x", 1, 1)
@@ -79,12 +80,12 @@ class TestGenSymbol:
 
     def test_cached_key_and_hash(self):
         a, b = GenSymbol("y", 2, 3, 1), GenSymbol("y", 2, 3, 1)
-        assert a is not b
+        assert a is b
         assert a == b and hash(a) == hash(b)
         assert a.key == (3, 2, 1, "y")
         assert a != GenSymbol("y", 2, 3, 0) and a != GenSymbol("z", 2, 3, 1)
         assert len({a, b, Y3}) == 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             a.key = (0, 0, 0, "")
         assert repr(a) == "GenSymbol(base='y', level=2, weight=3, rank=1)"
 
@@ -201,6 +202,46 @@ class TestMonomialInvariants:
         assert dict(m.multiplicities) == {X1: 2, Y2: 1}
         with pytest.raises(TypeError):
             m.multiplicities[X1] = 5
+
+
+class TestInterning:
+    def test_symbol_is_one_instance(self):
+        assert GenSymbol("x", 1, 3) is X3
+        assert GenSymbol(base="y", level=2, weight=2, rank=1) is Y2
+        assert GenSymbol("y", 2, 2) is not Y2
+        with pytest.raises(AttributeError):
+            del X1.base
+
+    def test_constructor_in_any_factor_order(self):
+        want = mono(X1, X2, Y2)
+        for order in itertools.permutations((X1, X2, Y2)):
+            assert ComMonomial(order) is want
+            assert ComMonomial(iter(order)) is want
+        assert ComMonomial._sorted((X1, X2, Y2)) is want
+        assert mono() is ComMonomial(())
+
+    def test_operations_return_the_interned_instance(self):
+        rng = random.Random(11)
+        ms = monomials_of_count(POOL, 3)
+        for _ in range(500):
+            a, b = rng.choice(ms), rng.choice(ms)
+            ab = a * b
+            assert ab is ComMonomial(a.factors + b.factors) and ab is b * a
+            assert same_monomial(ab, ComMonomial(b.factors + a.factors))
+            assert ab.div(a) is b and ab.div(b) is a
+            assert a.cofactor(b) is counter_div(counter_lcm(a, b), a)
+            assert ComMonomial._sorted(ab.factors) is ab
+
+    def test_sets_and_dicts_dedupe(self):
+        ms = [mono(X1, X2), mono(X2, X1), mono(X1) * mono(X2),
+              mono(X1, X2, X3).div(mono(X3)), mono(X3).cofactor(mono(X1, X2))]
+        assert len(set(ms)) == 1
+        d = {}
+        for n, m in enumerate(ms):
+            d[m] = n
+        assert d == {mono(X1, X2): len(ms) - 1}
+        p = ComPoly.from_terms((m, 1) for m in ms)
+        assert p == ComPoly.monomial(mono(X1, X2), len(ms))
 
 
 class TestOrder:
@@ -468,6 +509,68 @@ class TestDivisorIndex:
                 assert nf == want
                 assert steps == [(c, q, pos) for c, _, (q, pos), _ in trace]
                 assert_certified(p, G, nf)
+
+
+class CheckedBasis(ComBasis):
+    """A basis that, after each append, checks ``find`` on every memoized
+    monomial against an unmemoized scan of a fresh basis of the same
+    relations, then restores its memo and counters, so the run it is in
+    takes the path it would take unchecked."""
+
+    checked = 0
+
+    def append(self, g):
+        super().append(g)
+        memo, calls, hits = dict(self._memo), self.calls, self.memo_hits
+        fresh = ComBasis(self)
+        for m in memo:
+            assert self.find(m) == fresh._scan(m, 0), m
+        self.checked += len(memo)
+        self._memo, self.calls, self.memo_hits = memo, calls, hits
+
+
+def nilpotent_relations(seed, N):
+    F = standard_filtration(random_nilpotent_algebra(random.Random(seed)))
+    return coefficient_relations(F, N)
+
+
+class TestLookupMemo:
+    @pytest.mark.parametrize("kind,k", [("power", 3), ("power", 4), ("seed", 0),
+                                        ("seed", 1), ("seed", 3)])
+    def test_memo_matches_fresh_scan_after_every_append(self, monkeypatch, kind, k):
+        G = truncated_relations(k, 10)[1] if kind == "power" else nilpotent_relations(k, 10)
+        bases = []
+
+        class Recorded(CheckedBasis):
+            def __init__(self, relations=()):
+                super().__init__(relations)
+                bases.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compoly, "ComBasis", Recorded)
+            got, rep = buchberger_bounded(G, 10)
+        want, want_rep = buchberger_bounded(G, 10)
+        assert got == want and rep.added == want_rep.added
+        assert (rep.lookups, rep.memo_hits) == (want_rep.lookups, want_rep.memo_hits)
+        assert 0 < rep.memo_hits < rep.lookups
+        assert bases[0].checked > 0
+
+    def test_irreducible_becomes_reducible_after_append(self):
+        g = poly((mono(X1, X1), 1), (mono(X2), -1))
+        basis = ComBasis([g])
+        m = mono(X2, X3)
+        assert basis.find(m) is None
+        assert basis.find(m) is None
+        assert (basis.calls, basis.memo_hits) == (2, 1)
+        h = poly((mono(X2), 1), (mono(X1), 3))
+        basis.append(h)
+        # The memoized None is checked again against h alone.
+        assert basis.find(m) == ((mono(X3), 1), h)
+        assert (basis.calls, basis.memo_hits) == (3, 1)
+        basis.append(poly((mono(X3), 1)))
+        assert basis.find(m) == ((mono(X3), 1), h)
+        assert (basis.calls, basis.memo_hits) == (4, 2)
+        assert basis.find(mono(X1, X1, X3)) == ((mono(X3), 0), g)
 
 
 class TestSPolynomial:
