@@ -11,7 +11,9 @@ zinbiel`` and ``verify trivial-envelope`` add ``stats`` (the ambiguities
 discharged by the composition criteria), ``complete`` adds ``stats``
 with the instances it built and the composition sites it reduced, and
 ``embed`` adds ``stats`` with its Buchberger pairs, by what became of
-them, and its divisor lookups with those answered from the memo.
+them, and its divisor lookups with those answered from the memo, and
+``verify perm`` adds ``stats`` with the distinct element products and
+the half-shuffle table entries it computed.
 Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
@@ -333,7 +335,8 @@ def _verify_perm(args):
                          "h": format_zinb(h)})
     lines = ["basis-paired triples checked: %d (seed %d)"
              % (rep.triples_checked, args.seed)]
-    return rep.verified, [rep.triples_checked], failures, lines, None
+    stats = {"products": rep.products, "half_shuffles": rep.half_shuffles}
+    return rep.verified, [rep.triples_checked], failures, lines, stats
 
 
 _VERIFY = {

@@ -11,19 +11,22 @@ read one iterative table over prefixes that maps each distinct
 interleaving to its multiplicity, so the work grows with the distinct
 words rather than with the interleavings, and no path recurses.
 ``zinbiel_product`` is integer-first: it scales each factor by its common
-denominator, sums integers and divides once at the end.
+denominator, sums integers and divides once at the end.  It reads each
+word pair's half-shuffle from the process-global table ``_HALF``, filled
+on first use and never shrunk, like ``magma._NODES``.
 
 The module also converts between this basis and left-combed tree
 polynomials, and carries the Perm-algebra tensor construction that turns
 a pre-commutative algebra into a commutative envelope candidate.  The
-tensor check computes each distinct ordered product of two elements once
-per sample, in a memo that the next sample starts afresh.
+tensor check scales each sample to integer coefficients once, since both
+sides of the checked identity are trilinear in it, and computes each
+distinct ordered product of two elements once per sample, in a memo that
+the next sample starts afresh.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,6 +65,13 @@ def _shuffles(u: tuple, v: tuple) -> dict:
                 cell[w] = cell.get(w, 0) + m
             row.append(cell)
     return row[-1]
+
+
+# The half-shuffle of each word pair (u, v) that ``zinbiel_product`` has
+# met: the product of u and v as a dict from word to multiplicity, v's last
+# letter already appended.  Letters hash by identity, so pairs over
+# different alphabets never share an entry.
+_HALF: dict[tuple[tuple, tuple], dict] = {}
 
 
 def _aword_key(w: tuple) -> tuple:
@@ -110,15 +120,20 @@ def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """Bilinear pre-commutative product: shuffle into the prefix, keep the
     right argument's last letter last.  Integer-first: both factors are
-    scaled to integer coefficients, and the sum is divided once."""
+    scaled to integer coefficients, and the sum is divided once.  Each
+    word pair's half-shuffle is read from ``_HALF``."""
     df, fi = integral(f.terms)
     dg, gi = integral(g.terms)
     out: dict[tuple, int] = {}
     for u, a in fi.items():
         for v, b in gi.items():
-            c, last = a * b, v[-1:]
-            for s, m in _shuffles(u, v[:-1]).items():
-                w = s + last
+            half = _HALF.get((u, v))
+            if half is None:
+                last = v[-1:]
+                half = _HALF[u, v] = {s + last: m
+                                      for s, m in _shuffles(u, v[:-1]).items()}
+            c = a * b
+            for w, m in half.items():
                 out[w] = out.get(w, 0) + c * m
     d = df * dg
     return ZinbElement._raw({w: c if d == 1 else exact(Fraction(c, d))
@@ -205,10 +220,20 @@ def _tensor_mul(P: PermAlgebra, s: dict, t: dict, memo: dict) -> dict:
     return {p: e for p, e in out.items() if e}
 
 
-@dataclass
 class PermTensorReport:
-    triples_checked: int
-    associativity_violations: list
+    """The outcome of :func:`perm_tensor_check`.  ``products`` counts the
+    distinct ordered element products computed, summed over the samples;
+    ``half_shuffles`` the ``_HALF`` entries the check filled."""
+
+    __slots__ = ("triples_checked", "associativity_violations", "products",
+                 "half_shuffles")
+
+    def __init__(self, triples_checked: int, associativity_violations: list,
+                 products: int, half_shuffles: int):
+        self.triples_checked = triples_checked
+        self.associativity_violations = associativity_violations
+        self.products = products
+        self.half_shuffles = half_shuffles
 
     @property
     def verified(self) -> bool:
@@ -225,18 +250,26 @@ def perm_tensor_check(P: PermAlgebra,
     The product is commutative by construction, for any rule and any
     bilinear product: (p (x) a)(q (x) b) and (q (x) b)(p (x) a) add the
     same two terms pq (x) a>b and qp (x) b>a, so there is nothing to
-    check."""
+    check.
+
+    Both sides of the identity are trilinear in (f, g, h), so scaling the
+    sample by its denominators df, dg, dh multiplies each side by
+    df dg dh != 0 and keeps every equality and every inequality.  The
+    check therefore runs on integer copies of f, g and h, and a violation
+    reports the given elements."""
     P.validate()
     assoc_bad = []
-    checked = 0
+    checked = products = 0
+    filled = len(_HALF)
     dims = range(P.dim)
     for f, g, h in samples:
+        fi, gi, hi = (ZinbElement._raw(integral(x.terms)[1]) for x in (f, g, h))
         memo: dict = {}  # per sample: the products of f, g, h and their products
-        B = [{j: g} for j in dims]
-        C = [{k: h} for k in dims]
+        B = [{j: gi} for j in dims]
+        C = [{k: hi} for k in dims]
         BC = [[_tensor_mul(P, B[j], C[k], memo) for k in dims] for j in dims]
         for i in dims:
-            A = {i: f}
+            A = {i: fi}
             for j in dims:
                 AB = _tensor_mul(P, A, B[j], memo)
                 for k in dims:
@@ -245,7 +278,8 @@ def perm_tensor_check(P: PermAlgebra,
                     right = _tensor_mul(P, A, BC[j][k], memo)
                     if left != right:
                         assoc_bad.append((i, j, k, f, g, h))
-    return PermTensorReport(checked, assoc_bad)
+        products += len(memo)
+    return PermTensorReport(checked, assoc_bad, products, len(_HALF) - filled)
 
 
 def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from precom import cli
+from precom import shuffle as shuffle_module
 from precom.cli import main
 
 ZINBIEL3 = "(alphabet x y z)\n(family zinbiel)\n"
@@ -278,7 +279,21 @@ class TestVerify:
         code, out, _ = run("verify", "perm", "--dim", "2", "--triples", "3",
                            "--max-degree", "3")
         assert code == 0
-        assert "status: verified" in out
+        assert out.splitlines() == ["basis-paired triples checked: 24 (seed 0)",
+                                    "status: verified"]
+
+    def test_perm_json_stats(self, run, monkeypatch):
+        # ``half_shuffles`` counts the table entries the run filled.  Each
+        # run builds its own alphabet, and letters hash by identity, so a
+        # second run fills as many entries again and reports the same.
+        table: dict = {}
+        monkeypatch.setattr(shuffle_module, "_HALF", table)
+        argv = ("verify", "perm", "--dim", "2", "--triples", "3",
+                "--max-degree", "3", "--json")
+        first = json.loads(run(*argv)[1])
+        assert first["stats"]["half_shuffles"] == len(table) > 0
+        assert first["stats"]["products"] > 0
+        assert json.loads(run(*argv)[1]) == first
 
     def test_collapse_clean(self, run, alg_file):
         path = alg_file(TRUNC2)

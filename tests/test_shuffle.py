@@ -11,6 +11,7 @@ from math import comb as binom
 import pytest
 
 from precom import (
+    Alphabet,
     MagmaPoly,
     PermAlgebra,
     ZinbElement,
@@ -194,6 +195,42 @@ class TestKernelOracle:
             got = zinbiel_product(f, g)
             assert got.terms == brute_zinbiel(f, g), (f, g)
             assert_exact_terms(got)
+
+    def test_warm_table_matches_oracle(self, ab2, monkeypatch):
+        # The second pass reads every half-shuffle from the table.
+        table: dict = {}
+        monkeypatch.setattr(shuffle_module, "_HALF", table)
+        ws = [w for n in range(1, 4) for w in all_awords(ab2, n)]
+        for _ in range(2):
+            for u in ws:
+                for v in ws:
+                    fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
+                    assert zinbiel_product(fu, fv).terms == brute_zinbiel(fu, fv), (u, v)
+            assert len(table) == len(ws) ** 2
+
+    def test_same_names_other_alphabet(self, ab2):
+        # Letters hash by identity: x.y over another alphabet named x, y
+        # is a different word pair with its own entry.
+        other = Alphabet(["x", "y"])
+        for ab in (ab2, other, ab2):
+            f = el(ab, "xy", Fraction(1, 2)) + el(ab, "y", 3)
+            g = el(ab, "yx") + el(ab, "x", -2)
+            got = zinbiel_product(f, g)
+            assert got.terms == brute_zinbiel(f, g)
+            assert all(any(x is y for y in ab.letters) for w in got.terms for x in w)
+
+    def test_products_do_not_alias_the_table(self, ab2):
+        u, v = wd(ab2, "xyx"), wd(ab2, "yy")
+        fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
+        first = zinbiel_product(fu, fv)
+        entry = shuffle_module._HALF[u, v]
+        snapshot = dict(entry)
+        assert first.terms is not entry
+        scaled = zinbiel_product(fu.scale(Fraction(3, 2)), fv.scale(-4))
+        summed = first + zinbiel_product(fu, fv)
+        assert scaled.terms is not entry and summed.terms is not entry
+        assert entry == snapshot == brute_zinbiel(fu, fv)
+        assert scaled.terms == {w: -6 * c for w, c in snapshot.items()}
 
     def test_denominators_cancel_to_int(self, ab2):
         f = el(ab2, "x", Fraction(3, 2)) + el(ab2, "yx", Fraction(1, 6))
@@ -397,6 +434,45 @@ class TestPermTensor:
         assert not rep.verified
         assert rep.triples_checked == 40
         assert len(rep.associativity_violations) == 40
+
+    def test_violations_report_the_given_samples(self, ab2, monkeypatch):
+        # The commutative shuffle is bilinear but not pre-commutative.  The
+        # check runs on integer-scaled copies; each violation must still
+        # name the caller's elements, and rescaling a sample by nonzero
+        # factors must not change the verdict.
+        orig = shuffle_module.zinbiel_product
+        monkeypatch.setattr(shuffle_module, "zinbiel_product",
+                            lambda f, g: orig(f, g) + orig(g, f))
+        rng = random.Random(37)
+        samples = [tuple(random_element(rng, ab2, 3) for _ in range(3))
+                   for _ in range(3)]
+        assert any(type(c) is Fraction for s in samples for x in s
+                   for c in x.terms.values())
+        P = PermAlgebra(2)
+        rep = perm_tensor_check(P, samples)
+        assert not rep.verified
+        given = {tuple(map(id, s)) for s in samples}
+        for *_, f, g, h in rep.associativity_violations:
+            assert (id(f), id(g), id(h)) in given
+        for f, g, h in samples:
+            rescaled = [(f.scale(Fraction(2, 3)), g.scale(5), h.scale(Fraction(-1, 7)))]
+            a, b = perm_tensor_check(P, [(f, g, h)]), perm_tensor_check(P, rescaled)
+            assert a.verified == b.verified
+            assert a.triples_checked == b.triples_checked == 8
+            assert [v[:3] for v in a.associativity_violations] \
+                == [v[:3] for v in b.associativity_violations]
+            assert all(v[3:] == rescaled[0] for v in b.associativity_violations)
+
+    def test_counters(self, ab2, monkeypatch):
+        monkeypatch.setattr(shuffle_module, "_HALF", {})
+        rng = random.Random(43)
+        samples = [tuple(random_element(rng, ab2, 3) for _ in range(3))
+                   for _ in range(4)]
+        cold = perm_tensor_check(PermAlgebra(2), samples)
+        warm = perm_tensor_check(PermAlgebra(2), samples)
+        assert cold.half_shuffles == len(shuffle_module._HALF) > 0
+        assert warm.half_shuffles == 0
+        assert cold.products == warm.products > 0
 
     def test_corrupted_perm_raises_before_checking(self, ab2):
         bad = PermAlgebra(2, rule=lambda i, j: i)
