@@ -17,11 +17,19 @@ the half-shuffle table entries it computed.
 Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
+
+:func:`main` runs the verb's handler with the cyclic garbage collector
+off and restores its previous state afterwards.  Words, monomials and
+symbols are hash-consed and live as long as the process, and the kernel
+makes no reference cycles, so a collection pass during a verb frees
+nothing: it only rescans the live words, and it cost a fifth of the time
+of a long ``reduce``.  Reference counting still frees everything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -422,6 +430,8 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser(verbs)
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.verb == "verify":
             _check_verify_flags(args, subparsers["verify"])
@@ -429,6 +439,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     command = args.verb if args.verb != "verify" else "verify %s" % args.target
     full = {"command": command, "parameters": _parameters(args),
             "timings": ({"total_s": round(time.perf_counter() - t0, 3)}

@@ -204,7 +204,8 @@ class TailAnticommFamily(RelationSchema):
         a, x, y = tail
         if not x.letter.rank < y.letter.rank:
             return None
-        return MagmaPoly._raw({word: 1, node(node(a, y), x): 1})
+        # x < y, so (a x) y leads (a y) x.
+        return MagmaPoly._raw({word: 1, node(node(a, y), x): 1}, word)
 
 
 class TailSquareFamily(RelationSchema):
@@ -214,7 +215,7 @@ class TailSquareFamily(RelationSchema):
         tail = _even_comb_tail(word)
         if tail is None or tail[1] is not tail[2]:
             return None
-        return MagmaPoly._raw({word: 1})
+        return MagmaPoly._raw({word: 1}, word)
 
 
 def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:

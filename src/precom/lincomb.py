@@ -29,8 +29,8 @@ time.  This module holds that common part:
 
 from __future__ import annotations
 
-import heapq
 import operator
+from bisect import insort
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Union
@@ -114,12 +114,13 @@ class LinComb:
         return out
 
     @classmethod
-    def _raw(cls, terms: dict):
+    def _raw(cls, terms: dict, lead=None):
         """Trusted constructor: terms already clean (exact coefficients as
-        :func:`exact` returns them, no zeros)."""
+        :func:`exact` returns them, no zeros), and ``lead``, when given,
+        their leading monomial."""
         p = cls.__new__(cls)
         p.terms = terms
-        p._lead = None
+        p._lead = lead
         return p
 
     @classmethod
@@ -216,18 +217,6 @@ def _require_monic(polys: Iterable[LinComb]) -> None:
             raise ValueError("relations must be monic")
 
 
-class _MaxItem:
-    """heapq wrapper turning the min-heap into a max-heap on monomial keys."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        self.m = m
-
-    def __lt__(self, other: "_MaxItem") -> bool:
-        return self.m.key > other.m.key
-
-
 Find = Callable[[object], Optional[tuple]]
 Image = Callable[[object, object, object], object]
 
@@ -240,19 +229,23 @@ def descend(terms: dict, find: Find, image: Image,
     Each rewrite replaces the current largest reducible monomial by
     strictly smaller ones (tails sit below the leading monomial and the
     orders are multiplicative), so one descending sweep suffices: once a
-    monomial is popped it never reappears.  A monomial is on the heap
-    whenever it has a coefficient; one that cancels and returns is pushed
-    again, and the stale entry pops with no coefficient.  Coefficients are
-    normalized by :func:`exact` as they are read.  With ``trace``, each
-    rewrite appends ``(coeff, monomial, step, rel)``.
+    monomial is popped it never reappears.  The worklist is a list sorted
+    by ``key`` and popped from its end, so every order comparison is a C
+    comparison of keys.  A monomial is listed once, from its first
+    appearance until it is popped, and keeps coefficient 0 while it is
+    cancelled.  Every listed monomial is below the one last popped, so the
+    nonzero ones pop in the order a max-heap of the monomials with a
+    coefficient would give, and a listed zero pops with nothing to do.
+    Coefficients are normalized by :func:`exact` as they are read.  With
+    ``trace``, each rewrite appends ``(coeff, monomial, step, rel)``.
     """
     coeffs = dict(terms)
-    heap = [_MaxItem(m) for m in coeffs]
-    heapq.heapify(heap)
+    key = LinComb._key
+    todo = sorted(coeffs, key=key)
     out: dict = {}
-    while heap:
-        m = heapq.heappop(heap).m
-        c = coeffs.pop(m, None)
+    while todo:
+        m = todo.pop()
+        c = coeffs.pop(m)
         if not c:
             continue
         if type(c) is not int:
@@ -272,13 +265,9 @@ def descend(terms: dict, find: Find, image: Image,
             old = coeffs.get(nm)
             if old is None:
                 coeffs[nm] = -c * q
-                heapq.heappush(heap, _MaxItem(nm))
+                insort(todo, nm, key=key)
             else:
-                nc = old - c * q
-                if nc:
-                    coeffs[nm] = nc
-                else:
-                    del coeffs[nm]
+                coeffs[nm] = old - c * q
     return out
 
 

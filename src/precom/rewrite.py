@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 LEFT, RIGHT = 0, 1
+# One-step paths, shared: a redex one step below the root stores one of
+# these, since a tuple plus the empty tuple is the tuple itself.
+_LEFT_STEP, _RIGHT_STEP = (LEFT,), (RIGHT,)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,9 @@ class ZinbielFamily(RelationSchema):
             return None
         a, b, c = word.left, bc.left, bc.right
         ab, ba = node(node(a, b), c), node(node(b, a), c)
-        return MagmaPoly._raw({word: 1, ab: -2} if ab is ba else {word: 1, ab: -1, ba: -1})
+        # a(bc) leads: its right factor is longer than c.
+        return MagmaPoly._raw({word: 1, ab: -2} if ab is ba else {word: 1, ab: -1, ba: -1},
+                              word)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +272,29 @@ class _RedexIndex:
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
         """First schema (in list order) whose leading monomial is ``word``."""
         exp = self.explicit.get(word)
-        exp_pos = exp[0][0] if exp is not None else None
+        if exp is None:
+            for _, fam in self.families:
+                m = fam.match(word)
+                if m is not None:
+                    return m
+            return None
+        exp_pos, rel = exp[0]
         for pos, fam in self.families:
-            if exp_pos is not None and pos > exp_pos:
+            if pos > exp_pos:
                 break
             m = fam.match(word)
             if m is not None:
                 return m
-        return exp[0][1] if exp is not None else None
+        return rel
 
     def redex(self, word: NaWord):
         """First reducible position in preorder: (path, relation) or None.
 
         The first redex of (l r) is the root if a relation matches it, else
         l's first redex under 0, else r's first redex under 1.  Results are
-        memoized in ``first``; the walk keeps its own stack of
-        (word, stage) frames instead of recursing.
+        memoized in ``first``.  The walk keeps its own stack instead of
+        recursing, one (word, step) frame per ancestor whose answer waits
+        on the factor that the one-step path ``step`` leads to.
         """
         memo = self.first
         hit = memo.get(word, memo)
@@ -291,45 +303,53 @@ class _RedexIndex:
         if word.length > self.longest:
             self.longest = word.length
         find = self.find
-        stack = [(word, 0)]
-        while stack:
-            w, stage = stack.pop()
-            if stage == 0:
-                if w in memo:
-                    continue
+        stack = []
+        w = word
+        while True:
+            # Down: answer w at once, or wait on its left factor.
+            hit = memo.get(w, memo)
+            if hit is memo:
                 rel = find(w)
                 if rel is not None:
-                    memo[w] = ((), rel)
+                    hit = memo[w] = ((), rel)
                 elif w.letter is not None:
-                    memo[w] = None
+                    hit = memo[w] = None
                 else:
-                    stack.append((w, 1))
-                    stack.append((w.left, 0))
-            elif stage == 1:
-                hit = memo[w.left]
+                    stack.append((w, _LEFT_STEP))
+                    w = w.left
+                    continue
+            # Up: hit answers w; pass it to the waiting ancestors until
+            # one with no redex on its left turns to its right factor.
+            while stack:
+                w, step = stack.pop()
                 if hit is not None:
-                    memo[w] = ((0,) + hit[0], hit[1])
+                    hit = memo[w] = (step + hit[0], hit[1])
+                elif step is _LEFT_STEP:
+                    stack.append((w, _RIGHT_STEP))
+                    w = w.right
+                    break
                 else:
-                    stack.append((w, 2))
-                    stack.append((w.right, 0))
+                    memo[w] = None
             else:
-                hit = memo[w.right]
-                memo[w] = ((1,) + hit[0], hit[1]) if hit is not None else None
-        return memo[word]
+                return hit
 
 
 # ---------------------------------------------------------------------------
 # Normal forms
 
-@dataclass
 class ReductionStep:
     """One rewrite: the term ``coeff * word`` was rewritten with ``relation``
     grafted at ``path``.  Replaying subtracts coeff * substitute(word, path,
     relation) from the polynomial."""
-    coeff: Coeff
-    word: NaWord
-    path: tuple[int, ...]
-    relation: MagmaPoly
+
+    __slots__ = ("coeff", "word", "path", "relation")
+
+    def __init__(self, coeff: Coeff, word: NaWord, path: tuple[int, ...],
+                 relation: MagmaPoly):
+        self.coeff = coeff
+        self.word = word
+        self.path = path
+        self.relation = relation
 
 
 def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema]) -> MagmaPoly:

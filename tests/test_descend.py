@@ -1,0 +1,239 @@
+"""Trace oracle for the shared reducer.
+
+``heap_descend`` is the reducer as it was before its worklist became a
+sorted list: a binary heap of wrappers whose ``__lt__`` reverses the key
+order, with a monomial pushed again when it returns after cancelling.
+:func:`precom.lincomb.descend` must give the same normal form and the same
+trace, step for step: the coefficient, the monomial, the step and the very
+relation object.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from fractions import Fraction
+
+from precom import (
+    Alphabet,
+    ComBasis,
+    ComMonomial,
+    ComPoly,
+    ExplicitRelation,
+    FilteredAlgebra,
+    MagmaPoly,
+    ZinbielFamily,
+    buchberger_bounded,
+    coefficient_relations,
+    comb,
+    graft,
+    leaf,
+    node,
+    substitute,
+    trivial_gsb,
+    truncated_poly_relations,
+    truncated_power_algebra,
+    words_of_length,
+)
+from precom.compoly import _times
+from precom.lincomb import descend, exact
+from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
+from precom.rewrite import RelationSchema, _RedexIndex
+
+
+class _MaxItem:
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __lt__(self, other):
+        return self.m.key > other.m.key
+
+
+def heap_descend(terms, find, image, trace=None):
+    coeffs = dict(terms)
+    heap = [_MaxItem(m) for m in coeffs]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = heapq.heappop(heap).m
+        c = coeffs.pop(m, None)
+        if not c:
+            continue
+        if type(c) is not int:
+            c = exact(c)
+        hit = find(m)
+        if hit is None:
+            out[m] = c
+            continue
+        step, rel = hit
+        if trace is not None:
+            trace.append((c, m, step, rel))
+        lead = rel.leading()
+        for t, q in rel.terms.items():
+            if t is lead:
+                continue
+            nm = image(m, step, t)
+            old = coeffs.get(nm)
+            if old is None:
+                coeffs[nm] = -c * q
+                heapq.heappush(heap, _MaxItem(nm))
+            else:
+                nc = old - c * q
+                if nc:
+                    coeffs[nm] = nc
+                else:
+                    del coeffs[nm]
+    return out
+
+
+class Interned(RelationSchema):
+    """A family whose match at each word is built once, so that two
+    reductions over it are handed the same relation objects."""
+
+    def __init__(self, family):
+        super().__init__(family.alphabet)
+        self.family = family
+        self.seen = {}
+
+    def match(self, word):
+        if word not in self.seen:
+            self.seen[word] = self.family.match(word)
+        return self.seen[word]
+
+
+def interned(schemas):
+    return [s if isinstance(s, ExplicitRelation) else Interned(s) for s in schemas]
+
+
+def assert_same_run(terms, new_find, old_find, image):
+    """Both reducers on ``terms``; returns the trace once they agree."""
+    got_trace, want_trace = [], []
+    got = descend(terms, new_find, image, got_trace)
+    want = heap_descend(terms, old_find, image, want_trace)
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert len(got_trace) == len(want_trace)
+    for (c, m, step, rel), (c0, m0, step0, rel0) in zip(got_trace, want_trace):
+        assert c == c0 and type(c) is type(c0)
+        assert m is m0
+        assert step == step0
+        assert rel is rel0
+    return got_trace
+
+
+def assert_same_tree_run(p, schemas):
+    """Reduce ``p`` modulo ``schemas`` with both reducers, each through a
+    fresh redex index over the same interned schemas."""
+    rels = interned(schemas)
+    return assert_same_run(p.terms, _RedexIndex(rels).redex, _RedexIndex(rels).redex, graft)
+
+
+def random_tree_poly(rng, ab, max_len, max_terms):
+    pool = [w for n in range(1, max_len + 1) for w in words_of_length(ab, n)]
+    return MagmaPoly.from_terms(
+        (rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for _ in range(rng.randint(1, max_terms)))
+
+
+def returns_after_cancelling(p, trace):
+    """Whether, replaying the trace on p, some monomial's coefficient
+    reaches zero after a step and is nonzero again later."""
+    current = p
+    cancelled = set()
+    for c, m, path, rel in trace:
+        before = current
+        current = current - substitute(m, path, rel).scale(c)
+        if cancelled & current.terms.keys():
+            return True
+        cancelled |= before.terms.keys() - current.terms.keys() - {m}
+    return False
+
+
+class TestTreeTraces:
+    def test_trivial_gsb_two_letters(self):
+        ab = Alphabet("xy")
+        rng = random.Random(18)
+        for _ in range(60):
+            assert_same_tree_run(random_tree_poly(rng, ab, 6, 4), trivial_gsb(ab))
+
+    def test_trivial_gsb_three_letters(self):
+        ab = Alphabet("xyz")
+        rng = random.Random(19)
+        steps = 0
+        for _ in range(40):
+            steps += len(assert_same_tree_run(random_tree_poly(rng, ab, 6, 4), trivial_gsb(ab)))
+        assert steps > 1000
+
+    def test_truncated_poly_relations(self):
+        rng = random.Random(20)
+        for n in (2, 3, 4):
+            rels = truncated_poly_relations(n)
+            for _ in range(30):
+                assert_same_tree_run(random_tree_poly(rng, rels[0].alphabet, 5, 3), rels)
+
+    def test_zinbiel_family_alone(self):
+        ab = Alphabet("xyz")
+        rng = random.Random(21)
+        for _ in range(30):
+            assert_same_tree_run(random_tree_poly(rng, ab, 6, 3), [ZinbielFamily(ab)])
+
+    def test_deep_keys_compare(self):
+        # Terms above _FLAT_KEY_LENGTH letters carry a _DeepKey, so the
+        # worklist orders them by its Python comparisons.
+        ab = Alphabet("xy")
+        x, y = leaf(ab["x"]), leaf(ab["y"])
+        rng = random.Random(22)
+        n = _FLAT_KEY_LENGTH + 2
+        for rels in (trivial_gsb(ab), [ZinbielFamily(ab)]):
+            for _ in range(3):
+                terms = [(comb(rng.choice(ab.letters) for _ in range(n)), rng.randint(1, 3))
+                         for _ in range(3)]
+                terms.append((node(rng.choice((x, y)),
+                                   comb(rng.choice(ab.letters) for _ in range(n - 1))), 1))
+                trace = assert_same_tree_run(MagmaPoly.from_terms(terms), rels)
+                assert sum(type(m.key) is _DeepKey for _, m, _, _ in trace) > 1
+
+    def test_cancelled_monomial_returns(self):
+        # u1 -> -v - u2 cancels v; then u2 -> v brings it back.
+        ab = Alphabet("xyz")
+        x, y = leaf(ab["x"]), leaf(ab["y"])
+        u1, u2, v = node(y, y), node(x, y), x
+        rels = [ExplicitRelation(MagmaPoly.from_terms([(u1, 1), (v, 1), (u2, 1)])),
+                ExplicitRelation(MagmaPoly.from_terms([(u2, 1), (v, -1)]))]
+        p = MagmaPoly.from_terms([(u1, 1), (v, 1)])
+        trace = assert_same_tree_run(p, rels)
+        assert returns_after_cancelling(p, trace)
+        assert descend(p.terms, _RedexIndex(rels).redex, graft) == {v: -1}
+
+    def test_seeded_runs_cancel_and_return(self):
+        # The same event in seeded reductions, not only a built one.
+        ab = Alphabet("xyz")
+        rng = random.Random(23)
+        seen = 0
+        for _ in range(40):
+            p = random_tree_poly(rng, ab, 6, 4)
+            seen += returns_after_cancelling(p, assert_same_tree_run(p, trivial_gsb(ab)))
+        assert seen
+
+
+class TestComTraces:
+    def test_seeded_com_reductions(self):
+        A = truncated_power_algebra(3)
+        ab = A.alphabet
+        F = FilteredAlgebra(A, {ab["x%d" % i]: i for i in (1, 2, 3)})
+        rng = random.Random(24)
+        pool = [F.symbol(ab["x%d" % i], w) for i in (1, 2, 3) for w in range(i, 7)]
+        G = coefficient_relations(F, 6)
+        basis, _ = buchberger_bounded(G, 6)
+        steps = 0
+        for rels in (G, basis):
+            find = ComBasis(rels).find
+            for _ in range(60):
+                p = ComPoly.from_terms(
+                    (ComMonomial(rng.choice(pool) for _ in range(rng.randint(1, 5))),
+                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 4)))
+                steps += len(assert_same_run(p.terms, find, find, _times))
+        assert steps > 100
