@@ -26,7 +26,6 @@ the memo stays exact while the basis grows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -372,16 +371,22 @@ def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:
     return f.mul_monomial(lf.cofactor(lg)) - g.mul_monomial(lg.cofactor(lf))
 
 
-@dataclass
 class BuchbergerReport:
-    basis: list
-    added: list
-    pairs_considered: int
-    pairs_processed: int
-    pairs_skipped_bound: int
-    pairs_skipped_coprime: int
-    lookups: int
-    memo_hits: int
+    __slots__ = ("basis", "added", "pairs_considered", "pairs_processed",
+                 "pairs_skipped_bound", "pairs_skipped_coprime", "lookups",
+                 "memo_hits")
+
+    def __init__(self, basis: list, added: list, pairs_considered: int,
+                 pairs_processed: int, pairs_skipped_bound: int,
+                 pairs_skipped_coprime: int, lookups: int, memo_hits: int):
+        self.basis = basis
+        self.added = added
+        self.pairs_considered = pairs_considered
+        self.pairs_processed = pairs_processed
+        self.pairs_skipped_bound = pairs_skipped_bound
+        self.pairs_skipped_coprime = pairs_skipped_coprime
+        self.lookups = lookups
+        self.memo_hits = memo_hits
 
     @property
     def linear_leadings(self) -> list:

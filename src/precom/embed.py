@@ -40,7 +40,6 @@ pause is reported as the associativity failure when there is one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -352,13 +351,18 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # The embedding verifier
 
-@dataclass
 class EmbeddingReport:
-    relation_count: int
-    homomorphism_failures: list
-    injectivity_certified_to: Optional[int]
-    buchberger: BuchbergerReport
-    notes: str = ""
+    __slots__ = ("relation_count", "homomorphism_failures",
+                 "injectivity_certified_to", "buchberger", "notes")
+
+    def __init__(self, relation_count: int, homomorphism_failures: list,
+                 injectivity_certified_to: Optional[int],
+                 buchberger: BuchbergerReport, notes: str = ""):
+        self.relation_count = relation_count
+        self.homomorphism_failures = homomorphism_failures
+        self.injectivity_certified_to = injectivity_certified_to
+        self.buchberger = buchberger
+        self.notes = notes
 
     @property
     def verified(self) -> bool:

@@ -16,7 +16,6 @@ and detect collapse of an envelope onto a smaller algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Optional
@@ -298,12 +297,16 @@ def verify_zinbiel_basis(d: int, bound: int) -> GsbReport:
     return verify_gsb([ZinbielFamily(default_alphabet(d))], bound)
 
 
-@dataclass
 class TrivialEnvelopeReport:
-    gsb: GsbReport
-    counts: list[int]
-    expected_counts: list[int]
-    completion_counts: Optional[list[int]]
+    __slots__ = ("gsb", "counts", "expected_counts", "completion_counts")
+
+    def __init__(self, gsb: GsbReport, counts: list[int],
+                 expected_counts: list[int],
+                 completion_counts: Optional[list[int]]):
+        self.gsb = gsb
+        self.counts = counts
+        self.expected_counts = expected_counts
+        self.completion_counts = completion_counts
 
     @property
     def verified(self) -> bool:
@@ -331,12 +334,15 @@ def verify_trivial_envelope(d: int, bound: int, run_completion: bool = True) -> 
     return TrivialEnvelopeReport(rep, counts, expected, completion_counts)
 
 
-@dataclass
 class CollapseReport:
-    completed: list[RelationSchema]
-    counts: list[int]
-    star_table: dict
-    mismatches: list
+    __slots__ = ("completed", "counts", "star_table", "mismatches")
+
+    def __init__(self, completed: list[RelationSchema], counts: list[int],
+                 star_table: dict, mismatches: list):
+        self.completed = completed
+        self.counts = counts
+        self.star_table = star_table
+        self.mismatches = mismatches
 
     @property
     def matches_structure(self) -> bool:
@@ -366,10 +372,12 @@ def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
     return CollapseReport(completed, counts, table, mismatches)
 
 
-@dataclass
 class OddEvenReport:
-    checked: int
-    violations: list
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int, violations: list):
+        self.checked = checked
+        self.violations = violations
 
     @property
     def verified(self) -> bool:

@@ -36,7 +36,6 @@ the output.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .lincomb import Coeff, _require_monic, descend, memo_descend
@@ -413,22 +412,36 @@ def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, Mag
     return out
 
 
-@dataclass
 class CompositionFailure:
-    f: MagmaPoly
-    g: MagmaPoly
-    ambiguity: NaWord
-    normal_form: MagmaPoly
+    __slots__ = ("f", "g", "ambiguity", "normal_form")
+    __hash__ = None
+
+    def __init__(self, f: MagmaPoly, g: MagmaPoly, ambiguity: NaWord,
+                 normal_form: MagmaPoly):
+        self.f = f
+        self.g = g
+        self.ambiguity = ambiguity
+        self.normal_form = normal_form
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.f, self.g, self.ambiguity, self.normal_form)
+                == (other.f, other.g, other.ambiguity, other.normal_form))
 
 
-@dataclass
 class GsbReport:
     """``ambiguities_checked`` counts every composition site up to the
     bound; ``discharged`` of them are trivial by a composition criterion
     and were not reduced."""
-    ambiguities_checked: int
-    failures: list[CompositionFailure]
-    discharged: int
+
+    __slots__ = ("ambiguities_checked", "failures", "discharged")
+
+    def __init__(self, ambiguities_checked: int,
+                 failures: list[CompositionFailure], discharged: int):
+        self.ambiguities_checked = ambiguities_checked
+        self.failures = failures
+        self.discharged = discharged
 
     @property
     def verified(self) -> bool:

@@ -16,7 +16,6 @@ and ``products`` entries like ``"x1 x1 -> 1/2 x2"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -44,18 +43,22 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass
 class _Atom:
-    text: str
-    line: int
-    col: int
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class _Node:
-    items: list
-    line: int
-    col: int
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items: list, line: int, col: int):
+        self.items = items
+        self.line = line
+        self.col = col
 
 
 Form = Union[_Atom, _Node]

@@ -1,0 +1,98 @@
+"""What ``import precom`` loads, and the plain classes that keep it small.
+
+Every check runs as a fresh ``precom`` process, so the import is paid
+once per verdict.  ``dataclasses`` would pull in ``inspect``, ``ast``,
+``dis`` and ``tokenize``; the report and parse-tree classes are plain
+``__slots__`` classes instead, and these tests pin what their callers
+read from them.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from precom import (
+    BuchbergerReport,
+    CollapseReport,
+    CompositionFailure,
+    EmbeddingReport,
+    GsbReport,
+    MagmaPoly,
+    OddEvenReport,
+    TrivialEnvelopeReport,
+    leaf,
+    node,
+)
+from precom.sexpr import _Atom, _Node
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # -S: an installation's site hooks are not precom's imports.
+    code = ("import sys; import precom; import precom.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=30, check=True)
+    assert out.stdout.split() == []
+
+
+# Each class built by position, as its call site builds it, with the
+# attribute names in that order.
+CASES = [
+    (BuchbergerReport, ("basis", "added", "pairs_considered", "pairs_processed",
+                        "pairs_skipped_bound", "pairs_skipped_coprime",
+                        "lookups", "memo_hits")),
+    (EmbeddingReport, ("relation_count", "homomorphism_failures",
+                       "injectivity_certified_to", "buchberger", "notes")),
+    (TrivialEnvelopeReport, ("gsb", "counts", "expected_counts",
+                             "completion_counts")),
+    (CollapseReport, ("completed", "counts", "star_table", "mismatches")),
+    (OddEvenReport, ("checked", "violations")),
+    (CompositionFailure, ("f", "g", "ambiguity", "normal_form")),
+    (GsbReport, ("ambiguities_checked", "failures", "discharged")),
+    (_Atom, ("text", "line", "col")),
+    (_Node, ("items", "line", "col")),
+]
+
+
+@pytest.mark.parametrize("cls,names", CASES, ids=[c.__name__ for c, _ in CASES])
+def test_positional_fields_read_back(cls, names):
+    values = [object() for _ in names]
+    obj = cls(*values)
+    for name, value in zip(names, values):
+        assert getattr(obj, name) is value
+
+
+@pytest.mark.parametrize("cls,names", CASES, ids=[c.__name__ for c, _ in CASES])
+def test_undeclared_attribute_raises(cls, names):
+    obj = cls(*[None] * len(names))
+    with pytest.raises(AttributeError):
+        obj.undeclared = 1
+
+
+def test_embedding_report_notes_default_empty():
+    assert EmbeddingReport(3, [], 8, None).notes == ""
+
+
+def test_composition_failure_compares_by_fields(ab2):
+    x, y = (leaf(a) for a in ab2.letters)
+    f = MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), 1)])
+    g = MagmaPoly.from_terms([(node(x, x), 1), (y, -1)])
+    w = node(node(x, y), x)
+    a = CompositionFailure(f, g, w, g)
+    assert a == CompositionFailure(f, g, w, g)
+    assert [a] == [CompositionFailure(f, g, w, g)]
+    assert a != CompositionFailure(g, g, w, g)
+    assert a != CompositionFailure(f, f, w, g)
+    assert a != CompositionFailure(f, g, node(w, w), g)
+    assert a != CompositionFailure(f, g, w, f)
+    assert a != (f, g, w, g)
+    with pytest.raises(TypeError):
+        hash(a)
