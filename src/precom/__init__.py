@@ -76,8 +76,7 @@ from .envelope import (
     CollapseReport,
     CommAlgebra,
     OddEvenReport,
-    TailAnticommFamily,
-    TailSquareFamily,
+    TailFamily,
     TrivialEnvelopeReport,
     collapse_check,
     default_alphabet,

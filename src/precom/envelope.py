@@ -7,10 +7,12 @@ defining tree family together with one quadratic relation per basis pair:
     xx - (x*x)/2           on the diagonal.
 
 For the zero-multiplication (trivial) algebra the completed rewriting
-system is known in closed form; this module carries those relation
-families, the dimension formula for the envelope's graded pieces, and
-drivers that verify the basis claims, sweep the odd-even vanishing law,
-and detect collapse of an envelope onto a smaller algebra.
+system is known in closed form: the tree family plus one rule, by which
+two letters after an even-length left comb anticommute (the tail
+family).  This module carries that rule, the dimension formula for the
+envelope's graded pieces, and drivers that verify the basis claims,
+sweep the odd-even vanishing law, and detect collapse of an envelope
+onto a smaller algebra.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ __all__ = [
     "idempotent_algebra",
     "truncated_power_algebra",
     "default_alphabet",
-    "TailAnticommFamily",
-    "TailSquareFamily",
+    "TailFamily",
     "enveloping_relations",
     "trivial_gsb",
     "trivial_envelope_dimension",
@@ -134,12 +135,20 @@ class CommAlgebra:
         return "CommAlgebra(%r, %d products)" % (self.alphabet, len(self._products))
 
 
+_ALPHABETS: dict[int, Alphabet] = {}   # d -> the one default alphabet
+
+
 def default_alphabet(d: int) -> Alphabet:
+    """x < y < z < w, or x1 < ... < xd past four letters.  One alphabet
+    per d, so the words over it, which hash-consing keys by letter, are
+    built once per process."""
     if d < 1:
         raise ValueError("need at least one letter")
-    if d <= 4:
-        return Alphabet("xyzw"[:d])
-    return Alphabet(["x%d" % i for i in range(1, d + 1)])
+    ab = _ALPHABETS.get(d)
+    if ab is None:
+        ab = _ALPHABETS[d] = Alphabet("xyzw"[:d] if d <= 4
+                                      else ["x%d" % i for i in range(1, d + 1)])
+    return ab
 
 
 def trivial_algebra(d: int = 2, names: Optional[Iterable[str]] = None) -> CommAlgebra:
@@ -173,48 +182,31 @@ def truncated_power_algebra(n: int) -> CommAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Relation families for the trivial algebra's envelope
+# The tail family of the trivial algebra's envelope
 
-def _even_comb_tail(word: NaWord) -> Optional[tuple[NaWord, NaWord, NaWord]]:
-    """(a, x, y) when ``word`` is (a x) y with x, y letters and a a
-    left-combed word of even length, else None."""
-    if word.letter is not None:
-        return None
-    ax, y = word.left, word.right
-    if y.letter is None or ax.letter is not None:
-        return None
-    a, x = ax.left, ax.right
-    if x.letter is None or a.length % 2 or not a.is_comb:
-        return None
-    return a, x, y
+class TailFamily(RelationSchema):
+    """Two letters after an even-length left comb anticommute:
 
+        (a x) y + (a y) x    for letters x < y,
+        (a x) x              for x = y (2 (a x) x made monic),
 
-class TailAnticommFamily(RelationSchema):
-    """(a x) y + (a y) x for letters x < y and left-combed a of even length.
-
-    Leading monomial (a x) y; rewriting swaps the two letters after an
-    even-length combed prefix, at the cost of a sign.
+    for every left-combed word a of even length.  The comb a may be
+    empty, and then (a x) is x: the quadratic relations xy + yx and xx.
+    So the family matches the left combs of even length whose last two
+    letters x, y do not descend.  Leading monomial (a x) y, as y >= x.
     """
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
-        tail = _even_comb_tail(word)
-        if tail is None:
+        if word.length % 2 or not word.is_comb:
             return None
-        a, x, y = tail
-        if not x.letter.rank < y.letter.rank:
+        ax, y = word.left, word.right
+        x = ax if ax.letter is not None else ax.right
+        if x is y:
+            return MagmaPoly._raw({word: 1}, word)
+        if x.letter.rank > y.letter.rank:
             return None
-        # x < y, so (a x) y leads (a y) x.
-        return MagmaPoly._raw({word: 1, node(node(a, y), x): 1}, word)
-
-
-class TailSquareFamily(RelationSchema):
-    """(a x) x for any letter x and left-combed a of even length."""
-
-    def match(self, word: NaWord) -> Optional[MagmaPoly]:
-        tail = _even_comb_tail(word)
-        if tail is None or tail[1] is not tail[2]:
-            return None
-        return MagmaPoly._raw({word: 1}, word)
+        ay = y if ax is x else node(ax.left, y)
+        return MagmaPoly._raw({word: 1, node(ay, x): 1}, word)
 
 
 def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
@@ -240,20 +232,9 @@ def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
 
 def trivial_gsb(alphabet: Alphabet) -> list[RelationSchema]:
     """The completed rewriting system for the trivial algebra's envelope:
-    the tree family, letter anticommutators and squares, and the
-    even-prefix tail families."""
-    rels: list[RelationSchema] = [ZinbielFamily(alphabet)]
-    letters = alphabet.letters
-    for i, x in enumerate(letters):
-        for y in letters[i + 1:]:
-            rels.append(ExplicitRelation(
-                MagmaPoly._raw({node(leaf(x), leaf(y)): 1,
-                                node(leaf(y), leaf(x)): 1})))
-    for x in letters:
-        rels.append(ExplicitRelation(MagmaPoly._raw({node(leaf(x), leaf(x)): 1})))
-    rels.append(TailAnticommFamily(alphabet))
-    rels.append(TailSquareFamily(alphabet))
-    return rels
+    the tree family and one rule, :class:`TailFamily`, by which two
+    letters after an even-length left comb anticommute."""
+    return [ZinbielFamily(alphabet), TailFamily(alphabet)]
 
 
 def trivial_envelope_dimension(d: int, n: int) -> int:

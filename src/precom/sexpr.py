@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .envelope import CommAlgebra, TailAnticommFamily, TailSquareFamily, trivial_gsb
+from .envelope import CommAlgebra, TailFamily, trivial_gsb
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
 from .rewrite import ExplicitRelation, RelationSchema, ZinbielFamily
 from .shuffle import ZinbElement
@@ -260,8 +260,7 @@ def format_zinb(p: ZinbElement) -> str:
 
 _FAMILIES = {
     "zinbiel": lambda ab: [ZinbielFamily(ab)],
-    "tail-anticomm": lambda ab: [TailAnticommFamily(ab)],
-    "tail-square": lambda ab: [TailSquareFamily(ab)],
+    "tail": lambda ab: [TailFamily(ab)],
     "trivial-envelope": trivial_gsb,
 }
 
@@ -315,10 +314,8 @@ def format_relations(alphabet: Alphabet, relations) -> str:
     for r in relations:
         if isinstance(r, ZinbielFamily):
             lines.append("(family zinbiel)")
-        elif isinstance(r, TailAnticommFamily):
-            lines.append("(family tail-anticomm)")
-        elif isinstance(r, TailSquareFamily):
-            lines.append("(family tail-square)")
+        elif isinstance(r, TailFamily):
+            lines.append("(family tail)")
         elif isinstance(r, ExplicitRelation):
             lines.append("(rel %s)" % format_poly(r.poly))
         else:

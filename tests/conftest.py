@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from precom import Alphabet
+from precom import (
+    Alphabet,
+    ExplicitRelation,
+    MagmaPoly,
+    TailFamily,
+    ZinbielFamily,
+    leaf,
+    node,
+)
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +21,32 @@ def ab2() -> Alphabet:
 @pytest.fixture(scope="session")
 def ab3() -> Alphabet:
     return Alphabet(["x", "y", "z"])
+
+
+class _LongTails(TailFamily):
+    """The tail family without its length-2 instances."""
+
+    def match(self, word):
+        return None if word.length == 2 else super().match(word)
+
+
+def _spelled_out_gsb(alphabet: Alphabet) -> list:
+    """The closed form of the trivial envelope with its length-2 rules
+    given outright: the tree family, the letter anticommutators xy + yx
+    for x < y and the squares xx as explicit relations, then the tail
+    family above length 2.  It rewrites as ``trivial_gsb`` does, and a
+    test can drop or corrupt one quadratic."""
+    letters = [leaf(x) for x in alphabet]
+    rels: list = [ZinbielFamily(alphabet)]
+    for i, x in enumerate(letters):
+        for y in letters[i + 1:]:
+            rels.append(ExplicitRelation(
+                MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), 1)])))
+    rels += [ExplicitRelation(MagmaPoly.monomial(node(x, x))) for x in letters]
+    rels.append(_LongTails(alphabet))
+    return rels
+
+
+@pytest.fixture(scope="session")
+def spelled_out_gsb():
+    return _spelled_out_gsb

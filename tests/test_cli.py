@@ -176,6 +176,15 @@ class TestIrr:
         assert rep["words"]["1"] == ["x", "y"]
         assert rep["words"]["2"] == ["(y x)"]
 
+    @pytest.mark.parametrize("name", ["tail-anticomm", "tail-square"])
+    def test_removed_family_name_exits_2(self, run, rel_file, name):
+        path = rel_file("(alphabet x y)\n(family zinbiel)\n(family %s)\n" % name)
+        code, out, err = run("irr", "--relations", path, "--bound", "4")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: line 3, column 9: unknown family %r; "
+                       "known: tail, trivial-envelope, zinbiel\n" % name)
+
 
 class TestZmul:
     def test_one_sided(self, run):
@@ -243,16 +252,15 @@ class TestVerify:
         code, out, _ = run(*argv, "--json")
         assert json.loads(out)["stats"] == {"discharged": discharged}
 
-    def test_failure_at_kept_site_exits_1(self, run, monkeypatch):
+    def test_failure_at_kept_site_exits_1(self, run, monkeypatch, spelled_out_gsb):
         # Without the square x x the closed-form set is not confluent; both
         # failures sit at the right factor (x y) of a family instance, a
         # site the criteria keep.
         from precom import envelope
-        closed_form = envelope.trivial_gsb
 
         def no_square(alphabet):
             x = envelope.leaf(alphabet["x"])
-            return [r for r in closed_form(alphabet)
+            return [r for r in spelled_out_gsb(alphabet)
                     if getattr(r, "lead", None) is not envelope.node(x, x)]
 
         monkeypatch.setattr(envelope, "trivial_gsb", no_square)
@@ -286,9 +294,10 @@ class TestVerify:
                                     "status: verified"]
 
     def test_perm_json_stats(self, run, monkeypatch):
-        # ``half_shuffles`` counts the table entries the run filled.  Each
-        # run builds its own alphabet, and letters hash by identity, so a
-        # second run fills as many entries again and reports the same.
+        # ``half_shuffles`` counts the table entries the run filled.  Both
+        # runs draw words over the one two-letter default alphabet, so the
+        # second finds every half-shuffle in the table and fills none, but
+        # computes as many products.
         table: dict = {}
         monkeypatch.setattr(shuffle_module, "_HALF", table)
         argv = ("verify", "perm", "--dim", "2", "--triples", "3",
@@ -296,7 +305,10 @@ class TestVerify:
         first = json.loads(run(*argv)[1])
         assert first["stats"]["half_shuffles"] == len(table) > 0
         assert first["stats"]["products"] > 0
-        assert json.loads(run(*argv)[1]) == first
+        second = json.loads(run(*argv)[1])
+        assert second["stats"] == {"products": first["stats"]["products"],
+                                   "half_shuffles": 0}
+        assert dict(second, stats=first["stats"]) == first
 
     def test_collapse_clean(self, run, alg_file):
         path = alg_file(TRUNC2)

@@ -10,10 +10,10 @@ from precom import (
     CommAlgebra,
     ExplicitRelation,
     MagmaPoly,
-    TailAnticommFamily,
-    TailSquareFamily,
+    TailFamily,
     ZinbielFamily,
     collapse_check,
+    comb,
     default_alphabet,
     enveloping_relations,
     idempotent_algebra,
@@ -153,54 +153,72 @@ class TestTailFamilies:
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         a = node(y, x)
         w = node(node(a, x), y)
-        got = TailAnticommFamily().match(w)
+        got = TailFamily().match(w)
         assert got == MagmaPoly.from_terms([(w, 1), (node(node(a, y), x), 1)])
+        # With the empty comb: the letter anticommutator.
+        assert TailFamily().match(node(x, y)) \
+            == MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), 1)])
 
     def test_anticomm_requires_even_comb_prefix(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        fam = TailAnticommFamily()
+        fam = TailFamily()
         a = node(x, x)
         assert fam.match(node(node(x, x), y)) is None           # odd prefix
         assert fam.match(node(node(a, y), x)) is None           # letters not ascending
+        assert fam.match(node(y, x)) is None                    # letters not ascending
         not_comb = node(a, node(x, y))
         assert fam.match(node(node(not_comb, x), y)) is None    # prefix not combed
+        assert fam.match(x) is None
 
     def test_square_match(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         a = node(y, x)
         w = node(node(a, y), y)
-        assert TailSquareFamily().match(w) == MagmaPoly.from_terms([(w, 1)])
-        assert TailSquareFamily().match(node(node(a, x), y)) is None
+        assert TailFamily().match(w) == MagmaPoly.from_terms([(w, 1)])
+        assert TailFamily().match(node(x, x)) == MagmaPoly.monomial(node(x, x))
+
+    def test_match_is_the_ascending_even_comb_tail(self, ab3):
+        # (a x) y with a an even-length left comb, or empty, is exactly a
+        # left comb of even length; the rule takes those whose last two
+        # letters do not descend.
+        fam = TailFamily()
+        for n in range(1, 7):
+            for w in words_of_length(ab3, n):
+                ls = w.leaves()
+                got = fam.match(w)
+                if not (w.is_comb and n % 2 == 0 and ls[-2].rank <= ls[-1].rank):
+                    assert got is None
+                elif ls[-2] is ls[-1]:
+                    assert got == MagmaPoly.monomial(w)
+                else:
+                    swapped = comb(ls[:-2] + (ls[-1], ls[-2]))
+                    assert got == MagmaPoly.from_terms([(w, 1), (swapped, 1)])
 
     def test_instances_counts(self, ab2):
-        # Even prefixes of length 2 with any letters: 4 prefixes.
-        assert len(TailAnticommFamily(ab2).instances(4)) == 4 * 1
-        assert len(TailSquareFamily(ab2).instances(4)) == 4 * 2
+        # The empty comb and the 4 combs of length 2, each followed by
+        # one of the 3 ascending letter pairs.
+        assert len(TailFamily(ab2).instances(4)) == (1 + 4) * 3
 
     @pytest.mark.parametrize("d,bound", [(2, 6), (3, 5), (2, 7)])
     def test_instance_counts_closed_form(self, d, bound):
-        # An instance of a tail family is (a x) y with a one of d^m combs,
-        # m even and m + 2 <= bound; an instance of the tree family is a
-        # word whose right factor is compound, d^n (C(n-1) - C(n-2)) of
-        # length n, with C the Catalan numbers.
+        # An instance of the tail family is (a x) y with a one of d^m
+        # combs, m even and m + 2 <= bound, and x <= y; an instance of the
+        # tree family is a word whose right factor is compound,
+        # d^n (C(n-1) - C(n-2)) of length n, with C the Catalan numbers.
         ab = default_alphabet(d)
-        prefixes = sum(d ** m for m in range(2, bound - 1, 2))
+        prefixes = sum(d ** m for m in range(0, bound - 1, 2))
         catalan = [binom(2 * k, k) // (k + 1) for k in range(bound)]
         trees = sum(d ** n * (catalan[n - 1] - catalan[n - 2]) for n in range(3, bound + 1))
-        assert len(TailAnticommFamily(ab).instances(bound)) == prefixes * binom(d, 2)
-        assert len(TailSquareFamily(ab).instances(bound)) == prefixes * d
+        assert len(TailFamily(ab).instances(bound)) == prefixes * binom(d + 1, 2)
         assert len(ZinbielFamily(ab).instances(bound)) == trees
 
     def test_trivial_gsb_instances_two_letters_bound_6(self, ab2):
-        # 2136 tree instances, 20 anticommutators, 40 squares and the
-        # three quadratic relations.
+        # 2136 tree instances and 63 tail instances.
         assert sum(len(s.instances(6)) for s in trivial_gsb(ab2)) == 2199
 
     def test_instances_need_alphabet(self):
         with pytest.raises(ValueError, match="without an alphabet"):
-            TailAnticommFamily().instances(4)
-        with pytest.raises(ValueError, match="without an alphabet"):
-            TailSquareFamily().instances(4)
+            TailFamily().instances(4)
 
 
 class TestTrivialGsb:
@@ -220,18 +238,18 @@ class TestTrivialGsb:
         counts = irreducible_counts(trivial_gsb(ab), ab, 6)
         assert counts == [trivial_envelope_dimension(d, n) for n in range(1, 7)]
 
-    def test_corrupted_sign_breaks_confluence(self, ab2):
+    def test_corrupted_sign_breaks_confluence(self, ab2, spelled_out_gsb):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        rels = list(trivial_gsb(ab2))
+        rels = spelled_out_gsb(ab2)
         for i, r in enumerate(rels):
             if isinstance(r, ExplicitRelation) and r.lead is node(x, y):
                 rels[i] = ExplicitRelation(
                     MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), -1)]))
         assert not verify_gsb(rels, 4).verified
 
-    def test_dropped_square_breaks_confluence(self, ab2):
+    def test_dropped_square_breaks_confluence(self, ab2, spelled_out_gsb):
         x = leaf(ab2["x"])
-        rels = [r for r in trivial_gsb(ab2)
+        rels = [r for r in spelled_out_gsb(ab2)
                 if not (isinstance(r, ExplicitRelation) and r.lead is node(x, x))]
         assert not verify_gsb(rels, 4).verified
 

@@ -7,8 +7,7 @@ import pytest
 from precom import (
     ExplicitRelation,
     MagmaPoly,
-    TailAnticommFamily,
-    TailSquareFamily,
+    TailFamily,
     ZinbElement,
     ZinbielFamily,
     leaf,
@@ -157,10 +156,19 @@ class TestRelationFiles:
 
     def test_trivial_envelope_shorthand(self):
         ab, rels = parse_relations("(alphabet x y)\n(family trivial-envelope)")
-        want = trivial_gsb(ab)
-        assert len(rels) == len(want)
-        assert {type(r) for r in rels} \
-            == {ZinbielFamily, ExplicitRelation, TailAnticommFamily, TailSquareFamily}
+        assert [type(r) for r in rels] == [type(r) for r in trivial_gsb(ab)] \
+            == [ZinbielFamily, TailFamily]
+        text = "(alphabet x y)\n(family zinbiel)\n(family tail)\n"
+        assert format_relations(ab, rels) == text
+        ab2_, rels2 = parse_relations(text)
+        assert [type(r) for r in rels2] == [ZinbielFamily, TailFamily]
+        assert rels2[1].alphabet is ab2_
+
+    @pytest.mark.parametrize("name", ["tail-anticomm", "tail-square"])
+    def test_removed_tail_names_rejected(self, name):
+        with pytest.raises(ParseError, match="unknown family %r; known: "
+                           "tail, trivial-envelope, zinbiel$" % name):
+            parse_relations("(alphabet x y)\n(family %s)" % name)
 
     def test_relations_made_monic(self):
         _, rels = parse_relations("(alphabet x)\n(rel (* 3 (x x)))")
