@@ -8,8 +8,9 @@ Verbs: ``reduce`` (normal forms), ``complete`` (bounded completion),
 Every verb takes ``--json`` for a machine-readable report with the fields
 {command, parameters, status, counts, failures, timings}; ``verify
 zinbiel`` and ``verify trivial-envelope`` add ``stats`` (the ambiguities
-discharged by the composition criteria), ``complete`` adds ``stats``
-with the instances it built and the composition sites it reduced, and
+discharged by the composition criteria, and those of them skipped by the
+chain criterion), ``complete`` adds ``stats`` with the instances it
+built, the composition sites it reduced and those it skipped, and
 ``embed`` adds ``stats`` with its Buchberger pairs, by what became of
 them, and its divisor lookups with those answered from the memo, and
 ``verify perm`` adds ``stats`` with the distinct element products and
@@ -202,7 +203,7 @@ def _gsb_parts(rep):
                 for f in rep.failures]
     line = ("ambiguities checked: %d (%d discharged by composition criteria)"
             % (rep.ambiguities_checked, rep.discharged))
-    return failures, line, {"discharged": rep.discharged}
+    return failures, line, {"discharged": rep.discharged, "skipped": rep.skipped}
 
 
 def _handle_reduce(args):

@@ -208,6 +208,26 @@ class TailFamily(RelationSchema):
         ay = y if ax is x else node(ax.left, y)
         return MagmaPoly._raw({word: 1, node(ay, x): 1}, word)
 
+    def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
+        """The matches among the candidates (a x) y with a an even-length
+        comb and x <= y, sum over even m <= bound - 2 of d^m C(d+1, 2) of
+        them, in :func:`~precom.magma.words_of_length` order: by length,
+        then by letter sequence.  A subclass whose ``match`` declines some
+        of them lists only the rest."""
+        if self.alphabet is None:
+            raise ValueError("family cannot enumerate instances without an alphabet")
+        letters = self.alphabet.letters
+        out = []
+        for m in range(0, bound - 1, 2):
+            for prefix in iproduct(letters, repeat=m):
+                for i, x in enumerate(letters):
+                    ax = comb(prefix + (x,))
+                    for y in letters[i:]:
+                        p = self.match(node(ax, leaf(y)))
+                        if p is not None:
+                            out.append(p)
+        return tuple(out)
+
 
 def enveloping_relations(A: CommAlgebra) -> list[RelationSchema]:
     """Defining relations of the universal envelope of A.

@@ -19,9 +19,10 @@ a(bc) builds no instances: it is a Groebner-Shirshov basis by itself and
 a composition inside its variables a, b or c is trivial by Shirshov's
 composition lemma (see :class:`ZinbielFamily`), so its only such sites
 have another relation g as the inner one, with g's leading word u at the
-root, or u as the right factor of a(u) for every word a that fits under
-the bound.  These sites are formed from g's side, and the trivial ones
-are counted by length without being built.
+root, or u as the right factor of a(u) for every irreducible word a that
+fits under the bound (the chain criterion).  These sites are formed from
+g's side, and the trivial ones are counted by length without being
+built.
 
 Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
@@ -200,10 +201,26 @@ class ZinbielFamily(RelationSchema):
     right factor bc, and only with an inner relation from outside the
     family (every copy of the family in a set counts as the family).
 
+    The right-factor site needs an irreducible a too (the chain criterion,
+    Bokut and Chen 2014, triviality modulo w).  Take f = Z(a, b, c) and
+    g = bc + g' at w = a(bc), and a relation h = v + h' of the set with v
+    inside a.  Write a[h'] = sum_j c_j a_j, each a_j < a.  Replacing a by
+    a[h] - a[h'] in f - a(g) = -(ab)c - (ba)c - a(g') gives
+
+        -(a[h] b) c - (b a[h]) c - a[h](g') + sum_j c_j (a_j(g) - Z(a_j, b, c)),
+
+    copies of h grafted at leading words (ab)c, (ba)c and a(g'_i), and
+    instances of g and of the family at a_j(bc).  The order is
+    multiplicative, so every leading word lies below w, and the
+    composition is trivial modulo w whether or not the set is confluent.
+    A set only grows during completion, so a site whose left factor is
+    reducible when its inner relation joins stays trivial for good.
+
     :func:`verify_gsb` and :func:`complete` therefore build no instance
     of the family.  They start from each inner relation g instead, with
     leading word u: the root site at u when the family matches u, and the
-    right-factor site of a(u) for every word a with |a| + |u| <= bound.
+    right-factor site of a(u) for every irreducible word a with
+    |a| + |u| <= bound.
     """
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -433,15 +450,16 @@ class CompositionFailure:
 class GsbReport:
     """``ambiguities_checked`` counts every composition site up to the
     bound; ``discharged`` of them are trivial by a composition criterion
-    and were not reduced."""
+    and were not reduced, ``skipped`` of those by the chain criterion."""
 
-    __slots__ = ("ambiguities_checked", "failures", "discharged")
+    __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
 
     def __init__(self, ambiguities_checked: int,
-                 failures: list[CompositionFailure], discharged: int):
+                 failures: list[CompositionFailure], discharged: int, skipped: int):
         self.ambiguities_checked = ambiguities_checked
         self.failures = failures
         self.discharged = discharged
+        self.skipped = skipped
 
     @property
     def verified(self) -> bool:
@@ -483,12 +501,31 @@ class _Sites:
                              if isinstance(fam, ZinbielFamily)), None)
         # The words whose family instance an earlier schema produces.
         self.shadow: set[NaWord] = set()
+        # The right-factor sites a(u) never formed, as a is reducible.
+        self.skipped = 0
+        self.left: list[list[NaWord]] = []
         if self.zinbiel is not None:
             zpos, z = self.zinbiel
             if z.alphabet is None:
                 raise ValueError("family cannot enumerate instances without an alphabet")
             self.shadow = {p.leading() for pos, p in self.instances
                            if pos < zpos and z.match(p.leading()) == p}
+            # words[n] counts the words of length n; left[n] lists those
+            # irreducible modulo the index, the left factors of the
+            # right-factor sites (the chain criterion, see ZinbielFamily).
+            self.words = [0, len(z.alphabet)]
+            for n in range(2, bound + 1):
+                self.words.append(sum(self.words[i] * self.words[n - i] for i in range(1, n)))
+            self.left = _irreducible_rows(index.find, z.alphabet, bound - 2)
+
+    def add(self, p: MagmaPoly) -> int:
+        """Add a relation to the index and drop the left factors that its
+        leading word makes reducible; its schema position."""
+        gpos = self.index.add_explicit(p)
+        redex = self.index.redex
+        for row in self.left[p.leading().length:]:
+            row[:] = [a for a in row if redex(a) is None]
+        return gpos
 
     def of_outer(self, fpos: int, f: MagmaPoly):
         """The sites with instance ``f`` of the schema at ``fpos`` as the
@@ -507,7 +544,8 @@ class _Sites:
         """The sites with a Zinbiel instance as the outer relation and
         ``g`` of the schema at ``gpos`` as the inner one: at g's leading
         word u when the family matches it, and at the right factor of a(u)
-        for every word a with |a| + |u| <= bound."""
+        for every irreducible word a with |a| + |u| <= bound.  The others
+        are counted in ``skipped``."""
         if self.zinbiel is None:
             return
         zpos, z = self.zinbiel
@@ -517,8 +555,13 @@ class _Sites:
             if f is not None and f != g:
                 yield (u.length, u.key, zpos, gpos, (), u, g)
         if u.letter is None:
-            for n in range(1, self.bound - u.length + 1):
-                for a in words_of_length(z.alphabet, n):
+            top = self.bound - u.length
+            redex = self.index.redex
+            self.skipped += sum(self.words[1:top + 1]) - sum(map(len, self.left[1:top + 1]))
+            self.skipped -= sum(1 for w in self.shadow
+                                if w.right is u and redex(w.left) is not None)
+            for row in self.left[1:top + 1]:
+                for a in row:
                     w = node(a, u)
                     if w not in self.shadow:
                         yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
@@ -543,10 +586,7 @@ class _Sites:
                     for w in (f.leading().left, f.leading().right))
         if self.zinbiel is None:
             return total
-        top = self.bound
-        words = [0, len(self.zinbiel[1].alphabet)]
-        for n in range(2, top + 1):
-            words.append(sum(words[i] * words[n - i] for i in range(1, n)))
+        top, words = self.bound, self.words
         copies = sum(isinstance(fam, ZinbielFamily) for _, fam in index.families)
         matched = [0] * (top + 1)
         for _, p in self.instances:
@@ -585,10 +625,12 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     """Check triviality of every composition with ambiguity length <= bound.
 
     Forms the inclusion compositions among the instances of the schemas.
-    Two kinds of site are trivial by Shirshov's composition lemma and are
-    counted as checked and ``discharged`` without being formed: a site of
-    two Zinbiel instances, and a site inside the variables a, b and c of a
-    Zinbiel instance (see :class:`ZinbielFamily`).  Every other site is
+    Three kinds of site are trivial and are counted as checked and
+    ``discharged`` without being formed: by Shirshov's composition lemma, a
+    site of two Zinbiel instances and a site inside the variables a, b and
+    c of a Zinbiel instance; by the chain criterion, the ``skipped`` site
+    a(u) at the right factor of a Zinbiel instance whose left factor a is
+    reducible (see :class:`ZinbielFamily`).  Every other site is
     reduced; reductions only ever rewrite monomials strictly below the
     ambiguity, so a zero normal form witnesses triviality.  The verdict is
     the same as reducing every site, since the set is a Groebner-Shirshov
@@ -609,7 +651,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
         nf = index.reduce((f - substitute(w, path, g)).terms)
         if nf:
             failures.append(CompositionFailure(f, g, w, MagmaPoly._raw(nf)))
-    return GsbReport(len(sites) + discharged, failures, discharged)
+    return GsbReport(len(sites) + discharged, failures, discharged, search.skipped)
 
 
 def complete(relations: Iterable[RelationSchema], bound: int,
@@ -623,10 +665,12 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     index and only its own sites are pushed, as the outer relation f (the
     subwords of its leading word that some relation matches) and as the
     inner relation g (every instance with its leading word below the root,
-    and the Zinbiel sites of its leading word).  A composition trivial
-    modulo a set stays trivial modulo any larger set, so the returned set
-    is confluent up to the bound.  A ``stats`` dict receives the number of
-    ``instances`` built from the input schemas and of ``sites`` reduced.
+    and the Zinbiel sites of its leading word, a(u) only for a left factor
+    a irreducible when g joins).  A composition trivial modulo a set stays
+    trivial modulo any larger set, so the returned set is confluent up to
+    the bound.  A ``stats`` dict receives the number of ``instances`` built
+    from the input schemas, of ``sites`` reduced and of right-factor sites
+    ``skipped`` by the chain criterion, never formed.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -660,7 +704,7 @@ def complete(relations: Iterable[RelationSchema], bound: int,
             continue
         new = ExplicitRelation(MagmaPoly._raw(nf))
         p, pl = new.poly, new.lead
-        gpos = index.add_explicit(p)
+        gpos = search.add(p)
         work.append(new)
         for fpos, fl in containing.get(pl, ()):
             for path in occurrences(fl, pl):
@@ -671,7 +715,7 @@ def complete(relations: Iterable[RelationSchema], bound: int,
         for site in search.of_outer(gpos, p):
             heapq.heappush(heap, site)
     if stats is not None:
-        stats.update(instances=len(search.instances), sites=reduced)
+        stats.update(instances=len(search.instances), sites=reduced, skipped=search.skipped)
     return work
 
 
@@ -717,23 +761,30 @@ def irreducible_words(relations: Iterable[RelationSchema], alphabet: Alphabet,
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    find = _RedexIndex(list(relations)).find
-    out: dict[int, list[NaWord]] = {}
+    rows = _irreducible_rows(_RedexIndex(list(relations)).find, alphabet, max_len)
+    return {n: rows[n] for n in range(1, max_len + 1)}
+
+
+def _irreducible_rows(find, alphabet: Alphabet, max_len: int) -> list[list[NaWord]]:
+    """The words of each length 1..max_len, in increasing weight order,
+    at whose root and below it ``find`` matches nothing; row 0 is empty.
+    Length n is built from the shorter rows, and only roots are looked up."""
+    rows: list[list[NaWord]] = [[]]
     for n in range(1, max_len + 1):
         if n == 1:
             row = [w for w in map(leaf, alphabet) if find(w) is None]
         else:
             row = []
             for i in range(1, n):
-                rights = out[n - i]
-                for lw in out[i]:
+                rights = rows[n - i]
+                for lw in rows[i]:
                     for rw in rights:
                         w = node(lw, rw)
                         if find(w) is None:
                             row.append(w)
         row.sort(key=lambda w: w.key)
-        out[n] = row
-    return out
+        rows.append(row)
+    return rows
 
 
 def irreducible_counts(relations: Iterable[RelationSchema], alphabet: Alphabet,

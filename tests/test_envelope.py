@@ -10,6 +10,7 @@ from precom import (
     CommAlgebra,
     ExplicitRelation,
     MagmaPoly,
+    RelationSchema,
     TailFamily,
     ZinbielFamily,
     collapse_check,
@@ -219,6 +220,15 @@ class TestTailFamilies:
     def test_instances_need_alphabet(self):
         with pytest.raises(ValueError, match="without an alphabet"):
             TailFamily().instances(4)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_instances_match_the_generic_scan(self, d, spelled_out_gsb):
+        # The closed form lists what matching every word gives, in the same
+        # order, also for a subclass that declines the length-2 words.
+        ab = default_alphabet(d)
+        for fam in (TailFamily(ab), spelled_out_gsb(ab)[-1]):
+            for bound in range(1, 7):
+                assert fam.instances(bound) == RelationSchema.instances(fam, bound)
 
 
 class TestTrivialGsb:

@@ -56,7 +56,7 @@ CASES = [
     (CollapseReport, ("completed", "counts", "star_table", "mismatches")),
     (OddEvenReport, ("checked", "violations")),
     (CompositionFailure, ("f", "g", "ambiguity", "normal_form")),
-    (GsbReport, ("ambiguities_checked", "failures", "discharged")),
+    (GsbReport, ("ambiguities_checked", "failures", "discharged", "skipped")),
     (_Atom, ("text", "line", "col")),
     (_Node, ("items", "line", "col")),
 ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import sys
@@ -497,12 +498,17 @@ def every_site(schemas, bound):
                     yield f, fs, path, g, gs, h
 
 
-def discharged_by_criteria(fs, path, gs):
+def discharged_by_criteria(redex, f, fs, path, gs):
     """Whether a site is trivial by the Zinbiel family's criteria: its
-    outer relation is a family instance, and its inner one is a family
-    instance too or sits inside the variables a, b and c."""
-    return isinstance(fs, ZinbielFamily) and (
-        path not in ((), (rewrite.RIGHT,)) or isinstance(gs, ZinbielFamily))
+    outer relation f is a family instance, and its inner one is a family
+    instance too, or sits inside the variables a, b and c, or sits at the
+    right factor bc while a is reducible (the chain criterion), as
+    ``redex``, a redex lookup of the whole set, finds."""
+    if not isinstance(fs, ZinbielFamily):
+        return False
+    if isinstance(gs, ZinbielFamily) or path not in ((), (rewrite.RIGHT,)):
+        return True
+    return bool(path) and redex(f.leading().left) is not None
 
 
 def site_keys(schemas, sites):
@@ -558,7 +564,7 @@ class TestCompositionCriteria:
         done = complete(enveloping_relations(A), bound)
         index = _RedexIndex(done)
         dropped = [(f, path, g, h) for f, fs, path, g, gs, h in every_site(done, bound)
-                   if discharged_by_criteria(fs, path, gs)]
+                   if discharged_by_criteria(index.redex, f, fs, path, gs)]
         assert dropped
         for f, path, g, h in dropped:
             assert index.reduce(h.terms) == {}
@@ -568,12 +574,18 @@ class TestCompositionCriteria:
     def test_counts_match_every_site(self, name, schemas, bound):
         # The discharged sites are counted by length, never built; the
         # count must equal that of the sites built one by one, and the
-        # sites formed must be exactly those no criterion discharges.
+        # sites formed must be exactly those no criterion discharges.  The
+        # skipped ones are those that only the chain criterion discharges.
         sites = [site[:5] for site in every_site(schemas, bound)]
+        redex = _RedexIndex(schemas).redex
         kept = [(f, fs, path, g, gs) for f, fs, path, g, gs in sites
-                if not discharged_by_criteria(fs, path, gs)]
+                if not discharged_by_criteria(redex, f, fs, path, gs)]
+        chain = [f for f, fs, path, g, gs in sites
+                 if isinstance(fs, ZinbielFamily) and not isinstance(gs, ZinbielFamily)
+                 and path == (rewrite.RIGHT,) and redex(f.leading().left) is not None]
         rep = verify_gsb(schemas, bound)
         assert (rep.ambiguities_checked, rep.discharged) == (len(sites), len(sites) - len(kept))
+        assert rep.skipped == len(chain)
         index = _RedexIndex(schemas)
         formed = [(index.schemas[fpos].match(w), index.schemas[fpos], path, g,
                    index.schemas[gpos])
@@ -619,8 +631,43 @@ class TestCompositionCriteria:
         A = trivial_algebra(2)
         stats = {}
         done = complete(enveloping_relations(A), 5, stats)
-        assert stats == {"instances": 3, "sites": 72}
+        # Of the 72 sites reduced without the chain criterion, 51 sit at a
+        # right factor under a reducible left factor and are never formed.
+        assert stats == {"instances": 3, "sites": 21, "skipped": 51}
         assert verify_gsb(done, 5).verified
+
+
+# The trivial algebra on three letters, as CI's deterministic-report step
+# writes it, and the SHA-1 of its raw and interreduced completions at bound
+# 7, taken before the chain criterion, when completion reduced 24,588 sites.
+_TRIVIAL_3 = """(alphabet x y z)
+(family zinbiel)
+(rel (+ (x y) (y x)))
+(rel (+ (x z) (z x)))
+(rel (+ (y z) (z y)))
+(rel (x x))
+(rel (y y))
+(rel (z z))
+"""
+_TRIVIAL_3_BOUND_7 = ("ade60af4340ad462196774a505057069e467b25a",
+                      "a5cf8927e2756de377c33405cadb2e4dc852ff39")
+
+
+class TestChainCriterion:
+    def test_trivial_three_letters_bound_7_unchanged(self):
+        ab, rels = parse_relations(_TRIVIAL_3)
+        stats = {}
+        done = complete(rels, 7, stats)
+        assert tuple(hashlib.sha1(format_relations(ab, r).encode()).hexdigest()
+                     for r in (done, interreduce(done))) == _TRIVIAL_3_BOUND_7
+        # Every site is reduced once or never formed.
+        assert stats["sites"] + stats["skipped"] == 24588
+        assert stats["sites"] == 1170
+
+    def test_trivial_three_letters_bound_9_closed_form(self):
+        ab, rels = parse_relations(_TRIVIAL_3)
+        assert irreducible_counts(complete(rels, 9), ab, 9) \
+            == [trivial_envelope_dimension(3, n) for n in range(1, 10)]
 
 
 # Raw completions (no interreduction) pinned when the family still built
