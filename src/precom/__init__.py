@@ -11,7 +11,7 @@ The layers, bottom up:
     letters, binary tree words with a length-then-right-factor order,
     and polynomials over them;
 ``rewrite``
-    subtree rewriting, normal forms, inclusion compositions, bounded
+    subtree rewriting, normal forms, confluence checks, bounded
     completion, and irreducible-word enumeration;
 ``shuffle``
     the free pre-commutative algebra on associative words, conversion to
@@ -35,7 +35,6 @@ from .magma import (
     leaf,
     magma_product,
     node,
-    words_of_length,
 )
 from .rewrite import (
     CompositionFailure,
@@ -46,7 +45,6 @@ from .rewrite import (
     ZinbielFamily,
     complete,
     graft,
-    inclusion_compositions,
     interreduce,
     irreducible_counts,
     irreducible_words,

@@ -211,9 +211,9 @@ class TailFamily(RelationSchema):
     def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
         """The matches among the candidates (a x) y with a an even-length
         comb and x <= y, sum over even m <= bound - 2 of d^m C(d+1, 2) of
-        them, in :func:`~precom.magma.words_of_length` order: by length,
-        then by letter sequence.  A subclass whose ``match`` declines some
-        of them lists only the rest."""
+        them, ordered by length, then by their letters in lexicographic
+        order.  A subclass whose ``match`` declines some of them lists only
+        the rest."""
         if self.alphabet is None:
             raise ValueError("family cannot enumerate instances without an alphabet")
         letters = self.alphabet.letters

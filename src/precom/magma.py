@@ -33,7 +33,6 @@ __all__ = [
     "node",
     "comb",
     "magma_product",
-    "words_of_length",
 ]
 
 # Longest word whose key is a nested tuple; a tuple comparison recurses
@@ -78,7 +77,6 @@ class Alphabet:
             raise ValueError("duplicate letter names: %r" % (names,))
         self.letters = tuple(Letter(n, i) for i, n in enumerate(names))
         self._by_name = {x.name: x for x in self.letters}
-        self._words: dict[int, tuple["NaWord", ...]] = {}
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -123,9 +121,21 @@ class NaWord:
         self.is_comb = is_comb
 
     def __repr__(self) -> str:
-        if self.letter is not None:
-            return self.letter.name
-        return "(%r %r)" % (self.left, self.right)
+        # The S-expression of the word, written with an explicit stack of
+        # the words still to write and the text that closes their brackets,
+        # so a deep word does not depend on the recursion limit.
+        out = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif x.letter is not None:
+                out.append(x.letter.name)
+            else:
+                out.append("(")
+                stack += (")", x.right, " ", x.left)
+        return "".join(out)
 
     def subtrees(self) -> Iterator[tuple[tuple[int, ...], "NaWord"]]:
         """Yield (path, subword) pairs in preorder: root, left, right.
@@ -250,26 +260,6 @@ def comb(letters: Iterable[Letter]) -> NaWord:
     for x in letters[1:]:
         w = node(w, leaf(x))
     return w
-
-
-def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
-    """All words with exactly n letters, in a fixed enumeration order."""
-    if n < 1:
-        raise ValueError("word length must be positive")
-    cached = alphabet._words.get(n)
-    if cached is None:
-        if n == 1:
-            cached = tuple(leaf(x) for x in alphabet)
-        else:
-            out = []
-            for i in range(1, n):
-                rights = words_of_length(alphabet, n - i)
-                for lw in words_of_length(alphabet, i):
-                    for rw in rights:
-                        out.append(node(lw, rw))
-            cached = tuple(out)
-        alphabet._words[n] = cached
-    return cached
 
 
 class MagmaPoly(LinComb):

@@ -8,9 +8,10 @@ leading monomial at an occurrence of g's leading monomial.
 
 A relation set is a list of :class:`RelationSchema`.  A schema either
 wraps one explicit monic polynomial or describes an infinite family; a
-family can match a given word structurally (for reduction, no
-instantiation needed) and can enumerate every instance whose leading
-monomial fits under a length bound (for composition search).
+family matches a given word structurally, so reduction needs no
+instantiation.  For composition search, an explicit relation and the tail
+family list their instances under a length bound; the Zinbiel family
+lists none (see below).
 
 :func:`verify_gsb` and :func:`complete` reduce only the compositions that
 can be nontrivial.  An explicit relation or a tail-family instance is the
@@ -39,8 +40,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .lincomb import Coeff, _require_monic, descend, memo_descend
-from .magma import Alphabet, MagmaPoly, NaWord, leaf, node, words_of_length
+from .lincomb import Coeff, descend, memo_descend
+from .magma import Alphabet, MagmaPoly, NaWord, leaf, node
 
 __all__ = [
     "LEFT",
@@ -60,7 +61,6 @@ __all__ = [
     "normal_forms",
     "normal_form_with_trace",
     "replay_trace",
-    "inclusion_compositions",
     "verify_gsb",
     "complete",
     "interreduce",
@@ -132,7 +132,7 @@ class RelationSchema:
     """A finitely described set of monic rewrite relations.
 
     A family matches words structurally, so reduction needs no alphabet;
-    enumerating its instances does.
+    composition search, which lists words, does.
     """
 
     def __init__(self, alphabet: Optional[Alphabet] = None):
@@ -141,20 +141,6 @@ class RelationSchema:
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
         """The instance whose leading monomial is ``word``, if any."""
         raise NotImplementedError
-
-    def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
-        """All instances whose leading monomial has length <= bound: the
-        matches of every word up to the bound, by length, in
-        :func:`~precom.magma.words_of_length` order."""
-        if self.alphabet is None:
-            raise ValueError("family cannot enumerate instances without an alphabet")
-        out = []
-        for n in range(1, bound + 1):
-            for w in words_of_length(self.alphabet, n):
-                m = self.match(w)
-                if m is not None:
-                    out.append(m)
-        return tuple(out)
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.alphabet)
@@ -411,24 +397,6 @@ def reducible(word: NaWord, relations: Iterable[RelationSchema]) -> bool:
 # ---------------------------------------------------------------------------
 # Compositions and verification
 
-def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, MagmaPoly]]:
-    """All (ambiguity, composition) pairs of the inclusion f - graft of g.
-
-    One entry per occurrence of g's leading monomial inside f's leading
-    monomial.  The root occurrence is kept for distinct relations with
-    equal leading monomials and skipped when f equals g.
-    """
-    _require_monic((f, g))
-    fl = f.leading()
-    gl = g.leading()
-    out = []
-    for path in occurrences(fl, gl):
-        if not path and f == g:
-            continue
-        out.append((fl, f - substitute(fl, path, g)))
-    return out
-
-
 class CompositionFailure:
     __slots__ = ("f", "g", "ambiguity", "normal_form")
     __hash__ = None
@@ -507,7 +475,8 @@ class _Sites:
         if self.zinbiel is not None:
             zpos, z = self.zinbiel
             if z.alphabet is None:
-                raise ValueError("family cannot enumerate instances without an alphabet")
+                raise ValueError("the Zinbiel family cannot list the left factors of its "
+                                 "right-factor sites without an alphabet")
             self.shadow = {p.leading() for pos, p in self.instances
                            if pos < zpos and z.match(p.leading()) == p}
             # words[n] counts the words of length n; left[n] lists those

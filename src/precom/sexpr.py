@@ -163,20 +163,8 @@ def parse_word(text: str, alphabet: Alphabet) -> NaWord:
 
 
 def format_word(w: NaWord) -> str:
-    # Iterative, like parsing: the stack holds words still to write and
-    # the literal text that closes their brackets.
-    out = []
-    stack: list = [w]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif x.letter is not None:
-            out.append(x.letter.name)
-        else:
-            out.append("(")
-            stack += (")", x.right, " ", x.left)
-    return "".join(out)
+    # A word's repr is its S-expression, written without recursion.
+    return repr(w)
 
 
 def _rational(form: Form) -> Fraction:

@@ -1,0 +1,70 @@
+"""Reference implementations that only the tests call.
+
+Each enumerates by brute force what the library builds directly: every
+word of a length, the instances of a family by matching every word, and
+the inclusion compositions of two relations formed one by one.  The tests
+hold the library's answers against them.
+"""
+
+from __future__ import annotations
+
+from precom.lincomb import _require_monic
+from precom.magma import Alphabet, MagmaPoly, NaWord, leaf, node
+from precom.rewrite import RelationSchema, occurrences, substitute
+
+_WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
+
+
+def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
+    """All words with exactly n letters, in a fixed enumeration order:
+    by the length of the left factor, then by left factor, then by right
+    factor."""
+    if n < 1:
+        raise ValueError("word length must be positive")
+    cached = _WORDS.get((alphabet, n))
+    if cached is None:
+        if n == 1:
+            cached = tuple(leaf(x) for x in alphabet)
+        else:
+            out = []
+            for i in range(1, n):
+                rights = words_of_length(alphabet, n - i)
+                for lw in words_of_length(alphabet, i):
+                    for rw in rights:
+                        out.append(node(lw, rw))
+            cached = tuple(out)
+        _WORDS[(alphabet, n)] = cached
+    return cached
+
+
+def scan_instances(schema: RelationSchema, bound: int) -> tuple[MagmaPoly, ...]:
+    """All instances of a family whose leading monomial has length <=
+    bound: the matches of every word up to the bound, by length, in
+    :func:`words_of_length` order."""
+    if schema.alphabet is None:
+        raise ValueError("family cannot enumerate instances without an alphabet")
+    out = []
+    for n in range(1, bound + 1):
+        for w in words_of_length(schema.alphabet, n):
+            m = schema.match(w)
+            if m is not None:
+                out.append(m)
+    return tuple(out)
+
+
+def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, MagmaPoly]]:
+    """All (ambiguity, composition) pairs of the inclusion f - graft of g.
+
+    One entry per occurrence of g's leading monomial inside f's leading
+    monomial.  The root occurrence is kept for distinct relations with
+    equal leading monomials and skipped when f equals g.
+    """
+    _require_monic((f, g))
+    fl = f.leading()
+    gl = g.leading()
+    out = []
+    for path in occurrences(fl, gl):
+        if not path and f == g:
+            continue
+        out.append((fl, f - substitute(fl, path, g)))
+    return out

@@ -33,12 +33,13 @@ from precom import (
     trivial_gsb,
     truncated_poly_relations,
     truncated_power_algebra,
-    words_of_length,
 )
 from precom.compoly import _times
 from precom.lincomb import descend, exact
 from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
+
+from oracles import words_of_length
 
 
 class _MaxItem:

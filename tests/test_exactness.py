@@ -45,9 +45,10 @@ from precom import (
     truncated_poly_relations,
     truncated_power_algebra,
     verify_gsb,
-    words_of_length,
     zinbiel_product,
 )
+
+from oracles import words_of_length
 
 
 def assert_exact_coeff(c):

@@ -12,8 +12,10 @@ from precom import (
     leaf,
     magma_product,
     node,
-    words_of_length,
 )
+from precom.sexpr import format_word
+
+from oracles import words_of_length
 
 
 def words_upto(ab, n):
@@ -121,6 +123,14 @@ class TestWords:
     def test_repr(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         assert repr(node(x, node(y, x))) == "(x (y x))"
+        # A 3000-deep right-nested word writes without recursion.
+        w = x
+        for _ in range(3000):
+            w = node(y, w)
+        text = repr(w)
+        assert text == format_word(w)
+        assert text == "(y " * 3000 + "x" + ")" * 3000
+        assert repr(MagmaPoly.monomial(w, 2)) == "2*" + text
 
 
 class TestBracket:

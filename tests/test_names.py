@@ -4,6 +4,8 @@ Each module's ``__all__`` lists only names the module itself defines, and
 the package re-exports each of its names from the module that lists it.
 A stale entry would otherwise go unnoticed: ``from module import *`` is
 never used, and the benchmark's tracer skips a name it cannot find.
+The library's surface is also pinned where it shrank: what only the tests
+run lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pathlib
 import pytest
 
 import precom
+from precom import ExplicitRelation, RelationSchema, TailFamily, ZinbielFamily
 
 PACKAGE = pathlib.Path(precom.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -42,3 +45,21 @@ def test_package_reexports_from_the_defining_module():
             assert alias.asname is None
             assert alias.name in mod.__all__, (node.module, alias.name)
             assert getattr(precom, alias.name) is getattr(mod, alias.name)
+
+
+@pytest.mark.parametrize("module", ["precom", "precom.magma", "precom.rewrite"])
+@pytest.mark.parametrize("name", ["words_of_length", "inclusion_compositions"])
+def test_oracles_are_not_library_names(module, name):
+    # The all-words enumerator and the one-by-one inclusion compositions
+    # are reference implementations in tests/oracles.py; no verb runs them.
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_only_the_schemas_that_sites_list_have_instances():
+    # Composition search lists the instances of explicit relations and of
+    # the tail family; the Zinbiel family's sites start from the other
+    # relations, and a generic schema lists nothing.
+    assert not hasattr(RelationSchema, "instances")
+    assert not hasattr(ZinbielFamily, "instances")
+    assert hasattr(ExplicitRelation, "instances")
+    assert hasattr(TailFamily, "instances")
