@@ -116,6 +116,7 @@ from .embed import (
     standard_filtration,
     validate_filtration,
     verify_embedding,
+    verify_rota_baxter,
 )
 
 __version__ = "0.1.0"

@@ -12,9 +12,10 @@ discharged by the composition criteria, and those of them skipped by the
 chain criterion), ``complete`` adds ``stats`` with the instances it
 built, the composition sites it reduced and those it skipped, and
 ``embed`` adds ``stats`` with its Buchberger pairs, by what became of
-them, and its divisor lookups with those answered from the memo, and
+them, and its divisor lookups with those answered from the memo,
 ``verify perm`` adds ``stats`` with the distinct element products and
-the half-shuffle table entries it computed.
+the half-shuffle table entries it computed, and ``verify rb`` adds
+``stats`` with the Cauchy products it formed and the terms they produced.
 Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
@@ -45,12 +46,9 @@ from .envelope import (
 )
 from .embed import (
     FilteredAlgebra,
-    rb_apply,
-    random_series,
-    series_product,
-    splitting_product,
     standard_filtration,
     verify_embedding,
+    verify_rota_baxter,
 )
 from .magma import Alphabet
 from .rewrite import (
@@ -308,25 +306,11 @@ def _verify_collapse(args):
 
 def _verify_rb(args):
     _at_least({"count": (args.count, 1), "max-n": (args.max_n, 2)})
-    rng = random.Random(args.seed)
-    failures = []
-    for i in range(args.count):
-        N = rng.randint(2, args.max_n)
-        a, b, c = (random_series(rng, N) for _ in range(3))
-        # R(a), R(b) and the splitting product R(a)b serve both identities.
-        ra, rb_ = rb_apply(a), rb_apply(b)
-        ra_b = series_product(ra, b, N)
-        lhs = series_product(ra, rb_, N)
-        rhs = rb_apply(ra_b + series_product(a, rb_, N))
-        if lhs != rhs:
-            failures.append({"trial": i, "identity": "rota-baxter"})
-        zl = series_product(ra, series_product(rb_, c, N), N)
-        zr = (splitting_product(ra_b, c, N)
-              + splitting_product(series_product(rb_, a, N), c, N))
-        if zl != zr:
-            failures.append({"trial": i, "identity": "pre-commutative"})
+    stats: dict = {}
+    bad = verify_rota_baxter(random.Random(args.seed), args.count, args.max_n, stats)
+    failures = [{"trial": i, "identity": identity} for i, identity in bad]
     lines = ["trials: %d (seed %d)" % (args.count, args.seed)]
-    return not failures, [args.count], failures, lines, None
+    return not failures, [args.count], failures, lines, stats
 
 
 def _verify_perm(args):

@@ -12,13 +12,24 @@ truncation is not part of the value but an argument N of the products
 ``series_product``, ``series_star`` and ``splitting_product``, which drop
 every exponent above N.
 
+Every Cauchy product runs one integer kernel over ``{(n, m): int}``
+dicts.  ``series_product`` scales its two series to integers, runs the
+kernel and divides each output coefficient once.  ``verify_rota_baxter``
+stays in integers throughout: it keeps each series as a scaled pair
+(d, {(n, m): int}) whose value is terms/d, multiplies the denominators
+of a product, applies R as a multiplication by L//n over L = lcm(1..N),
+cross-scales a sum, and compares two pairs by cross-multiplying, so no
+``Fraction`` is made and no gcd is taken.
+
 The averaging operator R(t^n) = t^n/n is a weight-zero Rota-Baxter
 operator on a commutative ring, so the one-sided product R(f)g is
 pre-commutative for every pair of series (Aguiar, Lett. Math. Phys. 54,
-2000) and needs no check per input.  The induced symmetric product R(f)g + fR(g) sends the image
-series of x and y to the image of x*y modulo the coefficient relations:
-the t^l discrepancy is exactly l times the pair relation of x and y at
-weight l, and zero below the sum of their levels.  The verifier checks
+2000) and needs no check per input; ``verify rb`` checks both
+identities on random series all the same.  The induced symmetric
+product R(f)g + fR(g) sends the image series of x and y to the image of
+x*y modulo the coefficient relations: the t^l discrepancy is exactly l
+times the pair relation of x and y at weight l, and zero below the sum
+of their levels.  The verifier checks
 that equality as it stands, with no reduction.  Injectivity is
 certified per instance by Buchberger completion of the coefficient
 relations truncated at weight N.  The relations are weight-homogeneous,
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .compoly import (
@@ -68,6 +80,7 @@ __all__ = [
     "splitting_product",
     "EmbeddingReport",
     "verify_embedding",
+    "verify_rota_baxter",
     "random_series",
     "random_nilpotent_algebra",
 ]
@@ -299,17 +312,13 @@ def _by_exponent(terms: dict) -> dict:
     return out
 
 
-def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
-    """Cauchy product through t^N, everything beyond discarded.
-    Integer-first: both series are scaled to integer coefficients, each
-    exponent's products are summed as integers, and each sum is divided
-    once.  Terms are grouped by exponent, so a pair of exponents above N
-    is skipped as a block."""
-    ds, si = integral(s.terms)
-    du, ui = integral(u.terms)
-    ug = _by_exponent(ui).items()
+def _cauchy(s: dict, u: dict, N: int) -> dict:
+    """The Cauchy product through t^N of two ``{(n, m): int}`` dicts, as
+    one such dict without zeros.  Terms are grouped by exponent, so a
+    pair of exponents above N is skipped as a block."""
+    ug = _by_exponent(u).items()
     sums: dict[int, dict] = {}
-    for i, p in _by_exponent(si).items():
+    for i, p in _by_exponent(s).items():
         for j, q in ug:
             n = i + j
             if n > N:
@@ -321,9 +330,21 @@ def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
                 for k, b in q:
                     mk = m * k
                     acc[mk] = acc.get(mk, 0) + a * b
+    return {(n, m): c for n, acc in sums.items() for m, c in acc.items() if c}
+
+
+def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """Cauchy product through t^N, everything beyond discarded.
+    Integer-first: both series are scaled to integer coefficients, the
+    integer kernel that ``verify_rota_baxter`` also runs forms the
+    product, and each output coefficient is divided once."""
+    ds, si = integral(s.terms)
+    du, ui = integral(u.terms)
+    terms = _cauchy(si, ui, N)
     d = ds * du
-    return TruncSeries._raw({(n, m): c if d == 1 else exact(Fraction(c, d))
-                             for n, acc in sums.items() for m, c in acc.items() if c})
+    if d != 1:
+        terms = {t: exact(Fraction(c, d)) for t, c in terms.items()}
+    return TruncSeries._raw(terms)
 
 
 def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
@@ -346,6 +367,95 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
     """The one-sided product R(s)u through t^N; satisfies the defining
     identity a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
     return series_product(rb_apply(s), u, N)
+
+
+# ---------------------------------------------------------------------------
+# Scaled series: the Rota-Baxter check on integers
+#
+# A scaled series is a pair (d, {(n, m): int}) whose value is terms/d,
+# with no zero coefficients.  No operation takes a gcd, so one value has
+# many pairs; ``_scaled_equal`` compares values.
+
+def _scaled_rb(s: tuple, q: list) -> tuple:
+    # R with q[n] = L // n, L = lcm(1..N): t^n/n = (L//n) t^n / L.
+    d, terms = s
+    return d * q[0], {t: c * q[t[0]] for t, c in terms.items()}
+
+
+def _scaled_sum(s: tuple, u: tuple) -> tuple:
+    (d, p), (e, q) = s, u
+    if d != e:
+        p = {t: c * e for t, c in p.items()}
+        q = {t: c * d for t, c in q.items()}
+        d *= e
+    out = dict(p)
+    for t, c in q.items():
+        c += out.get(t, 0)
+        if c:
+            out[t] = c
+        else:
+            del out[t]
+    return d, out
+
+
+def _scaled_equal(s: tuple, u: tuple) -> bool:
+    (d, p), (e, q) = s, u
+    return p.keys() == q.keys() and all(c * e == q[t] * d for t, c in p.items())
+
+
+def _as_series(s: tuple) -> TruncSeries:
+    """The value of a scaled series."""
+    d, terms = s
+    return TruncSeries._raw({t: exact(Fraction(c, d)) for t, c in terms.items()})
+
+
+def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
+    """One trial of :func:`verify_rota_baxter` as scaled series: it draws
+    N in 2..max_n and the series a, b, c, and returns the two sides
+    R(a)R(b) and R(R(a)b + aR(b)) of the Rota-Baxter identity, then the
+    two sides R(a)(R(b)c) and R(R(a)b)c + R(R(b)a)c of the
+    pre-commutative one.  ``stats`` counts the products and their terms."""
+    N = rng.randint(2, max_n)
+    a, b, c = (_draw(rng, N) for _ in range(3))
+    L = lcm(*range(1, N + 1))
+    q = [L] + [L // n for n in range(1, N + 1)]
+
+    def mul(s: tuple, u: tuple) -> tuple:
+        terms = _cauchy(s[1], u[1], N)
+        stats["products"] += 1
+        stats["terms"] += len(terms)
+        return s[0] * u[0], terms
+
+    ra, rb = _scaled_rb(a, q), _scaled_rb(b, q)
+    ra_b = mul(ra, b)
+    lhs = mul(ra, rb)
+    rhs = _scaled_rb(_scaled_sum(ra_b, mul(a, rb)), q)
+    zl = mul(ra, mul(rb, c))
+    zr = _scaled_sum(mul(_scaled_rb(ra_b, q), c),
+                     mul(_scaled_rb(mul(rb, a), q), c))
+    return lhs, rhs, zl, zr
+
+
+def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
+                       stats: Optional[dict] = None) -> list[tuple[int, str]]:
+    """Check the Rota-Baxter identity R(a)R(b) = R(R(a)b + aR(b)) and the
+    pre-commutative identity R(a)(R(b)c) = R(R(a)b)c + R(R(b)a)c exactly,
+    in scaled integers, on ``count`` trials, each on three
+    :func:`random_series` draws through a random t^N, N in 2..max_n.
+    The failures are (trial, "rota-baxter" or "pre-commutative") in trial
+    order.  ``stats``, when given, gets the number of Cauchy products
+    formed and of the terms they produced."""
+    tally = {"products": 0, "terms": 0}
+    failures = []
+    for i in range(count):
+        lhs, rhs, zl, zr = _rb_sides(rng, max_n, tally)
+        if not _scaled_equal(lhs, rhs):
+            failures.append((i, "rota-baxter"))
+        if not _scaled_equal(zl, zr):
+            failures.append((i, "pre-commutative"))
+    if stats is not None:
+        stats.update(tally)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +532,33 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
 # ---------------------------------------------------------------------------
 # Random data helpers
 
-def random_series(rng: random.Random, N: int) -> TruncSeries:
-    """A random series with exponents 1..N over the symbols x[1..4] (level
-    1) and y[2..4] (level 2); coefficients are small random polynomials
-    of at most two terms, possibly with constant terms."""
-    symbols = [GenSymbol("x", 1, i, 0) for i in range(1, 5)]
-    symbols += [GenSymbol("y", 2, i, 1) for i in range(2, 5)]
-    terms = []
+_DRAW_SYMBOLS = ([GenSymbol("x", 1, i, 0) for i in range(1, 5)]
+                 + [GenSymbol("y", 2, i, 1) for i in range(2, 5)])
+
+
+def _draw(rng: random.Random, N: int) -> tuple:
+    """:func:`random_series` as a scaled series: each coefficient a/b,
+    b in 1..3, is kept as a*(6//b) over the common denominator 6."""
+    terms: dict = {}
     for n in range(1, N + 1):
         if rng.random() < 0.4:
             continue
         for _ in range(rng.randint(1, 2)):
-            mono = ComMonomial(rng.choice(symbols)
-                               for _ in range(rng.randint(0, 2)))
-            terms.append(((n, mono), Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
-    return TruncSeries.from_terms(terms)
+            t = (n, ComMonomial(rng.choice(_DRAW_SYMBOLS)
+                                for _ in range(rng.randint(0, 2))))
+            c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) + terms.get(t, 0)
+            if c:
+                terms[t] = c
+            else:
+                terms.pop(t, None)
+    return 6, terms
+
+
+def random_series(rng: random.Random, N: int) -> TruncSeries:
+    """A random series with exponents 1..N over the symbols x[1..4] (level
+    1) and y[2..4] (level 2); coefficients are small random polynomials
+    of at most two terms, possibly with constant terms."""
+    return _as_series(_draw(rng, N))
 
 
 def random_nilpotent_algebra(rng: random.Random) -> CommAlgebra:

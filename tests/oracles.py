@@ -2,12 +2,17 @@
 
 Each enumerates by brute force what the library builds directly: every
 word of a length, the instances of a family by matching every word, and
-the inclusion compositions of two relations formed one by one.  The tests
-hold the library's answers against them.
+the inclusion compositions of two relations formed one by one.  One
+computes in ``Fraction`` series what the library computes in scaled
+integers: a trial of the Rota-Baxter check.  The tests hold the
+library's answers against them.
 """
 
 from __future__ import annotations
 
+import random
+
+from precom.embed import TruncSeries, random_series, rb_apply, series_product, splitting_product
 from precom.lincomb import _require_monic
 from precom.magma import Alphabet, MagmaPoly, NaWord, leaf, node
 from precom.rewrite import RelationSchema, occurrences, substitute
@@ -68,3 +73,35 @@ def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, Mag
             continue
         out.append((fl, f - substitute(fl, path, g)))
     return out
+
+
+def rota_baxter_sides(rng: random.Random, max_n: int) -> tuple[TruncSeries, ...]:
+    """One trial of ``verify rb`` in ``TruncSeries`` arithmetic: the
+    sides R(a)R(b), R(R(a)b + aR(b)) of the Rota-Baxter identity and
+    R(a)(R(b)c), R(R(a)b)c + R(R(b)a)c of the pre-commutative one, for a
+    truncation N in 2..max_n and three random series, drawn in that
+    order."""
+    N = rng.randint(2, max_n)
+    a, b, c = (random_series(rng, N) for _ in range(3))
+    ra, rb = rb_apply(a), rb_apply(b)
+    ra_b = series_product(ra, b, N)
+    lhs = series_product(ra, rb, N)
+    rhs = rb_apply(ra_b + series_product(a, rb, N))
+    zl = series_product(ra, series_product(rb, c, N), N)
+    zr = (splitting_product(ra_b, c, N)
+          + splitting_product(series_product(rb, a, N), c, N))
+    return lhs, rhs, zl, zr
+
+
+def rota_baxter_failures(seed: int, count: int, max_n: int) -> list[tuple[int, str]]:
+    """The failures of ``count`` trials from ``random.Random(seed)``, as
+    (trial, identity) in trial order."""
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        lhs, rhs, zl, zr = rota_baxter_sides(rng, max_n)
+        if lhs != rhs:
+            failures.append((i, "rota-baxter"))
+        if zl != zr:
+            failures.append((i, "pre-commutative"))
+    return failures

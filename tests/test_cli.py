@@ -4,10 +4,12 @@ import contextlib
 import gc
 import io
 import json
+import math
 
 import pytest
 
 from precom import cli
+from precom import embed as embed_module
 from precom import shuffle as shuffle_module
 from precom.cli import main
 
@@ -288,6 +290,32 @@ class TestVerify:
         code, out, _ = run("verify", "rb", "--count", "5", "--max-n", "5")
         assert code == 0
         assert "trials: 5 (seed 0)" in out
+
+    def test_rb_json_stats(self, run):
+        # The Cauchy products formed (8 a trial) and the terms they
+        # produced; the reports of two runs are byte-identical.
+        argv = ("verify", "rb", "--count", "20", "--max-n", "8", "--json")
+        code, first, _ = run(*argv)
+        assert code == 0
+        assert json.loads(first)["stats"] == {"products": 160, "terms": 946}
+        assert run(*argv)[1] == first
+
+    def test_rb_wrong_operator_exits_1(self, run, monkeypatch):
+        # R(t^n) = t^n/(n+1) is no Rota-Baxter operator: the check fails
+        # and names the trials and identities that failed.
+        def shifted(s, q):
+            d, terms = s
+            D = math.lcm(*(n + 1 for n, _ in terms))
+            return d * D, {t: c * (D // (t[0] + 1)) for t, c in terms.items()}
+        monkeypatch.setattr(embed_module, "_scaled_rb", shifted)
+        code, out, _ = run("verify", "rb", "--count", "10", "--max-n", "8", "--json")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert {f["identity"] for f in rep["failures"]} == {"rota-baxter", "pre-commutative"}
+        assert all(0 <= f["trial"] < 10 for f in rep["failures"])
+        code, out, _ = run("verify", "rb", "--count", "10", "--max-n", "8")
+        assert code == 1 and out.splitlines()[-1] == "status: failed"
 
     def test_perm(self, run):
         code, out, _ = run("verify", "perm", "--dim", "2", "--triples", "3",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -29,9 +30,12 @@ from precom import (
     truncated_power_algebra,
     validate_filtration,
     verify_embedding,
+    verify_rota_baxter,
 )
 from precom import embed as embed_module
-from precom.lincomb import echelon_insert
+from precom.lincomb import echelon_insert, exact
+
+import oracles
 
 
 def trivial_filtered(d=1):
@@ -563,6 +567,116 @@ class TestSplitting:
                 == splitting_product(s, u, N) + splitting_product(u, s, N)
 
 
+def shifted_rb(s):
+    """The wrong operator t^n -> t^n/(n+1), on series."""
+    return TruncSeries._raw({t: exact(Fraction(c, t[0] + 1)) for t, c in s.terms.items()})
+
+
+def shifted_scaled_rb(s, q):
+    """The same wrong operator on scaled series."""
+    d, terms = s
+    D = math.lcm(*(n + 1 for n, _ in terms))
+    return d * D, {t: c * (D // (t[0] + 1)) for t, c in terms.items()}
+
+
+def diagonal_free(kernel):
+    """A wrong Cauchy kernel: it leaves out the pairs of equal exponents."""
+    def product(s, u, N):
+        out = {}
+        for i in range(1, N):
+            left = {t: c for t, c in s.items() if t[0] == i}
+            right = {t: c for t, c in u.items() if t[0] != i}
+            for t, c in kernel(left, right, N).items():
+                out[t] = out.get(t, 0) + c
+        return {t: c for t, c in out.items() if c}
+    return product
+
+
+class TestVerifyRotaBaxter:
+    # (seed, max_n) pairs: 10 seeds, truncations up to 12.
+    RUNS = list(zip(range(10), (2, 3, 4, 5, 6, 8, 8, 10, 12, 12)))
+
+    @pytest.mark.parametrize("seed, max_n", RUNS)
+    def test_sides_match_the_fraction_oracle(self, seed, max_n):
+        # The scaled sides of both identities have the values the
+        # TruncSeries arithmetic gives, from the same draws.
+        rng, ref = random.Random(seed), random.Random(seed)
+        stats = {"products": 0, "terms": 0}
+        for _ in range(40):
+            sides = embed_module._rb_sides(rng, max_n, stats)
+            want = oracles.rota_baxter_sides(ref, max_n)
+            assert [embed_module._as_series(x) for x in sides] == list(want)
+            assert rng.getstate() == ref.getstate()
+        assert stats["products"] == 8 * 40
+
+    @pytest.mark.parametrize("seed, max_n", RUNS[::3])
+    def test_no_failures_on_the_averaging_operator(self, seed, max_n):
+        assert verify_rota_baxter(random.Random(seed), 40, max_n) == []
+
+    def test_shifted_operator_fails_both_identities(self, monkeypatch):
+        # t^n -> t^n/(n+1) is no Rota-Baxter operator; the Fraction oracle
+        # with the same operator fails the same trials.
+        monkeypatch.setattr(embed_module, "_scaled_rb", shifted_scaled_rb)
+        got = verify_rota_baxter(random.Random(4), 30, 8)
+        monkeypatch.setattr(embed_module, "rb_apply", shifted_rb)
+        monkeypatch.setattr(oracles, "rb_apply", shifted_rb)
+        assert got == oracles.rota_baxter_failures(4, 30, 8)
+        assert {identity for _, identity in got} == {"rota-baxter", "pre-commutative"}
+
+    def test_wrong_product_fails(self, monkeypatch):
+        # The kernel is shared: series_product, and so the oracle, runs the
+        # same wrong product and fails the same trials.
+        monkeypatch.setattr(embed_module, "_cauchy", diagonal_free(embed_module._cauchy))
+        got = verify_rota_baxter(random.Random(4), 30, 8)
+        assert got == oracles.rota_baxter_failures(4, 30, 8)
+        assert (5, "pre-commutative") in got
+
+    def test_stats(self):
+        stats = {}
+        verify_rota_baxter(random.Random(0), 20, 8, stats)
+        assert stats == {"products": 160, "terms": 946}
+
+
+class TestScaledSeries:
+    def setup_method(self):
+        F = trivial_filtered(2)
+        self.x, self.y = (c_mono(F, (name, 1)) for name in ("x", "y"))
+
+    def test_equal_values_at_different_denominators(self):
+        a = (6, {(1, self.x): 3, (2, self.y): -4})
+        b = (12, {(1, self.x): 6, (2, self.y): -8})
+        assert embed_module._scaled_equal(a, b)
+        assert embed_module._scaled_equal(b, a)
+        assert embed_module._as_series(a) == embed_module._as_series(b)
+        assert embed_module._scaled_equal((1, {}), (30, {}))
+
+    def test_one_coefficient_off(self):
+        a = (6, {(1, self.x): 3, (2, self.y): -4})
+        b = (12, {(1, self.x): 6, (2, self.y): -7})
+        assert not embed_module._scaled_equal(a, b)
+        assert not embed_module._scaled_equal(b, a)
+
+    def test_one_extra_key(self):
+        a = (6, {(1, self.x): 3})
+        b = (6, {(1, self.x): 3, (2, self.y): 1})
+        assert not embed_module._scaled_equal(a, b)
+        assert not embed_module._scaled_equal(b, a)
+
+    def test_sum_cross_scales_and_drops_zeros(self):
+        a = (2, {(1, self.x): 1, (2, self.y): 1})
+        b = (3, {(1, self.x): 1, (2, self.y): -2})
+        got = embed_module._scaled_sum(a, b)
+        assert got == (6, {(1, self.x): 5, (2, self.y): -1})
+        assert embed_module._scaled_sum(a, (2, {(1, self.x): -1})) == (2, {(2, self.y): 1})
+
+    def test_rb_multiplies_by_lcm_over_n(self):
+        s = TruncSeries._raw({(1, self.x): Fraction(1, 2), (3, self.y): 5})
+        scaled = embed_module._scaled_rb((2, {(1, self.x): 1, (3, self.y): 10}),
+                                         [6, 6, 3, 2])
+        assert scaled[0] == 12
+        assert embed_module._as_series(scaled) == rb_apply(s)
+
+
 class TestVerifyEmbedding:
     def test_trivial_one_dim(self):
         rep = verify_embedding(trivial_filtered(), 4)
@@ -694,6 +808,23 @@ class TestRandomInputs:
         a = random_series(random.Random(13), 6)
         b = random_series(random.Random(13), 6)
         assert a == b
+
+    @pytest.mark.parametrize("seed, N, digest", [
+        (0, 2, "ca96db31c992aa8de35c8aeaea8a4a210578a3424472713b5f39779ce22a3633"),
+        (1, 5, "26124f58de96bfd3a09c55634ac0b2296c932d4d6a659d8d48678fbf68287e5a"),
+        (7, 8, "3bbf0c506e1e782d7ef3a971bd4a98193b6f4634622a56c1cbd651c450cbe3cf"),
+        (42, 12, "0033839e8ec993a0801dcb6508301a040bb365d77876943bc8a2da9f384a1fb1"),
+        (2024, 12, "6b6fdd7cf09374397529ddcbefd2b38b40a69d3105262d9e4bd4fc33dec75d07"),
+    ])
+    def test_random_series_stream_pinned(self, seed, N, digest):
+        # The draw and the generator state after it, as random_series made
+        # them when it built Fraction coefficients: a change in how it uses
+        # the generator changes every verify rb trial after it.
+        rng = random.Random(seed)
+        s = random_series(rng, N)
+        text = repr(sorted((n, m.key, str(c)) for (n, m), c in s.terms.items()))
+        text += " %d" % rng.getrandbits(32)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_random_nilpotent_algebras_are_associative(self):
         rng = random.Random(19)

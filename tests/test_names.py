@@ -5,7 +5,8 @@ the package re-exports each of its names from the module that lists it.
 A stale entry would otherwise go unnoticed: ``from module import *`` is
 never used, and the benchmark's tracer skips a name it cannot find.
 The library's surface is also pinned where it shrank: what only the tests
-run lives in ``tests/oracles.py``.
+run lives in ``tests/oracles.py``, and the Rota-Baxter check has one
+public name.
 """
 
 from __future__ import annotations
@@ -63,3 +64,13 @@ def test_only_the_schemas_that_sites_list_have_instances():
     assert not hasattr(ZinbielFamily, "instances")
     assert hasattr(ExplicitRelation, "instances")
     assert hasattr(TailFamily, "instances")
+
+
+def test_rota_baxter_check_has_one_public_name():
+    # `verify rb` runs verify_rota_baxter; the Cauchy kernel, the scaled
+    # series operations and the integer draw stay private to embed.
+    embed = importlib.import_module("precom.embed")
+    assert precom.verify_rota_baxter is embed.verify_rota_baxter
+    for name in ("_cauchy", "_scaled_rb", "_scaled_sum", "_scaled_equal",
+                 "_as_series", "_draw", "_rb_sides"):
+        assert hasattr(embed, name) and name not in embed.__all__
