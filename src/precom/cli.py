@@ -214,6 +214,7 @@ def _handle_reduce(args):
 
 
 def _handle_complete(args):
+    _at_least({"bound": (args.bound, 2)})
     alphabet, relations = _load_relations(args.relations)
     stats: dict = {}
     done = complete(relations, args.bound, stats)
@@ -229,6 +230,7 @@ def _handle_complete(args):
 
 
 def _handle_irr(args):
+    _at_least({"bound": (args.bound, 1)})
     alphabet, relations = _load_relations(args.relations)
     counts = irreducible_counts(relations, alphabet, args.bound)
     report = {"status": "ok", "counts": counts, "failures": []}
@@ -259,6 +261,7 @@ def _handle_zmul(args):
 
 
 def _verify_zinbiel(args):
+    _at_least({"letters": (args.letters, 1), "bound": (args.bound, 2)})
     rep = verify_zinbiel_basis(args.letters, args.bound)
     ab = default_alphabet(args.letters)
     counts = irreducible_counts([ZinbielFamily(ab)], ab, args.bound)
@@ -268,6 +271,7 @@ def _verify_zinbiel(args):
 
 
 def _verify_trivial_envelope(args):
+    _at_least({"letters": (args.letters, 1), "bound": (args.bound, 2)})
     rep = verify_trivial_envelope(args.letters, args.bound,
                                   run_completion=not args.no_completion)
     failures, line, stats = _gsb_parts(rep.gsb)
@@ -285,6 +289,7 @@ def _verify_trivial_envelope(args):
 
 
 def _verify_odd_even(args):
+    _at_least({"letters": (args.letters, 1)})
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
     failures = [{"a": format_word(a), "b": format_word(b),
                  "normal_form": format_poly(nf)} for a, b, nf in rep.violations]
@@ -292,6 +297,7 @@ def _verify_odd_even(args):
 
 
 def _verify_collapse(args):
+    _at_least({"bound": (args.bound, 2)})
     A, _levels = _load_algebra(args.algebra)
     rep = collapse_check(A, args.bound)
     failures = [{"x": x.name, "y": y.name, "star": format_poly(got),

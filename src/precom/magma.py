@@ -12,10 +12,15 @@ object, so equality is identity and dictionary lookups never walk a tree.
 Build words through :func:`leaf`, :func:`node` and :func:`comb`, never
 through the raw ``NaWord`` constructor.
 
-Words order by their ``key`` alone.  It is a nested tuple, compared by C
-tuple comparison, up to ``_FLAT_KEY_LENGTH`` letters; a longer word gets
-a ``_DeepKey``, which compares in the same order with an explicit stack,
-so comparing deep words never depends on the recursion limit.
+Words order by their ``key`` alone.  Up to ``_FLAT_KEY_LENGTH`` letters
+it is a ``bytes`` string, the word written in preorder: a compound word
+of n letters is the byte n, then its right factor's key, then its left
+factor's; a leaf is the byte 1, the byte length k of its rank, then the
+rank in k big-endian bytes.  The code is prefix-free and each field
+orders like the value it writes, so one memcmp of two keys gives the
+weight order, for any alphabet size.  A longer word gets a ``_DeepKey``
+of constant size, which compares in the same order with an explicit
+stack, so comparing deep words never depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -35,9 +40,13 @@ __all__ = [
     "magma_product",
 ]
 
-# Longest word whose key is a nested tuple; a tuple comparison recurses
-# once per level, and a word of n letters nests at most n levels.
+# Longest word whose key is a byte string.  Each such key copies its
+# factors' keys, so a comb of n letters would hold O(n^2) bytes of keys;
+# above this length a word gets a _DeepKey of constant size.
 _FLAT_KEY_LENGTH = 64
+
+# The first byte of a byte-string key, by word length.
+_LENGTH_BYTE = tuple(bytes((n,)) for n in range(_FLAT_KEY_LENGTH + 1))
 
 class Letter:
     """A generator with a fixed rank in its alphabet's total order."""
@@ -103,9 +112,9 @@ class NaWord:
         letter:  the letter at a leaf, or None for a compound word
         left, right:  the factors of a compound word, or None at a leaf
         length:  number of leaves
-        key:  sort key realizing the weight order: a nested tuple
-            (length, right key, left key), or (1, rank) at a leaf; a
-            ``_DeepKey`` above ``_FLAT_KEY_LENGTH`` letters
+        key:  sort key realizing the weight order: the bytes
+            length + right key + left key, or 1, k and the rank in k bytes
+            at a leaf; a ``_DeepKey`` above ``_FLAT_KEY_LENGTH`` letters
         is_comb:  True when the word is left-combed, i.e. every right
             factor along the left spine is a single letter
     """
@@ -186,9 +195,9 @@ def _compare_pairs(stack: list) -> int:
 class _DeepKey:
     """The sort key of a word longer than ``_FLAT_KEY_LENGTH`` letters.
 
-    Orders like the nested tuple (length, right key, left key) but walks
-    the two words with an explicit stack.  Every tuple key belongs to a
-    shorter word, so a deep key is greater than any tuple key.
+    Orders like a byte-string key (length, right key, left key) but walks
+    the two words with an explicit stack.  Every byte-string key belongs
+    to a shorter word, so a deep key is greater than any of them.
     """
 
     __slots__ = ("length", "left", "right")
@@ -232,7 +241,9 @@ def leaf(letter: Letter) -> NaWord:
     """The one-letter word."""
     w = _LEAVES.get(letter)
     if w is None:
-        w = NaWord(letter, None, None, 1, (1, letter.rank), True)
+        k = (letter.rank.bit_length() + 7) // 8
+        key = _LENGTH_BYTE[1] + bytes((k,)) + letter.rank.to_bytes(k, "big")
+        w = NaWord(letter, None, None, 1, key, True)
         _LEAVES[letter] = w
     return w
 
@@ -244,7 +255,8 @@ def node(left: NaWord, right: NaWord) -> NaWord:
     if w is None:
         n = left.length + right.length
         # Weight key: length first, then right factor, then left factor.
-        key = (n, right.key, left.key) if n <= _FLAT_KEY_LENGTH else _DeepKey(n, left, right)
+        key = (_LENGTH_BYTE[n] + right.key + left.key if n <= _FLAT_KEY_LENGTH
+               else _DeepKey(n, left, right))
         w = NaWord(None, left, right, n, key, left.is_comb and right.letter is not None)
         _NODES[pair] = w
     return w

@@ -3,9 +3,10 @@
 Each enumerates by brute force what the library builds directly: every
 word of a length, the instances of a family by matching every word, and
 the inclusion compositions of two relations formed one by one.  One
-computes in ``Fraction`` series what the library computes in scaled
-integers: a trial of the Rota-Baxter check.  The tests hold the
-library's answers against them.
+gives a word's sort key as a nested tuple, the form keys had before
+they became byte strings.  One computes in ``Fraction`` series what the
+library computes in scaled integers: a trial of the Rota-Baxter check.
+The tests hold the library's answers against them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,22 @@ def words_of_length(alphabet: Alphabet, n: int) -> tuple[NaWord, ...]:
             cached = tuple(out)
         _WORDS[(alphabet, n)] = cached
     return cached
+
+
+_NESTED_KEYS: dict[NaWord, tuple] = {}
+
+
+def nested_key(w: NaWord) -> tuple:
+    """The weight-order key as a nested tuple at every length: (1, rank)
+    at a leaf, (length, right key, left key) for a compound word.  It
+    recurses once per level, so it suits words of at most a few hundred
+    letters."""
+    key = _NESTED_KEYS.get(w)
+    if key is None:
+        key = ((1, w.letter.rank) if w.letter is not None
+               else (w.length, nested_key(w.right), nested_key(w.left)))
+        _NESTED_KEYS[w] = key
+    return key
 
 
 def scan_instances(schema: RelationSchema, bound: int) -> tuple[MagmaPoly, ...]:

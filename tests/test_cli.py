@@ -435,6 +435,52 @@ class TestVerify:
         assert code == 0 and "status: verified" in out
 
 
+class TestFlagMinimums:
+    """A length bound or alphabet size below its minimum is named as the
+    flag the user typed, not as the library parameter it feeds."""
+
+    @pytest.fixture
+    def files(self, rel_file, alg_file):
+        return {"rels": rel_file(TRIVIAL2), "alg": alg_file(TRUNC2)}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("irr", "--relations", "rels", "--bound", "0"), "--bound must be at least 1 (got 0)"),
+        (("complete", "--relations", "rels", "--bound", "1"),
+         "--bound must be at least 2 (got 1)"),
+        (("verify", "zinbiel", "--letters", "2", "--bound", "0"),
+         "--bound must be at least 2 (got 0)"),
+        (("verify", "trivial-envelope", "--letters", "2", "--bound", "1"),
+         "--bound must be at least 2 (got 1)"),
+        (("verify", "collapse", "--algebra", "alg", "--bound", "1"),
+         "--bound must be at least 2 (got 1)"),
+        (("verify", "zinbiel", "--letters", "0", "--bound", "3"),
+         "--letters must be at least 1 (got 0)"),
+        (("verify", "trivial-envelope", "--letters", "-1", "--bound", "3"),
+         "--letters must be at least 1 (got -1)"),
+        (("verify", "odd-even", "--letters", "0", "--m-max", "3", "--k-max", "2"),
+         "--letters must be at least 1 (got 0)"),
+    ], ids=["irr", "complete", "zinbiel-bound", "trivial-envelope-bound",
+            "collapse", "zinbiel-letters", "trivial-envelope-letters", "odd-even"])
+    def test_below_minimum_exits_2(self, run, files, argv, message):
+        code, out, err = run(*(files.get(a, a) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("argv", [
+        ("irr", "--relations", "rels", "--bound", "1"),
+        ("complete", "--relations", "rels", "--bound", "2"),
+        ("verify", "zinbiel", "--letters", "1", "--bound", "2"),
+        ("verify", "trivial-envelope", "--letters", "1", "--bound", "2"),
+        ("verify", "collapse", "--algebra", "alg", "--bound", "2"),
+        ("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "2"),
+    ], ids=["irr", "complete", "zinbiel", "trivial-envelope", "collapse", "odd-even"])
+    def test_smallest_values_accepted(self, run, files, argv):
+        code, out, err = run(*(files.get(a, a) for a in argv))
+        assert code == 0
+        assert err == ""
+
+
 class TestEmbed:
     def test_with_levels(self, run, alg_file):
         path = alg_file(TRUNC2)

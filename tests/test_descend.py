@@ -10,9 +10,12 @@ relation object.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 from fractions import Fraction
+
+import pytest
 
 from precom import (
     Alphabet,
@@ -29,6 +32,7 @@ from precom import (
     graft,
     leaf,
     node,
+    normal_form_with_trace,
     substitute,
     trivial_gsb,
     truncated_poly_relations,
@@ -38,6 +42,7 @@ from precom.compoly import _times
 from precom.lincomb import descend, exact
 from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
+from precom.sexpr import format_poly, format_word, parse_poly, parse_relations
 
 from oracles import words_of_length
 
@@ -238,3 +243,47 @@ class TestComTraces:
                     for _ in range(rng.randint(1, 4)))
                 steps += len(assert_same_run(p.terms, find, find, _times))
         assert steps > 100
+
+
+# Length-10 tree polynomials over x < y < z with four terms, in the shape
+# of perfbench's ``reduce`` jobs, reduced modulo the trivial envelope:
+# (input, steps, SHA-256 of the printed normal form, SHA-256 of the
+# printed trace).  Computed when word keys were nested tuples, so a
+# change of key representation must leave every rewrite in place.
+_PINNED_REDUCE = [
+    ("(+ (* 1/2 ((y (((z y) x) (y z))) (x ((z y) y)))) (* -2 (((z (y z)) (y z)) "
+     "(((z z) z) (y y)))) (* -1/2 ((((z y) (y z)) (z x)) (y ((z x) z)))) "
+     "(* -1/2 ((y (((x z) (x z)) z)) ((y z) (z y)))))", 5459,
+     "041ab7359b8510b369a134079ecd9c978a2d2f2906ed5d1b6064a29365c6afda",
+     "c3a890a09b5f3febcd993fa1ff25ed7566ab48464cc034657f6e9e3ce2973a44"),
+    ("(+ (* -1 ((((x y) (x x)) ((y x) y)) (y (x y)))) (* -2 (x ((((x z) (z y)) "
+     "(z x)) ((x z) y)))) (* 1/2 ((x (z (((x y) x) y))) ((z z) (z x)))) "
+     "(* 2 ((((z x) y) x) ((y y) ((z z) (y y))))))", 5517,
+     "5e72aaf1f25b183f9361a88b758e82546e746d53c5b329c32f15007eda4dcfa4",
+     "e7ee1b45eae4c7878e5d1d6806b51199f67edff2035db59d0730e92747eecc47"),
+    ("(+ (* -1/2 (((x y) y) (((y x) (x y)) ((z x) x)))) (* -1 (((y ((y y) (y y))) "
+     "(y (y y))) (z x))) (* 1 ((((x y) (z (z (y y)))) y) (x (z z)))) "
+     "(* 3/2 ((y y) ((((x z) (z z)) (x z)) (x y)))))", 7483,
+     "42325d2980891b3f98d6324eaca42c34c11c3c843dc87d76af5f140fb955aadf",
+     "6c9f4e240f71c4e8ad3cc2db3e56bbb0bc63c6c47b9eee3a2a7c58ad2785e3f0"),
+    ("(+ (* 1/2 ((z ((y ((y z) z)) x)) ((z y) (x y)))) (* 2 ((((y (y x)) y) "
+     "(z (y (z z)))) (x x))) (* -2 ((((y z) z) (x (x x))) ((y (x z)) x))) "
+     "(* 3/2 ((x ((y y) (y y))) (((x z) (z x)) y))))", 6819,
+     "42c376337a6b4489ffbf205a532bbdf063957ea1961e0a4d01fc9f080d609bb1",
+     "c2ea30fd517cd93b71d88712095be2e5309e19a96049e6887290db8e26598564"),
+]
+
+
+class TestPinnedReduce:
+    @pytest.mark.parametrize("text, steps, result_sha, trace_sha", _PINNED_REDUCE,
+                             ids=["05", "15", "27", "29"])
+    def test_trivial_envelope(self, text, steps, result_sha, trace_sha):
+        ab, rels = parse_relations("(alphabet x y z)\n(family trivial-envelope)\n")
+        nf, trace = normal_form_with_trace(parse_poly(text, ab), rels)
+        assert len(trace) == steps
+        assert hashlib.sha256(format_poly(nf).encode()).hexdigest() == result_sha
+        h = hashlib.sha256()
+        for s in trace:
+            h.update(("%s %s %s %s\n" % (s.coeff, format_word(s.word), s.path,
+                                          format_poly(s.relation))).encode())
+        assert h.hexdigest() == trace_sha

@@ -13,9 +13,13 @@ from precom import (
     magma_product,
     node,
 )
+from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.sexpr import format_word
 
-from oracles import words_of_length
+from oracles import nested_key, words_of_length
+
+# Ranks from 256 on take two bytes in a key.
+AB300 = Alphabet(["a%d" % i for i in range(300)])
 
 
 def words_upto(ab, n):
@@ -196,6 +200,44 @@ class TestOrder:
                 assert (u.key < v.key, u.key > v.key, u.key <= v.key,
                         u.key >= v.key, u.key == v.key) \
                     == (want < 0, want > 0, want <= 0, want >= 0, want == 0)
+
+    def test_leaf_keys(self):
+        leaves = [leaf(AB300[r]) for r in (0, 1, 255, 256)]
+        assert [w.key for w in leaves] == [b"\x01\x00", b"\x01\x01\x01",
+                                           b"\x01\x01\xff", b"\x01\x02\x01\x00"]
+        assert sorted(reversed(leaves), key=lambda w: w.key) == leaves
+        lo, hi = leaves[0], leaves[3]
+        assert node(lo, hi).key == b"\x02" + hi.key + lo.key
+        assert node(hi, lo).key < node(lo, hi).key
+
+    @pytest.mark.parametrize("ab", [Alphabet("a"), Alphabet("xyz"), AB300],
+                             ids=["1", "3", "300"])
+    def test_keys_match_nested_oracle(self, ab):
+        # Lengths 1-12, and 60-70 across the switch to _DeepKey; variants
+        # that differ in one leaf share all but one path with their base.
+        rng = random.Random(len(ab))
+        special = [leaf(AB300[r]) for r in (0, 1, 255, 256)] if ab is AB300 else []
+        buckets = []
+        for n in list(range(1, 13)) + list(range(60, 71)):
+            ws = [random_word(rng, ab, n) for _ in range(25)]
+            ws += ([flip_leaf(w, rng.randrange(n), ab) for w in ws[:8]] if len(ab) > 1
+                   else [random_word(rng, ab, n) for _ in range(8)])
+            if n == 2:
+                ws += [node(u, v) for u in special for v in special]
+            buckets.append(ws + (special if n == 1 else []))
+        every = [w for ws in buckets for w in ws]
+        assert len(every) >= 759
+        for w in every:
+            assert type(w.key) is (bytes if w.length <= _FLAT_KEY_LENGTH else _DeepKey)
+        for ws in buckets:
+            for u in ws:
+                for v in ws:
+                    nu, nv = nested_key(u), nested_key(v)
+                    assert (u.key < v.key, u.key == v.key, u.key > v.key) \
+                        == (nu < nv, nu == nv, nu > nv)
+        shuffled = every[:]
+        rng.shuffle(shuffled)
+        assert sorted(shuffled, key=lambda w: w.key) == sorted(every, key=nested_key)
 
     def test_deep_combs_compare_without_recursion(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
