@@ -20,6 +20,17 @@ Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports.  Exit codes: 0 success/verified, 1 verification
 failure, 2 input or usage error.
 
+Flags are read from one table, ``_TABLE``, by a reader of its own: the
+standard library's parser, built and run once in a fresh process, was
+half of a small verdict.  A flag is given as ``--flag value`` or
+``--flag=value``, in any order, with the ``verify`` target anywhere
+after the verb; only whole flag names are accepted, not prefixes.
+``-h``/``--help`` prints the verb list, or one verb's flags, and exits
+0.  A usage error (an unknown or missing verb, target or flag, a flag
+without its value, a value that is not an integer where one is
+expected) prints a usage line and an ``error:`` line to stderr and
+exits 2.
+
 :func:`main` runs the verb's handler with the cyclic garbage collector
 off and restores its previous state afterwards.  Words, monomials and
 symbols are hash-consed and live as long as the process, and the kernel
@@ -30,12 +41,12 @@ of a long ``reduce``.  Reference counting still frees everything else.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import time
 import random
+from types import SimpleNamespace
 
 from .envelope import (
     collapse_check,
@@ -57,7 +68,7 @@ from .rewrite import (
     interreduce,
     irreducible_counts,
     irreducible_words,
-    normal_form_with_trace,
+    normal_form,
 )
 from .sexpr import (
     ParseError,
@@ -72,106 +83,196 @@ from .sexpr import (
 )
 from .shuffle import PermAlgebra, ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
 
-_VERIFY_TARGETS = ("zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm")
-_VERBS = ("reduce", "complete", "irr", "zmul", "verify", "embed")
-
-
-def _build_parser(verbs=_VERBS):
-    """The parser with the subparsers of ``verbs``, and those subparsers
-    by verb.  :func:`main` builds only the verb that argv names, when it
-    names one; the usage line lists every verb either way."""
-    parser = argparse.ArgumentParser(
-        prog="precom",
-        description="Exact rewriting in free pre-commutative algebras and "
-                    "power-series embeddings of filtered commutative algebras.")
-    sub = parser.add_subparsers(
-        dest="verb", required=True, prog="precom",
-        metavar=None if verbs == _VERBS else "{%s}" % ",".join(_VERBS))
-
-    def verb_parser(verb: str, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(verb, help=summary)
-        p.add_argument("--json", action="store_true", help="emit a structured JSON report")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in the report")
-        return p
-
-    if "reduce" in verbs:
-        p = verb_parser("reduce", "normal form of a tree polynomial modulo relations")
-        p.add_argument("--relations", required=True, help="relation file")
-        p.add_argument("--input", required=True, help="word or polynomial S-expression")
-
-    if "complete" in verbs:
-        p = verb_parser("complete", "bounded completion of a relation set")
-        p.add_argument("--relations", required=True)
-        p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--interreduce", action="store_true",
-                       help="minimalize and tail-reduce the completed set")
-
-    if "irr" in verbs:
-        p = verb_parser("irr", "irreducible words modulo a relation set")
-        p.add_argument("--relations", required=True)
-        p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--words", action="store_true", help="list the words, not just counts")
-
-    if "zmul" in verbs:
-        p = verb_parser("zmul", "product of dotted words in the free pre-commutative algebra")
-        p.add_argument("--left", required=True, help="dotted word, e.g. x.y")
-        p.add_argument("--right", required=True)
-        p.add_argument("--star", action="store_true",
-                       help="symmetrized product instead of the one-sided one")
-        p.add_argument("--letters", default=None,
-                       help="comma-separated alphabet order (default: sorted names)")
-
-    if "verify" in verbs:
-        p = verb_parser("verify", "run a verification driver")
-        p.add_argument("target", choices=_VERIFY_TARGETS)
-        p.add_argument("--letters", type=int, default=None, help="alphabet size")
-        p.add_argument("--bound", type=int, default=None, help="ambiguity/length bound")
-        p.add_argument("--no-completion", action="store_true",
-                       help="trivial-envelope: skip the completion cross-check")
-        p.add_argument("--m-max", type=int, default=None, help="odd-even: odd length cap")
-        p.add_argument("--k-max", type=int, default=None, help="odd-even: even length cap")
-        p.add_argument("--algebra", default=None, help="collapse: algebra JSON file")
-        p.add_argument("--count", type=int, default=None, help="rb: number of random trials")
-        p.add_argument("--max-n", type=int, default=None, help="rb: max truncation degree")
-        p.add_argument("--dim", type=int, default=None, help="perm: Perm-algebra dimension")
-        p.add_argument("--triples", type=int, default=None, help="perm: number of triples")
-        p.add_argument("--max-degree", type=int, default=None, help="perm: element degree cap")
-        p.add_argument("--seed", type=int, default=0, help="random seed (rb, perm)")
-
-    if "embed" in verbs:
-        p = verb_parser("embed", "verify the power-series embedding of a filtered algebra")
-        p.add_argument("--algebra", required=True, help="algebra JSON file")
-        p.add_argument("--N", type=int, required=True, help="truncation degree")
-    return parser, sub.choices
-
-
-# For each verify target: the flags it requires, then the other flags it
-# reads.  Any other verify flag set away from its default is an error.
-_VERIFY_FLAGS = {
-    "zinbiel": (("letters", "bound"), ()),
-    "trivial-envelope": (("letters", "bound"), ("no-completion",)),
-    "odd-even": (("letters", "m-max", "k-max"), ()),
-    "collapse": (("algebra", "bound"), ()),
-    "rb": (("count", "max-n"), ("seed",)),
-    "perm": (("dim", "triples", "max-degree"), ("seed",)),
+# The flag table.  Each verb has a one-line summary, its flags and its
+# targets.  A flag is (type, default, help): a type of bool is a switch
+# that takes no value, and a default of _REQUIRED makes the flag required.
+# A verb with targets takes one of them as its positional argument; each
+# target lists the flags it requires, then the other flags it reads, and
+# any other flag of the verb set away from its default is an error.
+# Every verb also takes the _COMMON switches.
+_REQUIRED = object()
+_COMMON = {
+    "json": (bool, False, "emit a structured JSON report"),
+    "timings": (bool, False, "include wall-clock timings in the report"),
+}
+_TABLE = {
+    "reduce": ("normal form of a tree polynomial modulo relations", {
+        "relations": (str, _REQUIRED, "relation file"),
+        "input": (str, _REQUIRED, "word or polynomial S-expression"),
+    }, {}),
+    "complete": ("bounded completion of a relation set", {
+        "relations": (str, _REQUIRED, "relation file"),
+        "bound": (int, _REQUIRED, "word length bound"),
+        "interreduce": (bool, False, "minimalize and tail-reduce the completed set"),
+    }, {}),
+    "irr": ("irreducible words modulo a relation set", {
+        "relations": (str, _REQUIRED, "relation file"),
+        "bound": (int, _REQUIRED, "word length bound"),
+        "words": (bool, False, "list the words, not just counts"),
+    }, {}),
+    "zmul": ("product of dotted words in the free pre-commutative algebra", {
+        "left": (str, _REQUIRED, "dotted word, e.g. x.y"),
+        "right": (str, _REQUIRED, "dotted word"),
+        "star": (bool, False, "symmetrized product instead of the one-sided one"),
+        "letters": (str, None, "comma-separated alphabet order (default: sorted names)"),
+    }, {}),
+    "verify": ("run a verification driver", {
+        "letters": (int, None, "alphabet size"),
+        "bound": (int, None, "ambiguity/length bound"),
+        "no-completion": (bool, False, "trivial-envelope: skip the completion cross-check"),
+        "m-max": (int, None, "odd-even: odd length cap"),
+        "k-max": (int, None, "odd-even: even length cap"),
+        "algebra": (str, None, "collapse: algebra JSON file"),
+        "count": (int, None, "rb: number of random trials"),
+        "max-n": (int, None, "rb: max truncation degree"),
+        "dim": (int, None, "perm: Perm-algebra dimension"),
+        "triples": (int, None, "perm: number of triples"),
+        "max-degree": (int, None, "perm: element degree cap"),
+        "seed": (int, 0, "random seed (rb, perm)"),
+    }, {
+        "zinbiel": (("letters", "bound"), ()),
+        "trivial-envelope": (("letters", "bound"), ("no-completion",)),
+        "odd-even": (("letters", "m-max", "k-max"), ()),
+        "collapse": (("algebra", "bound"), ()),
+        "rb": (("count", "max-n"), ("seed",)),
+        "perm": (("dim", "triples", "max-degree"), ("seed",)),
+    }),
+    "embed": ("verify the power-series embedding of a filtered algebra", {
+        "algebra": (str, _REQUIRED, "algebra JSON file"),
+        "N": (int, _REQUIRED, "truncation degree"),
+    }, {}),
 }
 
 
-def _check_verify_flags(args, verify: argparse.ArgumentParser) -> None:
-    required, optional = _VERIFY_FLAGS[args.target]
-    values = vars(args)
-    missing = [f for f in required if values[f.replace("-", "_")] is None]
+def _flag(name: str, kind) -> str:
+    return "--" + name if kind is bool else "--%s %s" % (name, name.upper().replace("-", "_"))
+
+
+def _usage(verb) -> str:
+    """The usage line: the verb's target and required flags."""
+    if verb is None:
+        return "usage: precom {%s} [flags]" % ",".join(_TABLE)
+    _, flags, targets = _TABLE[verb]
+    words = ["precom", verb] + (["{%s}" % ",".join(targets)] if targets else [])
+    words += [_flag(name, kind) for name, (kind, default, _) in flags.items()
+              if default is _REQUIRED]
+    return "usage: %s [flags]" % " ".join(words)
+
+
+def _help(verb) -> None:
+    """Print the verb list, or ``verb``'s flags, and exit 0."""
+    lines = [_usage(verb), ""]
+    if verb is None:
+        lines += ["Exact rewriting in free pre-commutative algebras and power-series",
+                  "embeddings of filtered commutative algebras.", "", "verbs:"]
+        lines += ["  %-10s%s" % (v, row[0]) for v, row in _TABLE.items()]
+        lines += ["", "'precom VERB --help' lists a verb's flags.  Exit codes: 0 success,",
+                  "1 verification failure, 2 bad input or usage."]
+    else:
+        summary, flags, targets = _TABLE[verb]
+        lines += [summary, ""]
+        if targets:
+            lines.append("targets, with the flags each requires [and reads]:")
+            lines += ["  %-18s%s" % (t, " ".join(["--" + f for f in required]
+                                                + ["[--%s]" % f for f in read]))
+                      for t, (required, read) in targets.items()]
+            lines.append("")
+        lines.append("flags:")
+        for name, (kind, default, text) in {**flags, **_COMMON}.items():
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default is not None and kind is not bool:
+                text += " (default %s)" % default
+            lines.append("  %-25s%s" % (_flag(name, kind), text))
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _usage_error(verb, message: str) -> None:
+    print("%s\nerror: %s" % (_usage(verb), message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_flag(arg: str) -> bool:
+    """True unless ``arg`` is a positional argument: one that does not
+    start with "-", is "-" alone, or is a negative number."""
+    whole, dot, frac = arg[1:].partition(".")
+    number = (whole.isdigit() or (dot and not whole)) and (not dot or frac.isdigit())
+    return arg.startswith("-") and len(arg) > 1 and not number
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The verb, its target and every flag of the verb (its default when
+    argv leaves it out) read from argv.  Help exits 0 and a usage error
+    exits 2, both through ``SystemExit``."""
+    if not argv or argv[0] not in _TABLE:
+        if argv and argv[0] in ("-h", "--help"):
+            _help(None)
+        _usage_error(None, "unknown verb %r" % argv[0] if argv else "missing verb")
+    verb = argv[0]
+    _, flags, targets = _TABLE[verb]
+    flags = {**flags, **_COMMON}
+    values = {name: default for name, (_, default, _) in flags.items()}
+    target, extras = None, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            _help(verb)
+        if not _is_flag(arg):
+            if targets and target is None:
+                if arg not in targets:
+                    _usage_error(verb, "unknown target %r (choose from %s)"
+                                 % (arg, ", ".join(targets)))
+                target = arg
+            else:
+                extras.append(arg)
+            continue
+        name, eq, value = arg[2:].partition("=")
+        spec = flags.get(name) if arg.startswith("--") else None
+        if spec is None:
+            extras.append(arg)
+            continue
+        kind = spec[0]
+        if kind is bool:
+            if eq:
+                _usage_error(verb, "--%s takes no value" % name)
+            value = True
+        elif not eq:
+            value = next(rest, None)
+            if value is None or _is_flag(value):
+                _usage_error(verb, "--%s expects a value" % name)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(verb, "--%s expects an integer, not %r" % (name, value))
+        values[name] = value
+    missing = ["--" + name for name, v in values.items() if v is _REQUIRED]
+    if targets and target is None:
+        missing.insert(0, "a target")
     if missing:
-        raise ValueError("verify %s requires %s"
-                         % (args.target, ", ".join("--" + f for f in missing)))
-    read = ({f.replace("-", "_") for f in required + optional}
-            | {"verb", "target", "json", "timings"})
-    unread = [k for k, v in values.items() if k not in read and v != verify.get_default(k)]
+        _usage_error(verb, "%s requires %s" % (verb, ", ".join(missing)))
+    if extras:
+        _usage_error(verb, "unrecognized arguments: %s" % " ".join(extras))
+    args = SimpleNamespace(verb=verb, **{n.replace("-", "_"): v for n, v in values.items()})
+    if targets:
+        args.target = target
+    return args
+
+
+def _check_target(args) -> None:
+    """Reject a missing flag that the verify target requires, and a flag
+    away from its default that the target does not read."""
+    _, flags, targets = _TABLE["verify"]
+    required, read = targets[args.target]
+    values = vars(args)
+    missing = ["--" + f for f in required if values[f.replace("-", "_")] is None]
+    if missing:
+        raise ValueError("verify %s requires %s" % (args.target, ", ".join(missing)))
+    unread = ["--" + f for f, (_, default, _) in flags.items()
+              if f not in required + read and values[f.replace("-", "_")] != default]
     if unread:
-        raise ValueError("verify %s does not read %s"
-                         % (args.target, ", ".join("--" + k.replace("_", "-")
-                                                   for k in unread)))
+        raise ValueError("verify %s does not read %s" % (args.target, ", ".join(unread)))
 
 
 def _at_least(minimums: dict) -> None:
@@ -182,15 +283,22 @@ def _at_least(minimums: dict) -> None:
             raise ValueError("--%s must be at least %d (got %d)" % (flag, low, value))
 
 
-def _load_relations(path: str):
+def _load(path: str, parse):
+    """``parse`` of the file's text; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_relations(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except (ParseError, json.JSONDecodeError) as e:
+        raise ParseError("%s: %s" % (path, e)) from None
+
+
+def _load_relations(path: str):
+    return _load(path, parse_relations)
 
 
 def _load_algebra(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return parse_algebra(data)
+    return _load(path, lambda text: parse_algebra(json.loads(text)))
 
 
 def _gsb_parts(rep):
@@ -206,7 +314,8 @@ def _gsb_parts(rep):
 
 def _handle_reduce(args):
     alphabet, relations = _load_relations(args.relations)
-    nf, trace = normal_form_with_trace(parse_poly(args.input, alphabet), relations)
+    trace: list = []
+    nf = normal_form(parse_poly(args.input, alphabet), relations, trace)
     result = format_poly(nf)
     report = {"status": "ok", "counts": [], "failures": [],
               "result": result, "steps": len(trace)}
@@ -290,6 +399,10 @@ def _verify_trivial_envelope(args):
 
 def _verify_odd_even(args):
     _at_least({"letters": (args.letters, 1)})
+    if args.m_max < 1 or args.m_max % 2 == 0:
+        raise ValueError("--m-max must be odd and at least 1 (got %d)" % args.m_max)
+    if args.k_max < 2 or args.k_max % 2:
+        raise ValueError("--k-max must be even and at least 2 (got %d)" % args.k_max)
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
     failures = [{"a": format_word(a), "b": format_word(b),
                  "normal_form": format_poly(nf)} for a, b, nf in rep.violations]
@@ -320,7 +433,8 @@ def _verify_rb(args):
 
 
 def _verify_perm(args):
-    _at_least({"triples": (args.triples, 1), "max-degree": (args.max_degree, 1)})
+    _at_least({"dim": (args.dim, 1), "triples": (args.triples, 1),
+               "max-degree": (args.max_degree, 1)})
     rng = random.Random(args.seed)
     alphabet = default_alphabet(2)
     samples = [tuple(random_element(rng, alphabet, args.max_degree)
@@ -415,19 +529,15 @@ def _parameters(args) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # --help, a missing verb and an unknown one list every verb.
-    verbs = (argv[0],) if argv and argv[0] in _VERBS else _VERBS
-    parser, subparsers = _build_parser(verbs)
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     t0 = time.perf_counter()
     collecting = gc.isenabled()
     gc.disable()
     try:
         if args.verb == "verify":
-            _check_verify_flags(args, subparsers["verify"])
+            _check_target(args)
         code, report, lines = _HANDLERS[args.verb](args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     finally:

@@ -31,8 +31,8 @@ first redex and the normal form of every word it meets
 (:func:`~precom.lincomb.memo_descend`), so :func:`verify_gsb`,
 :func:`complete`, :func:`interreduce`, :func:`normal_forms` and
 :func:`normal_form` rewrite each word once per relation set;
-:func:`normal_form_with_trace` rewrites term by term, since its steps are
-the output.
+:func:`normal_form_with_trace` and :func:`normal_form` with a trace
+rewrite term by term, since their steps are the output.
 """
 
 from __future__ import annotations
@@ -354,10 +354,17 @@ class ReductionStep:
         self.relation = relation
 
 
-def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema]) -> MagmaPoly:
+def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
+                trace: Optional[list] = None) -> MagmaPoly:
     """Fully rewrite ``p`` modulo the relations, the largest reducible
-    monomial first, at its first reducible position in preorder."""
-    return MagmaPoly._raw(_RedexIndex(list(relations)).reduce(p.terms))
+    monomial first, at its first reducible position in preorder.  With a
+    list ``trace``, rewrite term by term and append each rewrite to it as
+    ``(coeff, word, path, relation)``, the fields of a
+    :class:`ReductionStep`."""
+    index = _RedexIndex(list(relations))
+    if trace is None:
+        return MagmaPoly._raw(index.reduce(p.terms))
+    return MagmaPoly._raw(descend(p.terms, index.redex, graft, trace))
 
 
 def normal_forms(polys: Iterable[MagmaPoly],
@@ -376,9 +383,8 @@ def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema]):
     ``p - normal_form(p)`` equals the replayed sum of the steps, and every
     rewritten word is <= the leading monomial of ``p``.
     """
-    index = _RedexIndex(list(relations))
     trace: list = []
-    nf = MagmaPoly._raw(descend(p.terms, index.redex, graft, trace))
+    nf = normal_form(p, relations, trace)
     return nf, [ReductionStep(*step) for step in trace]
 
 

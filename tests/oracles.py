@@ -6,11 +6,14 @@ the inclusion compositions of two relations formed one by one.  One
 gives a word's sort key as a nested tuple, the form keys had before
 they became byte strings.  One computes in ``Fraction`` series what the
 library computes in scaled integers: a trial of the Rota-Baxter check.
-The tests hold the library's answers against them.
+One is the ``argparse`` parser the CLI read its flags with before it
+read them from its own flag table.  The tests hold the library's answers
+against them.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 
 from precom.embed import TruncSeries, random_series, rb_apply, series_product, splitting_product
@@ -122,3 +125,67 @@ def rota_baxter_failures(seed: int, count: int, max_n: int) -> list[tuple[int, s
         if zl != zr:
             failures.append((i, "pre-commutative"))
     return failures
+
+
+VERIFY_TARGETS = ("zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's flags as an ``argparse`` parser: ``parse_args`` gives
+    the namespace that ``precom.cli`` hands its verbs."""
+    parser = argparse.ArgumentParser(
+        prog="precom",
+        description="Exact rewriting in free pre-commutative algebras and "
+                    "power-series embeddings of filtered commutative algebras.")
+    sub = parser.add_subparsers(dest="verb", required=True, prog="precom")
+
+    def verb_parser(verb: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(verb, help=summary)
+        p.add_argument("--json", action="store_true", help="emit a structured JSON report")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report")
+        return p
+
+    p = verb_parser("reduce", "normal form of a tree polynomial modulo relations")
+    p.add_argument("--relations", required=True, help="relation file")
+    p.add_argument("--input", required=True, help="word or polynomial S-expression")
+
+    p = verb_parser("complete", "bounded completion of a relation set")
+    p.add_argument("--relations", required=True)
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--interreduce", action="store_true",
+                   help="minimalize and tail-reduce the completed set")
+
+    p = verb_parser("irr", "irreducible words modulo a relation set")
+    p.add_argument("--relations", required=True)
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--words", action="store_true", help="list the words, not just counts")
+
+    p = verb_parser("zmul", "product of dotted words in the free pre-commutative algebra")
+    p.add_argument("--left", required=True, help="dotted word, e.g. x.y")
+    p.add_argument("--right", required=True)
+    p.add_argument("--star", action="store_true",
+                   help="symmetrized product instead of the one-sided one")
+    p.add_argument("--letters", default=None,
+                   help="comma-separated alphabet order (default: sorted names)")
+
+    p = verb_parser("verify", "run a verification driver")
+    p.add_argument("target", choices=VERIFY_TARGETS)
+    p.add_argument("--letters", type=int, default=None, help="alphabet size")
+    p.add_argument("--bound", type=int, default=None, help="ambiguity/length bound")
+    p.add_argument("--no-completion", action="store_true",
+                   help="trivial-envelope: skip the completion cross-check")
+    p.add_argument("--m-max", type=int, default=None, help="odd-even: odd length cap")
+    p.add_argument("--k-max", type=int, default=None, help="odd-even: even length cap")
+    p.add_argument("--algebra", default=None, help="collapse: algebra JSON file")
+    p.add_argument("--count", type=int, default=None, help="rb: number of random trials")
+    p.add_argument("--max-n", type=int, default=None, help="rb: max truncation degree")
+    p.add_argument("--dim", type=int, default=None, help="perm: Perm-algebra dimension")
+    p.add_argument("--triples", type=int, default=None, help="perm: number of triples")
+    p.add_argument("--max-degree", type=int, default=None, help="perm: element degree cap")
+    p.add_argument("--seed", type=int, default=0, help="random seed (rb, perm)")
+
+    p = verb_parser("embed", "verify the power-series embedding of a filtered algebra")
+    p.add_argument("--algebra", required=True, help="algebra JSON file")
+    p.add_argument("--N", type=int, required=True, help="truncation degree")
+    return parser

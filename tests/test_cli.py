@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -12,6 +15,8 @@ from precom import cli
 from precom import embed as embed_module
 from precom import shuffle as shuffle_module
 from precom.cli import main
+
+from oracles import reference_parser
 
 ZINBIEL3 = "(alphabet x y z)\n(family zinbiel)\n"
 TRIVIAL2 = "(alphabet x y)\n(family trivial-envelope)\n"
@@ -116,12 +121,20 @@ class TestReduce:
         assert err.startswith("error: line 1, column 7: not a rational number: '1/0'")
         assert "Traceback" not in err
 
+    def test_syntax_error_names_the_file(self, run, rel_file):
+        path = rel_file("(alphabet x y")
+        code, out, err = run("reduce", "--relations", path, "--input", "x")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: line 1, column 1: " % path)
+
     def test_zero_denominator_in_relation_file_exits_2(self, run, rel_file):
         path = rel_file("(alphabet x y)\n(rel (+ (x y) (* 2/0 (y x))))\n")
         code, out, err = run("reduce", "--relations", path, "--input", "(x y)")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: line 2, column 18: not a rational number: '2/0'")
+        assert err.startswith("error: %s: line 2, column 18: not a rational number: '2/0'"
+                              % path)
         assert "Traceback" not in err
 
 
@@ -186,8 +199,8 @@ class TestIrr:
         code, out, err = run("irr", "--relations", path, "--bound", "4")
         assert code == 2
         assert out == ""
-        assert err == ("error: line 3, column 9: unknown family %r; "
-                       "known: tail, trivial-envelope, zinbiel\n" % name)
+        assert err == ("error: %s: line 3, column 9: unknown family %r; "
+                       "known: tail, trivial-envelope, zinbiel\n" % (path, name))
 
 
 class TestZmul:
@@ -459,8 +472,20 @@ class TestFlagMinimums:
          "--letters must be at least 1 (got -1)"),
         (("verify", "odd-even", "--letters", "0", "--m-max", "3", "--k-max", "2"),
          "--letters must be at least 1 (got 0)"),
+        (("verify", "odd-even", "--letters", "1", "--m-max", "0", "--k-max", "2"),
+         "--m-max must be odd and at least 1 (got 0)"),
+        (("verify", "odd-even", "--letters", "1", "--m-max", "2", "--k-max", "2"),
+         "--m-max must be odd and at least 1 (got 2)"),
+        (("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "0"),
+         "--k-max must be even and at least 2 (got 0)"),
+        (("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "3"),
+         "--k-max must be even and at least 2 (got 3)"),
+        (("verify", "perm", "--dim", "0", "--triples", "1", "--max-degree", "1"),
+         "--dim must be at least 1 (got 0)"),
     ], ids=["irr", "complete", "zinbiel-bound", "trivial-envelope-bound",
-            "collapse", "zinbiel-letters", "trivial-envelope-letters", "odd-even"])
+            "collapse", "zinbiel-letters", "trivial-envelope-letters", "odd-even",
+            "odd-even-m-max", "odd-even-m-max-even", "odd-even-k-max",
+            "odd-even-k-max-odd", "perm-dim"])
     def test_below_minimum_exits_2(self, run, files, argv, message):
         code, out, err = run(*(files.get(a, a) for a in argv))
         assert code == 2
@@ -573,6 +598,17 @@ class TestEmbed:
         assert "unrecognized arguments: --factor-bound %s" % bound in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["embed", "collapse"])
+    def test_json_error_names_the_file(self, run, tmp_path, verb):
+        path = tmp_path / "empty.json"
+        path.write_text("", encoding="utf-8")
+        argv = (["embed", "--algebra", str(path), "--N", "4"] if verb == "embed" else
+                ["verify", "collapse", "--algebra", str(path), "--bound", "4"])
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s: Expecting value: line 1 column 1 (char 0)\n" % path
+
     def test_truncation_too_small_exits_2(self, run, alg_file):
         path = alg_file(TRUNC2)
         code, _, err = run("embed", "--algebra", path, "--N", "3")
@@ -584,7 +620,8 @@ class TestEmbed:
         code, out, err = run("embed", "--algebra", path, "--N", "4")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: bad coefficient '1/0' in product entry 'a a -> 1/0 b'")
+        assert err.startswith("error: %s: bad coefficient '1/0' in product entry "
+                              "'a a -> 1/0 b'" % path)
         assert "Traceback" not in err
 
 
@@ -622,8 +659,11 @@ class TestReports:
         assert list(rep) == sorted(rep)
 
 
-# main builds only the subparser of the verb that argv names; its help and
-# its errors must read exactly as those of the parser with every verb.
+# The flags are read from cli's flag table; the argparse parser they were
+# read with before is the reference (tests/oracles.py).  Both must give the
+# same namespace, or both exit with the same code, on every argv below: the
+# old help and error cases, every argv of this file (file names and words
+# written as f), the CI commands and malformed argvs.
 _VALID = {
     "reduce": ["--relations", "r", "--input", "x"],
     "complete": ["--relations", "r", "--bound", "2"],
@@ -633,46 +673,221 @@ _VALID = {
     "embed": ["--algebra", "a", "--N", "2"],
 }
 
-_PARSER_ARGVS = (
+_TEST_ARGVS = """\
+reduce --relations f --input f
+reduce --relations f --input f --strategy smallest
+complete --relations f --bound 4 --json
+complete --relations f --bound 5 --interreduce --json
+complete --relations f --bound 4 --interreduce --json
+complete --relations f --bound 4
+complete --relations f --bound 6
+irr --relations f --bound 4
+irr --relations f --bound 2 --words --json
+irr --relations f --bound 5 --words
+zmul --left f --right f
+zmul --left f --right f --star
+zmul --left f --right f --letters f
+verify zinbiel --letters 2 --bound 4
+verify trivial-envelope --letters 2 --bound 4
+verify zinbiel --letters 2 --bound 5
+verify zinbiel --letters 2 --bound 5 --json
+verify trivial-envelope --letters 2 --bound 5 --no-completion
+verify trivial-envelope --letters 2 --bound 5 --no-completion --json
+verify trivial-envelope --letters 2 --bound 4 --no-completion --json
+verify odd-even --letters 2 --m-max 3 --k-max 2
+verify rb --count 5 --max-n 5
+verify rb --count 20 --max-n 8 --json
+verify rb --count 10 --max-n 8 --json
+verify rb --count 10 --max-n 8
+verify perm --dim 2 --triples 3 --max-degree 3
+verify perm --dim 2 --triples 3 --max-degree 3 --json
+verify collapse --algebra f --bound 4
+verify zinbiel --letters 2
+verify odd-even --letters 2 --m-max 3
+verify zinbiel --letters 2 --bound 3 --count 7 --dim 9 --algebra f
+verify trivial-envelope --letters 2 --bound 3 --m-max 3
+verify odd-even --letters 2 --m-max 3 --k-max 2 --bound 4
+verify collapse --algebra f --bound 3 --seed 5
+verify rb --count 2 --max-n 3 --letters 2 --no-completion
+verify perm --dim 2 --triples 1 --max-degree 1 --max-n 4
+verify zinbiel --letters 2 --bound 3 --seed 0
+verify trivial-envelope --letters 2 --bound 3 --no-completion
+verify rb --count 2 --max-n 3 --seed 9
+verify trivial-envelope --letters 2 --bound 3 --completion-bound 4
+verify rb --count -1 --max-n 5
+verify rb --count 0 --max-n 5
+verify rb --count 5 --max-n 1
+verify perm --dim 2 --triples -1 --max-degree 3
+verify perm --dim 2 --triples 3 --max-degree 0
+verify perm --dim 0 --triples 1 --max-degree 1
+verify rb --count 1 --max-n 2
+verify perm --dim 1 --triples 1 --max-degree 1
+irr --relations f --bound 0
+complete --relations f --bound 1
+verify zinbiel --letters 2 --bound 0
+verify trivial-envelope --letters 2 --bound 1
+verify collapse --algebra f --bound 1
+verify zinbiel --letters 0 --bound 3
+verify trivial-envelope --letters -1 --bound 3
+verify odd-even --letters 0 --m-max 3 --k-max 2
+verify odd-even --letters 1 --m-max 0 --k-max 2
+verify odd-even --letters 1 --m-max 2 --k-max 2
+verify odd-even --letters 1 --m-max 1 --k-max 3
+irr --relations f --bound 1
+complete --relations f --bound 2
+verify zinbiel --letters 1 --bound 2
+verify trivial-envelope --letters 1 --bound 2
+verify collapse --algebra f --bound 2
+verify odd-even --letters 1 --m-max 1 --k-max 2
+verify odd-even --letters 1 --m-max 1 --k-max 2 --seed 0
+verify odd-even --letters 1 --m-max 1 --k-max 2 --seed 1
+embed --algebra f --N 6
+embed --algebra f --N 4
+embed --algebra f --N 6 --json
+embed --algebra f --N 10 --json
+embed --algebra f --N 8
+embed --algebra f --N 6 --factor-bound 1
+embed --algebra f --N 6 --factor-bound 0
+embed --algebra f --N 6 --factor-bound -3
+embed --algebra f --N 3
+verify odd-even --letters 2 --m-max 1 --k-max 2 --json
+verify rb --count 3 --max-n 4 --json
+verify odd-even --letters 2 --m-max 1 --k-max 2 --json --timings
+verify rb --count 2 --max-n 4 --json
+verify rb --count 20 --max-n 12 --json
+verify perm --dim 2 --triples 8 --max-degree 3 --json
+zmul --left f --right f --star --json
+reduce --relations f --input f --json
+complete --relations f --bound 8 --interreduce --json
+embed --algebra f --N 8 --json
+"""
+
+_MALFORMED = [
+    ["complete", "--relations=r", "--bound=2"],
+    ["verify", "--letters", "2", "zinbiel", "--bound=3"],
+    ["verify", "--json", "rb", "--count", "2", "--max-n", "3"],
+    ["verify", "zinbiel", "rb"],
+    ["verify", "--letters", "2"],
+    ["verify", "-h", "zinbiel"],
+    ["complete", "--relations", "r", "--bound", "2", "--bound", "3"],
+    ["complete", "--relations", "r", "--bound", " 3 "],
+    ["complete", "--relations", "r", "--bound", "1e3"],
+    ["complete", "--relations", "r", "--bound="],
+    ["complete", "--relations", "--bound", "2"],
+    ["complete", "--relations", "r", "--bound"],
+    ["complete", "--bound", "two", "--help"],
+    ["complete", "--help", "--bound", "two"],
+    ["complete", "--no-such-flag", "--help"],
+    ["complete", "--relations", "r", "--bound", "2", "--interreduce=yes"],
+    ["irr", "--relations", "r", "--bound", "2", "extra"],
+    ["reduce", "--relations", "r", "--input", "-1.5"],
+    ["reduce", "--relations", "r", "--input", "-"],
+    ["reduce", "--relations", "r", "--input", "-x"],
+    ["reduce", "--relations", "r", "--input="],
+    ["reduce", "--relations", "r", "--input", "x", "-x"],
+    ["embed", "--algebra", "a", "--N", "2", "-h"],
+    ["embed", "--algebra", "a", "--N", "-2"],
+    ["verify", "zinbiel", "--letters=-2", "--bound", "3"],
+    ["-x"],
+    ["--json"],
+]
+
+# Where the readers differ on purpose.  argparse accepts a unique prefix
+# of a flag; the flag table accepts only the whole name, so a flag added
+# later cannot change what an old abbreviation means.
+_ABBREVIATED = [
+    ["complete", "--rel", "r", "--bound", "2"],
+    ["verify", "rb", "--cou", "2", "--max-n", "3"],
+    ["embed", "--alg", "a", "--N", "2"],
+]
+
+
+def _unique(argvs):
+    out = []
+    for argv in argvs:
+        if argv not in out:
+            out.append(argv)
+    return out
+
+
+_PARSER_ARGVS = _unique(
     [[], ["--help"], ["-h"], ["no-such-verb"], ["--json", "complete"]]
     + [[verb, "--help"] for verb in _VALID]
     + [[verb] for verb in _VALID]
     + [[verb, *args, "--no-such-flag"] for verb, args in _VALID.items()]
     + [["complete", "--relations", "r", "--bound", "two"], ["verify", "no-such-target"]]
+    + [line.split() for line in _TEST_ARGVS.splitlines()]
+    + _MALFORMED
 )
 
 
-def _exit_output(capsys, parse):
-    with pytest.raises(SystemExit) as exc:
-        parse()
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
+def _outcome(capsys, parse, argv):
+    """The exit code (None if parse returned), the namespace's values
+    (None if it exited), and what it printed."""
+    try:
+        code, values = None, vars(parse(list(argv)))
+    except SystemExit as exc:
+        code, values = exc.code, None
+    out, err = capsys.readouterr()
+    return code, values, out, err
+
+
+def _load_workloads(monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParser:
     @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
     def test_output_matches_full_parser(self, capsys, argv):
-        got = _exit_output(capsys, lambda: main(argv))
-        full, _ = cli._build_parser()
-        assert got == _exit_output(capsys, lambda: full.parse_args(argv))
-        assert got[0] in (0, 2)
-        assert got[1] or got[2]
+        code, values, out, err = _outcome(capsys, cli._parse, argv)
+        want_code, want_values, _, want_err = _outcome(
+            capsys, reference_parser().parse_args, argv)
+        assert (code, values) == (want_code, want_values)
+        if code == 0:
+            assert out.startswith("usage: precom") and err == ""
+        elif code == 2:
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 2
+            assert lines[0].startswith("usage: precom") and lines[1].startswith("error: ")
+            for line in want_err.splitlines():
+                if "unrecognized arguments: " in line:
+                    assert lines[1].endswith(line.partition(": error: ")[2])
 
-    def test_builds_only_the_named_verb(self, monkeypatch, run):
-        built = []
-        build = cli._build_parser
+    @pytest.mark.parametrize("argv", _ABBREVIATED, ids=" ".join)
+    def test_abbreviations_are_not_flags(self, capsys, argv):
+        assert _outcome(capsys, reference_parser().parse_args, argv)[0] is None
+        code, _, out, err = _outcome(capsys, cli._parse, argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error: ")
 
-        def recording(*args):
-            parser, subparsers = build(*args)
-            built.append(sorted(subparsers))
-            return parser, subparsers
+    def test_perfbench_jobs_match_full_parser(self, capsys, monkeypatch):
+        workloads = _load_workloads(monkeypatch)
+        parser = reference_parser()
+        for name in workloads.NAMES:
+            for seed in (1, 2):
+                for job in workloads.plan(name, seed, 25):
+                    argv = job.argv + ["--json"]
+                    assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), job.id
 
-        monkeypatch.setattr(cli, "_build_parser", recording)
-        run("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "2")
-        assert built == [["verify"]]
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert built[1] == sorted(cli._VERBS)
+    @pytest.mark.parametrize("verb", [None, *cli._TABLE])
+    def test_help_lists_every_verb_and_flag(self, capsys, verb):
+        code, _, out, err = _outcome(capsys, cli._parse, ["--help"] if verb is None
+                                     else [verb, "--help"])
+        assert code == 0 and err == ""
+        words = out.split()
+        for v, (_, flags, targets) in cli._TABLE.items():
+            if verb is None:
+                assert v in words
+            elif v == verb:
+                for name in [*flags, *cli._COMMON]:
+                    assert "--" + name in words
+                for target in targets:
+                    assert target in words
 
     def test_verify_defaults_read_from_the_parser(self, run):
         # --seed 0 is its default, so odd-even accepts it; 1 is not.

@@ -43,6 +43,37 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert out.stdout.split() == []
 
 
+# Prints the parser modules loaded after the import, "|", then the exit
+# code of main(argv) and the parser modules loaded after it.
+_PARSER_PROBE = """\
+import contextlib, io, sys
+import precom.cli
+loaded = lambda: [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+print(*loaded(), "|")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = precom.cli.main(sys.argv[1:])
+print(code, *loaded())
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["zmul", "--left", "x.y", "--right", "x", "--json"],
+    ["verify", "rb", "--count", "2", "--max-n", "3"],
+    ["complete", "--relations", "RELS", "--bound", "4"],
+], ids=["zmul", "verify-rb", "complete"])
+def test_cli_loads_no_argument_parser(tmp_path, argv):
+    # argparse, with the gettext and locale it imports, took a fresh
+    # process about 2.5 ms before its first verdict; the CLI reads its
+    # flags from its own table instead.
+    rels = tmp_path / "rels.sexp"
+    rels.write_text("(alphabet x y)\n(family trivial-envelope)\n", encoding="utf-8")
+    argv = [str(rels) if a == "RELS" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", _PARSER_PROBE, *argv], env=env,
+                         capture_output=True, text=True, timeout=30, check=True)
+    assert out.stdout.split() == ["|", "0"]
+
+
 # Each class built by position, as its call site builds it, with the
 # attribute names in that order.
 CASES = [

@@ -295,6 +295,22 @@ class TestTrace:
             for step in trace:
                 assert step.word.key <= p.leading().key
 
+    def test_raw_trace_holds_the_step_fields(self, ab2):
+        # normal_form with a trace list appends the fields that
+        # normal_form_with_trace wraps in ReductionSteps, step for step.
+        rng = random.Random(7)
+        rels = trivial_gsb(ab2)
+        rewrites = 0
+        for _ in range(10):
+            p = random_poly(rng, ab2, 5)
+            raw: list = []
+            nf = normal_form(p, rels, raw)
+            want_nf, steps = normal_form_with_trace(p, rels)
+            assert nf == want_nf == normal_form(p, rels)
+            assert raw == [(s.coeff, s.word, s.path, s.relation) for s in steps]
+            rewrites += len(raw)
+        assert rewrites
+
     def test_empty_trace_when_irreducible(self, ab2):
         x = leaf(ab2["x"])
         nf, trace = normal_form_with_trace(MagmaPoly.monomial(x), trivial_gsb(ab2))
