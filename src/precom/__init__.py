@@ -20,8 +20,8 @@ The layers, bottom up:
     enveloping relations of commutative algebras and the verification
     drivers around the trivial, idempotent, and truncated-power cases;
 ``compoly`` / ``embed``
-    commutative polynomials in weighted symbols, truncated series, the
-    averaging Rota-Baxter operator, and the embedding verifier;
+    commutative polynomials in weighted symbols, the scaled integer
+    series behind the Rota-Baxter check and the embedding verifier;
 ``sexpr`` / ``cli``
     the text formats and the ``precom`` command.
 """
@@ -55,7 +55,6 @@ from .rewrite import (
     reducible,
     replay_trace,
     substitute,
-    subtree,
     verify_gsb,
 )
 from .shuffle import (
@@ -84,7 +83,6 @@ from .envelope import (
     trivial_algebra,
     trivial_envelope_dimension,
     trivial_gsb,
-    truncated_poly_relations,
     truncated_power_algebra,
     verify_trivial_envelope,
     verify_zinbiel_basis,
@@ -103,16 +101,10 @@ from .compoly import (
 from .embed import (
     EmbeddingReport,
     FilteredAlgebra,
-    TruncSeries,
     coefficient_relations,
-    generator_series,
     pair_relation,
     random_nilpotent_algebra,
-    random_series,
-    rb_apply,
     series_product,
-    series_star,
-    splitting_product,
     standard_filtration,
     validate_filtration,
     verify_embedding,

@@ -6,20 +6,16 @@ basis element x of level k maps to the truncated series
 
     x  ->  sum over i = k..N of  i * x[i] t^i
 
-whose coefficients are generator symbols.  A series is a
-``TruncSeries``, a ``LinComb`` over (exponent, monomial) pairs; the
-truncation is not part of the value but an argument N of the products
-``series_product``, ``series_star`` and ``splitting_product``, which drop
-every exponent above N.
-
-Every Cauchy product runs one integer kernel over ``{(n, m): int}``
-dicts.  ``series_product`` scales its two series to integers, runs the
-kernel and divides each output coefficient once.  ``verify_rota_baxter``
-stays in integers throughout: it keeps each series as a scaled pair
-(d, {(n, m): int}) whose value is terms/d, multiplies the denominators
-of a product, applies R as a multiplication by L//n over L = lcm(1..N),
-cross-scales a sum, and compares two pairs by cross-multiplying, so no
-``Fraction`` is made and no gcd is taken.
+whose coefficients are generator symbols.  Every series is kept as a
+scaled series: a pair (d, {n: {m: int}}) whose value is the sum of
+c/d m t^n, grouped by exponent n, with m a commutative monomial.  The
+truncation is not part of the value but an argument N of
+``series_product``, which multiplies the denominators and forms the
+terms with one integer Cauchy kernel, dropping every exponent above N.
+The averaging operator R is a multiplication by L//n over L =
+lcm(1..N), a sum cross-scales, and two series compare by
+cross-multiplying, so no series operation makes a ``Fraction`` or takes
+a gcd.
 
 The averaging operator R(t^n) = t^n/n is a weight-zero Rota-Baxter
 operator on a commutative ring, so the one-sided product R(f)g is
@@ -63,7 +59,7 @@ from .compoly import (
     buchberger_bounded,
 )
 from .envelope import CommAlgebra
-from .lincomb import LinComb, _sub_scaled, echelon_insert, exact, integral
+from .lincomb import _sub_scaled, echelon_insert, exact
 from .magma import Alphabet, Letter
 
 __all__ = [
@@ -72,16 +68,10 @@ __all__ = [
     "standard_filtration",
     "pair_relation",
     "coefficient_relations",
-    "TruncSeries",
-    "rb_apply",
     "series_product",
-    "generator_series",
-    "series_star",
-    "splitting_product",
     "EmbeddingReport",
     "verify_embedding",
     "verify_rota_baxter",
-    "random_series",
     "random_nilpotent_algebra",
 ]
 
@@ -263,62 +253,21 @@ def coefficient_relations(F: FilteredAlgebra, weight_bound: int) -> list[ComPoly
 
 
 # ---------------------------------------------------------------------------
-# Truncated series
-
-class TruncSeries(LinComb):
-    """A power series, the sum of c_n t^n over exponents n >= 1 with
-    ComPoly coefficients c_n, kept as a combination of (n, m) pairs: n an
-    int exponent and m a :class:`~precom.compoly.ComMonomial`.  The
-    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s;
-    truncation is not part of the value but an argument of the products."""
-
-    __slots__ = ()
-
-    _key = staticmethod(lambda t: (t[0], t[1].key))
-
-    @classmethod
-    def _monomial(cls, t) -> tuple:
-        if type(t) is not tuple or len(t) != 2:
-            raise ValueError("series terms are (exponent, monomial) pairs, got %r" % (t,))
-        n, m = t
-        if type(n) is not int or n < 1:
-            raise ValueError("series exponent must be an int >= 1, got %r" % (n,))
-        if type(m) is not ComMonomial:
-            raise ValueError("series term needs a ComMonomial, got %r" % (m,))
-        return t
-
-    def coeff(self, n: int) -> ComPoly:
-        """The coefficient of t^n."""
-        return ComPoly._raw({m: c for (k, m), c in self.terms.items() if k == n})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join("(%r) t^%d" % (self.coeff(n), n)
-                          for n in sorted({n for n, _ in self.terms}))
-
-
-def rb_apply(s: TruncSeries) -> TruncSeries:
-    """The averaging operator t^n -> t^n/n, a Rota-Baxter operator of
-    weight zero on series."""
-    return TruncSeries._raw({t: exact(Fraction(c, t[0])) for t, c in s.terms.items()})
-
-
-def _by_exponent(terms: dict) -> dict:
-    # {(n, m): c} as {n: [(m, c)]}.
-    out: dict = {}
-    for (n, m), c in terms.items():
-        out.setdefault(n, []).append((m, c))
-    return out
-
+# Scaled series
+#
+# A scaled series is a pair (d, {n: {m: int}}) whose value is the sum of
+# c/d m t^n, grouped by exponent n, with no zero coefficient and no empty
+# group.  No operation takes a gcd, so one value has many pairs;
+# ``_scaled_equal`` compares values.  No group is changed once built, so
+# a sum shares the groups that only one operand has.
 
 def _cauchy(s: dict, u: dict, N: int) -> dict:
-    """The Cauchy product through t^N of two ``{(n, m): int}`` dicts, as
-    one such dict without zeros.  Terms are grouped by exponent, so a
-    pair of exponents above N is skipped as a block."""
-    ug = _by_exponent(u).items()
+    """The Cauchy product through t^N of two ``{n: {m: int}}`` dicts, as
+    one such dict.  A pair of exponents above N is skipped as a block."""
+    ug = [(j, q.items()) for j, q in u.items()]
     sums: dict[int, dict] = {}
-    for i, p in _by_exponent(s).items():
+    for i, p in s.items():
+        p = p.items()
         for j, q in ug:
             n = i + j
             if n > N:
@@ -330,83 +279,69 @@ def _cauchy(s: dict, u: dict, N: int) -> dict:
                 for k, b in q:
                     mk = m * k
                     acc[mk] = acc.get(mk, 0) + a * b
-    return {(n, m): c for n, acc in sums.items() for m, c in acc.items() if c}
+    out = {}
+    for n, acc in sums.items():
+        acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            out[n] = acc
+    return out
 
 
-def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
-    """Cauchy product through t^N, everything beyond discarded.
-    Integer-first: both series are scaled to integer coefficients, the
-    integer kernel that ``verify_rota_baxter`` also runs forms the
-    product, and each output coefficient is divided once."""
-    ds, si = integral(s.terms)
-    du, ui = integral(u.terms)
-    terms = _cauchy(si, ui, N)
-    d = ds * du
-    if d != 1:
-        terms = {t: exact(Fraction(c, d)) for t, c in terms.items()}
-    return TruncSeries._raw(terms)
+def series_product(s: tuple, u: tuple, N: int) -> tuple:
+    """The Cauchy product of two scaled series through t^N, everything
+    beyond discarded: the denominators multiply and one integer kernel
+    forms the terms."""
+    return s[0] * u[0], _cauchy(s[1], u[1], N)
 
 
-def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
-    """The image series of a basis element: sum of i * x[i] t^i for i
-    from level(x) to N."""
-    k = F.level(x)
-    if N < k:
-        raise ValueError("truncation below level: N=%d < level %d" % (N, k))
-    return TruncSeries._raw({(i, ComMonomial((F.symbol(x, i),))): i
-                             for i in range(k, N + 1)})
+def _rb_scales(N: int) -> list:
+    """[L, L//1, ..., L//N] for L = lcm(1..N): the factors by which
+    ``_scaled_rb`` applies R through t^N."""
+    L = lcm(*range(1, N + 1))
+    return [L] + [L // n for n in range(1, N + 1)]
 
-
-def series_star(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
-    """R(s)u + sR(u) through t^N: the symmetrized product induced by the
-    averaging operator."""
-    return series_product(rb_apply(s), u, N) + series_product(s, rb_apply(u), N)
-
-
-def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
-    """The one-sided product R(s)u through t^N; satisfies the defining
-    identity a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
-    return series_product(rb_apply(s), u, N)
-
-
-# ---------------------------------------------------------------------------
-# Scaled series: the Rota-Baxter check on integers
-#
-# A scaled series is a pair (d, {(n, m): int}) whose value is terms/d,
-# with no zero coefficients.  No operation takes a gcd, so one value has
-# many pairs; ``_scaled_equal`` compares values.
 
 def _scaled_rb(s: tuple, q: list) -> tuple:
-    # R with q[n] = L // n, L = lcm(1..N): t^n/n = (L//n) t^n / L.
+    # R with q = _rb_scales(N): t^n/n = (L//n) t^n / L.
     d, terms = s
-    return d * q[0], {t: c * q[t[0]] for t, c in terms.items()}
+    return d * q[0], {n: {m: c * q[n] for m, c in p.items()} for n, p in terms.items()}
 
 
 def _scaled_sum(s: tuple, u: tuple) -> tuple:
     (d, p), (e, q) = s, u
     if d != e:
-        p = {t: c * e for t, c in p.items()}
-        q = {t: c * d for t, c in q.items()}
+        p = {n: {m: c * e for m, c in g.items()} for n, g in p.items()}
+        q = {n: {m: c * d for m, c in g.items()} for n, g in q.items()}
         d *= e
     out = dict(p)
-    for t, c in q.items():
-        c += out.get(t, 0)
-        if c:
-            out[t] = c
+    for n, g in q.items():
+        acc = out.get(n)
+        if acc is None:
+            out[n] = g
+            continue
+        acc = dict(acc)
+        for m, c in g.items():
+            c += acc.get(m, 0)
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+        if acc:
+            out[n] = acc
         else:
-            del out[t]
+            del out[n]
     return d, out
 
 
 def _scaled_equal(s: tuple, u: tuple) -> bool:
     (d, p), (e, q) = s, u
-    return p.keys() == q.keys() and all(c * e == q[t] * d for t, c in p.items())
-
-
-def _as_series(s: tuple) -> TruncSeries:
-    """The value of a scaled series."""
-    d, terms = s
-    return TruncSeries._raw({t: exact(Fraction(c, d)) for t, c in terms.items()})
+    if p.keys() != q.keys():
+        return False
+    for n, g in p.items():
+        h = q[n]
+        if g.keys() != h.keys() or any(c * e != h[m] * d for m, c in g.items()):
+            return False
+    return True
 
 
 def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
@@ -417,22 +352,21 @@ def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
     pre-commutative one.  ``stats`` counts the products and their terms."""
     N = rng.randint(2, max_n)
     a, b, c = (_draw(rng, N) for _ in range(3))
-    L = lcm(*range(1, N + 1))
-    q = [L] + [L // n for n in range(1, N + 1)]
-
-    def mul(s: tuple, u: tuple) -> tuple:
-        terms = _cauchy(s[1], u[1], N)
-        stats["products"] += 1
-        stats["terms"] += len(terms)
-        return s[0] * u[0], terms
-
+    q = _rb_scales(N)
     ra, rb = _scaled_rb(a, q), _scaled_rb(b, q)
-    ra_b = mul(ra, b)
-    lhs = mul(ra, rb)
-    rhs = _scaled_rb(_scaled_sum(ra_b, mul(a, rb)), q)
-    zl = mul(ra, mul(rb, c))
-    zr = _scaled_sum(mul(_scaled_rb(ra_b, q), c),
-                     mul(_scaled_rb(mul(rb, a), q), c))
+    ra_b = series_product(ra, b, N)
+    a_rb = series_product(a, rb, N)
+    rb_a = series_product(rb, a, N)
+    rb_c = series_product(rb, c, N)
+    lhs = series_product(ra, rb, N)
+    rhs = _scaled_rb(_scaled_sum(ra_b, a_rb), q)
+    zl = series_product(ra, rb_c, N)
+    left = series_product(_scaled_rb(ra_b, q), c, N)
+    right = series_product(_scaled_rb(rb_a, q), c, N)
+    zr = _scaled_sum(left, right)
+    products = (ra_b, a_rb, rb_a, rb_c, lhs, zl, left, right)
+    stats["products"] += len(products)
+    stats["terms"] += sum(len(g) for _, terms in products for g in terms.values())
     return lhs, rhs, zl, zr
 
 
@@ -440,8 +374,8 @@ def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
                        stats: Optional[dict] = None) -> list[tuple[int, str]]:
     """Check the Rota-Baxter identity R(a)R(b) = R(R(a)b + aR(b)) and the
     pre-commutative identity R(a)(R(b)c) = R(R(a)b)c + R(R(b)a)c exactly,
-    in scaled integers, on ``count`` trials, each on three
-    :func:`random_series` draws through a random t^N, N in 2..max_n.
+    in scaled integers, on ``count`` trials, each on three random series
+    through a random t^N, N in 2..max_n.
     The failures are (trial, "rota-baxter" or "pre-commutative") in trial
     order.  ``stats``, when given, gets the number of Cauchy products
     formed and of the terms they produced."""
@@ -487,8 +421,9 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
     *  for every basis pair x <= y and every l in 1..N, the t^l
        coefficient of R(fx)fy + fxR(fy) minus the image of x*y (fx the
        image series of x) equals l * pair_relation(F, x, y, l) exactly,
-       and is zero when l < level(x) + level(y).  Each failure is
-       (x, y, l, difference), in (x, y, l) order;
+       and is zero when l < level(x) + level(y).  The residue is formed
+       in scaled series and its t^l part compared as a ``ComPoly``.  Each
+       failure is (x, y, l, difference), in (x, y, l) order;
     *  bounded Buchberger completion of the coefficient relations up to
        weight N yields no linear leading monomial, so no generator symbol
        is rewritten away (injectivity certificate at weight N).
@@ -506,17 +441,28 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
             % (N, 2 * F.max_level()))
     G = coefficient_relations(F, N)
 
-    images = {x: generator_series(x, F, N) for x in F.basis}
+    # The image series of x, sum of i x[i] t^i from level(x) to N, has
+    # integer coefficients: it is a scaled series over 1.
+    images = {x: (1, {i: {ComMonomial((F.symbol(x, i),)): i}
+                      for i in range(F.level(x), N + 1)}) for x in F.basis}
+    q = _rb_scales(N)
     hom_failures = []
     basis = F.basis
     for i, x in enumerate(basis):
+        fx = images[x]
         for y in basis[i:]:
-            residue = series_star(images[x], images[y], N)
+            fy = images[y]
+            residue = _scaled_sum(series_product(_scaled_rb(fx, q), fy, N),
+                                  series_product(fx, _scaled_rb(fy, q), N))
             for z, c in F.product(x, y).items():
-                residue = residue - images[z].scale(c)
+                # Minus c times the image of z, over c's own denominator.
+                a = -c.numerator
+                residue = _scaled_sum(residue, (c.denominator, {
+                    n: {m: a * e for m, e in g.items()} for n, g in images[z][1].items()}))
+            d, terms = residue
             low = F.level(x) + F.level(y)
             for l in range(1, N + 1):
-                r = residue.coeff(l)
+                r = ComPoly._raw({m: exact(Fraction(e, d)) for m, e in terms.get(l, {}).items()})
                 if l >= low:
                     r = r - pair_relation(F, x, y, l).scale(l)
                 if r:
@@ -537,28 +483,26 @@ _DRAW_SYMBOLS = ([GenSymbol("x", 1, i, 0) for i in range(1, 5)]
 
 
 def _draw(rng: random.Random, N: int) -> tuple:
-    """:func:`random_series` as a scaled series: each coefficient a/b,
-    b in 1..3, is kept as a*(6//b) over the common denominator 6."""
+    """A random scaled series with exponents 1..N over the symbols x[1..4]
+    (level 1) and y[2..4] (level 2).  Each exponent is absent or has one
+    or two draws of a coefficient a/b, b in 1..3, times a monomial of at
+    most two symbols, possibly constant; a/b is kept as a*(6//b) over the
+    common denominator 6."""
     terms: dict = {}
     for n in range(1, N + 1):
         if rng.random() < 0.4:
             continue
+        group: dict = {}
         for _ in range(rng.randint(1, 2)):
-            t = (n, ComMonomial(rng.choice(_DRAW_SYMBOLS)
-                                for _ in range(rng.randint(0, 2))))
-            c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) + terms.get(t, 0)
+            m = ComMonomial(rng.choice(_DRAW_SYMBOLS) for _ in range(rng.randint(0, 2)))
+            c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) + group.get(m, 0)
             if c:
-                terms[t] = c
+                group[m] = c
             else:
-                terms.pop(t, None)
+                group.pop(m, None)
+        if group:
+            terms[n] = group
     return 6, terms
-
-
-def random_series(rng: random.Random, N: int) -> TruncSeries:
-    """A random series with exponents 1..N over the symbols x[1..4] (level
-    1) and y[2..4] (level 2); coefficients are small random polynomials
-    of at most two terms, possibly with constant terms."""
-    return _as_series(_draw(rng, N))
 
 
 def random_nilpotent_algebra(rng: random.Random) -> CommAlgebra:

@@ -54,7 +54,6 @@ __all__ = [
     "enveloping_relations",
     "trivial_gsb",
     "trivial_envelope_dimension",
-    "truncated_poly_relations",
     "verify_zinbiel_basis",
     "TrivialEnvelopeReport",
     "verify_trivial_envelope",
@@ -264,30 +263,6 @@ def trivial_envelope_dimension(d: int, n: int) -> int:
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     return math.comb(d, 2) ** (n // 2) * d ** (n % 2)
-
-
-def truncated_poly_relations(n: int, alphabet: Optional[Alphabet] = None
-                             ) -> list[RelationSchema]:
-    """The completed rewriting system for the truncated power algebra:
-    the tree family plus, for every ordered pair (i, j),
-
-        x_i x_j - (j/(i+j)) x_(i+j)    when i+j <= n,
-        x_i x_j                        when i+j >  n.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    ab = alphabet if alphabet is not None else Alphabet(
-        ["x%d" % i for i in range(1, n + 1)])
-    if len(ab) != n:
-        raise ValueError("alphabet size must equal n")
-    rels: list[RelationSchema] = [ZinbielFamily(ab)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            terms = {node(leaf(ab[i - 1]), leaf(ab[j - 1])): 1}
-            if i + j <= n:
-                terms[leaf(ab[i + j - 1])] = Fraction(-j, i + j)
-            rels.append(ExplicitRelation(MagmaPoly._raw(terms)))
-    return rels
 
 
 # ---------------------------------------------------------------------------

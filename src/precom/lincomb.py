@@ -1,12 +1,10 @@
 """Exact sparse linear combinations and the rewriting loop they share.
 
 The subclasses of ``LinComb`` (the tree polynomials ``MagmaPoly``, the
-half-shuffle words ``ZinbElement``, the commutative polynomials
-``ComPoly`` and the power series ``TruncSeries`` over (exponent,
-monomial) pairs, whose products take the truncation N) are all finite
-maps from monomials to exact coefficients, and the tree and commutative
-sides both reduce modulo monic relations by rewriting one monomial at a
-time.  This module holds that common part:
+half-shuffle words ``ZinbElement`` and the commutative polynomials
+``ComPoly``) are all finite maps from monomials to exact coefficients,
+and the tree and commutative sides both reduce modulo monic relations by
+rewriting one monomial at a time.  This module holds that common part:
 
 * :class:`LinComb`, the immutable coefficient map with its arithmetic;
   subclasses add their own order, validation, repr and products;

@@ -52,7 +52,6 @@ __all__ = [
     "ReductionStep",
     "CompositionFailure",
     "GsbReport",
-    "subtree",
     "graft",
     "occurrences",
     "substitute",
@@ -76,15 +75,6 @@ _LEFT_STEP, _RIGHT_STEP = (LEFT,), (RIGHT,)
 
 # ---------------------------------------------------------------------------
 # Paths, occurrences, grafting
-
-def subtree(w: NaWord, path: Sequence[int]) -> NaWord:
-    """The subword at a path of {0, 1} steps (0 = left factor)."""
-    for step in path:
-        if w.letter is not None:
-            raise ValueError("invalid path %r: ran past a leaf" % (tuple(path),))
-        w = w.left if step == 0 else w.right
-    return w
-
 
 def graft(w: NaWord, path: Sequence[int], repl: NaWord) -> NaWord:
     """The word obtained by replacing the subword at ``path`` with ``repl``.

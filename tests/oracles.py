@@ -4,22 +4,29 @@ Each enumerates by brute force what the library builds directly: every
 word of a length, the instances of a family by matching every word, and
 the inclusion compositions of two relations formed one by one.  One
 gives a word's sort key as a nested tuple, the form keys had before
-they became byte strings.  One computes in ``Fraction`` series what the
-library computes in scaled integers: a trial of the Rota-Baxter check.
-One is the ``argparse`` parser the CLI read its flags with before it
-read them from its own flag table.  The tests hold the library's answers
-against them.
+they became byte strings.  ``TruncSeries`` and its products compute in
+``Fraction`` series, term by term, what the library computes in scaled
+integer series: a trial of the Rota-Baxter check and the residues of the
+embedding check.  ``truncated_poly_relations`` is the closed-form
+completed system of the truncated power algebra, and ``subtree`` reads
+the subword at a path.  One is the ``argparse`` parser the CLI read its
+flags with before it read them from its own flag table.  The tests hold
+the library's answers against them.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+from fractions import Fraction
+from typing import Optional, Sequence
 
-from precom.embed import TruncSeries, random_series, rb_apply, series_product, splitting_product
-from precom.lincomb import _require_monic
-from precom.magma import Alphabet, MagmaPoly, NaWord, leaf, node
-from precom.rewrite import RelationSchema, occurrences, substitute
+from precom.compoly import ComMonomial, ComPoly
+from precom.embed import FilteredAlgebra, _draw
+from precom.lincomb import LinComb, _require_monic, exact
+from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
+from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, occurrences,
+                            substitute)
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -93,6 +100,130 @@ def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, Mag
             continue
         out.append((fl, f - substitute(fl, path, g)))
     return out
+
+
+def subtree(w: NaWord, path: Sequence[int]) -> NaWord:
+    """The subword at a path of {0, 1} steps (0 = left factor)."""
+    for step in path:
+        if w.letter is not None:
+            raise ValueError("invalid path %r: ran past a leaf" % (tuple(path),))
+        w = w.left if step == 0 else w.right
+    return w
+
+
+def truncated_poly_relations(n: int, alphabet: Optional[Alphabet] = None
+                             ) -> list[RelationSchema]:
+    """The completed rewriting system for the truncated power algebra:
+    the tree family plus, for every ordered pair (i, j),
+
+        x_i x_j - (j/(i+j)) x_(i+j)    when i+j <= n,
+        x_i x_j                        when i+j >  n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    ab = alphabet if alphabet is not None else Alphabet(
+        ["x%d" % i for i in range(1, n + 1)])
+    if len(ab) != n:
+        raise ValueError("alphabet size must equal n")
+    rels: list[RelationSchema] = [ZinbielFamily(ab)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            terms = {node(leaf(ab[i - 1]), leaf(ab[j - 1])): 1}
+            if i + j <= n:
+                terms[leaf(ab[i + j - 1])] = Fraction(-j, i + j)
+            rels.append(ExplicitRelation(MagmaPoly._raw(terms)))
+    return rels
+
+
+# ---------------------------------------------------------------------------
+# Fraction series
+
+class TruncSeries(LinComb):
+    """A power series, the sum of c_n t^n over exponents n >= 1 with
+    ComPoly coefficients c_n, kept as a combination of (n, m) pairs: n an
+    int exponent and m a :class:`~precom.compoly.ComMonomial`.  The
+    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s;
+    truncation is not part of the value but an argument of the products."""
+
+    __slots__ = ()
+
+    _key = staticmethod(lambda t: (t[0], t[1].key))
+
+    @classmethod
+    def _monomial(cls, t) -> tuple:
+        if type(t) is not tuple or len(t) != 2:
+            raise ValueError("series terms are (exponent, monomial) pairs, got %r" % (t,))
+        n, m = t
+        if type(n) is not int or n < 1:
+            raise ValueError("series exponent must be an int >= 1, got %r" % (n,))
+        if type(m) is not ComMonomial:
+            raise ValueError("series term needs a ComMonomial, got %r" % (m,))
+        return t
+
+    def coeff(self, n: int) -> ComPoly:
+        """The coefficient of t^n."""
+        return ComPoly._raw({m: c for (k, m), c in self.terms.items() if k == n})
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join("(%r) t^%d" % (self.coeff(n), n)
+                          for n in sorted({n for n, _ in self.terms}))
+
+
+def rb_apply(s: TruncSeries) -> TruncSeries:
+    """The averaging operator t^n -> t^n/n, a Rota-Baxter operator of
+    weight zero on series."""
+    return TruncSeries._raw({t: exact(Fraction(c, t[0])) for t, c in s.terms.items()})
+
+
+def series_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """The Cauchy product through t^N, everything beyond discarded, formed
+    one pair of terms at a time in ``Fraction`` arithmetic."""
+    out: dict = {}
+    for (i, m), a in s.terms.items():
+        for (j, k), b in u.terms.items():
+            if i + j <= N:
+                t = (i + j, m * k)
+                out[t] = out.get(t, 0) + a * b
+    return TruncSeries.from_terms(out.items())
+
+
+def generator_series(x: Letter, F: FilteredAlgebra, N: int) -> TruncSeries:
+    """The image series of a basis element: sum of i * x[i] t^i for i
+    from level(x) to N."""
+    k = F.level(x)
+    if N < k:
+        raise ValueError("truncation below level: N=%d < level %d" % (N, k))
+    return TruncSeries._raw({(i, ComMonomial((F.symbol(x, i),))): i
+                             for i in range(k, N + 1)})
+
+
+def series_star(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """R(s)u + sR(u) through t^N: the symmetrized product induced by the
+    averaging operator."""
+    return series_product(rb_apply(s), u, N) + series_product(s, rb_apply(u), N)
+
+
+def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
+    """The one-sided product R(s)u through t^N; satisfies the defining
+    identity a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
+    return series_product(rb_apply(s), u, N)
+
+
+def _as_series(s: tuple) -> TruncSeries:
+    """The value of a scaled series (d, {n: {m: int}})."""
+    d, terms = s
+    return TruncSeries._raw({(n, m): exact(Fraction(c, d))
+                             for n, g in terms.items() for m, c in g.items()})
+
+
+def random_series(rng: random.Random, N: int) -> TruncSeries:
+    """The library's random scaled series as a ``TruncSeries``: exponents
+    1..N over the symbols x[1..4] (level 1) and y[2..4] (level 2), each
+    coefficient a small polynomial of at most two terms, possibly with a
+    constant term."""
+    return _as_series(_draw(rng, N))
 
 
 def rota_baxter_sides(rng: random.Random, max_n: int) -> tuple[TruncSeries, ...]:

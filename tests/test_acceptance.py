@@ -25,7 +25,6 @@ from precom import (
     complete,
     default_alphabet,
     enveloping_relations,
-    generator_series,
     idempotent_algebra,
     interreduce,
     irreducible_counts,
@@ -36,11 +35,7 @@ from precom import (
     perm_tensor_check,
     random_element,
     random_nilpotent_algebra,
-    random_series,
-    rb_apply,
-    series_product,
     shuffle_product,
-    splitting_product,
     standard_filtration,
     star,
     to_left_comb,
@@ -48,11 +43,20 @@ from precom import (
     trivial_envelope_dimension,
     trivial_gsb,
     truncated_power_algebra,
-    truncated_poly_relations,
     verify_embedding,
     verify_gsb,
+    verify_rota_baxter,
     verify_zinbiel_basis,
     zinbiel_product,
+)
+
+from oracles import (
+    generator_series,
+    random_series,
+    rb_apply,
+    series_product,
+    splitting_product,
+    truncated_poly_relations,
 )
 
 
@@ -208,6 +212,9 @@ def test_criterion_09_comb_reduction_matches_shuffle_formula():
 
 
 def test_criterion_10_rota_baxter_identity_and_splitting():
+    # The library's check in scaled integer series, then the same
+    # identities in the Fraction series of the oracle.
+    assert verify_rota_baxter(random.Random(401), 200, 8) == []
     rng = random.Random(401)
     for _ in range(200):
         N = rng.randint(2, 8)
@@ -223,8 +230,9 @@ def test_criterion_10_rota_baxter_identity_and_splitting():
         rhs = splitting_product(splitting_product(a, b, N), c, N) \
             + splitting_product(splitting_product(b, a, N), c, N)
         assert lhs == rhs
-    _report(10, "weight-zero identity on 200 random series; "
-                "splitting identity on 100 random triples — all exact")
+    _report(10, "both identities on 200 scaled trials; weight-zero identity "
+                "on 200 random series; splitting identity on 100 random "
+                "triples — all exact")
 
 
 def test_criterion_11_series_embeddings_certified():

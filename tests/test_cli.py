@@ -318,8 +318,9 @@ class TestVerify:
         # and names the trials and identities that failed.
         def shifted(s, q):
             d, terms = s
-            D = math.lcm(*(n + 1 for n, _ in terms))
-            return d * D, {t: c * (D // (t[0] + 1)) for t, c in terms.items()}
+            D = math.lcm(*(n + 1 for n in terms))
+            return d * D, {n: {m: c * (D // (n + 1)) for m, c in g.items()}
+                           for n, g in terms.items()}
         monkeypatch.setattr(embed_module, "_scaled_rb", shifted)
         code, out, _ = run("verify", "rb", "--count", "10", "--max-n", "8", "--json")
         assert code == 1

@@ -35,7 +35,6 @@ from precom import (
     normal_form_with_trace,
     substitute,
     trivial_gsb,
-    truncated_poly_relations,
     truncated_power_algebra,
 )
 from precom.compoly import _times
@@ -44,7 +43,7 @@ from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
 from precom.sexpr import format_poly, format_word, parse_poly, parse_relations
 
-from oracles import words_of_length
+from oracles import truncated_poly_relations, words_of_length
 
 
 class _MaxItem:

@@ -13,18 +13,11 @@ from precom import (
     ComPoly,
     CommAlgebra,
     FilteredAlgebra,
-    TruncSeries,
     buchberger_bounded,
     coefficient_relations,
-    generator_series,
     idempotent_algebra,
     pair_relation,
     random_nilpotent_algebra,
-    random_series,
-    rb_apply,
-    series_product,
-    series_star,
-    splitting_product,
     standard_filtration,
     trivial_algebra,
     truncated_power_algebra,
@@ -36,6 +29,15 @@ from precom import embed as embed_module
 from precom.lincomb import echelon_insert, exact
 
 import oracles
+from oracles import (
+    TruncSeries,
+    generator_series,
+    random_series,
+    rb_apply,
+    series_product,
+    series_star,
+    splitting_product,
+)
 
 
 def trivial_filtered(d=1):
@@ -412,6 +414,28 @@ class TestSeriesProduct:
             assert c5.terms[c_mono(F, ("x1", i), ("x2", j))] == i * j
 
 
+class TestScaledSeriesProduct:
+    def test_matches_the_fraction_oracle(self):
+        # The library's one product, on scaled series, has the value of
+        # the term-by-term Fraction product.
+        rng = random.Random(67)
+        for _ in range(100):
+            N = rng.randint(1, 8)
+            s, u = embed_module._draw(rng, N), embed_module._draw(rng, N)
+            got = embed_module.series_product(s, u, N)
+            assert got[0] == 36
+            assert oracles._as_series(got) \
+                == series_product(oracles._as_series(s), oracles._as_series(u), N)
+
+    def test_groups_drop_cancelled_terms(self):
+        x = ComMonomial()
+        s = (1, {1: {x: 1}, 2: {x: 1}})
+        u = (1, {1: {x: 1}, 2: {x: -1}})
+        # (t + t^2)(t - t^2) = t^2 - t^4: the t^3 group cancels.
+        assert embed_module.series_product(s, u, 4) == (1, {2: {x: 1}, 4: {x: -1}})
+        assert embed_module.series_product(s, u, 1) == (1, {})
+
+
 def naive_product(s, u, N):
     """The Cauchy product through t^N by plain ComPoly arithmetic, degree
     by degree."""
@@ -575,20 +599,19 @@ def shifted_rb(s):
 def shifted_scaled_rb(s, q):
     """The same wrong operator on scaled series."""
     d, terms = s
-    D = math.lcm(*(n + 1 for n, _ in terms))
-    return d * D, {t: c * (D // (t[0] + 1)) for t, c in terms.items()}
+    D = math.lcm(*(n + 1 for n in terms))
+    return d * D, {n: {m: c * (D // (n + 1)) for m, c in g.items()}
+                   for n, g in terms.items()}
 
 
 def diagonal_free(kernel):
     """A wrong Cauchy kernel: it leaves out the pairs of equal exponents."""
     def product(s, u, N):
-        out = {}
-        for i in range(1, N):
-            left = {t: c for t, c in s.items() if t[0] == i}
-            right = {t: c for t, c in u.items() if t[0] != i}
-            for t, c in kernel(left, right, N).items():
-                out[t] = out.get(t, 0) + c
-        return {t: c for t, c in out.items() if c}
+        out = (1, {})
+        for i, g in s.items():
+            right = {j: h for j, h in u.items() if j != i}
+            out = embed_module._scaled_sum(out, (1, kernel({i: g}, right, N)))
+        return out[1]
     return product
 
 
@@ -605,7 +628,7 @@ class TestVerifyRotaBaxter:
         for _ in range(40):
             sides = embed_module._rb_sides(rng, max_n, stats)
             want = oracles.rota_baxter_sides(ref, max_n)
-            assert [embed_module._as_series(x) for x in sides] == list(want)
+            assert [oracles._as_series(x) for x in sides] == list(want)
             assert rng.getstate() == ref.getstate()
         assert stats["products"] == 8 * 40
 
@@ -617,19 +640,18 @@ class TestVerifyRotaBaxter:
         # t^n -> t^n/(n+1) is no Rota-Baxter operator; the Fraction oracle
         # with the same operator fails the same trials.
         monkeypatch.setattr(embed_module, "_scaled_rb", shifted_scaled_rb)
-        got = verify_rota_baxter(random.Random(4), 30, 8)
-        monkeypatch.setattr(embed_module, "rb_apply", shifted_rb)
         monkeypatch.setattr(oracles, "rb_apply", shifted_rb)
+        got = verify_rota_baxter(random.Random(4), 30, 8)
         assert got == oracles.rota_baxter_failures(4, 30, 8)
         assert {identity for _, identity in got} == {"rota-baxter", "pre-commutative"}
 
     def test_wrong_product_fails(self, monkeypatch):
-        # The kernel is shared: series_product, and so the oracle, runs the
-        # same wrong product and fails the same trials.
+        # A wrong Cauchy kernel fails the check; the oracle forms its
+        # products term by term, without the kernel, and fails nothing.
         monkeypatch.setattr(embed_module, "_cauchy", diagonal_free(embed_module._cauchy))
         got = verify_rota_baxter(random.Random(4), 30, 8)
-        assert got == oracles.rota_baxter_failures(4, 30, 8)
         assert (5, "pre-commutative") in got
+        assert oracles.rota_baxter_failures(4, 30, 8) == []
 
     def test_stats(self):
         stats = {}
@@ -643,38 +665,42 @@ class TestScaledSeries:
         self.x, self.y = (c_mono(F, (name, 1)) for name in ("x", "y"))
 
     def test_equal_values_at_different_denominators(self):
-        a = (6, {(1, self.x): 3, (2, self.y): -4})
-        b = (12, {(1, self.x): 6, (2, self.y): -8})
+        a = (6, {1: {self.x: 3}, 2: {self.y: -4}})
+        b = (12, {1: {self.x: 6}, 2: {self.y: -8}})
         assert embed_module._scaled_equal(a, b)
         assert embed_module._scaled_equal(b, a)
-        assert embed_module._as_series(a) == embed_module._as_series(b)
+        assert oracles._as_series(a) == oracles._as_series(b)
         assert embed_module._scaled_equal((1, {}), (30, {}))
 
     def test_one_coefficient_off(self):
-        a = (6, {(1, self.x): 3, (2, self.y): -4})
-        b = (12, {(1, self.x): 6, (2, self.y): -7})
+        a = (6, {1: {self.x: 3}, 2: {self.y: -4}})
+        b = (12, {1: {self.x: 6}, 2: {self.y: -7}})
         assert not embed_module._scaled_equal(a, b)
         assert not embed_module._scaled_equal(b, a)
 
     def test_one_extra_key(self):
-        a = (6, {(1, self.x): 3})
-        b = (6, {(1, self.x): 3, (2, self.y): 1})
-        assert not embed_module._scaled_equal(a, b)
-        assert not embed_module._scaled_equal(b, a)
+        a = (6, {1: {self.x: 3}})
+        for b in ((6, {1: {self.x: 3}, 2: {self.y: 1}}),
+                  (6, {1: {self.x: 3, self.y: 1}})):
+            assert not embed_module._scaled_equal(a, b)
+            assert not embed_module._scaled_equal(b, a)
 
     def test_sum_cross_scales_and_drops_zeros(self):
-        a = (2, {(1, self.x): 1, (2, self.y): 1})
-        b = (3, {(1, self.x): 1, (2, self.y): -2})
+        a = (2, {1: {self.x: 1}, 2: {self.y: 1}})
+        b = (3, {1: {self.x: 1}, 2: {self.y: -2}})
         got = embed_module._scaled_sum(a, b)
-        assert got == (6, {(1, self.x): 5, (2, self.y): -1})
-        assert embed_module._scaled_sum(a, (2, {(1, self.x): -1})) == (2, {(2, self.y): 1})
+        assert got == (6, {1: {self.x: 5}, 2: {self.y: -1}})
+        assert embed_module._scaled_sum(a, (2, {1: {self.x: -1}})) == (2, {2: {self.y: 1}})
+        got = embed_module._scaled_sum(a, (2, {1: {self.y: 1}}))
+        assert got == (2, {1: {self.x: 1, self.y: 1}, 2: {self.y: 1}})
+        assert a == (2, {1: {self.x: 1}, 2: {self.y: 1}})
 
     def test_rb_multiplies_by_lcm_over_n(self):
         s = TruncSeries._raw({(1, self.x): Fraction(1, 2), (3, self.y): 5})
-        scaled = embed_module._scaled_rb((2, {(1, self.x): 1, (3, self.y): 10}),
+        scaled = embed_module._scaled_rb((2, {1: {self.x: 1}, 3: {self.y: 10}}),
                                          [6, 6, 3, 2])
         assert scaled[0] == 12
-        assert embed_module._as_series(scaled) == rb_apply(s)
+        assert oracles._as_series(scaled) == rb_apply(s)
 
 
 class TestVerifyEmbedding:
@@ -719,7 +745,8 @@ class TestVerifyEmbedding:
     def test_homomorphism_failures_with_identity_operator(self, monkeypatch):
         # With R the identity, R(fx)fy + fxR(fy) = 2 fx fy, which is not l
         # times the pair relation; each failure holds the exact difference.
-        monkeypatch.setattr(embed_module, "rb_apply", lambda s: s)
+        monkeypatch.setattr(embed_module, "_scaled_rb", lambda s, q: s)
+        monkeypatch.setattr(oracles, "rb_apply", lambda s: s)
         F = truncated_filtered(3)
         N = 6
         rep = verify_embedding(F, N)
@@ -731,6 +758,20 @@ class TestVerifyEmbedding:
         keys = [(rank[x], rank[y], l) for x, y, l, _ in rep.homomorphism_failures]
         assert keys == sorted(keys)
         assert not rep.verified
+
+    def test_wrong_product_reports_homomorphism_failures(self, monkeypatch):
+        # A wrong Cauchy kernel leaves residues that are not l times the
+        # pair relation; the oracle's term-by-term residues all are.
+        monkeypatch.setattr(embed_module, "_cauchy", diagonal_free(embed_module._cauchy))
+        F = truncated_filtered(3)
+        rep = verify_embedding(F, 6)
+        assert not rep.verified
+        # Every pair has a term t^i t^i with 2i <= 6 that the kernel drops.
+        assert {(x, y) for x, y, _, _ in rep.homomorphism_failures} \
+            == {(x.name, y.name) for i, x in enumerate(F.basis) for y in F.basis[i:]}
+        for x, y, residue in image_residues(F, 6):
+            for l in range(1, 7):
+                assert residue.coeff(l) == weight_times_relation(F, x, y, l)
 
     def test_random_nilpotent_instances(self):
         rng = random.Random(97)

@@ -25,14 +25,13 @@ from precom import (
     trivial_algebra,
     trivial_envelope_dimension,
     trivial_gsb,
-    truncated_poly_relations,
     truncated_power_algebra,
     verify_gsb,
     verify_trivial_envelope,
     verify_zinbiel_basis,
 )
 
-from oracles import scan_instances, words_of_length
+from oracles import scan_instances, truncated_poly_relations, words_of_length
 
 
 def alternates_down(word):

@@ -16,7 +16,6 @@ from precom import (
     ExplicitRelation,
     FilteredAlgebra,
     MagmaPoly,
-    TruncSeries,
     ZinbElement,
     buchberger_bounded,
     coefficient_relations,
@@ -25,7 +24,6 @@ from precom import (
     com_reduce_with_trace,
     complete,
     enveloping_relations,
-    generator_series,
     idempotent_algebra,
     interreduce,
     leaf,
@@ -34,21 +32,29 @@ from precom import (
     normal_form_with_trace,
     pair_relation,
     random_element,
-    random_series,
-    rb_apply,
     s_polynomial,
-    series_product,
     shuffle_product,
     star,
     to_left_comb,
     trivial_gsb,
-    truncated_poly_relations,
     truncated_power_algebra,
+    verify_embedding,
     verify_gsb,
+    verify_rota_baxter,
     zinbiel_product,
 )
 
-from oracles import words_of_length
+from precom import embed
+
+from oracles import (
+    TruncSeries,
+    generator_series,
+    random_series,
+    rb_apply,
+    series_product,
+    truncated_poly_relations,
+    words_of_length,
+)
 
 
 def assert_exact_coeff(c):
@@ -261,6 +267,39 @@ def test_series_products_and_rb():
     assert all(type(c) is int for c in rb_apply(s).terms.values())
 
 
+def assert_scaled(s):
+    d, terms = s
+    assert type(d) is int and d > 0, d
+    for n, group in terms.items():
+        assert type(n) is int and group, (n, group)
+        for c in group.values():
+            assert type(c) is int and c, (n, c)
+
+
+def test_scaled_series_are_integers(monkeypatch):
+    # Every scaled series that the embedding and Rota-Baxter checks draw,
+    # multiply, average, add or compare has an int denominator and int
+    # coefficients, on an algebra with fractional structure constants.
+    seen = set()
+
+    def watch(f):
+        def checked(*args):
+            out = f(*args)
+            for s in args + (out,):
+                if type(s) is tuple:
+                    assert_scaled(s)
+            seen.add(f.__name__)
+            return out
+        return checked
+
+    names = ("_draw", "series_product", "_scaled_rb", "_scaled_sum", "_scaled_equal")
+    for name in names:
+        monkeypatch.setattr(embed, name, watch(getattr(embed, name)))
+    assert verify_embedding(fractional_filtered(), 6).verified
+    assert verify_rota_baxter(random.Random(5), 20, 8) == []
+    assert seen == set(names)
+
+
 def test_compoly_monic_divides_exactly():
     F = fractional_filtered()
     a, b, _ = F.basis
@@ -275,7 +314,7 @@ def test_compoly_monic_divides_exactly():
 
 
 # ---------------------------------------------------------------------------
-# The four vector types stay apart
+# The three library vector types and the oracle's series stay apart
 
 def test_vector_types_never_mix():
     zeros = (MagmaPoly.zero(), ZinbElement.zero(), ComPoly.zero(), TruncSeries.zero())

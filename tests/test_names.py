@@ -5,8 +5,8 @@ the package re-exports each of its names from the module that lists it.
 A stale entry would otherwise go unnoticed: ``from module import *`` is
 never used, and the benchmark's tracer skips a name it cannot find.
 The library's surface is also pinned where it shrank: what only the tests
-run lives in ``tests/oracles.py``, and the Rota-Baxter check has one
-public name.
+run lives in ``tests/oracles.py``, and the series checks share one public
+series operation, the product.
 """
 
 from __future__ import annotations
@@ -56,6 +56,19 @@ def test_oracles_are_not_library_names(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize("module, name", [
+    *((m, n) for m in ("precom", "precom.embed")
+      for n in ("TruncSeries", "rb_apply", "generator_series", "series_star",
+                "splitting_product", "random_series", "_as_series")),
+    ("precom", "subtree"), ("precom.rewrite", "subtree"),
+    ("precom", "truncated_poly_relations"), ("precom.envelope", "truncated_poly_relations"),
+])
+def test_fraction_series_and_closed_forms_are_oracles(module, name):
+    # The Fraction series, the subword at a path and the closed-form
+    # truncated system are reference implementations in tests/oracles.py.
+    assert not hasattr(importlib.import_module(module), name)
+
+
 def test_only_the_schemas_that_sites_list_have_instances():
     # Composition search lists the instances of explicit relations and of
     # the tail family; the Zinbiel family's sites start from the other
@@ -68,9 +81,13 @@ def test_only_the_schemas_that_sites_list_have_instances():
 
 def test_rota_baxter_check_has_one_public_name():
     # `verify rb` runs verify_rota_baxter; the Cauchy kernel, the scaled
-    # series operations and the integer draw stay private to embed.
+    # series operations and the integer draw stay private to embed.  The
+    # one public series operation is the scaled product, which both
+    # checks call.
     embed = importlib.import_module("precom.embed")
     assert precom.verify_rota_baxter is embed.verify_rota_baxter
-    for name in ("_cauchy", "_scaled_rb", "_scaled_sum", "_scaled_equal",
-                 "_as_series", "_draw", "_rb_sides"):
+    assert precom.series_product is embed.series_product
+    for name in ("_cauchy", "_rb_scales", "_scaled_rb", "_scaled_sum",
+                 "_scaled_equal", "_draw", "_rb_sides"):
         assert hasattr(embed, name) and name not in embed.__all__
+    assert not hasattr(embed, "_by_exponent")

@@ -30,10 +30,8 @@ from precom import (
     reducible,
     replay_trace,
     graft,
-    subtree,
     substitute,
     trivial_gsb,
-    truncated_poly_relations,
     verify_gsb,
 )
 from precom import (
@@ -47,7 +45,8 @@ from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _Sites
 from precom.sexpr import format_relations, parse_relations
 
-from oracles import inclusion_compositions, scan_instances, words_of_length
+from oracles import (inclusion_compositions, scan_instances, subtree, truncated_poly_relations,
+                     words_of_length)
 
 
 def kept_sites(schemas, bound):
