@@ -8,8 +8,11 @@ basis element x of level k maps to the truncated series
 
 whose coefficients are generator symbols.  Every series is kept as a
 scaled series: a pair (d, {n: {m: int}}) whose value is the sum of
-c/d m t^n, grouped by exponent n, with m a commutative monomial.  The
-truncation is not part of the value but an argument N of
+c/d m t^n, grouped by exponent n.  A monomial key m is anything whose
+``*`` is the monomial product and that hashes and compares by value: a
+``ComMonomial`` in ``embed``, and in ``verify rb`` the int product of
+one distinct prime per symbol, so that the kernel multiplies small ints.
+The truncation is not part of the value but an argument N of
 ``series_product``, which multiplies the denominators and forms the
 terms with one integer Cauchy kernel, dropping every exponent above N.
 The averaging operator R is a multiplication by L//n over L =
@@ -257,9 +260,11 @@ def coefficient_relations(F: FilteredAlgebra, weight_bound: int) -> list[ComPoly
 #
 # A scaled series is a pair (d, {n: {m: int}}) whose value is the sum of
 # c/d m t^n, grouped by exponent n, with no zero coefficient and no empty
-# group.  No operation takes a gcd, so one value has many pairs;
-# ``_scaled_equal`` compares values.  No group is changed once built, so
-# a sum shares the groups that only one operand has.
+# group.  The operations read a key m only through ``*``, ``==`` and
+# hashing, so ComMonomials and prime codes take the same path.  No
+# operation takes a gcd, so one value has many pairs; ``_scaled_equal``
+# compares values.  No group is changed once built, so a sum shares the
+# groups that only one operand has.
 
 def _cauchy(s: dict, u: dict, N: int) -> dict:
     """The Cauchy product through t^N of two ``{n: {m: int}}`` dicts, as
@@ -439,7 +444,9 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
         raise ValueError(
             "truncation too small: N=%d but products need N >= %d"
             % (N, 2 * F.max_level()))
-    G = coefficient_relations(F, N)
+    # The homomorphism loop builds each pair relation once, in the order
+    # of coefficient_relations: raw to compare, monic to complete.
+    G = []
 
     # The image series of x, sum of i x[i] t^i from level(x) to N, has
     # integer coefficients: it is a scaled series over 1.
@@ -464,7 +471,9 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
             for l in range(1, N + 1):
                 r = ComPoly._raw({m: exact(Fraction(e, d)) for m, e in terms.get(l, {}).items()})
                 if l >= low:
-                    r = r - pair_relation(F, x, y, l).scale(l)
+                    p = pair_relation(F, x, y, l)
+                    G.append(p.monic())
+                    r = r - p.scale(l)
                 if r:
                     hom_failures.append((x.name, y.name, l, r))
 
@@ -478,24 +487,39 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
 # ---------------------------------------------------------------------------
 # Random data helpers
 
-_DRAW_SYMBOLS = ([GenSymbol("x", 1, i, 0) for i in range(1, 5)]
-                 + [GenSymbol("y", 2, i, 1) for i in range(2, 5)])
+_DRAW_SYMBOLS = (tuple(GenSymbol("x", 1, i, 0) for i in range(1, 5))
+                 + tuple(GenSymbol("y", 2, i, 1) for i in range(2, 5)))
+# One distinct prime per draw symbol: a monomial is keyed by the product
+# of its symbols' primes, 1 for the constant monomial.  By unique
+# factorization the code is one-to-one, and the code of a product is the
+# product of the codes.
+_DRAW_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
 def _draw(rng: random.Random, N: int) -> tuple:
     """A random scaled series with exponents 1..N over the symbols x[1..4]
-    (level 1) and y[2..4] (level 2).  Each exponent is absent or has one
-    or two draws of a coefficient a/b, b in 1..3, times a monomial of at
-    most two symbols, possibly constant; a/b is kept as a*(6//b) over the
-    common denominator 6."""
+    (level 1) and y[2..4] (level 2), each monomial keyed by its prime code
+    (``_DRAW_PRIMES``).  Each exponent is absent or has one or two draws
+    of a coefficient a/b, b in 1..3, times a monomial of at most two
+    symbols, possibly constant; a/b is kept as a*(6//b) over the common
+    denominator 6.
+
+    Every draw is ``rng.choice`` over a constant tuple.  ``randint(a, b)``
+    is ``a + _randbelow(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``, so a choice over the b - a + 1 values
+    from a up draws the generator stream that ``randint`` drew."""
+    choice = rng.choice
     terms: dict = {}
     for n in range(1, N + 1):
         if rng.random() < 0.4:
             continue
         group: dict = {}
-        for _ in range(rng.randint(1, 2)):
-            m = ComMonomial(rng.choice(_DRAW_SYMBOLS) for _ in range(rng.randint(0, 2)))
-            c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) + group.get(m, 0)
+        for _ in range(choice((1, 2))):
+            m = 1
+            for _ in range(choice((0, 1, 2))):
+                m *= choice(_DRAW_PRIMES)
+            # 6 // b for b = 1, 2, 3.
+            c = choice((-3, -2, -1, 0, 1, 2, 3)) * choice((6, 3, 2)) + group.get(m, 0)
             if c:
                 group[m] = c
             else:

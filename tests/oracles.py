@@ -7,7 +7,8 @@ gives a word's sort key as a nested tuple, the form keys had before
 they became byte strings.  ``TruncSeries`` and its products compute in
 ``Fraction`` series, term by term, what the library computes in scaled
 integer series: a trial of the Rota-Baxter check and the residues of the
-embedding check.  ``truncated_poly_relations`` is the closed-form
+embedding check, with the prime codes of the Rota-Baxter draw decoded to
+``ComMonomial``s.  ``truncated_poly_relations`` is the closed-form
 completed system of the truncated power algebra, and ``subtree`` reads
 the subword at a path.  One is the ``argparse`` parser the CLI read its
 flags with before it read them from its own flag table.  The tests hold
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from precom.compoly import ComMonomial, ComPoly
-from precom.embed import FilteredAlgebra, _draw
+from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw
 from precom.lincomb import LinComb, _require_monic, exact
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, occurrences,
@@ -211,10 +212,27 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
     return series_product(rb_apply(s), u, N)
 
 
+def decode_monomial(m) -> ComMonomial:
+    """The monomial a scaled-series key stands for: a ``ComMonomial`` is
+    itself, and an int is a prime code of the draw, decoded by trial
+    division with the prime of each draw symbol."""
+    if type(m) is not int:
+        return m
+    factors = []
+    for p, x in zip(_DRAW_PRIMES, _DRAW_SYMBOLS):
+        while m % p == 0:
+            factors.append(x)
+            m //= p
+    if m != 1:
+        raise ValueError("not a product of draw primes: %d left" % m)
+    return ComMonomial(factors)
+
+
 def _as_series(s: tuple) -> TruncSeries:
-    """The value of a scaled series (d, {n: {m: int}})."""
+    """The value of a scaled series (d, {n: {m: int}}), each key m a
+    ``ComMonomial`` or a prime code."""
     d, terms = s
-    return TruncSeries._raw({(n, m): exact(Fraction(c, d))
+    return TruncSeries._raw({(n, decode_monomial(m)): exact(Fraction(c, d))
                              for n, g in terms.items() for m, c in g.items()})
 
 

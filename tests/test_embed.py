@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -427,6 +428,48 @@ class TestScaledSeriesProduct:
             assert oracles._as_series(got) \
                 == series_product(oracles._as_series(s), oracles._as_series(u), N)
 
+    def test_prime_codes_and_monomials_agree(self):
+        # The draw keys monomials by prime codes; the same kernel on the
+        # decoded ComMonomial keys forms the decoded product, and both
+        # have the value of the Fraction oracle.
+        rng = random.Random(71)
+        for _ in range(100):
+            N = rng.randint(1, 8)
+            s, u = embed_module._draw(rng, N), embed_module._draw(rng, N)
+            coded = embed_module.series_product(s, u, N)
+            plain = embed_module.series_product(decoded(s), decoded(u), N)
+            assert decoded(coded) == plain
+            want = series_product(oracles._as_series(s), oracles._as_series(u), N)
+            assert oracles._as_series(coded) == oracles._as_series(plain) == want
+
+    def test_draw_codes_are_one_to_one(self):
+        # The 36 monomials of at most two draw symbols have distinct codes,
+        # and each decodes to its monomial.
+        codes = {}
+        for k in range(3):
+            for pos in itertools.combinations_with_replacement(range(7), k):
+                code = math.prod(embed_module._DRAW_PRIMES[i] for i in pos)
+                codes[code] = ComMonomial(embed_module._DRAW_SYMBOLS[i] for i in pos)
+        assert len(codes) == 36
+        for code, m in codes.items():
+            assert oracles.decode_monomial(code) is m
+
+    def test_product_codes_decode_to_products(self):
+        # Every product of two monomials of at most three symbols, so every
+        # monomial up to degree 6, codes as the product of the codes.
+        primes, symbols = embed_module._DRAW_PRIMES, embed_module._DRAW_SYMBOLS
+        small = {}
+        for k in range(4):
+            for pos in itertools.combinations_with_replacement(range(7), k):
+                small[math.prod(primes[i] for i in pos)] = ComMonomial(symbols[i] for i in pos)
+        assert len(small) == 120
+        products = {}
+        for a, m in small.items():
+            for b, k in small.items():
+                assert oracles.decode_monomial(a * b) is m * k
+                products[a * b] = m * k
+        assert len(products) == len(set(products.values())) == math.comb(13, 6)
+
     def test_groups_drop_cancelled_terms(self):
         x = ComMonomial()
         s = (1, {1: {x: 1}, 2: {x: 1}})
@@ -434,6 +477,13 @@ class TestScaledSeriesProduct:
         # (t + t^2)(t - t^2) = t^2 - t^4: the t^3 group cancels.
         assert embed_module.series_product(s, u, 4) == (1, {2: {x: 1}, 4: {x: -1}})
         assert embed_module.series_product(s, u, 1) == (1, {})
+
+
+def decoded(s):
+    """A scaled series with its prime codes decoded to ComMonomials."""
+    d, terms = s
+    return d, {n: {oracles.decode_monomial(m): c for m, c in g.items()}
+               for n, g in terms.items()}
 
 
 def naive_product(s, u, N):
@@ -658,6 +708,13 @@ class TestVerifyRotaBaxter:
         verify_rota_baxter(random.Random(0), 20, 8, stats)
         assert stats == {"products": 160, "terms": 946}
 
+    def test_stats_at_benchmark_size(self):
+        # The size of a perfbench rb-fixed job; the values are those of the
+        # draw that built ComMonomial keys.
+        stats = {}
+        assert verify_rota_baxter(random.Random(194963), 300, 8, stats) == []
+        assert stats == {"products": 2400, "terms": 17002}
+
 
 class TestScaledSeries:
     def setup_method(self):
@@ -772,6 +829,29 @@ class TestVerifyEmbedding:
         for x, y, residue in image_residues(F, 6):
             for l in range(1, 7):
                 assert residue.coeff(l) == weight_times_relation(F, x, y, l)
+
+    def test_builds_each_pair_relation_once(self, monkeypatch):
+        # One pair_relation call per coefficient relation, and the
+        # completion gets the relations of coefficient_relations in order.
+        F = truncated_filtered(3)
+        want = coefficient_relations(F, 8)
+        calls = []
+        completed = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_relation(*args)
+
+        def completion(G, N):
+            completed.extend(G)
+            return buchberger_bounded(G, N)
+
+        monkeypatch.setattr(embed_module, "pair_relation", counted)
+        monkeypatch.setattr(embed_module, "buchberger_bounded", completion)
+        rep = verify_embedding(F, 8)
+        assert rep.verified
+        assert len(calls) == rep.relation_count == len(want)
+        assert completed == want
 
     def test_random_nilpotent_instances(self):
         rng = random.Random(97)
