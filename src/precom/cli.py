@@ -28,8 +28,12 @@ after the verb; only whole flag names are accepted, not prefixes.
 ``-h``/``--help`` prints the verb list, or one verb's flags, and exits
 0.  A usage error (an unknown or missing verb, target or flag, a flag
 without its value, a value that is not an integer where one is
-expected) prints a usage line and an ``error:`` line to stderr and
-exits 2.
+expected, a flag that the ``verify`` target requires but argv leaves
+out, or one it does not read set away from its default) prints a usage
+line and an ``error:`` line to stderr and exits 2.  Bad input (a value
+below its flag's minimum, a file that cannot be read or parsed) prints
+only the ``error:`` line and exits 2.  The table names each verb's and
+target's handler too, so it is the one list of what the CLI runs.
 
 :func:`main` runs the verb's handler with the cyclic garbage collector
 off and restores its previous state afterwards.  Words, monomials and
@@ -83,67 +87,6 @@ from .sexpr import (
 )
 from .shuffle import PermAlgebra, ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
 
-# The flag table.  Each verb has a one-line summary, its flags and its
-# targets.  A flag is (type, default, help): a type of bool is a switch
-# that takes no value, and a default of _REQUIRED makes the flag required.
-# A verb with targets takes one of them as its positional argument; each
-# target lists the flags it requires, then the other flags it reads, and
-# any other flag of the verb set away from its default is an error.
-# Every verb also takes the _COMMON switches.
-_REQUIRED = object()
-_COMMON = {
-    "json": (bool, False, "emit a structured JSON report"),
-    "timings": (bool, False, "include wall-clock timings in the report"),
-}
-_TABLE = {
-    "reduce": ("normal form of a tree polynomial modulo relations", {
-        "relations": (str, _REQUIRED, "relation file"),
-        "input": (str, _REQUIRED, "word or polynomial S-expression"),
-    }, {}),
-    "complete": ("bounded completion of a relation set", {
-        "relations": (str, _REQUIRED, "relation file"),
-        "bound": (int, _REQUIRED, "word length bound"),
-        "interreduce": (bool, False, "minimalize and tail-reduce the completed set"),
-    }, {}),
-    "irr": ("irreducible words modulo a relation set", {
-        "relations": (str, _REQUIRED, "relation file"),
-        "bound": (int, _REQUIRED, "word length bound"),
-        "words": (bool, False, "list the words, not just counts"),
-    }, {}),
-    "zmul": ("product of dotted words in the free pre-commutative algebra", {
-        "left": (str, _REQUIRED, "dotted word, e.g. x.y"),
-        "right": (str, _REQUIRED, "dotted word"),
-        "star": (bool, False, "symmetrized product instead of the one-sided one"),
-        "letters": (str, None, "comma-separated alphabet order (default: sorted names)"),
-    }, {}),
-    "verify": ("run a verification driver", {
-        "letters": (int, None, "alphabet size"),
-        "bound": (int, None, "ambiguity/length bound"),
-        "no-completion": (bool, False, "trivial-envelope: skip the completion cross-check"),
-        "m-max": (int, None, "odd-even: odd length cap"),
-        "k-max": (int, None, "odd-even: even length cap"),
-        "algebra": (str, None, "collapse: algebra JSON file"),
-        "count": (int, None, "rb: number of random trials"),
-        "max-n": (int, None, "rb: max truncation degree"),
-        "dim": (int, None, "perm: Perm-algebra dimension"),
-        "triples": (int, None, "perm: number of triples"),
-        "max-degree": (int, None, "perm: element degree cap"),
-        "seed": (int, 0, "random seed (rb, perm)"),
-    }, {
-        "zinbiel": (("letters", "bound"), ()),
-        "trivial-envelope": (("letters", "bound"), ("no-completion",)),
-        "odd-even": (("letters", "m-max", "k-max"), ()),
-        "collapse": (("algebra", "bound"), ()),
-        "rb": (("count", "max-n"), ("seed",)),
-        "perm": (("dim", "triples", "max-degree"), ("seed",)),
-    }),
-    "embed": ("verify the power-series embedding of a filtered algebra", {
-        "algebra": (str, _REQUIRED, "algebra JSON file"),
-        "N": (int, _REQUIRED, "truncation degree"),
-    }, {}),
-}
-
-
 def _flag(name: str, kind) -> str:
     return "--" + name if kind is bool else "--%s %s" % (name, name.upper().replace("-", "_"))
 
@@ -152,9 +95,9 @@ def _usage(verb) -> str:
     """The usage line: the verb's target and required flags."""
     if verb is None:
         return "usage: precom {%s} [flags]" % ",".join(_TABLE)
-    _, flags, targets = _TABLE[verb]
+    _, _, flags, targets = _TABLE[verb]
     words = ["precom", verb] + (["{%s}" % ",".join(targets)] if targets else [])
-    words += [_flag(name, kind) for name, (kind, default, _) in flags.items()
+    words += [_flag(name, kind) for name, (kind, default, _, _) in flags.items()
               if default is _REQUIRED]
     return "usage: %s [flags]" % " ".join(words)
 
@@ -169,16 +112,16 @@ def _help(verb) -> None:
         lines += ["", "'precom VERB --help' lists a verb's flags.  Exit codes: 0 success,",
                   "1 verification failure, 2 bad input or usage."]
     else:
-        summary, flags, targets = _TABLE[verb]
+        summary, _, flags, targets = _TABLE[verb]
         lines += [summary, ""]
         if targets:
             lines.append("targets, with the flags each requires [and reads]:")
             lines += ["  %-18s%s" % (t, " ".join(["--" + f for f in required]
                                                 + ["[--%s]" % f for f in read]))
-                      for t, (required, read) in targets.items()]
+                      for t, (_, required, read) in targets.items()]
             lines.append("")
         lines.append("flags:")
-        for name, (kind, default, text) in {**flags, **_COMMON}.items():
+        for name, (kind, default, text, _) in {**flags, **_COMMON}.items():
             if default is _REQUIRED:
                 text += " (required)"
             elif default is not None and kind is not bool:
@@ -210,9 +153,9 @@ def _parse(argv: list) -> SimpleNamespace:
             _help(None)
         _usage_error(None, "unknown verb %r" % argv[0] if argv else "missing verb")
     verb = argv[0]
-    _, flags, targets = _TABLE[verb]
+    _, _, flags, targets = _TABLE[verb]
     flags = {**flags, **_COMMON}
-    values = {name: default for name, (_, default, _) in flags.items()}
+    values = {name: spec[1] for name, spec in flags.items()}
     target, extras = None, []
     rest = iter(argv[1:])
     for arg in rest:
@@ -260,45 +203,43 @@ def _parse(argv: list) -> SimpleNamespace:
     return args
 
 
-def _check_target(args) -> None:
-    """Reject a missing flag that the verify target requires, and a flag
-    away from its default that the target does not read."""
-    _, flags, targets = _TABLE["verify"]
-    required, read = targets[args.target]
-    values = vars(args)
-    missing = ["--" + f for f in required if values[f.replace("-", "_")] is None]
-    if missing:
-        raise ValueError("verify %s requires %s" % (args.target, ", ".join(missing)))
-    unread = ["--" + f for f, (_, default, _) in flags.items()
-              if f not in required + read and values[f.replace("-", "_")] != default]
-    if unread:
-        raise ValueError("verify %s does not read %s" % (args.target, ", ".join(unread)))
+def _check(args) -> None:
+    """Reject what the table forbids and argv's form does not show.  A
+    flag that the target requires but argv leaves out, or one it does not
+    read set away from its default, is a usage error.  A value below its
+    flag's minimum raises ``ValueError``: such a run would check nothing,
+    or nothing well-defined, and still pass."""
+    _, _, flags, targets = _TABLE[args.verb]
+    values = {name: getattr(args, name.replace("-", "_")) for name in flags}
+    if targets:
+        _, required, read = targets[args.target]
+        missing = ["--" + f for f in required if values[f] is None]
+        if missing:
+            _usage_error(args.verb, "%s %s requires %s"
+                         % (args.verb, args.target, ", ".join(missing)))
+        unread = ["--" + f for f, spec in flags.items()
+                  if f not in required + read and values[f] != spec[1]]
+        if unread:
+            _usage_error(args.verb, "%s %s does not read %s"
+                         % (args.verb, args.target, ", ".join(unread)))
+    for name, (_, _, _, low) in flags.items():
+        value = values[name]
+        if low is not None and value is not None and value < low:
+            raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
 
 
-def _at_least(minimums: dict) -> None:
-    """Reject a flag below its minimum ({flag: (value, minimum)}): such a
-    run would check nothing, or nothing well-defined, and still pass."""
-    for flag, (value, low) in minimums.items():
-        if value < low:
-            raise ValueError("--%s must be at least %d (got %d)" % (flag, low, value))
-
-
-def _load(path: str, parse):
-    """``parse`` of the file's text; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _load(path: str, *parsers):
+    """The file's text passed through each of ``parsers`` in turn.  A
+    file that cannot be decoded, or whose text does not parse, is a
+    ``ParseError`` that names the file."""
     try:
-        return parse(text)
-    except (ParseError, json.JSONDecodeError) as e:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = fh.read()
+        for parse in parsers:
+            value = parse(value)
+    except (ParseError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ParseError("%s: %s" % (path, e)) from None
-
-
-def _load_relations(path: str):
-    return _load(path, parse_relations)
-
-
-def _load_algebra(path: str):
-    return _load(path, lambda text: parse_algebra(json.loads(text)))
+    return value
 
 
 def _gsb_parts(rep):
@@ -313,7 +254,7 @@ def _gsb_parts(rep):
 
 
 def _handle_reduce(args):
-    alphabet, relations = _load_relations(args.relations)
+    alphabet, relations = _load(args.relations, parse_relations)
     trace: list = []
     nf = normal_form(parse_poly(args.input, alphabet), relations, trace)
     result = format_poly(nf)
@@ -323,8 +264,7 @@ def _handle_reduce(args):
 
 
 def _handle_complete(args):
-    _at_least({"bound": (args.bound, 2)})
-    alphabet, relations = _load_relations(args.relations)
+    alphabet, relations = _load(args.relations, parse_relations)
     stats: dict = {}
     done = complete(relations, args.bound, stats)
     if args.interreduce:
@@ -339,8 +279,7 @@ def _handle_complete(args):
 
 
 def _handle_irr(args):
-    _at_least({"bound": (args.bound, 1)})
-    alphabet, relations = _load_relations(args.relations)
+    alphabet, relations = _load(args.relations, parse_relations)
     counts = irreducible_counts(relations, alphabet, args.bound)
     report = {"status": "ok", "counts": counts, "failures": []}
     lines = ["irreducible counts: %s" % counts]
@@ -370,7 +309,6 @@ def _handle_zmul(args):
 
 
 def _verify_zinbiel(args):
-    _at_least({"letters": (args.letters, 1), "bound": (args.bound, 2)})
     rep = verify_zinbiel_basis(args.letters, args.bound)
     ab = default_alphabet(args.letters)
     counts = irreducible_counts([ZinbielFamily(ab)], ab, args.bound)
@@ -380,7 +318,6 @@ def _verify_zinbiel(args):
 
 
 def _verify_trivial_envelope(args):
-    _at_least({"letters": (args.letters, 1), "bound": (args.bound, 2)})
     rep = verify_trivial_envelope(args.letters, args.bound,
                                   run_completion=not args.no_completion)
     failures, line, stats = _gsb_parts(rep.gsb)
@@ -391,14 +328,13 @@ def _verify_trivial_envelope(args):
              % (rep.counts, rep.expected_counts)]
     if rep.completion_counts is not None:
         lines.append("completion counts:  %s" % rep.completion_counts)
-        if rep.completion_counts != rep.expected_counts[:len(rep.completion_counts)]:
+        if rep.completion_counts != rep.expected_counts:
             failures.append({"completion_counts": rep.completion_counts,
-                             "expected": rep.expected_counts[:len(rep.completion_counts)]})
+                             "expected": rep.expected_counts})
     return rep.verified, rep.counts, failures, lines, stats
 
 
 def _verify_odd_even(args):
-    _at_least({"letters": (args.letters, 1)})
     if args.m_max < 1 or args.m_max % 2 == 0:
         raise ValueError("--m-max must be odd and at least 1 (got %d)" % args.m_max)
     if args.k_max < 2 or args.k_max % 2:
@@ -410,8 +346,7 @@ def _verify_odd_even(args):
 
 
 def _verify_collapse(args):
-    _at_least({"bound": (args.bound, 2)})
-    A, _levels = _load_algebra(args.algebra)
+    A, _levels = _load(args.algebra, json.loads, parse_algebra)
     rep = collapse_check(A, args.bound)
     failures = [{"x": x.name, "y": y.name, "star": format_poly(got),
                  "expected": format_poly(want)}
@@ -424,7 +359,6 @@ def _verify_collapse(args):
 
 
 def _verify_rb(args):
-    _at_least({"count": (args.count, 1), "max-n": (args.max_n, 2)})
     stats: dict = {}
     bad = verify_rota_baxter(random.Random(args.seed), args.count, args.max_n, stats)
     failures = [{"trial": i, "identity": identity} for i, identity in bad]
@@ -433,8 +367,6 @@ def _verify_rb(args):
 
 
 def _verify_perm(args):
-    _at_least({"dim": (args.dim, 1), "triples": (args.triples, 1),
-               "max-degree": (args.max_degree, 1)})
     rng = random.Random(args.seed)
     alphabet = default_alphabet(2)
     samples = [tuple(random_element(rng, alphabet, args.max_degree)
@@ -452,18 +384,8 @@ def _verify_perm(args):
     return rep.verified, [rep.triples_checked], failures, lines, stats
 
 
-_VERIFY = {
-    "zinbiel": _verify_zinbiel,
-    "trivial-envelope": _verify_trivial_envelope,
-    "odd-even": _verify_odd_even,
-    "collapse": _verify_collapse,
-    "rb": _verify_rb,
-    "perm": _verify_perm,
-}
-
-
 def _handle_verify(args):
-    ok, counts, failures, lines, stats = _VERIFY[args.target](args)
+    ok, counts, failures, lines, stats = _TABLE["verify"][3][args.target][0](args)
     status = "verified" if ok else "failed"
     report = {"status": status, "counts": counts, "failures": failures}
     if stats is not None:
@@ -473,7 +395,7 @@ def _handle_verify(args):
 
 
 def _handle_embed(args):
-    A, levels = _load_algebra(args.algebra)
+    A, levels = _load(args.algebra, json.loads, parse_algebra)
     F = FilteredAlgebra(A, levels) if levels is not None else standard_filtration(A)
     rep = verify_embedding(F, args.N)
     failures = []
@@ -508,13 +430,66 @@ def _handle_embed(args):
     return (0 if rep.verified else 1), report, lines
 
 
-_HANDLERS = {
-    "reduce": _handle_reduce,
-    "complete": _handle_complete,
-    "irr": _handle_irr,
-    "zmul": _handle_zmul,
-    "verify": _handle_verify,
-    "embed": _handle_embed,
+# The table, one row per verb: (summary, handler, flags, targets).  A
+# flag is (type, default, help, minimum): a type of bool is a switch that
+# takes no value, a default of _REQUIRED makes the flag required, and an
+# int value below its minimum (None for none) is bad input.  A verb with
+# targets takes one of them as its positional argument; a target is
+# (handler, required, read), its handler and the flags it requires and
+# the other flags it reads.  A flag the target requires but argv leaves
+# out, or any other flag of the verb set away from its default, is a
+# usage error.  Every verb also takes the _COMMON switches.
+_REQUIRED = object()
+_COMMON = {
+    "json": (bool, False, "emit a structured JSON report", None),
+    "timings": (bool, False, "include wall-clock timings in the report", None),
+}
+_TABLE = {
+    "reduce": ("normal form of a tree polynomial modulo relations", _handle_reduce, {
+        "relations": (str, _REQUIRED, "relation file", None),
+        "input": (str, _REQUIRED, "word or polynomial S-expression", None),
+    }, {}),
+    "complete": ("bounded completion of a relation set", _handle_complete, {
+        "relations": (str, _REQUIRED, "relation file", None),
+        "bound": (int, _REQUIRED, "word length bound", 2),
+        "interreduce": (bool, False, "minimalize and tail-reduce the completed set", None),
+    }, {}),
+    "irr": ("irreducible words modulo a relation set", _handle_irr, {
+        "relations": (str, _REQUIRED, "relation file", None),
+        "bound": (int, _REQUIRED, "word length bound", 1),
+        "words": (bool, False, "list the words, not just counts", None),
+    }, {}),
+    "zmul": ("product of dotted words in the free pre-commutative algebra", _handle_zmul, {
+        "left": (str, _REQUIRED, "dotted word, e.g. x.y", None),
+        "right": (str, _REQUIRED, "dotted word", None),
+        "star": (bool, False, "symmetrized product instead of the one-sided one", None),
+        "letters": (str, None, "comma-separated alphabet order (default: sorted names)", None),
+    }, {}),
+    "verify": ("run a verification driver", _handle_verify, {
+        "letters": (int, None, "alphabet size", 1),
+        "bound": (int, None, "ambiguity/length bound", 2),
+        "no-completion": (bool, False, "trivial-envelope: skip the completion cross-check", None),
+        "m-max": (int, None, "odd-even: odd length cap", None),
+        "k-max": (int, None, "odd-even: even length cap", None),
+        "algebra": (str, None, "collapse: algebra JSON file", None),
+        "count": (int, None, "rb: number of random trials", 1),
+        "max-n": (int, None, "rb: max truncation degree", 2),
+        "dim": (int, None, "perm: Perm-algebra dimension", 1),
+        "triples": (int, None, "perm: number of triples", 1),
+        "max-degree": (int, None, "perm: element degree cap", 1),
+        "seed": (int, 0, "random seed (rb, perm)", None),
+    }, {
+        "zinbiel": (_verify_zinbiel, ("letters", "bound"), ()),
+        "trivial-envelope": (_verify_trivial_envelope, ("letters", "bound"), ("no-completion",)),
+        "odd-even": (_verify_odd_even, ("letters", "m-max", "k-max"), ()),
+        "collapse": (_verify_collapse, ("algebra", "bound"), ()),
+        "rb": (_verify_rb, ("count", "max-n"), ("seed",)),
+        "perm": (_verify_perm, ("dim", "triples", "max-degree"), ("seed",)),
+    }),
+    "embed": ("verify the power-series embedding of a filtered algebra", _handle_embed, {
+        "algebra": (str, _REQUIRED, "algebra JSON file", None),
+        "N": (int, _REQUIRED, "truncation degree", None),
+    }, {}),
 }
 
 
@@ -534,9 +509,8 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if args.verb == "verify":
-            _check_target(args)
-        code, report, lines = _HANDLERS[args.verb](args)
+        _check(args)
+        code, report, lines = _TABLE[args.verb][1](args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -288,7 +288,7 @@ class TrivialEnvelopeReport:
     def verified(self) -> bool:
         ok = self.gsb.verified and self.counts == self.expected_counts
         if self.completion_counts is not None:
-            ok = ok and self.completion_counts == self.expected_counts[:len(self.completion_counts)]
+            ok = ok and self.completion_counts == self.expected_counts
         return ok
 
 

@@ -351,8 +351,11 @@ def parse_algebra(data: dict):
     except ValueError as e:
         raise ParseError(str(e)) from None
 
+    entries = data.get("products", [])
+    if not isinstance(entries, list):
+        raise ParseError("'products' must be a list of product entries")
     products = {}
-    for entry in data.get("products", []):
+    for entry in entries:
         if not isinstance(entry, str) or "->" not in entry:
             raise ParseError("product entries look like 'x y -> 1/2 z'; got %r"
                              % (entry,))

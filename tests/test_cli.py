@@ -22,6 +22,9 @@ ZINBIEL3 = "(alphabet x y z)\n(family zinbiel)\n"
 TRIVIAL2 = "(alphabet x y)\n(family trivial-envelope)\n"
 IDEMPOTENT = "(alphabet x)\n(family zinbiel)\n(rel (+ (* 2 (x x)) (* -1 x)))\n"
 
+VERIFY_USAGE = ("usage: precom verify {zinbiel,trivial-envelope,odd-even,collapse,rb,perm}"
+                " [flags]")
+
 TRUNC2 = {
     "basis": ["x1", "x2"],
     "levels": {"x1": 1, "x2": 2},
@@ -375,17 +378,29 @@ class TestVerify:
         assert out == ""
         assert "not associative on basis triple (a, a, b)" in err
 
-    def test_missing_flags_exit_2(self, run):
-        code, _, err = run("verify", "zinbiel", "--letters", "2")
-        assert code == 2
-        assert "requires --bound" in err
-        code, _, err = run("verify", "odd-even", "--letters", "2", "--m-max", "3")
-        assert code == 2
-        assert "requires --k-max" in err
+    @staticmethod
+    def usage_error(capsys, *argv):
+        """stderr of ``main(argv)``, which must exit 2 printing nothing
+        to stdout."""
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    def test_missing_flags_exit_2(self, capsys):
+        err = self.usage_error(capsys, "verify", "zinbiel", "--letters", "2")
+        assert err == VERIFY_USAGE + "\nerror: verify zinbiel requires --bound\n"
+        err = self.usage_error(capsys, "verify", "odd-even", "--letters", "2", "--m-max", "3")
+        assert err == VERIFY_USAGE + "\nerror: verify odd-even requires --k-max\n"
+        # A missing flag is named before a value below its minimum.
+        err = self.usage_error(capsys, "verify", "zinbiel", "--letters", "0")
+        assert err == VERIFY_USAGE + "\nerror: verify zinbiel requires --bound\n"
 
     @pytest.mark.parametrize("argv, unread", [
         (("zinbiel", "--letters", "2", "--bound", "3", "--count", "7", "--dim", "9",
-          "--algebra", "nope.json"), ("--count", "--dim", "--algebra")),
+          "--algebra", "nope.json"), ("--algebra", "--count", "--dim")),
         (("trivial-envelope", "--letters", "2", "--bound", "3", "--m-max", "3"),
          ("--m-max",)),
         (("odd-even", "--letters", "2", "--m-max", "3", "--k-max", "2", "--bound", "4"),
@@ -397,13 +412,11 @@ class TestVerify:
         (("perm", "--dim", "2", "--triples", "1", "--max-degree", "1", "--max-n", "4"),
          ("--max-n",)),
     ], ids=["zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm"])
-    def test_unread_flags_exit_2(self, run, argv, unread):
-        code, out, err = run("verify", *argv)
-        assert code == 2
-        assert out == ""
-        assert "verify %s does not read" % argv[0] in err
-        for flag in unread:
-            assert flag in err
+    def test_unread_flags_exit_2(self, capsys, argv, unread):
+        # The unread flags are named in the flag table's order.
+        err = self.usage_error(capsys, "verify", *argv)
+        assert err == "%s\nerror: verify %s does not read %s\n" % (
+            VERIFY_USAGE, argv[0], ", ".join(unread))
 
     def test_read_and_default_flags_accepted(self, run):
         code, out, _ = run("verify", "zinbiel", "--letters", "2", "--bound", "3",
@@ -609,6 +622,42 @@ class TestEmbed:
         assert code == 2
         assert out == ""
         assert err == "error: %s: Expecting value: line 1 column 1 (char 0)\n" % path
+
+    @pytest.mark.parametrize("verb", ["embed", "collapse"])
+    def test_deeply_nested_json_names_the_file(self, run, tmp_path, verb):
+        # json.loads raises RecursionError, not a decode error, on this.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        argv = (["embed", "--algebra", str(path), "--N", "4"] if verb == "embed" else
+                ["verify", "collapse", "--algebra", str(path), "--bound", "4"])
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: maximum recursion depth exceeded" % path)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "--relations", "f", "--input", "x"),
+        ("embed", "--algebra", "f", "--N", "4"),
+    ], ids=["relations", "algebra"])
+    def test_undecodable_file_names_the_file(self, run, tmp_path, argv):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe(\x00a\x00")
+        code, out, err = run(*(str(path) if a == "f" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n" % path)
+
+    @pytest.mark.parametrize("verb", ["embed", "collapse"])
+    def test_products_not_a_list_exits_2(self, run, alg_file, verb):
+        path = alg_file({"basis": ["a"], "products": 5})
+        argv = (["embed", "--algebra", path, "--N", "4"] if verb == "embed" else
+                ["verify", "collapse", "--algebra", path, "--bound", "4"])
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s: 'products' must be a list of product entries\n" % path
 
     def test_truncation_too_small_exits_2(self, run, alg_file):
         path = alg_file(TRUNC2)
@@ -881,7 +930,7 @@ class TestParser:
                                      else [verb, "--help"])
         assert code == 0 and err == ""
         words = out.split()
-        for v, (_, flags, targets) in cli._TABLE.items():
+        for v, (_, _, flags, targets) in cli._TABLE.items():
             if verb is None:
                 assert v in words
             elif v == verb:
@@ -890,13 +939,26 @@ class TestParser:
                 for target in targets:
                     assert target in words
 
-    def test_verify_defaults_read_from_the_parser(self, run):
+    def test_table_is_consistent(self):
+        verbs = dict(cli._TABLE)
+        flags_of_verify = verbs["verify"][2]
+        for verb, (summary, handler, flags, targets) in verbs.items():
+            assert summary and callable(handler), verb
+            for name, (kind, default, text, minimum) in {**flags, **cli._COMMON}.items():
+                assert kind in (bool, int, str) and text, (verb, name)
+                assert minimum is None or kind is int, (verb, name)
+            for target, (handler, required, read) in targets.items():
+                assert verb == "verify" and callable(handler), target
+                assert set(required) <= set(flags_of_verify), target
+                assert set(read) <= set(flags_of_verify), target
+                assert not set(required) & set(read), target
+
+    def test_verify_defaults_read_from_the_parser(self, run, capsys):
         # --seed 0 is its default, so odd-even accepts it; 1 is not.
         argv = ("verify", "odd-even", "--letters", "1", "--m-max", "1", "--k-max", "2")
         assert run(*argv, "--seed", "0")[0] == 0
-        code, _, err = run(*argv, "--seed", "1")
-        assert code == 2
-        assert err == "error: verify odd-even does not read --seed\n"
+        err = TestVerify.usage_error(capsys, *argv, "--seed", "1")
+        assert err == VERIFY_USAGE + "\nerror: verify odd-even does not read --seed\n"
 
 
 def _cyclic_garbage(argv):
@@ -939,6 +1001,12 @@ class TestCollector:
         assert code == 2 and err.startswith("error:")
         assert gc.isenabled() is collecting
 
+    def test_restored_on_a_target_usage_error(self, collecting, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "zinbiel", "--letters", "2"])
+        capsys.readouterr()
+        assert gc.isenabled() is collecting
+
     def test_restored_when_a_handler_raises(self, collecting, monkeypatch):
         seen = []
 
@@ -946,7 +1014,8 @@ class TestCollector:
             seen.append(gc.isenabled())
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "zmul", boom)
+        summary, _, flags, targets = cli._TABLE["zmul"]
+        monkeypatch.setitem(cli._TABLE, "zmul", (summary, boom, flags, targets))
         with pytest.raises(RuntimeError, match="boom"):
             main(["zmul", "--left", "x", "--right", "y"])
         assert seen == [False]

@@ -264,3 +264,13 @@ class TestAlgebraFiles:
             parse_algebra({"basis": ["a", "b"], "levels": {"a": 1}, "products": []})
         with pytest.raises(ParseError, match="unknown letter 'q' in levels"):
             parse_algebra({"basis": ["a"], "levels": {"q": 1}, "products": []})
+
+    @pytest.mark.parametrize("products", [5, None, "a a -> a", {"a a": "a"}],
+                             ids=["int", "null", "string", "object"])
+    def test_products_must_be_a_list(self, products):
+        with pytest.raises(ParseError, match="'products' must be a list"):
+            parse_algebra({"basis": ["a"], "products": products})
+
+    def test_absent_products_mean_none(self):
+        A, _ = parse_algebra({"basis": ["a"]})
+        assert A.product(A.alphabet["a"], A.alphabet["a"]) == {}
