@@ -21,16 +21,27 @@ product is computed once per process and pair.  Nothing is ordered by
 those identity hashes; every order is by ``key``.  A :class:`ComBasis`
 memoizes its divisor lookups on these objects; its docstring states why
 the memo stays exact while the basis grows.
+
+Completion is integer-first.  A :class:`ComBasis` files each monic
+relation with its integer copy, :func:`buchberger_bounded` forms each
+S-pair from two copies, and :func:`~precom.lincomb.descend` reduces by
+the copies through pseudo-division, dividing by its running scale once
+at the end.  The answers are those of the monic ``Fraction`` loop, and
+an S-pair that reduces to zero makes no ``Fraction``.  Only the pairs
+whose leading monomials share a symbol are formed; the coprime ones are
+counted from the leading weights.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
+from math import gcd
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .lincomb import LinComb, _require_monic, descend, exact
+from .lincomb import LinComb, _require_monic, descend, exact, integral
 
 __all__ = [
     "GenSymbol",
@@ -251,15 +262,23 @@ class ComPoly(LinComb):
 
 
 class ComBasis:
-    """A monic relation list with its divisor index and lookup memo.
+    """A monic relation list with its integer copies, divisor index and
+    lookup memo.
 
-    Each relation is checked once, when it is appended, and filed under
-    the smallest factor of its leading monomial (a constant leading
-    monomial under ``None``), in list order.  A leading monomial dividing
-    m has its smallest factor among m's symbols, so a lookup reads only
-    the ``None`` bucket and the buckets of m's own symbols, and stops
-    reading a bucket at its first divisor or at a position past the best
-    found.  The basis only grows, so the index never goes stale.
+    Each relation is checked once, when it is appended, and filed with
+    its integer copy: the relation times the least common denominator of
+    its coefficients (:func:`~precom.lincomb.integral`), so the copy has
+    ``int`` coefficients and a leading coefficient L >= 1, and is the
+    relation itself when L is 1.  Iterating and indexing give the monic
+    relations; :meth:`find` answers with the copy, which
+    :func:`~precom.lincomb.descend` divides by pseudo-division.  The copy
+    is filed under the smallest factor of its leading monomial (a
+    constant leading monomial under ``None``), in list order.  A leading
+    monomial dividing m has its smallest factor among m's symbols, so a
+    lookup reads only the ``None`` bucket and the buckets of m's own
+    symbols, and stops reading a bucket at its first divisor or at a
+    position past the best found.  The basis only grows, so the index
+    never goes stale.
 
     :meth:`find` memoizes ``m -> (basis length at lookup, answer)``, and
     the memo is exact.  Lemma: appending only adds relations at positions
@@ -271,10 +290,11 @@ class ComBasis:
     relations appended since.  ``calls`` counts lookups and
     ``memo_hits`` those the memo answered without reading the index."""
 
-    __slots__ = ("_relations", "_buckets", "_memo", "calls", "memo_hits")
+    __slots__ = ("_relations", "_copies", "_buckets", "_memo", "calls", "memo_hits")
 
     def __init__(self, relations: Iterable[ComPoly] = ()):
         self._relations: list[ComPoly] = []
+        self._copies: list[ComPoly] = []
         self._buckets: dict = {}
         self._memo: dict = {}
         self.calls = self.memo_hits = 0
@@ -284,9 +304,12 @@ class ComBasis:
     def append(self, g: ComPoly) -> None:
         _require_monic((g,))
         lead = g.leading()
+        d, terms = integral(g.terms)
+        copy = g if d == 1 else ComPoly._raw(terms, lead)
         first = lead.factors[0] if lead.factors else None
-        self._buckets.setdefault(first, []).append((len(self._relations), lead, g))
+        self._buckets.setdefault(first, []).append((len(self._relations), lead, copy))
         self._relations.append(g)
+        self._copies.append(copy)
 
     @classmethod
     def of(cls, G: Sequence[ComPoly]) -> "ComBasis":
@@ -304,9 +327,9 @@ class ComBasis:
 
     def find(self, m: ComMonomial):
         """``find`` for the shared reducer: ``((quotient, position),
-        relation)`` for the relation at the smallest position whose leading
+        copy)`` for the relation at the smallest position whose leading
         monomial divides m -- the one a scan of the list in order would
-        meet first -- or ``None``."""
+        meet first -- with ``copy`` its integer copy, or ``None``."""
         self.calls += 1
         n = len(self._relations)
         known = self._memo.get(m)
@@ -349,7 +372,9 @@ def com_reduce(p: ComPoly, G: Sequence[ComPoly]) -> ComPoly:
     """Normal form of p modulo the monic relation list G: no monomial of
     the result is divisible by any leading monomial of G.  A
     :class:`ComBasis` is used as it is; any other sequence is checked and
-    indexed for this one call."""
+    indexed for this one call.  The reduction runs on the relations'
+    integer copies, so integer terms stay integer until the one division
+    by the scale at the end."""
     return ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times))
 
 
@@ -393,6 +418,30 @@ class BuchbergerReport:
         return [p for p in self.basis if p.leading().count == 1]
 
 
+def _s_pair(f: ComPoly, g: ComPoly) -> dict:
+    """The S-polynomial of two integer copies, times lcm(a, b) for their
+    leading coefficients a and b, as ``int`` terms: the lcm-cancellation
+    (b/h)·(lcm/lf)·f - (a/h)·(lcm/lg)·g with h = gcd(a, b).  The leading
+    terms cancel and are not formed."""
+    lf, lg = f.leading(), g.leading()
+    a, b = f.terms[lf], g.terms[lg]
+    h = gcd(a, b)
+    a //= h
+    b //= h
+    # lcm / lf is what lg has beyond lf, and lcm / lg what lf has beyond lg.
+    u, v = lf.cofactor(lg), lg.cofactor(lf)
+    out = {m * u: b * c for m, c in f.terms.items() if m is not lf}
+    for m, c in g.terms.items():
+        if m is not lg:
+            t = m * v
+            x = out.get(t, 0) - a * c
+            if x:
+                out[t] = x
+            else:
+                del out[t]
+    return out
+
+
 def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     """Complete G over the S-pairs whose lcm has weight <= weight_bound.
 
@@ -403,6 +452,18 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     every weight up to weight_bound (Becker & Weispfenning, *Groebner
     Bases*, 1993).  Each symbol weighs at least 1, so the bound also caps
     the factor count of every lcm formed.
+
+    Every pair (i, k), i < k, of the final basis is considered once, in
+    FIFO order: the pairs of the input relations by k, then those of each
+    added relation, by i.  Only a pair whose leading monomials share a
+    symbol and whose lcm is within the bound is formed: a symbol ->
+    positions index lists the earlier relations that share a symbol with
+    the new one.  A coprime pair reduces to zero by the product
+    criterion; its lcm weighs the sum of the two leading weights, so the
+    coprime pairs within the bound are counted from the sorted leading
+    weights without being formed.  A pair is reduced as the S-polynomial
+    of the basis's integer copies (:func:`_s_pair`), a multiple of the
+    monic one, so its normal form made monic is the same relation.
 
     Returns (basis, report).  Any factor-count-1 leading monomial in the
     final basis is collected in report.linear_leadings.  The report also
@@ -418,38 +479,50 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
                 "relations must be weight-homogeneous; got weights %s in %r"
                 % (sorted(g.weights()), g))
         basis.append(g.monic())
+    copies = basis._copies
     pairs: deque = deque()
-    for j in range(len(basis)):
-        for i in range(j):
-            pairs.append((i, j))
-    considered = processed = skipped_bound = skipped_coprime = 0
+    holders: dict = {}      # symbol -> positions whose leading monomial has it
+    weights: list = []      # the leading weights so far, sorted
+    coprime = 0
+
+    def pair_up(k: int) -> None:
+        """Queue the pairs (i, k), i < k, that are formed; count the
+        coprime ones within the bound."""
+        nonlocal coprime
+        lead = copies[k].leading()
+        room = weight_bound - lead.weight
+        within = bisect_right(weights, room)
+        shared = set()
+        for s in lead._mults():
+            shared.update(holders.setdefault(s, set()))
+        for i in sorted(shared):
+            other = copies[i].leading()
+            if other.weight <= room:
+                within -= 1
+            if other.weight - other._common(lead)[1] <= room:
+                pairs.append((i, k))
+        coprime += within
+        insort(weights, lead.weight)
+        for s in lead._mults():
+            holders[s].add(k)
+
+    for k in range(len(basis)):
+        pair_up(k)
+    processed = 0
     added: list[ComPoly] = []
     while pairs:
         i, j = pairs.popleft()
-        considered += 1
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading(), g.leading()
-        # The lcm's weight is the sum less the gcd's.
-        gcd_count, gcd_weight = lf._common(lg)
-        if lf.weight + lg.weight - gcd_weight > weight_bound:
-            skipped_bound += 1
-            continue
-        if not gcd_count:
-            # Coprime leading monomials: the S-polynomial reduces to zero
-            # by the product criterion.
-            skipped_coprime += 1
-            continue
         processed += 1
-        nf = com_reduce(s_polynomial(f, g), basis)
+        nf = com_reduce(ComPoly._raw(_s_pair(copies[i], copies[j])), basis)
         if nf:
             nf = nf.monic()
             basis.append(nf)
             added.append(nf)
-            k = len(basis) - 1
-            for i2 in range(k):
-                pairs.append((i2, k))
+            pair_up(len(basis) - 1)
     relations = list(basis)
+    n = len(relations)
+    considered = n * (n - 1) // 2
     report = BuchbergerReport(relations, added, considered, processed,
-                              skipped_bound, skipped_coprime,
+                              considered - processed - coprime, coprime,
                               basis.calls, basis.memo_hits)
     return relations, report

@@ -50,6 +50,7 @@ pause is reported as the associativity failure when there is one.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
@@ -401,17 +402,24 @@ def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
 # The embedding verifier
 
 class EmbeddingReport:
+    """The verdict of :func:`verify_embedding`; ``phases`` holds the
+    wall-clock seconds of its two phases, ``homomorphism_s`` (the checks
+    up to and including the homomorphism loop) and ``completion_s`` (the
+    Buchberger completion)."""
+
     __slots__ = ("relation_count", "homomorphism_failures",
-                 "injectivity_certified_to", "buchberger", "notes")
+                 "injectivity_certified_to", "buchberger", "notes", "phases")
 
     def __init__(self, relation_count: int, homomorphism_failures: list,
                  injectivity_certified_to: Optional[int],
-                 buchberger: BuchbergerReport, notes: str = ""):
+                 buchberger: BuchbergerReport, notes: str = "",
+                 phases: Optional[dict] = None):
         self.relation_count = relation_count
         self.homomorphism_failures = homomorphism_failures
         self.injectivity_certified_to = injectivity_certified_to
         self.buchberger = buchberger
         self.notes = notes
+        self.phases = phases or {}
 
     @property
     def verified(self) -> bool:
@@ -433,6 +441,7 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
        weight N yields no linear leading monomial, so no generator symbol
        is rewritten away (injectivity certificate at weight N).
     """
+    t0 = time.perf_counter()
     bad = validate_filtration(F)
     if bad:
         x, y, z, got, need = bad[0]
@@ -477,11 +486,13 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
                 if r:
                     hom_failures.append((x.name, y.name, l, r))
 
+    t1 = time.perf_counter()
     _, brep = buchberger_bounded(G, N)
+    phases = {"homomorphism_s": t1 - t0, "completion_s": time.perf_counter() - t1}
     certified = N if not brep.linear_leadings else None
     notes = ("certified injective to weight %d" % N if certified
              else "linear leading monomial found: injectivity not certified")
-    return EmbeddingReport(len(G), hom_failures, certified, brep, notes)
+    return EmbeddingReport(len(G), hom_failures, certified, brep, notes, phases)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ rewriting one monomial at a time.  This module holds that common part:
 * :func:`descend`, the reducer: it rewrites the largest reducible
   monomial first and is driven by a pair of callables: ``find(m)``
   returns ``None`` for an irreducible monomial or ``(step, rel)``, where
-  ``rel`` is a monic relation whose rewrite applies to ``m``, and
+  ``rel`` is a relation whose rewrite applies to ``m``, and
   ``image(m, step, t)`` is the monomial that the tail monomial ``t`` of
-  ``rel`` becomes when the rewrite is applied to ``m``;
+  ``rel`` becomes when the rewrite is applied to ``m``.  ``rel`` is monic
+  or has an ``int`` leading coefficient, which :func:`descend` divides
+  by pseudo-division, keeping integer coefficients integer;
 * :func:`memo_descend`, which gives exactly :func:`descend`'s normal
   form from memoized normal forms of single monomials, for callers that
-  reduce many combinations modulo one relation set;
+  reduce many combinations modulo one monic relation set;
 * :func:`echelon_insert`, exact sparse Gaussian elimination: a reduced
   echelon form of ``{column: coeff}`` rows, grown one vector at a time.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 import operator
 from bisect import insort
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
@@ -234,13 +236,26 @@ def descend(terms: dict, find: Find, image: Image,
     cancelled.  Every listed monomial is below the one last popped, so the
     nonzero ones pop in the order a max-heap of the monomials with a
     coefficient would give, and a listed zero pops with nothing to do.
-    Coefficients are normalized by :func:`exact` as they are read.  With
-    ``trace``, each rewrite appends ``(coeff, monomial, step, rel)``.
+    Coefficients are normalized by :func:`exact` as they are read.
+
+    A relation's leading coefficient L is 1 or an ``int``; it is read
+    once per rewrite.  With L != 1 the rewrite is a pseudo-division: an
+    ``int`` coefficient c of the popped monomial takes the pending terms
+    and the output times L/gcd(L, c), so that the tail is subtracted c/L
+    times in integers, and a running scale records the product of these
+    factors (a ``Fraction`` c is divided by L instead).  The result is
+    divided by the scale once, at the end, so it is exactly the normal
+    form that reducing by the monic relations rel/L gives; monic
+    relations never scale.  With ``trace``, each rewrite appends ``(coeff,
+    monomial, step, rel)``, where ``coeff`` is the true coefficient of the
+    monomial (its scaled one over the scale at that step): the
+    coefficient of the monic relation rel/L.
     """
     coeffs = dict(terms)
     key = LinComb._key
     todo = sorted(coeffs, key=key)
     out: dict = {}
+    scale = 1
     while todo:
         m = todo.pop()
         c = coeffs.pop(m)
@@ -254,18 +269,37 @@ def descend(terms: dict, find: Find, image: Image,
             continue
         step, rel = hit
         if trace is not None:
-            trace.append((c, m, step, rel))
+            trace.append((c if scale == 1 else exact(Fraction(c, scale)), m, step, rel))
         lead = rel.leading()
-        for t, q in rel.terms.items():
+        rterms = rel.terms
+        lc = rterms[lead]
+        # a: the multiple of rel's tail to subtract, c / lc after scaling.
+        if lc == 1:
+            a = c
+        elif type(c) is int:
+            g = gcd(lc, c)
+            k = lc // g
+            a = c // g
+            if k != 1:
+                scale *= k
+                for t in coeffs:
+                    coeffs[t] *= k
+                for t in out:
+                    out[t] *= k
+        else:
+            a = c / lc
+        for t, q in rterms.items():
             if t is lead:
                 continue
             nm = image(m, step, t)
             old = coeffs.get(nm)
             if old is None:
-                coeffs[nm] = -c * q
+                coeffs[nm] = -a * q
                 insort(todo, nm, key=key)
             else:
-                coeffs[nm] = old - c * q
+                coeffs[nm] = old - a * q
+    if scale != 1:
+        return {m: exact(Fraction(c, scale)) for m, c in out.items()}
     return out
 
 
@@ -281,7 +315,9 @@ def memo_descend(terms: dict, find: Find, image: Image, memo: dict) -> dict:
     set, confluent or not.  ``memo`` maps each monomial met to ``N(m)`` as
     a term dict, or to ``None`` when ``m`` is irreducible; it stays valid
     while ``find`` gives the same answers, so a caller keeps one per
-    relation set and clears it when the set grows.
+    relation set and clears it when the set grows.  Unlike
+    :func:`descend`, it requires every relation ``find`` answers with to
+    be monic: it reads no leading coefficient.
     """
     out: dict = {}
     for m, c in terms.items():

@@ -10,7 +10,9 @@ integer series: a trial of the Rota-Baxter check and the residues of the
 embedding check, with the prime codes of the Rota-Baxter draw decoded to
 ``ComMonomial``s.  ``truncated_poly_relations`` is the closed-form
 completed system of the truncated power algebra, and ``subtree`` reads
-the subword at a path.  One is the ``argparse`` parser the CLI read its
+the subword at a path.  ``buchberger_reference`` is the bounded
+Buchberger loop on monic ``Fraction`` relations that forms every pair
+and then skips most of them.  One is the ``argparse`` parser the CLI read its
 flags with before it read them from its own flag table.  The tests hold
 the library's answers against them.
 """
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from precom.compoly import ComMonomial, ComPoly
+from precom.compoly import (BuchbergerReport, ComBasis, ComMonomial, ComPoly, _times,
+                            s_polynomial)
 from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw
-from precom.lincomb import LinComb, _require_monic, exact
+from precom.lincomb import LinComb, _require_monic, descend, exact
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, occurrences,
                             substitute)
@@ -134,6 +138,56 @@ def truncated_poly_relations(n: int, alphabet: Optional[Alphabet] = None
                 terms[leaf(ab[i + j - 1])] = Fraction(-j, i + j)
             rels.append(ExplicitRelation(MagmaPoly._raw(terms)))
     return rels
+
+
+# ---------------------------------------------------------------------------
+# Commutative completion
+
+def monic_find(basis: ComBasis):
+    """``basis.find`` answering with the monic relation at the position
+    found, where ``find`` answers with its integer copy: a reduction by
+    it never pseudo-divides."""
+    def find(m):
+        hit = basis.find(m)
+        return hit if hit is None else (hit[0], basis[hit[0][1]])
+    return find
+
+
+def buchberger_reference(G: Sequence[ComPoly], weight_bound: int):
+    """``buchberger_bounded`` as it was before it formed the S-pairs of
+    integer copies, and before it formed only the pairs whose leading
+    monomials share a symbol: monic ``Fraction`` relations, each S-pair
+    formed by ``s_polynomial`` and reduced by the monic relations, and
+    every pair of the basis queued, then skipped for the weight bound or
+    as coprime.  Returns (basis, report), as the library does."""
+    basis = ComBasis(g.monic() for g in G)
+    find = monic_find(basis)
+    pairs = deque((i, j) for j in range(len(basis)) for i in range(j))
+    considered = processed = skipped_bound = skipped_coprime = 0
+    added = []
+    while pairs:
+        i, j = pairs.popleft()
+        considered += 1
+        f, g = basis[i], basis[j]
+        lf, lg = f.leading(), g.leading()
+        gcd_count, gcd_weight = lf._common(lg)
+        if lf.weight + lg.weight - gcd_weight > weight_bound:
+            skipped_bound += 1
+            continue
+        if not gcd_count:
+            skipped_coprime += 1
+            continue
+        processed += 1
+        nf = ComPoly._raw(descend(s_polynomial(f, g).terms, find, _times))
+        if nf:
+            nf = nf.monic()
+            basis.append(nf)
+            added.append(nf)
+            k = len(basis) - 1
+            pairs.extend((i2, k) for i2 in range(k))
+    report = BuchbergerReport(list(basis), added, considered, processed, skipped_bound,
+                              skipped_coprime, basis.calls, basis.memo_hits)
+    return list(basis), report
 
 
 # ---------------------------------------------------------------------------

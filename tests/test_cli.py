@@ -548,6 +548,18 @@ class TestEmbed:
         assert rep["timings"] is None
         assert rep["parameters"] == {"N": 6, "algebra": path}
 
+    def test_timings_give_the_phases(self, run, alg_file):
+        path = alg_file(TRUNC2)
+        code, out, _ = run("embed", "--algebra", path, "--N", "6", "--json", "--timings")
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert sorted(timings) == ["completion_s", "homomorphism_s", "total_s"]
+        assert all(type(v) is float and v >= 0 for v in timings.values())
+        assert timings["homomorphism_s"] + timings["completion_s"] <= timings["total_s"] + 0.002
+        _, first, _ = run("embed", "--algebra", path, "--N", "6", "--json")
+        _, second, _ = run("embed", "--algebra", path, "--N", "6", "--json")
+        assert first == second and json.loads(first)["timings"] is None
+
     def test_json_stats_count_pairs_and_lookups(self, run, alg_file):
         # x1 < x2 < x3 with x1^2 = x2, x1 x2 = x3: the pairs match
         # test_compoly's PINNED_BUCHBERGER entry for power 3 at N = 10.

@@ -26,7 +26,9 @@ from precom import (
     trivial_algebra,
 )
 from precom import compoly
-from precom.lincomb import descend
+from precom.lincomb import descend, integral
+
+from oracles import buchberger_reference
 
 X1 = GenSymbol("x", 1, 1)
 X2 = GenSymbol("x", 1, 2)
@@ -405,6 +407,20 @@ def linear_scan(G):
     return find
 
 
+def assert_integer_copy(rel, g):
+    """``rel`` is the relation ``ComBasis.find`` answers for the monic
+    relation g: g itself when its coefficients are all integers, else g
+    times the least common denominator of its coefficients, with ``int``
+    coefficients and that denominator as its leading coefficient."""
+    d, terms = integral(g.terms)
+    if d == 1:
+        assert rel is g
+    else:
+        assert rel.terms == terms and rel.leading() is g.leading()
+        assert rel.leading_coeff() == d > 1
+        assert all(type(c) is int for c in rel.terms.values())
+
+
 def times(m, step, t):
     return t * step[0]
 
@@ -450,7 +466,8 @@ class TestDivisorIndex:
                 else:
                     (q, pos), rel = got
                     assert same_monomial(q, want[0][0])
-                    assert pos == want[0][1] and rel is want[1]
+                    assert pos == want[0][1]
+                    assert_integer_copy(rel, want[1])
 
     def test_appended_basis_matches_every_prefix(self):
         ms = monomials_of_count(POOL, 3)
@@ -466,7 +483,8 @@ class TestDivisorIndex:
                         assert got is None
                     else:
                         (q, pos), rel = got
-                        assert rel is want[1] and basis[pos] is rel
+                        assert_integer_copy(rel, want[1])
+                        assert basis[pos] is want[1]
                         assert pos == want[0][1] and same_monomial(q * rel.leading(), m)
 
     def test_append_checks_each_relation(self):
@@ -683,3 +701,38 @@ def test_buchberger_counts_and_added_order_pinned(kind, k, N):
             rep.pairs_skipped_coprime, len(rep.added), digest[:16]) \
         == PINNED_BUCHBERGER[kind, k, N]
     assert basis == G + rep.added
+
+
+def report_counts(rep):
+    return (rep.pairs_considered, rep.pairs_processed, rep.pairs_skipped_bound,
+            rep.pairs_skipped_coprime, rep.lookups, rep.memo_hits)
+
+
+def assert_matches_reference(G, N):
+    """The library's completion of G at weight N against the reference
+    loop: the same basis and added relations, coefficient types
+    included, and the same six counters."""
+    basis, rep = buchberger_bounded(G, N)
+    want, want_rep = buchberger_reference(G, N)
+    assert basis == want and rep.added == want_rep.added
+    assert [[type(c) for c in g.terms.values()] for g in basis] \
+        == [[type(c) for c in g.terms.values()] for g in want]
+    assert report_counts(rep) == report_counts(want_rep)
+    return rep
+
+
+class TestReferenceBuchberger:
+    def test_truncated_powers(self):
+        added = 0
+        for n, Ns in ((2, range(4, 13)), (3, range(6, 13)), (4, range(8, 11))):
+            for N in Ns:
+                added += len(assert_matches_reference(truncated_relations(n, N)[1], N).added)
+        assert added > 200
+
+    def test_seeded_nilpotent(self):
+        added = coprime = 0
+        for seed in range(40):
+            rep = assert_matches_reference(nilpotent_relations(seed, 8 + seed % 3), 8 + seed % 3)
+            added += len(rep.added)
+            coprime += rep.pairs_skipped_coprime
+        assert added > 500 and coprime > 0

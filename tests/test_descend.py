@@ -24,6 +24,7 @@ from precom import (
     ComPoly,
     ExplicitRelation,
     FilteredAlgebra,
+    GenSymbol,
     MagmaPoly,
     ZinbielFamily,
     buchberger_bounded,
@@ -38,12 +39,12 @@ from precom import (
     truncated_power_algebra,
 )
 from precom.compoly import _times
-from precom.lincomb import descend, exact
+from precom.lincomb import descend, exact, integral
 from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
 from precom.sexpr import format_poly, format_word, parse_poly, parse_relations
 
-from oracles import truncated_poly_relations, words_of_length
+from oracles import monic_find, truncated_poly_relations, words_of_length
 
 
 class _MaxItem:
@@ -112,8 +113,11 @@ def interned(schemas):
     return [s if isinstance(s, ExplicitRelation) else Interned(s) for s in schemas]
 
 
-def assert_same_run(terms, new_find, old_find, image):
-    """Both reducers on ``terms``; returns the trace once they agree."""
+def assert_same_run(terms, new_find, old_find, image, met=None):
+    """Both reducers on ``terms``; returns the trace once they agree.
+    Each step of :func:`descend` meets the very relation object that the
+    oracle met, or with ``met``, the object ``met(step, rel)`` for the
+    oracle's step and relation."""
     got_trace, want_trace = [], []
     got = descend(terms, new_find, image, got_trace)
     want = heap_descend(terms, old_find, image, want_trace)
@@ -124,7 +128,7 @@ def assert_same_run(terms, new_find, old_find, image):
         assert c == c0 and type(c) is type(c0)
         assert m is m0
         assert step == step0
-        assert rel is rel0
+        assert rel is (rel0 if met is None else met(step0, rel0))
     return got_trace
 
 
@@ -232,16 +236,112 @@ class TestComTraces:
         pool = [F.symbol(ab["x%d" % i], w) for i in (1, 2, 3) for w in range(i, 7)]
         G = coefficient_relations(F, 6)
         basis, _ = buchberger_bounded(G, 6)
-        steps = 0
+        steps = scaled = 0
         for rels in (G, basis):
-            find = ComBasis(rels).find
+            index = ComBasis(rels)
             for _ in range(60):
                 p = ComPoly.from_terms(
                     (ComMonomial(rng.choice(pool) for _ in range(rng.randint(1, 5))),
                      Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                     for _ in range(rng.randint(1, 4)))
-                steps += len(assert_same_run(p.terms, find, find, _times))
-        assert steps > 100
+                trace = assert_same_run(p.terms, index.find, monic_find(index), _times,
+                                        copy_met(index))
+                steps += len(trace)
+                scaled += sum(rel.leading_coeff() != 1 for _, _, _, rel in trace)
+        assert steps > 100 and scaled > 10
+
+
+def copy_met(basis):
+    """For :func:`assert_same_run`: where the oracle met the monic
+    relation at a position, :func:`descend` meets its integer copy, the
+    monic relation times its least common denominator."""
+    def met(step, rel):
+        pos = step[1]
+        assert rel is basis[pos]
+        d, terms = integral(rel.terms)
+        copy = basis._copies[pos]
+        assert copy is rel if d == 1 else copy.terms == terms
+        return copy
+    return met
+
+
+X1, X2, X3, X4 = (GenSymbol("x", 1, w) for w in (1, 2, 3, 4))
+
+
+def com(*terms):
+    """A ``ComPoly`` from (coefficient, symbols...) tuples."""
+    return ComPoly.from_terms((ComMonomial(t[1:]), t[0]) for t in terms)
+
+
+def assert_same_com_run(p, relations):
+    """Reduce p by the integer copies of the monic ``relations`` and, in
+    the oracle, by the relations themselves: the same terms, types and
+    trace.  Returns the result and the trace."""
+    basis = ComBasis(relations)
+    trace = assert_same_run(p.terms, basis.find, monic_find(basis), _times, copy_met(basis))
+    got = descend(p.terms, basis.find, _times)
+    for c in [*got.values(), *(step[0] for step in trace)]:
+        assert type(c) in (int, Fraction)
+    return got, trace
+
+
+class TestPseudoDivision:
+    # Leading coefficients of the integer copies: 2 for r1 (2 x1x1 - x2)
+    # and 3 for r2 (3 x2 - x1).
+    r1 = com((1, X1, X1), (Fraction(-1, 2), X2))
+    r2 = com((1, X2), (Fraction(-1, 3), X1))
+
+    def test_copies_are_not_monic(self):
+        basis = ComBasis([self.r1, self.r2])
+        assert [basis.find(g.leading())[1].leading_coeff() for g in basis] == [2, 3]
+
+    def test_accumulated_scale(self):
+        # x1x1 -> x2/2 -> x1/6: scale 2, then 6; the irreducible x4^3,
+        # output before either, is scaled with the pending terms and
+        # divided back to the int 1.
+        p = com((1, X1, X1), (1, X4, X4, X4))
+        got, trace = assert_same_com_run(p, [self.r1, self.r2])
+        assert got == {ComMonomial((X4, X4, X4)): 1, ComMonomial((X1,)): Fraction(1, 6)}
+        assert type(got[ComMonomial((X4, X4, X4))]) is int
+        assert [c for c, _, _, _ in trace] == [1, Fraction(1, 2)]
+
+    def test_gcd_shortcut(self):
+        # 6 x1x1: gcd(2, 6) = 2 takes no scale, 3 x2 then gcd(3, 3) = 3.
+        got, trace = assert_same_com_run(com((6, X1, X1)), [self.r1, self.r2])
+        assert got == {ComMonomial((X1,)): 1} and type(got[ComMonomial((X1,))]) is int
+        assert [c for c, _, _, _ in trace] == [6, 3]
+
+    def test_negative_and_fraction_inputs(self):
+        for p in (com((-3, X1, X1), (5, X2)),
+                  com((Fraction(-5, 7), X1, X1), (2, X3, X1)),
+                  com((Fraction(4, 9), X1, X1, X2), (-1, X1, X1), (Fraction(1, 2), X2))):
+            got, _ = assert_same_com_run(p, [self.r1, self.r2])
+            assert got
+
+    def test_seeded_relations(self):
+        # Tails with denominators 1..6, so the copies' leading
+        # coefficients and their gcds with the pending ones vary.
+        rng = random.Random(25)
+        pool = [X1, X2, X3, X4]
+        every = sorted({ComMonomial(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+                        for _ in range(200)}, key=lambda m: m.key)
+        scaled = steps = 0
+        for _ in range(40):
+            relations = []
+            for lead in rng.sample(every[4:], 4):
+                below = [m for m in every if m.key < lead.key]
+                relations.append(ComPoly.from_terms(
+                    [(lead, 1)] + [(rng.choice(below), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                                   for _ in range(rng.randint(1, 3))]))
+            for _ in range(5):
+                p = ComPoly.from_terms(
+                    (rng.choice(every), rng.choice((rng.randint(-6, 6),
+                                                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)))))
+                    for _ in range(rng.randint(1, 4)))
+                _, trace = assert_same_com_run(p, relations)
+                steps += len(trace)
+                scaled += sum(rel.leading_coeff() != 1 for _, _, _, rel in trace)
+        assert scaled > 100 and steps > scaled
 
 
 # Length-10 tree polynomials over x < y < z with four terms, in the shape
