@@ -14,8 +14,8 @@ The layers, bottom up:
     subtree rewriting, normal forms, confluence checks, bounded
     completion, and irreducible-word enumeration;
 ``shuffle``
-    the free pre-commutative algebra on associative words, conversion to
-    and from left-combed trees, and the Perm-tensor check;
+    the free pre-commutative algebra on associative words and the
+    Perm-tensor check, with no tree word or rewrite;
 ``envelope``
     enveloping relations of commutative algebras and the verification
     drivers around the trivial, idempotent, and truncated-power cases;
@@ -52,7 +52,6 @@ from .rewrite import (
     normal_forms,
     normal_form_with_trace,
     occurrences,
-    reducible,
     replay_trace,
     substitute,
     verify_gsb,
@@ -61,12 +60,9 @@ from .shuffle import (
     PermAlgebra,
     PermTensorReport,
     ZinbElement,
-    from_left_comb,
     perm_tensor_check,
     random_element,
-    shuffle_product,
     star,
-    to_left_comb,
     zinbiel_product,
 )
 from .envelope import (
@@ -95,13 +91,10 @@ from .compoly import (
     GenSymbol,
     buchberger_bounded,
     com_reduce,
-    com_reduce_with_trace,
-    s_polynomial,
 )
 from .embed import (
     EmbeddingReport,
     FilteredAlgebra,
-    coefficient_relations,
     pair_relation,
     random_nilpotent_algebra,
     series_product,

@@ -38,10 +38,9 @@ from bisect import bisect_right, insort
 from collections import deque
 from math import gcd
 from operator import attrgetter
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .lincomb import LinComb, _require_monic, descend, exact, integral
+from .lincomb import LinComb, _require_monic, descend, integral
 
 __all__ = [
     "GenSymbol",
@@ -49,8 +48,6 @@ __all__ = [
     "ComPoly",
     "ComBasis",
     "com_reduce",
-    "com_reduce_with_trace",
-    "s_polynomial",
     "BuchbergerReport",
     "buchberger_bounded",
 ]
@@ -114,8 +111,7 @@ class ComMonomial:
     equality and hashing are identity, and a product is computed once per
     pair of monomials.  The symbol -> multiplicity map that
     :meth:`divides`, :meth:`div` and :meth:`cofactor` read is built on
-    first use and never mutated afterwards; :attr:`multiplicities` hands
-    out a read-only view of it."""
+    first use and never mutated afterwards."""
 
     __slots__ = ("factors", "key", "_mult")
 
@@ -142,11 +138,6 @@ class ComMonomial:
                 mult[f] = mult.get(f, 0) + 1
             self._mult = mult
         return mult
-
-    @property
-    def multiplicities(self) -> Mapping[GenSymbol, int]:
-        """Read-only map symbol -> multiplicity, in increasing symbol order."""
-        return MappingProxyType(self._mults())
 
     @property
     def count(self) -> int:
@@ -230,12 +221,6 @@ class ComPoly(LinComb):
     def _product(self, other: "ComPoly") -> "ComPoly":
         return ComPoly.from_terms((m * n, a * b) for m, a in self.terms.items()
                                   for n, b in other.terms.items())
-
-    def mul_monomial(self, m: ComMonomial, coeff=1) -> "ComPoly":
-        c = exact(coeff)
-        if not c:
-            return ComPoly.zero()
-        return ComPoly._raw({n * m: exact(a * c) for n, a in self.terms.items()})
 
     def weights(self) -> set:
         return {m.weight for m in self.terms}
@@ -376,24 +361,6 @@ def com_reduce(p: ComPoly, G: Sequence[ComPoly]) -> ComPoly:
     integer copies, so integer terms stay integer until the one division
     by the scale at the end."""
     return ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times))
-
-
-def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
-    """Normal form plus the steps (coeff, quotient monomial, index into G)
-    taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
-    trace: list = []
-    nf = ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times, trace))
-    return nf, [(c, q, pos) for c, _, (q, pos), _ in trace]
-
-
-def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:
-    """lcm-cancellation of the leading terms of two monic polynomials."""
-    if not f or not g:
-        raise ValueError("zero polynomial has no S-polynomial")
-    _require_monic([f, g])
-    lf, lg = f.leading(), g.leading()
-    # lcm / lf is what lg has beyond lf, and lcm / lg what lf has beyond lg.
-    return f.mul_monomial(lf.cofactor(lg)) - g.mul_monomial(lg.cofactor(lf))
 
 
 class BuchbergerReport:

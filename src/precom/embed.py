@@ -71,7 +71,6 @@ __all__ = [
     "validate_filtration",
     "standard_filtration",
     "pair_relation",
-    "coefficient_relations",
     "series_product",
     "EmbeddingReport",
     "verify_embedding",
@@ -240,20 +239,6 @@ def pair_relation(F: FilteredAlgebra, x: Letter, y: Letter, l: int) -> ComPoly:
     if poly.leading().count != 2:
         raise AssertionError("coefficient relation must lead with a quadratic monomial")
     return poly
-
-
-def coefficient_relations(F: FilteredAlgebra, weight_bound: int) -> list[ComPoly]:
-    """All pair relations for basis pairs x <= y and weights up to the
-    bound, each monic and weight-homogeneous."""
-    if weight_bound < 2:
-        raise ValueError("weight bound must be at least 2")
-    out = []
-    basis = F.basis
-    for i, x in enumerate(basis):
-        for y in basis[i:]:
-            for l in range(F.level(x) + F.level(y), weight_bound + 1):
-                out.append(pair_relation(F, x, y, l).monic())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +438,8 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
         raise ValueError(
             "truncation too small: N=%d but products need N >= %d"
             % (N, 2 * F.max_level()))
-    # The homomorphism loop builds each pair relation once, in the order
-    # of coefficient_relations: raw to compare, monic to complete.
+    # The homomorphism loop builds each pair relation once, for basis
+    # pairs x <= y and then by weight: raw to compare, monic to complete.
     G = []
 
     # The image series of x, sum of i x[i] t^i from level(x) to N, has

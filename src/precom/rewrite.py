@@ -55,7 +55,6 @@ __all__ = [
     "graft",
     "occurrences",
     "substitute",
-    "reducible",
     "normal_form",
     "normal_forms",
     "normal_form_with_trace",
@@ -384,10 +383,6 @@ def replay_trace(steps: Iterable[ReductionStep]) -> MagmaPoly:
     for s in steps:
         total = total + substitute(s.word, s.path, s.relation).scale(s.coeff)
     return total
-
-
-def reducible(word: NaWord, relations: Iterable[RelationSchema]) -> bool:
-    return _RedexIndex(list(relations)).redex(word) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ of forms::
     (rel (+ (x y) (y x)))   ; explicit relations, made monic on load
 
 Algebra files are JSON: ``basis`` (ordered names), optional ``levels``,
-and ``products`` entries like ``"x1 x1 -> 1/2 x2"``.
+and ``products`` entries like ``"x1 x1 -> 1/2 x2"``.  Both formats
+accept a letter name only if it reads back as one letter: a single atom,
+not ``0`` or ``*``, with no ``+`` or ``->``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .shuffle import ZinbElement
 
 __all__ = [
     "ParseError",
-    "parse_word",
     "format_word",
     "parse_poly",
     "format_poly",
@@ -126,6 +127,17 @@ def _err(form: Form, message: str) -> ParseError:
     return ParseError("line %d, column %d: %s" % (form.line, form.col, message))
 
 
+def _alphabet(names: list) -> Alphabet:
+    """The alphabet of ``names``; raises ``ValueError`` on a name that
+    does not read back as one letter in the relation and algebra
+    formats."""
+    for name in names:
+        if (name.split() != [name] or any(c in name for c in "();")
+                or name in ("0", "*") or "+" in name or "->" in name):
+            raise ValueError("letter name %r cannot be read back as a letter" % (name,))
+    return Alphabet(names)
+
+
 def _letter(form: Form, alphabet: Alphabet) -> Letter:
     if not isinstance(form, _Atom):
         raise _err(form, "expected a letter")
@@ -156,10 +168,6 @@ def _word_from_form(form: Form, alphabet: Alphabet) -> NaWord:
             stack.append((f.items[1], False))
             stack.append((f.items[0], False))
     return done[0]
-
-
-def parse_word(text: str, alphabet: Alphabet) -> NaWord:
-    return _word_from_form(_one_form(text, "word"), alphabet)
 
 
 def format_word(w: NaWord) -> str:
@@ -269,7 +277,7 @@ def parse_relations(text: str):
     if not names:
         raise _err(head, "alphabet must list at least one letter")
     try:
-        alphabet = Alphabet(names)
+        alphabet = _alphabet(names)
     except ValueError as e:
         raise _err(head, str(e)) from None
 
@@ -347,7 +355,7 @@ def parse_algebra(data: dict):
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ParseError("'basis' must be a list of letter names")
     try:
-        alphabet = Alphabet(names)
+        alphabet = _alphabet(names)
     except ValueError as e:
         raise ParseError(str(e)) from None
 

@@ -6,8 +6,8 @@ appends the last letter y:
 
     u * v  =  sum over interleavings s of (u, v')  of  s y
 
-Symmetrizing this product lands in the shuffle algebra.  Both products
-read one iterative table over prefixes that maps each distinct
+Symmetrizing this product lands in the shuffle algebra.  The product
+reads one iterative table over prefixes that maps each distinct
 interleaving to its multiplicity, so the work grows with the distinct
 words rather than with the interleavings, and no path recurses.
 ``zinbiel_product`` is integer-first: it scales each factor by its common
@@ -15,32 +15,30 @@ denominator, sums integers and divides once at the end.  It reads each
 word pair's half-shuffle from the process-global table ``_HALF``, filled
 on first use and never shrunk, like ``magma._NODES``.
 
-The module also converts between this basis and left-combed tree
-polynomials, and carries the Perm-algebra tensor construction that turns
-a pre-commutative algebra into a commutative envelope candidate.  The
-tensor check scales each sample to integer coefficients once, since both
-sides of the checked identity are trilinear in it, and computes each
-distinct ordered product of two elements once per sample, in a memo that
-the next sample starts afresh.
+The module stands alone: it runs no tree word and no rewrite.  A word
+is the leaf sequence of a left comb of the tree model, and the tests
+hold the two models to each other through that bridge, kept in
+``tests/oracles.py``.  The module also carries the Perm-algebra tensor
+construction that turns a pre-commutative algebra into a commutative
+envelope candidate.  The tensor check scales each sample to integer
+coefficients once, since both sides of the checked identity are
+trilinear in it, and computes each distinct ordered product of two
+elements once per sample, in a memo that the next sample starts afresh.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-from .lincomb import Coeff, LinComb, exact, integral
-from .magma import Alphabet, Letter, MagmaPoly, comb
-from .rewrite import ZinbielFamily, normal_form
+from .lincomb import LinComb, exact, integral
+from .magma import Alphabet
 
 __all__ = [
     "ZinbElement",
-    "shuffle_product",
     "zinbiel_product",
     "star",
-    "to_left_comb",
-    "from_left_comb",
     "PermAlgebra",
     "PermTensorReport",
     "perm_tensor_check",
@@ -96,9 +94,6 @@ class ZinbElement(LinComb):
     def _product(self, other: "ZinbElement") -> "ZinbElement":
         return zinbiel_product(self, other)
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -107,14 +102,6 @@ class ZinbElement(LinComb):
             name = ".".join(x.name for x in w)
             bits.append(name if c == 1 else "%s*%s" % (c, name))
         return " + ".join(bits)
-
-
-def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
-    """The shuffle product of two words, with interleaving multiplicities."""
-    u, v = tuple(u), tuple(v)
-    if not u or not v:
-        raise ValueError("shuffle needs nonempty words")
-    return ZinbElement._raw(_shuffles(u, v))
 
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
@@ -143,25 +130,6 @@ def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
 def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """The symmetrized product f*g = fg + gf (a shuffle-algebra product)."""
     return zinbiel_product(f, g) + zinbiel_product(g, f)
-
-
-# ---------------------------------------------------------------------------
-# Left combs vs associative words
-
-def to_left_comb(p: MagmaPoly) -> ZinbElement:
-    """Rewrite a tree polynomial onto the left-comb basis and read each
-    comb as an associative word.  This realizes the free pre-commutative
-    product on trees."""
-    nf = normal_form(p, [ZinbielFamily()])
-    out: dict[tuple, Coeff] = {}
-    for w, c in nf.terms.items():
-        out[w.leaves()] = c  # distinct combs give distinct words
-    return ZinbElement._raw(out)
-
-
-def from_left_comb(f: ZinbElement) -> MagmaPoly:
-    """The inverse embedding: each word becomes its left comb."""
-    return MagmaPoly._raw({comb(w): c for w, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,25 @@ they became byte strings.  ``TruncSeries`` and its products compute in
 integer series: a trial of the Rota-Baxter check and the residues of the
 embedding check, with the prime codes of the Rota-Baxter draw decoded to
 ``ComMonomial``s.  ``truncated_poly_relations`` is the closed-form
-completed system of the truncated power algebra, and ``subtree`` reads
-the subword at a path.  ``buchberger_reference`` is the bounded
-Buchberger loop on monic ``Fraction`` relations that forms every pair
-and then skips most of them.  One is the ``argparse`` parser the CLI read its
-flags with before it read them from its own flag table.  The tests hold
-the library's answers against them.
+completed system of the truncated power algebra, ``subtree`` reads
+the subword at a path, ``reducible`` asks whether a word has a redex,
+and ``parse_word`` reads one tree word.
+
+The word model and the tree model meet in ``to_left_comb``: it rewrites
+a tree polynomial onto left combs by the Zinbiel family and reads each
+comb as its leaf sequence, and ``from_left_comb`` goes back (Loday
+1995).  The tests hold ``shuffle.zinbiel_product`` to the tree product
+through that bridge, and the symmetrized product to ``shuffle_product``,
+the plain shuffle of two words.
+
+``buchberger_reference`` is the bounded Buchberger loop on monic
+``Fraction`` relations that forms every pair, each by ``s_polynomial``,
+and then skips most of them.  ``coefficient_relations`` lists, in the
+library's order, the monic pair relations that ``embed`` completes, and
+``com_reduce_with_trace`` reduces with the steps taken.  One is the
+``argparse`` parser the CLI read its flags with before it read them
+from its own flag table.  The tests hold the library's answers against
+them.
 """
 
 from __future__ import annotations
@@ -25,13 +38,14 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from precom.compoly import (BuchbergerReport, ComBasis, ComMonomial, ComPoly, _times,
-                            s_polynomial)
-from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw
+from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, _times
+from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw, pair_relation
 from precom.lincomb import LinComb, _require_monic, descend, exact
-from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
-from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, occurrences,
-                            substitute)
+from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
+from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
+                            normal_form, occurrences, substitute)
+from precom.sexpr import _one_form, _word_from_form
+from precom.shuffle import ZinbElement, _shuffles
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -140,8 +154,83 @@ def truncated_poly_relations(n: int, alphabet: Optional[Alphabet] = None
     return rels
 
 
+def reducible(word: NaWord, relations) -> bool:
+    """Whether some relation rewrites a subword of ``word``."""
+    return _RedexIndex(list(relations)).redex(word) is not None
+
+
+def parse_word(text: str, alphabet: Alphabet) -> NaWord:
+    """One tree word written as an S-expression, such as ``(x (y z))``."""
+    return _word_from_form(_one_form(text, "word"), alphabet)
+
+
+# ---------------------------------------------------------------------------
+# Words and trees
+
+def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
+    """The shuffle product of two words, with interleaving multiplicities."""
+    u, v = tuple(u), tuple(v)
+    if not u or not v:
+        raise ValueError("shuffle needs nonempty words")
+    return ZinbElement._raw(_shuffles(u, v))
+
+
+def to_left_comb(p: MagmaPoly) -> ZinbElement:
+    """Rewrite a tree polynomial onto the left-comb basis and read each
+    comb as an associative word.  This realizes the free pre-commutative
+    product on trees."""
+    nf = normal_form(p, [ZinbielFamily()])
+    # Distinct combs give distinct words.
+    return ZinbElement._raw({w.leaves(): c for w, c in nf.terms.items()})
+
+
+def from_left_comb(f: ZinbElement) -> MagmaPoly:
+    """The inverse embedding: each word becomes its left comb."""
+    return MagmaPoly._raw({comb(w): c for w, c in f.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # Commutative completion
+
+def mul_monomial(p: ComPoly, m: ComMonomial, coeff=1) -> ComPoly:
+    """coeff * m * p."""
+    c = exact(coeff)
+    if not c:
+        return ComPoly.zero()
+    return ComPoly._raw({n * m: exact(a * c) for n, a in p.terms.items()})
+
+
+def s_polynomial(f: ComPoly, g: ComPoly) -> ComPoly:
+    """lcm-cancellation of the leading terms of two monic polynomials."""
+    if not f or not g:
+        raise ValueError("zero polynomial has no S-polynomial")
+    _require_monic([f, g])
+    lf, lg = f.leading(), g.leading()
+    # lcm / lf is what lg has beyond lf, and lcm / lg what lf has beyond lg.
+    return mul_monomial(f, lf.cofactor(lg)) - mul_monomial(g, lg.cofactor(lf))
+
+
+def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
+    """Normal form plus the steps (coeff, quotient monomial, index into G)
+    taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
+    trace: list = []
+    nf = ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times, trace))
+    return nf, [(c, q, pos) for c, _, (q, pos), _ in trace]
+
+
+def coefficient_relations(F: FilteredAlgebra, weight_bound: int) -> list[ComPoly]:
+    """All pair relations for basis pairs x <= y and weights up to the
+    bound, each monic and weight-homogeneous."""
+    if weight_bound < 2:
+        raise ValueError("weight bound must be at least 2")
+    out = []
+    basis = F.basis
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            for l in range(F.level(x) + F.level(y), weight_bound + 1):
+                out.append(pair_relation(F, x, y, l).monic())
+    return out
+
 
 def monic_find(basis: ComBasis):
     """``basis.find`` answering with the monic relation at the position

@@ -35,10 +35,8 @@ from precom import (
     perm_tensor_check,
     random_element,
     random_nilpotent_algebra,
-    shuffle_product,
     standard_filtration,
     star,
-    to_left_comb,
     trivial_algebra,
     trivial_envelope_dimension,
     trivial_gsb,
@@ -55,7 +53,9 @@ from oracles import (
     random_series,
     rb_apply,
     series_product,
+    shuffle_product,
     splitting_product,
+    to_left_comb,
     truncated_poly_relations,
 )
 

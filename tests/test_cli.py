@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from precom import cli
+from precom import ComMonomial, ComPoly, GenSymbol, ZinbielFamily, cli
 from precom import embed as embed_module
+from precom import envelope
 from precom import shuffle as shuffle_module
 from precom.cli import main
 
@@ -130,6 +131,17 @@ class TestReduce:
         assert code == 2
         assert out == ""
         assert err.startswith("error: %s: line 1, column 1: " % path)
+
+    @pytest.mark.parametrize("name, text", [("0", "0"), ("+", "(+ x)")], ids=["zero", "plus"])
+    def test_reserved_letter_name_exits_2(self, run, rel_file, name, text):
+        # After (alphabet 0 x) the input 0 read as the zero polynomial,
+        # and after (alphabet + x) the input (+ x) read as a sum.
+        path = rel_file("(alphabet %s x)\n(family zinbiel)\n" % name)
+        code, out, err = run("reduce", "--relations", path, "--input", text)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: %s: line 1, column 1: letter name %r cannot be read back "
+                       "as a letter\n" % (path, name))
 
     def test_zero_denominator_in_relation_file_exits_2(self, run, rel_file):
         path = rel_file("(alphabet x y)\n(rel (+ (x y) (* 2/0 (y x))))\n")
@@ -302,6 +314,24 @@ class TestVerify:
         assert code == 0
         assert "products checked: 40" in out
 
+    def test_odd_even_bare_tree_family_exits_1(self, run, monkeypatch):
+        # A failing control: without the tail family, every odd-by-even
+        # product is a nonzero failure.
+        monkeypatch.setattr(envelope, "trivial_gsb", lambda ab: [ZinbielFamily(ab)])
+        code, out, err = run("verify", "odd-even", "--letters", "2",
+                             "--m-max", "3", "--k-max", "2", "--json")
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["counts"] == [40]
+        assert len(rep["failures"]) == 40
+        assert rep["failures"][0] == {"a": "x", "b": "(x x)", "normal_form": "(+ (* 2 ((x x) x)))"}
+        code, out, err = run("verify", "odd-even", "--letters", "2", "--m-max", "3", "--k-max", "2")
+        assert code == 1
+        assert err == ""
+        assert out.splitlines()[-1] == "status: failed"
+
     def test_rb(self, run):
         code, out, _ = run("verify", "rb", "--count", "5", "--max-n", "5")
         assert code == 0
@@ -369,6 +399,18 @@ class TestVerify:
         code, out, _ = run("verify", "collapse", "--algebra", path, "--bound", "4")
         assert code == 1
         assert "status: failed" in out
+
+    @pytest.mark.parametrize("basis, products, name", [
+        (["(", "b"], ["b b -> ("], "("),
+        (["", "b"], [], ""),
+    ], ids=["paren", "empty"])
+    def test_collapse_unreadable_letter_name_exits_2(self, run, alg_file, basis, products, name):
+        # Such a name was accepted and printed as `b * b = (` or ` *  = 0`.
+        path = alg_file({"basis": basis, "products": products})
+        code, out, err = run("verify", "collapse", "--algebra", path, "--bound", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s: letter name %r cannot be read back as a letter\n" % (path, name)
 
     def test_collapse_non_associative_exits_2(self, run, alg_file):
         path = alg_file({"basis": ["a", "b", "c", "d"],
@@ -576,6 +618,29 @@ class TestEmbed:
         assert lookups == {"calls": 1423, "memo_hits": 1063}
         code, again, _ = run("embed", "--algebra", path, "--N", "10", "--json")
         assert again == out
+
+    def test_linear_relation_exits_1(self, run, alg_file, monkeypatch):
+        # A failing control: a completion that also gets a[1] - b[1]
+        # proves a linear leading monomial, so the certificate is refused.
+        path = alg_file({"basis": ["a", "b"], "products": []})
+        assert run("embed", "--algebra", path, "--N", "4")[0] == 0
+        a, b = (ComMonomial((GenSymbol(name, 1, 1, rank),)) for rank, name in enumerate("ab"))
+        linear = ComPoly.from_terms([(a, 1), (b, -1)])
+        completion = embed_module.buchberger_bounded
+        monkeypatch.setattr(embed_module, "buchberger_bounded",
+                            lambda G, N: completion([*G, linear], N))
+        code, out, err = run("embed", "--algebra", path, "--N", "4", "--json")
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["injectivity_certified_to"] is None
+        assert rep["failures"] == [{"kind": "linear-leading", "relation": "b[1] - a[1]"}]
+        code, out, err = run("embed", "--algebra", path, "--N", "4")
+        assert code == 1
+        assert err == ""
+        assert out.splitlines()[-2:] == [
+            "linear leading monomial found: injectivity not certified", "status: failed"]
 
     def test_non_nilpotent_exits_2(self, run, alg_file):
         path = alg_file({"basis": ["e"], "products": ["e e -> e"]})

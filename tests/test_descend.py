@@ -28,7 +28,6 @@ from precom import (
     MagmaPoly,
     ZinbielFamily,
     buchberger_bounded,
-    coefficient_relations,
     comb,
     graft,
     leaf,
@@ -44,7 +43,7 @@ from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
 from precom.sexpr import format_poly, format_word, parse_poly, parse_relations
 
-from oracles import monic_find, truncated_poly_relations, words_of_length
+from oracles import coefficient_relations, monic_find, truncated_poly_relations, words_of_length
 
 
 class _MaxItem:

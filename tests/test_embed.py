@@ -15,7 +15,6 @@ from precom import (
     CommAlgebra,
     FilteredAlgebra,
     buchberger_bounded,
-    coefficient_relations,
     idempotent_algebra,
     pair_relation,
     random_nilpotent_algebra,
@@ -32,7 +31,9 @@ from precom.lincomb import echelon_insert, exact
 import oracles
 from oracles import (
     TruncSeries,
+    coefficient_relations,
     generator_series,
+    mul_monomial,
     random_series,
     rb_apply,
     series_product,
@@ -853,6 +854,22 @@ class TestVerifyEmbedding:
         assert len(calls) == rep.relation_count == len(want)
         assert completed == want
 
+    def test_linear_relation_fails_the_certificate(self, monkeypatch):
+        # A failing control: a completion that also gets x[1] - y[1]
+        # proves a linear leading monomial, so the certificate is refused.
+        F = trivial_filtered(2)
+        assert verify_embedding(F, 4).verified
+        x, y = (ComMonomial((F.symbol(z, 1),)) for z in F.basis)
+        linear = ComPoly.from_terms([(x, 1), (y, -1)])
+        monkeypatch.setattr(embed_module, "buchberger_bounded",
+                            lambda G, N: buchberger_bounded([*G, linear], N))
+        rep = verify_embedding(F, 4)
+        assert rep.homomorphism_failures == []
+        assert rep.injectivity_certified_to is None
+        assert not rep.verified
+        assert "not certified" in rep.notes
+        assert [repr(p) for p in rep.buchberger.linear_leadings] == ["y[1] - x[1]"]
+
     def test_random_nilpotent_instances(self):
         rng = random.Random(97)
         for _ in range(2):
@@ -897,7 +914,7 @@ class TestMacaulayOracle:
             for g in G:
                 w = next(iter(g.terms)).weight
                 for m in monos[l - w] if w <= l else ():
-                    row = g.mul_monomial(m)
+                    row = mul_monomial(g, m)
                     echelon_insert(rows, {col[t]: c for t, c in row.terms.items()})
             pivots = {columns[p] for p in rows}
             standard = [m for m in columns if not any(h.divides(m) for h in leads)]

@@ -21,6 +21,7 @@ from precom import (
     irreducible_words,
     leaf,
     node,
+    normal_form,
     odd_even_zero_sweep,
     trivial_algebra,
     trivial_envelope_dimension,
@@ -30,6 +31,7 @@ from precom import (
     verify_trivial_envelope,
     verify_zinbiel_basis,
 )
+from precom import envelope
 
 from oracles import scan_instances, truncated_poly_relations, words_of_length
 
@@ -357,6 +359,16 @@ class TestOddEvenSweep:
 
     def test_three_letters(self):
         assert odd_even_zero_sweep(3, 1, 2).verified
+
+    def test_bare_tree_family_fails(self, monkeypatch):
+        # A failing control: without the tail family no odd-by-even
+        # product vanishes, and each violation holds its normal form.
+        monkeypatch.setattr(envelope, "trivial_gsb", lambda ab: [ZinbielFamily(ab)])
+        rep = odd_even_zero_sweep(2, 3, 2)
+        assert not rep.verified
+        assert rep.checked == len(rep.violations) == 40
+        for a, b, nf in rep.violations:
+            assert nf and nf == normal_form(MagmaPoly.monomial(node(a, b)), [ZinbielFamily()])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="odd"):

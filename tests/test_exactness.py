@@ -18,10 +18,8 @@ from precom import (
     MagmaPoly,
     ZinbElement,
     buchberger_bounded,
-    coefficient_relations,
     collapse_check,
     com_reduce,
-    com_reduce_with_trace,
     complete,
     enveloping_relations,
     idempotent_algebra,
@@ -32,10 +30,7 @@ from precom import (
     normal_form_with_trace,
     pair_relation,
     random_element,
-    s_polynomial,
-    shuffle_product,
     star,
-    to_left_comb,
     trivial_gsb,
     truncated_power_algebra,
     verify_embedding,
@@ -48,10 +43,15 @@ from precom import embed
 
 from oracles import (
     TruncSeries,
+    coefficient_relations,
+    com_reduce_with_trace,
     generator_series,
     random_series,
     rb_apply,
+    s_polynomial,
     series_product,
+    shuffle_product,
+    to_left_comb,
     truncated_poly_relations,
     words_of_length,
 )

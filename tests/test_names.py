@@ -6,7 +6,9 @@ A stale entry would otherwise go unnoticed: ``from module import *`` is
 never used, and the benchmark's tracer skips a name it cannot find.
 The library's surface is also pinned where it shrank: what only the tests
 run lives in ``tests/oracles.py``, and the series checks share one public
-series operation, the product.
+series operation, the product.  A public name must have a caller in the
+library, or an entry with its reason in ``UNCALLED``, so the surface
+cannot grow back unnoticed.
 """
 
 from __future__ import annotations
@@ -21,8 +23,29 @@ import pytest
 import precom
 from precom import ExplicitRelation, RelationSchema, TailFamily, ZinbielFamily
 
+import oracles
+
 PACKAGE = pathlib.Path(precom.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+# Public names that no library code calls, each with why it stays.
+UNCALLED = (
+    ("envelope", "idempotent_algebra"),       # an input algebra of the paper's examples
+    ("envelope", "truncated_power_algebra"),  # an input algebra of the paper's examples
+    ("embed", "random_nilpotent_algebra"),    # the seeded inputs of the tests and perfbench
+    ("rewrite", "normal_form_with_trace"),    # the reduction trace is a proof of a normal form
+    ("rewrite", "replay_trace"),              # checks that proof
+)
+
+# Names that only the tests called, moved to tests/oracles.py or removed.
+MOVED = {
+    "compoly": ("s_polynomial", "com_reduce_with_trace", "ComPoly.mul_monomial",
+                "ComMonomial.multiplicities"),
+    "embed": ("coefficient_relations",),
+    "shuffle": ("shuffle_product", "to_left_comb", "from_left_comb", "ZinbElement.max_degree"),
+    "rewrite": ("reducible",),
+    "sexpr": ("parse_word",),
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -46,6 +69,74 @@ def test_package_reexports_from_the_defining_module():
             assert alias.asname is None
             assert alias.name in mod.__all__, (node.module, alias.name)
             assert getattr(precom, alias.name) is getattr(mod, alias.name)
+
+
+def _used_names(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in ``tree``,
+    outside the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _uncalled() -> list:
+    """The (module, name) pairs of ``__all__`` names that appear in no
+    other module and nowhere in their own module outside their
+    definition."""
+    trees = {m: ast.parse((PACKAGE / (m + ".py")).read_text()) for m in MODULES}
+    used = {m: _used_names(t) for m, t in trees.items()}
+    out = []
+    for m, tree in trees.items():
+        elsewhere = set().union(*(u for other, u in used.items() if other != m))
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defs[n.id] = node
+        for name in getattr(importlib.import_module("precom." + m), "__all__", ()):
+            if name not in elsewhere and name not in _used_names(tree, defs.get(name)):
+                out.append((m, name))
+    return sorted(out)
+
+
+def test_every_public_name_has_a_library_caller():
+    # What only the tests call belongs in tests/oracles.py; an exemption
+    # that gains a caller leaves UNCALLED.
+    assert _uncalled() == sorted(UNCALLED)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, ns in MOVED.items() for n in ns])
+def test_test_only_names_left_the_library(module, name):
+    owner, _, attr = name.rpartition(".")
+    mod = importlib.import_module("precom." + module)
+    assert not hasattr(getattr(mod, owner) if owner else mod, attr)
+    if not owner:
+        assert not hasattr(precom, attr)
+        assert callable(getattr(oracles, attr))
+
+
+def test_word_model_imports_no_tree_rewriting():
+    # shuffle runs no tree word and no rewrite; the bridge between the
+    # two models is the oracle to_left_comb.
+    tree = ast.parse((PACKAGE / "shuffle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").rpartition(".")[2] != "rewrite"
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "precom.rewrite" for a in node.names)
 
 
 @pytest.mark.parametrize("module", ["precom", "precom.magma", "precom.rewrite"])

@@ -27,7 +27,6 @@ from precom import (
     normal_form_with_trace,
     normal_forms,
     occurrences,
-    reducible,
     replay_trace,
     graft,
     substitute,
@@ -45,8 +44,8 @@ from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _Sites
 from precom.sexpr import format_relations, parse_relations
 
-from oracles import (inclusion_compositions, scan_instances, subtree, truncated_poly_relations,
-                     words_of_length)
+from oracles import (inclusion_compositions, reducible, scan_instances, subtree,
+                     truncated_poly_relations, words_of_length)
 
 
 def kept_sites(schemas, bound):

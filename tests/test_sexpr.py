@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,9 @@ from precom.sexpr import (
     parse_aword,
     parse_poly,
     parse_relations,
-    parse_word,
 )
+
+from oracles import parse_word
 
 
 class TestWords:
@@ -198,6 +200,22 @@ class TestRelationFiles:
         with pytest.raises(ParseError, match="duplicate"):
             parse_relations("(alphabet x x)")
 
+    @pytest.mark.parametrize("name", ["0", "+", "*", "x+y", "+x", "a->b", "->"])
+    def test_unreadable_letter_names_rejected(self, name):
+        # After (alphabet 0 x), the input 0 would read as the zero
+        # polynomial, and after (alphabet + x), (+ x) as a sum.
+        with pytest.raises(ParseError, match=r"line 1, column 1: letter name %s cannot be read"
+                           % re.escape(repr(name))):
+            parse_relations("(alphabet %s x)\n(family zinbiel)" % name)
+
+    def test_letter_names_that_read_back_accepted(self):
+        ab, rels = parse_relations("(alphabet x-1 2 - 0x *y 1/2)\n(rel (+ (2 *y) (* 1/2 1/2)))")
+        assert [x.name for x in ab.letters] == NAMES_THAT_READ_BACK
+        text = format_relations(ab, rels)
+        assert format_relations(*parse_relations(text)) == text
+
+
+NAMES_THAT_READ_BACK = ["x-1", "2", "-", "0x", "*y", "1/2"]
 
 ALGEBRA = {
     "basis": ["x1", "x2"],
@@ -264,6 +282,22 @@ class TestAlgebraFiles:
             parse_algebra({"basis": ["a", "b"], "levels": {"a": 1}, "products": []})
         with pytest.raises(ParseError, match="unknown letter 'q' in levels"):
             parse_algebra({"basis": ["a"], "levels": {"q": 1}, "products": []})
+
+    @pytest.mark.parametrize("name", ["(", ")", "a)", "a;b", "", " ", "a b", "a\tb", "a\u00a0b",
+                                      "0", "+", "*", "x+y", "a->b"])
+    def test_unreadable_letter_names_rejected(self, name):
+        # A name the relation format cannot read as one atom, or that
+        # the product entries would split, never reaches an alphabet.
+        with pytest.raises(ParseError, match="^letter name %s cannot be read back as a letter$"
+                           % re.escape(repr(name))):
+            parse_algebra({"basis": [name, "b"], "products": []})
+
+    def test_letter_names_that_read_back_accepted(self):
+        names = NAMES_THAT_READ_BACK
+        A, _ = parse_algebra({"basis": names, "products": ["2 - -> 1/2 + 3 1/2"]})
+        ab = A.alphabet
+        assert [x.name for x in ab.letters] == names
+        assert A.product(ab["2"], ab["-"]) == {ab["1/2"]: 4}
 
     @pytest.mark.parametrize("products", [5, None, "a a -> a", {"a a": "a"}],
                              ids=["int", "null", "string", "object"])

@@ -17,7 +17,6 @@ from precom import (
     ZinbElement,
     ZinbielFamily,
     comb,
-    from_left_comb,
     irreducible_words,
     leaf,
     magma_product,
@@ -25,13 +24,13 @@ from precom import (
     normal_form,
     perm_tensor_check,
     random_element,
-    shuffle_product,
     star,
-    to_left_comb,
     zinbiel_product,
 )
 from precom import shuffle as shuffle_module
 from precom.shuffle import _tensor_mul
+
+from oracles import from_left_comb, shuffle_product, to_left_comb
 
 
 def wd(ab, names):
@@ -369,8 +368,8 @@ class TestZinbElement:
         assert 2 * el(ab2, "x") == el(ab2, "x", 2)
 
     def test_max_degree(self, ab2):
-        assert ZinbElement.zero().max_degree() == 0
-        assert (el(ab2, "x") + el(ab2, "yxy")).max_degree() == 3
+        assert max(map(len, ZinbElement.zero().terms), default=0) == 0
+        assert max(map(len, (el(ab2, "x") + el(ab2, "yxy")).terms), default=0) == 3
 
     def test_repr(self, ab2):
         assert repr(el(ab2, "xy") + el(ab2, "x", 3)) == "3*x + x.y"
@@ -485,7 +484,7 @@ class TestRandomElement:
         rng = random.Random(1)
         for _ in range(50):
             f = random_element(rng, ab3, 4, max_terms=2)
-            assert f.max_degree() <= 4
+            assert max(map(len, f.terms), default=0) <= 4
             assert len(f.terms) <= 2
 
     def test_deterministic(self, ab2):
@@ -500,4 +499,4 @@ def test_module_not_shadowed_by_a_function():
 
     assert isinstance(precom.shuffle, types.ModuleType)
     assert m is sys.modules["precom.shuffle"]
-    assert m.shuffle_product is shuffle_product
+    assert m.zinbiel_product is zinbiel_product
