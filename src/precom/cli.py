@@ -67,7 +67,6 @@ from .embed import (
     verify_embedding,
     verify_rota_baxter,
 )
-from .magma import Alphabet
 from .rewrite import (
     ZinbielFamily,
     complete,
@@ -78,6 +77,7 @@ from .rewrite import (
 )
 from .sexpr import (
     ParseError,
+    _alphabet,
     format_poly,
     format_relations,
     format_word,
@@ -299,8 +299,9 @@ def _handle_zmul(args):
     if args.letters:
         names = [s for s in args.letters.split(",") if s]
     else:
-        names = sorted(set(args.left.split(".")) | set(args.right.split(".")))
-    alphabet = Alphabet(names)
+        # An empty name is left to parse_aword, which says where it is.
+        names = sorted((set(args.left.split(".")) | set(args.right.split("."))) - {""})
+    alphabet = _alphabet(names)
     u = parse_aword(args.left, alphabet)
     v = parse_aword(args.right, alphabet)
     f, g = ZinbElement.monomial(u), ZinbElement.monomial(v)
@@ -311,12 +312,19 @@ def _handle_zmul(args):
 
 
 def _verify_zinbiel(args):
+    # The bare family forms no composition site: the composition lemma
+    # discharges every one.  The irreducible counts are checked against the
+    # dimension d^n of the free Zinbiel algebra, so a family that matches
+    # the wrong words fails.
     rep = verify_zinbiel_basis(args.letters, args.bound)
     ab = default_alphabet(args.letters)
     counts = irreducible_counts([ZinbielFamily(ab)], ab, args.bound)
+    expected = [args.letters ** n for n in range(1, args.bound + 1)]
     failures, line, stats = _gsb_parts(rep)
+    if counts != expected:
+        failures.append({"counts": counts, "expected": expected})
     lines = [line, "irreducible counts: %s" % counts]
-    return rep.verified, counts, failures, lines, stats
+    return rep.verified and counts == expected, counts, failures, lines, stats
 
 
 def _verify_trivial_envelope(args):

@@ -11,9 +11,9 @@ of forms::
     (rel (+ (x y) (y x)))   ; explicit relations, made monic on load
 
 Algebra files are JSON: ``basis`` (ordered names), optional ``levels``,
-and ``products`` entries like ``"x1 x1 -> 1/2 x2"``.  Both formats
-accept a letter name only if it reads back as one letter: a single atom,
-not ``0`` or ``*``, with no ``+`` or ``->``.
+and ``products`` entries like ``"x1 x1 -> 1/2 x2"``.  Both formats, and
+the letters of dotted words, accept a letter name only if it reads back
+as one letter: a single atom, not ``0`` or ``*``, with no ``+`` or ``->``.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _err(form: Form, message: str) -> ParseError:
 def _alphabet(names: list) -> Alphabet:
     """The alphabet of ``names``; raises ``ValueError`` on a name that
     does not read back as one letter in the relation and algebra
-    formats."""
+    formats, or in the S-expression of a sum of dotted words."""
     for name in names:
         if (name.split() != [name] or any(c in name for c in "();")
                 or name in ("0", "*") or "+" in name or "->" in name):

@@ -7,13 +7,16 @@ appends the last letter y:
     u * v  =  sum over interleavings s of (u, v')  of  s y
 
 Symmetrizing this product lands in the shuffle algebra.  The product
-reads one iterative table over prefixes that maps each distinct
-interleaving to its multiplicity, so the work grows with the distinct
-words rather than with the interleavings, and no path recurses.
+reads each word pair's half-shuffle, a map from each distinct interleaving
+to its multiplicity, from the process-global table ``_HALF``, filled on
+first use and never shrunk, like ``magma._NODES``.  An interleaving ends
+with a letter of one word or of the other, so an entry is the merge of
+two entries one letter shorter (``_half``), and every word pair of the
+process shares those shorter entries.  The work grows with the distinct
+words rather than with the interleavings, and no path recurses.  The
+tests hold each entry to a prefix-table reference.
 ``zinbiel_product`` is integer-first: it scales each factor by its common
-denominator, sums integers and divides once at the end.  It reads each
-word pair's half-shuffle from the process-global table ``_HALF``, filled
-on first use and never shrunk, like ``magma._NODES``.
+denominator, sums integers and divides once at the end.
 
 The module stands alone: it runs no tree word and no rewrite.  A word
 is the leaf sequence of a left comb of the tree model, and the tests
@@ -46,30 +49,48 @@ __all__ = [
 ]
 
 
-def _shuffles(u: tuple, v: tuple) -> dict:
-    """Every interleaving of ``u`` and ``v``, mapped to its multiplicity.
-
-    One iterative table over prefixes: row ``j`` holds the shuffles of
-    ``u[:i]`` and ``v[:j]``, and an interleaving of ``u[:i]`` and
-    ``v[:j]`` ends with ``u[i-1]`` or with ``v[j-1]``, so each distinct
-    word is built once per cell, never once per interleaving."""
-    row = [{v[:j]: 1} for j in range(len(v) + 1)]
-    for i, a in enumerate(u, 1):
-        prev, row = row, [{u[:i]: 1}]
-        for j, b in enumerate(v, 1):
-            cell = {w + (a,): m for w, m in prev[j].items()}
-            for w, m in row[j - 1].items():
-                w += (b,)
-                cell[w] = cell.get(w, 0) + m
-            row.append(cell)
-    return row[-1]
-
-
 # The half-shuffle of each word pair (u, v) that ``zinbiel_product`` has
-# met: the product of u and v as a dict from word to multiplicity, v's last
-# letter already appended.  Letters hash by identity, so pairs over
-# different alphabets never share an entry.
+# met, and of the shorter pairs it was built from: the product of u and v
+# as a dict from word to multiplicity, v's last letter already appended.
+# Letters hash by identity, so pairs over different alphabets never share
+# an entry.
 _HALF: dict[tuple[tuple, tuple], dict] = {}
+
+
+def _half(u: tuple, v: tuple) -> dict:
+    """The half-shuffle of ``u`` and ``v``, filled into ``_HALF`` with the
+    entries it is built from.
+
+    An interleaving of u and v' ends with u's last letter or with v''s, so
+    half(u, v'y) = (half(v', u) + half(u, v'))y, and half(u, y) = {uy: 1}.
+    Each entry is one merge of two entries one letter shorter; an explicit
+    stack fills the missing ones first, so no path recurses."""
+    todo = [(u, v)]
+    while todo:
+        key = a, b = todo[-1]
+        if key in _HALF:
+            todo.pop()
+            continue
+        if len(b) == 1:
+            _HALF[key] = {a + b: 1}
+            todo.pop()
+            continue
+        p = b[:-1]
+        left, right = _HALF.get((p, a)), _HALF.get((a, p))
+        if left is None or right is None:
+            if left is None:
+                todo.append((p, a))
+            if right is None:
+                todo.append((a, p))
+            continue
+        y = b[-1:]
+        entry = {w + y: m for w, m in left.items()}
+        for w, m in right.items():
+            w += y
+            entry[w] = entry.get(w, 0) + m
+        _HALF[key] = entry
+        todo.pop()
+    return _HALF[u, v]
 
 
 def _aword_key(w: tuple) -> tuple:
@@ -116,9 +137,7 @@ def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
         for v, b in gi.items():
             half = _HALF.get((u, v))
             if half is None:
-                last = v[-1:]
-                half = _HALF[u, v] = {s + last: m
-                                      for s, m in _shuffles(u, v[:-1]).items()}
+                half = _half(u, v)
             c = a * b
             for w, m in half.items():
                 out[w] = out.get(w, 0) + c * m
@@ -191,7 +210,8 @@ def _tensor_mul(P: PermAlgebra, s: dict, t: dict, memo: dict) -> dict:
 class PermTensorReport:
     """The outcome of :func:`perm_tensor_check`.  ``products`` counts the
     distinct ordered element products computed, summed over the samples;
-    ``half_shuffles`` the ``_HALF`` entries the check filled."""
+    ``half_shuffles`` the ``_HALF`` entries the check filled, the shorter
+    pairs each product's entries were built from included."""
 
     __slots__ = ("triples_checked", "associativity_violations", "products",
                  "half_shuffles")

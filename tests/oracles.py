@@ -18,7 +18,11 @@ a tree polynomial onto left combs by the Zinbiel family and reads each
 comb as its leaf sequence, and ``from_left_comb`` goes back (Loday
 1995).  The tests hold ``shuffle.zinbiel_product`` to the tree product
 through that bridge, and the symmetrized product to ``shuffle_product``,
-the plain shuffle of two words.
+the plain shuffle of two words.  ``shuffles`` builds a shuffle by one
+iterative table over the prefixes of both words, as the library did for
+each word pair before its table of half-shuffles filled each entry from
+two shorter entries; ``half_shuffle`` is the reference for those
+entries.
 
 ``buchberger_reference`` is the bounded Buchberger loop on monic
 ``Fraction`` relations that forms every pair, each by ``s_polynomial``,
@@ -45,7 +49,7 @@ from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
                             normal_form, occurrences, substitute)
 from precom.sexpr import _one_form, _word_from_form
-from precom.shuffle import ZinbElement, _shuffles
+from precom.shuffle import ZinbElement
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -167,12 +171,39 @@ def parse_word(text: str, alphabet: Alphabet) -> NaWord:
 # ---------------------------------------------------------------------------
 # Words and trees
 
+def shuffles(u: tuple, v: tuple) -> dict:
+    """Every interleaving of ``u`` and ``v``, mapped to its multiplicity.
+
+    One iterative table over prefixes: row ``j`` holds the shuffles of
+    ``u[:i]`` and ``v[:j]``, and an interleaving of ``u[:i]`` and
+    ``v[:j]`` ends with ``u[i-1]`` or with ``v[j-1]``, so each distinct
+    word is built once per cell, never once per interleaving."""
+    row = [{v[:j]: 1} for j in range(len(v) + 1)]
+    for i, a in enumerate(u, 1):
+        prev, row = row, [{u[:i]: 1}]
+        for j, b in enumerate(v, 1):
+            cell = {w + (a,): m for w, m in prev[j].items()}
+            for w, m in row[j - 1].items():
+                w += (b,)
+                cell[w] = cell.get(w, 0) + m
+            row.append(cell)
+    return row[-1]
+
+
+def half_shuffle(u: tuple, v: tuple) -> dict:
+    """The half-shuffle of two nonempty words by the prefix table: every
+    interleaving of ``u`` and ``v`` without its last letter, that letter
+    appended."""
+    last = v[-1:]
+    return {s + last: m for s, m in shuffles(u, v[:-1]).items()}
+
+
 def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     """The shuffle product of two words, with interleaving multiplicities."""
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("shuffle needs nonempty words")
-    return ZinbElement._raw(_shuffles(u, v))
+    return ZinbElement._raw(shuffles(u, v))
 
 
 def to_left_comb(p: MagmaPoly) -> ZinbElement:

@@ -254,6 +254,20 @@ class TestZmul:
         assert out == ""
         assert "empty letter name in %r" % left in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--left", "(a", "--right", "b)", "--star"), "(a"),
+        (("--left", "+", "--right", "0"), "+"),
+        (("--left", "x", "--right", "0"), "0"),
+        (("--left", "x", "--right", "y", "--letters", "x,y,*"), "*"),
+    ])
+    def test_unreadable_letter_name_exits_2(self, run, argv, name):
+        # The letter-name rule of the relation and algebra files: the
+        # result's S-expression could not be read back.
+        code, out, err = run("zmul", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: letter name %r cannot be read back as a letter\n" % name
+
 
 class TestVerify:
     def test_zinbiel(self, run):
@@ -261,6 +275,27 @@ class TestVerify:
         assert code == 0
         assert "status: verified" in out
         assert "irreducible counts: [2, 4, 8, 16]" in out
+
+    def test_zinbiel_family_matching_too_little_exits_1(self, run, monkeypatch):
+        # A failing control.  The bare family forms no composition site, so
+        # the irreducible counts carry the verdict: a family that skips the
+        # words with a compound left factor leaves too many irreducible.
+        argv = ("verify", "zinbiel", "--letters", "2", "--bound", "5", "--json")
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "verified"
+        match = ZinbielFamily.match
+        monkeypatch.setattr(ZinbielFamily, "match", lambda self, w: None
+                            if w.left is not None and w.left.letter is None else match(self, w))
+        code, out, err = run(*argv)
+        assert (code, err) == (1, "")
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["failures"] == [{"counts": [2, 4, 8, 32, 128], "expected": [2, 4, 8, 16, 32]}]
+        code, out, err = run(*argv[:-1])
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == ["irreducible counts: [2, 4, 8, 32, 128]",
+                                         "status: failed"]
 
     def test_trivial_envelope(self, run):
         code, out, _ = run("verify", "trivial-envelope",
@@ -387,6 +422,31 @@ class TestVerify:
         assert second["stats"] == {"products": first["stats"]["products"],
                                    "half_shuffles": 0}
         assert dict(second, stats=first["stats"]) == first
+
+    def test_perm_dropped_half_shuffle_term_exits_1(self, run, monkeypatch):
+        # A failing control.  Dropping half(v', u) from the fill's
+        # half(u, v'y) = (half(v', u) + half(u, v'))y at every length
+        # leaves the concatenation uv: associative, not pre-commutative.
+        argv = ("verify", "perm", "--dim", "2", "--triples", "8", "--max-degree", "3",
+                "--json")
+        monkeypatch.setattr(shuffle_module, "_HALF", {})
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "verified"
+        table: dict = {}
+        monkeypatch.setattr(shuffle_module, "_HALF", table)
+        monkeypatch.setattr(shuffle_module, "_half",
+                            lambda u, v: table.setdefault((u, v), {u + v: 1}))
+        code, out, err = run(*argv)
+        assert (code, err) == (1, "")
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["counts"] == [64]
+        assert len(rep["failures"]) == 52
+        assert {f["identity"] for f in rep["failures"]} == {"associativity"}
+        code, out, err = run(*argv[:-1])
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "status: failed"
 
     def test_collapse_clean(self, run, alg_file):
         path = alg_file(TRUNC2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 import types
@@ -30,7 +31,7 @@ from precom import (
 from precom import shuffle as shuffle_module
 from precom.shuffle import _tensor_mul
 
-from oracles import from_left_comb, shuffle_product, to_left_comb
+from oracles import from_left_comb, half_shuffle, shuffle_product, to_left_comb
 
 
 def wd(ab, names):
@@ -137,12 +138,14 @@ class TestZinbielProduct:
 
 def brute_shuffle(u, v):
     """Interleavings of u and v with multiplicities, by choosing the
-    positions of u's letters."""
-    n = len(u) + len(v)
+    positions of u's letters: each of u's letters is inserted into v at
+    its position, in increasing order."""
     out = Counter()
-    for pos in combinations(range(n), len(u)):
-        ui, vi = iter(u), iter(v)
-        out[tuple(next(ui) if k in pos else next(vi) for k in range(n))] += 1
+    for pos in combinations(range(len(u) + len(v)), len(u)):
+        w = list(v)
+        for k, a in zip(pos, u):
+            w.insert(k, a)
+        out[tuple(w)] += 1
     return out
 
 
@@ -206,6 +209,58 @@ class TestKernelOracle:
                     fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
                     assert zinbiel_product(fu, fv).terms == brute_zinbiel(fu, fv), (u, v)
             assert len(table) == len(ws) ** 2
+
+    @pytest.mark.parametrize("letters, longest", [(2, 5), (3, 4)])
+    def test_fill_matches_prefix_table(self, letters, longest, monkeypatch):
+        # Every pair of words up to the length, requested cold in a seeded
+        # shuffled order and then warm: each entry is the prefix table's,
+        # with int multiplicities, and the shorter entries each one was
+        # built from are pairs of the same set.
+        ab = Alphabet(["x", "y", "z"][:letters])
+        ws = [w for n in range(1, longest + 1) for w in all_awords(ab, n)]
+        pairs = [(u, v) for u in ws for v in ws]
+        random.Random(letters).shuffle(pairs)
+        want = {(u, v): half_shuffle(u, v) for u, v in pairs}
+        table: dict = {}
+        monkeypatch.setattr(shuffle_module, "_HALF", table)
+        for _ in range(2):
+            for u, v in pairs:
+                got = zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
+                assert got.terms == want[u, v], (u, v)
+            assert table == want
+            assert all(type(m) is int for entry in table.values() for m in entry.values())
+
+    def test_table_does_not_depend_on_fill_order(self, ab2, monkeypatch):
+        # The same requests in three orders fill the same entries: a
+        # request fills exactly the pairs it is built from, whatever the
+        # table already holds.
+        rng = random.Random(53)
+        ws = [w for n in range(1, 7) for w in all_awords(ab2, n)]
+        requests = [(rng.choice(ws), rng.choice(ws)) for _ in range(60)]
+        tables = []
+        for order in (requests, requests[::-1], rng.sample(requests, len(requests))):
+            table: dict = {}
+            monkeypatch.setattr(shuffle_module, "_HALF", table)
+            for u, v in order:
+                zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
+            tables.append(table)
+        assert tables[0] == tables[1] == tables[2]
+        assert all(entry == half_shuffle(*key) for key, entry in tables[0].items())
+
+    def test_fill_needs_no_recursion(self, ab2, monkeypatch):
+        # The pair's total length exceeds the lowered recursion limit,
+        # which a fill one frame per shorter entry would reach.
+        monkeypatch.setattr(shuffle_module, "_HALF", {})
+        x = ab2["x"]
+        limit = sys.getrecursionlimit()
+        low = len(inspect.stack(0)) + 50
+        n = low + 20
+        sys.setrecursionlimit(low)
+        try:
+            got = zinbiel_product(ZinbElement.monomial((x,) * n), ZinbElement.monomial((x,) * 3))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got.terms == {(x,) * (n + 3): binom(n + 2, 2)}
 
     def test_same_names_other_alphabet(self, ab2):
         # Letters hash by identity: x.y over another alphabet named x, y
