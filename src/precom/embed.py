@@ -16,8 +16,8 @@ The truncation is not part of the value but an argument N of
 ``series_product``, which multiplies the denominators and forms the
 terms with one integer Cauchy kernel, dropping every exponent above N.
 The averaging operator R is a multiplication by L//n over L =
-lcm(1..N), a sum cross-scales, and two series compare by
-cross-multiplying, so no series operation makes a ``Fraction`` or takes
+lcm(1..N), a sum cross-scales, and two series compare as dicts over
+one denominator, so no series operation makes a ``Fraction`` or takes
 a gcd.
 
 The averaging operator R(t^n) = t^n/n is a weight-zero Rota-Baxter
@@ -52,6 +52,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Mapping, Optional
 
@@ -244,13 +245,12 @@ def pair_relation(F: FilteredAlgebra, x: Letter, y: Letter, l: int) -> ComPoly:
 # ---------------------------------------------------------------------------
 # Scaled series
 #
-# A scaled series is a pair (d, {n: {m: int}}) whose value is the sum of
-# c/d m t^n, grouped by exponent n, with no zero coefficient and no empty
-# group.  The operations read a key m only through ``*``, ``==`` and
-# hashing, so ComMonomials and prime codes take the same path.  No
-# operation takes a gcd, so one value has many pairs; ``_scaled_equal``
-# compares values.  No group is changed once built, so a sum shares the
-# groups that only one operand has.
+# A scaled series (see the module docstring) holds no zero coefficient
+# and no empty group, so over one denominator equal values are equal
+# dicts.  No operation takes a gcd, so one value has many pairs;
+# ``_scaled_equal`` cross-scales two denominators that differ.  No group
+# is changed once built, so a sum shares the groups that only one operand
+# has.
 
 def _cauchy(s: dict, u: dict, N: int) -> dict:
     """The Cauchy product through t^N of two ``{n: {m: int}}`` dicts, as
@@ -270,12 +270,12 @@ def _cauchy(s: dict, u: dict, N: int) -> dict:
                 for k, b in q:
                     mk = m * k
                     acc[mk] = acc.get(mk, 0) + a * b
-    out = {}
-    for n, acc in sums.items():
-        acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            out[n] = acc
-    return out
+    # Rebuild only the groups in which a coefficient cancelled, in place.
+    for n in [n for n, acc in sums.items() if 0 in acc.values()]:
+        sums[n] = {m: c for m, c in sums[n].items() if c}
+        if not sums[n]:
+            del sums[n]
+    return sums
 
 
 def series_product(s: tuple, u: tuple, N: int) -> tuple:
@@ -285,9 +285,10 @@ def series_product(s: tuple, u: tuple, N: int) -> tuple:
     return s[0] * u[0], _cauchy(s[1], u[1], N)
 
 
+@cache
 def _rb_scales(N: int) -> list:
     """[L, L//1, ..., L//N] for L = lcm(1..N): the factors by which
-    ``_scaled_rb`` applies R through t^N."""
+    ``_scaled_rb`` applies R through t^N, built once per N."""
     L = lcm(*range(1, N + 1))
     return [L] + [L // n for n in range(1, N + 1)]
 
@@ -326,13 +327,10 @@ def _scaled_sum(s: tuple, u: tuple) -> tuple:
 
 def _scaled_equal(s: tuple, u: tuple) -> bool:
     (d, p), (e, q) = s, u
-    if p.keys() != q.keys():
-        return False
-    for n, g in p.items():
-        h = q[n]
-        if g.keys() != h.keys() or any(c * e != h[m] * d for m, c in g.items()):
-            return False
-    return True
+    if d != e:
+        p = {n: {m: c * e for m, c in g.items()} for n, g in p.items()}
+        q = {n: {m: c * d for m, c in g.items()} for n, g in q.items()}
+    return p == q
 
 
 def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
@@ -500,22 +498,32 @@ def _draw(rng: random.Random, N: int) -> tuple:
     symbols, possibly constant; a/b is kept as a*(6//b) over the common
     denominator 6.
 
-    Every draw is ``rng.choice`` over a constant tuple.  ``randint(a, b)``
-    is ``a + _randbelow(b - a + 1)`` and ``choice(seq)`` is
-    ``seq[_randbelow(len(seq))]``, so a choice over the b - a + 1 values
-    from a up draws the generator stream that ``randint`` drew."""
-    choice = rng.choice
+    Each value is the index ``rng.choice`` over a constant n-tuple would
+    take, minus its two Python calls: ``getrandbits(k)``, k =
+    n.bit_length(), until it is below n, as on CPython 3.10 to 3.13.  So
+    the series and the generator state after it are those of
+    ``tests/oracles.py::draw_reference``, which calls ``choice``."""
+    bits, uniform = rng.getrandbits, rng.random
     terms: dict = {}
     for n in range(1, N + 1):
-        if rng.random() < 0.4:
+        if uniform() < 0.4:
             continue
         group: dict = {}
-        for _ in range(choice((1, 2))):
+        while (r := bits(2)) > 1:  # choice((1, 2)) is r + 1
+            pass
+        for _ in range(r + 1):
             m = 1
-            for _ in range(choice((0, 1, 2))):
-                m *= choice(_DRAW_PRIMES)
-            # 6 // b for b = 1, 2, 3.
-            c = choice((-3, -2, -1, 0, 1, 2, 3)) * choice((6, 3, 2)) + group.get(m, 0)
+            while (k := bits(2)) > 2:  # choice((0, 1, 2))
+                pass
+            for _ in range(k):
+                while (p := bits(3)) > 6:  # choice(_DRAW_PRIMES)
+                    pass
+                m *= _DRAW_PRIMES[p]
+            while (a := bits(3)) > 6:  # choice((-3, ..., 3)) is a - 3
+                pass
+            while (b := bits(2)) > 2:  # choice((6, 3, 2)): 6 // b for b = 1, 2, 3
+                pass
+            c = (a - 3) * (6, 3, 2)[b] + group.get(m, 0)
             if c:
                 group[m] = c
             else:

@@ -409,7 +409,11 @@ class CompositionFailure:
 class GsbReport:
     """``ambiguities_checked`` counts every composition site up to the
     bound; ``discharged`` of them are trivial by a composition criterion
-    and were not reduced, ``skipped`` of those by the chain criterion."""
+    and were not reduced, ``skipped`` of those by the chain criterion.
+    A Zinbiel family's sites are counted from its definition, by word
+    counts (``_Sites.below_root``), not from calls to its ``match``; a
+    family that matches too little fails the d^n irreducible counts of
+    ``verify zinbiel``, not these."""
 
     __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
 

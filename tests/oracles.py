@@ -8,7 +8,8 @@ they became byte strings.  ``TruncSeries`` and its products compute in
 ``Fraction`` series, term by term, what the library computes in scaled
 integer series: a trial of the Rota-Baxter check and the residues of the
 embedding check, with the prime codes of the Rota-Baxter draw decoded to
-``ComMonomial``s.  ``truncated_poly_relations`` is the closed-form
+``ComMonomial``s; ``draw_reference`` is that draw as it was made by
+``Random.choice``.  ``truncated_poly_relations`` is the closed-form
 completed system of the truncated power algebra, ``subtree`` reads
 the subword at a path, ``reducible`` asks whether a word has a redex,
 and ``parse_word`` reads one tree word.
@@ -384,6 +385,33 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
     """The one-sided product R(s)u through t^N; satisfies the defining
     identity a(bc) = (ab)c + (ba)c of pre-commutative algebras."""
     return series_product(rb_apply(s), u, N)
+
+
+def draw_reference(rng: random.Random, N: int) -> tuple:
+    """``embed._draw`` as it drew through ``rng.choice``: every value is a
+    choice over a constant tuple.  ``randint(a, b)`` is ``a +
+    _randbelow(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``, so a choice over the b - a + 1 values
+    from a up draws the generator stream that ``randint`` drew."""
+    choice = rng.choice
+    terms: dict = {}
+    for n in range(1, N + 1):
+        if rng.random() < 0.4:
+            continue
+        group: dict = {}
+        for _ in range(choice((1, 2))):
+            m = 1
+            for _ in range(choice((0, 1, 2))):
+                m *= choice(_DRAW_PRIMES)
+            # 6 // b for b = 1, 2, 3.
+            c = choice((-3, -2, -1, 0, 1, 2, 3)) * choice((6, 3, 2)) + group.get(m, 0)
+            if c:
+                group[m] = c
+            else:
+                group.pop(m, None)
+        if group:
+            terms[n] = group
+    return 6, terms
 
 
 def decode_monomial(m) -> ComMonomial:

@@ -743,6 +743,71 @@ class TestScaledSeries:
             assert not embed_module._scaled_equal(a, b)
             assert not embed_module._scaled_equal(b, a)
 
+    def test_one_denominator_compares_as_dicts(self):
+        # Over one denominator the compare is a dict compare, which is
+        # exact because no scaled series holds a zero or an empty group.
+        a = (6, {1: {self.x: 3}, 2: {self.y: -4}})
+        assert embed_module._scaled_equal(a, (6, {1: {self.x: 3}, 2: {self.y: -4}}))
+        assert embed_module._scaled_equal((6, {}), (6, {}))
+        off = (6, {1: {self.x: 3}, 2: {self.y: -5}})
+        extra_monomial = (6, {1: {self.x: 3}, 2: {self.y: -4, self.x: 1}})
+        extra_group = (6, {1: {self.x: 3}, 2: {self.y: -4}, 3: {self.x: 1}})
+        for b in (off, extra_monomial, extra_group):
+            assert oracles._as_series(a) != oracles._as_series(b)
+            assert not embed_module._scaled_equal(a, b)
+            assert not embed_module._scaled_equal(b, a)
+
+    @staticmethod
+    def assert_kernel(s, u, N):
+        # The kernel's terms hold no zero coefficient and no empty group,
+        # keep the order in which the exponents were first formed, and
+        # have the value of the Fraction product.  Returns the terms and
+        # the numbers of groups and of terms that cancelled.
+        got = embed_module._cauchy(s[1], u[1], N)
+        assert all(got.values())
+        assert all(c for g in got.values() for c in g.values())
+        formed = {}
+        for i, g in s[1].items():
+            for j, h in u[1].items():
+                if i + j <= N:
+                    formed.setdefault(i + j, set()).update(m * k for m in g for k in h)
+        assert list(got) == [n for n in formed if n in got]
+        want = series_product(oracles._as_series(s), oracles._as_series(u), N)
+        assert oracles._as_series((s[0] * u[0], got)) == want
+        return got, len(formed) - len(got), sum(len(formed[n]) - len(g) for n, g in got.items())
+
+    def test_kernel_keeps_the_invariant_on_draws(self):
+        # Random draws rarely cancel, so each draw s is also multiplied by
+        # itself at -t, an even series whose odd groups cancel, and at
+        # -x[1] (prime code 2), even in x[1], whose terms odd in x[1]
+        # cancel within their groups.
+        def at_minus(s, odd):
+            return s[0], {n: {m: -c if odd(n, m) else c for m, c in g.items()}
+                          for n, g in s[1].items()}
+
+        rng = random.Random(8)
+        groups = terms = 0
+        for _ in range(300):
+            N = rng.randint(1, 8)
+            s, u = embed_module._draw(rng, N), embed_module._draw(rng, N)
+            for v in (u, at_minus(s, lambda n, m: n % 2),
+                      at_minus(s, lambda n, m: (m & -m).bit_length() % 2 == 0)):
+                _, g, t = self.assert_kernel(s, v, N)
+                groups, terms = groups + g, terms + t
+        assert groups > 100 and terms > 100
+
+    def test_kernel_drops_a_cancelled_coefficient_and_group(self):
+        # Prime codes x = 2, y = 3: (x + y)t (x - y)t = (x^2 - y^2)t^2, the
+        # xy coefficient cancelled; (t + t^2)(t - t^2) = t^2 - t^4, the t^3
+        # group cancelled; and (x + y)(t + t^2) (x - y)(t - t^2), both.
+        got = self.assert_kernel((1, {1: {2: 1, 3: 1}}), (1, {1: {2: 1, 3: -1}}), 2)
+        assert got == ({2: {4: 1, 9: -1}}, 0, 1)
+        got = self.assert_kernel((2, {1: {1: 1}, 2: {1: 1}}), (3, {1: {1: 1}, 2: {1: -1}}), 4)
+        assert got == ({2: {1: 1}, 4: {1: -1}}, 1, 0)
+        s = (1, {1: {2: 1, 3: 1}, 2: {2: 1, 3: 1}})
+        u = (1, {1: {2: 1, 3: -1}, 2: {2: -1, 3: 1}})
+        assert self.assert_kernel(s, u, 4) == ({2: {4: 1, 9: -1}, 4: {4: -1, 9: 1}}, 1, 2)
+
     def test_sum_cross_scales_and_drops_zeros(self):
         a = (2, {1: {self.x: 1}, 2: {self.y: 1}})
         b = (3, {1: {self.x: 1}, 2: {self.y: -2}})
@@ -941,6 +1006,16 @@ class TestRandomInputs:
             s = random_series(rng, 5)
             assert all(1 <= n <= 5 for n in exponents(s))
             assert all(len(s.coeff(n).terms) <= 2 for n in exponents(s))
+
+    def test_draw_matches_the_choice_reference(self):
+        # The draw reads getrandbits as Random.choice does: the same
+        # series, in the same order, and the same generator state after.
+        for seed in range(200):
+            for N in range(1, 13):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got, want = embed_module._draw(rng, N), oracles.draw_reference(ref, N)
+                assert repr(got) == repr(want)
+                assert rng.getstate() == ref.getstate()
 
     def test_random_series_deterministic(self):
         a = random_series(random.Random(13), 6)
