@@ -33,7 +33,6 @@ from .magma import (
     NaWord,
     comb,
     leaf,
-    magma_product,
     node,
 )
 from .rewrite import (
@@ -96,7 +95,6 @@ from .embed import (
     EmbeddingReport,
     FilteredAlgebra,
     pair_relation,
-    random_nilpotent_algebra,
     series_product,
     standard_filtration,
     validate_filtration,

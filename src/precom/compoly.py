@@ -106,12 +106,12 @@ class ComMonomial:
     """A commutative monomial: a multiset of symbols kept as a sorted
     tuple, with the comparison key cached.
 
-    Monomials are hash-consed on that tuple: the constructor, products,
-    quotients and cofactors all return the one instance per multiset, so
-    equality and hashing are identity, and a product is computed once per
-    pair of monomials.  The symbol -> multiplicity map that
-    :meth:`divides`, :meth:`div` and :meth:`cofactor` read is built on
-    first use and never mutated afterwards."""
+    Monomials are hash-consed on that tuple: the constructor, products
+    and cofactors all return the one instance per multiset, so equality
+    and hashing are identity, and a product is computed once per pair of
+    monomials.  The symbol -> multiplicity map that :meth:`divides` and
+    :meth:`cofactor`, the one quotient, read is built on first use and
+    never mutated afterwards."""
 
     __slots__ = ("factors", "key", "_mult")
 
@@ -166,23 +166,9 @@ class ComMonomial:
                 return False
         return True
 
-    def div(self, other: "ComMonomial") -> "ComMonomial":
-        """self / other; raises if other does not divide self."""
-        need = dict(other._mults())
-        fs = []
-        for f in self.factors:
-            n = need.get(f)
-            if n:
-                need[f] = n - 1
-            else:
-                fs.append(f)
-        # Every factor of other was matched exactly when len(other) were dropped.
-        if len(fs) + len(other.factors) != len(self.factors):
-            raise ValueError("monomial %r does not divide %r" % (other, self))
-        return ComMonomial._sorted(tuple(fs))
-
     def cofactor(self, other: "ComMonomial") -> "ComMonomial":
-        """What other has beyond self: lcm(self, other) / self."""
+        """What other has beyond self, lcm(self, other) / self: other / self
+        when self divides other."""
         mine = self._mults()
         extra = []
         for s, n in other._mults().items():
@@ -217,10 +203,6 @@ class ComPoly(LinComb):
     :class:`~precom.lincomb.LinComb`'s."""
 
     __slots__ = ()
-
-    def _product(self, other: "ComPoly") -> "ComPoly":
-        return ComPoly.from_terms((m * n, a * b) for m, a in self.terms.items()
-                                  for n, b in other.terms.items())
 
     def weights(self) -> set:
         return {m.weight for m in self.terms}
@@ -346,7 +328,7 @@ class ComBasis:
         if best is None:
             return None
         pos, lead, g = best
-        return (m.div(lead), pos), g
+        return (lead.cofactor(m), pos), g
 
 
 def _times(m: ComMonomial, step: tuple, t: ComMonomial) -> ComMonomial:

@@ -76,7 +76,6 @@ __all__ = [
     "EmbeddingReport",
     "verify_embedding",
     "verify_rota_baxter",
-    "random_nilpotent_algebra",
 ]
 
 class FilteredAlgebra:
@@ -89,7 +88,10 @@ class FilteredAlgebra:
         for x in algebra.basis:
             if x not in levels:
                 raise ValueError("no level assigned to %r" % (x,))
-            k = int(levels[x])
+            k = levels[x]
+            # bool subclasses int, so the type is tested exactly.
+            if type(k) is not int:
+                raise ValueError("level of %r must be an int, got %r" % (x, k))
             if k < 1:
                 raise ValueError("levels must be positive")
             lv[x] = k
@@ -531,27 +533,3 @@ def _draw(rng: random.Random, N: int) -> tuple:
         if group:
             terms[n] = group
     return 6, terms
-
-
-def random_nilpotent_algebra(rng: random.Random) -> CommAlgebra:
-    """A random 3-dimensional nilpotent commutative associative algebra.
-
-    Two shapes, both associative by construction: either every product
-    lands on the last basis vector and that vector annihilates (two-step
-    nilpotent), or the chain b1*b1 = a b2, b1*b2 = b b3 with all other
-    products zero.
-    """
-    ab = Alphabet(["b1", "b2", "b3"])
-    b1, b2, b3 = ab.letters
-
-    def nz() -> Fraction:
-        return rng.choice([Fraction(c) for c in (-2, -1, 1, 2)]
-                          + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
-
-    if rng.random() < 0.5:
-        products = {(b1, b1): {b3: nz()}, (b1, b2): {b3: nz()}}
-        if rng.random() < 0.5:
-            products[(b2, b2)] = {b3: nz()}
-    else:
-        products = {(b1, b1): {b2: nz()}, (b1, b2): {b3: nz()}}
-    return CommAlgebra(ab, products)

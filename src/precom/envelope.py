@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Optional
 
@@ -134,20 +135,14 @@ class CommAlgebra:
         return "CommAlgebra(%r, %d products)" % (self.alphabet, len(self._products))
 
 
-_ALPHABETS: dict[int, Alphabet] = {}   # d -> the one default alphabet
-
-
+@cache
 def default_alphabet(d: int) -> Alphabet:
     """x < y < z < w, or x1 < ... < xd past four letters.  One alphabet
     per d, so the words over it, which hash-consing keys by letter, are
     built once per process."""
     if d < 1:
         raise ValueError("need at least one letter")
-    ab = _ALPHABETS.get(d)
-    if ab is None:
-        ab = _ALPHABETS[d] = Alphabet("xyzw"[:d] if d <= 4
-                                      else ["x%d" % i for i in range(1, d + 1)])
-    return ab
+    return Alphabet("xyzw"[:d] if d <= 4 else ["x%d" % i for i in range(1, d + 1)])
 
 
 def trivial_algebra(d: int = 2, names: Optional[Iterable[str]] = None) -> CommAlgebra:

@@ -6,8 +6,8 @@ half-shuffle words ``ZinbElement`` and the commutative polynomials
 and the tree and commutative sides both reduce modulo monic relations by
 rewriting one monomial at a time.  This module holds that common part:
 
-* :class:`LinComb`, the immutable coefficient map with its arithmetic;
-  subclasses add their own order, validation, repr and products;
+* :class:`LinComb`, the immutable coefficient map with its arithmetic and
+  no ``*`` (products are functions); subclasses add order, validation, repr;
 * :func:`exact`, the coefficient normalization: an ``int`` when integral,
   else a ``Fraction``, never a float;
 * :func:`integral`, the first step of an integer-first product: a term
@@ -79,8 +79,8 @@ class LinComb:
     Immutable; zero coefficients are never stored, and every coefficient
     is an ``int`` when integral and a ``Fraction`` otherwise, never a
     float.  Combinations of different subclasses never compare equal and
-    cannot be added.  The leading monomial (the largest under ``_key``)
-    is cached after first use.
+    cannot be added; a multiple is :meth:`scale`, not ``*``.  The leading
+    monomial (the largest under ``_key``) is cached after first use.
     """
 
     __slots__ = ("terms", "_lead")
@@ -167,17 +167,6 @@ class LinComb:
 
     def __neg__(self):
         return self._raw({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if type(other) is type(self):
-            return self._product(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _product(self, other):
-        raise TypeError("%s has no product of two factors alone" % type(self).__name__)
 
     def scale(self, c: Coeff):
         c = exact(c)

@@ -37,7 +37,6 @@ __all__ = [
     "leaf",
     "node",
     "comb",
-    "magma_product",
 ]
 
 # Longest word whose key is a byte string.  Each such key copies its
@@ -159,19 +158,6 @@ class NaWord:
                 stack.append((path + (1,), w.right))
                 stack.append((path + (0,), w.left))
 
-    def leaves(self) -> tuple[Letter, ...]:
-        """The letters of the word, left to right."""
-        out = []
-        stack = [self]
-        while stack:
-            w = stack.pop()
-            if w.letter is not None:
-                out.append(w.letter)
-            else:
-                stack.append(w.right)
-                stack.append(w.left)
-        return tuple(out)
-
 
 def _compare_pairs(stack: list) -> int:
     """Weight-order comparison of word pairs taken from the top of
@@ -281,9 +267,6 @@ class MagmaPoly(LinComb):
 
     __slots__ = ()
 
-    def _product(self, other: "MagmaPoly") -> "MagmaPoly":
-        return magma_product(self, other)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -296,9 +279,3 @@ class MagmaPoly(LinComb):
             else:
                 bits.append("%s*%r" % (c, w))
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
-    """Bilinear extension of the tree product (u, v) -> (u v)."""
-    return MagmaPoly.from_terms((node(u, v), a * b) for u, a in p.terms.items()
-                                for v, b in q.terms.items())

@@ -216,12 +216,13 @@ class _RedexIndex:
     """Leading-monomial lookup across a schema list, honoring list order.
 
     ``explicit`` maps each leading word to every explicit relation with
-    that leading word, as ``(position, relation)`` in list order.
-    ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
-    of :meth:`reduce` per word, for the life of the index or until
-    :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
-    by word is exact.  ``longest`` bounds the length of every word in
-    either memo: rewriting never lengthens a word, and each word is
+    that leading word, as ``(position, relation)`` in list order, a
+    position being an index in ``schemas``, which :meth:`add_explicit`
+    appends to.  ``first`` memoizes :meth:`redex` and ``nf`` memoizes the
+    normal form of :meth:`reduce` per word, for the life of the index or
+    until :meth:`add_explicit` grows it; words are hash-consed, so a dict
+    keyed by word is exact.  ``longest`` bounds the length of every word
+    in either memo: rewriting never lengthens a word, and each word is
     looked up through :meth:`redex` before it is memoized.
     """
 
@@ -234,16 +235,16 @@ class _RedexIndex:
                 self.explicit.setdefault(s.lead, []).append((pos, s.poly))
             else:
                 self.families.append((pos, s))
-        self._next_pos = len(self.schemas)
         self.first: dict[NaWord, Optional[tuple]] = {}
         self.nf: dict[NaWord, Optional[dict]] = {}
         self.longest = 0
 
-    def add_explicit(self, poly: MagmaPoly) -> int:
-        pos = self._next_pos
-        self._next_pos += 1
-        lead = poly.leading()
-        self.explicit.setdefault(lead, []).append((pos, poly))
+    def add_explicit(self, rel: ExplicitRelation) -> int:
+        """Append ``rel`` to the schemas; its position."""
+        pos = len(self.schemas)
+        self.schemas.append(rel)
+        lead = rel.lead
+        self.explicit.setdefault(lead, []).append((pos, rel.poly))
         # A memoized word no longer than the new leading word contains it
         # only if it is that word, so the other redexes stand.  Otherwise
         # the new leading word may sit earlier in preorder than a cached
@@ -263,20 +264,13 @@ class _RedexIndex:
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
         """First schema (in list order) whose leading monomial is ``word``."""
         exp = self.explicit.get(word)
-        if exp is None:
-            for _, fam in self.families:
-                m = fam.match(word)
-                if m is not None:
-                    return m
-            return None
-        exp_pos, rel = exp[0]
         for pos, fam in self.families:
-            if pos > exp_pos:
+            if exp is not None and pos > exp[0][0]:
                 break
             m = fam.match(word)
             if m is not None:
                 return m
-        return rel
+        return None if exp is None else exp[0][1]
 
     def redex(self, word: NaWord):
         """First reducible position in preorder: (path, relation) or None.
@@ -482,12 +476,12 @@ class _Sites:
                 self.words.append(sum(self.words[i] * self.words[n - i] for i in range(1, n)))
             self.left = _irreducible_rows(index.find, z.alphabet, bound - 2)
 
-    def add(self, p: MagmaPoly) -> int:
+    def add(self, rel: ExplicitRelation) -> int:
         """Add a relation to the index and drop the left factors that its
         leading word makes reducible; its schema position."""
-        gpos = self.index.add_explicit(p)
+        gpos = self.index.add_explicit(rel)
         redex = self.index.redex
-        for row in self.left[p.leading().length:]:
+        for row in self.left[rel.lead.length:]:
             row[:] = [a for a in row if redex(a) is None]
         return gpos
 
@@ -638,8 +632,7 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    work = list(relations)
-    index = _RedexIndex(work)
+    index = _RedexIndex(list(relations))
     search = _Sites(index, bound)
     # Subword -> (schema position, leading word) of the outer instances
     # whose leading word has it below the root; the paths are found again
@@ -662,14 +655,13 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     while heap:
         _, _, fpos, _, path, w, g = heapq.heappop(heap)
         reduced += 1
-        f = work[fpos].match(w)
+        f = index.schemas[fpos].match(w)
         nf = index.reduce((f - substitute(w, path, g)).terms)
         if not nf:
             continue
         new = ExplicitRelation(MagmaPoly._raw(nf))
         p, pl = new.poly, new.lead
-        gpos = search.add(p)
-        work.append(new)
+        gpos = search.add(new)
         for fpos, fl in containing.get(pl, ()):
             for path in occurrences(fl, pl):
                 heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
@@ -680,7 +672,7 @@ def complete(relations: Iterable[RelationSchema], bound: int,
             heapq.heappush(heap, site)
     if stats is not None:
         stats.update(instances=len(search.instances), sites=reduced, skipped=search.skipped)
-    return work
+    return index.schemas
 
 
 def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
@@ -696,17 +688,14 @@ def interreduce(relations: Iterable[RelationSchema]) -> list[RelationSchema]:
     schemas = list(relations)
     fams = [s for s in schemas if not isinstance(s, ExplicitRelation)]
     index = _RedexIndex(fams)
-    kept: list[MagmaPoly] = []
-    for p in sorted((s.poly for s in schemas if isinstance(s, ExplicitRelation)),
-                    key=lambda p: p.leading().key):
-        if index.redex(p.leading()) is None:
-            index.add_explicit(p)
-            kept.append(p)
+    for s in sorted((s for s in schemas if isinstance(s, ExplicitRelation)),
+                    key=lambda s: s.lead.key):
+        if index.redex(s.lead) is None:
+            index.add_explicit(s)
     out = list(fams)
-    for p in kept:
-        lead = p.leading()
-        tail = index.reduce({w: c for w, c in p.terms.items() if w is not lead})
-        out.append(ExplicitRelation(MagmaPoly.monomial(lead) + MagmaPoly._raw(tail)))
+    for s in index.schemas[len(fams):]:
+        tail = index.reduce({w: c for w, c in s.poly.terms.items() if w is not s.lead})
+        out.append(ExplicitRelation(MagmaPoly.monomial(s.lead) + MagmaPoly._raw(tail)))
     return out
 
 

@@ -112,9 +112,6 @@ class ZinbElement(LinComb):
             raise ValueError("words must be nonempty")
         return w
 
-    def _product(self, other: "ZinbElement") -> "ZinbElement":
-        return zinbiel_product(self, other)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -16,23 +16,25 @@ and ``parse_word`` reads one tree word.
 
 The word model and the tree model meet in ``to_left_comb``: it rewrites
 a tree polynomial onto left combs by the Zinbiel family and reads each
-comb as its leaf sequence, and ``from_left_comb`` goes back (Loday
-1995).  The tests hold ``shuffle.zinbiel_product`` to the tree product
-through that bridge, and the symmetrized product to ``shuffle_product``,
-the plain shuffle of two words.  ``shuffles`` builds a shuffle by one
-iterative table over the prefixes of both words, as the library did for
-each word pair before its table of half-shuffles filled each entry from
-two shorter entries; ``half_shuffle`` is the reference for those
-entries.
+comb as its leaf sequence (``leaves``), and ``from_left_comb`` goes
+back (Loday 1995).  The tests hold ``shuffle.zinbiel_product`` to the
+tree product ``magma_product`` through that bridge, and the symmetrized
+product to ``shuffle_product``, the plain shuffle of two words.
+``shuffles`` builds a shuffle by one iterative table over the prefixes
+of both words, as the library did for each word pair before its table
+of half-shuffles filled each entry from two shorter entries;
+``half_shuffle`` is the reference for those entries.
 
 ``buchberger_reference`` is the bounded Buchberger loop on monic
 ``Fraction`` relations that forms every pair, each by ``s_polynomial``,
-and then skips most of them.  ``coefficient_relations`` lists, in the
-library's order, the monic pair relations that ``embed`` completes, and
-``com_reduce_with_trace`` reduces with the steps taken.  One is the
-``argparse`` parser the CLI read its flags with before it read them
-from its own flag table.  The tests hold the library's answers against
-them.
+and then skips most of them; ``com_product`` multiplies two
+polynomials, which no completion step does.  ``coefficient_relations``
+lists, in the library's order, the monic pair relations that ``embed``
+completes, and ``com_reduce_with_trace`` reduces with the steps taken.
+``random_nilpotent_algebra`` draws the seeded nilpotent input algebras
+of the tests.  One is the ``argparse`` parser the CLI read its flags
+with before it read them from its own flag table.  The tests hold the
+library's answers against them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Optional, Sequence
 
 from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, _times
 from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw, pair_relation
+from precom.envelope import CommAlgebra
 from precom.lincomb import LinComb, _require_monic, descend, exact
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
@@ -207,13 +210,33 @@ def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     return ZinbElement._raw(shuffles(u, v))
 
 
+def leaves(w: NaWord) -> tuple[Letter, ...]:
+    """The letters of a word, left to right."""
+    out = []
+    stack = [w]
+    while stack:
+        w = stack.pop()
+        if w.letter is not None:
+            out.append(w.letter)
+        else:
+            stack.append(w.right)
+            stack.append(w.left)
+    return tuple(out)
+
+
+def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
+    """Bilinear extension of the tree product (u, v) -> (u v)."""
+    return MagmaPoly.from_terms((node(u, v), a * b) for u, a in p.terms.items()
+                                for v, b in q.terms.items())
+
+
 def to_left_comb(p: MagmaPoly) -> ZinbElement:
     """Rewrite a tree polynomial onto the left-comb basis and read each
     comb as an associative word.  This realizes the free pre-commutative
     product on trees."""
     nf = normal_form(p, [ZinbielFamily()])
     # Distinct combs give distinct words.
-    return ZinbElement._raw({w.leaves(): c for w, c in nf.terms.items()})
+    return ZinbElement._raw({leaves(w): c for w, c in nf.terms.items()})
 
 
 def from_left_comb(f: ZinbElement) -> MagmaPoly:
@@ -223,6 +246,36 @@ def from_left_comb(f: ZinbElement) -> MagmaPoly:
 
 # ---------------------------------------------------------------------------
 # Commutative completion
+
+def com_product(p: ComPoly, q: ComPoly) -> ComPoly:
+    """The product of two commutative polynomials."""
+    return ComPoly.from_terms((m * n, a * b) for m, a in p.terms.items()
+                              for n, b in q.terms.items())
+
+
+def random_nilpotent_algebra(rng: random.Random) -> CommAlgebra:
+    """A random 3-dimensional nilpotent commutative associative algebra.
+
+    Two shapes, both associative by construction: either every product
+    lands on the last basis vector and that vector annihilates (two-step
+    nilpotent), or the chain b1*b1 = a b2, b1*b2 = b b3 with all other
+    products zero.
+    """
+    ab = Alphabet(["b1", "b2", "b3"])
+    b1, b2, b3 = ab.letters
+
+    def nz() -> Fraction:
+        return rng.choice([Fraction(c) for c in (-2, -1, 1, 2)]
+                          + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+
+    if rng.random() < 0.5:
+        products = {(b1, b1): {b3: nz()}, (b1, b2): {b3: nz()}}
+        if rng.random() < 0.5:
+            products[(b2, b2)] = {b3: nz()}
+    else:
+        products = {(b1, b1): {b2: nz()}, (b1, b2): {b3: nz()}}
+    return CommAlgebra(ab, products)
+
 
 def mul_monomial(p: ComPoly, m: ComMonomial, coeff=1) -> ComPoly:
     """coeff * m * p."""

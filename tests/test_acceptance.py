@@ -29,12 +29,10 @@ from precom import (
     interreduce,
     irreducible_counts,
     leaf,
-    magma_product,
     node,
     odd_even_zero_sweep,
     perm_tensor_check,
     random_element,
-    random_nilpotent_algebra,
     standard_filtration,
     star,
     trivial_algebra,
@@ -50,6 +48,8 @@ from precom import (
 
 from oracles import (
     generator_series,
+    magma_product,
+    random_nilpotent_algebra,
     random_series,
     rb_apply,
     series_product,

@@ -33,12 +33,12 @@ from precom import (
 )
 from precom import envelope
 
-from oracles import scan_instances, truncated_poly_relations, words_of_length
+from oracles import leaves, scan_instances, truncated_poly_relations, words_of_length
 
 
 def alternates_down(word):
     """Letters strictly descend inside each adjacent (1,2), (3,4), ... pair."""
-    ls = word.leaves()
+    ls = leaves(word)
     return all(ls[i].rank > ls[i + 1].rank for i in range(0, len(ls) - 1, 2))
 
 
@@ -186,7 +186,7 @@ class TestTailFamilies:
         fam = TailFamily()
         for n in range(1, 7):
             for w in words_of_length(ab3, n):
-                ls = w.leaves()
+                ls = leaves(w)
                 got = fam.match(w)
                 if not (w.is_comb and n % 2 == 0 and ls[-2].rank <= ls[-1].rank):
                     assert got is None

@@ -7,8 +7,9 @@ never used, and the benchmark's tracer skips a name it cannot find.
 The library's surface is also pinned where it shrank: what only the tests
 run lives in ``tests/oracles.py``, and the series checks share one public
 series operation, the product.  A public name must have a caller in the
-library, or an entry with its reason in ``UNCALLED``, so the surface
-cannot grow back unnoticed.
+library, or an entry with its reason in ``UNCALLED``, and so must each
+public method of a public class, or an entry in ``UNCALLED_METHODS``, so
+the surface cannot grow back unnoticed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -32,17 +34,26 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 UNCALLED = (
     ("envelope", "idempotent_algebra"),       # an input algebra of the paper's examples
     ("envelope", "truncated_power_algebra"),  # an input algebra of the paper's examples
-    ("embed", "random_nilpotent_algebra"),    # the seeded inputs of the tests and perfbench
     ("rewrite", "normal_form_with_trace"),    # the reduction trace is a proof of a normal form
     ("rewrite", "replay_trace"),              # checks that proof
 )
 
+# Public non-dunder methods of public classes that no library code calls,
+# as (module, "Class.method"), each with why it stays.
+UNCALLED_METHODS = ()
+
 # Names that only the tests called, moved to tests/oracles.py or removed.
+# The product operator left the vector types: a scalar multiple is
+# .scale(c), and the products are functions.  ComMonomial.div gave what
+# cofactor gives on a divisible pair.
 MOVED = {
+    "lincomb": ("LinComb.__mul__", "LinComb.__rmul__", "LinComb._product"),
+    "magma": ("magma_product", "MagmaPoly._product", "NaWord.leaves"),
     "compoly": ("s_polynomial", "com_reduce_with_trace", "ComPoly.mul_monomial",
-                "ComMonomial.multiplicities"),
-    "embed": ("coefficient_relations",),
-    "shuffle": ("shuffle_product", "to_left_comb", "from_left_comb", "ZinbElement.max_degree"),
+                "ComMonomial.multiplicities", "ComMonomial.div", "ComPoly._product"),
+    "embed": ("coefficient_relations", "random_nilpotent_algebra"),
+    "shuffle": ("shuffle_product", "to_left_comb", "from_left_comb", "ZinbElement.max_degree",
+                "ZinbElement._product"),
     "rewrite": ("reducible",),
     "sexpr": ("parse_word",),
 }
@@ -71,28 +82,32 @@ def test_package_reexports_from_the_defining_module():
             assert getattr(precom, alias.name) is getattr(mod, alias.name)
 
 
-def _used_names(tree: ast.AST, skip: ast.AST = None) -> set:
-    """Every ``ast.Name`` id and ``ast.Attribute`` attr in ``tree``,
-    outside the subtree ``skip``."""
-    out = set()
+def _used_names(tree: ast.AST, skip: ast.AST = None) -> Counter:
+    """How often each ``ast.Name`` id and ``ast.Attribute`` attr occurs in
+    ``tree``, outside the subtree ``skip``."""
+    out = Counter()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         stack.extend(ast.iter_child_nodes(node))
     return out
+
+
+def _library_trees() -> dict:
+    return {m: ast.parse((PACKAGE / (m + ".py")).read_text()) for m in MODULES}
 
 
 def _uncalled() -> list:
     """The (module, name) pairs of ``__all__`` names that appear in no
     other module and nowhere in their own module outside their
     definition."""
-    trees = {m: ast.parse((PACKAGE / (m + ".py")).read_text()) for m in MODULES}
+    trees = _library_trees()
     used = {m: _used_names(t) for m, t in trees.items()}
     out = []
     for m, tree in trees.items():
@@ -116,6 +131,31 @@ def test_every_public_name_has_a_library_caller():
     # What only the tests call belongs in tests/oracles.py; an exemption
     # that gains a caller leaves UNCALLED.
     assert _uncalled() == sorted(UNCALLED)
+
+
+def _uncalled_methods() -> list:
+    """The (module, "Class.method") pairs of the public non-dunder methods
+    defined in the body of an ``__all__`` class whose name occurs nowhere
+    in the library outside the method's own definition."""
+    trees = _library_trees()
+    used = sum((_used_names(t) for t in trees.values()), Counter())
+    out = []
+    for m, tree in trees.items():
+        public = set(getattr(importlib.import_module("precom." + m), "__all__", ()))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in public:
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and used[fn.name] == _used_names(fn)[fn.name]):
+                    out.append((m, "%s.%s" % (cls.name, fn.name)))
+    return sorted(out)
+
+
+def test_every_public_method_has_a_library_caller():
+    # A method that only the tests call becomes an oracle function; an
+    # exemption that gains a caller leaves UNCALLED_METHODS.
+    assert _uncalled_methods() == sorted(UNCALLED_METHODS)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in MOVED.items() for n in ns])

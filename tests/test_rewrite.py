@@ -34,7 +34,6 @@ from precom import (
     verify_gsb,
 )
 from precom import (
-    random_nilpotent_algebra,
     trivial_algebra,
     trivial_envelope_dimension,
     truncated_power_algebra,
@@ -44,8 +43,8 @@ from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _Sites
 from precom.sexpr import format_relations, parse_relations
 
-from oracles import (inclusion_compositions, reducible, scan_instances, subtree,
-                     truncated_poly_relations, words_of_length)
+from oracles import (inclusion_compositions, random_nilpotent_algebra, reducible,
+                     scan_instances, subtree, truncated_poly_relations, words_of_length)
 
 
 def kept_sites(schemas, bound):
@@ -841,6 +840,24 @@ class TestRedexCache:
         self.assert_agrees(_RedexIndex(enveloping_relations(A)),
                            words_upto(A.alphabet, 6))
 
+    def test_find_honors_list_order(self, ab2):
+        # A family before the first explicit relation leading with a word
+        # answers for it; an explicit relation before the family does.
+        x, y = leaf(ab2["x"]), leaf(ab2["y"])
+        w = node(x, node(y, x))
+        fam = ZinbielFamily(ab2)
+        first, second = MagmaPoly.monomial(w), MagmaPoly.from_terms([(w, 1), (x, 1)])
+        instance = fam.match(w)
+        for schemas, want in (([fam, ExplicitRelation(first)], instance),
+                              ([ExplicitRelation(first), fam], first),
+                              ([ExplicitRelation(second), fam, ExplicitRelation(first)], second),
+                              ([ExplicitRelation(second), ExplicitRelation(first)], second),
+                              ([fam], instance), ([ExplicitRelation(first)], first)):
+            assert _RedexIndex(schemas).find(w) == want
+        assert _RedexIndex([ExplicitRelation(first), fam]).find(node(y, node(x, y))) \
+            == fam.match(node(y, node(x, y)))
+        assert _RedexIndex([ExplicitRelation(first)]).find(node(y, node(x, y))) is None
+
     def test_add_explicit_invalidates(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         xy, yy, yx = node(x, y), node(y, y), node(y, x)
@@ -854,7 +871,9 @@ class TestRedexCache:
 
         # (y y) sits at path (0,), before the cached redex at (1,).
         earlier = MagmaPoly.monomial(yy)
-        index.add_explicit(earlier)
+        # The index's schema list numbers the relation by its length.
+        assert index.add_explicit(ExplicitRelation(earlier)) == 1
+        assert [s.poly for s in index.schemas] == [first, earlier]
         assert index.redex(w) == ((0,), earlier)
         fresh = _RedexIndex([ExplicitRelation(first), ExplicitRelation(earlier)])
         for u in words:
@@ -862,7 +881,7 @@ class TestRedexCache:
 
         # (y x) was cached as irreducible.
         late = MagmaPoly.monomial(yx)
-        index.add_explicit(late)
+        assert index.add_explicit(ExplicitRelation(late)) == 2
         assert index.redex(yx) == ((), late)
         fresh = _RedexIndex([ExplicitRelation(p) for p in (first, earlier, late)])
         for u in words:
@@ -880,13 +899,13 @@ class TestRedexCache:
         lead = node(node(y, x), y)
         assert index.redex(lead) is None
         kept = len(index.first)
-        index.add_explicit(MagmaPoly.monomial(lead))
+        assert index.add_explicit(ExplicitRelation(MagmaPoly.monomial(lead))) == len(rels)
         assert len(index.first) == kept - 1
         fresh = _RedexIndex(rels + [rel((lead, 1))])
         for u in words:
             assert index.redex(u) == scan_first_redex(u, fresh), u
         # A shorter one may sit inside a memoized word: all are dropped.
-        index.add_explicit(MagmaPoly.monomial(node(y, x)))
+        index.add_explicit(ExplicitRelation(MagmaPoly.monomial(node(y, x))))
         assert not index.first
 
 
@@ -982,7 +1001,7 @@ class TestMemoNormalForms:
         w = node(xy, x)
         assert index.reduce({w: 1}) == {node(yx, x): 1}
         assert index.nf
-        index.add_explicit(MagmaPoly.from_terms([(yx, 1), (x, -2)]))
+        index.add_explicit(ExplicitRelation(MagmaPoly.from_terms([(yx, 1), (x, -2)])))
         assert not index.nf
         assert index.reduce({w: 3}) == {node(x, x): 6}
 
