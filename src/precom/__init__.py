@@ -39,7 +39,6 @@ from .rewrite import (
     CompositionFailure,
     ExplicitRelation,
     GsbReport,
-    ReductionStep,
     RelationSchema,
     ZinbielFamily,
     complete,
@@ -65,11 +64,11 @@ from .shuffle import (
     zinbiel_product,
 )
 from .envelope import (
+    BasisReport,
     CollapseReport,
     CommAlgebra,
     OddEvenReport,
     TailFamily,
-    TrivialEnvelopeReport,
     collapse_check,
     default_alphabet,
     enveloping_relations,

@@ -69,7 +69,7 @@ class GenSymbol:
 
     __slots__ = ("base", "level", "weight", "rank", "key")
 
-    def __new__(cls, base: str, level: int, weight: int, rank: int = 0):
+    def __new__(cls, base: str, level: int, weight: int, rank: int):
         key = (weight, level, rank, base)
         s = _SYMBOLS.get(key)
         if s is None:
@@ -115,7 +115,7 @@ class ComMonomial:
 
     __slots__ = ("factors", "key", "_mult")
 
-    def __new__(cls, factors: Iterable[GenSymbol] = ()):
+    def __new__(cls, factors: Iterable[GenSymbol]):
         return cls._sorted(tuple(sorted(factors, key=_symbol_key)))
 
     @classmethod
@@ -259,7 +259,7 @@ class ComBasis:
 
     __slots__ = ("_relations", "_copies", "_buckets", "_memo", "calls", "memo_hits")
 
-    def __init__(self, relations: Iterable[ComPoly] = ()):
+    def __init__(self, relations: Iterable[ComPoly]):
         self._relations: list[ComPoly] = []
         self._copies: list[ComPoly] = []
         self._buckets: dict = {}
@@ -277,11 +277,6 @@ class ComBasis:
         self._buckets.setdefault(first, []).append((len(self._relations), lead, copy))
         self._relations.append(g)
         self._copies.append(copy)
-
-    @classmethod
-    def of(cls, G: Sequence[ComPoly]) -> "ComBasis":
-        """G itself when it is a basis, else a new basis built from G."""
-        return G if isinstance(G, ComBasis) else cls(G)
 
     def __len__(self) -> int:
         return len(self._relations)
@@ -335,14 +330,13 @@ def _times(m: ComMonomial, step: tuple, t: ComMonomial) -> ComMonomial:
     return t * step[0]
 
 
-def com_reduce(p: ComPoly, G: Sequence[ComPoly]) -> ComPoly:
-    """Normal form of p modulo the monic relation list G: no monomial of
-    the result is divisible by any leading monomial of G.  A
-    :class:`ComBasis` is used as it is; any other sequence is checked and
-    indexed for this one call.  The reduction runs on the relations'
-    integer copies, so integer terms stay integer until the one division
-    by the scale at the end."""
-    return ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times))
+def com_reduce(p: ComPoly, basis: ComBasis) -> ComPoly:
+    """Normal form of p modulo the relations of ``basis``: no monomial of
+    the result is divisible by any of their leading monomials.  The
+    reduction runs on the relations' integer copies, so integer terms
+    stay integer until the one division by the scale at the end; it
+    keeps no trace of its rewrites."""
+    return ComPoly._raw(descend(p.terms, basis.find, _times))
 
 
 class BuchbergerReport:
@@ -419,7 +413,6 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     counts the pairs by what became of them, and the divisor lookups of
     the reductions with those the basis's memo answered.
     """
-    basis = ComBasis()
     for g in G:
         if not g:
             raise ValueError("zero polynomial in relation list")
@@ -427,7 +420,7 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
             raise ValueError(
                 "relations must be weight-homogeneous; got weights %s in %r"
                 % (sorted(g.weights()), g))
-        basis.append(g.monic())
+    basis = ComBasis(g.monic() for g in G)
     copies = basis._copies
     pairs: deque = deque()
     holders: dict = {}      # symbol -> positions whose leading monomial has it

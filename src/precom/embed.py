@@ -362,24 +362,22 @@ def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
 
 
 def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
-                       stats: Optional[dict] = None) -> list[tuple[int, str]]:
+                       stats: dict) -> list[tuple[int, str]]:
     """Check the Rota-Baxter identity R(a)R(b) = R(R(a)b + aR(b)) and the
     pre-commutative identity R(a)(R(b)c) = R(R(a)b)c + R(R(b)a)c exactly,
     in scaled integers, on ``count`` trials, each on three random series
     through a random t^N, N in 2..max_n.
     The failures are (trial, "rota-baxter" or "pre-commutative") in trial
-    order.  ``stats``, when given, gets the number of Cauchy products
-    formed and of the terms they produced."""
-    tally = {"products": 0, "terms": 0}
+    order.  ``stats`` gets the number of Cauchy products formed and of
+    the terms they produced."""
+    stats.update(products=0, terms=0)
     failures = []
     for i in range(count):
-        lhs, rhs, zl, zr = _rb_sides(rng, max_n, tally)
+        lhs, rhs, zl, zr = _rb_sides(rng, max_n, stats)
         if not _scaled_equal(lhs, rhs):
             failures.append((i, "rota-baxter"))
         if not _scaled_equal(zl, zr):
             failures.append((i, "pre-commutative"))
-    if stats is not None:
-        stats.update(tally)
     return failures
 
 
@@ -397,14 +395,13 @@ class EmbeddingReport:
 
     def __init__(self, relation_count: int, homomorphism_failures: list,
                  injectivity_certified_to: Optional[int],
-                 buchberger: BuchbergerReport, notes: str = "",
-                 phases: Optional[dict] = None):
+                 buchberger: BuchbergerReport, notes: str, phases: dict):
         self.relation_count = relation_count
         self.homomorphism_failures = homomorphism_failures
         self.injectivity_certified_to = injectivity_certified_to
         self.buchberger = buchberger
         self.notes = notes
-        self.phases = phases or {}
+        self.phases = phases
 
     @property
     def verified(self) -> bool:
@@ -483,10 +480,9 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
 # ---------------------------------------------------------------------------
 # Random data helpers
 
-_DRAW_SYMBOLS = (tuple(GenSymbol("x", 1, i, 0) for i in range(1, 5))
-                 + tuple(GenSymbol("y", 2, i, 1) for i in range(2, 5)))
-# One distinct prime per draw symbol: a monomial is keyed by the product
-# of its symbols' primes, 1 for the constant monomial.  By unique
+# One distinct prime per draw symbol, x[1..4] then y[2..4]: a monomial is
+# keyed by the product of its symbols' primes, 1 for the constant
+# monomial; the tests map the codes back to symbols.  By unique
 # factorization the code is one-to-one, and the code of a product is the
 # product of the codes.
 _DRAW_PRIMES = (2, 3, 5, 7, 11, 13, 17)

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .lincomb import Coeff, exact
 from .magma import (
@@ -55,8 +55,8 @@ __all__ = [
     "enveloping_relations",
     "trivial_gsb",
     "trivial_envelope_dimension",
+    "BasisReport",
     "verify_zinbiel_basis",
-    "TrivialEnvelopeReport",
     "verify_trivial_envelope",
     "CollapseReport",
     "collapse_check",
@@ -69,12 +69,11 @@ class CommAlgebra:
     """A commutative algebra on an ordered basis with exact structure
     constants.  Only products x*y with rank(x) <= rank(y) are stored."""
 
-    def __init__(self, alphabet: Alphabet,
-                 products: Optional[dict] = None):
+    def __init__(self, alphabet: Alphabet, products: dict):
         self.alphabet = alphabet
         basis = set(alphabet.letters)
         table: dict[tuple[Letter, Letter], dict[Letter, Fraction]] = {}
-        for (x, y), combo in (products or {}).items():
+        for (x, y), combo in products.items():
             if x not in basis or y not in basis:
                 raise ValueError("product key uses letters outside the basis")
             if x.rank > y.rank:
@@ -145,15 +144,14 @@ def default_alphabet(d: int) -> Alphabet:
     return Alphabet("xyzw"[:d] if d <= 4 else ["x%d" % i for i in range(1, d + 1)])
 
 
-def trivial_algebra(d: int = 2, names: Optional[Iterable[str]] = None) -> CommAlgebra:
+def trivial_algebra(d: int) -> CommAlgebra:
     """The d-dimensional algebra with all products zero."""
-    ab = Alphabet(names) if names is not None else default_alphabet(d)
-    return CommAlgebra(ab, {})
+    return CommAlgebra(default_alphabet(d), {})
 
 
-def idempotent_algebra(name: str = "x") -> CommAlgebra:
-    """The one-dimensional algebra with e*e = e."""
-    ab = Alphabet([name])
+def idempotent_algebra() -> CommAlgebra:
+    """The one-dimensional algebra with e*e = e, on the letter x."""
+    ab = Alphabet(["x"])
     e = ab[0]
     return CommAlgebra(ab, {(e, e): {e: 1}})
 
@@ -208,8 +206,6 @@ class TailFamily(RelationSchema):
         them, ordered by length, then by their letters in lexicographic
         order.  A subclass whose ``match`` declines some of them lists only
         the rest."""
-        if self.alphabet is None:
-            raise ValueError("family cannot enumerate instances without an alphabet")
         letters = self.alphabet.letters
         out = []
         for m in range(0, bound - 1, 2):
@@ -263,12 +259,13 @@ def trivial_envelope_dimension(d: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Drivers
 
-def verify_zinbiel_basis(d: int, bound: int) -> GsbReport:
-    """Confluence of the bare tree family on d letters up to the bound."""
-    return verify_gsb([ZinbielFamily(default_alphabet(d))], bound)
+class BasisReport:
+    """The verdict on a relation set's claimed basis: its confluence
+    report ``gsb``, its irreducible ``counts`` at lengths 1..bound against
+    the ``expected_counts`` of the dimension formula, and the counts of a
+    completion of the raw defining relations, or ``None`` when none was
+    run."""
 
-
-class TrivialEnvelopeReport:
     __slots__ = ("gsb", "counts", "expected_counts", "completion_counts")
 
     def __init__(self, gsb: GsbReport, counts: list[int],
@@ -287,11 +284,25 @@ class TrivialEnvelopeReport:
         return ok
 
 
-def verify_trivial_envelope(d: int, bound: int, run_completion: bool = True) -> TrivialEnvelopeReport:
+def verify_zinbiel_basis(d: int, bound: int) -> BasisReport:
+    """Two checks on the bare tree family over d letters: it is confluent
+    to the bound, and its irreducible counts are d^n, the dimension of the
+    free Zinbiel algebra.  The family forms no composition site, as the
+    composition lemma discharges every one, so a family that matches the
+    wrong words passes the first check and fails only the second."""
+    ab = default_alphabet(d)
+    rels = [ZinbielFamily(ab)]
+    rep = verify_gsb(rels, bound)
+    counts = irreducible_counts(rels, ab, bound)
+    return BasisReport(rep, counts, [d ** n for n in range(1, bound + 1)], None)
+
+
+def verify_trivial_envelope(d: int, bound: int, run_completion: bool) -> BasisReport:
     """Three checks on the trivial algebra's envelope over d letters:
     the closed-form relation set is confluent to the bound, its
-    irreducible counts match the dimension formula, and completing the
-    raw defining relations reproduces the same counts."""
+    irreducible counts match the dimension formula, and, with
+    ``run_completion``, completing the raw defining relations reproduces
+    the same counts."""
     ab = default_alphabet(d)
     rels = trivial_gsb(ab)
     rep = verify_gsb(rels, bound)
@@ -302,7 +313,7 @@ def verify_trivial_envelope(d: int, bound: int, run_completion: bool = True) -> 
         A = trivial_algebra(d)
         completed = complete(enveloping_relations(A), bound)
         completion_counts = irreducible_counts(completed, A.alphabet, bound)
-    return TrivialEnvelopeReport(rep, counts, expected, completion_counts)
+    return BasisReport(rep, counts, expected, completion_counts)
 
 
 class CollapseReport:
@@ -316,7 +327,7 @@ class CollapseReport:
         self.mismatches = mismatches
 
     @property
-    def matches_structure(self) -> bool:
+    def verified(self) -> bool:
         return not self.mismatches
 
 

@@ -88,8 +88,8 @@ class LinComb:
     # Monomial sort key: tree words and commutative monomials carry ``key``.
     _key = operator.attrgetter("key")
 
-    def __init__(self, terms=None):
-        self.terms = self._collect(terms.items() if terms else ())
+    def __init__(self, terms: dict):
+        self.terms = self._collect(terms.items())
         self._lead = None
 
     @classmethod
@@ -128,9 +128,10 @@ class LinComb:
         return cls._raw({})
 
     @classmethod
-    def monomial(cls, m, coeff: Coeff = 1):
-        c = exact(coeff)
-        return cls._raw({cls._monomial(m): c} if c else {})
+    def monomial(cls, m):
+        """The monomial ``m`` with coefficient 1; a multiple is
+        :meth:`scale`."""
+        return cls._raw({cls._monomial(m): 1})
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple]):
@@ -235,10 +236,12 @@ def descend(terms: dict, find: Find, image: Image,
     factors (a ``Fraction`` c is divided by L instead).  The result is
     divided by the scale once, at the end, so it is exactly the normal
     form that reducing by the monic relations rel/L gives; monic
-    relations never scale.  With ``trace``, each rewrite appends ``(coeff,
-    monomial, step, rel)``, where ``coeff`` is the true coefficient of the
-    monomial (its scaled one over the scale at that step): the
-    coefficient of the monic relation rel/L.
+    relations never scale.  With a ``trace`` list, each rewrite appends
+    ``(coeff, monomial, step, rel)``, where ``coeff`` is the true
+    coefficient of the monomial (its scaled one over the scale at that
+    step): the coefficient of the monic relation rel/L.  The tree side's
+    :func:`~precom.rewrite.normal_form_with_trace` passes one, and its
+    steps are its output; :func:`~precom.compoly.com_reduce` passes none.
     """
     coeffs = dict(terms)
     key = LinComb._key

@@ -31,8 +31,8 @@ first redex and the normal form of every word it meets
 (:func:`~precom.lincomb.memo_descend`), so :func:`verify_gsb`,
 :func:`complete`, :func:`interreduce`, :func:`normal_forms` and
 :func:`normal_form` rewrite each word once per relation set;
-:func:`normal_form_with_trace` and :func:`normal_form` with a trace
-rewrite term by term, since their steps are the output.
+:func:`normal_form_with_trace` rewrites term by term, since its steps
+are the output.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "RelationSchema",
     "ExplicitRelation",
     "ZinbielFamily",
-    "ReductionStep",
     "CompositionFailure",
     "GsbReport",
     "graft",
@@ -118,13 +117,14 @@ def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaP
 # Relation schemas
 
 class RelationSchema:
-    """A finitely described set of monic rewrite relations.
+    """A finitely described set of monic rewrite relations over an
+    alphabet.
 
-    A family matches words structurally, so reduction needs no alphabet;
+    A family matches words structurally, so reduction reads no alphabet;
     composition search, which lists words, does.
     """
 
-    def __init__(self, alphabet: Optional[Alphabet] = None):
+    def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -322,32 +322,10 @@ class _RedexIndex:
 # ---------------------------------------------------------------------------
 # Normal forms
 
-class ReductionStep:
-    """One rewrite: the term ``coeff * word`` was rewritten with ``relation``
-    grafted at ``path``.  Replaying subtracts coeff * substitute(word, path,
-    relation) from the polynomial."""
-
-    __slots__ = ("coeff", "word", "path", "relation")
-
-    def __init__(self, coeff: Coeff, word: NaWord, path: tuple[int, ...],
-                 relation: MagmaPoly):
-        self.coeff = coeff
-        self.word = word
-        self.path = path
-        self.relation = relation
-
-
-def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema],
-                trace: Optional[list] = None) -> MagmaPoly:
+def normal_form(p: MagmaPoly, relations: Iterable[RelationSchema]) -> MagmaPoly:
     """Fully rewrite ``p`` modulo the relations, the largest reducible
-    monomial first, at its first reducible position in preorder.  With a
-    list ``trace``, rewrite term by term and append each rewrite to it as
-    ``(coeff, word, path, relation)``, the fields of a
-    :class:`ReductionStep`."""
-    index = _RedexIndex(list(relations))
-    if trace is None:
-        return MagmaPoly._raw(index.reduce(p.terms))
-    return MagmaPoly._raw(descend(p.terms, index.redex, graft, trace))
+    monomial first, at its first reducible position in preorder."""
+    return MagmaPoly._raw(_RedexIndex(list(relations)).reduce(p.terms))
 
 
 def normal_forms(polys: Iterable[MagmaPoly],
@@ -360,22 +338,24 @@ def normal_forms(polys: Iterable[MagmaPoly],
 
 
 def normal_form_with_trace(p: MagmaPoly, relations: Iterable[RelationSchema]):
-    """Like :func:`normal_form`, also returning the list of rewrite steps.
+    """Like :func:`normal_form`, also returning the list of rewrite steps,
+    each ``(coeff, word, path, relation)``: the term ``coeff * word`` was
+    rewritten with ``relation`` grafted at ``path``.
 
     The trace is a constructive ideal-membership certificate:
     ``p - normal_form(p)`` equals the replayed sum of the steps, and every
     rewritten word is <= the leading monomial of ``p``.
     """
     trace: list = []
-    nf = normal_form(p, relations, trace)
-    return nf, [ReductionStep(*step) for step in trace]
+    nf = descend(p.terms, _RedexIndex(list(relations)).redex, graft, trace)
+    return MagmaPoly._raw(nf), trace
 
 
-def replay_trace(steps: Iterable[ReductionStep]) -> MagmaPoly:
+def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
     """Sum of coeff * substitute(word, path, relation) over the steps."""
     total = MagmaPoly.zero()
-    for s in steps:
-        total = total + substitute(s.word, s.path, s.relation).scale(s.coeff)
+    for coeff, word, path, relation in steps:
+        total = total + substitute(word, path, relation).scale(coeff)
     return total
 
 
@@ -407,7 +387,7 @@ class GsbReport:
     A Zinbiel family's sites are counted from its definition, by word
     counts (``_Sites.below_root``), not from calls to its ``match``; a
     family that matches too little fails the d^n irreducible counts of
-    ``verify zinbiel``, not these."""
+    :func:`~precom.envelope.verify_zinbiel_basis`, not these."""
 
     __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
 
@@ -463,9 +443,6 @@ class _Sites:
         self.left: list[list[NaWord]] = []
         if self.zinbiel is not None:
             zpos, z = self.zinbiel
-            if z.alphabet is None:
-                raise ValueError("the Zinbiel family cannot list the left factors of its "
-                                 "right-factor sites without an alphabet")
             self.shadow = {p.leading() for pos, p in self.instances
                            if pos < zpos and z.match(p.leading()) == p}
             # words[n] counts the words of length n; left[n] lists those

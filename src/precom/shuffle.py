@@ -267,12 +267,12 @@ def perm_tensor_check(P: PermAlgebra,
     return PermTensorReport(checked, assoc_bad, products, len(_HALF) - filled)
 
 
-def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int,
-                   max_terms: int = 3) -> ZinbElement:
-    """A small random element with degrees up to ``max_degree``."""
+def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int) -> ZinbElement:
+    """A small random element of one to three terms with degrees up to
+    ``max_degree``."""
     letters = alphabet.letters
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         n = rng.randint(1, max_degree)
         w = tuple(rng.choice(letters) for _ in range(n))
         terms.append((w, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))

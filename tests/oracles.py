@@ -9,10 +9,11 @@ they became byte strings.  ``TruncSeries`` and its products compute in
 integer series: a trial of the Rota-Baxter check and the residues of the
 embedding check, with the prime codes of the Rota-Baxter draw decoded to
 ``ComMonomial``s; ``draw_reference`` is that draw as it was made by
-``Random.choice``.  ``truncated_poly_relations`` is the closed-form
-completed system of the truncated power algebra, ``subtree`` reads
-the subword at a path, ``reducible`` asks whether a word has a redex,
-and ``parse_word`` reads one tree word.
+``Random.choice``, and ``DRAW_SYMBOLS`` the symbols it draws.
+``truncated_poly_relations`` is the closed-form completed system of the
+truncated power algebra, ``subtree`` reads the subword at a path,
+``reducible`` asks whether a word has a redex, and ``parse_word`` reads
+one tree word.
 
 The word model and the tree model meet in ``to_left_comb``: it rewrites
 a tree polynomial onto left combs by the Zinbiel family and reads each
@@ -20,10 +21,12 @@ comb as its leaf sequence (``leaves``), and ``from_left_comb`` goes
 back (Loday 1995).  The tests hold ``shuffle.zinbiel_product`` to the
 tree product ``magma_product`` through that bridge, and the symmetrized
 product to ``shuffle_product``, the plain shuffle of two words.
-``shuffles`` builds a shuffle by one iterative table over the prefixes
-of both words, as the library did for each word pair before its table
-of half-shuffles filled each entry from two shorter entries;
-``half_shuffle`` is the reference for those entries.
+``random_element_with_terms`` draws the library's random elements
+with more or fewer terms.  ``shuffles`` builds a shuffle by one
+iterative table over the prefixes of both words, as the library did for
+each word pair before its table of half-shuffles filled each entry from
+two shorter entries; ``half_shuffle`` is the reference for those
+entries.
 
 ``buchberger_reference`` is the bounded Buchberger loop on monic
 ``Fraction`` relations that forms every pair, each by ``s_polynomial``,
@@ -45,8 +48,8 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, _times
-from precom.embed import _DRAW_PRIMES, _DRAW_SYMBOLS, FilteredAlgebra, _draw, pair_relation
+from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, GenSymbol, _times
+from precom.embed import _DRAW_PRIMES, FilteredAlgebra, _draw, pair_relation
 from precom.envelope import CommAlgebra
 from precom.lincomb import LinComb, _require_monic, descend, exact
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
@@ -100,8 +103,6 @@ def scan_instances(schema: RelationSchema, bound: int) -> tuple[MagmaPoly, ...]:
     """All instances of a family whose leading monomial has length <=
     bound: the matches of every word up to the bound, by length, in
     :func:`words_of_length` order."""
-    if schema.alphabet is None:
-        raise ValueError("family cannot enumerate instances without an alphabet")
     out = []
     for n in range(1, bound + 1):
         for w in words_of_length(schema.alphabet, n):
@@ -230,11 +231,25 @@ def magma_product(p: MagmaPoly, q: MagmaPoly) -> MagmaPoly:
                                 for v, b in q.terms.items())
 
 
-def to_left_comb(p: MagmaPoly) -> ZinbElement:
-    """Rewrite a tree polynomial onto the left-comb basis and read each
-    comb as an associative word.  This realizes the free pre-commutative
-    product on trees."""
-    nf = normal_form(p, [ZinbielFamily()])
+def random_element_with_terms(rng: random.Random, alphabet: Alphabet, max_degree: int,
+                              max_terms: int) -> ZinbElement:
+    """``shuffle.random_element`` with up to ``max_terms`` terms where it
+    draws up to three: the same draws, so ``max_terms=3`` gives its
+    elements."""
+    letters = alphabet.letters
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        n = rng.randint(1, max_degree)
+        w = tuple(rng.choice(letters) for _ in range(n))
+        terms.append((w, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    return ZinbElement.from_terms(terms)
+
+
+def to_left_comb(p: MagmaPoly, alphabet: Alphabet) -> ZinbElement:
+    """Rewrite a tree polynomial over the alphabet onto the left-comb
+    basis and read each comb as an associative word.  This realizes the
+    free pre-commutative product on trees."""
+    nf = normal_form(p, [ZinbielFamily(alphabet)])
     # Distinct combs give distinct words.
     return ZinbElement._raw({leaves(w): c for w, c in nf.terms.items()})
 
@@ -299,7 +314,8 @@ def com_reduce_with_trace(p: ComPoly, G: Sequence[ComPoly]):
     """Normal form plus the steps (coeff, quotient monomial, index into G)
     taken; p - nf == sum of coeff * quotient * G[index] over the steps."""
     trace: list = []
-    nf = ComPoly._raw(descend(p.terms, ComBasis.of(G).find, _times, trace))
+    basis = G if isinstance(G, ComBasis) else ComBasis(G)
+    nf = ComPoly._raw(descend(p.terms, basis.find, _times, trace))
     return nf, [(c, q, pos) for c, _, (q, pos), _ in trace]
 
 
@@ -440,6 +456,12 @@ def splitting_product(s: TruncSeries, u: TruncSeries, N: int) -> TruncSeries:
     return series_product(rb_apply(s), u, N)
 
 
+# The symbols x[1..4] (level 1) and y[2..4] (level 2) of the Rota-Baxter
+# draw, in the order of their primes ``embed._DRAW_PRIMES``.
+DRAW_SYMBOLS = (tuple(GenSymbol("x", 1, i, 0) for i in range(1, 5))
+                + tuple(GenSymbol("y", 2, i, 1) for i in range(2, 5)))
+
+
 def draw_reference(rng: random.Random, N: int) -> tuple:
     """``embed._draw`` as it drew through ``rng.choice``: every value is a
     choice over a constant tuple.  ``randint(a, b)`` is ``a +
@@ -474,7 +496,7 @@ def decode_monomial(m) -> ComMonomial:
     if type(m) is not int:
         return m
     factors = []
-    for p, x in zip(_DRAW_PRIMES, _DRAW_SYMBOLS):
+    for p, x in zip(_DRAW_PRIMES, DRAW_SYMBOLS):
         while m % p == 0:
             factors.append(x)
             m //= p

@@ -77,8 +77,10 @@ def test_criterion_01_tree_family_confluent_two_letters():
     t0 = time.perf_counter()
     rep = verify_zinbiel_basis(2, 5)
     dt = time.perf_counter() - t0
-    assert rep.failures == []
-    assert rep.ambiguities_checked == 240
+    assert rep.verified
+    assert rep.gsb.failures == []
+    assert rep.gsb.ambiguities_checked == 240
+    assert rep.counts == rep.expected_counts == [2, 4, 8, 16, 32]
     assert dt < 60
     _report(1, f"240 ambiguities, 0 failures, {dt:.2f}s")
 
@@ -206,7 +208,7 @@ def test_criterion_09_comb_reduction_matches_shuffle_formula():
                                           MagmaPoly.monomial(comb(v)))
                     want = zinbiel_product(ZinbElement.monomial(u),
                                            ZinbElement.monomial(v))
-                    assert to_left_comb(trees) == want, (u, v)
+                    assert to_left_comb(trees, ab) == want, (u, v)
                     pairs += 1
     _report(9, f"tree-side and word-side products agree on {pairs} pairs")
 
@@ -214,7 +216,7 @@ def test_criterion_09_comb_reduction_matches_shuffle_formula():
 def test_criterion_10_rota_baxter_identity_and_splitting():
     # The library's check in scaled integer series, then the same
     # identities in the Fraction series of the oracle.
-    assert verify_rota_baxter(random.Random(401), 200, 8) == []
+    assert verify_rota_baxter(random.Random(401), 200, 8, {}) == []
     rng = random.Random(401)
     for _ in range(200):
         N = rng.randint(2, 8)

@@ -264,7 +264,7 @@ def copy_met(basis):
     return met
 
 
-X1, X2, X3, X4 = (GenSymbol("x", 1, w) for w in (1, 2, 3, 4))
+X1, X2, X3, X4 = (GenSymbol("x", 1, w, 0) for w in (1, 2, 3, 4))
 
 
 def com(*terms):
@@ -381,7 +381,7 @@ class TestPinnedReduce:
         assert len(trace) == steps
         assert hashlib.sha256(format_poly(nf).encode()).hexdigest() == result_sha
         h = hashlib.sha256()
-        for s in trace:
-            h.update(("%s %s %s %s\n" % (s.coeff, format_word(s.word), s.path,
-                                          format_poly(s.relation))).encode())
+        for coeff, word, path, relation in trace:
+            h.update(("%s %s %s %s\n" % (coeff, format_word(word), path,
+                                          format_poly(relation))).encode())
         assert h.hexdigest() == trace_sha

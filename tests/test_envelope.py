@@ -113,7 +113,7 @@ class TestAssociativity:
 
 class TestEnvelopingRelations:
     def test_trivial_two_letters(self):
-        rels = enveloping_relations(trivial_algebra(2, names="xy"))
+        rels = enveloping_relations(trivial_algebra(2))
         fams = [r for r in rels if isinstance(r, ZinbielFamily)]
         exps = [r.poly for r in rels if isinstance(r, ExplicitRelation)]
         assert len(fams) == 1 and len(exps) == 3
@@ -155,15 +155,15 @@ class TestTailFamilies:
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         a = node(y, x)
         w = node(node(a, x), y)
-        got = TailFamily().match(w)
+        got = TailFamily(ab2).match(w)
         assert got == MagmaPoly.from_terms([(w, 1), (node(node(a, y), x), 1)])
         # With the empty comb: the letter anticommutator.
-        assert TailFamily().match(node(x, y)) \
+        assert TailFamily(ab2).match(node(x, y)) \
             == MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), 1)])
 
     def test_anticomm_requires_even_comb_prefix(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
-        fam = TailFamily()
+        fam = TailFamily(ab2)
         a = node(x, x)
         assert fam.match(node(node(x, x), y)) is None           # odd prefix
         assert fam.match(node(node(a, y), x)) is None           # letters not ascending
@@ -176,14 +176,14 @@ class TestTailFamilies:
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         a = node(y, x)
         w = node(node(a, y), y)
-        assert TailFamily().match(w) == MagmaPoly.from_terms([(w, 1)])
-        assert TailFamily().match(node(x, x)) == MagmaPoly.monomial(node(x, x))
+        assert TailFamily(ab2).match(w) == MagmaPoly.from_terms([(w, 1)])
+        assert TailFamily(ab2).match(node(x, x)) == MagmaPoly.monomial(node(x, x))
 
     def test_match_is_the_ascending_even_comb_tail(self, ab3):
         # (a x) y with a an even-length left comb, or empty, is exactly a
         # left comb of even length; the rule takes those whose last two
         # letters do not descend.
-        fam = TailFamily()
+        fam = TailFamily(ab3)
         for n in range(1, 7):
             for w in words_of_length(ab3, n):
                 ls = leaves(w)
@@ -218,10 +218,6 @@ class TestTailFamilies:
         # 2136 tree instances and 63 tail instances.
         zinbiel, tail = trivial_gsb(ab2)
         assert len(scan_instances(zinbiel, 6)) + len(tail.instances(6)) == 2199
-
-    def test_instances_need_alphabet(self):
-        with pytest.raises(ValueError, match="without an alphabet"):
-            TailFamily().instances(4)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_instances_match_the_generic_scan(self, d, spelled_out_gsb):
@@ -314,27 +310,42 @@ class TestTruncatedRelations:
 class TestDrivers:
     def test_zinbiel_basis(self):
         rep = verify_zinbiel_basis(2, 4)
-        assert rep.verified and rep.ambiguities_checked > 0
+        assert rep.verified and rep.gsb.ambiguities_checked > 0
+        assert rep.counts == rep.expected_counts == [2, 4, 8, 16]
+        assert rep.completion_counts is None
+
+    def test_zinbiel_basis_fails_a_cut_family(self, monkeypatch):
+        # A family that skips the words with a compound left factor still
+        # forms no composition site, so its confluence report passes; the
+        # d^n irreducible counts are what fail it.
+        match = ZinbielFamily.match
+        monkeypatch.setattr(ZinbielFamily, "match", lambda self, w: None if (
+            w.left is not None and w.left.letter is None) else match(self, w))
+        rep = verify_zinbiel_basis(2, 5)
+        assert rep.gsb.verified and rep.gsb.ambiguities_checked == 240
+        assert rep.counts == [2, 4, 8, 32, 128]
+        assert rep.expected_counts == [2, 4, 8, 16, 32]
+        assert not rep.verified
 
     def test_trivial_envelope_report(self):
-        rep = verify_trivial_envelope(2, 4)
+        rep = verify_trivial_envelope(2, 4, True)
         assert rep.verified
         assert rep.counts == [2, 1, 2, 1]
         assert rep.completion_counts == [2, 1, 2, 1]
 
     def test_trivial_envelope_without_completion(self):
-        rep = verify_trivial_envelope(2, 4, run_completion=False)
+        rep = verify_trivial_envelope(2, 4, False)
         assert rep.verified and rep.completion_counts is None
 
     def test_collapse_on_idempotent(self):
         rep = collapse_check(idempotent_algebra(), 4)
-        assert not rep.matches_structure
+        assert not rep.verified
         # The generator itself lands in the ideal, so nothing survives.
         assert rep.counts == [0, 0, 0, 0]
 
     def test_no_collapse_on_trivial(self):
         rep = collapse_check(trivial_algebra(2), 4)
-        assert rep.matches_structure
+        assert rep.verified
         assert rep.counts == [2, 1, 2, 1]
 
     def test_collapse_rejects_non_associative(self):
@@ -344,7 +355,7 @@ class TestDrivers:
     def test_no_collapse_on_truncated(self):
         A = truncated_power_algebra(2)
         rep = collapse_check(A, 4)
-        assert rep.matches_structure
+        assert rep.verified
         ab = A.alphabet
         x1, x2 = ab["x1"], ab["x2"]
         assert rep.star_table[(x1, x1)] == MagmaPoly.monomial(leaf(x2))
@@ -368,7 +379,8 @@ class TestOddEvenSweep:
         assert not rep.verified
         assert rep.checked == len(rep.violations) == 40
         for a, b, nf in rep.violations:
-            assert nf and nf == normal_form(MagmaPoly.monomial(node(a, b)), [ZinbielFamily()])
+            assert nf and nf == normal_form(MagmaPoly.monomial(node(a, b)),
+                                            [ZinbielFamily(default_alphabet(2))])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="odd"):

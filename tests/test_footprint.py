@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from precom import (
+    BasisReport,
     BuchbergerReport,
     CollapseReport,
     CompositionFailure,
@@ -24,7 +25,6 @@ from precom import (
     GsbReport,
     MagmaPoly,
     OddEvenReport,
-    TrivialEnvelopeReport,
     leaf,
     node,
 )
@@ -81,9 +81,8 @@ CASES = [
                         "pairs_skipped_bound", "pairs_skipped_coprime",
                         "lookups", "memo_hits")),
     (EmbeddingReport, ("relation_count", "homomorphism_failures",
-                       "injectivity_certified_to", "buchberger", "notes")),
-    (TrivialEnvelopeReport, ("gsb", "counts", "expected_counts",
-                             "completion_counts")),
+                       "injectivity_certified_to", "buchberger", "notes", "phases")),
+    (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),
     (CollapseReport, ("completed", "counts", "star_table", "mismatches")),
     (OddEvenReport, ("checked", "violations")),
     (CompositionFailure, ("f", "g", "ambiguity", "normal_form")),
@@ -106,10 +105,6 @@ def test_undeclared_attribute_raises(cls, names):
     obj = cls(*[None] * len(names))
     with pytest.raises(AttributeError):
         obj.undeclared = 1
-
-
-def test_embedding_report_notes_default_empty():
-    assert EmbeddingReport(3, [], 8, None).notes == ""
 
 
 def test_composition_failure_compares_by_fields(ab2):

@@ -133,7 +133,7 @@ class TestWords:
         text = repr(w)
         assert text == format_word(w)
         assert text == "(y " * 3000 + "x" + ")" * 3000
-        assert repr(MagmaPoly.monomial(w, 2)) == "2*" + text
+        assert repr(MagmaPoly.monomial(w).scale(2)) == "2*" + text
 
 
 class TestBracket:
@@ -290,19 +290,19 @@ class TestMagmaPoly:
     def test_from_terms_merges(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         p = MagmaPoly.from_terms([(x, 1), (y, 2), (x, -1)])
-        assert p == MagmaPoly.monomial(y, 2)
+        assert p == MagmaPoly.monomial(y).scale(2)
 
     def test_addition_cancels(self, ab2):
         x = leaf(ab2["x"])
-        p = MagmaPoly.monomial(x, Fraction(1, 3))
-        q = MagmaPoly.monomial(x, Fraction(-1, 3))
+        p = MagmaPoly.monomial(x).scale(Fraction(1, 3))
+        q = MagmaPoly.monomial(x).scale(Fraction(-1, 3))
         assert p + q == MagmaPoly.zero()
 
     def test_arithmetic_identities(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         p = MagmaPoly.from_terms([(x, 2), (node(x, y), -3)])
         q = MagmaPoly.from_terms([(y, Fraction(1, 2))])
-        r = MagmaPoly.monomial(node(y, x), 5)
+        r = MagmaPoly.monomial(node(y, x)).scale(5)
         assert (p + q) + r == p + (q + r)
         assert p - p == MagmaPoly.zero()
         assert -p + p == MagmaPoly.zero()
@@ -311,7 +311,7 @@ class TestMagmaPoly:
 
     def test_scalar_exactness(self, ab2):
         x = leaf(ab2["x"])
-        p = MagmaPoly.monomial(x, Fraction(2, 3))
+        p = MagmaPoly.monomial(x).scale(Fraction(2, 3))
         assert p.scale(Fraction(3, 2)).terms[x] == 1
         assert p.scale(Fraction(3, 7)).terms[x] == Fraction(2, 7)
         assert p.scale(0) == MagmaPoly.zero()
@@ -342,7 +342,7 @@ class TestMagmaPoly:
 
     def test_leading_single_monomial(self, ab2):
         x = leaf(ab2["x"])
-        p = MagmaPoly.monomial(node(x, x), 5)
+        p = MagmaPoly.monomial(node(x, x)).scale(5)
         lead, monic = p.leading(), p.monic()
         assert lead is node(x, x)
         assert monic == MagmaPoly.monomial(node(x, x))

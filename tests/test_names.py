@@ -9,7 +9,9 @@ run lives in ``tests/oracles.py``, and the series checks share one public
 series operation, the product.  A public name must have a caller in the
 library, or an entry with its reason in ``UNCALLED``, and so must each
 public method of a public class, or an entry in ``UNCALLED_METHODS``, so
-the surface cannot grow back unnoticed.
+the surface cannot grow back unnoticed.  Likewise a parameter with a
+default must be one that two library callers set differently, listed
+with its reason in ``OPTIONAL``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 UNCALLED = (
     ("envelope", "idempotent_algebra"),       # an input algebra of the paper's examples
     ("envelope", "truncated_power_algebra"),  # an input algebra of the paper's examples
-    ("rewrite", "normal_form_with_trace"),    # the reduction trace is a proof of a normal form
     ("rewrite", "replay_trace"),              # checks that proof
 )
 
@@ -45,18 +46,39 @@ UNCALLED_METHODS = ()
 # Names that only the tests called, moved to tests/oracles.py or removed.
 # The product operator left the vector types: a scalar multiple is
 # .scale(c), and the products are functions.  ComMonomial.div gave what
-# cofactor gives on a divisible pair.
+# cofactor gives on a divisible pair.  ComBasis.of wrapped a relation list
+# for com_reduce, which takes only a basis.
 MOVED = {
     "lincomb": ("LinComb.__mul__", "LinComb.__rmul__", "LinComb._product"),
     "magma": ("magma_product", "MagmaPoly._product", "NaWord.leaves"),
     "compoly": ("s_polynomial", "com_reduce_with_trace", "ComPoly.mul_monomial",
-                "ComMonomial.multiplicities", "ComMonomial.div", "ComPoly._product"),
+                "ComMonomial.multiplicities", "ComMonomial.div", "ComPoly._product",
+                "ComBasis.of"),
     "embed": ("coefficient_relations", "random_nilpotent_algebra"),
     "shuffle": ("shuffle_product", "to_left_comb", "from_left_comb", "ZinbElement.max_degree",
                 "ZinbElement._product"),
     "rewrite": ("reducible",),
     "sexpr": ("parse_word",),
 }
+
+# Names deleted outright.  A reduction step is the plain tuple that the
+# reducer appends to its trace.
+REMOVED = {
+    "rewrite": ("ReductionStep",),
+}
+
+# The parameters with a default, as (module, function, parameter), each
+# with the two callers that set it differently: library callers, but for
+# PermAlgebra's rule, which only tests set.
+OPTIONAL = (
+    ("cli", "main", "argv"),            # the console script passes none, perfbench's job.py a list
+    ("lincomb", "LinComb._raw", "lead"),   # family matches and integer copies know their
+                                           # leading monomial, sums do not
+    ("lincomb", "descend", "trace"),    # normal_form_with_trace keeps the steps, com_reduce none
+    ("rewrite", "complete", "stats"),   # the complete verb reports them, the drivers do not
+    ("shuffle", "PermAlgebra.__init__", "rule"),  # verify perm takes the default; tests pass
+                                                  # non-Perm rules to see validate fail
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -156,6 +178,48 @@ def test_every_public_method_has_a_library_caller():
     # A method that only the tests call becomes an oracle function; an
     # exemption that gains a caller leaves UNCALLED_METHODS.
     assert _uncalled_methods() == sorted(UNCALLED_METHODS)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, ns in REMOVED.items() for n in ns])
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module("precom." + module), name)
+    assert not hasattr(precom, name)
+
+
+def _optional_parameters() -> list:
+    """(module, qualified function name, parameter) for every parameter
+    with a default in the library, nested functions and methods
+    included."""
+    out = []
+
+    def walk(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(module, child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                positional = a.posonlyargs + a.args
+                with_default = positional[len(positional) - len(a.defaults):]
+                with_default += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.extend((module, name, p.arg) for p in with_default)
+                walk(module, child, name + ".")
+            else:
+                walk(module, child, prefix)
+
+    for m, tree in _library_trees().items():
+        walk(m, tree, "")
+    return sorted(out)
+
+
+def test_optional_parameters_are_listed():
+    # A default that no library caller leaves, or that none sets, is a
+    # required parameter or no parameter; an exemption that loses its
+    # second caller leaves OPTIONAL.
+    found = _optional_parameters()
+    extra = [p for p in found if p not in OPTIONAL]
+    assert not extra, "defaults that no two library callers set differently: %s" % extra
+    assert found == sorted(OPTIONAL)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in MOVED.items() for n in ns])

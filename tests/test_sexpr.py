@@ -95,7 +95,7 @@ class TestPolys:
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         polys = [
             MagmaPoly.monomial(x),
-            MagmaPoly.monomial(node(x, y), Fraction(2, 3)),
+            MagmaPoly.monomial(node(x, y)).scale(Fraction(2, 3)),
             MagmaPoly.from_terms([(node(x, node(y, y)), 1), (y, -4)]),
         ]
         for p in polys:
@@ -138,7 +138,7 @@ class TestAWords:
 
     def test_format_zinb(self, ab2):
         f = ZinbElement.monomial((ab2["x"], ab2["y"])) \
-            + ZinbElement.monomial((ab2["x"],), Fraction(1, 2))
+            + ZinbElement.monomial((ab2["x"],)).scale(Fraction(1, 2))
         assert format_zinb(f) == "(+ (* 1/2 x) x.y)"
 
 

@@ -30,7 +30,8 @@ from precom import (
 from precom import shuffle as shuffle_module
 from precom.shuffle import _tensor_mul
 
-from oracles import from_left_comb, half_shuffle, magma_product, shuffle_product, to_left_comb
+from oracles import (from_left_comb, half_shuffle, magma_product, random_element_with_terms,
+                     shuffle_product, to_left_comb)
 
 
 def wd(ab, names):
@@ -38,7 +39,7 @@ def wd(ab, names):
 
 
 def el(ab, names, coeff=1):
-    return ZinbElement.monomial(wd(ab, names), coeff)
+    return ZinbElement.monomial(wd(ab, names)).scale(coeff)
 
 
 def all_awords(ab, n):
@@ -87,7 +88,7 @@ class TestShuffle:
 
     def test_deep_word_needs_no_recursion(self, ab2):
         x = ab2["x"]
-        assert shuffle_product((x,) * 1200, (x,)) == ZinbElement.monomial((x,) * 1201, 1201)
+        assert shuffle_product((x,) * 1200, (x,)) == ZinbElement.monomial((x,) * 1201).scale(1201)
 
 
 class TestZinbielProduct:
@@ -189,8 +190,8 @@ class TestKernelOracle:
     def test_zinbiel_product_fraction_elements(self, ab3):
         rng = random.Random(41)
         for _ in range(300):
-            f = random_element(rng, ab3, 4, max_terms=4)
-            g = random_element(rng, ab3, 4, max_terms=4)
+            f = random_element_with_terms(rng, ab3, 4, 4)
+            g = random_element_with_terms(rng, ab3, 4, 4)
             if rng.random() < 0.3:
                 f = f.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
             got = zinbiel_product(f, g)
@@ -300,7 +301,7 @@ def old_tensor_mul(P, s, t):
     out = Counter()
     for (i, u), a in s.items():
         for (j, v), b in t.items():
-            eu, ev = ZinbElement.monomial(u, a), ZinbElement.monomial(v, b)
+            eu, ev = ZinbElement.monomial(u).scale(a), ZinbElement.monomial(v).scale(b)
             for pidx, prod in ((P.product(i, j), zinbiel_product(eu, ev)),
                                (P.product(j, i), zinbiel_product(ev, eu))):
                 for w, c in prod.terms.items():
@@ -372,21 +373,21 @@ class TestStar:
 class TestCombConversion:
     def test_right_nested_product(self, ab3):
         x, y, z = (leaf(ab3[n]) for n in "xyz")
-        got = to_left_comb(MagmaPoly.monomial(node(x, node(y, z))))
+        got = to_left_comb(MagmaPoly.monomial(node(x, node(y, z))), ab3)
         assert got == el(ab3, "xyz") + el(ab3, "yxz")
 
     def test_comb_is_already_normal(self, ab3):
-        got = to_left_comb(MagmaPoly.monomial(comb(wd(ab3, "xyz"))))
+        got = to_left_comb(MagmaPoly.monomial(comb(wd(ab3, "xyz"))), ab3)
         assert got == el(ab3, "xyz")
 
     def test_round_trip(self, ab2):
         f = el(ab2, "xyx", 2) + el(ab2, "y", -3)
-        assert to_left_comb(from_left_comb(f)) == f
+        assert to_left_comb(from_left_comb(f), ab2) == f
 
     def test_from_left_comb_matches_reduction(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         p = MagmaPoly.from_terms([(node(x, node(y, y)), 1), (node(y, x), 2)])
-        assert from_left_comb(to_left_comb(p)) == normal_form(p, [ZinbielFamily()])
+        assert from_left_comb(to_left_comb(p, ab2)) == normal_form(p, [ZinbielFamily(ab2)])
 
     def test_cross_oracle_tree_product(self, ab2):
         # The tree product, combed out, is the shuffle-formula product.
@@ -397,7 +398,7 @@ class TestCombConversion:
                         trees = magma_product(
                             MagmaPoly.monomial(comb(u)), MagmaPoly.monomial(comb(v)))
                         want = zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
-                        assert to_left_comb(trees) == want, (u, v)
+                        assert to_left_comb(trees, ab2) == want, (u, v)
 
     def test_degree_dimensions_match_irreducibles(self, ab2):
         table = irreducible_words([ZinbielFamily(ab2)], ab2, 5)
@@ -539,9 +540,20 @@ class TestRandomElement:
     def test_respects_limits(self, ab3):
         rng = random.Random(1)
         for _ in range(50):
-            f = random_element(rng, ab3, 4, max_terms=2)
+            f = random_element(rng, ab3, 4)
+            assert max(map(len, f.terms), default=0) <= 4
+            assert len(f.terms) <= 3
+            f = random_element_with_terms(rng, ab3, 4, 2)
             assert max(map(len, f.terms), default=0) <= 4
             assert len(f.terms) <= 2
+
+    def test_oracle_copy_draws_the_same(self, ab3):
+        # With three terms at most, the oracle that takes the term cap
+        # draws the library's elements and leaves the generator as it does.
+        rng, ref = random.Random(3), random.Random(3)
+        for _ in range(50):
+            assert random_element(rng, ab3, 4) == random_element_with_terms(ref, ab3, 4, 3)
+            assert rng.getstate() == ref.getstate()
 
     def test_deterministic(self, ab2):
         a = random_element(random.Random(9), ab2, 3)
