@@ -36,7 +36,6 @@ from .magma import (
     node,
 )
 from .rewrite import (
-    CompositionFailure,
     ExplicitRelation,
     GsbReport,
     RelationSchema,
@@ -55,7 +54,6 @@ from .rewrite import (
     verify_gsb,
 )
 from .shuffle import (
-    PermAlgebra,
     PermTensorReport,
     ZinbElement,
     perm_tensor_check,

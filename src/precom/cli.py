@@ -86,7 +86,7 @@ from .sexpr import (
     parse_poly,
     parse_relations,
 )
-from .shuffle import PermAlgebra, ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
+from .shuffle import ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
 
 def _flag(name: str, kind) -> str:
     return "--" + name if kind is bool else "--%s %s" % (name, name.upper().replace("-", "_"))
@@ -245,10 +245,9 @@ def _load(path: str, *parsers):
 
 def _gsb_parts(rep):
     """The failures, the ambiguity line and the stats of a GsbReport."""
-    failures = [{"f": format_poly(f.f), "g": format_poly(f.g),
-                 "ambiguity": format_word(f.ambiguity),
-                 "remainder": format_poly(f.normal_form)}
-                for f in rep.failures]
+    failures = [{"f": format_poly(f), "g": format_poly(g),
+                 "ambiguity": format_word(w), "remainder": format_poly(nf)}
+                for f, g, w, nf in rep.failures]
     line = ("ambiguities checked: %d (%d discharged by composition criteria)"
             % (rep.ambiguities_checked, rep.discharged))
     return failures, line, {"discharged": rep.discharged, "skipped": rep.skipped}
@@ -376,7 +375,7 @@ def _verify_perm(args):
     samples = [tuple(random_element(rng, alphabet, args.max_degree)
                      for _ in range(3))
                for _ in range(args.triples)]
-    rep = perm_tensor_check(PermAlgebra(args.dim), samples)
+    rep = perm_tensor_check(args.dim, samples)
     failures = []
     for i, j, k, f, g, h in rep.associativity_violations:
         failures.append({"identity": "associativity", "i": i, "j": j, "k": k,

@@ -49,7 +49,6 @@ __all__ = [
     "RelationSchema",
     "ExplicitRelation",
     "ZinbielFamily",
-    "CompositionFailure",
     "GsbReport",
     "graft",
     "occurrences",
@@ -362,24 +361,6 @@ def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
 # ---------------------------------------------------------------------------
 # Compositions and verification
 
-class CompositionFailure:
-    __slots__ = ("f", "g", "ambiguity", "normal_form")
-    __hash__ = None
-
-    def __init__(self, f: MagmaPoly, g: MagmaPoly, ambiguity: NaWord,
-                 normal_form: MagmaPoly):
-        self.f = f
-        self.g = g
-        self.ambiguity = ambiguity
-        self.normal_form = normal_form
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.f, self.g, self.ambiguity, self.normal_form)
-                == (other.f, other.g, other.ambiguity, other.normal_form))
-
-
 class GsbReport:
     """``ambiguities_checked`` counts every composition site up to the
     bound; ``discharged`` of them are trivial by a composition criterion
@@ -387,12 +368,15 @@ class GsbReport:
     A Zinbiel family's sites are counted from its definition, by word
     counts (``_Sites.below_root``), not from calls to its ``match``; a
     family that matches too little fails the d^n irreducible counts of
-    :func:`~precom.envelope.verify_zinbiel_basis`, not these."""
+    :func:`~precom.envelope.verify_zinbiel_basis`, not these.  Each of
+    ``failures`` is a tuple ``(f, g, ambiguity, normal_form)``: the two
+    relations, the word where they overlap and the nonzero normal form of
+    their composition."""
 
     __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
 
     def __init__(self, ambiguities_checked: int,
-                 failures: list[CompositionFailure], discharged: int, skipped: int):
+                 failures: list[tuple], discharged: int, skipped: int):
         self.ambiguities_checked = ambiguities_checked
         self.failures = failures
         self.discharged = discharged
@@ -580,12 +564,12 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     # Every site below the root, reduced or not, minus those reduced.  No
     # root site is discharged.
     discharged = search.below_root() - sum(1 for site in sites if site[4])
-    failures: list[CompositionFailure] = []
+    failures: list[tuple] = []
     for _, _, fpos, _, path, w, g in sites:
         f = index.schemas[fpos].match(w)
         nf = index.reduce((f - substitute(w, path, g)).terms)
         if nf:
-            failures.append(CompositionFailure(f, g, w, MagmaPoly._raw(nf)))
+            failures.append((f, g, w, MagmaPoly._raw(nf)))
     return GsbReport(len(sites) + discharged, failures, discharged, search.skipped)
 
 

@@ -382,8 +382,7 @@ def parse_algebra(data: dict):
         combo = _combo_from_text(rhs, alphabet, entry)
         if (x, y) in products:
             raise ParseError("duplicate product entry for %s %s" % (x.name, y.name))
-        if combo:
-            products[(x, y)] = combo
+        products[(x, y)] = combo  # zero entries too, so a later copy is a duplicate
 
     levels = None
     if "levels" in data and data["levels"] is not None:
@@ -403,4 +402,4 @@ def parse_algebra(data: dict):
         missing = [x.name for x in alphabet.letters if x not in levels]
         if missing:
             raise ParseError("levels missing for: %s" % ", ".join(missing))
-    return CommAlgebra(alphabet, products), levels
+    return CommAlgebra(alphabet, {k: c for k, c in products.items() if c}), levels

@@ -21,19 +21,20 @@ denominator, sums integers and divides once at the end.
 The module stands alone: it runs no tree word and no rewrite.  A word
 is the leaf sequence of a left comb of the tree model, and the tests
 hold the two models to each other through that bridge, kept in
-``tests/oracles.py``.  The module also carries the Perm-algebra tensor
-construction that turns a pre-commutative algebra into a commutative
-envelope candidate.  The tensor check scales each sample to integer
-coefficients once, since both sides of the checked identity are
-trilinear in it, and computes each distinct ordered product of two
-elements once per sample, in a memo that the next sample starts afresh.
+``tests/oracles.py``.  The module also carries the tensor construction
+that turns a pre-commutative algebra, tensored with the Perm algebra
+e_i e_j = e_j, into a commutative envelope candidate.  The tensor check
+scales each sample to integer coefficients once, since both sides of the
+checked identity are trilinear in it, and computes each distinct ordered
+product of two elements once per sample, in a memo that the next sample
+starts afresh.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .lincomb import LinComb, exact, integral
 from .magma import Alphabet
@@ -42,7 +43,6 @@ __all__ = [
     "ZinbElement",
     "zinbiel_product",
     "star",
-    "PermAlgebra",
     "PermTensorReport",
     "perm_tensor_check",
     "random_element",
@@ -149,63 +149,31 @@ def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
 
 
 # ---------------------------------------------------------------------------
-# Perm algebras and the tensor trick
+# The Perm-algebra tensor trick
 
-class PermAlgebra:
-    """An algebra whose basis products land on basis elements.
-
-    ``rule(i, j)`` gives the index of e_i e_j; the default rule
-    e_i e_j = e_j satisfies both Perm identities
-    (x1 x2) x3 = x1 (x2 x3) and x1 (x2 x3) = x2 (x1 x3).
-    """
-
-    def __init__(self, dim: int, rule: Optional[Callable[[int, int], int]] = None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
-        self.rule = rule if rule is not None else (lambda i, j: j)
-
-    def product(self, i: int, j: int) -> int:
-        k = self.rule(i, j)
-        if not 0 <= k < self.dim:
-            raise ValueError("product rule left the basis on (%d, %d)" % (i, j))
-        return k
-
-    def validate(self) -> None:
-        """Raise if some basis triple violates a Perm identity."""
-        rng = range(self.dim)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    if self.product(self.product(i, j), k) != self.product(i, self.product(j, k)):
-                        raise ValueError(
-                            "Perm associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
-                    if self.product(i, self.product(j, k)) != self.product(j, self.product(i, k)):
-                        raise ValueError(
-                            "Perm left-commutativity fails on basis triple (%d, %d, %d)" % (i, j, k))
-
-
-def _tensor_mul(P: PermAlgebra, s: dict, t: dict, memo: dict) -> dict:
-    # Tensor elements are {perm index: ZinbElement}.  By bilinearity,
-    # (p (x) a)(q (x) b) = pq (x) a>b + qp (x) b>a, with > the
-    # pre-commutative product; on basis perm elements pq is again basis.
-    # ``memo`` holds each distinct ordered product a>b once.
+def _tensor_mul(s: dict, t: dict, memo: dict) -> dict:
+    # Tensor elements are {perm index: ZinbElement} over the Perm algebra
+    # e_i e_j = e_j.  By bilinearity,
+    # (e_p (x) a)(e_q (x) b) = e_q (x) a>b + e_p (x) b>a, with > the
+    # pre-commutative product.  ``memo`` holds each distinct ordered
+    # product a>b once.
     out: dict = {}
-    for i, a in s.items():
+    for p, a in s.items():
         ka = frozenset(a.terms.items())
-        for j, b in t.items():
+        for q, b in t.items():
             kb = frozenset(b.terms.items())
-            for pidx, x, y, key in ((P.product(i, j), a, b, (ka, kb)),
-                                    (P.product(j, i), b, a, (kb, ka))):
+            for idx, x, y, key in ((q, a, b, (ka, kb)), (p, b, a, (kb, ka))):
                 prod = memo.get(key)
                 if prod is None:
                     prod = memo[key] = zinbiel_product(x, y)
-                out[pidx] = out[pidx] + prod if pidx in out else prod
+                out[idx] = out[idx] + prod if idx in out else prod
     return {p: e for p, e in out.items() if e}
 
 
 class PermTensorReport:
-    """The outcome of :func:`perm_tensor_check`.  ``products`` counts the
+    """The outcome of :func:`perm_tensor_check` on the Perm algebra
+    e_i e_j = e_j.  ``associativity_violations`` lists each failing sample
+    and basis triple as ``(i, j, k, f, g, h)``; ``products`` counts the
     distinct ordered element products computed, summed over the samples;
     ``half_shuffles`` the ``_HALF`` entries the check filled, the shorter
     pairs each product's entries were built from included."""
@@ -225,42 +193,44 @@ class PermTensorReport:
         return not self.associativity_violations
 
 
-def perm_tensor_check(P: PermAlgebra,
+def perm_tensor_check(dim: int,
                       samples: Iterable[tuple[ZinbElement, ZinbElement, ZinbElement]]
                       ) -> PermTensorReport:
-    """Validate P, then check that the tensor product on P (x) Z is
-    associative on every sampled element triple, paired with every basis
-    triple of P (multilinearity covers the rest).
+    """Check that the tensor product on P (x) Z is associative on every
+    sampled element triple, paired with every basis triple of P
+    (multilinearity covers the rest).  P is the Perm algebra of dimension
+    ``dim`` with e_i e_j = e_j, which satisfies both Perm identities
+    (x1 x2) x3 = x1 (x2 x3) and x1 (x2 x3) = x2 (x1 x3).
 
-    The product is commutative by construction, for any rule and any
-    bilinear product: (p (x) a)(q (x) b) and (q (x) b)(p (x) a) add the
-    same two terms pq (x) a>b and qp (x) b>a, so there is nothing to
-    check.
+    The product is commutative by construction, for any bilinear product:
+    (e_p (x) a)(e_q (x) b) and (e_q (x) b)(e_p (x) a) add the same two
+    terms e_q (x) a>b and e_p (x) b>a, so there is nothing to check.
 
     Both sides of the identity are trilinear in (f, g, h), so scaling the
     sample by its denominators df, dg, dh multiplies each side by
     df dg dh != 0 and keeps every equality and every inequality.  The
     check therefore runs on integer copies of f, g and h, and a violation
     reports the given elements."""
-    P.validate()
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     assoc_bad = []
     checked = products = 0
     filled = len(_HALF)
-    dims = range(P.dim)
+    dims = range(dim)
     for f, g, h in samples:
         fi, gi, hi = (ZinbElement._raw(integral(x.terms)[1]) for x in (f, g, h))
         memo: dict = {}  # per sample: the products of f, g, h and their products
         B = [{j: gi} for j in dims]
         C = [{k: hi} for k in dims]
-        BC = [[_tensor_mul(P, B[j], C[k], memo) for k in dims] for j in dims]
+        BC = [[_tensor_mul(B[j], C[k], memo) for k in dims] for j in dims]
         for i in dims:
             A = {i: fi}
             for j in dims:
-                AB = _tensor_mul(P, A, B[j], memo)
+                AB = _tensor_mul(A, B[j], memo)
                 for k in dims:
                     checked += 1
-                    left = _tensor_mul(P, AB, C[k], memo)
-                    right = _tensor_mul(P, A, BC[j][k], memo)
+                    left = _tensor_mul(AB, C[k], memo)
+                    right = _tensor_mul(A, BC[j][k], memo)
                     if left != right:
                         assoc_bad.append((i, j, k, f, g, h))
         products += len(memo)

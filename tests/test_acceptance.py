@@ -17,7 +17,6 @@ from precom import (
     ExplicitRelation,
     FilteredAlgebra,
     MagmaPoly,
-    PermAlgebra,
     ZinbElement,
     ZinbielFamily,
     collapse_check,
@@ -279,7 +278,7 @@ def test_criterion_12_perm_tensor_commutative_associative():
     ab = default_alphabet(2)
     samples = [tuple(random_element(rng, ab, 4) for _ in range(3))
                for _ in range(50)]
-    rep = perm_tensor_check(PermAlgebra(2), samples)
+    rep = perm_tensor_check(2, samples)
     assert rep.associativity_violations == []
     assert rep.triples_checked == 50 * 8
     _report(12, f"{rep.triples_checked} tensor triples, 0 violations")

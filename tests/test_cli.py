@@ -708,6 +708,15 @@ class TestEmbed:
         assert code == 2
         assert "not nilpotent" in err
 
+    @pytest.mark.parametrize("first", ["a a -> 0", "a a -> b + -1 b"],
+                             ids=["zero", "cancelling"])
+    def test_duplicate_after_a_zero_entry_exits_2(self, run, alg_file, first):
+        path = alg_file({"basis": ["a", "b"], "products": [first, "a a -> b"]})
+        code, out, err = run("embed", "--algebra", path, "--N", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s: duplicate product entry for a a\n" % path
+
     def test_boolean_level_exits_2(self, run, alg_file):
         path = alg_file(dict(TRUNC2, levels={"x1": True, "x2": 2}))
         code, _, err = run("embed", "--algebra", path, "--N", "4")

@@ -383,9 +383,12 @@ class TestOddEvenSweep:
                                             [ZinbielFamily(default_alphabet(2))])
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            odd_even_zero_sweep(2, 2, 2)
-        with pytest.raises(ValueError, match="even"):
-            odd_even_zero_sweep(2, 3, 3)
-        with pytest.raises(ValueError):
-            odd_even_zero_sweep(2, 3, 0)
+        # The CLI checks the flags first, so only library callers reach
+        # these.  An odd m_max below 1 (or a k_max below 2) would sweep no
+        # pair and pass.
+        for m_max in (2, 0, -1):
+            with pytest.raises(ValueError, match="^m_max must be odd and positive$"):
+                odd_even_zero_sweep(2, m_max, 2)
+        for k_max in (3, 1, 0, -2):
+            with pytest.raises(ValueError, match="^k_max must be even and at least 2$"):
+                odd_even_zero_sweep(2, 3, k_max)

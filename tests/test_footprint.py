@@ -20,13 +20,9 @@ from precom import (
     BasisReport,
     BuchbergerReport,
     CollapseReport,
-    CompositionFailure,
     EmbeddingReport,
     GsbReport,
-    MagmaPoly,
     OddEvenReport,
-    leaf,
-    node,
 )
 from precom.sexpr import _Atom, _Node
 
@@ -85,7 +81,6 @@ CASES = [
     (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),
     (CollapseReport, ("completed", "counts", "star_table", "mismatches")),
     (OddEvenReport, ("checked", "violations")),
-    (CompositionFailure, ("f", "g", "ambiguity", "normal_form")),
     (GsbReport, ("ambiguities_checked", "failures", "discharged", "skipped")),
     (_Atom, ("text", "line", "col")),
     (_Node, ("items", "line", "col")),
@@ -105,20 +100,3 @@ def test_undeclared_attribute_raises(cls, names):
     obj = cls(*[None] * len(names))
     with pytest.raises(AttributeError):
         obj.undeclared = 1
-
-
-def test_composition_failure_compares_by_fields(ab2):
-    x, y = (leaf(a) for a in ab2.letters)
-    f = MagmaPoly.from_terms([(node(x, y), 1), (node(y, x), 1)])
-    g = MagmaPoly.from_terms([(node(x, x), 1), (y, -1)])
-    w = node(node(x, y), x)
-    a = CompositionFailure(f, g, w, g)
-    assert a == CompositionFailure(f, g, w, g)
-    assert [a] == [CompositionFailure(f, g, w, g)]
-    assert a != CompositionFailure(g, g, w, g)
-    assert a != CompositionFailure(f, f, w, g)
-    assert a != CompositionFailure(f, g, node(w, w), g)
-    assert a != CompositionFailure(f, g, w, f)
-    assert a != (f, g, w, g)
-    with pytest.raises(TypeError):
-        hash(a)

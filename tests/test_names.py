@@ -62,22 +62,22 @@ MOVED = {
 }
 
 # Names deleted outright.  A reduction step is the plain tuple that the
-# reducer appends to its trace.
+# reducer appends to its trace, and a composition failure the plain tuple
+# (f, g, ambiguity, normal_form) that verify_gsb lists.  The tensor check
+# runs on the one Perm algebra e_i e_j = e_j, so it needs no Perm class.
 REMOVED = {
-    "rewrite": ("ReductionStep",),
+    "rewrite": ("ReductionStep", "CompositionFailure"),
+    "shuffle": ("PermAlgebra",),
 }
 
 # The parameters with a default, as (module, function, parameter), each
-# with the two callers that set it differently: library callers, but for
-# PermAlgebra's rule, which only tests set.
+# with the two library callers that set it differently.
 OPTIONAL = (
     ("cli", "main", "argv"),            # the console script passes none, perfbench's job.py a list
     ("lincomb", "LinComb._raw", "lead"),   # family matches and integer copies know their
                                            # leading monomial, sums do not
     ("lincomb", "descend", "trace"),    # normal_form_with_trace keeps the steps, com_reduce none
     ("rewrite", "complete", "stats"),   # the complete verb reports them, the drivers do not
-    ("shuffle", "PermAlgebra.__init__", "rule"),  # verify perm takes the default; tests pass
-                                                  # non-Perm rules to see validate fail
 )
 
 

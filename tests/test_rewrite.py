@@ -12,7 +12,6 @@ import pytest
 from precom import (
     Alphabet,
     CommAlgebra,
-    CompositionFailure,
     ExplicitRelation,
     MagmaPoly,
     ZinbielFamily,
@@ -365,8 +364,7 @@ class TestVerify:
         rels = [ZinbielFamily(ab2), rel((node(x, x), 2), (x, -1))]
         rep = verify_gsb(rels, 4)
         assert not rep.verified
-        hit = [f for f in rep.failures
-               if set(f.normal_form.terms) == {x}]
+        hit = [nf for *_, nf in rep.failures if set(nf.terms) == {x}]
         assert hit
 
     def test_shared_leading_word_composes_at_root(self, ab2):
@@ -376,10 +374,9 @@ class TestVerify:
         f, g = rel((node(x, y), 1), (y, -1)), rel((node(x, y), 1), (x, -1))
         rep = verify_gsb([f, g], 2)
         assert rep.ambiguities_checked == 2
-        assert [(c.f, c.g, c.ambiguity) for c in rep.failures] \
-            == [(f.poly, g.poly, node(x, y)), (g.poly, f.poly, node(x, y))]
         diff = MagmaPoly.monomial(x) - MagmaPoly.monomial(y)
-        assert [c.normal_form for c in rep.failures] == [diff, -diff]
+        assert rep.failures == [(f.poly, g.poly, node(x, y), diff),
+                                (g.poly, f.poly, node(x, y), -diff)]
 
     def test_bound_validation(self, ab2):
         with pytest.raises(ValueError, match="at least 2"):
@@ -636,7 +633,7 @@ class TestCompositionCriteria:
         x, y = leaf(ab["x"]), leaf(ab["y"])
         rep = verify_gsb(rels, 5)
         assert (rep.ambiguities_checked, rep.discharged) == (2, 0)
-        assert [c.g.leading() for c in rep.failures] == [node(x, y), node(y, y)]
+        assert [g.leading() for _, g, _, _ in rep.failures] == [node(x, y), node(y, y)]
         assert format_relations(ab, complete(rels, 5)) == _LOOKALIKE \
             + "(rel (+ ((y (y x)) y) (((y x) y) y)))\n"
 
@@ -1019,7 +1016,7 @@ class TestMemoNormalForms:
             h = f - substitute(f.leading(), path, g)
             nf = plain_descend(h.terms, schemas)
             if nf:
-                want.append(CompositionFailure(f, g, f.leading(), MagmaPoly._raw(nf)))
+                want.append((f, g, f.leading(), MagmaPoly._raw(nf)))
         rep = verify_gsb(schemas, bound)
         assert want
         assert rep.failures == want

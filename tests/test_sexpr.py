@@ -271,6 +271,10 @@ class TestAlgebraFiles:
             parse_algebra({"basis": ["a"], "products": ["a -> a"]})
         with pytest.raises(ParseError, match="unknown letter"):
             parse_algebra({"basis": ["a"], "products": ["a q -> a"]})
+        # A first copy that is zero, as written or after cancelling, counts.
+        for first in ("a a -> 0", "a a -> a + -1 a"):
+            with pytest.raises(ParseError, match="duplicate product entry for a a"):
+                parse_algebra({"basis": ["a"], "products": [first, "a a -> a"]})
         with pytest.raises(ParseError, match="duplicate product"):
             parse_algebra({"basis": ["a"],
                            "products": ["a a -> a", "a a -> 0"]})
