@@ -344,7 +344,7 @@ def _verify_odd_even(args):
         raise ValueError("--k-max must be even and at least 2 (got %d)" % args.k_max)
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
     failures = [{"a": format_word(a), "b": format_word(b),
-                 "normal_form": format_poly(nf)} for a, b, nf in rep.violations]
+                 "normal_form": format_poly(nf)} for a, b, nf in rep.failures]
     return rep.verified, [rep.checked], failures, ["products checked: %d" % rep.checked], None
 
 
@@ -353,7 +353,7 @@ def _verify_collapse(args):
     rep = collapse_check(A, args.bound)
     failures = [{"x": x.name, "y": y.name, "star": format_poly(got),
                  "expected": format_poly(want)}
-                for x, y, got, want in rep.mismatches]
+                for x, y, got, want in rep.failures]
     lines = ["irreducible counts: %s" % rep.counts]
     for (x, y), got in sorted(rep.star_table.items(),
                               key=lambda t: (t[0][0].rank, t[0][1].rank)):
@@ -376,15 +376,13 @@ def _verify_perm(args):
                      for _ in range(3))
                for _ in range(args.triples)]
     rep = perm_tensor_check(args.dim, samples)
-    failures = []
-    for i, j, k, f, g, h in rep.associativity_violations:
-        failures.append({"identity": "associativity", "i": i, "j": j, "k": k,
-                         "f": format_zinb(f), "g": format_zinb(g),
-                         "h": format_zinb(h)})
+    failures = [{"identity": "associativity", "i": i, "j": j, "k": k,
+                 "f": format_zinb(f), "g": format_zinb(g), "h": format_zinb(h)}
+                for i, j, k, f, g, h in rep.failures]
     lines = ["basis-paired triples checked: %d (seed %d)"
-             % (rep.triples_checked, args.seed)]
+             % (rep.checked, args.seed)]
     stats = {"products": rep.products, "half_shuffles": rep.half_shuffles}
-    return rep.verified, [rep.triples_checked], failures, lines, stats
+    return rep.verified, [rep.checked], failures, lines, stats
 
 
 def _handle_verify(args):
@@ -401,20 +399,18 @@ def _handle_embed(args):
     A, levels = _load(args.algebra, json.loads, parse_algebra)
     F = FilteredAlgebra(A, levels) if levels is not None else standard_filtration(A)
     rep = verify_embedding(F, args.N)
-    failures = []
-    for x, y, l, poly in rep.homomorphism_failures:
-        failures.append({"kind": "homomorphism", "x": x, "y": y,
-                         "degree": l, "residue": repr(poly)})
+    certified = rep.injectivity_certified_to
     b = rep.buchberger
-    for p in b.linear_leadings:
-        failures.append({"kind": "linear-leading", "relation": repr(p)})
+    failures = [{"kind": "homomorphism", "x": x, "y": y, "degree": l, "residue": repr(poly)}
+                for x, y, l, poly in rep.failures]
+    failures += [{"kind": "linear-leading", "relation": repr(p)} for p in b.linear_leadings]
     status = "verified" if rep.verified else "failed"
     report = {
         "status": status,
         "counts": [rep.relation_count, len(b.added)],
         "failures": failures,
         "levels": {x.name: F.level(x) for x in F.basis},
-        "injectivity_certified_to": rep.injectivity_certified_to,
+        "injectivity_certified_to": certified,
         "stats": {
             "pairs": {"considered": b.pairs_considered, "processed": b.pairs_processed,
                       "skipped_bound": b.pairs_skipped_bound,
@@ -428,7 +424,8 @@ def _handle_embed(args):
         % ", ".join("%s:%d" % (x.name, F.level(x)) for x in F.basis),
         "coefficient relations: %d (completion added %d)"
         % (rep.relation_count, len(b.added)),
-        rep.notes,
+        ("certified injective to weight %d" % certified if certified
+         else "linear leading monomial found: injectivity not certified"),
         "status: %s" % status,
     ]
     return (0 if rep.verified else 1), report, lines

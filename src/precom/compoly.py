@@ -40,7 +40,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .lincomb import LinComb, _require_monic, descend, integral
+from .lincomb import LinComb, Report, _require_monic, descend, integral
 
 __all__ = [
     "GenSymbol",
@@ -340,21 +340,15 @@ def com_reduce(p: ComPoly, basis: ComBasis) -> ComPoly:
 
 
 class BuchbergerReport:
+    """The basis, additions and counters of :func:`buchberger_bounded`,
+    built by position with ``Report``'s constructor; it is no verdict, so
+    it has no ``verified``."""
+
     __slots__ = ("basis", "added", "pairs_considered", "pairs_processed",
                  "pairs_skipped_bound", "pairs_skipped_coprime", "lookups",
                  "memo_hits")
 
-    def __init__(self, basis: list, added: list, pairs_considered: int,
-                 pairs_processed: int, pairs_skipped_bound: int,
-                 pairs_skipped_coprime: int, lookups: int, memo_hits: int):
-        self.basis = basis
-        self.added = added
-        self.pairs_considered = pairs_considered
-        self.pairs_processed = pairs_processed
-        self.pairs_skipped_bound = pairs_skipped_bound
-        self.pairs_skipped_coprime = pairs_skipped_coprime
-        self.lookups = lookups
-        self.memo_hits = memo_hits
+    __init__ = Report.__init__
 
     @property
     def linear_leadings(self) -> list:

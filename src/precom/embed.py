@@ -54,17 +54,16 @@ import time
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .compoly import (
-    BuchbergerReport,
     ComMonomial,
     ComPoly,
     GenSymbol,
     buchberger_bounded,
 )
 from .envelope import CommAlgebra
-from .lincomb import _sub_scaled, echelon_insert, exact
+from .lincomb import Report, _sub_scaled, echelon_insert, exact
 from .magma import Alphabet, Letter
 
 __all__ = [
@@ -384,29 +383,18 @@ def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
 # ---------------------------------------------------------------------------
 # The embedding verifier
 
-class EmbeddingReport:
-    """The verdict of :func:`verify_embedding`; ``phases`` holds the
-    wall-clock seconds of its two phases, ``homomorphism_s`` (the checks
-    up to and including the homomorphism loop) and ``completion_s`` (the
-    Buchberger completion)."""
+class EmbeddingReport(Report):
+    """The verdict of :func:`verify_embedding`, ``failures`` its
+    homomorphism failures; ``phases`` holds the wall-clock seconds of its
+    two phases, ``homomorphism_s`` (the checks up to and including the
+    homomorphism loop) and ``completion_s`` (the Buchberger completion)."""
 
-    __slots__ = ("relation_count", "homomorphism_failures",
-                 "injectivity_certified_to", "buchberger", "notes", "phases")
-
-    def __init__(self, relation_count: int, homomorphism_failures: list,
-                 injectivity_certified_to: Optional[int],
-                 buchberger: BuchbergerReport, notes: str, phases: dict):
-        self.relation_count = relation_count
-        self.homomorphism_failures = homomorphism_failures
-        self.injectivity_certified_to = injectivity_certified_to
-        self.buchberger = buchberger
-        self.notes = notes
-        self.phases = phases
+    __slots__ = ("relation_count", "failures", "injectivity_certified_to",
+                 "buchberger", "phases")
 
     @property
     def verified(self) -> bool:
-        return (not self.homomorphism_failures
-                and self.injectivity_certified_to is not None)
+        return not self.failures and self.injectivity_certified_to is not None
 
 
 def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
@@ -444,7 +432,7 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
     images = {x: (1, {i: {ComMonomial((F.symbol(x, i),)): i}
                       for i in range(F.level(x), N + 1)}) for x in F.basis}
     q = _rb_scales(N)
-    hom_failures = []
+    failures = []
     basis = F.basis
     for i, x in enumerate(basis):
         fx = images[x]
@@ -466,15 +454,13 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
                     G.append(p.monic())
                     r = r - p.scale(l)
                 if r:
-                    hom_failures.append((x.name, y.name, l, r))
+                    failures.append((x.name, y.name, l, r))
 
     t1 = time.perf_counter()
     _, brep = buchberger_bounded(G, N)
     phases = {"homomorphism_s": t1 - t0, "completion_s": time.perf_counter() - t1}
     certified = N if not brep.linear_leadings else None
-    notes = ("certified injective to weight %d" % N if certified
-             else "linear leading monomial found: injectivity not certified")
-    return EmbeddingReport(len(G), hom_failures, certified, brep, notes, phases)
+    return EmbeddingReport(len(G), failures, certified, brep, phases)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import product as iproduct
 from typing import Mapping, Optional
 
-from .lincomb import Coeff, exact
+from .lincomb import Coeff, Report, exact
 from .magma import (
     Alphabet,
     Letter,
@@ -35,7 +35,6 @@ from .magma import (
 )
 from .rewrite import (
     ExplicitRelation,
-    GsbReport,
     RelationSchema,
     ZinbielFamily,
     complete,
@@ -259,7 +258,7 @@ def trivial_envelope_dimension(d: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Drivers
 
-class BasisReport:
+class BasisReport(Report):
     """The verdict on a relation set's claimed basis: its confluence
     report ``gsb``, its irreducible ``counts`` at lengths 1..bound against
     the ``expected_counts`` of the dimension formula, and the counts of a
@@ -268,20 +267,10 @@ class BasisReport:
 
     __slots__ = ("gsb", "counts", "expected_counts", "completion_counts")
 
-    def __init__(self, gsb: GsbReport, counts: list[int],
-                 expected_counts: list[int],
-                 completion_counts: Optional[list[int]]):
-        self.gsb = gsb
-        self.counts = counts
-        self.expected_counts = expected_counts
-        self.completion_counts = completion_counts
-
     @property
     def verified(self) -> bool:
-        ok = self.gsb.verified and self.counts == self.expected_counts
-        if self.completion_counts is not None:
-            ok = ok and self.completion_counts == self.expected_counts
-        return ok
+        return (self.gsb.verified and self.counts == self.expected_counts
+                and self.completion_counts in (None, self.expected_counts))
 
 
 def verify_zinbiel_basis(d: int, bound: int) -> BasisReport:
@@ -316,19 +305,12 @@ def verify_trivial_envelope(d: int, bound: int, run_completion: bool) -> BasisRe
     return BasisReport(rep, counts, expected, completion_counts)
 
 
-class CollapseReport:
-    __slots__ = ("completed", "counts", "star_table", "mismatches")
+class CollapseReport(Report):
+    """The irreducible ``counts`` of the completed envelope, its
+    ``star_table`` of generator pairs, and as ``failures`` each pair
+    ``(x, y, star, expected)`` whose star product is not x*y in A."""
 
-    def __init__(self, completed: list[RelationSchema], counts: list[int],
-                 star_table: dict, mismatches: list):
-        self.completed = completed
-        self.counts = counts
-        self.star_table = star_table
-        self.mismatches = mismatches
-
-    @property
-    def verified(self) -> bool:
-        return not self.mismatches
+    __slots__ = ("counts", "star_table", "failures")
 
 
 def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
@@ -339,7 +321,7 @@ def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
     completed = complete(enveloping_relations(A), bound)
     counts = irreducible_counts(completed, A.alphabet, bound)
     table = {}
-    mismatches = []
+    failures = []
     letters = A.alphabet.letters
     for i, x in enumerate(letters):
         for y in letters[i:]:
@@ -350,20 +332,15 @@ def collapse_check(A: CommAlgebra, bound: int) -> CollapseReport:
                 [(leaf(z), c) for z, c in A.product(x, y).items()])
             table[(x, y)] = got
             if got != expected:
-                mismatches.append((x, y, got, expected))
-    return CollapseReport(completed, counts, table, mismatches)
+                failures.append((x, y, got, expected))
+    return CollapseReport(counts, table, failures)
 
 
-class OddEvenReport:
-    __slots__ = ("checked", "violations")
+class OddEvenReport(Report):
+    """``checked`` comb products, and as ``failures`` each ``(a, b, nf)``
+    whose normal form nf is not zero."""
 
-    def __init__(self, checked: int, violations: list):
-        self.checked = checked
-        self.violations = violations
-
-    @property
-    def verified(self) -> bool:
-        return not self.violations
+    __slots__ = ("checked", "failures")
 
 
 def odd_even_zero_sweep(d: int, m_max: int, k_max: int) -> OddEvenReport:
@@ -384,5 +361,4 @@ def odd_even_zero_sweep(d: int, m_max: int, k_max: int) -> OddEvenReport:
              for k in range(2, k_max + 1, 2)
              for btup in iproduct(letters, repeat=k)]
     nfs = normal_forms([MagmaPoly.monomial(node(a, b)) for a, b in pairs], rels)
-    violations = [(a, b, nf) for (a, b), nf in zip(pairs, nfs) if nf]
-    return OddEvenReport(len(pairs), violations)
+    return OddEvenReport(len(pairs), [(a, b, nf) for (a, b), nf in zip(pairs, nfs) if nf])

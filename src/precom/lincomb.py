@@ -10,8 +10,8 @@ rewriting one monomial at a time.  This module holds that common part:
   no ``*`` (products are functions); subclasses add order, validation, repr;
 * :func:`exact`, the coefficient normalization: an ``int`` when integral,
   else a ``Fraction``, never a float;
-* :func:`integral`, the first step of an integer-first product: a term
-  dict scaled by the common denominator of its coefficients;
+* :func:`integral`, the integer copy of a term dict: its terms scaled by
+  the common denominator of their coefficients;
 * :func:`descend`, the reducer: it rewrites the largest reducible
   monomial first and is driven by a pair of callables: ``find(m)``
   returns ``None`` for an irreducible monomial or ``(step, rel)``, where
@@ -24,7 +24,9 @@ rewriting one monomial at a time.  This module holds that common part:
   form from memoized normal forms of single monomials, for callers that
   reduce many combinations modulo one monic relation set;
 * :func:`echelon_insert`, exact sparse Gaussian elimination: a reduced
-  echelon form of ``{column: coeff}`` rows, grown one vector at a time.
+  echelon form of ``{column: coeff}`` rows, grown one vector at a time;
+* :class:`Report`, the base of the drivers' verdicts, which take their
+  ``__slots__`` fields by position and list what failed in ``failures``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "descend",
     "memo_descend",
     "echelon_insert",
+    "Report",
 ]
 
 Coeff = Union[int, Fraction]
@@ -396,3 +399,19 @@ def echelon_insert(rows: dict, v: dict) -> Optional[dict]:
             rows[q] = _sub_scaled(row, row[p], v)
     rows[p] = v
     return v
+
+
+class Report:
+    """A verdict with its fields in ``__slots__``, given by position in
+    slot order.  ``verified`` holds when ``failures`` is empty; a
+    subclass whose verdict reads more than that overrides it."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    @property
+    def verified(self) -> bool:
+        return not self.failures

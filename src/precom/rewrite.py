@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .lincomb import Coeff, descend, memo_descend
+from .lincomb import Coeff, Report, descend, memo_descend
 from .magma import Alphabet, MagmaPoly, NaWord, leaf, node
 
 __all__ = [
@@ -361,7 +361,7 @@ def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
 # ---------------------------------------------------------------------------
 # Compositions and verification
 
-class GsbReport:
+class GsbReport(Report):
     """``ambiguities_checked`` counts every composition site up to the
     bound; ``discharged`` of them are trivial by a composition criterion
     and were not reduced, ``skipped`` of those by the chain criterion.
@@ -374,17 +374,6 @@ class GsbReport:
     their composition."""
 
     __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
-
-    def __init__(self, ambiguities_checked: int,
-                 failures: list[tuple], discharged: int, skipped: int):
-        self.ambiguities_checked = ambiguities_checked
-        self.failures = failures
-        self.discharged = discharged
-        self.skipped = skipped
-
-    @property
-    def verified(self) -> bool:
-        return not self.failures
 
 
 def _shadowed(index: _RedexIndex, pos: int, p: MagmaPoly) -> bool:

@@ -15,8 +15,10 @@ two entries one letter shorter (``_half``), and every word pair of the
 process shares those shorter entries.  The work grows with the distinct
 words rather than with the interleavings, and no path recurses.  The
 tests hold each entry to a prefix-table reference.
-``zinbiel_product`` is integer-first: it scales each factor by its common
-denominator, sums integers and divides once at the end.
+``zinbiel_product`` multiplies the given coefficients directly: every
+library caller hands it integer coefficients (the tensor check's integer
+copies, ``zmul``'s monomials), so its sums stay in ``int``, and a sum
+that is not an ``int`` is normalized once at the end.
 
 The module stands alone: it runs no tree word and no rewrite.  A word
 is the leaf sequence of a left comb of the tree model, and the tests
@@ -36,7 +38,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .lincomb import LinComb, exact, integral
+from .lincomb import LinComb, Report, exact, integral
 from .magma import Alphabet
 
 __all__ = [
@@ -124,22 +126,20 @@ class ZinbElement(LinComb):
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
     """Bilinear pre-commutative product: shuffle into the prefix, keep the
-    right argument's last letter last.  Integer-first: both factors are
-    scaled to integer coefficients, and the sum is divided once.  Each
-    word pair's half-shuffle is read from ``_HALF``."""
-    df, fi = integral(f.terms)
-    dg, gi = integral(g.terms)
-    out: dict[tuple, int] = {}
-    for u, a in fi.items():
-        for v, b in gi.items():
+    right argument's last letter last.  The given coefficients multiply
+    directly, so integer factors stay in ``int``; a sum that is not an
+    ``int`` is normalized by :func:`~precom.lincomb.exact`.  Each word
+    pair's half-shuffle is read from ``_HALF``."""
+    out: dict = {}
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
             half = _HALF.get((u, v))
             if half is None:
                 half = _half(u, v)
             c = a * b
             for w, m in half.items():
                 out[w] = out.get(w, 0) + c * m
-    d = df * dg
-    return ZinbElement._raw({w: c if d == 1 else exact(Fraction(c, d))
+    return ZinbElement._raw({w: c if type(c) is int else exact(c)
                              for w, c in out.items() if c})
 
 
@@ -170,27 +170,16 @@ def _tensor_mul(s: dict, t: dict, memo: dict) -> dict:
     return {p: e for p, e in out.items() if e}
 
 
-class PermTensorReport:
+class PermTensorReport(Report):
     """The outcome of :func:`perm_tensor_check` on the Perm algebra
-    e_i e_j = e_j.  ``associativity_violations`` lists each failing sample
-    and basis triple as ``(i, j, k, f, g, h)``; ``products`` counts the
-    distinct ordered element products computed, summed over the samples;
+    e_i e_j = e_j.  ``checked`` counts the basis-paired triples, and
+    ``failures`` lists each sample and basis triple on which associativity
+    fails as ``(i, j, k, f, g, h)``; ``products`` counts the distinct
+    ordered element products computed, summed over the samples;
     ``half_shuffles`` the ``_HALF`` entries the check filled, the shorter
     pairs each product's entries were built from included."""
 
-    __slots__ = ("triples_checked", "associativity_violations", "products",
-                 "half_shuffles")
-
-    def __init__(self, triples_checked: int, associativity_violations: list,
-                 products: int, half_shuffles: int):
-        self.triples_checked = triples_checked
-        self.associativity_violations = associativity_violations
-        self.products = products
-        self.half_shuffles = half_shuffles
-
-    @property
-    def verified(self) -> bool:
-        return not self.associativity_violations
+    __slots__ = ("checked", "failures", "products", "half_shuffles")
 
 
 def perm_tensor_check(dim: int,
@@ -209,11 +198,11 @@ def perm_tensor_check(dim: int,
     Both sides of the identity are trilinear in (f, g, h), so scaling the
     sample by its denominators df, dg, dh multiplies each side by
     df dg dh != 0 and keeps every equality and every inequality.  The
-    check therefore runs on integer copies of f, g and h, and a violation
+    check therefore runs on integer copies of f, g and h, and a failure
     reports the given elements."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    assoc_bad = []
+    failures = []
     checked = products = 0
     filled = len(_HALF)
     dims = range(dim)
@@ -232,9 +221,9 @@ def perm_tensor_check(dim: int,
                     left = _tensor_mul(AB, C[k], memo)
                     right = _tensor_mul(A, BC[j][k], memo)
                     if left != right:
-                        assoc_bad.append((i, j, k, f, g, h))
+                        failures.append((i, j, k, f, g, h))
         products += len(memo)
-    return PermTensorReport(checked, assoc_bad, products, len(_HALF) - filled)
+    return PermTensorReport(checked, failures, products, len(_HALF) - filled)
 
 
 def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int) -> ZinbElement:

@@ -145,7 +145,7 @@ def test_criterion_06_truncated_polynomial_envelope_recovers_algebra():
         assert counts == [n, 0, 0, 0]
 
         rep = collapse_check(A, 4)
-        assert rep.mismatches == []
+        assert rep.failures == []
         for poly_items in want:
             for word, c in poly_items:
                 if c != 1:
@@ -158,7 +158,7 @@ def test_criterion_06_truncated_polynomial_envelope_recovers_algebra():
 def test_criterion_07_odd_even_products_vanish():
     rep = odd_even_zero_sweep(2, 5, 4)
     assert rep.checked == 840
-    assert rep.violations == []
+    assert rep.failures == []
     _report(7, "840 odd-by-even comb products all reduce to 0")
 
 
@@ -256,7 +256,7 @@ def test_criterion_11_series_embeddings_certified():
         t0 = time.perf_counter()
         rep = verify_embedding(F, 6)
         dt = time.perf_counter() - t0
-        assert rep.homomorphism_failures == [], name
+        assert rep.failures == [], name
         assert rep.buchberger.linear_leadings == [], name
         assert rep.injectivity_certified_to == 6, name
         assert dt < 300, name
@@ -279,6 +279,6 @@ def test_criterion_12_perm_tensor_commutative_associative():
     samples = [tuple(random_element(rng, ab, 4) for _ in range(3))
                for _ in range(50)]
     rep = perm_tensor_check(2, samples)
-    assert rep.associativity_violations == []
-    assert rep.triples_checked == 50 * 8
-    _report(12, f"{rep.triples_checked} tensor triples, 0 violations")
+    assert rep.failures == []
+    assert rep.checked == 50 * 8
+    _report(12, f"{rep.checked} tensor triples, 0 violations")

@@ -377,8 +377,8 @@ class TestOddEvenSweep:
         monkeypatch.setattr(envelope, "trivial_gsb", lambda ab: [ZinbielFamily(ab)])
         rep = odd_even_zero_sweep(2, 3, 2)
         assert not rep.verified
-        assert rep.checked == len(rep.violations) == 40
-        for a, b, nf in rep.violations:
+        assert rep.checked == len(rep.failures) == 40
+        for a, b, nf in rep.failures:
             assert nf and nf == normal_form(MagmaPoly.monomial(node(a, b)),
                                             [ZinbielFamily(default_alphabet(2))])
 

@@ -23,7 +23,9 @@ from precom import (
     EmbeddingReport,
     GsbReport,
     OddEvenReport,
+    PermTensorReport,
 )
+from precom.lincomb import Report
 from precom.sexpr import _Atom, _Node
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -76,11 +78,12 @@ CASES = [
     (BuchbergerReport, ("basis", "added", "pairs_considered", "pairs_processed",
                         "pairs_skipped_bound", "pairs_skipped_coprime",
                         "lookups", "memo_hits")),
-    (EmbeddingReport, ("relation_count", "homomorphism_failures",
-                       "injectivity_certified_to", "buchberger", "notes", "phases")),
+    (EmbeddingReport, ("relation_count", "failures", "injectivity_certified_to",
+                       "buchberger", "phases")),
     (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),
-    (CollapseReport, ("completed", "counts", "star_table", "mismatches")),
-    (OddEvenReport, ("checked", "violations")),
+    (CollapseReport, ("counts", "star_table", "failures")),
+    (OddEvenReport, ("checked", "failures")),
+    (PermTensorReport, ("checked", "failures", "products", "half_shuffles")),
     (GsbReport, ("ambiguities_checked", "failures", "discharged", "skipped")),
     (_Atom, ("text", "line", "col")),
     (_Node, ("items", "line", "col")),
@@ -100,3 +103,25 @@ def test_undeclared_attribute_raises(cls, names):
     obj = cls(*[None] * len(names))
     with pytest.raises(AttributeError):
         obj.undeclared = 1
+
+
+SHARED = [(c, n) for c, n in CASES if c.__init__ is Report.__init__]
+
+
+@pytest.mark.parametrize("cls,names", SHARED, ids=[c.__name__ for c, _ in SHARED])
+def test_report_takes_every_field(cls, names):
+    # The shared constructor zips values with slots strictly: a value
+    # too few or too many is an error, not a field left unset or dropped.
+    for n in (len(names) - 1, len(names) + 1):
+        with pytest.raises(ValueError):
+            cls(*[None] * n)
+
+
+def test_inherited_verdicts_read_failures():
+    # The base's verdict is an empty ``failures``; a class without that
+    # field overrides it, and the completion counters are no verdict.
+    for cls, names in CASES:
+        if getattr(cls, "verified", None) is Report.verified:
+            assert "failures" in names, cls.__name__
+    assert BasisReport.verified is not Report.verified
+    assert not hasattr(BuchbergerReport, "verified")

@@ -9,7 +9,10 @@ run lives in ``tests/oracles.py``, and the series checks share one public
 series operation, the product.  A public name must have a caller in the
 library, or an entry with its reason in ``UNCALLED``, and so must each
 public method of a public class, or an entry in ``UNCALLED_METHODS``, so
-the surface cannot grow back unnoticed.  Likewise a parameter with a
+the surface cannot grow back unnoticed; each public ``__slots__`` field
+of a public class must be read outside its class, or have an entry in
+``UNREAD_FIELDS``, so a report holds no field that nothing reads.
+Likewise a parameter with a
 default must be one that two library callers set differently, listed
 with its reason in ``OPTIONAL``.
 """
@@ -42,6 +45,13 @@ UNCALLED = (
 # Public non-dunder methods of public classes that no library code calls,
 # as (module, "Class.method"), each with why it stays.
 UNCALLED_METHODS = ()
+
+# Public __slots__ fields of public classes that no library code reads
+# outside the class body, as (module, "Class.field"), each with why it
+# stays.
+UNREAD_FIELDS = (
+    ("compoly", "GenSymbol.base"),  # the symbol's name: str and repr print it
+)
 
 # Names that only the tests called, moved to tests/oracles.py or removed.
 # The product operator left the vector types: a scalar multiple is
@@ -178,6 +188,48 @@ def test_every_public_method_has_a_library_caller():
     # A method that only the tests call becomes an oracle function; an
     # exemption that gains a caller leaves UNCALLED_METHODS.
     assert _uncalled_methods() == sorted(UNCALLED_METHODS)
+
+
+def _attribute_reads(tree: ast.AST, skip: ast.AST) -> set:
+    """The attribute names that ``tree`` loads, outside the subtree
+    ``skip``; a local variable of the same name is not a read."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _unread_fields() -> list:
+    """The (module, "Class.field") pairs of the ``__slots__`` fields of
+    each ``__all__`` class that no library code reads as an attribute
+    outside the class body.  A field named with a leading ``_`` is the
+    class's own state and is left out."""
+    trees = _library_trees()
+    out = []
+    for m, tree in trees.items():
+        public = set(getattr(importlib.import_module("precom." + m), "__all__", ()))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in public:
+                continue
+            read = set().union(*(_attribute_reads(t, cls) for t in trees.values()))
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.Assign)
+                        and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]):
+                    out.extend((m, "%s.%s" % (cls.name, f)) for f in ast.literal_eval(stmt.value)
+                               if not f.startswith("_") and f not in read)
+    return sorted(out)
+
+
+def test_every_public_field_is_read():
+    # A field that only the tests read, or none, leaves its class; an
+    # exemption that gains a reader leaves UNREAD_FIELDS.
+    assert _unread_fields() == sorted(UNREAD_FIELDS)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in REMOVED.items() for n in ns])

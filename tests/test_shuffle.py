@@ -464,7 +464,7 @@ class TestPermTensor:
         h = el(ab2, "yx")
         rep = perm_tensor_check(2, [(f, g, h)])
         assert rep.verified
-        assert rep.triples_checked == 8
+        assert rep.checked == 8
 
     def test_tensor_random_triples(self, ab2):
         rng = random.Random(29)
@@ -486,8 +486,8 @@ class TestPermTensor:
                    for _ in range(5)]
         rep = perm_tensor_check(2, samples)
         assert not rep.verified
-        assert rep.triples_checked == 40
-        assert len(rep.associativity_violations) == 40
+        assert rep.checked == 40
+        assert len(rep.failures) == 40
 
     def test_violations_report_the_given_samples(self, ab2, monkeypatch):
         # The commutative shuffle is bilinear but not pre-commutative.  The
@@ -505,16 +505,16 @@ class TestPermTensor:
         rep = perm_tensor_check(2, samples)
         assert not rep.verified
         given = {tuple(map(id, s)) for s in samples}
-        for *_, f, g, h in rep.associativity_violations:
+        for *_, f, g, h in rep.failures:
             assert (id(f), id(g), id(h)) in given
         for f, g, h in samples:
             rescaled = [(f.scale(Fraction(2, 3)), g.scale(5), h.scale(Fraction(-1, 7)))]
             a, b = perm_tensor_check(2, [(f, g, h)]), perm_tensor_check(2, rescaled)
             assert a.verified == b.verified
-            assert a.triples_checked == b.triples_checked == 8
-            assert [v[:3] for v in a.associativity_violations] \
-                == [v[:3] for v in b.associativity_violations]
-            assert all(v[3:] == rescaled[0] for v in b.associativity_violations)
+            assert a.checked == b.checked == 8
+            assert [v[:3] for v in a.failures] \
+                == [v[:3] for v in b.failures]
+            assert all(v[3:] == rescaled[0] for v in b.failures)
 
     def test_counters(self, ab2, monkeypatch):
         monkeypatch.setattr(shuffle_module, "_HALF", {})
