@@ -293,11 +293,8 @@ def _handle_irr(args):
 
 
 def _handle_zmul(args):
-    if args.letters:
-        names = [s for s in args.letters.split(",") if s]
-    else:
-        # An empty name is left to parse_aword, which says where it is.
-        names = sorted((set(args.left.split(".")) | set(args.right.split("."))) - {""})
+    # An empty name is left to parse_aword, which says where it is.
+    names = sorted((set(args.left.split(".")) | set(args.right.split("."))) - {""})
     alphabet = _alphabet(names)
     u = parse_aword(args.left, alphabet)
     v = parse_aword(args.right, alphabet)
@@ -464,7 +461,6 @@ _TABLE = {
         "left": (str, _REQUIRED, "dotted word, e.g. x.y", None),
         "right": (str, _REQUIRED, "dotted word", None),
         "star": (bool, False, "symmetrized product instead of the one-sided one", None),
-        "letters": (str, None, "comma-separated alphabet order (default: sorted names)", None),
     }, {}),
     "verify": ("run a verification driver", _handle_verify, {
         "letters": (int, None, "alphabet size", 1),

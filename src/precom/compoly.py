@@ -28,8 +28,9 @@ S-pair from two copies, and :func:`~precom.lincomb.descend` reduces by
 the copies through pseudo-division, dividing by its running scale once
 at the end.  The answers are those of the monic ``Fraction`` loop, and
 an S-pair that reduces to zero makes no ``Fraction``.  Only the pairs
-whose leading monomials share a symbol are formed; the coprime ones are
-counted from the leading weights.
+whose leading monomials share a symbol are formed, each when its lcm,
+weighed from one leading monomial's ``cofactor`` by the other, is within
+the bound; the coprime ones are counted from the leading weights.
 """
 
 from __future__ import annotations
@@ -178,19 +179,6 @@ class ComMonomial:
         # other's map is in factor order, so extra is already sorted.
         return ComMonomial._sorted(tuple(extra))
 
-    def _common(self, other: "ComMonomial") -> tuple:
-        """(factor count, weight) of gcd(self, other), read from the shared
-        multiplicities without building it."""
-        theirs = other._mults().get
-        count = weight = 0
-        for s, n in self._mults().items():
-            k = theirs(s, 0)
-            if k:
-                k = min(n, k)
-                count += k
-                weight += k * s.weight
-        return count, weight
-
     def __repr__(self) -> str:
         if not self.factors:
             return "1"
@@ -236,8 +224,8 @@ class ComBasis:
     its integer copy: the relation times the least common denominator of
     its coefficients (:func:`~precom.lincomb.integral`), so the copy has
     ``int`` coefficients and a leading coefficient L >= 1, and is the
-    relation itself when L is 1.  Iterating and indexing give the monic
-    relations; :meth:`find` answers with the copy, which
+    relation itself when L is 1.  Iterating gives the monic relations;
+    :meth:`find` answers with the copy, which
     :func:`~precom.lincomb.descend` divides by pseudo-division.  The copy
     is filed under the smallest factor of its leading monomial (a
     constant leading monomial under ``None``), in list order.  A leading
@@ -283,9 +271,6 @@ class ComBasis:
 
     def __iter__(self):
         return iter(self._relations)
-
-    def __getitem__(self, i):
-        return self._relations[i]
 
     def find(self, m: ComMonomial):
         """``find`` for the shared reducer: ``((quotient, position),
@@ -395,10 +380,11 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     added relation, by i.  Only a pair whose leading monomials share a
     symbol and whose lcm is within the bound is formed: a symbol ->
     positions index lists the earlier relations that share a symbol with
-    the new one.  A coprime pair reduces to zero by the product
-    criterion; its lcm weighs the sum of the two leading weights, so the
-    coprime pairs within the bound are counted from the sorted leading
-    weights without being formed.  A pair is reduced as the S-polynomial
+    the new one, and the lcm weighs the new leading weight plus that of
+    its cofactor by the earlier one.  A coprime pair reduces to zero by
+    the product criterion; its lcm weighs the sum of the two leading
+    weights, so the coprime pairs within the bound are counted from the
+    sorted leading weights without being formed.  A pair is reduced as the S-polynomial
     of the basis's integer copies (:func:`_s_pair`), a multiple of the
     monic one, so its normal form made monic is the same relation.
 
@@ -435,7 +421,7 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
             other = copies[i].leading()
             if other.weight <= room:
                 within -= 1
-            if other.weight - other._common(lead)[1] <= room:
+            if lead.cofactor(other).weight <= room:
                 pairs.append((i, k))
         coprime += within
         insort(weights, lead.weight)

@@ -424,7 +424,7 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
             "truncation too small: N=%d but products need N >= %d"
             % (N, 2 * F.max_level()))
     # The homomorphism loop builds each pair relation once, for basis
-    # pairs x <= y and then by weight: raw to compare, monic to complete.
+    # pairs x <= y and then by weight; completion makes it monic.
     G = []
 
     # The image series of x, sum of i x[i] t^i from level(x) to N, has
@@ -451,7 +451,7 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
                 r = ComPoly._raw({m: exact(Fraction(e, d)) for m, e in terms.get(l, {}).items()})
                 if l >= low:
                     p = pair_relation(F, x, y, l)
-                    G.append(p.monic())
+                    G.append(p)
                     r = r - p.scale(l)
                 if r:
                     failures.append((x.name, y.name, l, r))

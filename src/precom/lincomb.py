@@ -81,19 +81,17 @@ class LinComb:
 
     Immutable; zero coefficients are never stored, and every coefficient
     is an ``int`` when integral and a ``Fraction`` otherwise, never a
-    float.  Combinations of different subclasses never compare equal and
-    cannot be added; a multiple is :meth:`scale`, not ``*``.  The leading
-    monomial (the largest under ``_key``) is cached after first use.
+    float.  A combination is built by :meth:`from_terms`, :meth:`monomial`
+    or :meth:`zero`.  Combinations of different subclasses never compare
+    equal and cannot be added; a multiple, -1 included, is :meth:`scale`,
+    not an operator.  The leading monomial (the largest under ``_key``)
+    is cached after first use.
     """
 
     __slots__ = ("terms", "_lead")
 
     # Monomial sort key: tree words and commutative monomials carry ``key``.
     _key = operator.attrgetter("key")
-
-    def __init__(self, terms: dict):
-        self.terms = self._collect(terms.items())
-        self._lead = None
 
     @classmethod
     def _monomial(cls, m):
@@ -168,9 +166,6 @@ class LinComb:
 
     def __sub__(self, other):
         return self._combine(other, operator.sub)
-
-    def __neg__(self):
-        return self._raw({m: -c for m, c in self.terms.items()})
 
     def scale(self, c: Coeff):
         c = exact(c)

@@ -64,15 +64,6 @@ class Letter:
     def __lt__(self, other: "Letter") -> bool:
         return self.rank < other.rank
 
-    def __le__(self, other: "Letter") -> bool:
-        return self.rank <= other.rank
-
-    def __gt__(self, other: "Letter") -> bool:
-        return self.rank > other.rank
-
-    def __ge__(self, other: "Letter") -> bool:
-        return self.rank >= other.rank
-
 
 class Alphabet:
     """A finite ordered alphabet; letter ranks are contiguous from zero."""
@@ -260,22 +251,31 @@ def comb(letters: Iterable[Letter]) -> NaWord:
     return w
 
 
+def _format_terms(pairs, fmt) -> str:
+    """The S-expression of a combination from its (monomial, coefficient)
+    pairs in print order, each monomial written by ``fmt``: ``0``, one
+    monomial alone, or ``(+ term ...)`` with the term ``(* c monomial)``
+    for a coefficient c other than 1."""
+    parts = []
+    for w, c in pairs:
+        if c == 1:
+            parts.append(fmt(w))
+        else:
+            parts.append("(* %s %s)" % (c, fmt(w)))
+    if not parts:
+        return "0"
+    if len(parts) == 1 and not parts[0].startswith("(*"):
+        return parts[0]
+    return "(+ %s)" % " ".join(parts)
+
+
 class MagmaPoly(LinComb):
     """A finite rational combination of non-associative words, ordered by
     the weight order; the arithmetic and exactness rules are
-    :class:`~precom.lincomb.LinComb`'s."""
+    :class:`~precom.lincomb.LinComb`'s.  Its repr is the S-expression of
+    relation files and the ``reduce`` verb, terms in decreasing order."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self.sorted_terms():
-            if c == 1:
-                bits.append(repr(w))
-            elif c == -1:
-                bits.append("-%r" % (w,))
-            else:
-                bits.append("%s*%r" % (c, w))
-        return " + ".join(bits).replace("+ -", "- ")
+        return _format_terms(self.sorted_terms(), repr)

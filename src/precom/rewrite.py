@@ -482,19 +482,14 @@ class _Sites:
         return sites
 
     def below_root(self) -> int:
-        """The number of sites strictly below the root of an outer
-        instance's leading word, formed or not: one per subword of either
-        factor and relation matching that subword.  The Zinbiel family's
-        are counted by length, from the number of words and the number of
-        (subword, relation) matches over the words of each length."""
-        index = self.index
-        within: dict[NaWord, int] = {}
-        total = sum(_matches_within(w, index, within)
-                    for _, f in self.outer if f.leading().letter is None
-                    for w in (f.leading().left, f.leading().right))
+        """The number of sites strictly below the root of a Zinbiel
+        instance's leading word, formed or not, counted by length from the
+        number of words and the number of (subword, relation) matches over
+        the words of each length; 0 without the family.  The sites below
+        the root of any other outer instance are all formed."""
         if self.zinbiel is None:
-            return total
-        top, words = self.bound, self.words
+            return 0
+        index, top, words = self.index, self.bound, self.words
         copies = sum(isinstance(fam, ZinbielFamily) for _, fam in index.families)
         matched = [0] * (top + 1)
         for _, p in self.instances:
@@ -505,8 +500,9 @@ class _Sites:
             matched[n] += sum(matched[i] * words[n - i] + words[i] * matched[n - i]
                               for i in range(1, n))
         # Over the words a(u) with u compound: the matches within a and u.
-        total += sum(matched[i] * words[j] + words[i] * matched[j]
-                     for i in range(1, top) for j in range(2, top + 1 - i))
+        total = sum(matched[i] * words[j] + words[i] * matched[j]
+                    for i in range(1, top) for j in range(2, top + 1 - i))
+        within: dict[NaWord, int] = {}
         return total - sum(_matches_within(w.left, index, within)
                            + _matches_within(w.right, index, within) for w in self.shadow)
 
@@ -538,9 +534,11 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     site of two Zinbiel instances and a site inside the variables a, b and
     c of a Zinbiel instance; by the chain criterion, the ``skipped`` site
     a(u) at the right factor of a Zinbiel instance whose left factor a is
-    reducible (see :class:`ZinbielFamily`).  Every other site is
-    reduced; reductions only ever rewrite monomials strictly below the
-    ambiguity, so a zero normal form witnesses triviality.  The verdict is
+    reducible (see :class:`ZinbielFamily`).  All three sit below the root
+    of a Zinbiel instance, so ``discharged`` is the count of those sites
+    by length less the ones formed.  Every other site is reduced;
+    reductions only ever rewrite monomials strictly below the ambiguity,
+    so a zero normal form witnesses triviality.  The verdict is
     the same as reducing every site, since the set is a Groebner-Shirshov
     basis up to the bound exactly when every composition is trivial, but a
     failing set may list fewer failures.
@@ -550,9 +548,11 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     index = _RedexIndex(list(relations))
     search = _Sites(index, bound)
     sites = search.initial()
-    # Every site below the root, reduced or not, minus those reduced.  No
-    # root site is discharged.
-    discharged = search.below_root() - sum(1 for site in sites if site[4])
+    # Every site below the root of a Zinbiel instance, reduced or not,
+    # minus those reduced.  No root site is discharged, and no site of
+    # another outer instance: of_outer forms each of them.
+    discharged = search.below_root() - sum(
+        1 for site in sites if site[4] and isinstance(index.schemas[site[2]], ZinbielFamily))
     failures: list[tuple] = []
     for _, _, fpos, _, path, w, g in sites:
         f = index.schemas[fpos].match(w)

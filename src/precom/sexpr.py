@@ -32,7 +32,6 @@ __all__ = [
     "parse_poly",
     "format_poly",
     "parse_aword",
-    "format_aword",
     "format_zinb",
     "parse_relations",
     "format_relations",
@@ -211,22 +210,8 @@ def parse_poly(text: str, alphabet: Alphabet) -> MagmaPoly:
     return _poly_from_form(_one_form(text, "polynomial"), alphabet)
 
 
-def _format_terms(pairs, fmt) -> str:
-    parts = []
-    for w, c in pairs:
-        if c == 1:
-            parts.append(fmt(w))
-        else:
-            parts.append("(* %s %s)" % (c, fmt(w)))
-    if not parts:
-        return "0"
-    if len(parts) == 1 and not parts[0].startswith("(*"):
-        return parts[0]
-    return "(+ %s)" % " ".join(parts)
-
-
 def format_poly(p: MagmaPoly) -> str:
-    return _format_terms(p.sorted_terms(), format_word)
+    return repr(p)
 
 
 def parse_aword(text: str, alphabet: Alphabet) -> tuple:
@@ -244,14 +229,8 @@ def parse_aword(text: str, alphabet: Alphabet) -> tuple:
     return tuple(out)
 
 
-def format_aword(u: tuple) -> str:
-    return ".".join(x.name for x in u)
-
-
 def format_zinb(p: ZinbElement) -> str:
-    """Terms in increasing word order (length, then letter ranks): the
-    reverse of :meth:`~precom.lincomb.LinComb.sorted_terms`."""
-    return _format_terms(reversed(p.sorted_terms()), format_aword)
+    return repr(p)
 
 
 _FAMILIES = {

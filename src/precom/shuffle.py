@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .lincomb import LinComb, Report, exact, integral
-from .magma import Alphabet
+from .magma import Alphabet, _format_terms
 
 __all__ = [
     "ZinbElement",
@@ -101,7 +101,8 @@ def _aword_key(w: tuple) -> tuple:
 
 class ZinbElement(LinComb):
     """A finite rational combination of nonempty associative words; the
-    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s."""
+    arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s.
+    Its repr is the S-expression that ``zmul`` prints, of dotted words."""
 
     __slots__ = ()
 
@@ -115,13 +116,9 @@ class ZinbElement(LinComb):
         return w
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in reversed(self.sorted_terms()):  # increasing word order
-            name = ".".join(x.name for x in w)
-            bits.append(name if c == 1 else "%s*%s" % (c, name))
-        return " + ".join(bits)
+        # Terms in increasing word order (length, then letter ranks).
+        return _format_terms(reversed(self.sorted_terms()),
+                             lambda w: ".".join(x.name for x in w))
 
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:

@@ -339,7 +339,7 @@ def monic_find(basis: ComBasis):
     it never pseudo-divides."""
     def find(m):
         hit = basis.find(m)
-        return hit if hit is None else (hit[0], basis[hit[0][1]])
+        return hit if hit is None else (hit[0], basis._relations[hit[0][1]])
     return find
 
 
@@ -358,13 +358,15 @@ def buchberger_reference(G: Sequence[ComPoly], weight_bound: int):
     while pairs:
         i, j = pairs.popleft()
         considered += 1
-        f, g = basis[i], basis[j]
+        f, g = basis._relations[i], basis._relations[j]
         lf, lg = f.leading(), g.leading()
-        gcd_count, gcd_weight = lf._common(lg)
-        if lf.weight + lg.weight - gcd_weight > weight_bound:
+        # lcm(lf, lg) is lf times what lg has beyond it: lg itself when
+        # the two share no symbol.
+        extra = lf.cofactor(lg)
+        if lf.weight + extra.weight > weight_bound:
             skipped_bound += 1
             continue
-        if not gcd_count:
+        if extra is lg:
             skipped_coprime += 1
             continue
         processed += 1
@@ -592,8 +594,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--star", action="store_true",
                    help="symmetrized product instead of the one-sided one")
-    p.add_argument("--letters", default=None,
-                   help="comma-separated alphabet order (default: sorted names)")
 
     p = verb_parser("verify", "run a verification driver")
     p.add_argument("target", choices=VERIFY_TARGETS)

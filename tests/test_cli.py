@@ -229,18 +229,6 @@ class TestZmul:
         assert code == 0
         assert out.strip() == "(+ (* 2 x.x.y) x.y.x)"
 
-    def test_letters_override_order(self, run):
-        code, out, _ = run("zmul", "--left", "a", "--right", "b",
-                           "--letters", "b,a")
-        assert code == 0
-        assert out.strip() == "a.b"
-
-    def test_unknown_letter_exits_2(self, run):
-        code, _, err = run("zmul", "--left", "a.q", "--right", "a",
-                           "--letters", "a")
-        assert code == 2
-        assert "unknown letter" in err
-
     def test_deep_word(self, run):
         left = ".".join(["x"] * 1200)
         code, out, _ = run("zmul", "--left", left, "--right", "x.y")
@@ -258,7 +246,6 @@ class TestZmul:
         (("--left", "(a", "--right", "b)", "--star"), "(a"),
         (("--left", "+", "--right", "0"), "+"),
         (("--left", "x", "--right", "0"), "0"),
-        (("--left", "x", "--right", "y", "--letters", "x,y,*"), "*"),
     ])
     def test_unreadable_letter_name_exits_2(self, run, argv, name):
         # The letter-name rule of the relation and algebra files: the

@@ -184,7 +184,8 @@ class TestMonomialInvariants:
                 big = counter_lcm(a, b)
                 assert same_monomial(a.cofactor(b), counter_div(big, a))
                 gcd = ComMonomial((Counter(a.factors) & Counter(b.factors)).elements())
-                assert a._common(b) == (gcd.count, gcd.weight)
+                # The pair criteria read the lcm weight as a's plus this.
+                assert a.cofactor(b).weight == b.weight - gcd.weight
                 assert big.count == a.count + b.count - gcd.count
                 assert big.weight == a.weight + b.weight - gcd.weight
 
@@ -277,7 +278,7 @@ class TestComPoly:
         q = poly((mono(X2), Fraction(1, 2)))
         assert p + q == ComPoly.monomial(mono(X1, X1))
         assert (p - p) == ComPoly.zero()
-        assert -p + p == ComPoly.zero()
+        assert p.scale(-1) + p == ComPoly.zero()
         assert p.scale(2) == poly((mono(X1, X1), 2), (mono(X2), -1))
 
     def test_poly_product(self):
@@ -479,7 +480,7 @@ class TestDivisorIndex:
                     else:
                         (q, pos), rel = got
                         assert_integer_copy(rel, want[1])
-                        assert basis[pos] is want[1]
+                        assert list(basis)[pos] is want[1]
                         assert pos == want[0][1] and same_monomial(q * rel.leading(), m)
 
     def test_append_checks_each_relation(self):
@@ -504,7 +505,7 @@ class TestDivisorIndex:
                 nf = com_reduce(p, basis)
                 assert nf == com_reduce(p, ComBasis(G))
                 assert com_reduce_with_trace(p, basis) == com_reduce_with_trace(p, G)
-                assert_certified(p, basis, nf)
+                assert_certified(p, list(basis), nf)
 
     def test_reducers_match_linear_scan(self):
         rng = random.Random(77)

@@ -256,7 +256,7 @@ def copy_met(basis):
     monic relation times its least common denominator."""
     def met(step, rel):
         pos = step[1]
-        assert rel is basis[pos]
+        assert rel is basis._relations[pos]
         d, terms = integral(rel.terms)
         copy = basis._copies[pos]
         assert copy is rel if d == 1 else copy.terms == terms

@@ -12,7 +12,9 @@ public method of a public class, or an entry in ``UNCALLED_METHODS``, so
 the surface cannot grow back unnoticed; each public ``__slots__`` field
 of a public class must be read outside its class, or have an entry in
 ``UNREAD_FIELDS``, so a report holds no field that nothing reads.
-Likewise a parameter with a
+Each arithmetic, ordering or indexing operator that a public class
+defines is listed in ``OPERATORS`` with a library expression that
+applies it.  Likewise a parameter with a
 default must be one that two library callers set differently, listed
 with its reason in ``OPTIONAL``.
 """
@@ -71,14 +73,40 @@ MOVED = {
     "sexpr": ("parse_word",),
 }
 
-# Names deleted outright.  A reduction step is the plain tuple that the
+# Names deleted outright, as module names or "Class.attr" (gone from the
+# class's own namespace).  A reduction step is the plain tuple that the
 # reducer appends to its trace, and a composition failure the plain tuple
 # (f, g, ambiguity, normal_form) that verify_gsb lists.  The tensor check
 # runs on the one Perm algebra e_i e_j = e_j, so it needs no Perm class.
+# A combination is built by from_terms, monomial or zero, and negated by
+# scale(-1); letters are only sorted and min-ed, which read <; the pair
+# criteria read the lcm weight from cofactor; a basis is iterated, never
+# indexed; and a dotted word prints inside ZinbElement's repr.
 REMOVED = {
     "rewrite": ("ReductionStep", "CompositionFailure"),
     "shuffle": ("PermAlgebra",),
+    "lincomb": ("LinComb.__init__", "LinComb.__neg__"),
+    "magma": ("Letter.__le__", "Letter.__gt__", "Letter.__ge__"),
+    "compoly": ("ComMonomial._common", "ComBasis.__getitem__"),
+    "sexpr": ("format_aword",),
 }
+
+# The arithmetic, ordering and indexing dunders defined in the body of a
+# public class, as (module, "Class.method"), each with a library
+# expression that applies it.
+OPERATORS = (
+    ("compoly", "ComMonomial.__mul__"),  # compoly._s_pair: m * u
+    ("lincomb", "LinComb.__add__"),      # shuffle.star: zinbiel_product(f, g) + ...
+    ("lincomb", "LinComb.__sub__"),      # rewrite.verify_gsb: f - substitute(w, path, g)
+    ("magma", "Alphabet.__getitem__"),   # sexpr._letter: alphabet[form.text]
+    ("magma", "Letter.__lt__"),          # embed.standard_filtration: sorted(rows)
+)
+_OPERATOR_NAMES = {
+    "__%s__" % op for op in (
+        "add", "radd", "sub", "rsub", "mul", "rmul", "matmul", "rmatmul", "truediv",
+        "rtruediv", "floordiv", "rfloordiv", "mod", "rmod", "pow", "rpow", "neg", "pos",
+        "abs", "invert", "and", "rand", "or", "ror", "xor", "rxor", "lshift", "rshift",
+        "lt", "le", "gt", "ge", "getitem")}
 
 # The parameters with a default, as (module, function, parameter), each
 # with the two library callers that set it differently.
@@ -234,8 +262,32 @@ def test_every_public_field_is_read():
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in REMOVED.items() for n in ns])
 def test_removed_names_are_gone(module, name):
-    assert not hasattr(importlib.import_module("precom." + module), name)
-    assert not hasattr(precom, name)
+    owner, _, attr = name.rpartition(".")
+    mod = importlib.import_module("precom." + module)
+    if owner:
+        assert attr not in vars(getattr(mod, owner))
+    else:
+        assert not hasattr(mod, name)
+        assert not hasattr(precom, name)
+
+
+def _operators() -> list:
+    """The (module, "Class.method") pairs of the arithmetic, ordering and
+    indexing dunders defined in the body of an ``__all__`` class."""
+    out = []
+    for m, tree in _library_trees().items():
+        public = set(getattr(importlib.import_module("precom." + m), "__all__", ()))
+        out.extend((m, "%s.%s" % (cls.name, fn.name)) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name in public
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name in _OPERATOR_NAMES)
+    return sorted(out)
+
+
+def test_every_operator_is_listed():
+    # An operator that no library expression applies leaves its class; a
+    # new one joins OPERATORS with the expression that applies it.
+    assert _operators() == sorted(OPERATORS)
 
 
 def _optional_parameters() -> list:

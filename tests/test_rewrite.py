@@ -376,7 +376,7 @@ class TestVerify:
         assert rep.ambiguities_checked == 2
         diff = MagmaPoly.monomial(x) - MagmaPoly.monomial(y)
         assert rep.failures == [(f.poly, g.poly, node(x, y), diff),
-                                (g.poly, f.poly, node(x, y), -diff)]
+                                (g.poly, f.poly, node(x, y), diff.scale(-1))]
 
     def test_bound_validation(self, ab2):
         with pytest.raises(ValueError, match="at least 2"):
@@ -564,6 +564,8 @@ def _count_cases():
         ("family-twice", [ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
         ("family-last", quadratic + [ZinbielFamily(ab2)], 5),
         ("shadowed", [before, zinb, after] + quadratic, 5),
+        # No family: every site is formed and none is discharged.
+        ("lookalike", parse_relations(_LOOKALIKE)[1], 5),
     ] + [(name, complete(enveloping_relations(A), bound), bound)
          for name, A, bound in _CRITERIA_CASES]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from precom import (
 )
 from precom.sexpr import (
     ParseError,
-    format_aword,
     format_poly,
     format_relations,
     format_word,
@@ -28,7 +28,7 @@ from precom.sexpr import (
     parse_relations,
 )
 
-from oracles import parse_word
+from oracles import parse_word, words_of_length
 
 
 class TestWords:
@@ -101,6 +101,19 @@ class TestPolys:
         for p in polys:
             assert parse_poly(format_poly(p), ab2) == p
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repr_reads_back(self, ab3, seed):
+        # A tree polynomial's repr is its file form: seeded sums of words
+        # of lengths 1 to 5 with seeded coefficients, zero included.
+        rng = random.Random(seed)
+        words = [w for n in range(1, 6) for w in words_of_length(ab3, n)]
+        for size in range(8):
+            p = MagmaPoly.from_terms(
+                (rng.choice(words), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                for _ in range(size))
+            assert repr(p) == format_poly(p)
+            assert parse_poly(repr(p), ab3) == p
+
     def test_terms_merge(self, ab2):
         p = parse_poly("(+ x x (* -2 x))", ab2)
         assert p == MagmaPoly.zero()
@@ -121,7 +134,7 @@ class TestAWords:
 
     def test_round_trip(self, ab3):
         for text in ["x", "z.y", "x.y.z.x"]:
-            assert format_aword(parse_aword(text, ab3)) == text
+            assert repr(ZinbElement.monomial(parse_aword(text, ab3))) == text
 
     def test_empty_rejected(self, ab2):
         with pytest.raises(ParseError, match="empty"):
