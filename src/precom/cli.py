@@ -411,7 +411,8 @@ def _handle_embed(args):
         "stats": {
             "pairs": {"considered": b.pairs_considered, "processed": b.pairs_processed,
                       "skipped_bound": b.pairs_skipped_bound,
-                      "skipped_coprime": b.pairs_skipped_coprime, "added": len(b.added)},
+                      "skipped_coprime": b.pairs_skipped_coprime,
+                      "skipped_lcm": b.pairs_skipped_lcm, "added": len(b.added)},
             "lookups": {"calls": b.lookups, "memo_hits": b.memo_hits},
         },
         "timings": {k: round(v, 3) for k, v in rep.phases.items()},

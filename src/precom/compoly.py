@@ -30,7 +30,9 @@ at the end.  The answers are those of the monic ``Fraction`` loop, and
 an S-pair that reduces to zero makes no ``Fraction``.  Only the pairs
 whose leading monomials share a symbol are formed, each when its lcm,
 weighed from one leading monomial's ``cofactor`` by the other, is within
-the bound; the coprime ones are counted from the leading weights.
+the bound; the coprime ones are counted from the leading weights.  Of
+the pairs that a new relation makes with one lcm, only the first is
+formed (Gebauer-Moeller criterion F) and the rest are counted.
 """
 
 from __future__ import annotations
@@ -327,11 +329,13 @@ def com_reduce(p: ComPoly, basis: ComBasis) -> ComPoly:
 class BuchbergerReport:
     """The basis, additions and counters of :func:`buchberger_bounded`,
     built by position with ``Report``'s constructor; it is no verdict, so
-    it has no ``verified``."""
+    it has no ``verified``.  Every pair considered is processed or
+    skipped once: for the bound, as coprime, or for an lcm that an
+    earlier pair of the same new relation has (``pairs_skipped_lcm``)."""
 
     __slots__ = ("basis", "added", "pairs_considered", "pairs_processed",
-                 "pairs_skipped_bound", "pairs_skipped_coprime", "lookups",
-                 "memo_hits")
+                 "pairs_skipped_bound", "pairs_skipped_coprime",
+                 "pairs_skipped_lcm", "lookups", "memo_hits")
 
     __init__ = Report.__init__
 
@@ -388,10 +392,20 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     of the basis's integer copies (:func:`_s_pair`), a multiple of the
     monic one, so its normal form made monic is the same relation.
 
+    Of the pairs (i, k) of a new relation k with one lcm L, only the
+    first i is queued: Gebauer-Moeller criterion F (Gebauer & Moeller,
+    *J. Symb. Comp.* 6, 1988).  The lcm is lead_k times its cofactor by
+    lead_i, so an equal lcm is the same hash-consed cofactor.  A skipped
+    pair (j, k) is sound: lead_i divides L, so S(j, k) = S(i, k) -
+    (L / lcm(i, j)) S(i, j), both with lcm dividing L; the pair (i, j) is
+    within the bound, and is formed, coprime or itself skipped so.
+
     Returns (basis, report).  Any factor-count-1 leading monomial in the
     final basis is collected in report.linear_leadings.  The report also
     counts the pairs by what became of them, and the divisor lookups of
-    the reductions with those the basis's memo answered.
+    the reductions with those the basis's memo answered.  The pairs
+    considered are those processed plus those skipped for the bound, as
+    coprime and for a repeated lcm.
     """
     for g in G:
         if not g:
@@ -405,24 +419,31 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     pairs: deque = deque()
     holders: dict = {}      # symbol -> positions whose leading monomial has it
     weights: list = []      # the leading weights so far, sorted
-    coprime = 0
+    coprime = same_lcm = 0
 
     def pair_up(k: int) -> None:
-        """Queue the pairs (i, k), i < k, that are formed; count the
-        coprime ones within the bound."""
-        nonlocal coprime
+        """Queue the pairs (i, k), i < k, that are formed, one per lcm;
+        count the coprime ones within the bound and those of a repeated
+        lcm."""
+        nonlocal coprime, same_lcm
         lead = copies[k].leading()
         room = weight_bound - lead.weight
         within = bisect_right(weights, room)
         shared = set()
         for s in lead._mults():
             shared.update(holders.setdefault(s, set()))
+        queued = set()      # lcm / lead of the pairs queued for k
         for i in sorted(shared):
             other = copies[i].leading()
             if other.weight <= room:
                 within -= 1
-            if lead.cofactor(other).weight <= room:
-                pairs.append((i, k))
+            extra = lead.cofactor(other)
+            if extra.weight <= room:
+                if extra in queued:
+                    same_lcm += 1
+                else:
+                    queued.add(extra)
+                    pairs.append((i, k))
         coprime += within
         insort(weights, lead.weight)
         for s in lead._mults():
@@ -445,6 +466,6 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     n = len(relations)
     considered = n * (n - 1) // 2
     report = BuchbergerReport(relations, added, considered, processed,
-                              considered - processed - coprime, coprime,
-                              basis.calls, basis.memo_hits)
+                              considered - processed - coprime - same_lcm, coprime,
+                              same_lcm, basis.calls, basis.memo_hits)
     return relations, report

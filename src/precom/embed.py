@@ -338,23 +338,24 @@ def _rb_sides(rng: random.Random, max_n: int, stats: dict) -> tuple:
     """One trial of :func:`verify_rota_baxter` as scaled series: it draws
     N in 2..max_n and the series a, b, c, and returns the two sides
     R(a)R(b) and R(R(a)b + aR(b)) of the Rota-Baxter identity, then the
-    two sides R(a)(R(b)c) and R(R(a)b)c + R(R(b)a)c of the
-    pre-commutative one.  ``stats`` counts the products and their terms."""
+    two sides R(a)(R(b)c) and R(R(a)b + aR(b))c of the pre-commutative
+    one.  The last is R(R(a)b)c + R(R(b)a)c in the Zinbiel form
+    x(yz) = (xy + yx)z: R is linear and the series ring commutative, so
+    R(b)a is aR(b), and the sum under R is the Rota-Baxter right side,
+    formed once.  That makes six Cauchy products; ``stats`` counts them
+    and their terms."""
     N = rng.randint(2, max_n)
     a, b, c = (_draw(rng, N) for _ in range(3))
     q = _rb_scales(N)
     ra, rb = _scaled_rb(a, q), _scaled_rb(b, q)
     ra_b = series_product(ra, b, N)
     a_rb = series_product(a, rb, N)
-    rb_a = series_product(rb, a, N)
     rb_c = series_product(rb, c, N)
     lhs = series_product(ra, rb, N)
     rhs = _scaled_rb(_scaled_sum(ra_b, a_rb), q)
     zl = series_product(ra, rb_c, N)
-    left = series_product(_scaled_rb(ra_b, q), c, N)
-    right = series_product(_scaled_rb(rb_a, q), c, N)
-    zr = _scaled_sum(left, right)
-    products = (ra_b, a_rb, rb_a, rb_c, lhs, zl, left, right)
+    zr = series_product(rhs, c, N)
+    products = (ra_b, a_rb, rb_c, lhs, zl, zr)
     stats["products"] += len(products)
     stats["terms"] += sum(len(g) for _, terms in products for g in terms.values())
     return lhs, rhs, zl, zr
@@ -365,7 +366,9 @@ def verify_rota_baxter(rng: random.Random, count: int, max_n: int,
     """Check the Rota-Baxter identity R(a)R(b) = R(R(a)b + aR(b)) and the
     pre-commutative identity R(a)(R(b)c) = R(R(a)b)c + R(R(b)a)c exactly,
     in scaled integers, on ``count`` trials, each on three random series
-    through a random t^N, N in 2..max_n.
+    through a random t^N, N in 2..max_n.  The pre-commutative right side
+    is formed as R(R(a)b + aR(b))c from the Rota-Baxter right side
+    (:func:`_rb_sides`), six Cauchy products a trial.
     The failures are (trial, "rota-baxter" or "pre-commutative") in trial
     order.  ``stats`` gets the number of Cauchy products formed and of
     the terms they produced."""

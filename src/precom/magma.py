@@ -197,14 +197,8 @@ class _DeepKey:
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
     def __gt__(self, other) -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
         return hash(self.length)

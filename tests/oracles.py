@@ -30,7 +30,9 @@ entries.
 
 ``buchberger_reference`` is the bounded Buchberger loop on monic
 ``Fraction`` relations that forms every pair, each by ``s_polynomial``,
-and then skips most of them; ``com_product`` multiplies two
+and then skips most of them; ``unresolved_pairs`` lists the pairs of a
+basis, within a weight, whose S-polynomial does not reduce to zero by
+it; ``com_product`` multiplies two
 polynomials, which no completion step does.  ``coefficient_relations``
 lists, in the library's order, the monic pair relations that ``embed``
 completes, and ``com_reduce_with_trace`` reduces with the steps taken.
@@ -343,6 +345,22 @@ def monic_find(basis: ComBasis):
     return find
 
 
+def unresolved_pairs(basis: Sequence[ComPoly], weight_bound: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of a monic basis whose lcm weighs at most
+    weight_bound and whose ``s_polynomial`` does not reduce to zero by
+    the monic relations: none for a Groebner basis truncated at that
+    weight.  Every such pair is formed, coprime ones included."""
+    find = monic_find(ComBasis(basis))
+    bad = []
+    for j, g in enumerate(basis):
+        lg = g.leading()
+        for i, f in enumerate(basis[:j]):
+            if lg.weight + lg.cofactor(f.leading()).weight <= weight_bound \
+                    and descend(s_polynomial(f, g).terms, find, _times):
+                bad.append((i, j))
+    return bad
+
+
 def buchberger_reference(G: Sequence[ComPoly], weight_bound: int):
     """``buchberger_bounded`` as it was before it formed the S-pairs of
     integer copies, and before it formed only the pairs whose leading
@@ -378,7 +396,7 @@ def buchberger_reference(G: Sequence[ComPoly], weight_bound: int):
             k = len(basis) - 1
             pairs.extend((i2, k) for i2 in range(k))
     report = BuchbergerReport(list(basis), added, considered, processed, skipped_bound,
-                              skipped_coprime, basis.calls, basis.memo_hits)
+                              skipped_coprime, 0, basis.calls, basis.memo_hits)
     return list(basis), report
 
 

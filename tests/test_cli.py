@@ -360,12 +360,12 @@ class TestVerify:
         assert "trials: 5 (seed 0)" in out
 
     def test_rb_json_stats(self, run):
-        # The Cauchy products formed (8 a trial) and the terms they
+        # The Cauchy products formed (6 a trial) and the terms they
         # produced; the reports of two runs are byte-identical.
         argv = ("verify", "rb", "--count", "20", "--max-n", "8", "--json")
         code, first, _ = run(*argv)
         assert code == 0
-        assert json.loads(first)["stats"] == {"products": 160, "terms": 946}
+        assert json.loads(first)["stats"] == {"products": 120, "terms": 710}
         assert run(*argv)[1] == first
 
     def test_rb_wrong_operator_exits_1(self, run, monkeypatch):
@@ -659,10 +659,10 @@ class TestEmbed:
         assert code == 0
         rep = json.loads(out)
         pairs, lookups = rep["stats"]["pairs"], rep["stats"]["lookups"]
-        assert pairs == {"considered": 3081, "processed": 251, "skipped_bound": 2671,
-                         "skipped_coprime": 159, "added": 37}
+        assert pairs == {"considered": 3081, "processed": 202, "skipped_bound": 2671,
+                         "skipped_coprime": 159, "skipped_lcm": 49, "added": 37}
         assert pairs["added"] == rep["counts"][1]
-        assert lookups == {"calls": 1423, "memo_hits": 1063}
+        assert lookups == {"calls": 1172, "memo_hits": 812}
         code, again, _ = run("embed", "--algebra", path, "--N", "10", "--json")
         assert again == out
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -25,7 +26,8 @@ from precom import compoly
 from precom.lincomb import descend, integral
 
 from oracles import (buchberger_reference, coefficient_relations, com_product,
-                     com_reduce_with_trace, mul_monomial, random_nilpotent_algebra, s_polynomial)
+                     com_reduce_with_trace, mul_monomial, random_nilpotent_algebra, s_polynomial,
+                     unresolved_pairs)
 
 X1 = GenSymbol("x", 1, 1, 0)
 X2 = GenSymbol("x", 1, 2, 0)
@@ -629,8 +631,8 @@ class TestBuchberger:
         _, G = trivial_relations(6)
         basis, rep = buchberger_bounded(G, 6)
         assert rep.linear_leadings == []
-        assert rep.pairs_considered == rep.pairs_processed \
-            + rep.pairs_skipped_bound + rep.pairs_skipped_coprime
+        assert rep.pairs_considered == rep.pairs_processed + rep.pairs_skipped_bound \
+            + rep.pairs_skipped_coprime + rep.pairs_skipped_lcm
 
     def test_truncated_square_zero_injective(self):
         # The algebra t k[t] / (t^3) on the basis {t, t^2}.
@@ -666,53 +668,62 @@ class TestBuchberger:
 
 
 # (considered, processed, skipped for the bound, skipped as coprime,
-# len(added), SHA-256 prefix of the added relations' reprs in order), as
-# pinned before the divisor index moved into ComBasis.
+# skipped for a repeated lcm, len(added), SHA-256 prefix of the added
+# relations' reprs in order).  The digests are those pinned before the
+# divisor index moved into ComBasis; processed + skipped for the lcm is
+# the processed count from before criterion F.
 PINNED_BUCHBERGER = {
-    ("power", 3, 8): (1176, 102, 1040, 34, 19, "f7262167aef4a47d"),
-    ("power", 3, 10): (3081, 251, 2671, 159, 37, "3f4f333f3de1f8a7"),
-    ("power", 3, 12): (5995, 495, 5041, 459, 56, "23870e2475a731f9"),
-    ("power", 4, 8): (2145, 128, 1981, 36, 26, "bdf4473e2e349561"),
-    ("power", 4, 10): (7140, 378, 6560, 202, 60, "10c9bab0a21a8b7a"),
-    ("seed", 0, 10): (3081, 251, 2671, 159, 37, "3090386716c84e70"),
-    ("seed", 1, 10): (2850, 311, 2148, 391, 26, "44c3a50e1a5fc8fc"),
-    ("seed", 2, 10): (3081, 251, 2671, 159, 37, "310bcb172ae6b2c7"),
-    ("seed", 3, 10): (2850, 311, 2148, 391, 26, "93bfb07cf4dc43f7"),
-    ("seed", 4, 10): (2850, 311, 2148, 391, 26, "98608a39ba63c0ae"),
-    ("seed", 5, 10): (3081, 251, 2671, 159, 37, "8dd2b550f86587a3"),
+    ("power", 3, 8): (1176, 82, 1040, 34, 20, 19, "f7262167aef4a47d"),
+    ("power", 3, 10): (3081, 202, 2671, 159, 49, 37, "3f4f333f3de1f8a7"),
+    ("power", 3, 12): (5995, 386, 5041, 459, 109, 56, "23870e2475a731f9"),
+    ("power", 4, 8): (2145, 101, 1981, 36, 27, 26, "bdf4473e2e349561"),
+    ("power", 4, 10): (7140, 296, 6560, 202, 82, 60, "10c9bab0a21a8b7a"),
+    ("seed", 0, 10): (3081, 202, 2671, 159, 49, 37, "3090386716c84e70"),
+    ("seed", 1, 10): (2850, 250, 2148, 391, 61, 26, "44c3a50e1a5fc8fc"),
+    ("seed", 2, 10): (3081, 202, 2671, 159, 49, 37, "310bcb172ae6b2c7"),
+    ("seed", 3, 10): (2850, 250, 2148, 391, 61, 26, "93bfb07cf4dc43f7"),
+    ("seed", 4, 10): (2850, 250, 2148, 391, 61, 26, "98608a39ba63c0ae"),
+    ("seed", 5, 10): (3081, 202, 2671, 159, 49, 37, "8dd2b550f86587a3"),
 }
+
+
+def pinned_relations(kind, k, N):
+    return truncated_relations(k, N)[1] if kind == "power" else nilpotent_relations(k, N)
+
+
+def added_digest(rep):
+    return hashlib.sha256("\n".join(repr(p) for p in rep.added).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("kind,k,N", sorted(PINNED_BUCHBERGER))
 def test_buchberger_counts_and_added_order_pinned(kind, k, N):
-    if kind == "power":
-        F, G = truncated_relations(k, N)
-    else:
-        F = standard_filtration(random_nilpotent_algebra(random.Random(k)))
-        G = coefficient_relations(F, N)
+    G = pinned_relations(kind, k, N)
     basis, rep = buchberger_bounded(G, N)
-    digest = hashlib.sha256("\n".join(repr(p) for p in rep.added).encode()).hexdigest()
     assert (rep.pairs_considered, rep.pairs_processed, rep.pairs_skipped_bound,
-            rep.pairs_skipped_coprime, len(rep.added), digest[:16]) \
+            rep.pairs_skipped_coprime, rep.pairs_skipped_lcm, len(rep.added), added_digest(rep)) \
         == PINNED_BUCHBERGER[kind, k, N]
     assert basis == G + rep.added
 
 
-def report_counts(rep):
-    return (rep.pairs_considered, rep.pairs_processed, rep.pairs_skipped_bound,
-            rep.pairs_skipped_coprime, rep.lookups, rep.memo_hits)
-
-
 def assert_matches_reference(G, N):
     """The library's completion of G at weight N against the reference
-    loop: the same basis and added relations, coefficient types
-    included, and the same six counters."""
+    loop, which processes every pair within the bound that shares a
+    symbol: the same basis and added relations, coefficient types
+    included, and the same pairs considered and skipped for the bound or
+    as coprime.  The reference also processes the pairs that criterion
+    F skips, so its processed count is the library's plus
+    ``pairs_skipped_lcm``; each reduction the library makes meets the
+    basis it meets there, so the library looks up no more."""
     basis, rep = buchberger_bounded(G, N)
     want, want_rep = buchberger_reference(G, N)
     assert basis == want and rep.added == want_rep.added
     assert [[type(c) for c in g.terms.values()] for g in basis] \
         == [[type(c) for c in g.terms.values()] for g in want]
-    assert report_counts(rep) == report_counts(want_rep)
+    assert (rep.pairs_considered, rep.pairs_skipped_bound, rep.pairs_skipped_coprime) \
+        == (want_rep.pairs_considered, want_rep.pairs_skipped_bound,
+            want_rep.pairs_skipped_coprime)
+    assert rep.pairs_processed + rep.pairs_skipped_lcm == want_rep.pairs_processed
+    assert rep.lookups <= want_rep.lookups
     return rep
 
 
@@ -731,3 +742,49 @@ class TestReferenceBuchberger:
             added += len(rep.added)
             coprime += rep.pairs_skipped_coprime
         assert added > 500 and coprime > 0
+
+
+def weight_deduped_buchberger():
+    """A wrong criterion F: ``buchberger_bounded`` with ``pair_up``
+    queueing one pair per weight of the earlier leading monomial, where
+    it should queue one per lcm."""
+    src = inspect.getsource(compoly.buchberger_bounded)
+    for old, new in (("extra in queued", "other.weight in queued"),
+                     ("queued.add(extra)", "queued.add(other.weight)")):
+        assert src.count(old) == 1
+        src = src.replace(old, new)
+    namespace = dict(vars(compoly))
+    exec(src, namespace)
+    return namespace["buchberger_bounded"]
+
+
+class TestCriterionF:
+    # Each pair of the final basis within the bound -- formed, coprime or
+    # skipped for a repeated lcm -- reduces to zero by the final basis, so
+    # the completion is a Groebner basis truncated at weight N.
+    CASES = sorted(PINNED_BUCHBERGER) + [("seed", seed, 8 + seed % 3) for seed in range(6, 26)]
+
+    def test_final_basis_resolves_every_pair_within_the_bound(self):
+        skipped = 0
+        for kind, k, N in self.CASES:
+            basis, rep = buchberger_bounded(pinned_relations(kind, k, N), N)
+            assert unresolved_pairs(basis, N) == [], (kind, k, N)
+            skipped += rep.pairs_skipped_lcm
+        assert skipped > 1000
+
+    def test_deduping_on_the_weight_fails(self):
+        # The control drops pairs whose lcm no queued pair shares.  Later
+        # pairs make up for them on these inputs -- its final bases resolve
+        # every pair within the bound -- but it adds the relations in
+        # another order, or one more.
+        wrong = weight_deduped_buchberger()
+        for kind, k, N in sorted(PINNED_BUCHBERGER):
+            _, rep = wrong(pinned_relations(kind, k, N), N)
+            assert added_digest(rep) != PINNED_BUCHBERGER[kind, k, N][-1]
+
+    def test_a_basis_completed_below_the_bound_fails(self):
+        # The oracle's own control: a completion to weight N - 1 leaves
+        # pairs of lcm weight N unresolved.
+        for kind, k, N in self.CASES:
+            basis, _ = buchberger_bounded(pinned_relations(kind, k, N), N - 1)
+            assert unresolved_pairs(basis, N), (kind, k, N)

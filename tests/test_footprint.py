@@ -77,7 +77,7 @@ def test_cli_loads_no_argument_parser(tmp_path, argv):
 CASES = [
     (BuchbergerReport, ("basis", "added", "pairs_considered", "pairs_processed",
                         "pairs_skipped_bound", "pairs_skipped_coprime",
-                        "lookups", "memo_hits")),
+                        "pairs_skipped_lcm", "lookups", "memo_hits")),
     (EmbeddingReport, ("relation_count", "failures", "injectivity_certified_to",
                        "buchberger", "phases")),
     (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),

@@ -12,9 +12,9 @@ public method of a public class, or an entry in ``UNCALLED_METHODS``, so
 the surface cannot grow back unnoticed; each public ``__slots__`` field
 of a public class must be read outside its class, or have an entry in
 ``UNREAD_FIELDS``, so a report holds no field that nothing reads.
-Each arithmetic, ordering or indexing operator that a public class
-defines is listed in ``OPERATORS`` with a library expression that
-applies it.  Likewise a parameter with a
+Each arithmetic, ordering or indexing operator that a library class,
+public or not, defines is listed in ``OPERATORS`` with a library
+expression that applies it.  Likewise a parameter with a
 default must be one that two library callers set differently, listed
 with its reason in ``OPTIONAL``.
 """
@@ -86,13 +86,14 @@ REMOVED = {
     "rewrite": ("ReductionStep", "CompositionFailure"),
     "shuffle": ("PermAlgebra",),
     "lincomb": ("LinComb.__init__", "LinComb.__neg__"),
-    "magma": ("Letter.__le__", "Letter.__gt__", "Letter.__ge__"),
+    "magma": ("Letter.__le__", "Letter.__gt__", "Letter.__ge__", "_DeepKey.__le__",
+              "_DeepKey.__ge__"),
     "compoly": ("ComMonomial._common", "ComBasis.__getitem__"),
     "sexpr": ("format_aword",),
 }
 
 # The arithmetic, ordering and indexing dunders defined in the body of a
-# public class, as (module, "Class.method"), each with a library
+# library class, as (module, "Class.method"), each with a library
 # expression that applies it.
 OPERATORS = (
     ("compoly", "ComMonomial.__mul__"),  # compoly._s_pair: m * u
@@ -100,6 +101,8 @@ OPERATORS = (
     ("lincomb", "LinComb.__sub__"),      # rewrite.verify_gsb: f - substitute(w, path, g)
     ("magma", "Alphabet.__getitem__"),   # sexpr._letter: alphabet[form.text]
     ("magma", "Letter.__lt__"),          # embed.standard_filtration: sorted(rows)
+    ("magma", "_DeepKey.__lt__"),        # lincomb.descend: sorted(coeffs, key=key)
+    ("magma", "_DeepKey.__gt__"),        # lincomb.LinComb.leading: max(self.terms, key=...)
 )
 _OPERATOR_NAMES = {
     "__%s__" % op for op in (
@@ -273,12 +276,12 @@ def test_removed_names_are_gone(module, name):
 
 def _operators() -> list:
     """The (module, "Class.method") pairs of the arithmetic, ordering and
-    indexing dunders defined in the body of an ``__all__`` class."""
+    indexing dunders defined in the body of a module-level class, public
+    or not."""
     out = []
     for m, tree in _library_trees().items():
-        public = set(getattr(importlib.import_module("precom." + m), "__all__", ()))
         out.extend((m, "%s.%s" % (cls.name, fn.name)) for cls in tree.body
-                   if isinstance(cls, ast.ClassDef) and cls.name in public
+                   if isinstance(cls, ast.ClassDef)
                    for fn in cls.body
                    if isinstance(fn, ast.FunctionDef) and fn.name in _OPERATOR_NAMES)
     return sorted(out)
