@@ -94,7 +94,6 @@ from .embed import (
     pair_relation,
     series_product,
     standard_filtration,
-    validate_filtration,
     verify_embedding,
     verify_rota_baxter,
 )

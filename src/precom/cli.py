@@ -77,10 +77,7 @@ from .rewrite import (
 from .sexpr import (
     ParseError,
     _alphabet,
-    format_poly,
     format_relations,
-    format_word,
-    format_zinb,
     parse_algebra,
     parse_aword,
     parse_poly,
@@ -245,8 +242,8 @@ def _load(path: str, *parsers):
 
 def _gsb_parts(rep):
     """The failures, the ambiguity line and the stats of a GsbReport."""
-    failures = [{"f": format_poly(f), "g": format_poly(g),
-                 "ambiguity": format_word(w), "remainder": format_poly(nf)}
+    failures = [{"f": repr(f), "g": repr(g),
+                 "ambiguity": repr(w), "remainder": repr(nf)}
                 for f, g, w, nf in rep.failures]
     line = ("ambiguities checked: %d (%d discharged by composition criteria)"
             % (rep.ambiguities_checked, rep.discharged))
@@ -256,7 +253,7 @@ def _gsb_parts(rep):
 def _handle_reduce(args):
     alphabet, relations = _load(args.relations, parse_relations)
     nf, steps = normal_form_with_trace(parse_poly(args.input, alphabet), relations)
-    result = format_poly(nf)
+    result = repr(nf)
     report = {"status": "ok", "counts": [], "failures": [],
               "result": result, "steps": len(steps)}
     return 0, report, [result, "steps: %d" % len(steps)]
@@ -284,10 +281,10 @@ def _handle_irr(args):
     report = {"status": "ok", "counts": counts, "failures": []}
     lines = ["irreducible counts: %s" % counts]
     if args.words:
-        report["words"] = {str(n): [format_word(w) for w in ws]
+        report["words"] = {str(n): [repr(w) for w in ws]
                            for n, ws in table.items()}
         for n in sorted(table):
-            lines.append("length %d: %s" % (n, " ".join(map(format_word, table[n]))))
+            lines.append("length %d: %s" % (n, " ".join(map(repr, table[n]))))
     lines.append("status: ok")
     return 0, report, lines
 
@@ -300,7 +297,7 @@ def _handle_zmul(args):
     v = parse_aword(args.right, alphabet)
     f, g = ZinbElement.monomial(u), ZinbElement.monomial(v)
     res = star(f, g) if args.star else zinbiel_product(f, g)
-    result = format_zinb(res)
+    result = repr(res)
     report = {"status": "ok", "counts": [], "failures": [], "result": result}
     return 0, report, [result]
 
@@ -340,21 +337,21 @@ def _verify_odd_even(args):
     if args.k_max < 2 or args.k_max % 2:
         raise ValueError("--k-max must be even and at least 2 (got %d)" % args.k_max)
     rep = odd_even_zero_sweep(args.letters, args.m_max, args.k_max)
-    failures = [{"a": format_word(a), "b": format_word(b),
-                 "normal_form": format_poly(nf)} for a, b, nf in rep.failures]
+    failures = [{"a": repr(a), "b": repr(b),
+                 "normal_form": repr(nf)} for a, b, nf in rep.failures]
     return rep.verified, [rep.checked], failures, ["products checked: %d" % rep.checked], None
 
 
 def _verify_collapse(args):
     A, _levels = _load(args.algebra, json.loads, parse_algebra)
     rep = collapse_check(A, args.bound)
-    failures = [{"x": x.name, "y": y.name, "star": format_poly(got),
-                 "expected": format_poly(want)}
+    failures = [{"x": x.name, "y": y.name, "star": repr(got),
+                 "expected": repr(want)}
                 for x, y, got, want in rep.failures]
     lines = ["irreducible counts: %s" % rep.counts]
     for (x, y), got in sorted(rep.star_table.items(),
                               key=lambda t: (t[0][0].rank, t[0][1].rank)):
-        lines.append("%s * %s = %s" % (x.name, y.name, format_poly(got)))
+        lines.append("%s * %s = %s" % (x.name, y.name, repr(got)))
     return rep.verified, rep.counts, failures, lines, None
 
 
@@ -374,7 +371,7 @@ def _verify_perm(args):
                for _ in range(args.triples)]
     rep = perm_tensor_check(args.dim, samples)
     failures = [{"identity": "associativity", "i": i, "j": j, "k": k,
-                 "f": format_zinb(f), "g": format_zinb(g), "h": format_zinb(h)}
+                 "f": repr(f), "g": repr(g), "h": repr(h)}
                 for i, j, k, f, g, h in rep.failures]
     lines = ["basis-paired triples checked: %d (seed %d)"
              % (rep.checked, args.seed)]

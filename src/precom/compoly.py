@@ -194,12 +194,6 @@ class ComPoly(LinComb):
 
     __slots__ = ()
 
-    def weights(self) -> set:
-        return {m.weight for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -371,12 +365,15 @@ def _s_pair(f: ComPoly, g: ComPoly) -> dict:
 def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     """Complete G over the S-pairs whose lcm has weight <= weight_bound.
 
-    Input must be weight-homogeneous, so an S-polynomial and its
-    reduction stay in the weight of the pair's lcm.  Truncating by weight
-    alone is then exact: a skipped pair only yields relations heavier
-    than the bound, so the result is a Groebner basis of the ideal in
-    every weight up to weight_bound (Becker & Weispfenning, *Groebner
-    Bases*, 1993).  Each symbol weighs at least 1, so the bound also caps
+    Each input relation must be nonzero and weight-homogeneous, all its
+    monomials of one weight, or ValueError is raised before any pair is
+    formed: ``zero polynomial in relation list``, or ``relations must be
+    weight-homogeneous; got weights [...] in g`` with the weights of g's
+    monomials.  So an S-polynomial and its reduction stay in the weight
+    of the pair's lcm.  Truncating by weight alone is then exact: a
+    skipped pair only yields relations heavier than the bound, so the
+    result is a Groebner basis of the ideal in every weight up to
+    weight_bound (Becker & Weispfenning, *Groebner Bases*, 1993).  Each symbol weighs at least 1, so the bound also caps
     the factor count of every lcm formed.
 
     Every pair (i, k), i < k, of the final basis is considered once, in
@@ -410,10 +407,11 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     for g in G:
         if not g:
             raise ValueError("zero polynomial in relation list")
-        if not g.is_homogeneous():
+        found = {m.weight for m in g.terms}
+        if len(found) > 1:
             raise ValueError(
                 "relations must be weight-homogeneous; got weights %s in %r"
-                % (sorted(g.weights()), g))
+                % (sorted(found), g))
     basis = ComBasis(g.monic() for g in G)
     copies = basis._copies
     pairs: deque = deque()

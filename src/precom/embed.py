@@ -49,6 +49,7 @@ pause is reported as the associativity failure when there is one.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -68,7 +69,6 @@ from .magma import Alphabet, Letter
 
 __all__ = [
     "FilteredAlgebra",
-    "validate_filtration",
     "standard_filtration",
     "pair_relation",
     "series_product",
@@ -79,7 +79,16 @@ __all__ = [
 
 class FilteredAlgebra:
     """A commutative algebra together with a positive level for each
-    basis element."""
+    basis element, such that every product of levels i and j lies in
+    levels >= i + j.
+
+    The constructor checks both, and raises ValueError at the first
+    fault: ``no level assigned to x`` for a basis element without a
+    level, ``level of x must be an int, got v`` for one that is not an
+    int (a bool included), ``levels must be positive`` for one below 1,
+    and ``filtration violation: x*y contains z at level k < m`` for the
+    first basis pair x <= y, in basis order, whose product has a term z
+    of level k below m = level(x) + level(y)."""
 
     def __init__(self, algebra: CommAlgebra, levels: Mapping[Letter, int]):
         self.algebra = algebra
@@ -95,10 +104,15 @@ class FilteredAlgebra:
                 raise ValueError("levels must be positive")
             lv[x] = k
         self.levels = lv
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.algebra.alphabet
+        basis = algebra.basis
+        for i, x in enumerate(basis):
+            for y in basis[i:]:
+                need = lv[x] + lv[y]
+                for z in algebra.product(x, y):
+                    if lv[z] < need:
+                        raise ValueError(
+                            "filtration violation: %s*%s contains %s at level %d < %d"
+                            % (x.name, y.name, z.name, lv[z], need))
 
     @property
     def basis(self) -> tuple[Letter, ...]:
@@ -121,20 +135,6 @@ class FilteredAlgebra:
             self.algebra, {x.name: k for x, k in self.levels.items()})
 
 
-def validate_filtration(F: FilteredAlgebra) -> list:
-    """All level violations: entries (x, y, z, level(z), required) where z
-    appears in x*y but sits below level(x)+level(y).  Empty means valid."""
-    bad = []
-    basis = F.basis
-    for i, x in enumerate(basis):
-        for y in basis[i:]:
-            need = F.level(x) + F.level(y)
-            for z, c in F.product(x, y).items():
-                if c and F.level(z) < need:
-                    bad.append((x, y, z, F.level(z), need))
-    return bad
-
-
 def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     """The filtration by power subspaces A >= A^2 >= A^3 >= ..., with the
     algebra rewritten on an adapted basis.
@@ -146,7 +146,8 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
     adapted basis extends a basis of the deepest nonzero power upward
     level by level, each element's level being the deepest power
     containing it.  Basis vectors that come out as unit coordinate
-    vectors keep their original names; mixed vectors get fresh names.
+    vectors keep their original names; mixed vectors are named v1, v2,
+    ... in the adapted order, skipping every name of the input basis.
     The adapted basis is ordered by (level, pivot letter) ascending.
 
     Vectors are sparse ``{basis letter: coeff}`` dicts, multiplied by
@@ -179,20 +180,10 @@ def standard_filtration(A: CommAlgebra) -> FilteredAlgebra:
                 adapted.append((k, min(r), r))
 
     ranked = sorted(adapted, key=lambda a: a[:2])
-    names = []
-    used = set()
-    fresh = 0
-    for _, p, v in ranked:
-        if len(v) == 1:
-            name = p.name
-        else:
-            fresh += 1
-            name = "v%d" % fresh
-        while name in used:
-            name += "_"
-        used.add(name)
-        names.append(name)
-    ab = Alphabet(names)
+    # Unit vectors have distinct pivots, and no fresh name is an input name.
+    taken = {x.name for x in A.basis}
+    fresh = (name for k in itertools.count(1) if (name := "v%d" % k) not in taken)
+    ab = Alphabet([p.name if len(v) == 1 else next(fresh) for _, p, v in ranked])
     letter = {p: ab[pos] for pos, (_, p, _) in enumerate(ranked)}
 
     def coords(w: dict) -> dict:
@@ -415,12 +406,6 @@ def verify_embedding(F: FilteredAlgebra, N: int) -> EmbeddingReport:
        is rewritten away (injectivity certificate at weight N).
     """
     t0 = time.perf_counter()
-    bad = validate_filtration(F)
-    if bad:
-        x, y, z, got, need = bad[0]
-        raise ValueError(
-            "filtration violation: %s*%s contains %s at level %d < %d"
-            % (x.name, y.name, z.name, got, need))
     F.algebra.require_associative()
     if N < 2 * F.max_level():
         raise ValueError(

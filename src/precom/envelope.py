@@ -109,8 +109,10 @@ class CommAlgebra:
                     out[z] = out.get(z, 0) + a * b * c
         return {z: exact(c) for z, c in out.items() if c}
 
-    def associativity_failure(self) -> Optional[tuple[Letter, Letter, Letter]]:
-        """The first basis triple (x, y, z) with (xy)z != x(yz), or None."""
+    def require_associative(self) -> None:
+        """Check (xy)z = x(yz) on every basis triple, x, y and z each in
+        basis order, and raise ValueError naming the first triple that
+        fails: ``algebra is not associative on basis triple (x, y, z)``."""
         basis = self.basis
         for x in basis:
             for y in basis:
@@ -118,16 +120,9 @@ class CommAlgebra:
                 for z in basis:
                     # x(yz) = (yz)x: the algebra is commutative.
                     if self.times(xy, {z: 1}) != self.times(self.product(y, z), {x: 1}):
-                        return x, y, z
-        return None
-
-    def require_associative(self) -> None:
-        """Raise ValueError naming the first basis triple that fails
-        associativity."""
-        triple = self.associativity_failure()
-        if triple is not None:
-            raise ValueError("algebra is not associative on basis triple (%s, %s, %s)"
-                             % tuple(x.name for x in triple))
+                        raise ValueError(
+                            "algebra is not associative on basis triple (%s, %s, %s)"
+                            % (x.name, y.name, z.name))
 
     def __repr__(self) -> str:
         return "CommAlgebra(%r, %d products)" % (self.alphabet, len(self._products))

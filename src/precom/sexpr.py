@@ -1,6 +1,12 @@
 """Text formats: S-expression trees, dotted associative words, relation
 files, and the JSON algebra description.
 
+This module reads words, polynomials and dotted words, reads and writes
+relation files, and reads algebra files.  It writes nothing else: a
+word, a tree polynomial and a half-shuffle element each print their own
+S-expression through ``repr``, and ``parse_poly`` reads the first two
+back.
+
 Words are S-expressions with letters as bare atoms: ``(x (y z))``.
 Polynomials are ``(+ term ...)`` where a term is a word or ``(* p/q word)``.
 Associative words are dotted: ``x.y.x``.  A relation file is a sequence
@@ -24,15 +30,11 @@ from typing import Union
 from .envelope import CommAlgebra, TailFamily, trivial_gsb
 from .magma import Alphabet, Letter, MagmaPoly, NaWord, leaf, node
 from .rewrite import ExplicitRelation, RelationSchema, ZinbielFamily
-from .shuffle import ZinbElement
 
 __all__ = [
     "ParseError",
-    "format_word",
     "parse_poly",
-    "format_poly",
     "parse_aword",
-    "format_zinb",
     "parse_relations",
     "format_relations",
     "parse_algebra",
@@ -169,11 +171,6 @@ def _word_from_form(form: Form, alphabet: Alphabet) -> NaWord:
     return done[0]
 
 
-def format_word(w: NaWord) -> str:
-    # A word's repr is its S-expression, written without recursion.
-    return repr(w)
-
-
 def _rational(form: Form) -> Fraction:
     if not isinstance(form, _Atom):
         raise _err(form, "expected a rational number")
@@ -210,10 +207,6 @@ def parse_poly(text: str, alphabet: Alphabet) -> MagmaPoly:
     return _poly_from_form(_one_form(text, "polynomial"), alphabet)
 
 
-def format_poly(p: MagmaPoly) -> str:
-    return repr(p)
-
-
 def parse_aword(text: str, alphabet: Alphabet) -> tuple:
     names = text.strip().split(".")
     if not names or names == [""]:
@@ -227,10 +220,6 @@ def parse_aword(text: str, alphabet: Alphabet) -> tuple:
         except KeyError:
             raise ParseError("unknown letter %r in %r" % (name, text)) from None
     return tuple(out)
-
-
-def format_zinb(p: ZinbElement) -> str:
-    return repr(p)
 
 
 _FAMILIES = {
@@ -292,7 +281,7 @@ def format_relations(alphabet: Alphabet, relations) -> str:
         elif isinstance(r, TailFamily):
             lines.append("(family tail)")
         elif isinstance(r, ExplicitRelation):
-            lines.append("(rel %s)" % format_poly(r.poly))
+            lines.append("(rel %r)" % (r.poly,))
         else:
             raise ValueError("cannot format relation %r" % (r,))
     return "\n".join(lines) + "\n"

@@ -718,6 +718,14 @@ class TestEmbed:
         assert code == 2
         assert "not associative on basis triple (a, a, b)" in err
 
+    def test_filtration_violation_exits_2(self, run, alg_file):
+        # x1*x1 = x2 but both sit at level 1, below 1 + 1.
+        path = alg_file(dict(TRUNC2, levels={"x1": 1, "x2": 1}))
+        code, out, err = run("embed", "--algebra", path, "--N", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: filtration violation: x1*x1 contains x2 at level 1 < 2\n"
+
     @pytest.mark.parametrize("levels", [None, {"a": 1, "b": 2, "c": 4}],
                              ids=["power-chain", "levels"])
     def test_paused_power_chain_names_associativity_triple(self, run, alg_file, levels):

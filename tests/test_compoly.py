@@ -302,9 +302,10 @@ class TestComPoly:
             ComPoly.zero().leading()
 
     def test_homogeneity(self):
-        assert poly((mono(X1, X1), 1), (mono(X2), -1)).is_homogeneous()
-        assert not poly((mono(X1), 1), (mono(X2), 1)).is_homogeneous()
-        assert ComPoly.zero().is_homogeneous()
+        # buchberger_bounded's input check: one weight per relation.
+        buchberger_bounded([poly((mono(X1, X1), 1), (mono(X2), -1))], 4)
+        with pytest.raises(ValueError, match=r"weight-homogeneous; got weights \[1, 2\] in "):
+            buchberger_bounded([poly((mono(X1), 1), (mono(X2), 1))], 4)
 
     def test_repr(self):
         p = poly((mono(X1, X1), 1), (mono(X2), -1))
@@ -355,7 +356,7 @@ class TestReduce:
 
     def test_trace_replays(self):
         F, G = truncated_relations(2, 6)
-        ab = F.alphabet
+        ab = F.algebra.alphabet
         a1, a2 = F.symbol(ab["x1"], 1), F.symbol(ab["x2"], 2)
         p = poly((mono(a1, a1, a2), 1), (mono(a1, a1), Fraction(2, 3)))
         nf, steps = com_reduce_with_trace(p, G)
@@ -365,7 +366,7 @@ class TestReduce:
     def test_trace_certifies_reduction_on_completed_basis(self):
         F, G = truncated_relations(2, 6)
         basis, _ = buchberger_bounded(G, 6)
-        ab = F.alphabet
+        ab = F.algebra.alphabet
         pool = [F.symbol(ab["x1"], i) for i in range(1, 6)] \
             + [F.symbol(ab["x2"], j) for j in range(2, 6)]
         rng = random.Random(41)
@@ -616,14 +617,14 @@ class TestPairRelationGrading:
     def test_weight_homogeneous(self):
         F, G = truncated_relations(3, 6)
         for g in G:
-            assert g.is_homogeneous()
+            assert len({m.weight for m in g.terms}) == 1
 
     def test_weight_value(self):
         F, _ = truncated_relations(3, 6)
-        ab = F.alphabet
+        ab = F.algebra.alphabet
         for l in range(2, 7):
             s = pair_relation(F, ab["x1"], ab["x1"], l)
-            assert s.weights() == {l}
+            assert {m.weight for m in s.terms} == {l}
 
 
 class TestBuchberger:

@@ -41,7 +41,7 @@ from precom.compoly import _times
 from precom.lincomb import descend, exact, integral
 from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
 from precom.rewrite import RelationSchema, _RedexIndex
-from precom.sexpr import format_poly, format_word, parse_poly, parse_relations
+from precom.sexpr import parse_poly, parse_relations
 
 from oracles import coefficient_relations, monic_find, truncated_poly_relations, words_of_length
 
@@ -379,9 +379,8 @@ class TestPinnedReduce:
         ab, rels = parse_relations("(alphabet x y z)\n(family trivial-envelope)\n")
         nf, trace = normal_form_with_trace(parse_poly(text, ab), rels)
         assert len(trace) == steps
-        assert hashlib.sha256(format_poly(nf).encode()).hexdigest() == result_sha
+        assert hashlib.sha256(repr(nf).encode()).hexdigest() == result_sha
         h = hashlib.sha256()
         for coeff, word, path, relation in trace:
-            h.update(("%s %s %s %s\n" % (coeff, format_word(word), path,
-                                          format_poly(relation))).encode())
+            h.update(("%s %r %s %r\n" % (coeff, word, path, relation)).encode())
         assert h.hexdigest() == trace_sha

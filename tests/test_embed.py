@@ -21,7 +21,6 @@ from precom import (
     standard_filtration,
     trivial_algebra,
     truncated_power_algebra,
-    validate_filtration,
     verify_embedding,
     verify_rota_baxter,
 )
@@ -54,9 +53,19 @@ def truncated_filtered(n):
     return FilteredAlgebra(A, {A.alphabet["x%d" % i]: i for i in range(1, n + 1)})
 
 
+def assert_filtration_holds(F):
+    """Every term z of a basis product x*y sits at level >= level(x) +
+    level(y), checked here apart from FilteredAlgebra's own check."""
+    basis = F.basis
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            for z in F.product(x, y):
+                assert F.level(z) >= F.level(x) + F.level(y), (x, y, z)
+
+
 def c_mono(F, *pairs):
     """Monomial from (letter name, weight) pairs."""
-    return ComMonomial(F.symbol(F.alphabet[name], w) for name, w in pairs)
+    return ComMonomial(F.symbol(F.algebra.alphabet[name], w) for name, w in pairs)
 
 
 class TestFilteredAlgebra:
@@ -86,25 +95,25 @@ class TestFilteredAlgebra:
 
     def test_symbol_fields(self):
         F = truncated_filtered(2)
-        s = F.symbol(F.alphabet["x2"], 5)
+        s = F.symbol(F.algebra.alphabet["x2"], 5)
         assert (s.base, s.level, s.weight, s.rank) == ("x2", 2, 5, 1)
 
 
 class TestValidateFiltration:
+    # FilteredAlgebra checks its filtration when it is built.
     def test_trivial_any_levels(self):
         A = trivial_algebra(2)
-        F = FilteredAlgebra(A, {A.alphabet["x"]: 3, A.alphabet["y"]: 1})
-        assert validate_filtration(F) == []
+        assert_filtration_holds(FilteredAlgebra(A, {A.alphabet["x"]: 3, A.alphabet["y"]: 1}))
 
     def test_truncated_valid(self):
-        assert validate_filtration(truncated_filtered(3)) == []
+        assert_filtration_holds(truncated_filtered(3))
 
     def test_corrupted_level_reported(self):
         A = truncated_power_algebra(3)
         ab = A.alphabet
-        F = FilteredAlgebra(A, {ab["x1"]: 1, ab["x2"]: 1, ab["x3"]: 3})
-        bad = validate_filtration(F)
-        assert (ab["x1"], ab["x1"], ab["x2"], 1, 2) in bad
+        with pytest.raises(ValueError,
+                           match=r"^filtration violation: x1\*x1 contains x2 at level 1 < 2$"):
+            FilteredAlgebra(A, {ab["x1"]: 1, ab["x2"]: 1, ab["x3"]: 3})
 
 
 class TestStandardFiltration:
@@ -113,7 +122,7 @@ class TestStandardFiltration:
         names = [x.name for x in F.basis]
         assert names == ["x1", "x2", "x3"]
         assert [F.level(x) for x in F.basis] == [1, 2, 3]
-        ab = F.alphabet
+        ab = F.algebra.alphabet
         assert F.product(ab["x1"], ab["x2"]) == {ab["x3"]: 1}
 
     def test_trivial_all_level_one(self):
@@ -133,9 +142,19 @@ class TestStandardFiltration:
         names = [x.name for x in F.basis]
         assert names == ["a", "c", "v1"]
         assert [F.level(x) for x in F.basis] == [1, 1, 2]
-        nab = F.alphabet
+        nab = F.algebra.alphabet
         assert F.product(nab["a"], nab["a"]) == {nab["v1"]: 1}
-        assert validate_filtration(F) == []
+        assert_filtration_holds(F)
+        # a*a = x + y + v1: the level-1 mixed vector y + v1 takes the
+        # fresh name v2, as v1 names an input letter, which keeps it.
+        ab = Alphabet(["a", "x", "y", "v1"])
+        a, x, y, v1 = ab.letters
+        F = standard_filtration(CommAlgebra(ab, {(a, a): {x: 1, y: 1, v1: 1}}))
+        assert ["%s:%d" % (z.name, F.level(z)) for z in F.basis] \
+            == ["a:1", "v2:1", "v1:1", "v3:2"]
+        nab = F.algebra.alphabet
+        assert F.product(nab["a"], nab["a"]) == {nab["v3"]: 1}
+        assert_filtration_holds(F)
 
     def test_digest_on_changed_bases(self):
         # Names, levels and product tables on 16 algebras of dimension 3-5
@@ -145,7 +164,7 @@ class TestStandardFiltration:
         mixed = fractional = 0
         for A in changed_basis_algebras():
             F = standard_filtration(A)
-            assert validate_filtration(F) == []
+            assert_filtration_holds(F)
             names = [x.name for x in F.basis]
             mixed += sum(name.startswith("v") for name in names)
             table = []
@@ -223,19 +242,19 @@ def changed_basis_algebras():
 class TestPairRelation:
     def test_trivial_square(self):
         F = trivial_filtered()
-        s2 = pair_relation(F, F.alphabet["x"], F.alphabet["x"], 2)
+        s2 = pair_relation(F, F.algebra.alphabet["x"], F.algebra.alphabet["x"], 2)
         assert s2 == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 1)))
 
     def test_trivial_weight_three_collision(self):
         F = trivial_filtered()
-        x = F.alphabet["x"]
+        x = F.algebra.alphabet["x"]
         raw = pair_relation(F, x, x, 3)
         assert raw == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 2))).scale(2)
         assert raw.monic() == ComPoly.monomial(c_mono(F, ("x", 1), ("x", 2)))
 
     def test_trivial_weight_four(self):
         F = trivial_filtered()
-        x = F.alphabet["x"]
+        x = F.algebra.alphabet["x"]
         s4 = pair_relation(F, x, x, 4)
         assert s4 == ComPoly.from_terms([
             (c_mono(F, ("x", 2), ("x", 2)), 1),
@@ -245,7 +264,7 @@ class TestPairRelation:
 
     def test_truncated_lift(self):
         F = truncated_filtered(2)
-        x1 = F.alphabet["x1"]
+        x1 = F.algebra.alphabet["x1"]
         s2 = pair_relation(F, x1, x1, 2)
         assert s2 == ComPoly.from_terms([
             (c_mono(F, ("x1", 1), ("x1", 1)), 1),
@@ -254,7 +273,7 @@ class TestPairRelation:
 
     def test_mixed_pair_lift(self):
         F = truncated_filtered(3)
-        x1, x2 = F.alphabet["x1"], F.alphabet["x2"]
+        x1, x2 = F.algebra.alphabet["x1"], F.algebra.alphabet["x2"]
         s5 = pair_relation(F, x1, x2, 5)
         assert s5.terms[c_mono(F, ("x3", 5))] == -1
         assert s5.terms[c_mono(F, ("x1", 1), ("x2", 4))] == 1
@@ -277,7 +296,7 @@ class TestPairRelation:
     def test_weight_below_level_sum(self):
         F = truncated_filtered(2)
         with pytest.raises(ValueError, match="below level sum"):
-            pair_relation(F, F.alphabet["x2"], F.alphabet["x2"], 3)
+            pair_relation(F, F.algebra.alphabet["x2"], F.algebra.alphabet["x2"], 3)
 
     def test_relation_counts(self):
         F = truncated_filtered(2)
@@ -418,7 +437,7 @@ class TestSeriesProduct:
     def test_double_sum_shape(self):
         # phi(x) phi(y) carries j * x_i y_j at t^(i+j).
         F = truncated_filtered(2)
-        x1, x2 = F.alphabet["x1"], F.alphabet["x2"]
+        x1, x2 = F.algebra.alphabet["x1"], F.algebra.alphabet["x2"]
         prod = series_product(generator_series(x1, F, 5),
                               generator_series(x2, F, 5), 5)
         c5 = prod.coeff(5)
@@ -549,7 +568,7 @@ class TestSeriesProductAgainstNaive:
 class TestGeneratorSeries:
     def test_level_one(self):
         F = trivial_filtered()
-        x = F.alphabet["x"]
+        x = F.algebra.alphabet["x"]
         s = generator_series(x, F, 3)
         assert s.coeff(1) == ComPoly.monomial(c_mono(F, ("x", 1)))
         assert s.coeff(2) == ComPoly.monomial(c_mono(F, ("x", 2))).scale(2)
@@ -557,20 +576,20 @@ class TestGeneratorSeries:
 
     def test_level_two_starts_at_two(self):
         F = truncated_filtered(2)
-        s = generator_series(F.alphabet["x2"], F, 3)
+        s = generator_series(F.algebra.alphabet["x2"], F, 3)
         assert exponents(s) == [2, 3]
         assert s.coeff(2) == ComPoly.monomial(c_mono(F, ("x2", 2))).scale(2)
         assert s.coeff(3) == ComPoly.monomial(c_mono(F, ("x2", 3))).scale(3)
 
     def test_boundary_single_term(self):
         F = truncated_filtered(2)
-        s = generator_series(F.alphabet["x2"], F, 2)
+        s = generator_series(F.algebra.alphabet["x2"], F, 2)
         assert exponents(s) == [2]
 
     def test_below_level_rejected(self):
         F = truncated_filtered(3)
         with pytest.raises(ValueError, match="truncation below level"):
-            generator_series(F.alphabet["x3"], F, 2)
+            generator_series(F.algebra.alphabet["x3"], F, 2)
 
 
 def image_residues(F, N):
@@ -627,10 +646,10 @@ class TestSeriesStar:
 
     def test_grading_of_products(self):
         F = truncated_filtered(3)
-        prod = series_star(generator_series(F.alphabet["x1"], F, 6),
-                           generator_series(F.alphabet["x2"], F, 6), 6)
+        prod = series_star(generator_series(F.algebra.alphabet["x1"], F, 6),
+                           generator_series(F.algebra.alphabet["x2"], F, 6), 6)
         for n in exponents(prod):
-            assert prod.coeff(n).weights() == {n}
+            assert {m.weight for m in prod.coeff(n).terms} == {n}
 
 
 class TestSplitting:
@@ -878,9 +897,8 @@ class TestVerifyEmbedding:
 
     def test_invalid_filtration_rejected(self):
         A = truncated_power_algebra(2)
-        F = FilteredAlgebra(A, {x: 1 for x in A.basis})
         with pytest.raises(ValueError, match="filtration violation"):
-            verify_embedding(F, 4)
+            FilteredAlgebra(A, {x: 1 for x in A.basis})
 
     def test_non_associative_rejected(self):
         # (aa)b = bb = d but a(ab) = ac = 0.
@@ -888,7 +906,7 @@ class TestVerifyEmbedding:
         a, b, c, d = ab.letters
         A = CommAlgebra(ab, {(a, a): {b: 1}, (a, b): {c: 1}, (b, b): {d: 1}})
         F = FilteredAlgebra(A, {a: 1, b: 2, c: 3, d: 4})
-        assert validate_filtration(F) == []
+        assert_filtration_holds(F)
         with pytest.raises(ValueError, match=r"not associative on basis triple \(a, a, b\)"):
             verify_embedding(F, 8)
 
@@ -1081,5 +1099,4 @@ class TestRandomInputs:
     def test_random_nilpotent_algebras_filter(self):
         rng = random.Random(31)
         for _ in range(10):
-            F = standard_filtration(random_nilpotent_algebra(rng))
-            assert validate_filtration(F) == []
+            assert_filtration_holds(standard_filtration(random_nilpotent_algebra(rng)))

@@ -13,7 +13,6 @@ from precom import (
     node,
 )
 from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
-from precom.sexpr import format_word
 
 from oracles import leaves, magma_product, nested_key, words_of_length
 
@@ -133,7 +132,6 @@ class TestWords:
         for _ in range(3000):
             w = node(y, w)
         text = repr(w)
-        assert text == format_word(w)
         assert text == "(y " * 3000 + "x" + ")" * 3000
         assert repr(MagmaPoly.monomial(w).scale(2)) == "(+ (* 2 %s))" % text
 

@@ -81,15 +81,22 @@ MOVED = {
 # A combination is built by from_terms, monomial or zero, and negated by
 # scale(-1); letters are only sorted and min-ed, which read <; the pair
 # criteria read the lcm weight from cofactor; a basis is iterated, never
-# indexed; and a dotted word prints inside ZinbElement's repr.
+# indexed; and a dotted word prints inside ZinbElement's repr.  A word, a
+# tree polynomial and a half-shuffle element print through their repr; a
+# FilteredAlgebra checks its filtration when it is built, and reads its
+# alphabet from its algebra; require_associative finds the failing triple
+# itself, and buchberger_bounded reads the weights of each relation.
 REMOVED = {
     "rewrite": ("ReductionStep", "CompositionFailure"),
     "shuffle": ("PermAlgebra",),
     "lincomb": ("LinComb.__init__", "LinComb.__neg__"),
     "magma": ("Letter.__le__", "Letter.__gt__", "Letter.__ge__", "_DeepKey.__le__",
               "_DeepKey.__ge__"),
-    "compoly": ("ComMonomial._common", "ComBasis.__getitem__"),
-    "sexpr": ("format_aword",),
+    "compoly": ("ComMonomial._common", "ComBasis.__getitem__", "ComPoly.weights",
+                "ComPoly.is_homogeneous"),
+    "sexpr": ("format_aword", "format_word", "format_poly", "format_zinb"),
+    "embed": ("validate_filtration", "FilteredAlgebra.alphabet"),
+    "envelope": ("CommAlgebra.associativity_failure",),
 }
 
 # The arithmetic, ordering and indexing dunders defined in the body of a
@@ -339,15 +346,39 @@ def test_test_only_names_left_the_library(module, name):
         assert callable(getattr(oracles, attr))
 
 
-def test_word_model_imports_no_tree_rewriting():
-    # shuffle runs no tree word and no rewrite; the bridge between the
-    # two models is the oracle to_left_comb.
-    tree = ast.parse((PACKAGE / "shuffle.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert (node.module or "").rpartition(".")[2] != "rewrite"
-        elif isinstance(node, ast.Import):
-            assert all(a.name != "precom.rewrite" for a in node.names)
+# Each library module's `from .m import` set, the package's __init__
+# left out.  shuffle runs no tree word and no rewrite: the bridge between
+# the two models is the oracle to_left_comb.  sexpr writes no word,
+# polynomial or half-shuffle element, which print through their repr, so
+# cli is shuffle's only library importer.  embed runs no tree rewriting.
+IMPORTS = {
+    "cli": {"embed", "envelope", "rewrite", "sexpr", "shuffle"},
+    "compoly": {"lincomb"},
+    "embed": {"compoly", "envelope", "lincomb", "magma"},
+    "envelope": {"lincomb", "magma", "rewrite"},
+    "lincomb": set(),
+    "magma": {"lincomb"},
+    "rewrite": {"lincomb", "magma"},
+    "sexpr": {"envelope", "magma", "rewrite"},
+    "shuffle": {"lincomb", "magma"},
+}
+
+
+def test_import_graph():
+    # A module reaches another only by a relative `from .m import`; an
+    # edge that is not in IMPORTS fails, and so does one that left.
+    found = {}
+    for m, tree in _library_trees().items():
+        found[m] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found[m].add(node.module)
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("precom"), (m, node.module)
+            elif isinstance(node, ast.Import):
+                assert all(a.name.partition(".")[0] != "precom" for a in node.names), m
+    assert found == IMPORTS
+    assert [m for m, edges in IMPORTS.items() if "shuffle" in edges] == ["cli"]
 
 
 @pytest.mark.parametrize("module", ["precom", "precom.magma", "precom.rewrite"])

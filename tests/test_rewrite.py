@@ -41,7 +41,7 @@ from precom import (
 from precom import cli, rewrite
 from precom.lincomb import descend, memo_descend
 from precom.rewrite import _RedexIndex, _Sites
-from precom.sexpr import format_poly, format_relations, parse_relations
+from precom.sexpr import format_relations, parse_relations
 
 from oracles import (inclusion_compositions, random_nilpotent_algebra, reducible,
                      scan_instances, subtree, truncated_poly_relations, words_of_length)
@@ -293,10 +293,10 @@ class TestTrace:
         for _ in range(10):
             p = random_poly(rng, ab, 5)
             assert cli.main(["reduce", "--relations", str(path),
-                             "--input", format_poly(p), "--json"]) == 0
+                             "--input", repr(p), "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             nf, steps = normal_form_with_trace(p, rels)
-            assert report["result"] == format_poly(nf)
+            assert report["result"] == repr(nf)
             assert report["steps"] == len(steps)
             assert replay_trace(steps) == p - nf
             rewrites += len(steps)
