@@ -24,78 +24,11 @@ The layers, bottom up:
     series behind the Rota-Baxter check and the embedding verifier;
 ``sexpr`` / ``cli``
     the text formats and the ``precom`` command.
+
+``import precom`` loads every layer but ``sexpr`` and ``cli``, which
+arrive with ``precom.cli``, and binds no other name: each name is
+imported from the module that defines it, as in
+``from precom.rewrite import complete``.
 """
 
-from .magma import (
-    Alphabet,
-    Letter,
-    MagmaPoly,
-    NaWord,
-    comb,
-    leaf,
-    node,
-)
-from .rewrite import (
-    ExplicitRelation,
-    GsbReport,
-    RelationSchema,
-    ZinbielFamily,
-    complete,
-    graft,
-    interreduce,
-    irreducible_counts,
-    irreducible_words,
-    normal_form,
-    normal_forms,
-    normal_form_with_trace,
-    occurrences,
-    replay_trace,
-    substitute,
-    verify_gsb,
-)
-from .shuffle import (
-    PermTensorReport,
-    ZinbElement,
-    perm_tensor_check,
-    random_element,
-    star,
-    zinbiel_product,
-)
-from .envelope import (
-    BasisReport,
-    CollapseReport,
-    CommAlgebra,
-    OddEvenReport,
-    TailFamily,
-    collapse_check,
-    default_alphabet,
-    enveloping_relations,
-    idempotent_algebra,
-    odd_even_zero_sweep,
-    trivial_algebra,
-    trivial_envelope_dimension,
-    trivial_gsb,
-    truncated_power_algebra,
-    verify_trivial_envelope,
-    verify_zinbiel_basis,
-)
-from .compoly import (
-    BuchbergerReport,
-    ComBasis,
-    ComMonomial,
-    ComPoly,
-    GenSymbol,
-    buchberger_bounded,
-    com_reduce,
-)
-from .embed import (
-    EmbeddingReport,
-    FilteredAlgebra,
-    pair_relation,
-    series_product,
-    standard_filtration,
-    verify_embedding,
-    verify_rota_baxter,
-)
-
-__version__ = "0.1.0"
+from . import compoly, embed, envelope, lincomb, magma, rewrite, shuffle

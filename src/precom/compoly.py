@@ -321,21 +321,19 @@ def com_reduce(p: ComPoly, basis: ComBasis) -> ComPoly:
 
 
 class BuchbergerReport:
-    """The basis, additions and counters of :func:`buchberger_bounded`,
-    built by position with ``Report``'s constructor; it is no verdict, so
-    it has no ``verified``.  Every pair considered is processed or
-    skipped once: for the bound, as coprime, or for an lcm that an
-    earlier pair of the same new relation has (``pairs_skipped_lcm``)."""
+    """The additions and counters of :func:`buchberger_bounded`, and the
+    relations of its final basis whose leading monomial has one factor,
+    built by position with ``Report``'s constructor; the basis itself is
+    the first element of the function's return.  It is no verdict, so it
+    has no ``verified``.  Every pair considered is processed or skipped
+    once: for the bound, as coprime, or for an lcm that an earlier pair of
+    the same new relation has (``pairs_skipped_lcm``)."""
 
-    __slots__ = ("basis", "added", "pairs_considered", "pairs_processed",
+    __slots__ = ("added", "pairs_considered", "pairs_processed",
                  "pairs_skipped_bound", "pairs_skipped_coprime",
-                 "pairs_skipped_lcm", "lookups", "memo_hits")
+                 "pairs_skipped_lcm", "lookups", "memo_hits", "linear_leadings")
 
     __init__ = Report.__init__
-
-    @property
-    def linear_leadings(self) -> list:
-        return [p for p in self.basis if p.leading().count == 1]
 
 
 def _s_pair(f: ComPoly, g: ComPoly) -> dict:
@@ -463,7 +461,8 @@ def buchberger_bounded(G: Sequence[ComPoly], weight_bound: int):
     relations = list(basis)
     n = len(relations)
     considered = n * (n - 1) // 2
-    report = BuchbergerReport(relations, added, considered, processed,
+    report = BuchbergerReport(added, considered, processed,
                               considered - processed - coprime - same_lcm, coprime,
-                              same_lcm, basis.calls, basis.memo_hits)
+                              same_lcm, basis.calls, basis.memo_hits,
+                              [p for p in relations if p.leading().count == 1])
     return relations, report

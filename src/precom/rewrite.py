@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .lincomb import Coeff, Report, descend, memo_descend
+from .lincomb import Report, descend, memo_descend
 from .magma import Alphabet, MagmaPoly, NaWord, leaf, node
 
 __all__ = [
@@ -100,16 +100,11 @@ def occurrences(w: NaWord, pattern: NaWord) -> list[tuple[int, ...]]:
 
 
 def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaPoly:
-    """Graft a polynomial into ``w`` at ``path``, linearly per monomial."""
-    out: dict[NaWord, Coeff] = {}
-    for m, c in replacement.terms.items():
-        g = graft(w, path, m)
-        nc = out.get(g, 0) + c
-        if nc:
-            out[g] = nc
-        else:
-            out.pop(g, None)
-    return MagmaPoly._raw(out)
+    """Graft a polynomial into ``w`` at ``path``, linearly per monomial.
+
+    The graft of m has m as its subword at ``path``, so distinct monomials
+    give distinct words and no coefficient cancels."""
+    return MagmaPoly._raw({graft(w, path, m): c for m, c in replacement.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +565,12 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     bound that can be nontrivial, and reduces each site once; the sites
     that :func:`verify_gsb` discharges are never formed.  A nonzero normal
     form becomes a new monic explicit relation at once: it joins the redex
-    index and only its own sites are pushed, as the outer relation f (the
-    subwords of its leading word that some relation matches) and as the
-    inner relation g (every instance with its leading word below the root,
-    and the Zinbiel sites of its leading word, a(u) only for a left factor
-    a irreducible when g joins).  A composition trivial modulo a set stays
+    index and only its own sites are pushed, as the inner relation g (every
+    instance with its leading word below the root, and the Zinbiel sites of
+    its leading word, a(u) only for a left factor a irreducible when g
+    joins).  It has no site as the outer relation: its leading word is a
+    term of a normal form, so no relation matches any of its subwords but
+    itself at the root.  A composition trivial modulo a set stays
     trivial modulo any larger set, so the returned set is confluent up to
     the bound.  A ``stats`` dict receives the number of ``instances`` built
     from the input schemas, of ``sites`` reduced and of right-factor sites
@@ -617,9 +613,12 @@ def complete(relations: Iterable[RelationSchema], bound: int,
                 heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
         for site in search.of_inner(gpos, p):
             heapq.heappush(heap, site)
+        # No outer sites: pl is a term of a normal form, so redex found no
+        # family match and no explicit leading word at any subword of it.
+        # After search.add only new itself matches, at the root, the one
+        # site of_outer leaves out.  Later relations reach new through
+        # containing.
         note_subwords(gpos, pl)
-        for site in search.of_outer(gpos, p):
-            heapq.heappush(heap, site)
     if stats is not None:
         stats.update(instances=len(search.instances), sites=reduced, skipped=search.skipped)
     return index.schemas

@@ -2,15 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from precom import (
-    Alphabet,
-    ExplicitRelation,
-    MagmaPoly,
-    TailFamily,
-    ZinbielFamily,
-    leaf,
-    node,
-)
+from precom.envelope import TailFamily
+from precom.magma import Alphabet, MagmaPoly, leaf, node
+from precom.rewrite import ExplicitRelation, ZinbielFamily
 
 
 @pytest.fixture(scope="session")

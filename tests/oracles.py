@@ -395,9 +395,11 @@ def buchberger_reference(G: Sequence[ComPoly], weight_bound: int):
             added.append(nf)
             k = len(basis) - 1
             pairs.extend((i2, k) for i2 in range(k))
-    report = BuchbergerReport(list(basis), added, considered, processed, skipped_bound,
-                              skipped_coprime, 0, basis.calls, basis.memo_hits)
-    return list(basis), report
+    relations = list(basis)
+    report = BuchbergerReport(added, considered, processed, skipped_bound, skipped_coprime, 0,
+                              basis.calls, basis.memo_hits,
+                              [p for p in relations if p.leading().count == 1])
+    return relations, report
 
 
 # ---------------------------------------------------------------------------

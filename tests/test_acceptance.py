@@ -13,37 +13,29 @@ from fractions import Fraction
 from itertools import product
 from math import comb as binomial
 
-from precom import (
-    ExplicitRelation,
-    FilteredAlgebra,
-    MagmaPoly,
-    ZinbElement,
-    ZinbielFamily,
+from precom.embed import FilteredAlgebra, standard_filtration, verify_embedding, verify_rota_baxter
+from precom.envelope import (
     collapse_check,
-    comb,
-    complete,
     default_alphabet,
     enveloping_relations,
     idempotent_algebra,
-    interreduce,
-    irreducible_counts,
-    leaf,
-    node,
     odd_even_zero_sweep,
-    perm_tensor_check,
-    random_element,
-    standard_filtration,
-    star,
     trivial_algebra,
     trivial_envelope_dimension,
     trivial_gsb,
     truncated_power_algebra,
-    verify_embedding,
-    verify_gsb,
-    verify_rota_baxter,
     verify_zinbiel_basis,
-    zinbiel_product,
 )
+from precom.magma import MagmaPoly, comb, leaf
+from precom.rewrite import (
+    ExplicitRelation,
+    ZinbielFamily,
+    complete,
+    interreduce,
+    irreducible_counts,
+    verify_gsb,
+)
+from precom.shuffle import ZinbElement, perm_tensor_check, random_element, star, zinbiel_product
 
 from oracles import (
     generator_series,

@@ -11,11 +11,12 @@ import sys
 
 import pytest
 
-from precom import ComMonomial, ComPoly, GenSymbol, ZinbielFamily, cli
+from precom import cli, envelope
 from precom import embed as embed_module
-from precom import envelope
 from precom import shuffle as shuffle_module
 from precom.cli import main
+from precom.compoly import ComMonomial, ComPoly, GenSymbol
+from precom.rewrite import ZinbielFamily
 
 from oracles import reference_parser
 
@@ -291,6 +292,33 @@ class TestVerify:
         assert "irreducible counts: [2, 1, 2, 1] (expected [2, 1, 2, 1])" in out
         assert "completion counts:  [2, 1, 2, 1]" in out
 
+    def test_trivial_envelope_completion_mismatch_exits_1(self, run, monkeypatch):
+        # A failing control for the completion cross-check: without the
+        # relation that leads with y y, completion leaves too many words
+        # irreducible, while the closed form still passes its own checks.
+        argv = ("verify", "trivial-envelope", "--letters", "2", "--bound", "4", "--json")
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "verified"
+        relations = envelope.enveloping_relations
+
+        def no_yy(A):
+            y = envelope.leaf(A.alphabet["y"])
+            return [r for r in relations(A)
+                    if getattr(r, "lead", None) is not envelope.node(y, y)]
+
+        monkeypatch.setattr(envelope, "enveloping_relations", no_yy)
+        code, out, err = run(*argv)
+        assert (code, err) == (1, "")
+        rep = json.loads(out)
+        assert rep["status"] == "failed"
+        assert rep["counts"] == [2, 1, 2, 1]
+        assert rep["failures"] == [{"completion_counts": [2, 2, 3, 3],
+                                    "expected": [2, 1, 2, 1]}]
+        code, out, err = run(*argv[:-1])
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == ["completion counts:  [2, 2, 3, 3]", "status: failed"]
+
     @pytest.mark.parametrize("target,line,discharged,skipped", [
         ("zinbiel", "ambiguities checked: 240 (240 discharged by composition criteria)",
          240, 0),
@@ -310,8 +338,6 @@ class TestVerify:
         # Without the square x x the closed-form set is not confluent; both
         # failures sit at the right factor (x y) of a family instance, a
         # site the criteria keep.
-        from precom import envelope
-
         def no_square(alphabet):
             x = envelope.leaf(alphabet["x"])
             return [r for r in spelled_out_gsb(alphabet)

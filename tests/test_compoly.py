@@ -9,20 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
+from precom import compoly
+from precom.compoly import (
     ComBasis,
     ComMonomial,
     ComPoly,
-    FilteredAlgebra,
     GenSymbol,
     buchberger_bounded,
     com_reduce,
-    pair_relation,
-    standard_filtration,
-    truncated_power_algebra,
-    trivial_algebra,
 )
-from precom import compoly
+from precom.embed import FilteredAlgebra, pair_relation, standard_filtration
+from precom.envelope import trivial_algebra, truncated_power_algebra
 from precom.lincomb import descend, integral
 
 from oracles import (buchberger_reference, coefficient_relations, com_product,

@@ -17,30 +17,20 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    Alphabet,
-    ComBasis,
-    ComMonomial,
-    ComPoly,
+from precom.compoly import ComBasis, ComMonomial, ComPoly, GenSymbol, _times, buchberger_bounded
+from precom.embed import FilteredAlgebra
+from precom.envelope import trivial_gsb, truncated_power_algebra
+from precom.lincomb import descend, exact, integral
+from precom.magma import Alphabet, MagmaPoly, _DeepKey, _FLAT_KEY_LENGTH, comb, leaf, node
+from precom.rewrite import (
     ExplicitRelation,
-    FilteredAlgebra,
-    GenSymbol,
-    MagmaPoly,
+    RelationSchema,
     ZinbielFamily,
-    buchberger_bounded,
-    comb,
+    _RedexIndex,
     graft,
-    leaf,
-    node,
     normal_form_with_trace,
     substitute,
-    trivial_gsb,
-    truncated_power_algebra,
 )
-from precom.compoly import _times
-from precom.lincomb import descend, exact, integral
-from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
-from precom.rewrite import RelationSchema, _RedexIndex
 from precom.sexpr import parse_poly, parse_relations
 
 from oracles import coefficient_relations, monic_find, truncated_poly_relations, words_of_length

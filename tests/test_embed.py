@@ -9,23 +9,23 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    Alphabet,
-    ComMonomial,
-    ComPoly,
-    CommAlgebra,
+from precom import embed as embed_module
+from precom.compoly import ComMonomial, ComPoly, buchberger_bounded
+from precom.embed import (
     FilteredAlgebra,
-    buchberger_bounded,
-    idempotent_algebra,
     pair_relation,
     standard_filtration,
-    trivial_algebra,
-    truncated_power_algebra,
     verify_embedding,
     verify_rota_baxter,
 )
-from precom import embed as embed_module
+from precom.envelope import (
+    CommAlgebra,
+    idempotent_algebra,
+    trivial_algebra,
+    truncated_power_algebra,
+)
 from precom.lincomb import echelon_insert, exact
+from precom.magma import Alphabet
 
 import oracles
 from oracles import (

@@ -5,33 +5,31 @@ from math import comb as binom
 
 import pytest
 
-from precom import (
-    Alphabet,
+from precom import envelope
+from precom.envelope import (
     CommAlgebra,
-    ExplicitRelation,
-    MagmaPoly,
     TailFamily,
-    ZinbielFamily,
     collapse_check,
-    comb,
     default_alphabet,
     enveloping_relations,
     idempotent_algebra,
-    irreducible_counts,
-    irreducible_words,
-    leaf,
-    node,
-    normal_form,
     odd_even_zero_sweep,
     trivial_algebra,
     trivial_envelope_dimension,
     trivial_gsb,
     truncated_power_algebra,
-    verify_gsb,
     verify_trivial_envelope,
     verify_zinbiel_basis,
 )
-from precom import envelope
+from precom.magma import Alphabet, MagmaPoly, comb, leaf, node
+from precom.rewrite import (
+    ExplicitRelation,
+    ZinbielFamily,
+    irreducible_counts,
+    irreducible_words,
+    normal_form,
+    verify_gsb,
+)
 
 from oracles import leaves, scan_instances, truncated_poly_relations, words_of_length
 

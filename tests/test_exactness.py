@@ -9,38 +9,27 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    ComBasis,
-    ComMonomial,
-    ComPoly,
+from precom import embed
+from precom.compoly import ComBasis, ComMonomial, ComPoly, buchberger_bounded, com_reduce
+from precom.embed import FilteredAlgebra, pair_relation, verify_embedding, verify_rota_baxter
+from precom.envelope import (
     CommAlgebra,
-    ExplicitRelation,
-    FilteredAlgebra,
-    MagmaPoly,
-    ZinbElement,
-    buchberger_bounded,
     collapse_check,
-    com_reduce,
-    complete,
     enveloping_relations,
     idempotent_algebra,
-    interreduce,
-    leaf,
-    node,
-    normal_form,
-    normal_form_with_trace,
-    pair_relation,
-    random_element,
-    star,
     trivial_gsb,
     truncated_power_algebra,
-    verify_embedding,
-    verify_gsb,
-    verify_rota_baxter,
-    zinbiel_product,
 )
-
-from precom import embed
+from precom.magma import MagmaPoly, leaf, node
+from precom.rewrite import (
+    ExplicitRelation,
+    complete,
+    interreduce,
+    normal_form,
+    normal_form_with_trace,
+    verify_gsb,
+)
+from precom.shuffle import ZinbElement, random_element, star, zinbiel_product
 
 from oracles import (
     TruncSeries,

@@ -16,17 +16,13 @@ import sys
 
 import pytest
 
-from precom import (
-    BasisReport,
-    BuchbergerReport,
-    CollapseReport,
-    EmbeddingReport,
-    GsbReport,
-    OddEvenReport,
-    PermTensorReport,
-)
+from precom.compoly import BuchbergerReport
+from precom.embed import EmbeddingReport
+from precom.envelope import BasisReport, CollapseReport, OddEvenReport
 from precom.lincomb import Report
+from precom.rewrite import GsbReport
 from precom.sexpr import _Atom, _Node
+from precom.shuffle import PermTensorReport
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +35,19 @@ def test_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=30, check=True)
     assert out.stdout.split() == []
+
+
+def test_import_loads_the_library_modules():
+    # The package imports its library modules and nothing more: sexpr and
+    # cli arrive with precom.cli.  perfbench's job.py stamps its setup time
+    # right after `import precom`.
+    code = ("import sys; import precom; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'precom'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=30, check=True)
+    assert out.stdout.split() == ["precom", *("precom." + m for m in (
+        "compoly", "embed", "envelope", "lincomb", "magma", "rewrite", "shuffle"))]
 
 
 # Prints the parser modules loaded after the import, "|", then the exit
@@ -75,9 +84,9 @@ def test_cli_loads_no_argument_parser(tmp_path, argv):
 # Each class built by position, as its call site builds it, with the
 # attribute names in that order.
 CASES = [
-    (BuchbergerReport, ("basis", "added", "pairs_considered", "pairs_processed",
+    (BuchbergerReport, ("added", "pairs_considered", "pairs_processed",
                         "pairs_skipped_bound", "pairs_skipped_coprime",
-                        "pairs_skipped_lcm", "lookups", "memo_hits")),
+                        "pairs_skipped_lcm", "lookups", "memo_hits", "linear_leadings")),
     (EmbeddingReport, ("relation_count", "failures", "injectivity_certified_to",
                        "buchberger", "phases")),
     (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),

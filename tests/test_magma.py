@@ -5,14 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    Alphabet,
-    MagmaPoly,
-    comb,
-    leaf,
-    node,
-)
-from precom.magma import _FLAT_KEY_LENGTH, _DeepKey
+from precom.magma import Alphabet, MagmaPoly, _DeepKey, _FLAT_KEY_LENGTH, comb, leaf, node
 
 from oracles import leaves, magma_product, nested_key, words_of_length
 

@@ -9,38 +9,36 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    Alphabet,
+from precom import cli, rewrite
+from precom.envelope import (
     CommAlgebra,
-    ExplicitRelation,
-    MagmaPoly,
-    ZinbielFamily,
-    complete,
     enveloping_relations,
     idempotent_algebra,
+    trivial_algebra,
+    trivial_envelope_dimension,
+    trivial_gsb,
+    truncated_power_algebra,
+)
+from precom.lincomb import descend, memo_descend
+from precom.magma import Alphabet, MagmaPoly, leaf, node
+from precom.rewrite import (
+    ExplicitRelation,
+    ZinbielFamily,
+    _RedexIndex,
+    _Sites,
+    complete,
+    graft,
     interreduce,
     irreducible_counts,
     irreducible_words,
-    leaf,
-    node,
     normal_form,
     normal_form_with_trace,
     normal_forms,
     occurrences,
     replay_trace,
-    graft,
     substitute,
-    trivial_gsb,
     verify_gsb,
 )
-from precom import (
-    trivial_algebra,
-    trivial_envelope_dimension,
-    truncated_power_algebra,
-)
-from precom import cli, rewrite
-from precom.lincomb import descend, memo_descend
-from precom.rewrite import _RedexIndex, _Sites
 from precom.sexpr import format_relations, parse_relations
 
 from oracles import (inclusion_compositions, random_nilpotent_algebra, reducible,
@@ -397,7 +395,6 @@ class TestComplete:
         assert complete(rels, 4) == rels
 
     def test_reaches_closed_form_counts(self):
-        from precom import enveloping_relations, trivial_algebra
         A = trivial_algebra(2)
         done = complete(enveloping_relations(A), 4)
         assert irreducible_counts(done, A.alphabet, 4) \
@@ -768,7 +765,6 @@ class TestIrreducibles:
         assert irreducible_counts(trivial_gsb(ab2), ab2, 4) == [2, 1, 2, 1]
 
     def test_one_letter(self):
-        from precom import Alphabet
         ab = Alphabet(["x"])
         assert irreducible_counts(trivial_gsb(ab), ab, 3) == [1, 0, 0]
 

@@ -6,16 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from precom import (
-    ExplicitRelation,
-    MagmaPoly,
-    TailFamily,
-    ZinbElement,
-    ZinbielFamily,
-    leaf,
-    node,
-    trivial_gsb,
-)
+from precom.envelope import TailFamily, trivial_gsb
+from precom.magma import MagmaPoly, leaf, node
+from precom.rewrite import ExplicitRelation, ZinbielFamily
 from precom.sexpr import (
     ParseError,
     format_relations,
@@ -24,6 +17,7 @@ from precom.sexpr import (
     parse_poly,
     parse_relations,
 )
+from precom.shuffle import ZinbElement
 
 from oracles import parse_word, words_of_length
 

@@ -11,23 +11,17 @@ from math import comb as binom
 
 import pytest
 
-from precom import (
-    Alphabet,
-    MagmaPoly,
+from precom import shuffle as shuffle_module
+from precom.magma import Alphabet, MagmaPoly, comb, leaf, node
+from precom.rewrite import ZinbielFamily, irreducible_words, normal_form
+from precom.shuffle import (
     ZinbElement,
-    ZinbielFamily,
-    comb,
-    irreducible_words,
-    leaf,
-    node,
-    normal_form,
+    _tensor_mul,
     perm_tensor_check,
     random_element,
     star,
     zinbiel_product,
 )
-from precom import shuffle as shuffle_module
-from precom.shuffle import _tensor_mul
 
 from oracles import (from_left_comb, half_shuffle, magma_product, random_element_with_terms,
                      shuffle_product, to_left_comb)
