@@ -29,7 +29,12 @@ e_i e_j = e_j, into a commutative envelope candidate.  The tensor check
 scales each sample to integer coefficients once, since both sides of the
 checked identity are trilinear in it, and computes each distinct ordered
 product of two elements once per sample, in a memo that the next sample
-starts afresh.
+starts afresh.  It forms the identity once per sample, on the three
+distinct labels e_0, e_1, e_2, and reads every basis triple off it: any
+map s of indices makes e_p -> e_s(p) a homomorphism of the Perm algebra,
+since e_p e_q = e_q goes to e_s(q) = e_s(p) e_s(q), so s (x) id is a
+homomorphism of the tensor product.  At dimension 1 the one basis
+triple's labels (0, 0, 0) are used directly.
 """
 
 from __future__ import annotations
@@ -196,30 +201,50 @@ def perm_tensor_check(dim: int,
     sample by its denominators df, dg, dh multiplies each side by
     df dg dh != 0 and keeps every equality and every inequality.  The
     check therefore runs on integer copies of f, g and h, and a failure
-    reports the given elements."""
+    reports the given elements.
+
+    For any map s of indices, e_p -> e_s(p) is a homomorphism of P:
+    e_p e_q = e_q goes to e_s(q) = e_s(p) e_s(q).  So s (x) id is a
+    homomorphism of P (x) Z, and the basis triple (i, j, k) is the image
+    of the labels (0, 1, 2) under s = (0 -> i, 1 -> j, 2 -> k).  The check
+    forms left - right = sum over l of e_l (x) D_l once per sample, on
+    e_0 (x) f, e_1 (x) g and e_2 (x) h, in four tensor products; the
+    triple fails iff, for some index v, the D_l with s(l) = v sum to a
+    nonzero element.  That depends only on which of i, j, k are equal, so
+    each of the at most five equality patterns is decided once.  At
+    dimension 1 the one basis triple (0, 0, 0) is its own labels: its
+    eight products are fewer than the twelve of three distinct labels."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+    dims = range(dim)
+    triples = [(i, j, k) for i in dims for j in dims for k in dims]
+    # Each position of a triple sent to the first position holding the
+    # same index: (0, 1, 2) when all differ, (0, 0, 0) when all are equal.
+    patterns = [tuple(map(t.index, t)) for t in triples]
+    distinct = set(patterns)
+    labels = (0, 1, 2) if dim > 1 else (0, 0, 0)
+    zero = ZinbElement.zero()
     failures = []
     checked = products = 0
     filled = len(_HALF)
-    dims = range(dim)
     for f, g, h in samples:
-        fi, gi, hi = (ZinbElement._raw(integral(x.terms)[1]) for x in (f, g, h))
         memo: dict = {}  # per sample: the products of f, g, h and their products
-        B = [{j: gi} for j in dims]
-        C = [{k: hi} for k in dims]
-        BC = [[_tensor_mul(B[j], C[k], memo) for k in dims] for j in dims]
-        for i in dims:
-            A = {i: fi}
-            for j in dims:
-                AB = _tensor_mul(A, B[j], memo)
-                for k in dims:
-                    checked += 1
-                    left = _tensor_mul(AB, C[k], memo)
-                    right = _tensor_mul(A, BC[j][k], memo)
-                    if left != right:
-                        failures.append((i, j, k, f, g, h))
+        A, B, C = ({l: ZinbElement._raw(integral(x.terms)[1])}
+                   for l, x in zip(labels, (f, g, h)))
+        left = _tensor_mul(_tensor_mul(A, B, memo), C, memo)
+        right = _tensor_mul(A, _tensor_mul(B, C, memo), memo)
         products += len(memo)
+        D = [left.get(l, zero) - right.get(l, zero) for l in range(3)]
+        failing = set()
+        for p in distinct:
+            # The D_l that the pattern sends to one index, summed.
+            sums: dict = {}
+            for v, d in zip(p, D):
+                sums[v] = sums[v] + d if v in sums else d
+            if any(sums.values()):
+                failing.add(p)
+        checked += len(triples)
+        failures.extend((*t, f, g, h) for t, p in zip(triples, patterns) if p in failing)
     return PermTensorReport(checked, failures, products, len(_HALF) - filled)
 
 

@@ -21,6 +21,8 @@ comb as its leaf sequence (``leaves``), and ``from_left_comb`` goes
 back (Loday 1995).  The tests hold ``shuffle.zinbiel_product`` to the
 tree product ``magma_product`` through that bridge, and the symmetrized
 product to ``shuffle_product``, the plain shuffle of two words.
+``perm_tensor_reference`` is the Perm-tensor check that forms both
+sides again for each basis triple.
 ``random_element_with_terms`` draws the library's random elements
 with more or fewer terms.  ``shuffles`` builds a shuffle by one
 iterative table over the prefixes of both words, as the library did for
@@ -50,15 +52,16 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from precom import shuffle
 from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, GenSymbol, _times
 from precom.embed import _DRAW_PRIMES, FilteredAlgebra, _draw, pair_relation
 from precom.envelope import CommAlgebra
-from precom.lincomb import LinComb, _require_monic, descend, exact
+from precom.lincomb import LinComb, _require_monic, descend, exact, integral
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
                             normal_form, occurrences, substitute)
 from precom.sexpr import _one_form, _word_from_form
-from precom.shuffle import ZinbElement
+from precom.shuffle import PermTensorReport, ZinbElement, _tensor_mul
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -259,6 +262,35 @@ def to_left_comb(p: MagmaPoly, alphabet: Alphabet) -> ZinbElement:
 def from_left_comb(f: ZinbElement) -> MagmaPoly:
     """The inverse embedding: each word becomes its left comb."""
     return MagmaPoly._raw({comb(w): c for w, c in f.terms.items()})
+
+
+def perm_tensor_reference(dim: int, samples) -> PermTensorReport:
+    """``shuffle.perm_tensor_check`` with both sides of the identity
+    formed for each basis triple (i, j, k) from e_i (x) f, e_j (x) g and
+    e_k (x) h, the products B[j] C[k] tabulated once per sample; the
+    library reads every triple off one identity on three labels."""
+    failures = []
+    checked = products = 0
+    filled = len(shuffle._HALF)
+    dims = range(dim)
+    for f, g, h in samples:
+        fi, gi, hi = (ZinbElement._raw(integral(x.terms)[1]) for x in (f, g, h))
+        memo: dict = {}
+        B = [{j: gi} for j in dims]
+        C = [{k: hi} for k in dims]
+        BC = [[_tensor_mul(B[j], C[k], memo) for k in dims] for j in dims]
+        for i in dims:
+            A = {i: fi}
+            for j in dims:
+                AB = _tensor_mul(A, B[j], memo)
+                for k in dims:
+                    checked += 1
+                    left = _tensor_mul(AB, C[k], memo)
+                    right = _tensor_mul(A, BC[j][k], memo)
+                    if left != right:
+                        failures.append((i, j, k, f, g, h))
+        products += len(memo)
+    return PermTensorReport(checked, failures, products, len(shuffle._HALF) - filled)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from precom.shuffle import (
     zinbiel_product,
 )
 
-from oracles import (from_left_comb, half_shuffle, magma_product, random_element_with_terms,
-                     shuffle_product, to_left_comb)
+from oracles import (from_left_comb, half_shuffle, magma_product, perm_tensor_reference,
+                     random_element_with_terms, shuffle_product, to_left_comb)
 
 
 def wd(ab, names):
@@ -518,6 +518,99 @@ class TestPermTensor:
         assert cold.half_shuffles == len(shuffle_module._HALF) > 0
         assert warm.half_shuffles == 0
         assert cold.products == warm.products > 0
+
+
+def relabel(s, sigma):
+    # sigma (x) id on a tensor element: component l moves to sigma[l], and
+    # the components that sigma sends to one index merge.
+    out: dict = {}
+    for p, e in s.items():
+        v = sigma[p]
+        out[v] = out[v] + e if v in out else e
+    return {v: e for v, e in out.items() if e}
+
+
+class TestPermRelabeling:
+    """The lemma the tensor check rests on: e_p -> e_s(p) is a homomorphism
+    of the Perm algebra e_i e_j = e_j for any map s of indices, so
+    relabeling commutes with the tensor product."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_relabeling_commutes_with_tensor_product(self, ab2, d):
+        rng = random.Random(200 + d)
+        for _ in range(4):
+            s, t = ({p: random_element(rng, ab2, 3) for p in range(3) if rng.random() < 0.8}
+                    for _ in range(2))
+            st = _tensor_mul(s, t, {})
+            for sigma in product(range(d), repeat=3):
+                assert relabel(st, sigma) \
+                    == _tensor_mul(relabel(s, sigma), relabel(t, sigma), {}), sigma
+
+    def test_relabeling_merges_components(self, ab2):
+        f, g = el(ab2, "x"), el(ab2, "xy", -1)
+        assert relabel({0: f, 1: g, 2: f.scale(-1)}, (0, 1, 0)) == {1: g}
+        assert relabel({0: f, 2: g}, (1, 1, 1)) == {1: f + g}
+
+
+# Bilinear products that are not pre-commutative, each as a function of the
+# true product zp, and the failures each gives at dimensions 1 to 4 over
+# the 25 x 4 seeded samples of TestPermTensorAgainstReference.
+BROKEN = {
+    "scaled-left": (lambda zp: lambda f, g: f.scale(2) + g, (100, 800, 2700, 6400)),
+    "commutative": (lambda zp: lambda f, g: zp(f, g) + zp(g, f), (0, 364, 1638, 4368)),
+    "reversed": (lambda zp: lambda f, g: zp(g, f), (0, 544, 2178, 5448)),
+}
+
+
+class TestPermTensorAgainstReference:
+    """``perm_tensor_check`` reads every basis triple off one product on
+    three labels; the reference forms both sides again for each triple.
+    They must agree on the count, on each failure and its order, on the
+    given elements a failure names and on the table entries filled, under
+    the true product and under products that break the identity."""
+
+    @staticmethod
+    def compare(monkeypatch, dim, samples):
+        monkeypatch.setattr(shuffle_module, "_HALF", {})
+        ref = perm_tensor_reference(dim, samples)
+        monkeypatch.setattr(shuffle_module, "_HALF", {})
+        got = perm_tensor_check(dim, samples)
+        assert got.checked == ref.checked == len(samples) * dim ** 3
+        assert [(*v[:3], *map(id, v[3:])) for v in got.failures] \
+            == [(*v[:3], *map(id, v[3:])) for v in ref.failures]
+        assert got.half_shuffles == ref.half_shuffles
+        if dim == 1:
+            assert got.products == ref.products
+        else:
+            assert got.products <= min(ref.products, 12 * len(samples))
+        return len(got.failures)
+
+    @pytest.mark.parametrize("broken", [None, *BROKEN])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_reference(self, ab2, monkeypatch, dim, broken):
+        if broken is not None:
+            make, counts = BROKEN[broken]
+            monkeypatch.setattr(shuffle_module, "zinbiel_product", make(zinbiel_product))
+        total = 0
+        for seed in range(25):
+            rng = random.Random(seed)
+            samples = [tuple(random_element(rng, ab2, 3) for _ in range(3))
+                       for _ in range(4)]
+            total += self.compare(monkeypatch, dim, samples)
+        assert total == (0 if broken is None else counts[dim - 1])
+
+    def test_coinciding_and_zero_elements(self, ab2, monkeypatch):
+        # Equal elements share memo entries, and a zero element makes
+        # every product zero.
+        f, g = el(ab2, "x"), el(ab2, "yx", Fraction(1, 2))
+        z = ZinbElement.zero()
+        samples = [(f, f, f), (f, g, f), (z, g, f), (g, z, z)]
+        for dim in (1, 2, 3):
+            self.compare(monkeypatch, dim, samples)
+        orig = shuffle_module.zinbiel_product
+        monkeypatch.setattr(shuffle_module, "zinbiel_product", lambda a, b: orig(b, a))
+        for dim in (1, 2, 3):
+            self.compare(monkeypatch, dim, samples)
 
 
 class TestRandomElement:
