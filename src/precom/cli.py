@@ -13,9 +13,9 @@ chain criterion), ``complete`` adds ``stats`` with the instances it
 built, the composition sites it reduced and those it skipped, and
 ``embed`` adds ``stats`` with its Buchberger pairs, by what became of
 them, and its divisor lookups with those answered from the memo,
-``verify perm`` adds ``stats`` with the distinct element products and
-the half-shuffle table entries it computed, and ``verify rb`` adds
-``stats`` with the Cauchy products it formed and the terms they produced.
+``verify perm`` adds ``stats`` with the half-shuffle table entries it
+filled, and ``verify rb`` adds ``stats`` with the terms of the Cauchy
+products it formed.
 Timings are null unless ``--timings`` is given, so identical inputs produce
 byte-identical reports; with it, ``embed`` gives the seconds of its two
 phases, ``homomorphism_s`` and ``completion_s``, next to ``total_s``.
@@ -375,8 +375,7 @@ def _verify_perm(args):
                 for i, j, k, f, g, h in rep.failures]
     lines = ["basis-paired triples checked: %d (seed %d)"
              % (rep.checked, args.seed)]
-    stats = {"products": rep.products, "half_shuffles": rep.half_shuffles}
-    return rep.verified, [rep.checked], failures, lines, stats
+    return rep.verified, [rep.checked], failures, lines, {"half_shuffles": rep.half_shuffles}
 
 
 def _handle_verify(args):

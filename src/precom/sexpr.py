@@ -139,15 +139,6 @@ def _alphabet(names: list) -> Alphabet:
     return Alphabet(names)
 
 
-def _letter(form: Form, alphabet: Alphabet) -> Letter:
-    if not isinstance(form, _Atom):
-        raise _err(form, "expected a letter")
-    try:
-        return alphabet[form.text]
-    except KeyError:
-        raise _err(form, "unknown letter %r" % (form.text,)) from None
-
-
 def _word_from_form(form: Form, alphabet: Alphabet) -> NaWord:
     # Postorder walk with an explicit stack, so the depth of a word is not
     # limited by the recursion limit: a node is visited once to check it
@@ -157,7 +148,11 @@ def _word_from_form(form: Form, alphabet: Alphabet) -> NaWord:
     while stack:
         f, combine = stack.pop()
         if isinstance(f, _Atom):
-            done.append(leaf(_letter(f, alphabet)))
+            try:
+                x = alphabet[f.text]
+            except KeyError:
+                raise _err(f, "unknown letter %r" % (f.text,)) from None
+            done.append(leaf(x))
         elif combine:
             right = done.pop()
             done.append(node(done.pop(), right))

@@ -27,14 +27,12 @@ hold the two models to each other through that bridge, kept in
 that turns a pre-commutative algebra, tensored with the Perm algebra
 e_i e_j = e_j, into a commutative envelope candidate.  The tensor check
 scales each sample to integer coefficients once, since both sides of the
-checked identity are trilinear in it, and computes each distinct ordered
-product of two elements once per sample, in a memo that the next sample
-starts afresh.  It forms the identity once per sample, on the three
-distinct labels e_0, e_1, e_2, and reads every basis triple off it: any
-map s of indices makes e_p -> e_s(p) a homomorphism of the Perm algebra,
-since e_p e_q = e_q goes to e_s(q) = e_s(p) e_s(q), so s (x) id is a
-homomorphism of the tensor product.  At dimension 1 the one basis
-triple's labels (0, 0, 0) are used directly.
+checked identity are trilinear in it.  It forms the identity once per
+sample, on the three distinct labels e_0, e_1, e_2, and reads every
+basis triple off it, at every dimension: any map s of indices makes
+e_p -> e_s(p) a homomorphism of the Perm algebra, since e_p e_q = e_q
+goes to e_s(q) = e_s(p) e_s(q), so s (x) id is a homomorphism of the
+tensor product.
 """
 
 from __future__ import annotations
@@ -153,21 +151,15 @@ def star(f: ZinbElement, g: ZinbElement) -> ZinbElement:
 # ---------------------------------------------------------------------------
 # The Perm-algebra tensor trick
 
-def _tensor_mul(s: dict, t: dict, memo: dict) -> dict:
+def _tensor_mul(s: dict, t: dict) -> dict:
     # Tensor elements are {perm index: ZinbElement} over the Perm algebra
     # e_i e_j = e_j.  By bilinearity,
     # (e_p (x) a)(e_q (x) b) = e_q (x) a>b + e_p (x) b>a, with > the
-    # pre-commutative product.  ``memo`` holds each distinct ordered
-    # product a>b once.
+    # pre-commutative product.
     out: dict = {}
     for p, a in s.items():
-        ka = frozenset(a.terms.items())
         for q, b in t.items():
-            kb = frozenset(b.terms.items())
-            for idx, x, y, key in ((q, a, b, (ka, kb)), (p, b, a, (kb, ka))):
-                prod = memo.get(key)
-                if prod is None:
-                    prod = memo[key] = zinbiel_product(x, y)
+            for idx, prod in ((q, zinbiel_product(a, b)), (p, zinbiel_product(b, a))):
                 out[idx] = out[idx] + prod if idx in out else prod
     return {p: e for p, e in out.items() if e}
 
@@ -176,12 +168,11 @@ class PermTensorReport(Report):
     """The outcome of :func:`perm_tensor_check` on the Perm algebra
     e_i e_j = e_j.  ``checked`` counts the basis-paired triples, and
     ``failures`` lists each sample and basis triple on which associativity
-    fails as ``(i, j, k, f, g, h)``; ``products`` counts the distinct
-    ordered element products computed, summed over the samples;
-    ``half_shuffles`` the ``_HALF`` entries the check filled, the shorter
-    pairs each product's entries were built from included."""
+    fails as ``(i, j, k, f, g, h)``; ``half_shuffles`` counts the
+    ``_HALF`` entries the check filled, the shorter pairs each product's
+    entries were built from included."""
 
-    __slots__ = ("checked", "failures", "products", "half_shuffles")
+    __slots__ = ("checked", "failures", "half_shuffles")
 
 
 def perm_tensor_check(dim: int,
@@ -211,9 +202,7 @@ def perm_tensor_check(dim: int,
     e_0 (x) f, e_1 (x) g and e_2 (x) h, in four tensor products; the
     triple fails iff, for some index v, the D_l with s(l) = v sum to a
     nonzero element.  That depends only on which of i, j, k are equal, so
-    each of the at most five equality patterns is decided once.  At
-    dimension 1 the one basis triple (0, 0, 0) is its own labels: its
-    eight products are fewer than the twelve of three distinct labels."""
+    each of the at most five equality patterns is decided once."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     dims = range(dim)
@@ -222,18 +211,15 @@ def perm_tensor_check(dim: int,
     # same index: (0, 1, 2) when all differ, (0, 0, 0) when all are equal.
     patterns = [tuple(map(t.index, t)) for t in triples]
     distinct = set(patterns)
-    labels = (0, 1, 2) if dim > 1 else (0, 0, 0)
     zero = ZinbElement.zero()
     failures = []
-    checked = products = 0
+    checked = 0
     filled = len(_HALF)
     for f, g, h in samples:
-        memo: dict = {}  # per sample: the products of f, g, h and their products
         A, B, C = ({l: ZinbElement._raw(integral(x.terms)[1])}
-                   for l, x in zip(labels, (f, g, h)))
-        left = _tensor_mul(_tensor_mul(A, B, memo), C, memo)
-        right = _tensor_mul(A, _tensor_mul(B, C, memo), memo)
-        products += len(memo)
+                   for l, x in enumerate((f, g, h)))
+        left = _tensor_mul(_tensor_mul(A, B), C)
+        right = _tensor_mul(A, _tensor_mul(B, C))
         D = [left.get(l, zero) - right.get(l, zero) for l in range(3)]
         failing = set()
         for p in distinct:
@@ -245,7 +231,7 @@ def perm_tensor_check(dim: int,
                 failing.add(p)
         checked += len(triples)
         failures.extend((*t, f, g, h) for t, p in zip(triples, patterns) if p in failing)
-    return PermTensorReport(checked, failures, products, len(_HALF) - filled)
+    return PermTensorReport(checked, failures, len(_HALF) - filled)
 
 
 def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int) -> ZinbElement:

@@ -22,7 +22,8 @@ back (Loday 1995).  The tests hold ``shuffle.zinbiel_product`` to the
 tree product ``magma_product`` through that bridge, and the symmetrized
 product to ``shuffle_product``, the plain shuffle of two words.
 ``perm_tensor_reference`` is the Perm-tensor check that forms both
-sides again for each basis triple.
+sides again for each basis triple, computing each distinct element
+product of a sample once.
 ``random_element_with_terms`` draws the library's random elements
 with more or fewer terms.  ``shuffles`` builds a shuffle by one
 iterative table over the prefixes of both words, as the library did for
@@ -61,7 +62,7 @@ from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
                             normal_form, occurrences, substitute)
 from precom.sexpr import _one_form, _word_from_form
-from precom.shuffle import PermTensorReport, ZinbElement, _tensor_mul
+from precom.shuffle import PermTensorReport, ZinbElement
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -264,13 +265,30 @@ def from_left_comb(f: ZinbElement) -> MagmaPoly:
     return MagmaPoly._raw({comb(w): c for w, c in f.terms.items()})
 
 
+def _memo_tensor_mul(s: dict, t: dict, memo: dict) -> dict:
+    """``shuffle._tensor_mul`` with each distinct ordered element product
+    computed once in ``memo``, keyed by the two elements' terms."""
+    out: dict = {}
+    for p, a in s.items():
+        ka = frozenset(a.terms.items())
+        for q, b in t.items():
+            kb = frozenset(b.terms.items())
+            for idx, x, y, key in ((q, a, b, (ka, kb)), (p, b, a, (kb, ka))):
+                prod = memo.get(key)
+                if prod is None:
+                    prod = memo[key] = shuffle.zinbiel_product(x, y)
+                out[idx] = out[idx] + prod if idx in out else prod
+    return {p: e for p, e in out.items() if e}
+
+
 def perm_tensor_reference(dim: int, samples) -> PermTensorReport:
     """``shuffle.perm_tensor_check`` with both sides of the identity
     formed for each basis triple (i, j, k) from e_i (x) f, e_j (x) g and
-    e_k (x) h, the products B[j] C[k] tabulated once per sample; the
-    library reads every triple off one identity on three labels."""
+    e_k (x) h, the products B[j] C[k] tabulated once per sample and each
+    distinct element product computed once per sample; the library reads
+    every triple off one identity on three labels."""
     failures = []
-    checked = products = 0
+    checked = 0
     filled = len(shuffle._HALF)
     dims = range(dim)
     for f, g, h in samples:
@@ -278,19 +296,18 @@ def perm_tensor_reference(dim: int, samples) -> PermTensorReport:
         memo: dict = {}
         B = [{j: gi} for j in dims]
         C = [{k: hi} for k in dims]
-        BC = [[_tensor_mul(B[j], C[k], memo) for k in dims] for j in dims]
+        BC = [[_memo_tensor_mul(B[j], C[k], memo) for k in dims] for j in dims]
         for i in dims:
             A = {i: fi}
             for j in dims:
-                AB = _tensor_mul(A, B[j], memo)
+                AB = _memo_tensor_mul(A, B[j], memo)
                 for k in dims:
                     checked += 1
-                    left = _tensor_mul(AB, C[k], memo)
-                    right = _tensor_mul(A, BC[j][k], memo)
+                    left = _memo_tensor_mul(AB, C[k], memo)
+                    right = _memo_tensor_mul(A, BC[j][k], memo)
                     if left != right:
                         failures.append((i, j, k, f, g, h))
-        products += len(memo)
-    return PermTensorReport(checked, failures, products, len(shuffle._HALF) - filled)
+    return PermTensorReport(checked, failures, len(shuffle._HALF) - filled)
 
 
 # ---------------------------------------------------------------------------

@@ -386,12 +386,12 @@ class TestVerify:
         assert "trials: 5 (seed 0)" in out
 
     def test_rb_json_stats(self, run):
-        # The Cauchy products formed (6 a trial) and the terms they
-        # produced; the reports of two runs are byte-identical.
+        # The terms the Cauchy products produced; the reports of two runs
+        # are byte-identical.
         argv = ("verify", "rb", "--count", "20", "--max-n", "8", "--json")
         code, first, _ = run(*argv)
         assert code == 0
-        assert json.loads(first)["stats"] == {"products": 120, "terms": 710}
+        assert json.loads(first)["stats"] == {"terms": 710}
         assert run(*argv)[1] == first
 
     def test_rb_wrong_operator_exits_1(self, run, monkeypatch):
@@ -422,18 +422,16 @@ class TestVerify:
     def test_perm_json_stats(self, run, monkeypatch):
         # ``half_shuffles`` counts the table entries the run filled.  Both
         # runs draw words over the one two-letter default alphabet, so the
-        # second finds every half-shuffle in the table and fills none, but
-        # computes as many products.
+        # second finds every half-shuffle in the table and fills none.
         table: dict = {}
         monkeypatch.setattr(shuffle_module, "_HALF", table)
         argv = ("verify", "perm", "--dim", "2", "--triples", "3",
                 "--max-degree", "3", "--json")
         first = json.loads(run(*argv)[1])
-        assert first["stats"]["half_shuffles"] == len(table) > 0
-        assert first["stats"]["products"] > 0
+        assert first["stats"] == {"half_shuffles": len(table)}
+        assert len(table) > 0
         second = json.loads(run(*argv)[1])
-        assert second["stats"] == {"products": first["stats"]["products"],
-                                   "half_shuffles": 0}
+        assert second["stats"] == {"half_shuffles": 0}
         assert dict(second, stats=first["stats"]) == first
 
     def test_perm_dropped_half_shuffle_term_exits_1(self, run, monkeypatch):
@@ -840,6 +838,44 @@ class TestEmbed:
         assert err.startswith("error: %s: bad coefficient '1/0' in product entry "
                               "'a a -> 1/0 b'" % path)
         assert "Traceback" not in err
+
+
+# Bad input, each case as (file name, file text, argv, error), FILE
+# standing for the file's path: one ``error:`` line, no output, exit 2.
+COMPLETE = ("complete", "--relations", "FILE", "--bound", "3")
+EMBED = ("embed", "--algebra", "FILE", "--N", "4")
+BAD_INPUT = {
+    "letter-not-atom": ("rels.sexp", "(alphabet (x) y)\n", COMPLETE,
+                        "FILE: line 1, column 11: letters must be atoms"),
+    "family-no-name": ("rels.sexp", "(alphabet x y)\n(family)\n", COMPLETE,
+                       "FILE: line 2, column 1: (family name) takes exactly one name"),
+    "family-two-names": ("rels.sexp", "(alphabet x y)\n(family zinbiel tail)\n", COMPLETE,
+                         "FILE: line 2, column 1: (family name) takes exactly one name"),
+    "rel-two-polynomials": ("rels.sexp", "(alphabet x y)\n(rel (x y) (y x))\n", COMPLETE,
+                            "FILE: line 2, column 1: (rel polynomial) takes exactly one "
+                            "polynomial"),
+    "input-coefficient-word": ("rels.sexp", ZINBIEL3,
+                               ("reduce", "--relations", "FILE", "--input", "(* (x y) x)"),
+                               "line 1, column 4: expected a rational number"),
+    "product-term-malformed": ("algebra.json",
+                               '{"basis": ["a", "b"], "products": ["a a -> 1 2 b"]}', EMBED,
+                               "FILE: malformed product term '1 2 b' in entry 'a a -> 1 2 b'"),
+    "product-letter-unknown": ("algebra.json",
+                               '{"basis": ["a", "b"], "products": ["a a -> 2 q"]}', EMBED,
+                               "FILE: unknown letter 'q' in product entry 'a a -> 2 q'"),
+    "levels-a-list": ("algebra.json",
+                      '{"basis": ["a", "b"], "levels": [1, 2], "products": ["a a -> b"]}',
+                      EMBED, "FILE: 'levels' must map letter names to positive integers"),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, error", BAD_INPUT.values(), ids=list(BAD_INPUT))
+def test_bad_input_exits_2(run, tmp_path, name, text, argv, error):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(*(str(path) if a == "FILE" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % error.replace("FILE", str(path))
 
 
 class TestReports:

@@ -92,7 +92,7 @@ CASES = [
     (BasisReport, ("gsb", "counts", "expected_counts", "completion_counts")),
     (CollapseReport, ("counts", "star_table", "failures")),
     (OddEvenReport, ("checked", "failures")),
-    (PermTensorReport, ("checked", "failures", "products", "half_shuffles")),
+    (PermTensorReport, ("checked", "failures", "half_shuffles")),
     (GsbReport, ("ambiguities_checked", "failures", "discharged", "skipped")),
     (_Atom, ("text", "line", "col")),
     (_Node, ("items", "line", "col")),

@@ -91,7 +91,7 @@ MOVED = {
 # report holds no second copy of the basis that it returns.
 REMOVED = {
     "rewrite": ("ReductionStep", "CompositionFailure"),
-    "shuffle": ("PermAlgebra",),
+    "shuffle": ("PermAlgebra", "PermTensorReport.products"),
     "lincomb": ("LinComb.__init__", "LinComb.__neg__"),
     "magma": ("Letter.__le__", "Letter.__gt__", "Letter.__ge__", "_DeepKey.__le__",
               "_DeepKey.__ge__"),
@@ -109,7 +109,7 @@ OPERATORS = (
     ("compoly", "ComMonomial.__mul__"),  # compoly._s_pair: m * u
     ("lincomb", "LinComb.__add__"),      # shuffle.star: zinbiel_product(f, g) + ...
     ("lincomb", "LinComb.__sub__"),      # rewrite.verify_gsb: f - substitute(w, path, g)
-    ("magma", "Alphabet.__getitem__"),   # sexpr._letter: alphabet[form.text]
+    ("magma", "Alphabet.__getitem__"),   # sexpr._word_from_form: alphabet[f.text]
     ("magma", "Letter.__lt__"),          # embed.standard_filtration: sorted(rows)
     ("magma", "_DeepKey.__lt__"),        # lincomb.descend: sorted(coeffs, key=key)
     ("magma", "_DeepKey.__gt__"),        # lincomb.LinComb.leading: max(self.terms, key=...)
