@@ -31,11 +31,12 @@ after the verb; only whole flag names are accepted, not prefixes.
 0.  A usage error (an unknown or missing verb, target or flag, a flag
 without its value, a value that is not an integer where one is
 expected, a flag that the ``verify`` target requires but argv leaves
-out, or one it does not read set away from its default) prints a usage
-line and an ``error:`` line to stderr and exits 2.  Bad input (a value
-below its flag's minimum, a file that cannot be read or parsed) prints
-only the ``error:`` line and exits 2.  The table names each verb's and
-target's handler too, so it is the one list of what the CLI runs.
+out, or one it does not read set away from its default) is found as
+argv is read; it prints a usage line and an ``error:`` line to stderr
+and exits 2.  Bad input (a value below its flag's minimum, a file that
+cannot be read or parsed) prints only the ``error:`` line and exits 2.
+The table names each verb's and target's handler too, so it is the one
+list of what the CLI runs.
 
 :func:`main` runs the verb's handler with the cyclic garbage collector
 off and restores its previous state afterwards.  Words, monomials and
@@ -145,14 +146,16 @@ def _is_flag(arg: str) -> bool:
 def _parse(argv: list) -> SimpleNamespace:
     """The verb, its target and every flag of the verb (its default when
     argv leaves it out) read from argv.  Help exits 0 and a usage error
-    exits 2, both through ``SystemExit``."""
+    exits 2, both through ``SystemExit``; a flag that the target requires
+    but argv leaves out, or one of the verb's that the target does not
+    read set away from its default, is a usage error too."""
     if not argv or argv[0] not in _TABLE:
         if argv and argv[0] in ("-h", "--help"):
             _help(None)
         _usage_error(None, "unknown verb %r" % argv[0] if argv else "missing verb")
     verb = argv[0]
-    _, _, flags, targets = _TABLE[verb]
-    flags = {**flags, **_COMMON}
+    _, _, own, targets = _TABLE[verb]
+    flags = {**own, **_COMMON}
     values = {name: spec[1] for name, spec in flags.items()}
     target, extras = None, []
     rest = iter(argv[1:])
@@ -195,35 +198,19 @@ def _parse(argv: list) -> SimpleNamespace:
         _usage_error(verb, "%s requires %s" % (verb, ", ".join(missing)))
     if extras:
         _usage_error(verb, "unrecognized arguments: %s" % " ".join(extras))
+    if targets:
+        _, required, read = targets[target]
+        missing = ["--" + f for f in required if values[f] is None]
+        if missing:
+            _usage_error(verb, "%s %s requires %s" % (verb, target, ", ".join(missing)))
+        unread = ["--" + f for f, spec in own.items()
+                  if f not in required + read and values[f] != spec[1]]
+        if unread:
+            _usage_error(verb, "%s %s does not read %s" % (verb, target, ", ".join(unread)))
     args = SimpleNamespace(verb=verb, **{n.replace("-", "_"): v for n, v in values.items()})
     if targets:
         args.target = target
     return args
-
-
-def _check(args) -> None:
-    """Reject what the table forbids and argv's form does not show.  A
-    flag that the target requires but argv leaves out, or one it does not
-    read set away from its default, is a usage error.  A value below its
-    flag's minimum raises ``ValueError``: such a run would check nothing,
-    or nothing well-defined, and still pass."""
-    _, _, flags, targets = _TABLE[args.verb]
-    values = {name: getattr(args, name.replace("-", "_")) for name in flags}
-    if targets:
-        _, required, read = targets[args.target]
-        missing = ["--" + f for f in required if values[f] is None]
-        if missing:
-            _usage_error(args.verb, "%s %s requires %s"
-                         % (args.verb, args.target, ", ".join(missing)))
-        unread = ["--" + f for f, spec in flags.items()
-                  if f not in required + read and values[f] != spec[1]]
-        if unread:
-            _usage_error(args.verb, "%s %s does not read %s"
-                         % (args.verb, args.target, ", ".join(unread)))
-    for name, (_, _, _, low) in flags.items():
-        value = values[name]
-        if low is not None and value is not None and value < low:
-            raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
 
 
 def _load(path: str, *parsers):
@@ -349,8 +336,7 @@ def _verify_collapse(args):
                  "expected": repr(want)}
                 for x, y, got, want in rep.failures]
     lines = ["irreducible counts: %s" % rep.counts]
-    for (x, y), got in sorted(rep.star_table.items(),
-                              key=lambda t: (t[0][0].rank, t[0][1].rank)):
+    for (x, y), got in rep.star_table.items():
         lines.append("%s * %s = %s" % (x.name, y.name, repr(got)))
     return rep.verified, rep.counts, failures, lines, None
 
@@ -503,7 +489,12 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _check(args)
+        # A value below its flag's minimum is bad input: such a run would
+        # check nothing, or nothing well-defined, and still pass.
+        for name, (_, _, _, low) in _TABLE[args.verb][2].items():
+            value = getattr(args, name.replace("-", "_"))
+            if low is not None and value is not None and value < low:
+                raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
         code, report, lines = _TABLE[args.verb][1](args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -302,8 +302,8 @@ def verify_trivial_envelope(d: int, bound: int, run_completion: bool) -> BasisRe
 
 class CollapseReport(Report):
     """The irreducible ``counts`` of the completed envelope, its
-    ``star_table`` of generator pairs, and as ``failures`` each pair
-    ``(x, y, star, expected)`` whose star product is not x*y in A."""
+    ``star_table`` of generator pairs x <= y in basis order, and as
+    ``failures`` each ``(x, y, star, expected)`` whose star is not x*y in A."""
 
     __slots__ = ("counts", "star_table", "failures")
 

@@ -15,15 +15,16 @@ lists none (see below).
 
 :func:`verify_gsb` and :func:`complete` reduce only the compositions that
 can be nontrivial.  An explicit relation or a tail-family instance is the
-outer relation at every subword of its leading word.  The Zinbiel family
-a(bc) builds no instances: it is a Groebner-Shirshov basis by itself and
-a composition inside its variables a, b or c is trivial by Shirshov's
-composition lemma (see :class:`ZinbielFamily`), so its only such sites
-have another relation g as the inner one, with g's leading word u at the
-root, or u as the right factor of a(u) for every irreducible word a that
-fits under the bound (the chain criterion).  These sites are formed from
-g's side, and the trivial ones are counted by length without being
-built.
+outer relation at every subword of its leading word: one subword index
+files each occurrence with its path, and one lookup lists the relations
+matching a word.  The Zinbiel family a(bc) builds no instances: it is a
+Groebner-Shirshov basis by itself and a composition inside its variables
+a, b or c is trivial by Shirshov's composition lemma (see
+:class:`ZinbielFamily`), so its only such sites have another relation g
+as the inner one, with g's leading word u at the root, or u as the right
+factor of a(u) for every irreducible word a that fits under the bound
+(the chain criterion).  These sites are formed from g's side, and the
+trivial ones are counted by length without being built.
 
 Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
@@ -51,7 +52,6 @@ __all__ = [
     "ZinbielFamily",
     "GsbReport",
     "graft",
-    "occurrences",
     "substitute",
     "normal_form",
     "normal_forms",
@@ -71,7 +71,7 @@ _LEFT_STEP, _RIGHT_STEP = (LEFT,), (RIGHT,)
 
 
 # ---------------------------------------------------------------------------
-# Paths, occurrences, grafting
+# Paths and grafting
 
 def graft(w: NaWord, path: Sequence[int], repl: NaWord) -> NaWord:
     """The word obtained by replacing the subword at ``path`` with ``repl``.
@@ -89,14 +89,6 @@ def graft(w: NaWord, path: Sequence[int], repl: NaWord) -> NaWord:
         w = spine.pop()
         repl = node(repl, w.right) if step == 0 else node(w.left, repl)
     return repl
-
-
-def occurrences(w: NaWord, pattern: NaWord) -> list[tuple[int, ...]]:
-    """Paths of all subtree occurrences of ``pattern`` in ``w``, preorder.
-
-    The root occurrence is included.  Hash-consing makes each test O(1).
-    """
-    return [path for path, sub in w.subtrees() if sub is pattern]
 
 
 def substitute(w: NaWord, path: Sequence[int], replacement: MagmaPoly) -> MagmaPoly:
@@ -212,10 +204,12 @@ class _RedexIndex:
     ``explicit`` maps each leading word to every explicit relation with
     that leading word, as ``(position, relation)`` in list order, a
     position being an index in ``schemas``, which :meth:`add_explicit`
-    appends to.  ``first`` memoizes :meth:`redex` and ``nf`` memoizes the
-    normal form of :meth:`reduce` per word, for the life of the index or
-    until :meth:`add_explicit` grows it; words are hash-consed, so a dict
-    keyed by word is exact.  ``longest`` bounds the length of every word
+    appends to.  :meth:`matches` lists every relation matching a word,
+    for composition search; :meth:`find` gives the first, for rewriting.
+    ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
+    of :meth:`reduce` per word, for the life of the index or until
+    :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
+    by word is exact.  ``longest`` bounds the length of every word
     in either memo: rewriting never lengthens a word, and each word is
     looked up through :meth:`redex` before it is memoized.
     """
@@ -254,6 +248,12 @@ class _RedexIndex:
     def reduce(self, terms: dict) -> dict:
         """The largest-first normal form of a term dict, through ``nf``."""
         return memo_descend(terms, self.redex, graft, self.nf)
+
+    def matches(self, word: NaWord) -> list[tuple[int, MagmaPoly]]:
+        """``(position, relation)`` for every relation whose leading
+        monomial is ``word``: the families', then the explicit ones."""
+        found = [(pos, fam.match(word)) for pos, fam in self.families]
+        return [m for m in found if m[1] is not None] + self.explicit.get(word, [])
 
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
         """First schema (in list order) whose leading monomial is ``word``."""
@@ -374,9 +374,7 @@ class GsbReport(Report):
 def _shadowed(index: _RedexIndex, pos: int, p: MagmaPoly) -> bool:
     """Whether a schema before position ``pos`` matches p's leading word
     with a polynomial equal to p; p is then that schema's instance."""
-    lead = p.leading()
-    return (any(fam.match(lead) == p for fpos, fam in index.families if fpos < pos)
-            or any(q == p for qpos, q in index.explicit.get(lead, ()) if qpos < pos))
+    return any(q == p for qpos, q in index.matches(p.leading()) if qpos < pos)
 
 
 class _Sites:
@@ -390,6 +388,11 @@ class _Sites:
     the site is reduced.  At one ambiguity word each schema has at most one
     instance, so f's schema position orders the outer instances as they
     are created: the schemas in list order, then the added relations.
+
+    ``containing`` maps a word to ``(schema position, leading word,
+    path)`` for each of its occurrences below the root of an outer leading
+    word that :meth:`note` filed: the sites of a relation with that
+    leading word, below the root.
     """
 
     def __init__(self, index: _RedexIndex, bound: int):
@@ -402,6 +405,9 @@ class _Sites:
         # The outer instances leave out those that an earlier schema
         # produces too.
         self.outer = [(pos, p) for pos, p in self.instances if not _shadowed(index, pos, p)]
+        self.containing: dict[NaWord, list[tuple[int, NaWord, tuple]]] = {}
+        for pos, f in self.outer:
+            self.note(pos, f.leading())
         self.zinbiel = next(((pos, fam) for pos, fam in index.families
                              if isinstance(fam, ZinbielFamily)), None)
         # The words whose family instance an earlier schema produces.
@@ -430,18 +436,12 @@ class _Sites:
             row[:] = [a for a in row if redex(a) is None]
         return gpos
 
-    def of_outer(self, fpos: int, f: MagmaPoly):
-        """The sites with instance ``f`` of the schema at ``fpos`` as the
-        outer relation: each subword of its leading word with each
-        relation matching it, except f itself at the root."""
-        fl = f.leading()
-        index = self.index
-        for path, sub in fl.subtrees():
-            matches = [(gpos, fam.match(sub)) for gpos, fam in index.families]
-            matches += index.explicit.get(sub, ())
-            for gpos, g in matches:
-                if g is not None and (path or g != f):
-                    yield (fl.length, fl.key, fpos, gpos, path, fl, g)
+    def note(self, pos: int, lead: NaWord) -> None:
+        """File each subword below the root of ``lead``, the leading word
+        of an outer relation of the schema at ``pos``, in ``containing``."""
+        for path, sub in lead.subtrees():
+            if path:
+                self.containing.setdefault(sub, []).append((pos, lead, path))
 
     def of_inner(self, gpos: int, g: MagmaPoly):
         """The sites with a Zinbiel instance as the outer relation and
@@ -470,8 +470,19 @@ class _Sites:
                         yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
 
     def initial(self) -> list:
-        """Every site among the instances, sorted."""
-        sites = [site for pos, f in self.outer for site in self.of_outer(pos, f)]
+        """Every site among the instances, sorted: at the root of each
+        outer instance f, every relation matching it but f; at each filed
+        subword, every relation matching it; and those of :meth:`of_inner`."""
+        matches = self.index.matches
+        sites = []
+        for fpos, f in self.outer:
+            fl = f.leading()
+            sites += [(fl.length, fl.key, fpos, gpos, (), fl, g)
+                      for gpos, g in matches(fl) if g != f]
+        for sub, at in self.containing.items():
+            found = matches(sub)
+            sites += [(fl.length, fl.key, fpos, gpos, path, fl, g)
+                      for fpos, fl, path in at for gpos, g in found]
         sites += [site for pos, g in self.instances for site in self.of_inner(pos, g)]
         sites.sort()
         return sites
@@ -514,8 +525,7 @@ def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
         if w.letter is None and (w.left not in within or w.right not in within):
             stack += (w, w.left, w.right)
             continue
-        n = len(index.explicit.get(w, ()))
-        n += sum(fam.match(w) is not None for _, fam in index.families)
+        n = len(index.matches(w))
         within[w] = n if w.letter is not None else n + within[w.left] + within[w.right]
     return within[word]
 
@@ -545,7 +555,7 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     sites = search.initial()
     # Every site below the root of a Zinbiel instance, reduced or not,
     # minus those reduced.  No root site is discharged, and no site of
-    # another outer instance: of_outer forms each of them.
+    # another outer instance: initial forms each of them.
     discharged = search.below_root() - sum(
         1 for site in sites if site[4] and isinstance(index.schemas[site[2]], ZinbielFamily))
     failures: list[tuple] = []
@@ -565,37 +575,23 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     bound that can be nontrivial, and reduces each site once; the sites
     that :func:`verify_gsb` discharges are never formed.  A nonzero normal
     form becomes a new monic explicit relation at once: it joins the redex
-    index and only its own sites are pushed, as the inner relation g (every
-    instance with its leading word below the root, and the Zinbiel sites of
-    its leading word, a(u) only for a left factor a irreducible when g
-    joins).  It has no site as the outer relation: its leading word is a
-    term of a normal form, so no relation matches any of its subwords but
-    itself at the root.  A composition trivial modulo a set stays
-    trivial modulo any larger set, so the returned set is confluent up to
-    the bound.  A ``stats`` dict receives the number of ``instances`` built
-    from the input schemas, of ``sites`` reduced and of right-factor sites
-    ``skipped`` by the chain criterion, never formed.
+    index and only its own sites are pushed, as the inner relation g (each
+    occurrence of its leading word that the subword index files below the
+    root of an outer leading word, and the Zinbiel sites of its leading
+    word, a(u) only for a left factor a irreducible when g joins).  It has
+    no site yet as the outer relation: its leading word is a term of a
+    normal form, so no relation matches any of its subwords but itself at
+    the root; they are filed, and later relations find it there.  A
+    composition trivial modulo a set stays trivial modulo any larger set,
+    so the returned set is confluent up to the bound.  A ``stats`` dict
+    receives the number of ``instances`` built from the input schemas, of
+    ``sites`` reduced and of right-factor sites ``skipped`` by the chain
+    criterion, never formed.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     index = _RedexIndex(list(relations))
     search = _Sites(index, bound)
-    # Subword -> (schema position, leading word) of the outer instances
-    # whose leading word has it below the root; the paths are found again
-    # only when a site is pushed.  A new relation's leading word is
-    # irreducible, so it is never the leading word of an instance, which
-    # its own schema rewrites.
-    containing: dict[NaWord, list[tuple[int, NaWord]]] = {}
-
-    def note_subwords(pos: int, lead: NaWord) -> None:
-        for path, sub in lead.subtrees():
-            if path:
-                at = containing.setdefault(sub, [])
-                if not at or at[-1] != (pos, lead):
-                    at.append((pos, lead))
-
-    for pos, f in search.outer:
-        note_subwords(pos, f.leading())
     heap = search.initial()  # sorted, hence already a heap
     reduced = 0
     while heap:
@@ -608,17 +604,16 @@ def complete(relations: Iterable[RelationSchema], bound: int,
         new = ExplicitRelation(MagmaPoly._raw(nf))
         p, pl = new.poly, new.lead
         gpos = search.add(new)
-        for fpos, fl in containing.get(pl, ()):
-            for path in occurrences(fl, pl):
-                heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
+        for fpos, fl, path in search.containing.get(pl, ()):
+            heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
         for site in search.of_inner(gpos, p):
             heapq.heappush(heap, site)
         # No outer sites: pl is a term of a normal form, so redex found no
         # family match and no explicit leading word at any subword of it.
         # After search.add only new itself matches, at the root, the one
-        # site of_outer leaves out.  Later relations reach new through
-        # containing.
-        note_subwords(gpos, pl)
+        # site initial leaves out for an outer instance.  Later relations
+        # reach new through search.containing.
+        search.note(gpos, pl)
     if stats is not None:
         stats.update(instances=len(search.instances), sites=reduced, skipped=search.skipped)
     return index.schemas

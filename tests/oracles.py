@@ -2,7 +2,8 @@
 
 Each enumerates by brute force what the library builds directly: every
 word of a length, the instances of a family by matching every word, and
-the inclusion compositions of two relations formed one by one.  One
+the inclusion compositions of two relations formed one by one, at the
+paths that ``occurrences`` lists for each subtree occurrence.  One
 gives a word's sort key as a nested tuple, the form keys had before
 they became byte strings.  ``TruncSeries`` and its products compute in
 ``Fraction`` series, term by term, what the library computes in scaled
@@ -41,8 +42,9 @@ lists, in the library's order, the monic pair relations that ``embed``
 completes, and ``com_reduce_with_trace`` reduces with the steps taken.
 ``random_nilpotent_algebra`` draws the seeded nilpotent input algebras
 of the tests.  One is the ``argparse`` parser the CLI read its flags
-with before it read them from its own flag table.  The tests hold the
-library's answers against them.
+with before it read them from its own flag table, and
+``reference_parse`` adds the verify targets' flag rule to it.  The tests
+hold the library's answers against them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from precom.envelope import CommAlgebra
 from precom.lincomb import LinComb, _require_monic, descend, exact, integral
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
-                            normal_form, occurrences, substitute)
+                            normal_form, substitute)
 from precom.sexpr import _one_form, _word_from_form
 from precom.shuffle import PermTensorReport, ZinbElement
 
@@ -116,6 +118,14 @@ def scan_instances(schema: RelationSchema, bound: int) -> tuple[MagmaPoly, ...]:
             if m is not None:
                 out.append(m)
     return tuple(out)
+
+
+def occurrences(w: NaWord, pattern: NaWord) -> list[tuple[int, ...]]:
+    """Paths of all subtree occurrences of ``pattern`` in ``w``, preorder.
+
+    The root occurrence is included.  Hash-consing makes each test O(1).
+    """
+    return [path for path, sub in w.subtrees() if sub is pattern]
 
 
 def inclusion_compositions(f: MagmaPoly, g: MagmaPoly) -> list[tuple[NaWord, MagmaPoly]]:
@@ -624,7 +634,16 @@ def rota_baxter_failures(seed: int, count: int, max_n: int) -> list[tuple[int, s
     return failures
 
 
-VERIFY_TARGETS = ("zinbiel", "trivial-envelope", "odd-even", "collapse", "rb", "perm")
+# Each verify target with the flags it requires and the other flags it
+# reads; it reads no other flag of verify's.
+VERIFY_TARGETS = {
+    "zinbiel": (("letters", "bound"), ()),
+    "trivial-envelope": (("letters", "bound"), ("no-completion",)),
+    "odd-even": (("letters", "m-max", "k-max"), ()),
+    "collapse": (("algebra", "bound"), ()),
+    "rb": (("count", "max-n"), ("seed",)),
+    "perm": (("dim", "triples", "max-degree"), ("seed",)),
+}
 
 
 def reference_parser() -> argparse.ArgumentParser:
@@ -684,3 +703,23 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.add_argument("--N", type=int, required=True, help="truncation degree")
     return parser
+
+
+def reference_parse(argv: list) -> argparse.Namespace:
+    """``reference_parser().parse_args(argv)``, then the verify target's
+    rule: a flag that the target requires but argv leaves out, or one of
+    verify's flags that it does not read set away from its default, is a
+    usage error, which exits 2."""
+    parser = reference_parser()
+    args = parser.parse_args(argv)
+    if args.verb == "verify":
+        required, read = VERIFY_TARGETS[args.target]
+        values = {k.replace("_", "-"): v for k, v in vars(args).items()
+                  if k not in ("verb", "target", "json", "timings")}
+        defaults = {"no-completion": False, "seed": 0}
+        if (any(values[f] is None for f in required)
+                or any(v != defaults.get(f) for f, v in values.items()
+                       if f not in required + read)):
+            parser.exit(2, "error: verify %s: a flag it requires is missing, or one it "
+                           "does not read is set\n" % args.target)
+    return args

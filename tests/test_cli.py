@@ -18,7 +18,7 @@ from precom.cli import main
 from precom.compoly import ComMonomial, ComPoly, GenSymbol
 from precom.rewrite import ZinbielFamily
 
-from oracles import reference_parser
+from oracles import reference_parse, reference_parser
 
 ZINBIEL3 = "(alphabet x y z)\n(family zinbiel)\n"
 TRIVIAL2 = "(alphabet x y)\n(family trivial-envelope)\n"
@@ -1098,8 +1098,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
     def test_output_matches_full_parser(self, capsys, argv):
         code, values, out, err = _outcome(capsys, cli._parse, argv)
-        want_code, want_values, _, want_err = _outcome(
-            capsys, reference_parser().parse_args, argv)
+        want_code, want_values, _, want_err = _outcome(capsys, reference_parse, argv)
         assert (code, values) == (want_code, want_values)
         if code == 0:
             assert out.startswith("usage: precom") and err == ""

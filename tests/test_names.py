@@ -61,7 +61,8 @@ UNREAD_FIELDS = (
 # The product operator left the vector types: a scalar multiple is
 # .scale(c), and the products are functions.  ComMonomial.div gave what
 # cofactor gives on a divisible pair.  ComBasis.of wrapped a relation list
-# for com_reduce, which takes only a basis.
+# for com_reduce, which takes only a basis.  occurrences searched an outer
+# leading word for a subword that completion now files with its paths.
 MOVED = {
     "lincomb": ("LinComb.__mul__", "LinComb.__rmul__", "LinComb._product"),
     "magma": ("magma_product", "MagmaPoly._product", "NaWord.leaves"),
@@ -71,7 +72,7 @@ MOVED = {
     "embed": ("coefficient_relations", "random_nilpotent_algebra"),
     "shuffle": ("shuffle_product", "to_left_comb", "from_left_comb", "ZinbElement.max_degree",
                 "ZinbElement._product"),
-    "rewrite": ("reducible",),
+    "rewrite": ("reducible", "occurrences"),
     "sexpr": ("parse_word",),
 }
 

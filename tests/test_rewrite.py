@@ -34,14 +34,13 @@ from precom.rewrite import (
     normal_form,
     normal_form_with_trace,
     normal_forms,
-    occurrences,
     replay_trace,
     substitute,
     verify_gsb,
 )
 from precom.sexpr import format_relations, parse_relations
 
-from oracles import (inclusion_compositions, random_nilpotent_algebra, reducible,
+from oracles import (inclusion_compositions, occurrences, random_nilpotent_algebra, reducible,
                      scan_instances, subtree, truncated_poly_relations, words_of_length)
 
 
@@ -704,6 +703,15 @@ class TestPinnedCompletion:
         done = complete(rels, _PINNED_BOUNDS[name])
         assert format_relations(ab, done) == read(".out.sexp")
         assert verify_gsb(done, _PINNED_BOUNDS[name]).verified
+
+    def test_family_last_stats(self):
+        # The one pinned input where an added relation's leading word
+        # occurs twice in one outer leading word: each occurrence is a site.
+        with open(os.path.join(_PINNED_DIR, "family-last.sexp"), encoding="utf-8") as fh:
+            _, rels = parse_relations(fh.read())
+        stats = {}
+        complete(rels, 5, stats)
+        assert stats == {"instances": 3, "sites": 21, "skipped": 71}
 
     def test_every_input_pinned(self):
         assert sorted(f[:-len(".sexp")] for f in os.listdir(_PINNED_DIR)
