@@ -38,8 +38,8 @@ cannot be read or parsed) prints only the ``error:`` line and exits 2.
 The table names each verb's and target's handler too, so it is the one
 list of what the CLI runs.
 
-:func:`main` runs the verb's handler with the cyclic garbage collector
-off and restores its previous state afterwards.  Words, monomials and
+:func:`main` runs the verb's handler and prints its report with the
+cyclic garbage collector off, then restores its state.  Words, monomials and
 symbols are hash-consed and live as long as the process, and the kernel
 makes no reference cycles, so a collection pass during a verb frees
 nothing: it only rescans the live words, and it cost a fifth of the time
@@ -489,33 +489,34 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # A value below its flag's minimum is bad input: such a run would
-        # check nothing, or nothing well-defined, and still pass.
-        for name, (_, _, _, low) in _TABLE[args.verb][2].items():
-            value = getattr(args, name.replace("-", "_"))
-            if low is not None and value is not None and value < low:
-                raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
-        code, report, lines = _TABLE[args.verb][1](args)
-    except (ValueError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        try:
+            # A value below its flag's minimum is bad input: such a run
+            # would check nothing, or nothing well-defined, and still pass.
+            for name, (_, _, _, low) in _TABLE[args.verb][2].items():
+                value = getattr(args, name.replace("-", "_"))
+                if low is not None and value is not None and value < low:
+                    raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
+            code, report, lines = _TABLE[args.verb][1](args)
+        except (ValueError, OSError) as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 2
+        command = args.verb if args.verb != "verify" else "verify %s" % args.target
+        # A handler's report may carry phase times under "timings"; they
+        # are shown next to the total, and only under --timings.
+        phases = report.pop("timings", {})
+        full = {"command": command, "parameters": _parameters(args),
+                "timings": (dict(phases, total_s=round(time.perf_counter() - t0, 3))
+                            if args.timings else None)}
+        full.update(report)
+        if args.json:
+            print(json.dumps(full, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     finally:
         if collecting:
             gc.enable()
-    command = args.verb if args.verb != "verify" else "verify %s" % args.target
-    # A handler's report may carry phase times under "timings"; they are
-    # shown next to the total, and only under --timings.
-    phases = report.pop("timings", {})
-    full = {"command": command, "parameters": _parameters(args),
-            "timings": (dict(phases, total_s=round(time.perf_counter() - t0, 3))
-                        if args.timings else None)}
-    full.update(report)
-    if args.json:
-        print(json.dumps(full, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return code
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ files each occurrence with its path, and one lookup lists the relations
 matching a word.  The Zinbiel family a(bc) builds no instances: it is a
 Groebner-Shirshov basis by itself and a composition inside its variables
 a, b or c is trivial by Shirshov's composition lemma (see
-:class:`ZinbielFamily`), so its only such sites have another relation g
-as the inner one, with g's leading word u at the root, or u as the right
-factor of a(u) for every irreducible word a that fits under the bound
-(the chain criterion).  These sites are formed from g's side, and the
-trivial ones are counted by length without being built.
+:class:`ZinbielFamily`), so its only such sites pair it with another
+relation g with leading word u: at the root u, formed once with g as the
+outer relation, and at the right factor u of a(u) for every irreducible
+word a that fits under the bound (the chain criterion).  The trivial
+ones are counted by length without being built.
 
 Normal forms rewrite the largest reducible monomial first, at its first
 redex in preorder.  A redex index over one relation set memoizes both the
@@ -179,9 +179,10 @@ class ZinbielFamily(RelationSchema):
 
     :func:`verify_gsb` and :func:`complete` therefore build no instance
     of the family.  They start from each inner relation g instead, with
-    leading word u: the root site at u when the family matches u, and the
-    right-factor site of a(u) for every irreducible word a with
-    |a| + |u| <= bound.
+    leading word u: the right-factor site of a(u) for every irreducible
+    word a with |a| + |u| <= bound.  The root site of Z(u) and g is g's
+    (g - Z(u) = -(Z(u) - g)), or an earlier schema's with the instance g;
+    an added relation has none, as the family matches no normal form term.
     """
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -357,9 +358,10 @@ def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
 # Compositions and verification
 
 class GsbReport(Report):
-    """``ambiguities_checked`` counts every composition site up to the
-    bound; ``discharged`` of them are trivial by a composition criterion
-    and were not reduced, ``skipped`` of those by the chain criterion.
+    """``ambiguities_checked`` counts the composition sites up to the
+    bound, each root pair of a Zinbiel instance and a relation g once;
+    ``discharged`` of them are trivial by a composition criterion and
+    were not reduced, ``skipped`` of those by the chain criterion.
     A Zinbiel family's sites are counted from its definition, by word
     counts (``_Sites.below_root``), not from calls to its ``match``; a
     family that matches too little fails the d^n irreducible counts of
@@ -438,41 +440,43 @@ class _Sites:
 
     def note(self, pos: int, lead: NaWord) -> None:
         """File each subword below the root of ``lead``, the leading word
-        of an outer relation of the schema at ``pos``, in ``containing``."""
+        of an outer relation of the schema at ``pos``, in ``containing``.
+        A relation g = u + t has a site at each occurrence of u.  Two, at
+        p1 < p2, are disjoint, and their compositions differ by lead[p2<-t]
+        - lead[p1<-t], copies of g grafted at words below lead: the second
+        is trivial modulo lead once the first, popped first, is reduced.
+        Both are filed: filing one would add code, and move the counts
+        ``sites`` of :func:`complete` and ``ambiguities_checked``."""
         for path, sub in lead.subtrees():
             if path:
                 self.containing.setdefault(sub, []).append((pos, lead, path))
 
     def of_inner(self, gpos: int, g: MagmaPoly):
         """The sites with a Zinbiel instance as the outer relation and
-        ``g`` of the schema at ``gpos`` as the inner one: at g's leading
-        word u when the family matches it, and at the right factor of a(u)
-        for every irreducible word a with |a| + |u| <= bound.  The others
-        are counted in ``skipped``."""
-        if self.zinbiel is None:
-            return
-        zpos, z = self.zinbiel
+        ``g`` of the schema at ``gpos`` as the inner one, at the right
+        factor u of a(u) for every irreducible word a with |a| + |u| <=
+        bound; the others are counted in ``skipped``.  The root site at u
+        is g's (see :class:`ZinbielFamily`)."""
         u = g.leading()
-        if u not in self.shadow:
-            f = z.match(u)
-            if f is not None and f != g:
-                yield (u.length, u.key, zpos, gpos, (), u, g)
-        if u.letter is None:
-            top = self.bound - u.length
-            redex = self.index.redex
-            self.skipped += sum(self.words[1:top + 1]) - sum(map(len, self.left[1:top + 1]))
-            self.skipped -= sum(1 for w in self.shadow
-                                if w.right is u and redex(w.left) is not None)
-            for row in self.left[1:top + 1]:
-                for a in row:
-                    w = node(a, u)
-                    if w not in self.shadow:
-                        yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
+        if self.zinbiel is None or u.letter is not None:
+            return
+        zpos = self.zinbiel[0]
+        top = self.bound - u.length
+        redex = self.index.redex
+        self.skipped += sum(self.words[1:top + 1]) - sum(map(len, self.left[1:top + 1]))
+        self.skipped -= sum(1 for w in self.shadow
+                            if w.right is u and redex(w.left) is not None)
+        for row in self.left[1:top + 1]:
+            for a in row:
+                w = node(a, u)
+                if w not in self.shadow:
+                    yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
 
     def initial(self) -> list:
         """Every site among the instances, sorted: at the root of each
-        outer instance f, every relation matching it but f; at each filed
-        subword, every relation matching it; and those of :meth:`of_inner`."""
+        outer instance f, every relation matching it but f, the family
+        included; at each filed subword, every relation matching it; and
+        those of :meth:`of_inner`."""
         matches = self.index.matches
         sites = []
         for fpos, f in self.outer:
@@ -554,8 +558,8 @@ def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:
     search = _Sites(index, bound)
     sites = search.initial()
     # Every site below the root of a Zinbiel instance, reduced or not,
-    # minus those reduced.  No root site is discharged, and no site of
-    # another outer instance: initial forms each of them.
+    # minus those reduced.  initial forms every root site, the family's as
+    # the other relation's, and every site of another outer instance.
     discharged = search.below_root() - sum(
         1 for site in sites if site[4] and isinstance(index.schemas[site[2]], ZinbielFamily))
     failures: list[tuple] = []
@@ -577,8 +581,8 @@ def complete(relations: Iterable[RelationSchema], bound: int,
     form becomes a new monic explicit relation at once: it joins the redex
     index and only its own sites are pushed, as the inner relation g (each
     occurrence of its leading word that the subword index files below the
-    root of an outer leading word, and the Zinbiel sites of its leading
-    word, a(u) only for a left factor a irreducible when g joins).  It has
+    root of an outer leading word, and the Zinbiel right-factor sites
+    a(u), only for a left factor a irreducible when g joins).  It has
     no site yet as the outer relation: its leading word is a term of a
     normal form, so no relation matches any of its subwords but itself at
     the root; they are filed, and later relations find it there.  A
@@ -608,11 +612,6 @@ def complete(relations: Iterable[RelationSchema], bound: int,
             heapq.heappush(heap, (fl.length, fl.key, fpos, gpos, path, fl, p))
         for site in search.of_inner(gpos, p):
             heapq.heappush(heap, site)
-        # No outer sites: pl is a term of a normal form, so redex found no
-        # family match and no explicit leading word at any subword of it.
-        # After search.add only new itself matches, at the root, the one
-        # site initial leaves out for an outer instance.  Later relations
-        # reach new through search.containing.
         search.note(gpos, pl)
     if stats is not None:
         stats.update(instances=len(search.instances), sites=reduced, skipped=search.skipped)

@@ -32,6 +32,13 @@ each word pair before its table of half-shuffles filled each entry from
 two shorter entries; ``half_shuffle`` is the reference for those
 entries.
 
+Linear algebra meets rewriting in ``ideal_ranks``: it closes
+length-homogeneous relations under products, one length at a time, with
+``echelon_insert``.  ``magma_quotient_dimensions`` and
+``zinbiel_quotient_dimensions`` subtract its ranks from the word counts
+of the free magma algebra and of the half-shuffle algebra, the free
+Zinbiel algebra, and ``random_homogeneous_relations`` draws their inputs.
+
 ``buchberger_reference`` is the bounded Buchberger loop on monic
 ``Fraction`` relations that forms every pair, each by ``s_polynomial``,
 and then skips most of them; ``unresolved_pairs`` lists the pairs of a
@@ -50,6 +57,7 @@ hold the library's answers against them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
@@ -59,7 +67,7 @@ from precom import shuffle
 from precom.compoly import BuchbergerReport, ComBasis, ComMonomial, ComPoly, GenSymbol, _times
 from precom.embed import _DRAW_PRIMES, FilteredAlgebra, _draw, pair_relation
 from precom.envelope import CommAlgebra
-from precom.lincomb import LinComb, _require_monic, descend, exact, integral
+from precom.lincomb import LinComb, _require_monic, descend, echelon_insert, exact, integral
 from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
                             normal_form, substitute)
@@ -318,6 +326,93 @@ def perm_tensor_reference(dim: int, samples) -> PermTensorReport:
                     if left != right:
                         failures.append((i, j, k, f, g, h))
     return PermTensorReport(checked, failures, len(shuffle._HALF) - filled)
+
+
+# ---------------------------------------------------------------------------
+# Quotient dimensions by linear algebra
+
+def ideal_ranks(relations, product, left, right, bound: int) -> list[int]:
+    """The rank at each length 1..bound of the ideal that length-homogeneous
+    relations generate in a graded algebra, by linear algebra.
+
+    ``relations`` lists (length, element) pairs.  At length m the ideal is
+    spanned by its relations of length m and by ``product(w, p)`` and
+    ``product(p, v)`` for p in the ideal at a shorter length k, w in
+    ``left(m - k)`` and v in ``right(m - k)``.  Each length is kept in
+    reduced echelon form by :func:`~precom.lincomb.echelon_insert`, words
+    numbered as columns when first met, and ``spans[m]`` keeps each
+    element that raised its rank: a basis, whose products span those of
+    the whole length."""
+    column: dict = {}
+    rows: list[dict] = [{} for _ in range(bound + 1)]
+    spans: list[list] = [[] for _ in range(bound + 1)]
+
+    def insert(m, e):
+        v = {column.setdefault(w, len(column)): c for w, c in e.terms.items()}
+        if echelon_insert(rows[m], v) is not None:
+            spans[m].append(e)
+
+    for m in range(1, bound + 1):
+        for n, e in relations:
+            if n == m:
+                insert(m, e)
+        for k in range(1, m):
+            for p in spans[k]:
+                for w in left(m - k):
+                    insert(m, product(w, p))
+                for v in right(m - k):
+                    insert(m, product(p, v))
+    return [len(spans[m]) for m in range(1, bound + 1)]
+
+
+def magma_quotient_dimensions(rels: Sequence[MagmaPoly], alphabet: Alphabet,
+                              bound: int) -> list[int]:
+    """The dimension at each length 1..bound of the free magma algebra on
+    the alphabet modulo the ideal of length-homogeneous tree polynomials:
+    the words of the length less the ideal's rank, the ideal closed under
+    tree products by every word on both sides."""
+    def words(n):
+        return [MagmaPoly.monomial(w) for w in words_of_length(alphabet, n)]
+
+    ranks = ideal_ranks([(p.leading().length, p) for p in rels], magma_product, words, words,
+                        bound)
+    return [len(words_of_length(alphabet, m)) - r for m, r in enumerate(ranks, 1)]
+
+
+def zinbiel_quotient_dimensions(rels: Sequence[MagmaPoly], alphabet: Alphabet,
+                                bound: int) -> list[int]:
+    """The dimension at each length 1..bound of the free Zinbiel algebra
+    on the alphabet modulo the ideal of length-homogeneous tree
+    polynomials, each mapped onto associative words by
+    :func:`to_left_comb`: d^m words less the ideal's rank at length m.
+    The ideal is closed under ``shuffle.zinbiel_product`` by every word
+    on the left and by every letter on the right; p(w'x) = (pw')x +
+    (w'p)x then gives every word on the right, by induction on its
+    length."""
+    def words(n):
+        return [ZinbElement.monomial(w) for w in itertools.product(alphabet.letters, repeat=n)]
+
+    def letters(n):
+        return words(1) if n == 1 else []
+
+    ranks = ideal_ranks([(p.leading().length, to_left_comb(p, alphabet)) for p in rels],
+                        shuffle.zinbiel_product, words, letters, bound)
+    return [len(alphabet) ** m - r for m, r in enumerate(ranks, 1)]
+
+
+def random_homogeneous_relations(rng: random.Random, alphabet: Alphabet,
+                                 lengths: Sequence[int]) -> list[MagmaPoly]:
+    """One to three tree polynomials, each of one to three words of one
+    length drawn from ``lengths``, with coefficients in {-2, -1, 1, 2}; a
+    polynomial whose terms cancel is left out."""
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        words = words_of_length(alphabet, rng.choice(lengths))
+        p = MagmaPoly.from_terms((rng.choice(words), rng.choice((-2, -1, 1, 2)))
+                                 for _ in range(rng.randint(1, 3)))
+        if p:
+            rels.append(p)
+    return rels
 
 
 # ---------------------------------------------------------------------------

@@ -1223,6 +1223,33 @@ class TestCollector:
         assert seen == [False]
         assert gc.isenabled() is collecting
 
+    def test_off_while_printing(self, collecting, monkeypatch, run):
+        seen = []
+
+        def lines():
+            seen.append(gc.isenabled())
+            yield "done"
+
+        summary, _, flags, targets = cli._TABLE["zmul"]
+        monkeypatch.setitem(cli._TABLE, "zmul",
+                            (summary, lambda args: (0, {}, lines()), flags, targets))
+        assert run("zmul", "--left", "x", "--right", "y") == (0, "done\n", "")
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    def test_an_error_while_printing_is_not_bad_input(self, collecting, monkeypatch):
+        # Exit 2 means bad input; a failed write is not.
+        def lines():
+            raise BrokenPipeError("closed")
+            yield
+
+        summary, _, flags, targets = cli._TABLE["zmul"]
+        monkeypatch.setitem(cli._TABLE, "zmul",
+                            (summary, lambda args: (0, {}, lines()), flags, targets))
+        with pytest.raises(BrokenPipeError):
+            main(["zmul", "--left", "x", "--right", "y"])
+        assert gc.isenabled() is collecting
+
     # The raw enveloping relations of the two-letter trivial algebra.
     ENVELOPE2 = ("(alphabet x y)\n(family zinbiel)\n"
                  "(rel (+ (x y) (y x)))\n(rel (x x))\n(rel (y y))\n")

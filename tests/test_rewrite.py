@@ -493,13 +493,16 @@ def every_site(schemas, bound):
     """Every composition site among the instances, no criterion applied:
     (f, its schema, path, g, g's schema, composition), with g each
     relation that matches a subword of f's leading word, and each
-    composition built by inclusion_compositions."""
+    composition built by inclusion_compositions.  A root pair of a family
+    instance f and another relation g is listed once, as g's root site:
+    its two compositions are negatives of each other."""
     for f, fs in instances_of(schemas, bound):
         fl = f.leading()
         for sub in dict.fromkeys(w for _, w in fl.subtrees()):
             for gs in schemas:
                 g = gs.match(sub)
-                if g is None:
+                if g is None or (sub is fl and isinstance(fs, ZinbielFamily)
+                                 and not isinstance(gs, ZinbielFamily)):
                     continue
                 paths = [p for p in occurrences(fl, sub) if p or f != g]
                 comps = inclusion_compositions(f, g)
@@ -544,6 +547,15 @@ _LOOKALIKE = """(alphabet x y)
 """
 
 
+_PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "complete")
+
+
+def pinned(name, suffix=".sexp"):
+    """The text of a file of tests/data/complete."""
+    with open(os.path.join(_PINNED_DIR, name + suffix), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _count_cases():
     zinb, *quadratic = enveloping_relations(trivial_algebra(2))
     ab2, ab3 = zinb.alphabet, Alphabet("xyz")
@@ -560,6 +572,8 @@ def _count_cases():
         ("family-twice", [ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
         ("family-last", quadratic + [ZinbielFamily(ab2)], 5),
         ("shadowed", [before, zinb, after] + quadratic, 5),
+        # A relation whose leading word x(yz) the family matches.
+        ("root-pair", parse_relations(pinned("root-pair"))[1], 5),
         # No family: every site is formed and none is discharged.
         ("lookalike", parse_relations(_LOOKALIKE)[1], 5),
     ] + [(name, complete(enveloping_relations(A), bound), bound)
@@ -609,6 +623,8 @@ class TestCompositionCriteria:
                   for name, schemas, bound in _COUNT_CASES}
         assert (counts["trivial-gsb-2"], counts["trivial-gsb-3"]) == (5567, 4482)
         assert counts["family-2"] == 2480
+        # The root pair of Z(x(yz)) and x(yz) + (zz)z is counted once.
+        assert counts["root-pair"] == 2239
         assert verify_gsb([ZinbielFamily(Alphabet("xy"))], 5).ambiguities_checked == 240
 
     def test_reduced_plus_discharged_is_checked(self, ab2, monkeypatch):
@@ -685,33 +701,40 @@ class TestChainCriterion:
 # the family; compound-right has explicit relations whose leading word is
 # a(bc), before and after it, so sites of the family and of those
 # relations tie on the ambiguity word; shadowed gives family instances
-# outright, before and after the family.
-_PINNED_DIR = os.path.join(os.path.dirname(__file__), "data", "complete")
+# outright, before and after the family.  root-pair, pinned when the root
+# site of the family and x(yz) + (zz)z was reduced twice, is unchanged.
+# inclusion, the third draw of random_homogeneous_relations(Random(23),
+# x y, (2, 3)), has no family: its last relation comes from the site of
+# x(xx) + ... with the added relation xx inside it.
 _PINNED_BOUNDS = {"trivial-2": 6, "truncated-3": 5, "nilpotent-0": 5, "nilpotent-1": 5,
                   "nilpotent-2": 5, "lookalike": 5, "family-last": 5,
-                  "compound-right": 5, "shadowed": 5}
+                  "compound-right": 5, "shadowed": 5, "root-pair": 5,
+                  "inclusion": 4}
 
 
 class TestPinnedCompletion:
     @pytest.mark.parametrize("name", sorted(_PINNED_BOUNDS))
     def test_raw_relation_file(self, name):
-        def read(suffix):
-            with open(os.path.join(_PINNED_DIR, name + suffix), encoding="utf-8") as fh:
-                return fh.read()
-
-        ab, rels = parse_relations(read(".sexp"))
+        ab, rels = parse_relations(pinned(name))
         done = complete(rels, _PINNED_BOUNDS[name])
-        assert format_relations(ab, done) == read(".out.sexp")
+        assert format_relations(ab, done) == pinned(name, ".out.sexp")
         assert verify_gsb(done, _PINNED_BOUNDS[name]).verified
 
     def test_family_last_stats(self):
         # The one pinned input where an added relation's leading word
         # occurs twice in one outer leading word: each occurrence is a site.
-        with open(os.path.join(_PINNED_DIR, "family-last.sexp"), encoding="utf-8") as fh:
-            _, rels = parse_relations(fh.read())
+        _, rels = parse_relations(pinned("family-last"))
         stats = {}
         complete(rels, 5, stats)
         assert stats == {"instances": 3, "sites": 21, "skipped": 71}
+
+    def test_root_pair_stats(self):
+        # The family matches the leading word x(yz) of an input relation:
+        # their root site is reduced once.
+        _, rels = parse_relations(pinned("root-pair"))
+        stats = {}
+        complete(rels, 5, stats)
+        assert stats == {"instances": 2, "sites": 121, "skipped": 36}
 
     def test_every_input_pinned(self):
         assert sorted(f[:-len(".sexp")] for f in os.listdir(_PINNED_DIR)
