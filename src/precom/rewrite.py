@@ -27,8 +27,9 @@ word a that fits under the bound (the chain criterion).  The trivial
 ones are counted by length without being built.
 
 Normal forms rewrite the largest reducible monomial first, at its first
-redex in preorder.  A redex index over one relation set memoizes both the
-first redex and the normal form of every word it meets
+redex in preorder.  A redex index over one relation set memoizes, for
+every word it meets, one step toward its first redex (the relation at the
+root, or the factor that holds the redex) and its normal form
 (:func:`~precom.lincomb.memo_descend`), so :func:`verify_gsb`,
 :func:`complete`, :func:`interreduce`, :func:`normal_forms` and
 :func:`normal_form` rewrite each word once per relation set;
@@ -39,7 +40,7 @@ are the output.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .lincomb import Report, descend, memo_descend
 from .magma import Alphabet, MagmaPoly, NaWord, leaf, node
@@ -65,9 +66,6 @@ __all__ = [
 ]
 
 LEFT, RIGHT = 0, 1
-# One-step paths, shared: a redex one step below the root stores one of
-# these, since a tuple plus the empty tuple is the tuple itself.
-_LEFT_STEP, _RIGHT_STEP = (LEFT,), (RIGHT,)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +205,15 @@ class _RedexIndex:
     position being an index in ``schemas``, which :meth:`add_explicit`
     appends to.  :meth:`matches` lists every relation matching a word,
     for composition search; :meth:`find` gives the first, for rewriting.
-    ``first`` memoizes :meth:`redex` and ``nf`` memoizes the normal form
-    of :meth:`reduce` per word, for the life of the index or until
-    :meth:`add_explicit` grows it; words are hash-consed, so a dict keyed
-    by word is exact.  ``longest`` bounds the length of every word
-    in either memo: rewriting never lengthens a word, and each word is
-    looked up through :meth:`redex` before it is memoized.
+    ``first`` memoizes :meth:`redex` per word as one step (``None``, the
+    relation at the root, or ``LEFT`` or ``RIGHT``), and ``nf`` memoizes
+    the normal form of :meth:`reduce` per word, for the life of the index
+    or until :meth:`add_explicit` grows it; words are hash-consed, so a
+    dict keyed by word is exact.  ``paths`` holds one tuple per path that
+    :meth:`redex` has returned, fewer than 2^n when no word has more than
+    n letters, and never goes stale.  ``longest`` bounds the length of
+    every word in either memo: rewriting never lengthens a word, and each
+    word is looked up through :meth:`redex` before it is memoized.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
@@ -224,20 +225,28 @@ class _RedexIndex:
                 self.explicit.setdefault(s.lead, []).append((pos, s.poly))
             else:
                 self.families.append((pos, s))
-        self.first: dict[NaWord, Optional[tuple]] = {}
+        self.first: dict[NaWord, Union[None, int, MagmaPoly]] = {}
+        self.paths: dict[tuple, tuple] = {}
         self.nf: dict[NaWord, Optional[dict]] = {}
         self.longest = 0
 
     def add_explicit(self, rel: ExplicitRelation) -> int:
-        """Append ``rel`` to the schemas; its position."""
+        """Append ``rel`` to the schemas; its position.
+
+        When no memoized word is longer than the new leading word u, a
+        memoized word contains u only if it is u, so only u's entry is
+        dropped.  Every other entry stands, and so does every step chain:
+        the chain of a word w runs through subwords of w alone, and u is a
+        subword of no memoized word but itself, so no chain passes through
+        the dropped entry, and each step still leads to an entry that is
+        there.  Otherwise u may sit earlier in preorder than a cached
+        redex, and ``first`` is cleared.  A normal form may hold u as a
+        term, so ``nf`` is always cleared.
+        """
         pos = len(self.schemas)
         self.schemas.append(rel)
         lead = rel.lead
         self.explicit.setdefault(lead, []).append((pos, rel.poly))
-        # A memoized word no longer than the new leading word contains it
-        # only if it is that word, so the other redexes stand.  Otherwise
-        # the new leading word may sit earlier in preorder than a cached
-        # redex.  A normal form may hold the new leading word as a term.
         if lead.length >= self.longest:
             self.first.pop(lead, None)
         else:
@@ -271,47 +280,61 @@ class _RedexIndex:
         """First reducible position in preorder: (path, relation) or None.
 
         The first redex of (l r) is the root if a relation matches it, else
-        l's first redex under 0, else r's first redex under 1.  Results are
-        memoized in ``first``.  The walk keeps its own stack instead of
-        recursing, one (word, step) frame per ancestor whose answer waits
-        on the factor that the one-step path ``step`` leads to.
+        l's first redex under ``LEFT``, else r's first redex under
+        ``RIGHT``.  ``first`` memoizes one step per word: ``None`` when it
+        is irreducible, the relation matching at its root, or the step
+        ``LEFT`` or ``RIGHT`` into the factor that holds its first redex.
+        A miss fills ``first`` with its own stack instead of recursing, one
+        (word, step) frame per ancestor whose answer waits on the factor
+        that ``step`` leads to.  The path is then read by following the
+        steps down from ``word``; equal paths share one tuple from
+        ``paths``.
         """
         memo = self.first
         hit = memo.get(word, memo)
-        if hit is not memo:
-            return hit
-        if word.length > self.longest:
-            self.longest = word.length
-        find = self.find
-        stack = []
-        w = word
-        while True:
-            # Down: answer w at once, or wait on its left factor.
-            hit = memo.get(w, memo)
-            if hit is memo:
-                rel = find(w)
-                if rel is not None:
-                    hit = memo[w] = ((), rel)
-                elif w.letter is not None:
-                    hit = memo[w] = None
+        if hit is memo:
+            if word.length > self.longest:
+                self.longest = word.length
+            find = self.find
+            stack = []
+            w = word
+            while True:
+                # Down: answer w at once, or wait on its left factor.
+                hit = memo.get(w, memo)
+                if hit is memo:
+                    rel = find(w)
+                    if rel is not None:
+                        hit = memo[w] = rel
+                    elif w.letter is not None:
+                        hit = memo[w] = None
+                    else:
+                        stack.append((w, LEFT))
+                        w = w.left
+                        continue
+                # Up: pass whether w has a redex to the waiting ancestors
+                # until one with no redex on its left turns to its right.
+                while stack:
+                    w, step = stack.pop()
+                    if hit is not None:
+                        hit = memo[w] = step
+                    elif step == LEFT:
+                        stack.append((w, RIGHT))
+                        w = w.right
+                        break
+                    else:
+                        memo[w] = None
                 else:
-                    stack.append((w, _LEFT_STEP))
-                    w = w.left
-                    continue
-            # Up: hit answers w; pass it to the waiting ancestors until
-            # one with no redex on its left turns to its right factor.
-            while stack:
-                w, step = stack.pop()
-                if hit is not None:
-                    hit = memo[w] = (step + hit[0], hit[1])
-                elif step is _LEFT_STEP:
-                    stack.append((w, _RIGHT_STEP))
-                    w = w.right
                     break
-                else:
-                    memo[w] = None
-            else:
-                return hit
+        if hit is None:
+            return None
+        path = []
+        w = word
+        while type(hit) is int:
+            path.append(hit)
+            w = w.right if hit else w.left
+            hit = memo[w]
+        path = tuple(path)
+        return self.paths.setdefault(path, path), hit
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from precom.envelope import (
 from precom.lincomb import descend, memo_descend
 from precom.magma import Alphabet, MagmaPoly, leaf, node
 from precom.rewrite import (
+    LEFT,
+    RIGHT,
     ExplicitRelation,
     ZinbielFamily,
     _RedexIndex,
@@ -928,6 +930,33 @@ class TestRedexCache:
         # A shorter one may sit inside a memoized word: all are dropped.
         index.add_explicit(ExplicitRelation(MagmaPoly.monomial(node(y, x))))
         assert not index.first
+
+    def test_memo_holds_one_step_per_word(self):
+        # T3, the three-letter trivial algebra's enveloping relations.
+        rels = enveloping_relations(trivial_algebra(3))
+        index = _RedexIndex(rels)
+        words = sorted(words_upto(rels[0].alphabet, 6), key=lambda w: -w.length)
+
+        def check(fresh):
+            answers = [index.redex(w) for w in words]
+            assert all(v is None or isinstance(v, MagmaPoly)
+                       or (type(v) is int and v in (LEFT, RIGHT)) for v in index.first.values())
+            for w, got in zip(words, answers):
+                assert got == scan_first_redex(w, fresh), w
+            # Equal paths are one tuple.
+            shared = {}
+            for got in answers:
+                if got is not None:
+                    assert shared.setdefault(got[0], got[0]) is got[0]
+            assert len(shared) > 2
+
+        check(index)
+        lead = next(w for w in words if w.length == 6 and index.redex(w) is None)
+        # Every memoized word has at most 6 letters: only lead's entry goes.
+        kept = len(index.first)
+        index.add_explicit(ExplicitRelation(MagmaPoly.monomial(lead)))
+        assert len(index.first) == kept - 1
+        check(_RedexIndex(rels + [rel((lead, 1))]))
 
 
 def brute_irreducible_words(relations, ab, max_len):
