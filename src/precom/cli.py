@@ -38,12 +38,22 @@ cannot be read or parsed) prints only the ``error:`` line and exits 2.
 The table names each verb's and target's handler too, so it is the one
 list of what the CLI runs.
 
-:func:`main` runs the verb's handler and prints its report with the
-cyclic garbage collector off, then restores its state.  Words, monomials and
-symbols are hash-consed and live as long as the process, and the kernel
-makes no reference cycles, so a collection pass during a verb frees
-nothing: it only rescans the live words, and it cost a fifth of the time
-of a long ``reduce``.  Reference counting still frees everything else.
+:func:`main` reads argv, runs the verb's handler and prints its report
+with the cyclic garbage collector off, then restores its state.  Words,
+monomials and symbols are hash-consed and live as long as the process,
+and the kernel makes no reference cycles, so a collection pass during a
+verb frees nothing: it only rescans the live words, and it cost a fifth
+of the time of a long ``reduce``.  Reference counting still frees
+everything else.  For the same reason ``main`` ends with ``gc.freeze()``,
+which moves every object the collector tracks into a generation that no
+collection scans.  Without it, the first allocation after ``main``
+returns rescans every word the verb built, and interpreter exit scans
+them again (its final collections run even with the collector off);
+that was most of the time from ``main``'s return to the exit of a
+``reduce`` process.  Reference counting still frees frozen objects, and
+the kernel leaves no cycles among them for a collection to find.  A
+caller that runs ``main`` in process gets its heap back frozen;
+``gc.unfreeze()`` returns it to the collector.
 """
 
 from __future__ import annotations
@@ -484,11 +494,19 @@ def _parameters(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
-    t0 = time.perf_counter()
+    """Run the verb that ``argv`` (default ``sys.argv[1:]``) names, print
+    its report and return its exit code; help and usage errors exit
+    through ``SystemExit``.  The cyclic collector is off from the reading
+    of argv until the report is printed, and its state is then restored.
+    On the way out, however ``main`` ends, it freezes the heap
+    (``gc.freeze()``), so no later collection rescans what the verb
+    built: an in-process caller gets its heap back frozen, and
+    ``gc.unfreeze()`` returns it to the collector."""
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        t0 = time.perf_counter()
         try:
             # A value below its flag's minimum is bad input: such a run
             # would check nothing, or nothing well-defined, and still pass.
@@ -515,6 +533,7 @@ def main(argv=None) -> int:
                 print(line)
         return code
     finally:
+        gc.freeze()
         if collecting:
             gc.enable()
 

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from precom.envelope import TailFamily
 from precom.magma import Alphabet, MagmaPoly, leaf, node
 from precom.rewrite import ExplicitRelation, ZinbielFamily
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """Hand back to the collector whatever a test's ``cli.main`` froze, so
+    one test's frozen heap never hides another test's garbage."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ import sys
 
 import pytest
 
-from precom import cli, envelope
+from precom import cli, envelope, magma
 from precom import embed as embed_module
 from precom import shuffle as shuffle_module
 from precom.cli import main
 from precom.compoly import ComMonomial, ComPoly, GenSymbol
+from precom.magma import Alphabet, leaf, node
 from precom.rewrite import ZinbielFamily
 
 from oracles import reference_parse, reference_parser
@@ -1165,14 +1166,18 @@ class TestParser:
 
 def _cyclic_garbage(argv):
     """The objects that a collection finds unreachable after ``main(argv)``
-    ran with the collector off: the reference cycles the verb left."""
+    ran with the collector off: the reference cycles the verb left.  The
+    heap is unfrozen before each collection, so neither what an earlier
+    ``main`` froze nor what this one freezes is hidden from it."""
     collecting = gc.isenabled()
     gc.disable()
+    gc.unfreeze()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             main(argv)
+        gc.unfreeze()
         gc.collect()
         return list(gc.garbage)
     finally:
@@ -1183,8 +1188,9 @@ def _cyclic_garbage(argv):
 
 
 class TestCollector:
-    """``main`` runs a verb with the cyclic collector off and restores its
-    state; the kernel leaves no reference cycles for it to find."""
+    """``main`` runs a verb with the cyclic collector off, freezes the heap
+    and restores the collector's state; the kernel leaves no reference
+    cycles for it to find."""
 
     @pytest.fixture(params=[True, False], ids=["on", "off"])
     def collecting(self, request):
@@ -1201,6 +1207,19 @@ class TestCollector:
         code, _, err = run("reduce", "--relations", str(tmp_path / "missing.sexp"),
                            "--input", "x")
         assert code == 2 and err.startswith("error:")
+        assert gc.isenabled() is collecting
+
+    def test_off_while_reading_argv(self, collecting, monkeypatch, run):
+        seen = []
+        parse = cli._parse
+
+        def recording(argv):
+            seen.append(gc.isenabled())
+            return parse(argv)
+
+        monkeypatch.setattr(cli, "_parse", recording)
+        assert run("zmul", "--left", "x", "--right", "y")[0] == 0
+        assert seen == [False]
         assert gc.isenabled() is collecting
 
     def test_restored_on_a_target_usage_error(self, collecting, capsys):
@@ -1253,6 +1272,44 @@ class TestCollector:
     # The raw enveloping relations of the two-letter trivial algebra.
     ENVELOPE2 = ("(alphabet x y)\n(family zinbiel)\n"
                  "(rel (+ (x y) (y x)))\n(rel (x x))\n(rel (y y))\n")
+
+    @staticmethod
+    def assert_frozen(word, frozen_before):
+        """``word`` is in the frozen generation, which grew in ``main``:
+        no collection lists it until ``gc.unfreeze()``."""
+        assert gc.is_tracked(word)
+        assert gc.get_freeze_count() > frozen_before
+        assert all(o is not word for o in gc.get_objects())
+        gc.unfreeze()
+        assert any(o is word for o in gc.get_objects())
+
+    # Every relation file gets a fresh alphabet, so its words are new
+    # and the last word hash-consed is one the verb built.
+    @pytest.mark.parametrize("tree,code", [("((x y) ((y x) (x x)))", 0), ("(x z)", 2)],
+                             ids=["success", "bad-input"])
+    def test_frozen_after_reduce(self, collecting, run, rel_file, tree, code):
+        path = rel_file(self.ENVELOPE2)
+        built, frozen = len(magma._NODES), gc.get_freeze_count()
+        assert run("reduce", "--relations", path, "--input", tree)[0] == code
+        assert len(magma._NODES) > built
+        self.assert_frozen(next(reversed(magma._NODES.values())), frozen)
+        assert gc.isenabled() is collecting
+
+    def test_frozen_when_a_handler_raises(self, collecting, monkeypatch):
+        made = []
+
+        def boom(args):
+            x, y = (leaf(letter) for letter in Alphabet("xy"))
+            made.append(node(x, y))
+            raise RuntimeError("boom")
+
+        summary, _, flags, targets = cli._TABLE["zmul"]
+        monkeypatch.setitem(cli._TABLE, "zmul", (summary, boom, flags, targets))
+        frozen = gc.get_freeze_count()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["zmul", "--left", "x", "--right", "y"])
+        self.assert_frozen(made[0], frozen)
+        assert gc.isenabled() is collecting
 
     def test_verbs_leave_no_precom_cycles(self, rel_file, alg_file):
         rels = rel_file(TRIVIAL2)

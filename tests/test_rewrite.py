@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -558,7 +559,21 @@ def pinned(name, suffix=".sexp"):
         return fh.read()
 
 
-def _count_cases():
+# The inputs whose every composition site is counted, by name.  Each is
+# built on first use, not at import, so a fault in ``complete`` or
+# ``redex`` fails the tests that use it rather than the collection of
+# this file.
+_COUNT_CASES = ["trivial-gsb-2", "trivial-gsb-3", "family-2", "family-3", "family-twice",
+                "family-last", "shadowed", "root-pair", "lookalike"] + [
+                    name for name, _, _ in _CRITERIA_CASES]
+
+
+@functools.cache
+def count_case(name):
+    """The schemas and bound of the ``_COUNT_CASES`` input ``name``."""
+    for criteria_name, A, bound in _CRITERIA_CASES:
+        if name == criteria_name:
+            return complete(enveloping_relations(A), bound), bound
     zinb, *quadratic = enveloping_relations(trivial_algebra(2))
     ab2, ab3 = zinb.alphabet, Alphabet("xyz")
     x, y = (leaf(letter) for letter in ab2)
@@ -566,23 +581,19 @@ def _count_cases():
     # instance at x(yy) is that relation; Z(y, x, x) after it.
     before = ExplicitRelation(zinb.match(node(x, node(y, y))))
     after = ExplicitRelation(zinb.match(node(y, node(x, x))))
-    return [
-        ("trivial-gsb-2", trivial_gsb(ab2), 6),
-        ("trivial-gsb-3", trivial_gsb(ab3), 5),
-        ("family-2", [ZinbielFamily(ab2)], 6),
-        ("family-3", [ZinbielFamily(ab3)], 5),
-        ("family-twice", [ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
-        ("family-last", quadratic + [ZinbielFamily(ab2)], 5),
-        ("shadowed", [before, zinb, after] + quadratic, 5),
+    return {
+        "trivial-gsb-2": (trivial_gsb(ab2), 6),
+        "trivial-gsb-3": (trivial_gsb(ab3), 5),
+        "family-2": ([ZinbielFamily(ab2)], 6),
+        "family-3": ([ZinbielFamily(ab3)], 5),
+        "family-twice": ([ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
+        "family-last": (quadratic + [ZinbielFamily(ab2)], 5),
+        "shadowed": ([before, zinb, after] + quadratic, 5),
         # A relation whose leading word x(yz) the family matches.
-        ("root-pair", parse_relations(pinned("root-pair"))[1], 5),
+        "root-pair": (parse_relations(pinned("root-pair"))[1], 5),
         # No family: every site is formed and none is discharged.
-        ("lookalike", parse_relations(_LOOKALIKE)[1], 5),
-    ] + [(name, complete(enveloping_relations(A), bound), bound)
-         for name, A, bound in _CRITERIA_CASES]
-
-
-_COUNT_CASES = _count_cases()
+        "lookalike": (parse_relations(_LOOKALIKE)[1], 5),
+    }[name]
 
 
 class TestCompositionCriteria:
@@ -597,13 +608,13 @@ class TestCompositionCriteria:
         for f, path, g, h in dropped:
             assert index.reduce(h.terms) == {}
 
-    @pytest.mark.parametrize("name,schemas,bound", _COUNT_CASES,
-                             ids=[c[0] for c in _COUNT_CASES])
-    def test_counts_match_every_site(self, name, schemas, bound):
+    @pytest.mark.parametrize("name", _COUNT_CASES, ids=_COUNT_CASES)
+    def test_counts_match_every_site(self, name):
         # The discharged sites are counted by length, never built; the
         # count must equal that of the sites built one by one, and the
         # sites formed must be exactly those no criterion discharges.  The
         # skipped ones are those that only the chain criterion discharges.
+        schemas, bound = count_case(name)
         sites = [site[:5] for site in every_site(schemas, bound)]
         redex = _RedexIndex(schemas).redex
         kept = [(f, fs, path, g, gs) for f, fs, path, g, gs in sites
@@ -621,8 +632,8 @@ class TestCompositionCriteria:
         assert site_keys(schemas, formed) == site_keys(schemas, kept)
 
     def test_pinned_counts(self):
-        counts = {name: verify_gsb(schemas, bound).ambiguities_checked
-                  for name, schemas, bound in _COUNT_CASES}
+        counts = {name: verify_gsb(*count_case(name)).ambiguities_checked
+                  for name in _COUNT_CASES}
         assert (counts["trivial-gsb-2"], counts["trivial-gsb-3"]) == (5567, 4482)
         assert counts["family-2"] == 2480
         # The root pair of Z(x(yz)) and x(yz) + (zz)z is counted once.
