@@ -47,14 +47,26 @@ _FLAT_KEY_LENGTH = 64
 # The first byte of a byte-string key, by word length.
 _LENGTH_BYTE = tuple(bytes((n,)) for n in range(_FLAT_KEY_LENGTH + 1))
 
-class Letter:
-    """A generator with a fixed rank in its alphabet's total order."""
+# Every letter of the process, at the code point of its ``char``.
+_LETTERS: list["Letter"] = []
 
-    __slots__ = ("name", "rank")
+
+class Letter:
+    """A generator with a fixed rank in its alphabet's total order.
+
+    ``char`` is the one-character string that stands for the letter in a
+    half-shuffle word (``shuffle.encode_word``).  Its code point is the
+    letter's index in the process-wide ``_LETTERS``, so no two letters
+    share it, and an alphabet creates its letters in rank order, so a
+    higher rank has a higher code point."""
+
+    __slots__ = ("name", "rank", "char")
 
     def __init__(self, name: str, rank: int):
         self.name = name
         self.rank = rank
+        self.char = chr(len(_LETTERS))
+        _LETTERS.append(self)
 
     def __repr__(self) -> str:
         return self.name

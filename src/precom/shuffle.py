@@ -1,20 +1,26 @@
 """The free pre-commutative (Zinbiel) algebra on associative words.
 
 Elements are rational combinations of nonempty words over an alphabet.
-The product of words u and v = v'y shuffles u into the prefix v' and
-appends the last letter y:
+A word is a ``str`` with one character per letter, the letter's
+``char`` (:func:`encode_word`; :func:`decode_word` reads the letters
+back).  So a word caches its hash, slicing and concatenation copy
+characters rather than pointers, and ``(len(w), w)`` orders words by
+length, then by their letters' ranks, since an alphabet gives higher
+ranks higher code points.  The product of words u and v = v'y shuffles
+u into the prefix v' and appends the last letter y:
 
     u * v  =  sum over interleavings s of (u, v')  of  s y
 
 Symmetrizing this product lands in the shuffle algebra.  The product
 reads each word pair's half-shuffle, a map from each distinct interleaving
-to its multiplicity, from the process-global table ``_HALF``, filled on
-first use and never shrunk, like ``magma._NODES``.  An interleaving ends
-with a letter of one word or of the other, so an entry is the merge of
-two entries one letter shorter (``_half``), and every word pair of the
-process shares those shorter entries.  The work grows with the distinct
-words rather than with the interleavings, and no path recurses.  The
-tests hold each entry to a prefix-table reference.
+to its multiplicity, from the process-global table ``_HALF``, keyed by
+the pair of words, filled on first use and never shrunk, like
+``magma._NODES``.  An interleaving ends with a letter of one word or of
+the other, so an entry is the merge of two entries one letter shorter
+(``_half``), and every word pair of the process shares those shorter
+entries.  The work grows with the distinct words rather than with the
+interleavings, and no path recurses.  The tests hold each entry to a
+prefix-table reference.
 ``zinbiel_product`` multiplies the given coefficients directly: every
 library caller hands it integer coefficients (the tensor check's integer
 copies, ``zmul``'s monomials), so its sums stay in ``int``, and a sum
@@ -42,9 +48,11 @@ from fractions import Fraction
 from typing import Iterable
 
 from .lincomb import LinComb, Report, exact, integral
-from .magma import Alphabet, _format_terms
+from .magma import _LETTERS, Alphabet, Letter, _format_terms
 
 __all__ = [
+    "encode_word",
+    "decode_word",
     "ZinbElement",
     "zinbiel_product",
     "star",
@@ -57,12 +65,33 @@ __all__ = [
 # The half-shuffle of each word pair (u, v) that ``zinbiel_product`` has
 # met, and of the shorter pairs it was built from: the product of u and v
 # as a dict from word to multiplicity, v's last letter already appended.
-# Letters hash by identity, so pairs over different alphabets never share
-# an entry.
-_HALF: dict[tuple[tuple, tuple], dict] = {}
+# No two letters of the process share a character, so pairs over
+# different alphabets never share an entry, even where their letters'
+# names and ranks agree.
+_HALF: dict[tuple[str, str], dict] = {}
 
 
-def _half(u: tuple, v: tuple) -> dict:
+def encode_word(letters: Iterable[Letter]) -> str:
+    """The word spelling out a nonempty letter sequence, one character per
+    letter.  Raises ``TypeError`` on an item that is not a
+    :class:`~precom.magma.Letter`, a character of a string included."""
+    chars = []
+    for x in letters:
+        if type(x) is not Letter:
+            raise TypeError("a word is a sequence of letters; got %r of type %s"
+                            % (x, type(x).__name__))
+        chars.append(x.char)
+    if not chars:
+        raise ValueError("words must be nonempty")
+    return "".join(chars)
+
+
+def decode_word(w: str) -> tuple[Letter, ...]:
+    """The letters of a word, left to right."""
+    return tuple(_LETTERS[ord(c)] for c in w)
+
+
+def _half(u: str, v: str) -> dict:
     """The half-shuffle of ``u`` and ``v``, filled into ``_HALF`` with the
     entries it is built from.
 
@@ -98,30 +127,27 @@ def _half(u: tuple, v: tuple) -> dict:
     return _HALF[u, v]
 
 
-def _aword_key(w: tuple) -> tuple:
-    return (len(w), tuple(x.rank for x in w))
+def _aword_key(w: str) -> tuple:
+    return (len(w), w)
 
 
 class ZinbElement(LinComb):
     """A finite rational combination of nonempty associative words; the
     arithmetic and exactness rules are :class:`~precom.lincomb.LinComb`'s.
-    Its repr is the S-expression that ``zmul`` prints, of dotted words."""
+    Its monomials are the ``str`` words of :func:`encode_word`: the public
+    constructors take letter sequences and encode them, and ``terms`` is
+    keyed by the encoded words.  Its repr is the S-expression that
+    ``zmul`` prints, of dotted words."""
 
     __slots__ = ()
 
     _key = staticmethod(_aword_key)
-
-    @classmethod
-    def _monomial(cls, w) -> tuple:
-        w = tuple(w)
-        if not w:
-            raise ValueError("words must be nonempty")
-        return w
+    _monomial = staticmethod(encode_word)
 
     def __repr__(self) -> str:
         # Terms in increasing word order (length, then letter ranks).
         return _format_terms(reversed(self.sorted_terms()),
-                             lambda w: ".".join(x.name for x in w))
+                             lambda w: ".".join(x.name for x in decode_word(w)))
 
 
 def zinbiel_product(f: ZinbElement, g: ZinbElement) -> ZinbElement:
@@ -236,7 +262,9 @@ def perm_tensor_check(dim: int,
 
 def random_element(rng: random.Random, alphabet: Alphabet, max_degree: int) -> ZinbElement:
     """A small random element of one to three terms with degrees up to
-    ``max_degree``."""
+    ``max_degree``.  Each word is drawn as a letter tuple and encoded by
+    :meth:`ZinbElement.from_terms`, so a seed draws the same elements
+    whatever the word type."""
     letters = alphabet.letters
     terms = []
     for _ in range(rng.randint(1, 3)):

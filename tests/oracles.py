@@ -18,10 +18,12 @@ one tree word.
 
 The word model and the tree model meet in ``to_left_comb``: it rewrites
 a tree polynomial onto left combs by the Zinbiel family and reads each
-comb as its leaf sequence (``leaves``), and ``from_left_comb`` goes
-back (Loday 1995).  The tests hold ``shuffle.zinbiel_product`` to the
-tree product ``magma_product`` through that bridge, and the symmetrized
-product to ``shuffle_product``, the plain shuffle of two words.
+comb as its leaf sequence (``leaves``), encoded by
+``shuffle.encode_word``, and ``from_left_comb`` goes back through
+``shuffle.decode_word`` (Loday 1995).  The tests hold
+``shuffle.zinbiel_product`` to the tree product ``magma_product``
+through that bridge, and the symmetrized product to
+``shuffle_product``, the plain shuffle of two words.
 ``perm_tensor_reference`` is the Perm-tensor check that forms both
 sides again for each basis triple, computing each distinct element
 product of a sample once.
@@ -30,7 +32,10 @@ with more or fewer terms.  ``shuffles`` builds a shuffle by one
 iterative table over the prefixes of both words, as the library did for
 each word pair before its table of half-shuffles filled each entry from
 two shorter entries; ``half_shuffle`` is the reference for those
-entries.
+entries.  ``shuffles``, ``half_shuffle``, ``leaves`` and
+``random_element_with_terms`` compute on tuples of ``Letter``s, not on
+the library's encoded words, and ``shuffle_product`` encodes its result
+only at the end.
 
 Linear algebra meets rewriting in ``ideal_ranks``: it closes
 length-homogeneous relations under products, one length at a time, with
@@ -72,7 +77,7 @@ from precom.magma import Alphabet, Letter, MagmaPoly, NaWord, comb, leaf, node
 from precom.rewrite import (ExplicitRelation, RelationSchema, ZinbielFamily, _RedexIndex,
                             normal_form, substitute)
 from precom.sexpr import _one_form, _word_from_form
-from precom.shuffle import PermTensorReport, ZinbElement
+from precom.shuffle import PermTensorReport, ZinbElement, decode_word, encode_word
 
 _WORDS: dict[tuple[Alphabet, int], tuple[NaWord, ...]] = {}
 
@@ -232,7 +237,7 @@ def shuffle_product(u: Sequence[Letter], v: Sequence[Letter]) -> ZinbElement:
     u, v = tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("shuffle needs nonempty words")
-    return ZinbElement._raw(shuffles(u, v))
+    return ZinbElement._raw({encode_word(w): m for w, m in shuffles(u, v).items()})
 
 
 def leaves(w: NaWord) -> tuple[Letter, ...]:
@@ -275,12 +280,12 @@ def to_left_comb(p: MagmaPoly, alphabet: Alphabet) -> ZinbElement:
     free pre-commutative product on trees."""
     nf = normal_form(p, [ZinbielFamily(alphabet)])
     # Distinct combs give distinct words.
-    return ZinbElement._raw({leaves(w): c for w, c in nf.terms.items()})
+    return ZinbElement._raw({encode_word(leaves(w)): c for w, c in nf.terms.items()})
 
 
 def from_left_comb(f: ZinbElement) -> MagmaPoly:
     """The inverse embedding: each word becomes its left comb."""
-    return MagmaPoly._raw({comb(w): c for w, c in f.terms.items()})
+    return MagmaPoly._raw({comb(decode_word(w)): c for w, c in f.terms.items()})
 
 
 def _memo_tensor_mul(s: dict, t: dict, memo: dict) -> dict:

@@ -12,11 +12,15 @@ from math import comb as binom
 import pytest
 
 from precom import shuffle as shuffle_module
+from precom.envelope import default_alphabet
 from precom.magma import Alphabet, MagmaPoly, comb, leaf, node
 from precom.rewrite import ZinbielFamily, irreducible_words, normal_form
+from precom.sexpr import parse_aword
 from precom.shuffle import (
     ZinbElement,
     _tensor_mul,
+    decode_word,
+    encode_word,
     perm_tensor_check,
     random_element,
     star,
@@ -33,6 +37,18 @@ def wd(ab, names):
 
 def el(ab, names, coeff=1):
     return ZinbElement.monomial(wd(ab, names)).scale(coeff)
+
+
+def decoded(terms):
+    # A term dict of the library's words keyed by letter tuples instead,
+    # so it compares with the oracles, which compute on letter tuples.
+    return {decode_word(w): c for w, c in terms.items()}
+
+
+def encoded(terms):
+    # An oracle's term dict, keyed by letter tuples, keyed by the
+    # library's words instead.
+    return {encode_word(w): c for w, c in terms.items()}
 
 
 def all_awords(ab, n):
@@ -143,9 +159,10 @@ def brute_shuffle(u, v):
 
 
 def brute_zinbiel(f, g):
+    # On letter tuples: each word of f and g decoded.
     out = Counter()
-    for u, a in f.terms.items():
-        for v, b in g.terms.items():
+    for u, a in decoded(f.terms).items():
+        for v, b in decoded(g.terms).items():
             for s, m in brute_shuffle(u, v[:-1]).items():
                 out[s + v[-1:]] += a * b * m
     return {w: c for w, c in out.items() if c}
@@ -168,7 +185,7 @@ class TestKernelOracle:
         for u in ws:
             for v in ws:
                 got = shuffle_product(u, v)
-                assert got.terms == brute_shuffle(u, v), (u, v)
+                assert decoded(got.terms) == brute_shuffle(u, v), (u, v)
                 assert all(type(c) is int for c in got.terms.values())
 
     def test_zinbiel_product_all_pairs(self, ab3):
@@ -177,7 +194,7 @@ class TestKernelOracle:
             for v in ws:
                 fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
                 got = zinbiel_product(fu, fv)
-                assert got.terms == brute_zinbiel(fu, fv), (u, v)
+                assert decoded(got.terms) == brute_zinbiel(fu, fv), (u, v)
                 assert all(type(c) is int for c in got.terms.values())
 
     def test_zinbiel_product_fraction_elements(self, ab3):
@@ -188,7 +205,7 @@ class TestKernelOracle:
             if rng.random() < 0.3:
                 f = f.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
             got = zinbiel_product(f, g)
-            assert got.terms == brute_zinbiel(f, g), (f, g)
+            assert decoded(got.terms) == brute_zinbiel(f, g), (f, g)
             assert_exact_terms(got)
 
     def test_warm_table_matches_oracle(self, ab2, monkeypatch):
@@ -200,7 +217,7 @@ class TestKernelOracle:
             for u in ws:
                 for v in ws:
                     fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
-                    assert zinbiel_product(fu, fv).terms == brute_zinbiel(fu, fv), (u, v)
+                    assert decoded(zinbiel_product(fu, fv).terms) == brute_zinbiel(fu, fv), (u, v)
             assert len(table) == len(ws) ** 2
 
     @pytest.mark.parametrize("letters, longest", [(2, 5), (3, 4)])
@@ -213,13 +230,14 @@ class TestKernelOracle:
         ws = [w for n in range(1, longest + 1) for w in all_awords(ab, n)]
         pairs = [(u, v) for u in ws for v in ws]
         random.Random(letters).shuffle(pairs)
-        want = {(u, v): half_shuffle(u, v) for u, v in pairs}
+        cases = [(u, v, encode_word(u), encode_word(v)) for u, v in pairs]
+        want = {(eu, ev): encoded(half_shuffle(u, v)) for u, v, eu, ev in cases}
         table: dict = {}
         monkeypatch.setattr(shuffle_module, "_HALF", table)
         for _ in range(2):
-            for u, v in pairs:
+            for u, v, eu, ev in cases:
                 got = zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
-                assert got.terms == want[u, v], (u, v)
+                assert got.terms == want[eu, ev], (u, v)
             assert table == want
             assert all(type(m) is int for entry in table.values() for m in entry.values())
 
@@ -238,7 +256,8 @@ class TestKernelOracle:
                 zinbiel_product(ZinbElement.monomial(u), ZinbElement.monomial(v))
             tables.append(table)
         assert tables[0] == tables[1] == tables[2]
-        assert all(entry == half_shuffle(*key) for key, entry in tables[0].items())
+        assert all(entry == encoded(half_shuffle(decode_word(u), decode_word(v)))
+                   for (u, v), entry in tables[0].items())
 
     def test_fill_needs_no_recursion(self, ab2, monkeypatch):
         # The pair's total length exceeds the lowered recursion limit,
@@ -253,39 +272,40 @@ class TestKernelOracle:
             got = zinbiel_product(ZinbElement.monomial((x,) * n), ZinbElement.monomial((x,) * 3))
         finally:
             sys.setrecursionlimit(limit)
-        assert got.terms == {(x,) * (n + 3): binom(n + 2, 2)}
+        assert decoded(got.terms) == {(x,) * (n + 3): binom(n + 2, 2)}
 
     def test_same_names_other_alphabet(self, ab2):
-        # Letters hash by identity: x.y over another alphabet named x, y
-        # is a different word pair with its own entry.
+        # No two letters share a character: x.y over another alphabet
+        # named x, y is a different word pair with its own entry.
         other = Alphabet(["x", "y"])
         for ab in (ab2, other, ab2):
             f = el(ab, "xy", Fraction(1, 2)) + el(ab, "y", 3)
             g = el(ab, "yx") + el(ab, "x", -2)
             got = zinbiel_product(f, g)
-            assert got.terms == brute_zinbiel(f, g)
-            assert all(any(x is y for y in ab.letters) for w in got.terms for x in w)
+            assert decoded(got.terms) == brute_zinbiel(f, g)
+            assert all(any(x is y for y in ab.letters) for w in got.terms for x in decode_word(w))
 
     def test_products_do_not_alias_the_table(self, ab2):
         u, v = wd(ab2, "xyx"), wd(ab2, "yy")
         fu, fv = ZinbElement.monomial(u), ZinbElement.monomial(v)
         first = zinbiel_product(fu, fv)
-        entry = shuffle_module._HALF[u, v]
+        entry = shuffle_module._HALF[encode_word(u), encode_word(v)]
         snapshot = dict(entry)
         assert first.terms is not entry
         scaled = zinbiel_product(fu.scale(Fraction(3, 2)), fv.scale(-4))
         summed = first + zinbiel_product(fu, fv)
         assert scaled.terms is not entry and summed.terms is not entry
-        assert entry == snapshot == brute_zinbiel(fu, fv)
+        assert entry == snapshot
+        assert decoded(entry) == brute_zinbiel(fu, fv)
         assert scaled.terms == {w: -6 * c for w, c in snapshot.items()}
 
     def test_denominators_cancel_to_int(self, ab2):
         f = el(ab2, "x", Fraction(3, 2)) + el(ab2, "yx", Fraction(1, 6))
         g = el(ab2, "y", 2) + el(ab2, "xy", 6)
         got = zinbiel_product(f, g)
-        assert got.terms == brute_zinbiel(f, g)
+        assert decoded(got.terms) == brute_zinbiel(f, g)
         assert_exact_terms(got)
-        assert type(got.terms[wd(ab2, "xy")]) is int
+        assert type(got.terms[encode_word(wd(ab2, "xy"))]) is int
 
 
 def perm_product(i, j):
@@ -299,7 +319,7 @@ def old_tensor_mul(s, t):
     out = Counter()
     for (i, u), a in s.items():
         for (j, v), b in t.items():
-            eu, ev = ZinbElement.monomial(u).scale(a), ZinbElement.monomial(v).scale(b)
+            eu, ev = (ZinbElement.monomial(decode_word(w)).scale(c) for w, c in ((u, a), (v, b)))
             for pidx, prod in ((perm_product(i, j), zinbiel_product(eu, ev)),
                                (perm_product(j, i), zinbiel_product(ev, eu))):
                 for w, c in prod.terms.items():
@@ -403,6 +423,22 @@ class TestZinbElement:
         with pytest.raises(ValueError):
             ZinbElement.monomial(())
 
+    @pytest.mark.parametrize("word, bad", [("xy", "'x' of type str"), ([1, 2], "1 of type int")],
+                             ids=["str", "ints"])
+    def test_monomial_rejects_non_letters(self, word, bad):
+        with pytest.raises(TypeError, match="got %s$" % bad):
+            ZinbElement.monomial(word)
+
+    def test_from_terms_rejects_non_letters(self, ab2):
+        x = ab2["x"]
+        with pytest.raises(TypeError, match="got 2 of type int$"):
+            ZinbElement.from_terms([((x,), 1), ((x, 2), 3)])
+        # An encoded word is not a letter sequence either.
+        with pytest.raises(TypeError, match="of type str$"):
+            ZinbElement.from_terms([(encode_word((x, x)), 1)])
+        with pytest.raises(TypeError, match="got x of type NaWord$"):
+            ZinbElement.from_terms([((leaf(x),), 1)])
+
     def test_arithmetic(self, ab2):
         f = el(ab2, "x") + el(ab2, "x")
         assert f == el(ab2, "x", 2)
@@ -427,9 +463,47 @@ class TestZinbElement:
         # sorted_terms is LinComb's, largest word first; the text forms
         # list the words in increasing order, and repr is the text form.
         f = el(ab2, "x") + el(ab2, "xy", 2) + el(ab2, "y", 3)
-        assert [w for w, _ in f.sorted_terms()] == [wd(ab2, "xy"), wd(ab2, "y"), wd(ab2, "x")]
+        assert [decode_word(w) for w, _ in f.sorted_terms()] \
+            == [wd(ab2, "xy"), wd(ab2, "y"), wd(ab2, "x")]
         assert "sorted_terms" not in vars(ZinbElement)
         assert repr(f) == "(+ x (* 3 y) (* 2 x.y))"
+
+
+class TestWordEncoding:
+    """A word is the ``str`` of its letters' ``char``s.  The encoding
+    keeps the length-then-ranks order, reads back to the letters, and
+    keeps apart letters of two alphabets that share names and ranks."""
+
+    def test_key_sorts_by_length_then_ranks(self, ab3):
+        ws = [w for n in range(1, 5) for w in all_awords(ab3, n)]
+        random.Random(5).shuffle(ws)
+        by_ranks = sorted(ws, key=lambda w: (len(w), [x.rank for x in w]))
+        assert sorted(ws, key=lambda w: ZinbElement._key(encode_word(w))) == by_ranks
+        assert all(decode_word(encode_word(w)) == w for w in ws)
+
+    def test_repr_and_parse_round_trip_past_four_letters(self):
+        ab = default_alphabet(5)
+        assert [x.name for x in ab] == ["x1", "x2", "x3", "x4", "x5"]
+        rng = random.Random(8)
+        for _ in range(60):
+            text = ".".join(rng.choice(ab.letters).name for _ in range(rng.randint(1, 6)))
+            w = parse_aword(text, ab)
+            assert repr(ZinbElement.monomial(w)) == text
+            assert decode_word(encode_word(w)) == w
+
+    def test_same_names_give_distinct_words(self, ab2, monkeypatch):
+        other = Alphabet(["x", "y"])
+        assert encode_word(wd(ab2, "xy")) != encode_word(wd(other, "xy"))
+        assert el(ab2, "xy") != el(other, "xy")
+        assert repr(el(ab2, "xy")) == repr(el(other, "xy")) == "x.y"
+        table: dict = {}
+        monkeypatch.setattr(shuffle_module, "_HALF", table)
+        mine = zinbiel_product(el(ab2, "x"), el(ab2, "y"))
+        theirs = zinbiel_product(el(other, "x"), el(other, "y"))
+        assert len(table) == 2
+        assert mine != theirs
+        assert decoded(mine.terms) == {wd(ab2, "xy"): 1}
+        assert decoded(theirs.terms) == {wd(other, "xy"): 1}
 
 
 class TestPermTensor:
