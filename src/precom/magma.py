@@ -13,14 +13,16 @@ Build words through :func:`leaf`, :func:`node` and :func:`comb`, never
 through the raw ``NaWord`` constructor.
 
 Words order by their ``key`` alone.  Up to ``_FLAT_KEY_LENGTH`` letters
-it is a ``bytes`` string, the word written in preorder: a compound word
-of n letters is the byte n, then its right factor's key, then its left
-factor's; a leaf is the byte 1, the byte length k of its rank, then the
-rank in k big-endian bytes.  The code is prefix-free and each field
-orders like the value it writes, so one memcmp of two keys gives the
-weight order, for any alphabet size.  A longer word gets a ``_DeepKey``
-of constant size, which compares in the same order with an explicit
-stack, so comparing deep words never depends on the recursion limit.
+it is a ``str``, the word written in preorder: a compound word of n
+letters is ``chr(n)``, then its right factor's key, then its left
+factor's; a leaf is ``chr(1)`` and its letter's ``char``, the code that
+also spells the letter in a half-shuffle word.  The code is prefix-free,
+each field orders like the value it writes, and no two letters of the
+process share a ``char``, so one string comparison of two keys gives the
+weight order and equal keys mean equal words.  A longer word gets a
+``_DeepKey`` of constant size, which compares in the same order with an
+explicit stack, so comparing deep words never depends on the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ __all__ = [
     "comb",
 ]
 
-# Longest word whose key is a byte string.  Each such key copies its
-# factors' keys, so a comb of n letters would hold O(n^2) bytes of keys;
+# Longest word whose key is a string.  Each such key copies its factors'
+# keys, so a comb of n letters would hold O(n^2) characters of keys;
 # above this length a word gets a _DeepKey of constant size.
 _FLAT_KEY_LENGTH = 64
-
-# The first byte of a byte-string key, by word length.
-_LENGTH_BYTE = tuple(bytes((n,)) for n in range(_FLAT_KEY_LENGTH + 1))
 
 # Every letter of the process, at the code point of its ``char``.
 _LETTERS: list["Letter"] = []
@@ -54,7 +53,8 @@ _LETTERS: list["Letter"] = []
 class Letter:
     """A generator with a fixed rank in its alphabet's total order.
 
-    ``char`` is the one-character string that stands for the letter in a
+    ``char`` is the one-character string that stands for the letter in
+    both word models: in a tree word's key (after ``chr(1)``) and in a
     half-shuffle word (``shuffle.encode_word``).  Its code point is the
     letter's index in the process-wide ``_LETTERS``, so no two letters
     share it, and an alphabet creates its letters in rank order, so a
@@ -114,9 +114,10 @@ class NaWord:
         letter:  the letter at a leaf, or None for a compound word
         left, right:  the factors of a compound word, or None at a leaf
         length:  number of leaves
-        key:  sort key realizing the weight order: the bytes
-            length + right key + left key, or 1, k and the rank in k bytes
-            at a leaf; a ``_DeepKey`` above ``_FLAT_KEY_LENGTH`` letters
+        key:  sort key realizing the weight order: the string
+            ``chr(length)`` + right key + left key, or ``chr(1)`` + the
+            letter's ``char`` at a leaf; a ``_DeepKey`` above
+            ``_FLAT_KEY_LENGTH`` letters
         is_comb:  True when the word is left-combed, i.e. every right
             factor along the left spine is a single letter
     """
@@ -162,31 +163,12 @@ class NaWord:
                 stack.append((path + (0,), w.left))
 
 
-def _compare_pairs(stack: list) -> int:
-    """Weight-order comparison of word pairs taken from the top of
-    ``stack``, in turn, until one pair differs: -1, 0 or +1."""
-    while stack:
-        u, v = stack.pop()
-        if u is v:
-            continue
-        if u.length != v.length:
-            return -1 if u.length < v.length else 1
-        if u.length <= _FLAT_KEY_LENGTH:
-            if u.key == v.key:
-                continue
-            return -1 if u.key < v.key else 1
-        # Right factors first: pushed last, popped first.
-        stack.append((u.left, v.left))
-        stack.append((u.right, v.right))
-    return 0
-
-
 class _DeepKey:
     """The sort key of a word longer than ``_FLAT_KEY_LENGTH`` letters.
 
-    Orders like a byte-string key (length, right key, left key) but walks
-    the two words with an explicit stack.  Every byte-string key belongs
-    to a shorter word, so a deep key is greater than any of them.
+    Orders like a string key (length, right key, left key) but walks the
+    two words with an explicit stack.  Every string key belongs to a
+    shorter word, so a deep key is greater than any of them.
     """
 
     __slots__ = ("length", "left", "right")
@@ -201,7 +183,22 @@ class _DeepKey:
             return 1
         if self.length != other.length:
             return -1 if self.length < other.length else 1
-        return _compare_pairs([(self.left, other.left), (self.right, other.right)])
+        # Word pairs still to compare; right factors first: pushed last,
+        # popped first.
+        stack = [(self.left, other.left), (self.right, other.right)]
+        while stack:
+            u, v = stack.pop()
+            if u is v:
+                continue
+            if u.length != v.length:
+                return -1 if u.length < v.length else 1
+            if u.length <= _FLAT_KEY_LENGTH:
+                if u.key == v.key:
+                    continue
+                return -1 if u.key < v.key else 1
+            stack.append((u.left, v.left))
+            stack.append((u.right, v.right))
+        return 0
 
     def __eq__(self, other) -> bool:
         return self._cmp(other) == 0
@@ -212,9 +209,6 @@ class _DeepKey:
     def __gt__(self, other) -> bool:
         return self._cmp(other) > 0
 
-    def __hash__(self) -> int:
-        return hash(self.length)
-
 
 _LEAVES: dict[Letter, NaWord] = {}
 _NODES: dict[tuple[NaWord, NaWord], NaWord] = {}
@@ -224,9 +218,7 @@ def leaf(letter: Letter) -> NaWord:
     """The one-letter word."""
     w = _LEAVES.get(letter)
     if w is None:
-        k = (letter.rank.bit_length() + 7) // 8
-        key = _LENGTH_BYTE[1] + bytes((k,)) + letter.rank.to_bytes(k, "big")
-        w = NaWord(letter, None, None, 1, key, True)
+        w = NaWord(letter, None, None, 1, "\x01" + letter.char, True)
         _LEAVES[letter] = w
     return w
 
@@ -238,7 +230,7 @@ def node(left: NaWord, right: NaWord) -> NaWord:
     if w is None:
         n = left.length + right.length
         # Weight key: length first, then right factor, then left factor.
-        key = (_LENGTH_BYTE[n] + right.key + left.key if n <= _FLAT_KEY_LENGTH
+        key = (chr(n) + right.key + left.key if n <= _FLAT_KEY_LENGTH
                else _DeepKey(n, left, right))
         w = NaWord(None, left, right, n, key, left.is_comb and right.letter is not None)
         _NODES[pair] = w

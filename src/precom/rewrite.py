@@ -209,9 +209,7 @@ class _RedexIndex:
     relation at the root, or ``LEFT`` or ``RIGHT``), and ``nf`` memoizes
     the normal form of :meth:`reduce` per word, for the life of the index
     or until :meth:`add_explicit` grows it; words are hash-consed, so a
-    dict keyed by word is exact.  ``paths`` holds one tuple per path that
-    :meth:`redex` has returned, fewer than 2^n when no word has more than
-    n letters, and never goes stale.  ``longest`` bounds the length of
+    dict keyed by word is exact.  ``longest`` bounds the length of
     every word in either memo: rewriting never lengthens a word, and each
     word is looked up through :meth:`redex` before it is memoized.
     """
@@ -226,7 +224,6 @@ class _RedexIndex:
             else:
                 self.families.append((pos, s))
         self.first: dict[NaWord, Union[None, int, MagmaPoly]] = {}
-        self.paths: dict[tuple, tuple] = {}
         self.nf: dict[NaWord, Optional[dict]] = {}
         self.longest = 0
 
@@ -287,8 +284,9 @@ class _RedexIndex:
         A miss fills ``first`` with its own stack instead of recursing, one
         (word, step) frame per ancestor whose answer waits on the factor
         that ``step`` leads to.  The path is then read by following the
-        steps down from ``word``; equal paths share one tuple from
-        ``paths``.
+        steps down from ``word``, into a fresh tuple: only the steps of
+        :func:`normal_form_with_trace` keep one past the ``graft`` that
+        reads it.
         """
         memo = self.first
         hit = memo.get(word, memo)
@@ -333,8 +331,7 @@ class _RedexIndex:
             path.append(hit)
             w = w.right if hit else w.left
             hit = memo[w]
-        path = tuple(path)
-        return self.paths.setdefault(path, path), hit
+        return tuple(path), hit
 
 
 # ---------------------------------------------------------------------------

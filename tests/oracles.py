@@ -5,7 +5,7 @@ word of a length, the instances of a family by matching every word, and
 the inclusion compositions of two relations formed one by one, at the
 paths that ``occurrences`` lists for each subtree occurrence.  One
 gives a word's sort key as a nested tuple, the form keys had before
-they became byte strings.  ``TruncSeries`` and its products compute in
+they became strings.  ``TruncSeries`` and its products compute in
 ``Fraction`` series, term by term, what the library computes in scaled
 integer series: a trial of the Rota-Baxter check and the residues of the
 embedding check, with the prime codes of the Rota-Baxter draw decoded to

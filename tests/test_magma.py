@@ -9,7 +9,8 @@ from precom.magma import Alphabet, MagmaPoly, _DeepKey, _FLAT_KEY_LENGTH, comb, 
 
 from oracles import leaves, magma_product, nested_key, words_of_length
 
-# Ranks from 256 on take two bytes in a key.
+# Letters from rank 256 on have a ``char`` at U+0100 or above, so their
+# keys are two-byte strings.
 AB300 = Alphabet(["a%d" % i for i in range(300)])
 
 
@@ -194,11 +195,11 @@ class TestOrder:
 
     def test_leaf_keys(self):
         leaves = [leaf(AB300[r]) for r in (0, 1, 255, 256)]
-        assert [w.key for w in leaves] == [b"\x01\x00", b"\x01\x01\x01",
-                                           b"\x01\x01\xff", b"\x01\x02\x01\x00"]
+        assert [w.key for w in leaves] == ["\x01" + w.letter.char for w in leaves]
+        assert ord(leaves[3].letter.char) >= 0x100
         assert sorted(reversed(leaves), key=lambda w: w.key) == leaves
         lo, hi = leaves[0], leaves[3]
-        assert node(lo, hi).key == b"\x02" + hi.key + lo.key
+        assert node(lo, hi).key == chr(2) + hi.key + lo.key
         assert node(hi, lo).key < node(lo, hi).key
 
     @pytest.mark.parametrize("ab", [Alphabet("a"), Alphabet("xyz"), AB300],
@@ -219,7 +220,7 @@ class TestOrder:
         every = [w for ws in buckets for w in ws]
         assert len(every) >= 759
         for w in every:
-            assert type(w.key) is (bytes if w.length <= _FLAT_KEY_LENGTH else _DeepKey)
+            assert type(w.key) is (str if w.length <= _FLAT_KEY_LENGTH else _DeepKey)
         for ws in buckets:
             for u in ws:
                 for v in ws:
@@ -229,6 +230,17 @@ class TestOrder:
         shuffled = every[:]
         rng.shuffle(shuffled)
         assert sorted(shuffled, key=lambda w: w.key) == sorted(every, key=nested_key)
+
+    def test_same_names_other_alphabet(self):
+        # Two alphabets named x, y: each orders its own words like the
+        # nested oracle, and no word of one shares a key with the other's.
+        ab, other = Alphabet("xy"), Alphabet("xy")
+        for n in range(1, 5):
+            ws, twins = words_of_length(ab, n), words_of_length(other, n)
+            assert [repr(w) for w in ws] == [repr(t) for t in twins]
+            assert not {w.key for w in ws} & {t.key for t in twins}
+            for side in (ws, twins):
+                assert sorted(side, key=lambda w: w.key) == sorted(side, key=nested_key)
 
     def test_deep_combs_compare_without_recursion(self, ab2):
         x, y = leaf(ab2["x"]), leaf(ab2["y"])

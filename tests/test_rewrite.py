@@ -954,12 +954,6 @@ class TestRedexCache:
                        or (type(v) is int and v in (LEFT, RIGHT)) for v in index.first.values())
             for w, got in zip(words, answers):
                 assert got == scan_first_redex(w, fresh), w
-            # Equal paths are one tuple.
-            shared = {}
-            for got in answers:
-                if got is not None:
-                    assert shared.setdefault(got[0], got[0]) is got[0]
-            assert len(shared) > 2
 
         check(index)
         lead = next(w for w in words if w.length == 6 and index.redex(w) is None)
