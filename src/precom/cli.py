@@ -237,16 +237,6 @@ def _load(path: str, *parsers):
     return value
 
 
-def _gsb_parts(rep):
-    """The failures, the ambiguity line and the stats of a GsbReport."""
-    failures = [{"f": repr(f), "g": repr(g),
-                 "ambiguity": repr(w), "remainder": repr(nf)}
-                for f, g, w, nf in rep.failures]
-    line = ("ambiguities checked: %d (%d discharged by composition criteria)"
-            % (rep.ambiguities_checked, rep.discharged))
-    return failures, line, {"discharged": rep.discharged, "skipped": rep.skipped}
-
-
 def _handle_reduce(args):
     alphabet, relations = _load(args.relations, parse_relations)
     nf, steps = normal_form_with_trace(parse_poly(args.input, alphabet), relations)
@@ -300,11 +290,17 @@ def _handle_zmul(args):
 
 
 def _basis_parts(rep):
-    """The failures, the ambiguity line and the stats of a BasisReport."""
-    failures, line, stats = _gsb_parts(rep.gsb)
+    """The failures, the ambiguity line and the stats of a BasisReport:
+    its GsbReport's, and a count mismatch as one more failure."""
+    gsb = rep.gsb
+    failures = [{"f": repr(f), "g": repr(g),
+                 "ambiguity": repr(w), "remainder": repr(nf)}
+                for f, g, w, nf in gsb.failures]
     if rep.counts != rep.expected_counts:
         failures.append({"counts": rep.counts, "expected": rep.expected_counts})
-    return failures, line, stats
+    line = ("ambiguities checked: %d (%d discharged by composition criteria)"
+            % (gsb.ambiguities_checked, gsb.discharged))
+    return failures, line, {"discharged": gsb.discharged, "skipped": gsb.skipped}
 
 
 def _verify_zinbiel(args):

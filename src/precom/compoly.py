@@ -256,7 +256,7 @@ class ComBasis:
         _require_monic((g,))
         lead = g.leading()
         d, terms = integral(g.terms)
-        copy = g if d == 1 else ComPoly._raw(terms, lead)
+        copy = g if d == 1 else ComPoly._raw(terms)
         first = lead.factors[0] if lead.factors else None
         self._buckets.setdefault(first, []).append((len(self._relations), lead, copy))
         self._relations.append(g)

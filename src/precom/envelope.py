@@ -188,11 +188,11 @@ class TailFamily(RelationSchema):
         ax, y = word.left, word.right
         x = ax if ax.letter is not None else ax.right
         if x is y:
-            return MagmaPoly._raw({word: 1}, word)
+            return MagmaPoly._raw({word: 1})
         if x.letter.rank > y.letter.rank:
             return None
         ay = y if ax is x else node(ax.left, y)
-        return MagmaPoly._raw({word: 1, node(ay, x): 1}, word)
+        return MagmaPoly._raw({word: 1, node(ay, x): 1})
 
     def instances(self, bound: int) -> tuple[MagmaPoly, ...]:
         """The matches among the candidates (a x) y with a an even-length

@@ -22,7 +22,8 @@ rewriting one monomial at a time.  This module holds that common part:
   by pseudo-division, keeping integer coefficients integer;
 * :func:`memo_descend`, which gives exactly :func:`descend`'s normal
   form from memoized normal forms of single monomials, for callers that
-  reduce many combinations modulo one monic relation set;
+  reduce many combinations modulo one monic relation set; both raise
+  ``RuntimeError`` on a rewrite whose image is not below its monomial;
 * :func:`echelon_insert`, exact sparse Gaussian elimination: a reduced
   echelon form of ``{column: coeff}`` rows, grown one vector at a time;
 * :class:`Report`, the base of the drivers' verdicts, which take their
@@ -115,13 +116,13 @@ class LinComb:
         return out
 
     @classmethod
-    def _raw(cls, terms: dict, lead=None):
+    def _raw(cls, terms: dict):
         """Trusted constructor: terms already clean (exact coefficients as
-        :func:`exact` returns them, no zeros), and ``lead``, when given,
-        their leading monomial."""
+        :func:`exact` returns them, no zeros).  The leading monomial is
+        left to :meth:`leading`, so the order alone names it."""
         p = cls.__new__(cls)
         p.terms = terms
-        p._lead = lead
+        p._lead = None
         return p
 
     @classmethod
@@ -209,6 +210,13 @@ Find = Callable[[object], Optional[tuple]]
 Image = Callable[[object, object, object], object]
 
 
+def _ascent(m, image) -> RuntimeError:
+    """The error of a rewrite whose image is not below the monomial it
+    rewrites: the order is broken, so this is a bug, not bad input."""
+    return RuntimeError("rewrite does not descend: %r becomes %r, which is not below it"
+                        % (m, image))
+
+
 def descend(terms: dict, find: Find, image: Image,
             trace: Optional[list] = None) -> dict:
     """Normal form of a term dict, rewriting the largest reducible
@@ -217,9 +225,12 @@ def descend(terms: dict, find: Find, image: Image,
     Each rewrite replaces the current largest reducible monomial by
     strictly smaller ones (tails sit below the leading monomial and the
     orders are multiplicative), so one descending sweep suffices: once a
-    monomial is popped it never reappears.  The worklist is a list sorted
-    by ``key`` and popped from its end, so every order comparison is a C
-    comparison of keys.  A monomial is listed once, from its first
+    monomial is popped it never reappears.  That premise is checked: an
+    image whose ``key`` is not below the popped monomial's raises
+    ``RuntimeError`` naming both, since a broken order would otherwise
+    loop or grow without end.  The worklist is a list sorted by ``key``
+    and popped from its end, so every order comparison is a C comparison
+    of keys.  A monomial is listed once, from its first
     appearance until it is popped, and keeps coefficient 0 while it is
     cancelled.  Every listed monomial is below the one last popped, so the
     nonzero ones pop in the order a max-heap of the monomials with a
@@ -278,10 +289,13 @@ def descend(terms: dict, find: Find, image: Image,
                     out[t] *= k
         else:
             a = c / lc
+        km = m.key
         for t, q in rterms.items():
             if t is lead:
                 continue
             nm = image(m, step, t)
+            if not nm.key < km:
+                raise _ascent(m, nm)
             old = coeffs.get(nm)
             if old is None:
                 coeffs[nm] = -a * q
@@ -328,7 +342,8 @@ def _monomial_nf(m, find: Find, image: Image, memo: dict):
     ``images`` is ``None`` until the monomial's rewrite is looked up, then
     the ``(image, q)`` pairs whose normal forms it sums once they are all
     known.  Images are strictly smaller than the monomial rewritten, so no
-    frame waits on itself."""
+    frame waits on itself; an image whose ``key`` is not below raises
+    ``RuntimeError``, as in :func:`descend`."""
     stack = [(m, None)]
     while stack:
         w, images = stack.pop()
@@ -343,7 +358,12 @@ def _monomial_nf(m, find: Find, image: Image, memo: dict):
             lead = rel.leading()
             images = [(image(w, step, t), q) for t, q in rel.terms.items() if t is not lead]
             stack.append((w, images))
-            stack.extend((nw, None) for nw, _ in images if nw not in memo)
+            kw = w.key
+            for nw, _ in images:
+                if not nw.key < kw:
+                    raise _ascent(w, nw)
+                if nw not in memo:
+                    stack.append((nw, None))
             continue
         acc: dict = {}
         for nw, q in images:

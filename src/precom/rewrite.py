@@ -189,9 +189,8 @@ class ZinbielFamily(RelationSchema):
             return None
         a, b, c = word.left, bc.left, bc.right
         ab, ba = node(node(a, b), c), node(node(b, a), c)
-        # a(bc) leads: its right factor is longer than c.
-        return MagmaPoly._raw({word: 1, ab: -2} if ab is ba else {word: 1, ab: -1, ba: -1},
-                              word)
+        # The order puts a(bc) first: its right factor is longer than c.
+        return MagmaPoly._raw({word: 1, ab: -2} if ab is ba else {word: 1, ab: -1, ba: -1})
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,37 @@
 from __future__ import annotations
 
+import faulthandler
 import gc
+import os
 
 import pytest
 
 from precom.envelope import TailFamily
 from precom.magma import Alphabet, MagmaPoly, leaf, node
 from precom.rewrite import ExplicitRelation, ZinbielFamily
+
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of stderr taken while output capture is off: a dump written
+    # to a test's capture file would be lost with the process it ends.
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def time_budget(request):
+    """End the run, with every thread's stack on stderr, if one test runs
+    past 60 s.  The slowest test takes about 2 s, so only a hang meets
+    the budget, and it then fails the run instead of stalling it."""
+    faulthandler.dump_traceback_later(60, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

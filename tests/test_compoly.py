@@ -756,11 +756,44 @@ def weight_deduped_buchberger():
     return namespace["buchberger_bounded"]
 
 
+def criterion_f_recount(basis, N):
+    """Criterion F's choice, recounted over a final basis: for each
+    relation k, the earlier relations i that share a symbol with it and
+    whose lcm has weight <= N, grouped by lcm / lead_k =
+    ``lead_k.cofactor(lead_i)``.  Returns (the number of groups, the sum
+    of each group's size - 1): one pair processed per group, the rest
+    skipped for a repeated lcm."""
+    leads = [g.leading() for g in basis]
+    groups = repeats = 0
+    for k, lead in enumerate(leads):
+        mine = set(lead.factors)
+        by_lcm = Counter(lead.cofactor(other) for other in leads[:k]
+                         if mine.intersection(other.factors))
+        within = [n for extra, n in by_lcm.items() if lead.weight + extra.weight <= N]
+        groups += len(within)
+        repeats += sum(within) - len(within)
+    return groups, repeats
+
+
 class TestCriterionF:
     # Each pair of the final basis within the bound -- formed, coprime or
     # skipped for a repeated lcm -- reduces to zero by the final basis, so
     # the completion is a Groebner basis truncated at weight N.
     CASES = sorted(PINNED_BUCHBERGER) + [("seed", seed, 8 + seed % 3) for seed in range(6, 26)]
+
+    def test_one_pair_processed_per_lcm(self):
+        assert len(self.CASES) == 31
+        for kind, k, N in self.CASES:
+            basis, rep = buchberger_bounded(pinned_relations(kind, k, N), N)
+            assert (rep.pairs_processed, rep.pairs_skipped_lcm) \
+                == criterion_f_recount(basis, N), (kind, k, N)
+
+    def test_deduping_on_the_weight_fails_the_recount(self):
+        wrong = weight_deduped_buchberger()
+        for kind, k, N in self.CASES:
+            basis, rep = wrong(pinned_relations(kind, k, N), N)
+            assert (rep.pairs_processed, rep.pairs_skipped_lcm) \
+                != criterion_f_recount(basis, N), (kind, k, N)
 
     def test_final_basis_resolves_every_pair_within_the_bound(self):
         skipped = 0

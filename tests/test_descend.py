@@ -20,7 +20,7 @@ import pytest
 from precom.compoly import ComBasis, ComMonomial, ComPoly, GenSymbol, _times, buchberger_bounded
 from precom.embed import FilteredAlgebra
 from precom.envelope import trivial_gsb, truncated_power_algebra
-from precom.lincomb import descend, exact, integral
+from precom.lincomb import descend, exact, integral, memo_descend
 from precom.magma import Alphabet, MagmaPoly, _DeepKey, _FLAT_KEY_LENGTH, comb, leaf, node
 from precom.rewrite import (
     ExplicitRelation,
@@ -374,3 +374,25 @@ class TestPinnedReduce:
         for coeff, word, path, relation in trace:
             h.update(("%s %r %s %r\n" % (coeff, word, path, relation)).encode())
         assert h.hexdigest() == trace_sha
+
+
+class TestDescentCheck:
+    # A hand-built find answers (x y) with a relation whose tail holds the
+    # larger irreducible word (x (x y)): grafted at the root, the rewrite
+    # climbs the order.  Unchecked, both reducers would return that word
+    # as a "normal form".
+    def test_a_rewrite_that_climbs_raises(self, ab2):
+        x, y = (leaf(a) for a in ab2)
+        m, big = node(x, y), node(x, node(x, y))
+        rel = MagmaPoly.from_terms([(node(m, m), 1), (big, 1)])
+        assert rel.leading() is node(m, m) and big.key > m.key
+
+        def find(w):
+            return ((), rel) if w is m else None
+
+        for reduce in (lambda: descend({m: 1}, find, graft),
+                       lambda: memo_descend({m: 1}, find, graft, {})):
+            with pytest.raises(RuntimeError, match="does not descend") as err:
+                reduce()
+            assert not isinstance(err.value, ValueError)
+            assert "%r becomes %r" % (m, big) in str(err.value)

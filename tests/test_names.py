@@ -126,8 +126,6 @@ _OPERATOR_NAMES = {
 # with the two library callers that set it differently.
 OPTIONAL = (
     ("cli", "main", "argv"),            # the console script passes none, perfbench's job.py a list
-    ("lincomb", "LinComb._raw", "lead"),   # family matches and integer copies know their
-                                           # leading monomial, sums do not
     ("lincomb", "descend", "trace"),    # normal_form_with_trace keeps the steps, com_reduce none
     ("rewrite", "complete", "stats"),   # the complete verb reports them, the drivers do not
 )
