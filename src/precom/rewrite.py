@@ -181,6 +181,10 @@ class ZinbielFamily(RelationSchema):
     word a with |a| + |u| <= bound.  The root site of Z(u) and g is g's
     (g - Z(u) = -(Z(u) - g)), or an earlier schema's with the instance g;
     an added relation has none, as the family matches no normal form term.
+    A relation given outright that equals a family instance, before or
+    after the family in the list, is the family's instance: it has no
+    root site with Z(u), and the sites below its root follow the
+    family's criteria.
     """
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -393,9 +397,11 @@ class GsbReport(Report):
 
 
 def _shadowed(index: _RedexIndex, pos: int, p: MagmaPoly) -> bool:
-    """Whether a schema before position ``pos`` matches p's leading word
-    with a polynomial equal to p; p is then that schema's instance."""
-    return any(q == p for qpos, q in index.matches(p.leading()) if qpos < pos)
+    """Whether p, an instance of the schema at ``pos``, is another
+    schema's instance: the Zinbiel family's if it produces p, wherever it
+    sits in the list, else that of a schema before ``pos`` producing p."""
+    return any(q == p for qpos, q in index.matches(p.leading())
+               if qpos < pos or isinstance(index.schemas[qpos], ZinbielFamily))
 
 
 class _Sites:
@@ -423,23 +429,19 @@ class _Sites:
         # schema's position, in schema order then enumeration order.
         self.instances = [(pos, p) for pos, s in enumerate(index.schemas)
                           if not isinstance(s, ZinbielFamily) for p in s.instances(bound)]
-        # The outer instances leave out those that an earlier schema
-        # produces too.
+        # The outer instances leave out those that the Zinbiel family or
+        # an earlier schema produces too (see _shadowed).
         self.outer = [(pos, p) for pos, p in self.instances if not _shadowed(index, pos, p)]
         self.containing: dict[NaWord, list[tuple[int, NaWord, tuple]]] = {}
         for pos, f in self.outer:
             self.note(pos, f.leading())
         self.zinbiel = next(((pos, fam) for pos, fam in index.families
                              if isinstance(fam, ZinbielFamily)), None)
-        # The words whose family instance an earlier schema produces.
-        self.shadow: set[NaWord] = set()
         # The right-factor sites a(u) never formed, as a is reducible.
         self.skipped = 0
         self.left: list[list[NaWord]] = []
         if self.zinbiel is not None:
-            zpos, z = self.zinbiel
-            self.shadow = {p.leading() for pos, p in self.instances
-                           if pos < zpos and z.match(p.leading()) == p}
+            z = self.zinbiel[1]
             # words[n] counts the words of length n; left[n] lists those
             # irreducible modulo the index, the left factors of the
             # right-factor sites (the chain criterion, see ZinbielFamily).
@@ -474,22 +476,21 @@ class _Sites:
         """The sites with a Zinbiel instance as the outer relation and
         ``g`` of the schema at ``gpos`` as the inner one, at the right
         factor u of a(u) for every irreducible word a with |a| + |u| <=
-        bound; the others are counted in ``skipped``.  The root site at u
-        is g's (see :class:`ZinbielFamily`)."""
+        bound; the others are counted in ``skipped``.  The family owns
+        every instance it produces (see :func:`_shadowed`), so the outer
+        relation is the family at every a(u), a relation given outright
+        equal to Z(a, u) included.  The root site at u is g's (see
+        :class:`ZinbielFamily`)."""
         u = g.leading()
         if self.zinbiel is None or u.letter is not None:
             return
         zpos = self.zinbiel[0]
         top = self.bound - u.length
-        redex = self.index.redex
         self.skipped += sum(self.words[1:top + 1]) - sum(map(len, self.left[1:top + 1]))
-        self.skipped -= sum(1 for w in self.shadow
-                            if w.right is u and redex(w.left) is not None)
         for row in self.left[1:top + 1]:
             for a in row:
                 w = node(a, u)
-                if w not in self.shadow:
-                    yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
+                yield (w.length, w.key, zpos, gpos, (RIGHT,), w, g)
 
     def initial(self) -> list:
         """Every site among the instances, sorted: at the root of each
@@ -514,8 +515,10 @@ class _Sites:
         """The number of sites strictly below the root of a Zinbiel
         instance's leading word, formed or not, counted by length from the
         number of words and the number of (subword, relation) matches over
-        the words of each length; 0 without the family.  The sites below
-        the root of any other outer instance are all formed."""
+        the words of each length; 0 without the family.  A relation given
+        outright that equals a family instance is the family's, so the
+        sites below its root are counted here too.  The sites below the
+        root of any other outer instance are all formed."""
         if self.zinbiel is None:
             return 0
         index, top, words = self.index, self.bound, self.words
@@ -529,28 +532,8 @@ class _Sites:
             matched[n] += sum(matched[i] * words[n - i] + words[i] * matched[n - i]
                               for i in range(1, n))
         # Over the words a(u) with u compound: the matches within a and u.
-        total = sum(matched[i] * words[j] + words[i] * matched[j]
-                    for i in range(1, top) for j in range(2, top + 1 - i))
-        within: dict[NaWord, int] = {}
-        return total - sum(_matches_within(w.left, index, within)
-                           + _matches_within(w.right, index, within) for w in self.shadow)
-
-
-def _matches_within(word: NaWord, index: _RedexIndex, within: dict) -> int:
-    """The number of (path, relation) pairs with a relation of the index
-    matching the subword of ``word`` at the path; ``within`` memoizes it
-    per word."""
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        if w in within:
-            continue
-        if w.letter is None and (w.left not in within or w.right not in within):
-            stack += (w, w.left, w.right)
-            continue
-        n = len(index.matches(w))
-        within[w] = n if w.letter is not None else n + within[w.left] + within[w.right]
-    return within[word]
+        return sum(matched[i] * words[j] + words[i] * matched[j]
+                   for i in range(1, top) for j in range(2, top + 1 - i))
 
 
 def verify_gsb(relations: Iterable[RelationSchema], bound: int) -> GsbReport:

@@ -58,13 +58,15 @@ def kept_sites(schemas, bound):
 def instances_of(schemas, bound):
     """(instance, schema) for every instance of every schema, the Zinbiel
     family's included (by the generic scan), in schema order then
-    enumeration order; an instance that an earlier schema produces too is
-    left out."""
+    enumeration order.  Each polynomial is listed once, as the instance
+    of the first Zinbiel family that produces it, else of the earliest
+    schema that does."""
+    owners = [s for s in schemas if isinstance(s, ZinbielFamily)] + list(schemas)
     out = []
-    for pos, s in enumerate(schemas):
+    for s in schemas:
         found = scan_instances(s, bound) if isinstance(s, ZinbielFamily) else s.instances(bound)
         for p in found:
-            if not any(t.match(p.leading()) == p for t in schemas[:pos]):
+            if next(t for t in owners if t.match(p.leading()) == p) is s:
                 out.append((p, s))
     return out
 
@@ -564,7 +566,7 @@ def pinned(name, suffix=".sexp"):
 # ``redex`` fails the tests that use it rather than the collection of
 # this file.
 _COUNT_CASES = ["trivial-gsb-2", "trivial-gsb-3", "family-2", "family-3", "family-twice",
-                "family-last", "shadowed", "root-pair", "lookalike"] + [
+                "family-last", "shadowed", "owned", "root-pair", "lookalike"] + [
                     name for name, _, _ in _CRITERIA_CASES]
 
 
@@ -577,8 +579,8 @@ def count_case(name):
     zinb, *quadratic = enveloping_relations(trivial_algebra(2))
     ab2, ab3 = zinb.alphabet, Alphabet("xyz")
     x, y = (leaf(letter) for letter in ab2)
-    # Z(x, y, y) given outright before the family, so the family's
-    # instance at x(yy) is that relation; Z(y, x, x) after it.
+    # Z(x, y, y) given outright before the family and Z(y, x, x) after
+    # it: both are the family's instances.
     before = ExplicitRelation(zinb.match(node(x, node(y, y))))
     after = ExplicitRelation(zinb.match(node(y, node(x, x))))
     return {
@@ -589,6 +591,9 @@ def count_case(name):
         "family-twice": ([ZinbielFamily(ab2), ZinbielFamily(ab2)], 5),
         "family-last": (quadratic + [ZinbielFamily(ab2)], 5),
         "shadowed": ([before, zinb, after] + quadratic, 5),
+        # Z(xx, x, y), the family's instance at (xx)(xy), given outright
+        # before the family: the square xx sits inside its variable a.
+        "owned": (parse_relations(pinned("owned"))[1], 5),
         # A relation whose leading word x(yz) the family matches.
         "root-pair": (parse_relations(pinned("root-pair"))[1], 5),
         # No family: every site is formed and none is discharged.
@@ -716,12 +721,15 @@ class TestChainCriterion:
 # relations tie on the ambiguity word; shadowed gives family instances
 # outright, before and after the family.  root-pair, pinned when the root
 # site of the family and x(yz) + (zz)z was reduced twice, is unchanged.
+# owned, pinned when a family instance given before the family was the
+# explicit relation's, gives Z(xx, x, y) outright before the family, the
+# square xx inside its variable a; it is unchanged.
 # inclusion, the third draw of random_homogeneous_relations(Random(23),
 # x y, (2, 3)), has no family: its last relation comes from the site of
 # x(xx) + ... with the added relation xx inside it.
 _PINNED_BOUNDS = {"trivial-2": 6, "truncated-3": 5, "nilpotent-0": 5, "nilpotent-1": 5,
                   "nilpotent-2": 5, "lookalike": 5, "family-last": 5,
-                  "compound-right": 5, "shadowed": 5, "root-pair": 5,
+                  "compound-right": 5, "shadowed": 5, "owned": 5, "root-pair": 5,
                   "inclusion": 4}
 
 
@@ -748,6 +756,17 @@ class TestPinnedCompletion:
         stats = {}
         complete(rels, 5, stats)
         assert stats == {"instances": 2, "sites": 121, "skipped": 36}
+
+    def test_owned_stats(self):
+        # Z(xx, x, y), given outright before the family, is the family's
+        # instance, so its two sites below the root are never formed: xx
+        # inside its variable a is trivial by Shirshov's lemma, and xy + yx
+        # at its right factor is skipped by the chain criterion, as its
+        # left factor xx is reducible.
+        _, rels = parse_relations(pinned("owned"))
+        stats = {}
+        complete(rels, 5, stats)
+        assert stats == {"instances": 4, "sites": 23, "skipped": 51}
 
     def test_every_input_pinned(self):
         assert sorted(f[:-len(".sexp")] for f in os.listdir(_PINNED_DIR)
