@@ -382,7 +382,10 @@ def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
 
 class GsbReport(Report):
     """``ambiguities_checked`` counts the composition sites up to the
-    bound, each root pair of a Zinbiel instance and a relation g once;
+    bound, each root pair of a Zinbiel instance and a relation g once.
+    A relation given outright that equals a Zinbiel instance still
+    matches its leading word beside the family's instance, so the sites
+    at that word count both copies of the same polynomial;
     ``discharged`` of them are trivial by a composition criterion and
     were not reduced, ``skipped`` of those by the chain criterion.
     A Zinbiel family's sites are counted from its definition, by word

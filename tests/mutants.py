@@ -7,19 +7,21 @@ each mutant in turn, the runner copies ``src/``, ``tests/`` and
 temporary directory, replaces the one occurrence of ``old text`` in
 ``file`` with ``new text``, and runs ``python -m pytest -x -q`` on the
 named test files there, under a wall-clock timeout and an address-space
-limit set in the child alone.  A failing run, a timeout or a memory
-error kills the mutant; a run that passes lets it survive.  First, the
-unpatched copy must pass every named test file under the same limits,
-or a kill would prove nothing.
+limit set in the child alone.  A failing test (a ``MemoryError``
+raised in one included) or a timeout kills the mutant; a run that passes
+lets it survive.  A run that ends any other way, say because the patch
+breaks import or collection, exercised no test and caught nothing: the
+mutant is reported as broken.  First, the unpatched copy must pass every
+named test file under the same limits, or a kill would prove nothing.
 
 Run from anywhere, with only the standard library and pytest:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-It prints each mutant's outcome, wall time and first failing test, and
-exits 1 naming the survivors, 2 if the unpatched copy fails.  Mend a
-survivor with a stronger test, never by weakening or deleting the
-mutant.  Tier-1 runs no mutant: ``tests/test_mutants.py`` checks only
+It runs every mutant, prints each one's outcome, wall time and first
+failing test, and exits 1 naming the survivors and the broken ones, 2 if
+the unpatched copy fails.  Mend a survivor with a stronger test, never
+by weakening or deleting the mutant.  Tier-1 runs no mutant: ``tests/test_mutants.py`` checks only
 that every ``old text`` occurs exactly once in its file, so a refactor
 carries its mutants along.
 """
@@ -113,10 +115,11 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_tests(patch, tests: list[str]) -> tuple[bool, float, str]:
+def run_tests(patch, tests: list[str]) -> tuple[str, float, str]:
     """Copy the tree, apply ``patch`` (a mutant entry, or None) and run
-    ``tests`` there: (passed, wall seconds, first failing test or how the
-    run ended)."""
+    ``tests`` there: (outcome, wall seconds, first failing test or how
+    the run ended).  The outcome is "passed", "killed" (a test failed or
+    the run timed out) or "broken" (pytest ended otherwise)."""
     with tempfile.TemporaryDirectory(prefix="precom-mutant-") as tmp:
         for name in COPIED:
             shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name),
@@ -136,44 +139,34 @@ def run_tests(patch, tests: list[str]) -> tuple[bool, float, str]:
             proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
         except subprocess.TimeoutExpired:
-            return False, time.monotonic() - t0, "timeout after %d s" % TIMEOUT_S
+            return "killed", time.monotonic() - t0, "timeout after %d s" % TIMEOUT_S
         wall = time.monotonic() - t0
-        if proc.returncode == 0:
-            return True, wall, ""
         first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
-        if first:
-            return False, wall, first.group(1)
-        if "MemoryError" in proc.stdout + proc.stderr:
-            return False, wall, "MemoryError"
-        return False, wall, "exit %d" % proc.returncode
+        how = first.group(1) if first else "exit %d" % proc.returncode
+        # pytest exits 1 exactly when a collected test failed.
+        return {0: "passed", 1: "killed"}.get(proc.returncode, "broken"), wall, how
 
 
-def main(names: list[str]) -> int:
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        raise SystemExit("unknown mutants: %s" % ", ".join(unknown))
-    chosen = names or list(MUTANTS)
-    files = sorted({f for n in chosen for f in MUTANTS[n][3]})
+def main() -> int:
+    files = sorted({f for entry in MUTANTS.values() for f in entry[3]})
     t0 = time.monotonic()
-    passed, wall, how = run_tests(None, files)
-    print("%-24s %-8s %6.1f s  %s" % ("(unpatched)", "passed" if passed else "FAILED", wall, how),
-          flush=True)
-    if not passed:
+    outcome, wall, how = run_tests(None, files)
+    print("%-24s %-8s %6.1f s  %s" % ("(unpatched)", outcome, wall, how), flush=True)
+    if outcome != "passed":
         return 2
-    survivors = []
-    for name in chosen:
-        survived, wall, how = run_tests(MUTANTS[name], MUTANTS[name][3])
-        if survived:
-            survivors.append(name)
-        print("%-24s %-8s %6.1f s  %s" % (name, "SURVIVED" if survived else "killed", wall, how),
-              flush=True)
-    print("%d mutants, %d survived, %.1f s" % (len(chosen), len(survivors),
-                                               time.monotonic() - t0))
-    if survivors:
-        print("surviving mutants: %s" % ", ".join(survivors))
+    uncaught = []
+    for name, entry in MUTANTS.items():
+        outcome, wall, how = run_tests(entry, entry[3])
+        if outcome != "killed":
+            uncaught.append("%s (%s)" % (name, "survived" if outcome == "passed" else outcome))
+        print("%-24s %-8s %6.1f s  %s" % (name, outcome, wall, how), flush=True)
+    print("%d mutants, %d not killed, %.1f s" % (len(MUTANTS), len(uncaught),
+                                                 time.monotonic() - t0))
+    if uncaught:
+        print("not killed: %s" % ", ".join(uncaught))
         return 1
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
