@@ -158,7 +158,7 @@ class ZinbielFamily(RelationSchema):
     Such a composition is trivial by Shirshov's composition lemma (Bokut
     and Chen 2014), so sites can be nontrivial only at the root and at the
     right factor bc, and only with an inner relation from outside the
-    family (every copy of the family in a set counts as the family).
+    family (a second copy of the family owns nothing).
 
     The right-factor site needs an irreducible a too (the chain criterion,
     Bokut and Chen 2014, triviality modulo w).  Take f = Z(a, b, c) and
@@ -182,9 +182,8 @@ class ZinbielFamily(RelationSchema):
     (g - Z(u) = -(Z(u) - g)), or an earlier schema's with the instance g;
     an added relation has none, as the family matches no normal form term.
     A relation given outright that equals a family instance, before or
-    after the family in the list, is the family's instance: it has no
-    root site with Z(u), and the sites below its root follow the
-    family's criteria.
+    after the family in the list, is the family's instance and is not
+    filed (see :class:`_RedexIndex`).
     """
 
     def match(self, word: NaWord) -> Optional[MagmaPoly]:
@@ -203,11 +202,14 @@ class ZinbielFamily(RelationSchema):
 class _RedexIndex:
     """Leading-monomial lookup across a schema list, honoring list order.
 
-    ``explicit`` maps each leading word to every explicit relation with
-    that leading word, as ``(position, relation)`` in list order, a
-    position being an index in ``schemas``, which :meth:`add_explicit`
-    appends to.  :meth:`matches` lists every relation matching a word,
-    for composition search; :meth:`find` gives the first, for rewriting.
+    Each polynomial is filed once: the families own all they produce, the
+    first copy in list order, and ``explicit`` maps a leading word to the
+    other explicit relations there, the first of equal ones, as
+    ``(position, relation)`` in list order, a position being an index in
+    ``schemas``, which :meth:`add_explicit` appends to.  :meth:`matches`
+    lists them at a word, for composition search; :meth:`find` gives the
+    first, for rewriting, so a list answers as it does without its
+    relations left unfiled.
     ``first`` memoizes :meth:`redex` per word as one step (``None``, the
     relation at the root, or ``LEFT`` or ``RIGHT``), and ``nf`` memoizes
     the normal form of :meth:`reduce` per word, for the life of the index
@@ -219,19 +221,20 @@ class _RedexIndex:
 
     def __init__(self, schemas: Sequence[RelationSchema]):
         self.schemas = list(schemas)
-        self.families: list[tuple[int, RelationSchema]] = []
+        self.families = [(pos, s) for pos, s in enumerate(self.schemas)
+                         if not isinstance(s, ExplicitRelation)]
         self.explicit: dict[NaWord, list[tuple[int, MagmaPoly]]] = {}
         for pos, s in enumerate(self.schemas):
             if isinstance(s, ExplicitRelation):
-                self.explicit.setdefault(s.lead, []).append((pos, s.poly))
-            else:
-                self.families.append((pos, s))
+                if all(q != s.poly for _, q in self.matches(s.lead)):
+                    self.explicit.setdefault(s.lead, []).append((pos, s.poly))
         self.first: dict[NaWord, Union[None, int, MagmaPoly]] = {}
         self.nf: dict[NaWord, Optional[dict]] = {}
         self.longest = 0
 
     def add_explicit(self, rel: ExplicitRelation) -> int:
-        """Append ``rel`` to the schemas; its position.
+        """Append and file ``rel``, whose leading word is irreducible; its
+        position.
 
         When no memoized word is longer than the new leading word u, a
         memoized word contains u only if it is u, so only u's entry is
@@ -260,13 +263,17 @@ class _RedexIndex:
         return memo_descend(terms, self.redex, graft, self.nf)
 
     def matches(self, word: NaWord) -> list[tuple[int, MagmaPoly]]:
-        """``(position, relation)`` for every relation whose leading
-        monomial is ``word``: the families', then the explicit ones."""
-        found = [(pos, fam.match(word)) for pos, fam in self.families]
-        return [m for m in found if m[1] is not None] + self.explicit.get(word, [])
+        """``(position, relation)`` for each polynomial whose leading
+        monomial is ``word``, once: the families', then the explicit ones."""
+        found = []
+        for pos, fam in self.families:
+            m = fam.match(word)
+            if m is not None and all(q != m for _, q in found):
+                found.append((pos, m))
+        return found + self.explicit.get(word, [])
 
     def find(self, word: NaWord) -> Optional[MagmaPoly]:
-        """First schema (in list order) whose leading monomial is ``word``."""
+        """First owner (in list order) whose leading monomial is ``word``."""
         exp = self.explicit.get(word)
         for pos, fam in self.families:
             if exp is not None and pos > exp[0][0]:
@@ -382,12 +389,11 @@ def replay_trace(steps: Iterable[tuple]) -> MagmaPoly:
 
 class GsbReport(Report):
     """``ambiguities_checked`` counts the composition sites up to the
-    bound, each root pair of a Zinbiel instance and a relation g once.
-    A relation given outright that equals a Zinbiel instance still
-    matches its leading word beside the family's instance, so the sites
-    at that word count both copies of the same polynomial;
-    ``discharged`` of them are trivial by a composition criterion and
-    were not reduced, ``skipped`` of those by the chain criterion.
+    bound, each root pair of a Zinbiel instance and a relation g once,
+    and each polynomial once (see :class:`_RedexIndex`), so duplicates
+    move no count; ``discharged`` of them are trivial by a composition
+    criterion and were not reduced, ``skipped`` of those by the chain
+    criterion.
     A Zinbiel family's sites are counted from its definition, by word
     counts (``_Sites.below_root``), not from calls to its ``match``; a
     family that matches too little fails the d^n irreducible counts of
@@ -397,14 +403,6 @@ class GsbReport(Report):
     their composition."""
 
     __slots__ = ("ambiguities_checked", "failures", "discharged", "skipped")
-
-
-def _shadowed(index: _RedexIndex, pos: int, p: MagmaPoly) -> bool:
-    """Whether p, an instance of the schema at ``pos``, is another
-    schema's instance: the Zinbiel family's if it produces p, wherever it
-    sits in the list, else that of a schema before ``pos`` producing p."""
-    return any(q == p for qpos, q in index.matches(p.leading())
-               if qpos < pos or isinstance(index.schemas[qpos], ZinbielFamily))
 
 
 class _Sites:
@@ -428,15 +426,13 @@ class _Sites:
     def __init__(self, index: _RedexIndex, bound: int):
         self.index = index
         self.bound = bound
-        # Every instance of every schema but the Zinbiel family, with the
-        # schema's position, in schema order then enumeration order.
+        # The instances that their schema owns (see _RedexIndex), but the
+        # Zinbiel family's, with the position, in schema then enumeration order.
         self.instances = [(pos, p) for pos, s in enumerate(index.schemas)
-                          if not isinstance(s, ZinbielFamily) for p in s.instances(bound)]
-        # The outer instances leave out those that the Zinbiel family or
-        # an earlier schema produces too (see _shadowed).
-        self.outer = [(pos, p) for pos, p in self.instances if not _shadowed(index, pos, p)]
+                          if not isinstance(s, ZinbielFamily) for p in s.instances(bound)
+                          if any(qpos == pos for qpos, _ in index.matches(p.leading()))]
         self.containing: dict[NaWord, list[tuple[int, NaWord, tuple]]] = {}
-        for pos, f in self.outer:
+        for pos, f in self.instances:
             self.note(pos, f.leading())
         self.zinbiel = next(((pos, fam) for pos, fam in index.families
                              if isinstance(fam, ZinbielFamily)), None)
@@ -480,9 +476,9 @@ class _Sites:
         ``g`` of the schema at ``gpos`` as the inner one, at the right
         factor u of a(u) for every irreducible word a with |a| + |u| <=
         bound; the others are counted in ``skipped``.  The family owns
-        every instance it produces (see :func:`_shadowed`), so the outer
-        relation is the family at every a(u), a relation given outright
-        equal to Z(a, u) included.  The root site at u is g's (see
+        every instance it produces (see :class:`_RedexIndex`), so the
+        outer relation is the family at every a(u), a relation given
+        outright equal to Z(a, u) included.  The root site at u is g's (see
         :class:`ZinbielFamily`)."""
         u = g.leading()
         if self.zinbiel is None or u.letter is not None:
@@ -497,12 +493,12 @@ class _Sites:
 
     def initial(self) -> list:
         """Every site among the instances, sorted: at the root of each
-        outer instance f, every relation matching it but f, the family
-        included; at each filed subword, every relation matching it; and
-        those of :meth:`of_inner`."""
+        instance f, every relation matching it but f, the family included;
+        at each filed subword, every relation matching it; and those of
+        :meth:`of_inner`."""
         matches = self.index.matches
         sites = []
-        for fpos, f in self.outer:
+        for fpos, f in self.instances:
             fl = f.leading()
             sites += [(fl.length, fl.key, fpos, gpos, (), fl, g)
                       for gpos, g in matches(fl) if g != f]
@@ -521,17 +517,16 @@ class _Sites:
         the words of each length; 0 without the family.  A relation given
         outright that equals a family instance is the family's, so the
         sites below its root are counted here too.  The sites below the
-        root of any other outer instance are all formed."""
+        root of any other instance are all formed."""
         if self.zinbiel is None:
             return 0
-        index, top, words = self.index, self.bound, self.words
-        copies = sum(isinstance(fam, ZinbielFamily) for _, fam in index.families)
+        top, words = self.bound, self.words
         matched = [0] * (top + 1)
         for _, p in self.instances:
             matched[p.leading().length] += 1
         for n in range(1, top + 1):
             # The family matches the words whose right factor is compound.
-            matched[n] += copies * sum(words[i] * words[n - i] for i in range(1, n - 1))
+            matched[n] += sum(words[i] * words[n - i] for i in range(1, n - 1))
             matched[n] += sum(matched[i] * words[n - i] + words[i] * matched[n - i]
                               for i in range(1, n))
         # Over the words a(u) with u compound: the matches within a and u.

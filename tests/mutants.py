@@ -47,11 +47,16 @@ MAGMA = "src/precom/magma.py"
 
 # name: (file, old text, new text, test files)
 MUTANTS = {
-    # A relation given outright that equals a Zinbiel instance stays the
-    # earlier schema's, so the family's criteria skip the wrong sites.
-    "owner-by-position": (
-        REWRITE, "if qpos < pos or isinstance(index.schemas[qpos], ZinbielFamily))",
-        "if qpos < pos)", ["tests/test_rewrite.py"]),
+    # matches lists a polynomial once per family copy that produces it, so
+    # a second copy of a family owns its instances too.
+    "family-copies-match": (
+        REWRITE, "if m is not None and all(q != m for _, q in found):",
+        "if m is not None:", ["tests/test_rewrite.py"]),
+    # Every explicit relation is filed, one equal to a family instance or
+    # to an explicit relation before it included.
+    "file-every-explicit": (
+        REWRITE, "if all(q != s.poly for _, q in self.matches(s.lead)):", "if True:",
+        ["tests/test_rewrite.py"]),
     # A leaf key without its length character: a letter no longer sorts
     # below every compound word.
     "leaf-key-unlengthed": (

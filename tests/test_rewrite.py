@@ -13,6 +13,7 @@ import pytest
 from precom import cli, rewrite
 from precom.envelope import (
     CommAlgebra,
+    TailFamily,
     enveloping_relations,
     idempotent_algebra,
     trivial_algebra,
@@ -43,8 +44,9 @@ from precom.rewrite import (
 )
 from precom.sexpr import format_relations, parse_relations
 
-from oracles import (inclusion_compositions, occurrences, random_nilpotent_algebra, reducible,
-                     scan_instances, subtree, truncated_poly_relations, words_of_length)
+from oracles import (inclusion_compositions, occurrences, random_homogeneous_relations,
+                     random_nilpotent_algebra, reducible, scan_instances, subtree,
+                     truncated_poly_relations, words_of_length)
 
 
 def kept_sites(schemas, bound):
@@ -55,19 +57,21 @@ def kept_sites(schemas, bound):
             for _, _, fpos, _, path, w, g in _Sites(index, bound).initial()]
 
 
+def owner(schemas, p):
+    """The schema that owns the polynomial ``p``: the first family that
+    produces it, else the earliest schema that does."""
+    families = [s for s in schemas if not isinstance(s, ExplicitRelation)]
+    return next(s for s in families + list(schemas) if s.match(p.leading()) == p)
+
+
 def instances_of(schemas, bound):
     """(instance, schema) for every instance of every schema, the Zinbiel
     family's included (by the generic scan), in schema order then
-    enumeration order.  Each polynomial is listed once, as the instance
-    of the first Zinbiel family that produces it, else of the earliest
-    schema that does."""
-    owners = [s for s in schemas if isinstance(s, ZinbielFamily)] + list(schemas)
+    enumeration order.  Each polynomial is listed once, as its owner's."""
     out = []
     for s in schemas:
         found = scan_instances(s, bound) if isinstance(s, ZinbielFamily) else s.instances(bound)
-        for p in found:
-            if next(t for t in owners if t.match(p.leading()) == p) is s:
-                out.append((p, s))
+        out += [(p, s) for p in found if owner(schemas, p) is s]
     return out
 
 
@@ -497,17 +501,23 @@ class TestCompletionSweep:
 def every_site(schemas, bound):
     """Every composition site among the instances, no criterion applied:
     (f, its schema, path, g, g's schema, composition), with g each
-    relation that matches a subword of f's leading word, and each
-    composition built by inclusion_compositions.  A root pair of a family
-    instance f and another relation g is listed once, as g's root site:
-    its two compositions are negatives of each other."""
+    distinct polynomial that a schema matches at a subword of f's leading
+    word, as its owner's, and each composition built by
+    inclusion_compositions.  A root pair of a family instance f and
+    another relation g is listed once, as g's root site: its two
+    compositions are negatives of each other."""
     for f, fs in instances_of(schemas, bound):
         fl = f.leading()
         for sub in dict.fromkeys(w for _, w in fl.subtrees()):
-            for gs in schemas:
-                g = gs.match(sub)
-                if g is None or (sub is fl and isinstance(fs, ZinbielFamily)
-                                 and not isinstance(gs, ZinbielFamily)):
+            found = []
+            for s in schemas:
+                g = s.match(sub)
+                if g is not None and g not in found:
+                    found.append(g)
+            for g in found:
+                gs = owner(schemas, g)
+                if (sub is fl and isinstance(fs, ZinbielFamily)
+                        and not isinstance(gs, ZinbielFamily)):
                     continue
                 paths = [p for p in occurrences(fl, sub) if p or f != g]
                 comps = inclusion_compositions(f, g)
@@ -723,14 +733,16 @@ class TestChainCriterion:
 # site of the family and x(yz) + (zz)z was reduced twice, is unchanged.
 # owned, pinned when a family instance given before the family was the
 # explicit relation's, gives Z(xx, x, y) outright before the family, the
-# square xx inside its variable a; it is unchanged.
+# square xx inside its variable a; it is unchanged.  duplicates, pinned
+# when a relation given twice was filed twice, gives the family and xy + yx
+# twice; it is unchanged.
 # inclusion, the third draw of random_homogeneous_relations(Random(23),
 # x y, (2, 3)), has no family: its last relation comes from the site of
 # x(xx) + ... with the added relation xx inside it.
 _PINNED_BOUNDS = {"trivial-2": 6, "truncated-3": 5, "nilpotent-0": 5, "nilpotent-1": 5,
                   "nilpotent-2": 5, "lookalike": 5, "family-last": 5,
                   "compound-right": 5, "shadowed": 5, "owned": 5, "root-pair": 5,
-                  "inclusion": 4}
+                  "inclusion": 4, "duplicates": 5}
 
 
 class TestPinnedCompletion:
@@ -759,18 +771,86 @@ class TestPinnedCompletion:
 
     def test_owned_stats(self):
         # Z(xx, x, y), given outright before the family, is the family's
-        # instance, so its two sites below the root are never formed: xx
-        # inside its variable a is trivial by Shirshov's lemma, and xy + yx
-        # at its right factor is skipped by the chain criterion, as its
-        # left factor xx is reducible.
+        # instance and is not filed: it is no instance, and no site has it
+        # as the inner relation either.  So the stats are those of the
+        # trivial envelope without it, as enveloping_relations lists it.
         _, rels = parse_relations(pinned("owned"))
-        stats = {}
+        stats, without = {}, {}
         complete(rels, 5, stats)
-        assert stats == {"instances": 4, "sites": 23, "skipped": 51}
+        complete(rels[1:], 5, without)
+        assert stats == without == {"instances": 3, "sites": 21, "skipped": 51}
+
+    def test_duplicates_stats(self):
+        # The family and xy + yx, each given twice: the second copies own
+        # nothing, so the stats are those of the set without them.
+        _, rels = parse_relations(pinned("duplicates"))
+        stats, without = {}, {}
+        complete(rels, 5, stats)
+        complete(rels[:3] + rels[5:], 5, without)
+        assert stats == without == {"instances": 3, "sites": 21, "skipped": 51}
 
     def test_every_input_pinned(self):
         assert sorted(f[:-len(".sexp")] for f in os.listdir(_PINNED_DIR)
                       if not f.endswith(".out.sexp")) == sorted(_PINNED_BOUNDS)
+
+
+# ---------------------------------------------------------------------------
+# A relation set is a set: duplicates move no report.
+
+def with_duplicates(rng):
+    """A seeded relation list on x, y, a bound, and the same list with
+    duplicates inserted, each relation scaled, as ExplicitRelation makes
+    it monic: the Zinbiel family's instance at a word a(bc) given outright
+    anywhere, and likewise one of the tail family's if the list holds it;
+    a copy of an explicit relation after it; and in half the draws a
+    second copy of a family after the first.  The list holds the Zinbiel
+    family, in about 30% of draws the tail family, and random relations of
+    lengths 2 and 3; in about a quarter, also another relation leading
+    with that a(bc), so two relations share the leading word."""
+    ab = Alphabet("xy")
+    zinb = ZinbielFamily(ab)
+    fams = [zinb] + ([TailFamily(ab)] if rng.random() < 0.3 else [])
+    polys = random_homogeneous_relations(rng, ab, (2, 3))
+    lead = rng.choice([w for w in words_of_length(ab, rng.choice((3, 4)))
+                       if w.right.letter is None])
+    if lead.length == 3 and rng.random() < 0.5:
+        polys.append(MagmaPoly.from_terms([(lead, 1), (rng.choice(words_of_length(ab, 2)), 2)]))
+    base = fams + [ExplicitRelation(p) for p in polys]
+    rng.shuffle(base)
+    rels = list(base)
+    scale = rng.choice((-2, Fraction(1, 2), 3))
+    rels.insert(rng.randint(0, len(rels)), ExplicitRelation(zinb.match(lead).scale(scale)))
+    explicit = [s for s in rels if isinstance(s, ExplicitRelation)]
+    tail = next((s for s in rels if isinstance(s, TailFamily)), None)
+    if tail is not None:
+        p = rng.choice(tail.instances(4))
+        rels.insert(rng.randint(0, len(rels)), ExplicitRelation(p.scale(scale)))
+    copy = rng.choice(explicit)
+    rels.insert(rng.randint(rels.index(copy) + 1, len(rels)),
+                ExplicitRelation(copy.poly.scale(scale)))
+    if rng.random() < 0.5:
+        fam = rng.choice(fams)
+        rels.insert(rng.randint(rels.index(fam) + 1, len(rels)), type(fam)(ab))
+    return ab, rng.choice((4, 5)), base, rels
+
+
+def report_of(ab, rels, bound):
+    """Everything a report reads off a relation list at ``bound``: the
+    fields of verify_gsb, the stats of complete, the relations it adds
+    and the irreducible counts before and after."""
+    rep = verify_gsb(rels, bound)
+    stats = {}
+    done = complete(rels, bound, stats)
+    return ((rep.ambiguities_checked, rep.discharged, rep.skipped, rep.failures), stats,
+            [s.poly for s in done[len(rels):]], irreducible_counts(rels, ab, bound),
+            irreducible_counts(done, ab, bound))
+
+
+class TestDuplicates:
+    def test_duplicates_change_no_report(self):
+        for seed in range(200):
+            ab, bound, base, rels = with_duplicates(random.Random(seed))
+            assert report_of(ab, rels, bound) == report_of(ab, base, bound), seed
 
 
 _DUPLICATE_LEAD = """(alphabet x y)
@@ -895,7 +975,9 @@ class TestRedexCache:
 
     def test_find_honors_list_order(self, ab2):
         # A family before the first explicit relation leading with a word
-        # answers for it; an explicit relation before the family does.
+        # answers for it; an explicit relation before the family does.  A
+        # family instance given outright is the family's, wherever it sits:
+        # the list answers as it does without it.
         x, y = leaf(ab2["x"]), leaf(ab2["y"])
         w = node(x, node(y, x))
         fam = ZinbielFamily(ab2)
@@ -905,6 +987,8 @@ class TestRedexCache:
                               ([ExplicitRelation(first), fam], first),
                               ([ExplicitRelation(second), fam, ExplicitRelation(first)], second),
                               ([ExplicitRelation(second), ExplicitRelation(first)], second),
+                              ([ExplicitRelation(instance.scale(3)), fam], instance),
+                              ([ExplicitRelation(instance), ExplicitRelation(second), fam], second),
                               ([fam], instance), ([ExplicitRelation(first)], first)):
             assert _RedexIndex(schemas).find(w) == want
         assert _RedexIndex([ExplicitRelation(first), fam]).find(node(y, node(x, y))) \
